@@ -2,9 +2,15 @@
 Two oscillators sharing a common engineered bath plus two local baths.
 
 Builds the linear Langevin system for the cascaded two-oscillator model,
-solves for its steady-state quadrature covariance, and evaluates the
-equal-rate closed-form occupations that serve as independent oracles for
-the numeric path.
+solves for its steady-state covariance, and evaluates the equal-rate
+closed-form occupations that serve as independent oracles for the numeric
+path.
+
+The model is phase-insensitive, so everything lives in the 2x2 complex mode
+space: the amplitudes obey dc/dt = M c + noise, channel ch couples through
+the vector u_ch, and the covariance Y_jk = (1/2)<c_j c_k† + c_k† c_j> solves
+M Y + Y M† + N = 0 with N = sum_ch (nbar_ch + 1/2) u_ch u_ch†.  The vacuum
+is Y = I/2 and the occupations are n_i = Y_ii - 1/2.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import embed_drift, real_embedding_matrix, solve_lyapunov, stability_margin
+from .linalg import solve_lyapunov, stability_margin
 
 
 class InvalidParamsError(Exception):
@@ -103,12 +109,11 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Drift and noise data of the linear Langevin system."""
+    """Mode-space drift M, noise channels and Hermitian noise matrix N."""
 
     M: NDArray[np.complex128]
-    A: NDArray[np.float64]
     channels: tuple[ChannelSpec, ...]
-    N: NDArray[np.float64]
+    N: NDArray[np.complex128]
 
 
 @dataclass(frozen=True)
@@ -150,31 +155,28 @@ def build_system(p: CascadedParams) -> LinearSystem:
             p.nbar3,
         ),
     )
-    N = np.zeros((4, 4))
-    for ch in channels:
-        R = real_embedding_matrix(ch.u)
-        N += (ch.nbar + 0.5) * (R @ R.T)
-    return LinearSystem(M=M, A=embed_drift(M), channels=channels, N=N)
+    N = sum((ch.nbar + 0.5) * np.outer(ch.u, ch.u.conj()) for ch in channels)
+    return LinearSystem(M=M, channels=channels, N=N)
 
 
-def steady_state(p: CascadedParams) -> NDArray[np.float64]:
-    """Steady-state 4x4 quadrature covariance from the Lyapunov equation."""
+def steady_state(p: CascadedParams) -> NDArray[np.complex128]:
+    """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0."""
     sys = build_system(p)
     margin = stability_margin(sys.M)
     if margin >= 0.0:
         raise UnstableSystemError(f"drift is not stable (margin {margin:.3e})")
-    return solve_lyapunov(sys.A, sys.N)
+    return solve_lyapunov(sys.M, sys.N)
 
 
-def occupations(V: NDArray[np.float64]) -> tuple[float, float]:
-    """Mode occupations n_i = (V[x_i,x_i] + V[p_i,p_i] - 1)/2 from a covariance.
+def occupations(Y: NDArray[np.complex128]) -> tuple[float, float]:
+    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance.
 
     Values that come out slightly negative from numerical noise near vacuum
     are clamped to zero with a warning.
     """
     ns = []
     for i in range(2):
-        n = 0.5 * (V[2 * i, 2 * i] + V[2 * i + 1, 2 * i + 1] - 1.0)
+        n = Y[i, i].real - 0.5
         if n < 0.0:
             warnings.warn(
                 f"occupation n{i + 1} = {n:.3e} clamped to 0", RuntimeWarning, stacklevel=2

@@ -20,7 +20,8 @@ from .cascaded import (
     UnstableSystemError,
     UnsupportedParamsError,
     build_system,
-    delta_n,
+    disconnected_baseline,
+    occupations,
     steady_state,
 )
 from .counting import (
@@ -30,7 +31,7 @@ from .counting import (
     flow_first_moment,
     large_deviation,
 )
-from .linalg import NoConvergenceError, solve_lyapunov, stability_margin
+from .linalg import NoConvergenceError
 from .optomech import (
     NoCouplingError,
     OmParams,
@@ -41,7 +42,7 @@ from .optomech import (
 from .sweeps import (
     NegativeOccupationError,
     SchemaError,
-    convert_mbar,
+    cascaded_from_raw,
     emit,
     parse_config,
     run_sweep,
@@ -64,17 +65,6 @@ def _parse_sets(pairs: list[str]) -> dict:
     return out
 
 
-def _cascaded_from_sets(pairs: list[str]) -> CascadedParams:
-    raw = convert_mbar(_parse_sets(pairs))
-    if "Delta" in raw:
-        delta = raw.pop("Delta")
-        raw["omega2"] = raw.get("omega1", 0.0) + delta
-    try:
-        return CascadedParams(**raw)
-    except TypeError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def _om_from_sets(pairs: list[str]) -> OmParams:
     try:
         return OmParams(**_parse_sets(pairs))
@@ -83,32 +73,20 @@ def _om_from_sets(pairs: list[str]) -> OmParams:
 
 
 def _cmd_steady_state(args: argparse.Namespace) -> int:
-    p = _cascaded_from_sets(args.set)
+    p = cascaded_from_raw(_parse_sets(args.set))
     try:
-        report = delta_n(p, numeric=True)
+        n1, n2 = occupations(steady_state(p))
     except UnstableSystemError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERIC
+    out = {"n1": n1, "n2": n2}
+    try:
+        m1, m2 = disconnected_baseline(p)
     except UnsupportedParamsError:
-        # baseline undefined for unequal rates; report occupations only
-        from .cascaded import occupations
-
-        n1, n2 = occupations(steady_state(p))
-        print(json.dumps({"n1": n1, "n2": n2}, indent=2))
-        return 0
-    print(
-        json.dumps(
-            {
-                "n1": report.n1,
-                "n2": report.n2,
-                "m1": report.m1,
-                "m2": report.m2,
-                "dn1": report.dn1,
-                "dn2": report.dn2,
-            },
-            indent=2,
-        )
-    )
+        pass  # baseline undefined for unequal rates; report occupations only
+    else:
+        out.update(m1=m1, m2=m2, dn1=n1 - m1, dn2=n2 - m2)
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -129,7 +107,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fcs(args: argparse.Namespace) -> int:
-    p = _cascaded_from_sets(args.set)
+    p = cascaded_from_raw(_parse_sets(args.set))
     try:
         sys = build_system(p)
         V = steady_state(p)
@@ -164,11 +142,17 @@ def _om_dict(p: OmParams) -> dict:
     return {k: v for k, v in dataclasses.asdict(p).items() if v is not None}
 
 
+def _cascaded_dict(p: CascadedParams) -> dict:
+    """Field values of ``p`` for JSON, with F as [re, im]."""
+    out = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+    out["F"] = [out["F"].real, out["F"].imag]
+    return out
+
+
 def _cmd_map_om(args: argparse.Namespace) -> int:
     p = _om_from_sets(args.set)
     cp = map_to_cascaded(p)
-    out = {f.name: getattr(cp, f.name) for f in dataclasses.fields(cp)}
-    out["F"] = [out["F"].real, out["F"].imag]
+    out = _cascaded_dict(cp)
     out["F_residual"] = abs(complex(cp.F))
     print(json.dumps(out, indent=2))
     return 0
@@ -196,10 +180,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     p = preset_microwave()
     out = _om_dict(p)
     if args.mapped:
-        cp = map_to_cascaded(p)
-        mapped = {f.name: getattr(cp, f.name) for f in dataclasses.fields(cp)}
-        mapped["F"] = [mapped["F"].real, mapped["F"].imag]
-        out = {"preset": out, "mapped": mapped}
+        out = {"preset": out, "mapped": _cascaded_dict(map_to_cascaded(p))}
     print(json.dumps(out, indent=2))
     return 0
 

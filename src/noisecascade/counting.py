@@ -4,10 +4,15 @@ Full counting statistics of excitation exchange with each bath.
 The biased dynamics tilts the noise channel of interest by a counting field
 s; the biased covariance solves an algebraic Riccati equation and the
 large-deviation function theta(s) encodes all cumulants of the excitation
-flow.  Internally the counting machinery uses the doubled covariance
-sigma = 2 V (vacuum = identity): the trace formulas for theta and the first
-moment are consistent (equilibrium flows vanish and the per-channel moments
-sum to zero) only in that normalization.
+flow.  Everything is in the 2x2 mode space of ``cascaded``: the channel
+enters through the projector P = u_hat u_hat† onto its (possibly
+collective) mode, the tilting matrices are F-(s) = f-(s) P and
+F+(s) = f+(s) P, and the machinery uses the doubled covariance sigma = 2 Y
+(vacuum = identity).  The trace formulas for theta and the first moment
+are consistent (equilibrium flows vanish and the per-channel moments sum to
+zero) only in that normalization.  The flows come out as
+eta_ch = 2 rate_ch (<n_ch> - nbar_ch), with <n_ch> the occupation of the
+channel's mode.
 """
 
 from __future__ import annotations
@@ -19,11 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import (
-    UnstableEffectiveDriftError,
-    real_embedding_matrix,
-    solve_riccati_biased,
-)
+from .linalg import UnstableEffectiveDriftError, solve_riccati_biased
 
 MAX_CONTINUATION_STEP = 0.05
 
@@ -44,8 +45,8 @@ class OutsideAdmissibleRegionError(Exception):
 class BiasMatrices:
     """Tilting matrices F-(s), F+(s) of the biased dynamics; both vanish at s=0."""
 
-    Fminus: NDArray[np.float64]
-    Fplus: NDArray[np.float64]
+    Fminus: NDArray[np.complex128]
+    Fplus: NDArray[np.complex128]
 
 
 def _channel(sys: LinearSystem, channel: int):
@@ -57,20 +58,18 @@ def _channel(sys: LinearSystem, channel: int):
     raise ValueError(f"no channel with index {channel}")
 
 
-def _projector(sys: LinearSystem, channel: int) -> NDArray[np.float64]:
-    """Quadrature-plane projector of the channel's (possibly collective) mode."""
+def _projector(sys: LinearSystem, channel: int) -> NDArray[np.complex128]:
+    """Projector u_hat u_hat† onto the channel's (possibly collective) mode."""
     ch = _channel(sys, channel)
     uhat = ch.u / math.sqrt(ch.rate)
-    R = real_embedding_matrix(uhat)
-    return R @ R.T
+    return np.outer(uhat, uhat.conj())
 
 
 def bias_matrices(channel: int, s: float, sys: LinearSystem) -> BiasMatrices:
     """Tilting matrices for counting excitations exchanged with one bath.
 
-    For a local channel this reproduces the block-diagonal form
-    f_{j+-}(s) * I_2 on the channel's mode; the collective channel projects
-    onto the collective-mode quadrature plane instead.
+    For a local channel this is f_{j+-}(s) on the channel's diagonal entry;
+    the collective channel projects onto the collective mode instead.
     """
     ch = _channel(sys, channel)
     P = _projector(sys, channel)
@@ -86,21 +85,21 @@ def biased_covariance(
     channel: int,
     s: float,
     sys: LinearSystem,
-    sigma0: NDArray[np.float64],
-) -> NDArray[np.float64]:
+    sigma0: NDArray[np.complex128],
+) -> NDArray[np.complex128]:
     """Doubled biased covariance sigma_s, reached by continuation from s = 0.
 
-    ``sigma0`` is the unbiased doubled covariance 2V, which seeds the warm
+    ``sigma0`` is the unbiased doubled covariance 2Y, which seeds the warm
     starts.  Continuation proceeds in steps of at most MAX_CONTINUATION_STEP.
     """
     n_steps = max(1, math.ceil(abs(s) / MAX_CONTINUATION_STEP))
-    sigma = np.asarray(sigma0, dtype=float)
+    sigma = np.asarray(sigma0)
     s_prev = 0.0
     for k in range(1, n_steps + 1):
         sk = s * k / n_steps
         bias = bias_matrices(channel, sk, sys)
         try:
-            sigma = solve_riccati_biased(sys.A, 2.0 * sys.N, bias.Fminus, bias.Fplus, sigma)
+            sigma = solve_riccati_biased(sys.M, 2.0 * sys.N, bias.Fminus, bias.Fplus, sigma)
         except UnstableEffectiveDriftError as exc:
             raise OutsideAdmissibleRegionError(
                 f"biased dynamics unstable at s = {sk:.6g}", last_admissible_s=s_prev
@@ -113,21 +112,21 @@ def large_deviation(
     channel: int,
     s: float,
     sys: LinearSystem,
-    V: NDArray[np.float64],
+    V: NDArray[np.complex128],
 ) -> float:
-    """Large-deviation function theta(s) = Tr{F+(s) sigma_s - F-(s)}/2.
+    """Large-deviation function theta(s) = Re Tr{F+(s) sigma_s - F-(s)}.
 
-    ``V`` is the unbiased steady-state covariance (vacuum = I/2 convention).
+    ``V`` is the unbiased steady-state covariance Y (vacuum = I/2).
     theta(0) is exactly zero.
     """
     if s == 0.0:
         return 0.0
-    sigma_s = biased_covariance(channel, s, sys, 2.0 * np.asarray(V, dtype=float))
+    sigma_s = biased_covariance(channel, s, sys, 2.0 * np.asarray(V))
     bias = bias_matrices(channel, s, sys)
-    return 0.5 * (np.trace(bias.Fplus @ sigma_s) - np.trace(bias.Fminus))
+    return np.trace(bias.Fplus @ sigma_s).real - np.trace(bias.Fminus).real
 
 
-def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.float64]) -> float:
+def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]) -> float:
     """Mean rate of excitation flow into bath ``channel`` (trace formula).
 
     Positive values mean net excitations absorbed by the bath.  Does not
@@ -136,10 +135,10 @@ def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.float64]) -
     """
     ch = _channel(sys, channel)
     P = _projector(sys, channel)
-    sigma = 2.0 * np.asarray(V, dtype=float)
+    sigma = 2.0 * np.asarray(V)
     fp_prime = -ch.rate
     fm_prime = -ch.rate * (2.0 * ch.nbar + 1.0)
-    return -0.5 * (fp_prime * np.trace(P @ sigma) - fm_prime * np.trace(P))
+    return -(fp_prime * np.trace(P @ sigma).real - fm_prime * np.trace(P).real)
 
 
 _STENCILS = {
@@ -154,7 +153,7 @@ def flow_cumulant(
     channel: int,
     n: int,
     sys: LinearSystem,
-    V: NDArray[np.float64],
+    V: NDArray[np.complex128],
     h: float = 1e-3,
 ) -> float:
     """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0.

@@ -1,9 +1,11 @@
 """
 Dense linear-algebra kernels for two-mode Gaussian systems.
 
-Everything here works on 2x2 complex mode-space matrices and their 4x4 real
-quadrature embeddings.  Quadrature ordering is (x1, p1, x2, p2) with
-x = (c + c†)/sqrt(2) and p = -i(c - c†)/sqrt(2).
+The model is phase-insensitive (beam-splitter couplings, thermal baths), so
+its drift is a 2x2 complex mode-space matrix M and every covariance a 2x2
+complex Hermitian matrix.  The solvers take the drift A and return the
+Hermitian solution X of equations in A X + X A†; for real inputs they are
+the familiar real-symmetric forms with A^T.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class SingularSystemError(Exception):
 
 
 class NonSymmetricInputError(Exception):
-    """A matrix that must be symmetric is not, beyond tolerance."""
+    """A matrix that must be Hermitian (symmetric, if real) is not, beyond tolerance."""
 
 
 class NoConvergenceError(Exception):
@@ -26,42 +28,6 @@ class NoConvergenceError(Exception):
 
 class UnstableEffectiveDriftError(Exception):
     """Effective drift lost stability during the Riccati iteration."""
-
-
-def real_embedding_matrix(u: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Return the 4x2 real matrix mapping input quadratures to mode quadratures.
-
-    For a complex coupling vector u, mode k gets the rows
-    [Re u_k, -Im u_k] (x-row) and [Im u_k, Re u_k] (p-row), so that
-    R(u) R(u)^T is invariant under a global phase on u.
-    """
-    u = np.asarray(u, dtype=complex)
-    R = np.zeros((4, 2))
-    for k in range(2):
-        R[2 * k, 0] = u[k].real
-        R[2 * k, 1] = -u[k].imag
-        R[2 * k + 1, 0] = u[k].imag
-        R[2 * k + 1, 1] = u[k].real
-    return R
-
-
-def embed_drift(M: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Lift a 2x2 complex mode-space drift to the 4x4 real quadrature drift.
-
-    If the complex amplitudes obey dc/dt = M c then the quadrature vector
-    obeys dq/dt = A q with A the returned matrix.  The spectrum of A is the
-    spectrum of M together with its complex conjugate.
-    """
-    M = np.asarray(M, dtype=complex)
-    A = np.zeros((4, 4))
-    for j in range(2):
-        for k in range(2):
-            re, im = M[j, k].real, M[j, k].imag
-            A[2 * j, 2 * k] = re
-            A[2 * j, 2 * k + 1] = -im
-            A[2 * j + 1, 2 * k] = im
-            A[2 * j + 1, 2 * k + 1] = re
-    return A
 
 
 def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
@@ -76,43 +42,45 @@ def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
 def stability_margin(M: NDArray[np.complex128]) -> float:
     """Largest real part among the eigenvalues of the 2x2 complex drift.
 
-    A negative return value certifies stability of the mode-space dynamics
-    (and hence of its quadrature embedding, whose spectrum is the same plus
-    conjugates).
+    A negative return value certifies stability of the mode-space dynamics.
     """
     lam1, lam2 = eigenvalues_2x2(M)
     return max(lam1.real, lam2.real)
 
 
-def _check_symmetric(X: NDArray[np.float64], name: str, rtol: float = 1e-12) -> None:
+def _hermitian_part(X: NDArray) -> NDArray:
+    return 0.5 * (X + X.conj().T)
+
+
+def _check_hermitian(X: NDArray, name: str, rtol: float = 1e-12) -> None:
     scale = max(np.abs(X).max(), 1.0)
-    if np.abs(X - X.T).max() > rtol * scale:
-        raise NonSymmetricInputError(f"{name} is not symmetric to relative {rtol}")
+    if np.abs(X - X.conj().T).max() > rtol * scale:
+        raise NonSymmetricInputError(f"{name} is not Hermitian to relative {rtol}")
 
 
 def solve_lyapunov(
-    A: NDArray[np.float64],
-    N: NDArray[np.float64],
+    A: NDArray,
+    N: NDArray,
     residual_rtol: float = 1e-10,
-) -> NDArray[np.float64]:
-    """Solve A V + V A^T + N = 0 for symmetric V.
+) -> NDArray:
+    """Solve A X + X A† + N = 0 for Hermitian X.
 
-    Uses the dense 16x16 vectorization of the equation solved by LU with
-    partial pivoting.  The residual is checked against
-    residual_rtol * max-norm of N.
+    Uses the dense row-major vectorization kron(A, I) + kron(I, conj(A)),
+    with n^2 unknowns for an n x n drift, solved by LU with partial
+    pivoting.  The residual is checked against residual_rtol * max-norm
+    of N.
     """
-    A = np.asarray(A, dtype=float)
-    N = np.asarray(N, dtype=float)
-    _check_symmetric(N, "noise matrix N")
+    A = np.asarray(A)
+    N = np.asarray(N)
+    _check_hermitian(N, "noise matrix N")
     n = A.shape[0]
-    K = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A)
+    K = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.conj())
     try:
-        v = np.linalg.solve(K, -N.reshape(-1))
+        x = np.linalg.solve(K, -N.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("vectorized Lyapunov system is singular") from exc
-    V = v.reshape(n, n)
-    V = 0.5 * (V + V.T)
-    residual = np.abs(A @ V + V @ A.T + N).max()
+    V = _hermitian_part(x.reshape(n, n))
+    residual = np.abs(A @ V + V @ A.conj().T + N).max()
     norm_n = np.abs(N).max()
     if residual > residual_rtol * norm_n:
         raise SingularSystemError(
@@ -123,16 +91,16 @@ def solve_lyapunov(
 
 
 def solve_riccati_biased(
-    A: NDArray[np.float64],
-    N: NDArray[np.float64],
-    Fminus: NDArray[np.float64],
-    Fplus: NDArray[np.float64],
-    V0: NDArray[np.float64],
+    A: NDArray,
+    N: NDArray,
+    Fminus: NDArray,
+    Fplus: NDArray,
+    V0: NDArray,
     step_tol: float = 1e-11,
     residual_rtol: float = 1e-9,
     max_iter: int = 100,
-) -> NDArray[np.float64]:
-    """Solve 0 = [A-F-] V + V [A-F-]^T + V F+ V + N by Newton-Kleinman.
+) -> NDArray:
+    """Solve 0 = [A-F-] V + V [A-F-]† + V F+ V + N for Hermitian V by Newton-Kleinman.
 
     Each Newton step solves the Lyapunov equation with effective drift
     (A - F- + V_k F+) and constant term N - V_k F+ V_k; V0 is the warm start
@@ -140,22 +108,21 @@ def solve_riccati_biased(
     if the effective drift loses stability, which signals a counting field
     outside the admissible large-deviation region.
     """
-    A = np.asarray(A, dtype=float)
-    N = np.asarray(N, dtype=float)
-    _check_symmetric(N, "noise matrix N")
-    _check_symmetric(Fminus, "Fminus")
-    _check_symmetric(Fplus, "Fplus")
-    _check_symmetric(V0, "warm start V0")
+    A = np.asarray(A)
+    N = np.asarray(N)
+    _check_hermitian(N, "noise matrix N")
+    _check_hermitian(Fminus, "Fminus")
+    _check_hermitian(Fplus, "Fplus")
+    _check_hermitian(V0, "warm start V0")
     Atil = A - Fminus
-    V = 0.5 * (V0 + V0.T)
+    V = _hermitian_part(V0)
     for _ in range(max_iter):
         Aeff = Atil + V @ Fplus
         if np.linalg.eigvals(Aeff).real.max() >= 0.0:
             raise UnstableEffectiveDriftError(
                 "effective drift unstable; counting field outside admissible region"
             )
-        C = N - V @ Fplus @ V
-        C = 0.5 * (C + C.T)
+        C = _hermitian_part(N - V @ Fplus @ V)
         try:
             V_next = solve_lyapunov(Aeff, C)
         except SingularSystemError as exc:
@@ -163,7 +130,7 @@ def solve_riccati_biased(
         delta = np.abs(V_next - V).max()
         V = V_next
         if delta <= step_tol:
-            residual = np.abs(Atil @ V + V @ Atil.T + V @ Fplus @ V + N).max()
+            residual = np.abs(Atil @ V + V @ Atil.conj().T + V @ Fplus @ V + N).max()
             if residual > residual_rtol * max(np.abs(N).max(), 1.0):
                 raise NoConvergenceError(
                     f"Riccati residual {residual:.3e} above tolerance after convergence"

@@ -126,6 +126,39 @@ def convert_mbar(params: dict) -> dict:
     return out
 
 
+def cascaded_from_raw(raw: dict) -> CascadedParams:
+    """Build CascadedParams from user-facing names: mbar1..3, Delta and F as a string.
+
+    ``Delta`` sets omega2 = omega1 + Delta.  Unknown names raise SchemaError.
+    """
+    raw = convert_mbar(raw)
+    if "Delta" in raw:
+        delta = raw.pop("Delta")
+        raw["omega2"] = raw.get("omega1", 0.0) + delta
+    if "F" in raw:
+        raw["F"] = complex(raw["F"])
+    try:
+        return CascadedParams(**raw)
+    except TypeError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _is_number(value) -> bool:
+    """A JSON number; booleans are ints in Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_complex(value) -> bool:
+    """A JSON number or a string that complex() accepts, such as "0.1-0.2j"."""
+    if isinstance(value, str):
+        try:
+            complex(value)
+        except ValueError:
+            return False
+        return True
+    return _is_number(value)
+
+
 def _allowed_variables(model: str) -> set[str]:
     if model == "cascaded":
         return _CASCADED_FIELDS | {"Delta"} | set(_MBAR_KEYS)
@@ -163,7 +196,10 @@ def parse_config(text: str) -> SweepConfig:
     for name, value in params.items():
         if name not in allowed:
             raise SchemaError(f"params.{name}: unknown parameter for model {model}")
-        if name != "F" and not isinstance(value, (int, float)):
+        if name == "F":
+            if not _is_complex(value):
+                raise SchemaError("params.F: must be a number or a complex string")
+        elif not _is_number(value):
             raise SchemaError(f"params.{name}: must be a number")
     if model == "cascaded":
         # validate the mbar conversion on the baseline values up front
@@ -187,8 +223,11 @@ def parse_config(text: str) -> SweepConfig:
                 raise SchemaError(f"{path}.{key}: missing")
         if ax["variable"] not in allowed:
             raise SchemaError(f"{path}.variable: unknown variable {ax['variable']!r}")
+        for key in ("min", "max"):
+            if not _is_number(ax[key]):
+                raise SchemaError(f"{path}.{key}: must be a number")
         points = ax["points"]
-        if not isinstance(points, int) or points < 1:
+        if isinstance(points, bool) or not isinstance(points, int) or points < 1:
             raise SchemaError(f"{path}.points: must be an integer >= 1")
         spacing = ax.get("spacing", "linear")
         if spacing not in ("linear", "log"):
@@ -212,9 +251,7 @@ def parse_config(text: str) -> SweepConfig:
         if name not in _OUTPUTS:
             raise SchemaError(f"outputs: unknown quantity {name!r}")
     s_grid = doc.get("s_grid", [])
-    if not isinstance(s_grid, list) or not all(
-        isinstance(s, (int, float)) for s in s_grid
-    ):
+    if not isinstance(s_grid, list) or not all(_is_number(s) for s in s_grid):
         raise SchemaError("s_grid: must be a list of numbers")
     if "theta" in outputs_doc and not s_grid:
         raise SchemaError("outputs: 'theta' requires a non-empty s_grid")
@@ -235,13 +272,7 @@ def _build_point(cfg: SweepConfig, axis_values: tuple[float, ...]) -> CascadedPa
     for ax, value in zip(cfg.axes, axis_values):
         raw[ax.variable] = value
     if cfg.model == "cascaded":
-        raw = convert_mbar(raw)
-        if "Delta" in raw:
-            delta = raw.pop("Delta")
-            raw["omega2"] = raw.get("omega1", 0.0) + delta
-        if "F" in raw:
-            raw["F"] = complex(raw["F"])
-        return CascadedParams(**raw)
+        return cascaded_from_raw(raw)
     return map_to_cascaded(OmParams(**raw))
 
 
@@ -268,7 +299,7 @@ def _evaluate(cfg: SweepConfig, axis_values: tuple[float, ...]) -> ResultRow:
     sys = build_system(p)
     margin = stability_margin(sys.M)
     stable = margin < 0.0
-    V = solve_lyapunov(sys.A, sys.N) if stable else None
+    V = solve_lyapunov(sys.M, sys.N) if stable else None
     n1 = n2 = None
     if V is not None:
         n1, n2 = occupations(V)

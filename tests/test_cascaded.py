@@ -24,7 +24,7 @@ from noisecascade.cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from noisecascade.linalg import real_embedding_matrix, stability_margin
+from noisecascade.linalg import stability_margin
 
 RNG = np.random.default_rng(20240818)
 
@@ -97,28 +97,25 @@ class TestBuildSystem:
         )
 
     def test_fluctuation_dissipation_structure(self):
-        # the symmetric part of A must equal minus half the channel projectors
+        # the Hermitian part of M must equal minus half the channel projectors
         for _ in range(20):
             p = random_equal_rate_params(nbar_max=10.0)
             sys = build_system(p)
-            total = np.zeros((4, 4))
-            for ch in sys.channels:
-                R = real_embedding_matrix(ch.u)
-                total += R @ R.T
-            np.testing.assert_allclose(sys.A + sys.A.T, -total, atol=1e-12)
+            total = sum(np.outer(ch.u, ch.u.conj()) for ch in sys.channels)
+            np.testing.assert_allclose(sys.M + sys.M.conj().T, -total, atol=1e-12)
 
     def test_vacuum_noise_floor(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         sys = build_system(p)
-        # all baths at zero occupation: N = -sym(A) = half the projector sum
-        np.testing.assert_allclose(sys.N, -0.5 * (sys.A + sys.A.T), atol=1e-14)
+        # all baths at zero occupation: N = -herm(M) = half the projector sum
+        np.testing.assert_allclose(sys.N, -0.5 * (sys.M + sys.M.conj().T), atol=1e-14)
 
 
 class TestSteadyState:
     def test_vacuum_inputs_give_vacuum(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.5, gamma2=0.25, phi=0.7)
         V = steady_state(p)
-        np.testing.assert_allclose(V, 0.5 * np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-10)
 
     def test_unstable_system_raises(self):
         with pytest.raises(UnstableSystemError):

@@ -1,4 +1,5 @@
-"""Kernels: embeddings, Lyapunov and biased Riccati solvers.
+"""Kernels: Lyapunov and biased Riccati solvers, plus the quadrature
+embeddings of the test oracle that the real-input solver tests build on.
 
 The solver tests use manufactured solutions: pick the answer first, build
 the matching right-hand side, then check the solver recovers it.
@@ -11,13 +12,12 @@ from noisecascade.linalg import (
     NonSymmetricInputError,
     SingularSystemError,
     UnstableEffectiveDriftError,
-    embed_drift,
     eigenvalues_2x2,
-    real_embedding_matrix,
     solve_lyapunov,
     solve_riccati_biased,
     stability_margin,
 )
+from quadrature_oracle import embed_drift, real_embedding_matrix
 
 RNG = np.random.default_rng(20240817)
 
@@ -143,3 +143,22 @@ class TestSolveRiccatiBiased:
         Fminus = -np.eye(4)  # anti-damping bias stronger than the drift
         with pytest.raises(UnstableEffectiveDriftError):
             solve_riccati_biased(A, N, Fminus, np.zeros((4, 4)), np.eye(4))
+
+
+class TestSolveLyapunovComplex:
+    """The production case: 2x2 complex mode-space drift, Hermitian X."""
+
+    def test_manufactured_hermitian_solution(self):
+        for _ in range(25):
+            M = random_stable_drift()
+            Z = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
+            X_true = Z @ Z.conj().T + 0.1 * np.eye(2)
+            N = -(M @ X_true + X_true @ M.conj().T)
+            X = solve_lyapunov(M, N)
+            np.testing.assert_array_equal(X, X.conj().T)
+            assert np.abs(X - X_true).max() < 1e-12 * np.abs(X_true).max()
+
+    def test_rejects_complex_symmetric_noise(self):
+        N = np.array([[1.0, 0.5j], [0.5j, 1.0]])  # symmetric, not Hermitian
+        with pytest.raises(NonSymmetricInputError):
+            solve_lyapunov(-np.eye(2), N)

@@ -12,7 +12,7 @@ from noisecascade.cascaded import (
     occupation_from_temperature,
     temperature_from_occupation,
 )
-from noisecascade.linalg import embed_drift, real_embedding_matrix
+from quadrature_oracle import embed_drift, real_embedding_matrix
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -41,13 +41,13 @@ def test_embed_drift_is_real_linear_representation(entries):
 @given(k1=rate, k2=rate, g1=rate, g2=rate, phi=angle, n3=rate)
 @settings(max_examples=50)
 def test_noise_matrix_dominates_dissipation(k1, k2, g1, g2, phi, n3):
-    # N - (-sym(A)) is positive semi-definite: thermal noise never falls
-    # below the vacuum floor set by the damping
+    # N - (-Hermitian part of M) is positive semi-definite: thermal noise
+    # never falls below the vacuum floor set by the damping
     p = CascadedParams(kappa1=k1, kappa2=k2, gamma1=g1, gamma2=g2,
                        phi=phi, nbar3=n3)
     sys = build_system(p)
-    excess = sys.N + 0.5 * (sys.A + sys.A.T)
-    eigs = np.linalg.eigvalsh(0.5 * (excess + excess.T))
+    excess = sys.N + 0.5 * (sys.M + sys.M.conj().T)
+    eigs = np.linalg.eigvalsh(0.5 * (excess + excess.conj().T))
     assert eigs.min() >= -1e-10
 
 

@@ -96,6 +96,30 @@ class TestParseConfig:
         with pytest.raises(NegativeOccupationError):
             parse_config(json.dumps(doc))
 
+    def test_malformed_complex_f(self):
+        doc = json.loads(fig2_config())
+        doc["params"]["F"] = "abc"
+        with pytest.raises(SchemaError, match="params.F"):
+            parse_config(json.dumps(doc))
+
+    def test_complex_string_f_accepted(self):
+        doc = json.loads(fig2_config())
+        doc["params"]["F"] = "0.1-0.2j"
+        assert parse_config(json.dumps(doc)).params["F"] == "0.1-0.2j"
+
+    def test_booleans_are_not_numbers(self):
+        for field, edit in (
+            ("params.phi", lambda d: d["params"].update(phi=True)),
+            ("params.F", lambda d: d["params"].update(F=False)),
+            ("s_grid", lambda d: d.update(s_grid=[True])),
+            (r"axes\[0\].min", lambda d: d["axes"][0].update(min=False)),
+            (r"axes\[0\].points", lambda d: d["axes"][0].update(points=True)),
+        ):
+            doc = json.loads(fig2_config())
+            edit(doc)
+            with pytest.raises(SchemaError, match=field):
+                parse_config(json.dumps(doc))
+
     def test_theta_requires_s_grid(self):
         doc = json.loads(fig2_config())
         doc["outputs"] = ["theta"]
@@ -232,9 +256,14 @@ class TestCli:
         assert rc == 2
 
     def test_numerical_error_exit_code(self, capsys):
-        rc = main(["steady-state", "--set", "kappa1=0", "--set", "kappa2=0",
-                   "--set", "gamma1=0", "--set", "gamma2=0"])
-        assert rc == 3
+        for argv in (
+            ["--set", "kappa1=0", "--set", "kappa2=0", "--set", "gamma1=0",
+             "--set", "gamma2=0"],
+            # unequal rates (no baseline) and an unstable drift
+            ["--set", "omega1=1", "--set", "omega2=1", "--set", "kappa1=1"],
+        ):
+            assert main(["steady-state", *argv]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.json"
