@@ -31,7 +31,6 @@ from .counting import (
     flow_first_moment,
     large_deviation,
 )
-from .linalg import NoConvergenceError
 from .optomech import (
     NoCouplingError,
     OmParams,
@@ -126,12 +125,7 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
                 str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)
             },
         }
-    except (
-        UnstableSystemError,
-        OutsideAdmissibleRegionError,
-        ZeroRateChannelError,
-        NoConvergenceError,
-    ) as exc:
+    except (UnstableSystemError, OutsideAdmissibleRegionError, ZeroRateChannelError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(result, indent=2))

@@ -13,6 +13,22 @@ are consistent (equilibrium flows vanish and the per-channel moments sum to
 zero) only in that normalization.  The flows come out as
 eta_ch = 2 rate_ch (<n_ch> - nbar_ch), with <n_ch> the occupation of the
 channel's mode.
+
+Tilted equation (Pigeon et al., PRA 92, 013844, 2015): counting adds
+A1 L.L† + A2 L†.L to the Lindblad generator, where L = u_hat† c puts an
+excitation into the bath, A1 = rate (nbar + 1)(e^-s - 1) and
+A2 = rate nbar (e^s - 1), so f+- = A1 +- A2.  For one mode with Wigner
+function W = Z exp(-2 |a|^2 / sigma), L.L† multiplies W by
+(1 - 1/sigma)^2 |a|^2 + (1 - 1/sigma)/2 and L†.L by
+(1 + 1/sigma)^2 |a|^2 - (1 + 1/sigma)/2.  The |a|^2 terms fix the
+stationary shape, in mode space the stabilizing root of
+
+    (M - F-/2) sigma + sigma (M - F-/2)† + (1/2) sigma F+ sigma + 2N + F+/2 = 0,
+
+and the constant terms give the growth rate of Tr rho_s,
+(1/2)[Re Tr(F+ sigma) - Re Tr F-]; theta(s) is twice it, like eta.
+Expanding sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation in
+M per order, with a source built from lower orders: exact cumulants.
 """
 
 from __future__ import annotations
@@ -24,9 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import UnstableEffectiveDriftError, solve_riccati_biased
-
-MAX_CONTINUATION_STEP = 0.05
+from .linalg import UnstableEffectiveDriftError, solve_lyapunov, solve_riccati_biased
 
 
 class ZeroRateChannelError(Exception):
@@ -35,10 +49,6 @@ class ZeroRateChannelError(Exception):
 
 class OutsideAdmissibleRegionError(Exception):
     """Counting field left the region where the biased Riccati equation is solvable."""
-
-    def __init__(self, message: str, last_admissible_s: float):
-        super().__init__(message)
-        self.last_admissible_s = last_admissible_s
 
 
 @dataclass(frozen=True)
@@ -73,39 +83,23 @@ def bias_matrices(channel: int, s: float, sys: LinearSystem) -> BiasMatrices:
     """
     ch = _channel(sys, channel)
     P = _projector(sys, channel)
-    em, ep = math.expm1(-s), math.expm1(s)
-    f_common = (ch.nbar + 1.0) * em
-    f_alt = ch.nbar * ep
+    f_common = (ch.nbar + 1.0) * np.expm1(-s)
+    f_alt = ch.nbar * np.expm1(s)
     fminus = ch.rate * (f_common - f_alt)
     fplus = ch.rate * (f_common + f_alt)
     return BiasMatrices(Fminus=fminus * P, Fplus=fplus * P)
 
 
-def biased_covariance(
-    channel: int,
-    s: float,
-    sys: LinearSystem,
-    sigma0: NDArray[np.complex128],
-) -> NDArray[np.complex128]:
-    """Doubled biased covariance sigma_s, reached by continuation from s = 0.
-
-    ``sigma0`` is the unbiased doubled covariance 2Y, which seeds the warm
-    starts.  Continuation proceeds in steps of at most MAX_CONTINUATION_STEP.
-    """
-    n_steps = max(1, math.ceil(abs(s) / MAX_CONTINUATION_STEP))
-    sigma = np.asarray(sigma0)
-    s_prev = 0.0
-    for k in range(1, n_steps + 1):
-        sk = s * k / n_steps
-        bias = bias_matrices(channel, sk, sys)
-        try:
-            sigma = solve_riccati_biased(sys.M, 2.0 * sys.N, bias.Fminus, bias.Fplus, sigma)
-        except UnstableEffectiveDriftError as exc:
-            raise OutsideAdmissibleRegionError(
-                f"biased dynamics unstable at s = {sk:.6g}", last_admissible_s=s_prev
-            ) from exc
-        s_prev = sk
-    return sigma
+def biased_covariance(channel: int, s: float, sys: LinearSystem) -> NDArray[np.complex128]:
+    """Doubled biased covariance sigma_s, the stabilizing root of the tilted equation."""
+    # e^|s| may overflow far outside the admissible region; the solve rejects inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias = bias_matrices(channel, s, sys)
+        fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+    try:
+        return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
+    except UnstableEffectiveDriftError as exc:
+        raise OutsideAdmissibleRegionError(f"no stabilizing biased covariance at s = {s:.6g}") from exc
 
 
 def large_deviation(
@@ -116,12 +110,12 @@ def large_deviation(
 ) -> float:
     """Large-deviation function theta(s) = Re Tr{F+(s) sigma_s - F-(s)}.
 
-    ``V`` is the unbiased steady-state covariance Y (vacuum = I/2).
-    theta(0) is exactly zero.
+    ``V`` is the unbiased steady-state covariance Y (vacuum = I/2); the
+    direct solve does not need it.  theta(0) is exactly zero.
     """
     if s == 0.0:
         return 0.0
-    sigma_s = biased_covariance(channel, s, sys, 2.0 * np.asarray(V))
+    sigma_s = biased_covariance(channel, s, sys)
     bias = bias_matrices(channel, s, sys)
     return np.trace(bias.Fplus @ sigma_s).real - np.trace(bias.Fminus).real
 
@@ -141,14 +135,6 @@ def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]
     return -(fp_prime * np.trace(P @ sigma).real - fm_prime * np.trace(P).real)
 
 
-_STENCILS = {
-    1: ({1: 0.5, -1: -0.5}, 1),
-    2: ({1: 1.0, 0: -2.0, -1: 1.0}, 2),
-    3: ({2: 0.5, 1: -1.0, -1: 1.0, -2: -0.5}, 3),
-    4: ({2: 1.0, 1: -4.0, 0: 6.0, -1: -4.0, -2: 1.0}, 4),
-}
-
-
 def flow_cumulant(
     channel: int,
     n: int,
@@ -156,24 +142,35 @@ def flow_cumulant(
     V: NDArray[np.complex128],
     h: float = 1e-3,
 ) -> float:
-    """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0.
+    """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0, exactly.
 
-    Central finite differences with one Richardson extrapolation step
-    (the stencils are second-order accurate, so D = (4 D(h/2) - D(h))/3).
+    Each Taylor coefficient sigma_k of sigma_s is one Lyapunov solve, with
+    f+-^(k)(0) = rate ((nbar + 1)(-1)^k +- nbar); n = 1 is
+    ``flow_first_moment``.  ``h`` is kept for compatibility and has no effect.
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    weights, power = _STENCILS[n]
-
-    def diff(step: float) -> float:
-        acc = 0.0
-        for mult, w in weights.items():
-            acc += w * large_deviation(channel, mult * step, sys, V)
-        return acc / step**power
-
-    d_h = diff(h)
-    d_h2 = diff(h / 2.0)
-    return (-1.0) ** n * (4.0 * d_h2 - d_h) / 3.0
+    if n == 1:
+        return flow_first_moment(channel, sys, V)
+    ch = _channel(sys, channel)
+    P = _projector(sys, channel)
+    fp = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k + ch.nbar) for k in range(1, n + 1)]
+    fm = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k - ch.nbar) for k in range(1, n + 1)]
+    sigma = [2.0 * np.asarray(V)]
+    for k in range(1, n):
+        source = 0.5 * fp[k] * P
+        for j in range(1, k + 1):
+            c = math.comb(k, j)
+            rest = sigma[k - j]
+            source = source - 0.5 * c * fm[j] * (P @ rest + rest @ P)
+            for i in range(k - j + 1):
+                w = 0.5 * c * math.comb(k - j, i) * fp[j]
+                source = source + w * sigma[i] @ P @ sigma[k - j - i]
+        sigma.append(solve_lyapunov(sys.M, 0.5 * (source + source.conj().T)))
+    theta_n = sum(
+        math.comb(n, j) * fp[j] * np.trace(P @ sigma[n - j]).real for j in range(1, n + 1)
+    ) - fm[n]
+    return (-1.0) ** n * theta_n
 
 
 def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:

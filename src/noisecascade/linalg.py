@@ -22,12 +22,8 @@ class NonSymmetricInputError(Exception):
     """A matrix that must be Hermitian (symmetric, if real) is not, beyond tolerance."""
 
 
-class NoConvergenceError(Exception):
-    """Newton iteration did not converge within the iteration cap."""
-
-
 class UnstableEffectiveDriftError(Exception):
-    """Effective drift lost stability during the Riccati iteration."""
+    """The biased Riccati equation has no stabilizing solution."""
 
 
 def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
@@ -73,6 +69,9 @@ def solve_lyapunov(
     A = np.asarray(A)
     N = np.asarray(N)
     _check_hermitian(N, "noise matrix N")
+    norm_n = np.abs(N).max()
+    if 0.0 < norm_n < 1e-250:  # lift a source near underflow by an exact power of two
+        return solve_lyapunov(A, N * 2.0**600, residual_rtol) * 2.0**-600
     n = A.shape[0]
     K = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A.conj())
     try:
@@ -81,7 +80,6 @@ def solve_lyapunov(
         raise SingularSystemError("vectorized Lyapunov system is singular") from exc
     V = _hermitian_part(x.reshape(n, n))
     residual = np.abs(A @ V + V @ A.conj().T + N).max()
-    norm_n = np.abs(N).max()
     if residual > residual_rtol * norm_n:
         raise SingularSystemError(
             f"Lyapunov residual {residual:.3e} exceeds {residual_rtol:.1e} * |N| "
@@ -95,45 +93,50 @@ def solve_riccati_biased(
     N: NDArray,
     Fminus: NDArray,
     Fplus: NDArray,
-    V0: NDArray,
-    step_tol: float = 1e-11,
     residual_rtol: float = 1e-9,
-    max_iter: int = 100,
 ) -> NDArray:
-    """Solve 0 = [A-F-] V + V [A-F-]† + V F+ V + N for Hermitian V by Newton-Kleinman.
+    """Stabilizing Hermitian X of [A-F-] X + X [A-F-]† + X F+ X + N = 0.
 
-    Each Newton step solves the Lyapunov equation with effective drift
-    (A - F- + V_k F+) and constant term N - V_k F+ V_k; V0 is the warm start
-    (typically the unbiased covariance).  Raises UnstableEffectiveDriftError
-    if the effective drift loses stability, which signals a counting field
-    outside the admissible large-deviation region.
+    Direct solve (Laub, IEEE TAC 24, 913, 1979): with At = A - F-, [I; X]
+    spans the stable invariant subspace of H = [[At†, F+], [-N, -At]], and
+    At + X F+ is stable.  The subspace is the range of prod (H - lam) over
+    the unstable eigenvalues lam; unlike eigenvectors, this also holds when
+    H has Jordan blocks (equal rates, no detuning, F = 0).  Eigenvalues with
+    |Re| <= 1e-9 max|lam| count as on the imaginary axis, where no
+    stabilizing X exists: the counting field is outside the admissible
+    region.  Every failure raises UnstableEffectiveDriftError.
     """
     A = np.asarray(A)
     N = np.asarray(N)
+    if not (np.isfinite(Fminus).all() and np.isfinite(Fplus).all()):
+        raise UnstableEffectiveDriftError("bias matrices are not finite")
     _check_hermitian(N, "noise matrix N")
     _check_hermitian(Fminus, "Fminus")
     _check_hermitian(Fplus, "Fplus")
-    _check_hermitian(V0, "warm start V0")
+    n = A.shape[0]
     Atil = A - Fminus
-    V = _hermitian_part(V0)
-    for _ in range(max_iter):
-        Aeff = Atil + V @ Fplus
-        if np.linalg.eigvals(Aeff).real.max() >= 0.0:
-            raise UnstableEffectiveDriftError(
-                "effective drift unstable; counting field outside admissible region"
-            )
-        C = _hermitian_part(N - V @ Fplus @ V)
-        try:
-            V_next = solve_lyapunov(Aeff, C)
-        except SingularSystemError as exc:
-            raise UnstableEffectiveDriftError(str(exc)) from exc
-        delta = np.abs(V_next - V).max()
-        V = V_next
-        if delta <= step_tol:
-            residual = np.abs(Atil @ V + V @ Atil.conj().T + V @ Fplus @ V + N).max()
-            if residual > residual_rtol * max(np.abs(N).max(), 1.0):
-                raise NoConvergenceError(
-                    f"Riccati residual {residual:.3e} above tolerance after convergence"
-                )
-            return V
-    raise NoConvergenceError(f"Newton-Kleinman did not converge in {max_iter} iterations")
+    H = np.block([[Atil.conj().T, Fplus], [-N, -Atil]])
+    try:
+        lam = np.linalg.eigvals(H)
+        if np.any(np.abs(lam.real) <= 1e-9 * np.abs(lam).max()):
+            raise UnstableEffectiveDriftError("Hamiltonian eigenvalues on the imaginary axis")
+        P = np.eye(2 * n)
+        for mu in lam[lam.real > 0.0]:
+            P = (H - mu * np.eye(2 * n)) @ P
+            P /= np.abs(P).max()
+        Z = np.linalg.svd(P)[0][:, :n]
+        if np.linalg.cond(Z[:n]) > 1e12:
+            raise UnstableEffectiveDriftError("stable subspace is not a graph (singular Z1)")
+        X = _hermitian_part(np.linalg.solve(Z[:n].T, Z[n:].T).T)
+        margin = np.linalg.eigvals(Atil + X @ Fplus).real.max()
+    except np.linalg.LinAlgError as exc:
+        raise UnstableEffectiveDriftError(str(exc)) from exc
+    if not margin < 0.0:
+        raise UnstableEffectiveDriftError("effective drift unstable")
+    AX, XFX = Atil @ X, X @ Fplus @ X
+    residual = np.abs(AX + AX.conj().T + XFX + N).max()
+    # relative to the largest term: X grows without bound near a pole of sigma_s
+    scale = max(np.abs(AX).max(), np.abs(XFX).max(), np.abs(N).max(), 1.0)
+    if not residual <= residual_rtol * scale:
+        raise UnstableEffectiveDriftError(f"Riccati residual {residual:.3e} above tolerance")
+    return X

@@ -28,7 +28,8 @@ from .cascaded import (
     disconnected_baseline,
     occupations,
 )
-from .counting import flow_first_moment, large_deviation, OutsideAdmissibleRegionError
+from .counting import OutsideAdmissibleRegionError, ZeroRateChannelError
+from .counting import flow_first_moment, large_deviation
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import OmParams, map_to_cascaded
 
@@ -334,12 +335,16 @@ def _evaluate(cfg: SweepConfig, axis_values: tuple[float, ...]) -> ResultRow:
                 values.append(None)
                 status = "unsupported"
         elif name in ("eta1", "eta2", "eta3"):
-            values.append(flow_first_moment(int(name[-1]), sys, V))
+            try:
+                values.append(flow_first_moment(int(name[-1]), sys, V))
+            except ZeroRateChannelError:
+                values.append(None)
+                status = "unsupported"
         elif name == "theta":
             for s in cfg.s_grid:
                 try:
                     values.append(large_deviation(1, s, sys, V))
-                except OutsideAdmissibleRegionError:
+                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
                     values.append(None)
                     status = "unsupported"
     return ResultRow(axis_values, tuple(values), status)

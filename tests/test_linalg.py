@@ -121,7 +121,7 @@ class TestSolveRiccatiBiased:
         N = random_spd()
         V_lyap = solve_lyapunov(A, N)
         Z = np.zeros((4, 4))
-        V = solve_riccati_biased(A, N, Z, Z, V_lyap + 0.01 * np.eye(4))
+        V = solve_riccati_biased(A, N, Z, Z)
         assert np.abs(V - V_lyap).max() < 1e-10
 
     def test_manufactured_solution(self):
@@ -134,7 +134,7 @@ class TestSolveRiccatiBiased:
             N = -(Atil @ V_true + V_true @ Atil.T + V_true @ Fplus @ V_true)
             if np.linalg.eigvals(Atil + V_true @ Fplus).real.max() >= -1e-6:
                 continue
-            V = solve_riccati_biased(A, N, Fminus, Fplus, V_true + 0.01 * np.eye(4))
+            V = solve_riccati_biased(A, N, Fminus, Fplus)
             assert np.abs(V - V_true).max() < 1e-8 * max(np.abs(V_true).max(), 1.0)
 
     def test_unstable_effective_drift_raises(self):
@@ -142,7 +142,7 @@ class TestSolveRiccatiBiased:
         N = np.eye(4)
         Fminus = -np.eye(4)  # anti-damping bias stronger than the drift
         with pytest.raises(UnstableEffectiveDriftError):
-            solve_riccati_biased(A, N, Fminus, np.zeros((4, 4)), np.eye(4))
+            solve_riccati_biased(A, N, Fminus, np.zeros((4, 4)))
 
 
 class TestSolveLyapunovComplex:
@@ -162,3 +162,19 @@ class TestSolveLyapunovComplex:
         N = np.array([[1.0, 0.5j], [0.5j, 1.0]])  # symmetric, not Hermitian
         with pytest.raises(NonSymmetricInputError):
             solve_lyapunov(-np.eye(2), N)
+
+
+class TestSolveRiccatiJordanDrift:
+    """Equal rates, no detuning and F = 0 make the drift a Jordan block."""
+
+    def test_manufactured_solution(self):
+        A = embed_drift(np.array([[-1.0, 0.0], [-np.exp(0.3j), -1.0]]))
+        for bias in (0.0, 0.05):
+            V_true = random_spd(scale=0.5)
+            Fminus = bias * random_spd(scale=0.1)
+            Fplus = bias * random_spd(scale=0.1)
+            Atil = A - Fminus
+            assert np.linalg.eigvals(Atil + V_true @ Fplus).real.max() < -0.1
+            N = -(Atil @ V_true + V_true @ Atil.T + V_true @ Fplus @ V_true)
+            V = solve_riccati_biased(A, N, Fminus, Fplus)
+            assert np.abs(V - V_true).max() < 1e-8 * max(np.abs(V_true).max(), 1.0)

@@ -3,15 +3,19 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisecascade.cascaded import (
     CascadedParams,
     build_system,
     occupation_from_temperature,
+    steady_state,
     temperature_from_occupation,
 )
+from noisecascade.counting import flow_cumulant, large_deviation
+from noisecascade.linalg import stability_margin
 from quadrature_oracle import embed_drift, real_embedding_matrix
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -56,3 +60,74 @@ def test_temperature_occupation_round_trip(T, omega):
     n = occupation_from_temperature(T, omega)
     if n > 0.0:
         assert abs(temperature_from_occupation(n, omega) - T) <= 1e-9 * T
+
+
+# counting statistics: exact invariants of theta(s) and the cumulants
+
+pos_rate = st.floats(min_value=0.3, max_value=3.0)
+freq = st.floats(min_value=-3.0, max_value=3.0)
+occupation = st.floats(min_value=0.0, max_value=5.0)
+channel = st.sampled_from((1, 2, 3))
+
+
+@st.composite
+def stable_systems(draw, nbar=occupation):
+    p = CascadedParams(
+        omega1=draw(freq), omega2=draw(freq),
+        kappa1=draw(pos_rate), kappa2=draw(pos_rate),
+        gamma1=draw(pos_rate), gamma2=draw(pos_rate), phi=draw(angle),
+        F=complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+        nbar1=draw(nbar), nbar2=draw(nbar), nbar3=draw(nbar),
+    )
+    assume(stability_margin(build_system(p).M) < -0.05)
+    return p
+
+
+@given(p=stable_systems(nbar=st.just(0.0)), ch=channel,
+       s=st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=50)
+def test_vacuum_has_no_counting_statistics(p, ch, s):
+    sys, V = build_system(p), steady_state(p)
+    assert large_deviation(ch, s, sys, V) == pytest.approx(0.0, abs=1e-10)
+    for n in (1, 2, 3, 4):
+        assert flow_cumulant(ch, n, sys, V) == pytest.approx(0.0, abs=1e-10)
+
+
+@given(kappa1=pos_rate, kappa2=pos_rate, omega1=freq, nbar1=occupation,
+       nbar2=occupation, s=st.floats(min_value=-1.0, max_value=1.0))
+@settings(max_examples=50)
+def test_single_mode_with_its_own_bath_has_no_net_transport(
+    kappa1, kappa2, omega1, nbar1, nbar2, s
+):
+    # mode 1 exchanges excitations only with bath 1: the net flow is bounded
+    p = CascadedParams(omega1=omega1, kappa1=kappa1, kappa2=kappa2,
+                       nbar1=nbar1, nbar2=nbar2)
+    sys, V = build_system(p), steady_state(p)
+    scale = kappa1 * (1.0 + nbar1)
+    assert abs(large_deviation(1, s, sys, V)) <= 1e-10 * scale
+    for n in (1, 2, 3, 4):
+        assert abs(flow_cumulant(1, n, sys, V)) <= 1e-10 * scale
+
+
+@given(p=stable_systems(), ch=channel)
+@settings(max_examples=50)
+def test_theta_is_convex(p, ch):
+    sys, V = build_system(p), steady_state(p)
+    # theta is a difference of O(1) trace terms, so rounding is absolute
+    assert flow_cumulant(ch, 2, sys, V) >= -1e-12
+    h = 0.01
+    theta = [large_deviation(ch, k * h, sys, V) for k in range(-3, 4)]
+    assert np.diff(theta, 2).min() >= -1e-12
+
+
+def test_gallavotti_cohen_symmetry():
+    # one mode between baths 1 and 3: theta(s) = theta(beta - s) for the
+    # flow into bath 1, with beta the difference of the inverse temperatures
+    p = CascadedParams(kappa1=1.0, gamma1=0.7, gamma2=0.0, kappa2=1.0,
+                       nbar1=0.5, nbar3=2.0, omega1=0.2)
+    sys, V = build_system(p), steady_state(p)
+    beta = math.log(1.5 / 0.5) - math.log(3.0 / 2.0)
+    for s in (-0.3, 0.1, 0.2, 0.5, 0.9):
+        assert large_deviation(1, s, sys, V) == pytest.approx(
+            large_deviation(1, beta - s, sys, V), abs=1e-13
+        )

@@ -196,6 +196,22 @@ class TestRunSweep:
         assert all(r.status == "ok" for r in rows)
         assert all(r.outputs[3] < 0 for r in rows)
 
+    def test_zero_rate_channel_blanks_its_cells(self):
+        doc = {
+            "model": "cascaded",
+            "params": {"kappa2": 1.0, "gamma1": 1.0, "gamma2": 1.0,
+                       "nbar1": 1.0, "nbar2": 0.5, "nbar3": 2.0},
+            "axes": [{"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 3}],
+            "outputs": ["n1", "eta1", "eta3", "theta"],
+            "s_grid": [0.1],
+        }
+        rows = run_sweep(parse_config(json.dumps(doc)))
+        zero, *rest = rows
+        assert zero.status == "unsupported"
+        assert zero.outputs[0] is not None and zero.outputs[2] is not None
+        assert zero.outputs[1] is None and zero.outputs[3] is None
+        assert all(r.status == "ok" and None not in r.outputs for r in rest)
+
 
 class TestEmit:
     def test_csv_layout(self):
@@ -329,3 +345,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["gamma1"] == pytest.approx(2.0 * 0.09 * 5.0)
         assert out["F_residual"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_fcs_far_outside_admissible_region_exit_code(self, capsys):
+        # e^|s| overflows at the ends of this range
+        rc = main([
+            "fcs", "1",
+            "--set", "kappa1=1", "--set", "kappa2=1",
+            "--set", "gamma1=1", "--set", "gamma2=1",
+            "--set", "nbar1=2", "--set", "nbar2=1", "--set", "nbar3=0.5",
+            "--s-min=-800", "--s-max=800",
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
