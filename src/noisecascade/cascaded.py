@@ -159,6 +159,19 @@ def build_system(p: CascadedParams) -> LinearSystem:
     return LinearSystem(M=M, channels=channels, N=N)
 
 
+def stack_systems(systems: list[LinearSystem]) -> LinearSystem:
+    """One LinearSystem whose arrays carry a leading point axis."""
+
+    def stack(objs, name: str):
+        return np.array([getattr(obj, name) for obj in objs])
+
+    channels = tuple(
+        ChannelSpec(chs[0].index, *(stack(chs, f) for f in ("u", "rate", "nbar")))
+        for chs in zip(*(sys.channels for sys in systems))
+    )
+    return LinearSystem(stack(systems, "M"), channels, stack(systems, "N"))
+
+
 def steady_state(p: CascadedParams) -> NDArray[np.complex128]:
     """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0."""
     sys = build_system(p)
@@ -169,21 +182,21 @@ def steady_state(p: CascadedParams) -> NDArray[np.complex128]:
 
 
 def occupations(Y: NDArray[np.complex128]) -> tuple[float, float]:
-    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance.
+    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s).
 
     Values that come out slightly negative from numerical noise near vacuum
     are clamped to zero with a warning.
     """
-    ns = []
+    n = np.diagonal(Y, axis1=-2, axis2=-1).real - 0.5
     for i in range(2):
-        n = Y[i, i].real - 0.5
-        if n < 0.0:
+        if (n[..., i] < 0.0).any():
             warnings.warn(
-                f"occupation n{i + 1} = {n:.3e} clamped to 0", RuntimeWarning, stacklevel=2
+                f"occupation n{i + 1} = {np.nanmin(n[..., i]):.3e} clamped to 0",
+                RuntimeWarning,
+                stacklevel=2,
             )
-            n = 0.0
-        ns.append(n)
-    return ns[0], ns[1]
+    n1, n2 = np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0)
+    return n1, n2
 
 
 def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:

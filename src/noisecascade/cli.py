@@ -3,8 +3,8 @@ Command-line front end: single-point steady states, sweeps, counting
 statistics, optomechanical mapping and design helpers.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures of single-point commands (unstable system, counting field outside
-the admissible region).
+failures of single-point commands (NUMERIC_ERRORS: unstable system, failed
+Lyapunov solve, counting field outside the admissible region, ...).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import json
 import sys as _sys
+
+import numpy as np
 
 from .cascaded import (
     CascadedParams,
@@ -31,6 +33,7 @@ from .counting import (
     flow_first_moment,
     large_deviation,
 )
+from .linalg import SingularSystemError
 from .optomech import (
     NoCouplingError,
     OmParams,
@@ -49,6 +52,13 @@ from .sweeps import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+NUMERIC_ERRORS = (
+    UnstableSystemError,
+    SingularSystemError,
+    OutsideAdmissibleRegionError,
+    ZeroRateChannelError,
+    NoCouplingError,
+)
 
 
 def _parse_sets(pairs: list[str]) -> dict:
@@ -73,11 +83,7 @@ def _om_from_sets(pairs: list[str]) -> OmParams:
 
 def _cmd_steady_state(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets(args.set))
-    try:
-        n1, n2 = occupations(steady_state(p))
-    except UnstableSystemError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_NUMERIC
+    n1, n2 = occupations(steady_state(p))
     out = {"n1": n1, "n2": n2}
     try:
         m1, m2 = disconnected_baseline(p)
@@ -94,8 +100,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = parse_config(fh.read())
     if args.format:
         cfg = dataclasses.replace(cfg, format=args.format)
-    if args.parallel:
-        cfg = dataclasses.replace(cfg, parallel=True)
     data = emit(run_sweep(cfg), cfg)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -107,27 +111,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fcs(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets(args.set))
-    try:
-        sys = build_system(p)
-        V = steady_state(p)
-        import numpy as np
-
-        s_values = np.linspace(args.s_min, args.s_max, args.s_points)
-        samples = [
-            {"s": float(s), "theta": large_deviation(args.channel, float(s), sys, V)}
-            for s in s_values
-        ]
-        result = {
-            "channel": args.channel,
-            "theta": samples,
-            "eta1_trace": flow_first_moment(args.channel, sys, V),
-            "cumulants": {
-                str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)
-            },
-        }
-    except (UnstableSystemError, OutsideAdmissibleRegionError, ZeroRateChannelError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_NUMERIC
+    sys = build_system(p)
+    V = steady_state(p)
+    s_values = np.linspace(args.s_min, args.s_max, args.s_points)
+    theta, failed = large_deviation(args.channel, s_values, sys, V)
+    if failed.any():
+        raise OutsideAdmissibleRegionError(
+            f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
+        )
+    result = {
+        "channel": args.channel,
+        "theta": [{"s": s, "theta": t} for s, t in zip(s_values.tolist(), theta.tolist())],
+        "eta1_trace": flow_first_moment(args.channel, sys, V),
+        "cumulants": {str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)},
+    }
     print(json.dumps(result, indent=2))
     return 0
 
@@ -153,12 +150,7 @@ def _cmd_map_om(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    p = _om_from_sets(args.set)
-    try:
-        d = design_nonreciprocal(p)
-    except NoCouplingError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_NUMERIC
+    d = design_nonreciprocal(_om_from_sets(args.set))
     print(
         json.dumps(
             {"j_star": d.j_star, "phi_star": d.phi_star, "residual": d.residual},
@@ -194,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("config")
     sw.add_argument("--format", choices=("csv", "json"), default=None)
     sw.add_argument("--out", default=None)
-    sw.add_argument("--parallel", action="store_true")
+    sw.add_argument("--parallel", action="store_true", help="accepted; has no effect")
     sw.set_defaults(func=_cmd_sweep)
 
     fc = sub.add_parser("fcs", help="counting statistics for one channel")
@@ -229,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, NegativeOccupationError, InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except NUMERIC_ERRORS as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import UnstableEffectiveDriftError, solve_lyapunov, solve_riccati_biased
+from .linalg import UnstableEffectiveDriftError, check_items, solve_lyapunov, solve_riccati_biased
 
 
 class ZeroRateChannelError(Exception):
@@ -60,79 +60,95 @@ class BiasMatrices:
 
 
 def _channel(sys: LinearSystem, channel: int):
+    """The channel's spec, its projector u_hat u_hat† onto the channel's (possibly
+    collective) mode, and the mask of points where its rate is zero.
+
+    One system raises ZeroRateChannelError instead; in a stack the projector
+    of a zero-rate point is NaN.
+    """
     for ch in sys.channels:
         if ch.index == channel:
-            if ch.rate <= 0.0:
-                raise ZeroRateChannelError(f"channel {channel} has zero rate")
-            return ch
+            zero = np.zeros(np.shape(ch.rate), bool)
+            message = f"channel {channel} has zero rate"
+            zero = check_items(zero, np.asarray(ch.rate) <= 0.0, ZeroRateChannelError, message)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                uhat = ch.u / np.sqrt(ch.rate)[..., None]
+            return ch, uhat[..., :, None] * uhat.conj()[..., None, :], zero
     raise ValueError(f"no channel with index {channel}")
 
 
-def _projector(sys: LinearSystem, channel: int) -> NDArray[np.complex128]:
-    """Projector u_hat u_hat† onto the channel's (possibly collective) mode."""
-    ch = _channel(sys, channel)
-    uhat = ch.u / math.sqrt(ch.rate)
-    return np.outer(uhat, uhat.conj())
-
-
-def bias_matrices(channel: int, s: float, sys: LinearSystem) -> BiasMatrices:
+def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
     """Tilting matrices for counting excitations exchanged with one bath.
 
     For a local channel this is f_{j+-}(s) on the channel's diagonal entry;
     the collective channel projects onto the collective mode instead.
     """
-    ch = _channel(sys, channel)
-    P = _projector(sys, channel)
-    f_common = (ch.nbar + 1.0) * np.expm1(-s)
-    f_alt = ch.nbar * np.expm1(s)
-    fminus = ch.rate * (f_common - f_alt)
-    fplus = ch.rate * (f_common + f_alt)
-    return BiasMatrices(Fminus=fminus * P, Fplus=fplus * P)
-
-
-def biased_covariance(channel: int, s: float, sys: LinearSystem) -> NDArray[np.complex128]:
-    """Doubled biased covariance sigma_s, the stabilizing root of the tilted equation."""
+    ch, P, _ = _channel(sys, channel)
     # e^|s| may overflow far outside the admissible region; the solve rejects inf
     with np.errstate(over="ignore", invalid="ignore"):
-        bias = bias_matrices(channel, s, sys)
+        f_common = (ch.nbar + 1.0) * np.expm1(-np.asarray(s))
+        f_alt = ch.nbar * np.expm1(s)
+        fminus = ch.rate * (f_common - f_alt)
+        fplus = ch.rate * (f_common + f_alt)
+        return BiasMatrices(Fminus=fminus[..., None, None] * P, Fplus=fplus[..., None, None] * P)
+
+
+def biased_covariance(channel: int, s, sys: LinearSystem):
+    """Doubled biased covariance sigma_s, the stabilizing root of the tilted equation.
+
+    A stack of systems or of s values gives (sigma_s, failed).
+    """
+    return _tilted_root(sys, bias_matrices(channel, s, sys), s)
+
+
+def _tilted_root(sys: LinearSystem, bias: BiasMatrices, s):
+    with np.errstate(over="ignore", invalid="ignore"):
         fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
-    try:
-        return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
-    except UnstableEffectiveDriftError as exc:
-        raise OutsideAdmissibleRegionError(f"no stabilizing biased covariance at s = {s:.6g}") from exc
+        try:
+            return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
+        except UnstableEffectiveDriftError as exc:
+            message = f"no stabilizing biased covariance at s = {s:.6g}"
+            raise OutsideAdmissibleRegionError(message) from exc
 
 
-def large_deviation(
-    channel: int,
-    s: float,
-    sys: LinearSystem,
-    V: NDArray[np.complex128],
-) -> float:
+def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128]):
     """Large-deviation function theta(s) = Re Tr{F+(s) sigma_s - F-(s)}.
 
     ``V`` is the unbiased steady-state covariance Y (vacuum = I/2); the
-    direct solve does not need it.  theta(0) is exactly zero.
+    direct solve does not need it.  theta(0) is exactly zero.  A stack of
+    systems or a vector of s values gives (theta, failed).
     """
-    if s == 0.0:
-        return 0.0
-    sigma_s = biased_covariance(channel, s, sys)
+    s = np.asarray(s, dtype=float)
+    if not s.any():
+        zeros = np.zeros(np.broadcast_shapes(sys.M.shape[:-2], s.shape))
+        return (zeros, zeros != 0.0) if zeros.ndim else 0.0
     bias = bias_matrices(channel, s, sys)
-    return np.trace(bias.Fplus @ sigma_s).real - np.trace(bias.Fminus).real
+    out = _tilted_root(sys, bias, s)
+    sigma, failed = out if isinstance(out, tuple) else (out, np.bool_(False))
+    with np.errstate(over="ignore", invalid="ignore"):  # failed items: non-finite F, NaN sigma
+        theta = _trace(bias.Fplus @ sigma).real - _trace(bias.Fminus).real
+    theta, failed = np.where(s == 0.0, 0.0, theta), failed & (s != 0.0)
+    return (theta, failed) if failed.ndim else float(theta)
 
 
-def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]) -> float:
+def _trace(X: NDArray) -> NDArray:
+    return np.trace(X, axis1=-2, axis2=-1)
+
+
+def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]):
     """Mean rate of excitation flow into bath ``channel`` (trace formula).
 
     Positive values mean net excitations absorbed by the bath.  Does not
     require the biased covariance: uses the s-derivatives of the tilting
-    functions, f'+ = -rate and f'- = -rate (2 nbar + 1), at s = 0.
+    functions, f'+ = -rate and f'- = -rate (2 nbar + 1), at s = 0.  A stack
+    of systems gives (eta, mask of zero-rate points).
     """
-    ch = _channel(sys, channel)
-    P = _projector(sys, channel)
+    ch, P, zero = _channel(sys, channel)
     sigma = 2.0 * np.asarray(V)
     fp_prime = -ch.rate
     fm_prime = -ch.rate * (2.0 * ch.nbar + 1.0)
-    return -(fp_prime * np.trace(P @ sigma).real - fm_prime * np.trace(P).real)
+    eta = -(fp_prime * _trace(P @ sigma).real - fm_prime * _trace(P).real)
+    return (eta, zero) if zero.ndim else eta
 
 
 def flow_cumulant(
@@ -152,8 +168,7 @@ def flow_cumulant(
         raise ValueError("cumulant order must be between 1 and 4")
     if n == 1:
         return flow_first_moment(channel, sys, V)
-    ch = _channel(sys, channel)
-    P = _projector(sys, channel)
+    ch, P, _ = _channel(sys, channel)
     fp = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k + ch.nbar) for k in range(1, n + 1)]
     fm = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k - ch.nbar) for k in range(1, n + 1)]
     sigma = [2.0 * np.asarray(V)]

@@ -7,12 +7,17 @@ Configs are JSON documents with top-level keys ``model``, ``params``,
 Baseline occupations may be given either as bath occupations (nbar1..3) or
 as disconnected-baseline occupations (mbar1..3), which are converted via
 Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.
+
+The grid is evaluated in blocks of BLOCK_POINTS points: each point's
+parameters and system are built one by one, and every output column of a
+block comes from one stacked kernel call (one per s value for theta).
+``parallel`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 from io import StringIO
 import csv
@@ -27,8 +32,8 @@ from .cascaded import (
     closed_form_occupations,
     disconnected_baseline,
     occupations,
+    stack_systems,
 )
-from .counting import OutsideAdmissibleRegionError, ZeroRateChannelError
 from .counting import flow_first_moment, large_deviation
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import OmParams, map_to_cascaded
@@ -66,6 +71,9 @@ _OUTPUTS = (
 _CASCADED_FIELDS = {f.name for f in dc_fields(CascadedParams)}
 _OM_FIELDS = {f.name for f in dc_fields(OmParams)}
 _MBAR_KEYS = ("mbar1", "mbar2", "mbar3")
+
+# grid points per stacked block; bounds the memory that one block holds
+BLOCK_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -289,90 +297,85 @@ def column_names(cfg: SweepConfig) -> list[str]:
     return cols
 
 
-def _evaluate(cfg: SweepConfig, axis_values: tuple[float, ...]) -> ResultRow:
-    n_out = sum(len(cfg.s_grid) if o == "theta" else 1 for o in cfg.outputs)
-    blank = (None,) * n_out
-    try:
-        p = _build_point(cfg, axis_values)
-    except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
-        return ResultRow(axis_values, blank, "unsupported")
+def _per_point(fn, params: list[CascadedParams], mask: np.ndarray):
+    """fn(p) -> (x1, x2) at the masked points as a (P, 2) array, and where it is defined."""
+    out, defined = np.full((len(params), 2), np.nan), mask.copy()
+    for i in np.flatnonzero(mask):
+        try:
+            out[i] = fn(params[i])
+        except UnsupportedParamsError:
+            defined[i] = False
+    return out, defined
 
-    sys = build_system(p)
+
+def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]:
+    """Rows of a block of grid points: one stacked call per kernel and s value.
+
+    A cell is blank where its quantity is undefined: an unstable drift, a
+    failed Lyapunov solve (n*, dn*, eta*), unequal rates (m*, dn*, n*_closed),
+    a zero-rate channel (eta*, theta) or an s outside the admissible region
+    (theta).  A stable row with a blank cell is ``unsupported``, as is a
+    point whose parameters are invalid.
+    """
+    params, built = [], np.ones(len(points), bool)
+    for i, pt in enumerate(points):
+        try:
+            params.append(_build_point(cfg, pt))
+        except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
+            params.append(CascadedParams())  # all rates zero: unstable, and blanked
+            built[i] = False
+    sys = stack_systems([build_system(p) for p in params])
     margin = stability_margin(sys.M)
-    stable = margin < 0.0
-    V = solve_lyapunov(sys.M, sys.N) if stable else None
-    n1 = n2 = None
-    if V is not None:
-        n1, n2 = occupations(V)
-
-    values: list[float | None] = []
-    status = "ok" if stable else "unstable"
-    for name in cfg.outputs:
-        if name == "stability_margin":
-            values.append(margin)
-            continue
-        if name == "F_residual":
-            values.append(abs(complex(p.F)))
-            continue
-        if not stable:
-            values.extend([None] * (len(cfg.s_grid) if name == "theta" else 1))
-            continue
-        if name == "n1":
-            values.append(n1)
-        elif name == "n2":
-            values.append(n2)
-        elif name in ("m1", "m2", "dn1", "dn2", "n1_closed", "n2_closed"):
-            try:
-                if name in ("n1_closed", "n2_closed"):
-                    c1, c2 = closed_form_occupations(p)
-                    values.append(c1 if name == "n1_closed" else c2)
-                else:
-                    m1, m2 = disconnected_baseline(p)
-                    values.append(
-                        {"m1": m1, "m2": m2, "dn1": n1 - m1, "dn2": n2 - m2}[name]
-                    )
-            except UnsupportedParamsError:
-                values.append(None)
-                status = "unsupported"
-        elif name in ("eta1", "eta2", "eta3"):
-            try:
-                values.append(flow_first_moment(int(name[-1]), sys, V))
-            except ZeroRateChannelError:
-                values.append(None)
-                status = "unsupported"
-        elif name == "theta":
-            for s in cfg.s_grid:
-                try:
-                    values.append(large_deviation(1, s, sys, V))
-                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
-                    values.append(None)
-                    status = "unsupported"
-    return ResultRow(axis_values, tuple(values), status)
+    stable = built & (margin < 0.0)
+    Y, singular = solve_lyapunov(sys.M, sys.N)
+    Y[~stable] = np.nan  # no steady state
+    has_y = stable & ~singular
+    n = np.stack(occupations(Y), axis=-1)
+    wanted = set(cfg.outputs)  # the per-point closed forms run only for requested columns
+    base, has_base = _per_point(
+        disconnected_baseline, params, stable & bool(wanted & {"m1", "m2", "dn1", "dn2"})
+    )
+    closed, has_closed = _per_point(
+        closed_form_occupations, params, stable & bool(wanted & {"n1_closed", "n2_closed"})
+    )
+    cells = {
+        "stability_margin": [(margin, built)],
+        "F_residual": [(np.array([abs(complex(p.F)) for p in params]), built)],
+    }
+    for i in (0, 1):
+        cells[f"n{i + 1}"] = [(n[:, i], has_y)]
+        cells[f"m{i + 1}"] = [(base[:, i], has_base)]
+        cells[f"dn{i + 1}"] = [(n[:, i] - base[:, i], has_y & has_base)]
+        cells[f"n{i + 1}_closed"] = [(closed[:, i], has_closed)]
+    for k in (1, 2, 3):
+        if f"eta{k}" in wanted:
+            eta, zero_rate = flow_first_moment(k, sys, Y)
+            cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
+    if "theta" in wanted:
+        thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)
+        cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]
+    columns = [cell for name in cfg.outputs for cell in cells[name]]
+    values = np.column_stack([v for v, _ in columns]).tolist()
+    valid = np.column_stack([ok for _, ok in columns]).tolist()
+    rows = []
+    for pt, vs, oks, b, st in zip(points, values, valid, built, stable):
+        status = "ok" if st and all(oks) else "unstable" if b and not st else "unsupported"
+        rows.append(ResultRow(pt, tuple(v if ok else None for v, ok in zip(vs, oks)), status))
+    return rows
 
 
 def _grid(cfg: SweepConfig) -> list[tuple[float, ...]]:
-    points: list[tuple[float, ...]] = [()]
-    for ax in cfg.axes:
-        points = [pt + (v,) for pt in points for v in ax.values()]
-    return points
-
-
-def _worker(payload: tuple[SweepConfig, tuple[float, ...]]) -> ResultRow:
-    return _evaluate(*payload)
+    return list(itertools.product(*(ax.values() for ax in cfg.axes)))
 
 
 def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
-    """Evaluate the grid in row-major axis order; deterministic ordering."""
+    """Evaluate the grid in row-major axis order, BLOCK_POINTS points per stacked block."""
     points = _grid(cfg)
-    if cfg.parallel and len(points) > 1:
-        with ProcessPoolExecutor() as pool:
-            chunk = max(1, len(points) // 32)
-            rows = list(
-                pool.map(_worker, [(cfg, pt) for pt in points], chunksize=chunk)
-            )
-    else:
-        rows = [_evaluate(cfg, pt) for pt in points]
-    return rows
+    return [
+        row
+        for start in range(0, len(points), BLOCK_POINTS)
+        for row in _block(cfg, points[start : start + BLOCK_POINTS])
+    ]
 
 
 def _fmt_float(x: float) -> str:

@@ -178,3 +178,81 @@ class TestSolveRiccatiJordanDrift:
             N = -(Atil @ V_true + V_true @ Atil.T + V_true @ Fplus @ V_true)
             V = solve_riccati_biased(A, N, Fminus, Fplus)
             assert np.abs(V - V_true).max() < 1e-8 * max(np.abs(V_true).max(), 1.0)
+
+
+class TestStackedKernels:
+    """A stack (..., n, n) flags exactly the items whose single-matrix call
+    raises, and its other items equal the single-matrix results."""
+
+    @staticmethod
+    def assert_matches_single_calls(solve, items, errors):
+        X, failed = solve(*(np.stack(arg) for arg in zip(*items)))
+        assert failed.shape == (len(items),)
+        for i, args in enumerate(items):
+            try:
+                single = solve(*args)
+            except errors:
+                assert failed[i] and np.isnan(X[i]).all(), i
+            else:
+                assert not failed[i], i
+                np.testing.assert_array_equal(X[i], single)
+        return failed
+
+    def test_stability_margin(self):
+        M = RNG.normal(size=(5, 3, 2, 2)) + 1j * RNG.normal(size=(5, 3, 2, 2))
+        margin = stability_margin(M)
+        assert margin.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            assert margin[idx] == stability_margin(M[idx])
+
+    def test_lyapunov(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        items = []
+        for _ in range(20):
+            Z = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
+            items.append((random_stable_drift(), Z @ Z.conj().T))
+        items[3] = (items[3][0], items[3][1] + np.array([[0.0, 0.5], [0.0, 0.0]]))  # not Hermitian
+        items[7] = (np.diag([1j, -1.0]), items[7][1])  # lam + conj(lam) = 0: singular
+        items[11] = (-items[11][0], items[11][1])  # unstable drift, still solvable
+        # stable, but the solve misses the residual bound
+        sys = build_system(CascadedParams(
+            omega1=-0.06551653913936849, omega2=-0.04080148190474457,
+            kappa1=5.965938124508871e-05, kappa2=4.939515479304317e-06,
+            gamma1=0.4400109288295688, gamma2=0.006079275508285472,
+            phi=0.4644741768341315, F=-426706.84265445295 - 214938.8136702364j,
+            nbar1=1.679835083819845, nbar2=4.201539073060322, nbar3=2.435238425813368,
+        ))
+        items[15] = (sys.M, sys.N)
+        failed = self.assert_matches_single_calls(
+            solve_lyapunov, items, (SingularSystemError, NonSymmetricInputError)
+        )
+        assert np.flatnonzero(failed).tolist() == [3, 7, 15]
+
+    def test_riccati(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+        from noisecascade.counting import bias_matrices
+
+        items = []
+        for s in np.linspace(-3.0, 3.0, 25):
+            p = CascadedParams(
+                omega1=RNG.uniform(-1, 1), omega2=RNG.uniform(-1, 1),
+                kappa1=RNG.uniform(0.5, 2), kappa2=RNG.uniform(0.5, 2),
+                gamma1=RNG.uniform(0.5, 2), gamma2=RNG.uniform(0.5, 2),
+                phi=RNG.uniform(0, 2 * np.pi), F=RNG.uniform(-0.5, 0.5),
+                nbar1=RNG.uniform(0, 3), nbar2=RNG.uniform(0, 3), nbar3=RNG.uniform(0, 3),
+            )
+            sys = build_system(p)
+            bias = bias_matrices(1 + len(items) % 3, s, sys)
+            fm, fp = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+            items.append((sys.M, 2.0 * sys.N + fp, fm, fp))
+        M, N, fm, fp = items[0]
+        items.append((M, N, fm, np.full((2, 2), np.inf)))  # not finite
+        items.append((M, N, fm + np.array([[0.0, 0.1], [0.0, 0.0]]), fp))  # not Hermitian
+        items.append((M, N, -np.eye(2) + M, fp))  # anti-damping bias: unstable drift
+        zero = np.zeros((2, 2))
+        items.append((np.diag([1.0, 2.0]), np.eye(2), zero, zero))  # stable subspace [0; I]
+        failed = self.assert_matches_single_calls(
+            solve_riccati_biased, items, (UnstableEffectiveDriftError, NonSymmetricInputError)
+        )
+        assert failed[-4:].all() and 0 < failed[:-4].sum() < len(items) - 4

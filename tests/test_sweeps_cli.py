@@ -6,7 +6,23 @@ import json
 import numpy as np
 import pytest
 
+from noisecascade import sweeps
+from noisecascade.cascaded import (
+    InvalidParamsError,
+    UnsupportedParamsError,
+    build_system,
+    closed_form_occupations,
+    disconnected_baseline,
+    occupations,
+)
 from noisecascade.cli import main
+from noisecascade.counting import (
+    OutsideAdmissibleRegionError,
+    ZeroRateChannelError,
+    flow_first_moment,
+    large_deviation,
+)
+from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
 from noisecascade.sweeps import (
     NegativeOccupationError,
     SchemaError,
@@ -16,6 +32,16 @@ from noisecascade.sweeps import (
     parse_config,
     run_sweep,
 )
+
+# stable (margin -0.096), but its Lyapunov solve fails the residual check
+LYAPUNOV_FAILURE = {
+    "omega1": -0.06551653913936849, "omega2": -0.04080148190474457,
+    "kappa1": 5.965938124508871e-05, "kappa2": 4.939515479304317e-06,
+    "gamma1": 0.4400109288295688, "gamma2": 0.006079275508285472,
+    "phi": 0.4644741768341315, "F": "-426706.84265445295-214938.8136702364j",
+    "nbar1": 1.679835083819845, "nbar2": 4.201539073060322, "nbar3": 2.435238425813368,
+}
+LYAPUNOV_FAILURE_ARGS = [a for k, v in LYAPUNOV_FAILURE.items() for a in ("--set", f"{k}={v}")]
 
 
 def fig2_config(points=5, fmt="csv", **extra):
@@ -212,6 +238,112 @@ class TestRunSweep:
         assert zero.outputs[1] is None and zero.outputs[3] is None
         assert all(r.status == "ok" and None not in r.outputs for r in rest)
 
+    def test_lyapunov_failure_blanks_its_cells(self):
+        params = {k: v for k, v in LYAPUNOV_FAILURE.items() if k != "nbar1"}
+        doc = {
+            "model": "cascaded",
+            "params": params,
+            "axes": [{"variable": "nbar1", "min": 1.6, "max": 1.8, "points": 3}],
+            "outputs": ["n1", "eta1", "stability_margin", "theta"],
+            "s_grid": [0.0],
+        }
+        rows = run_sweep(parse_config(json.dumps(doc)))
+        assert len(rows) == 3
+        assert any(row.outputs[0] is None for row in rows)
+        for row in rows:
+            n1, eta1, margin, theta0 = row.outputs
+            assert margin == pytest.approx(-0.0961, abs=1e-4) and theta0 == 0.0
+            assert (n1 is None) == (eta1 is None) == (row.status == "unsupported")
+            assert row.status in ("ok", "unsupported")
+
+
+def reference_row(cfg, axis_values):
+    """One row from single-point library calls, by the per-point status rules."""
+    n_out = len(column_names(cfg)) - len(cfg.axes) - 1
+    try:
+        p = sweeps._build_point(cfg, axis_values)
+    except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
+        return (None,) * n_out, "unsupported"
+    sys = build_system(p)
+    margin = stability_margin(sys.M)
+    stable = margin < 0.0
+    try:
+        V = solve_lyapunov(sys.M, sys.N) if stable else None
+    except SingularSystemError:
+        V = None
+
+    def cell(name):
+        if name == "stability_margin":
+            return [margin]
+        if name == "F_residual":
+            return [abs(complex(p.F))]
+        if not stable:
+            return [None] * (len(cfg.s_grid) if name == "theta" else 1)
+        if name == "theta":
+            out = []
+            for s in cfg.s_grid:
+                try:
+                    out.append(large_deviation(1, s, sys, V))
+                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
+                    out.append(None)
+            return out
+        try:
+            if name.startswith("eta"):
+                return [None if V is None else flow_first_moment(int(name[-1]), sys, V)]
+            if name.endswith("_closed"):
+                return [closed_form_occupations(p)[int(name[1]) - 1]]
+            i = int(name[-1]) - 1
+            n = None if V is None else occupations(V)[i]
+            if name[0] == "n":
+                return [n]
+            m = disconnected_baseline(p)[i]
+            return [m if name[0] == "m" else None if n is None else n - m]
+        except (UnsupportedParamsError, ZeroRateChannelError):
+            return [None]
+
+    cells = tuple(v for name in cfg.outputs for v in cell(name))
+    status = "unstable" if not stable else "unsupported" if None in cells else "ok"
+    return cells, status
+
+
+class TestStackedSweep:
+    def test_rows_match_single_point_results(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)
+        doc = {
+            "model": "cascaded",
+            "params": {"kappa2": 1.0, "gamma2": 1.0, "omega1": 0.3, "phi": 0.4,
+                       "mbar1": 1.0, "mbar2": 0.8},
+            "axes": [
+                # kappa1 = gamma1 = 0 leaves mode 1 undamped: unstable
+                {"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2},
+                {"variable": "gamma1", "min": 0.0, "max": 1.0, "points": 2},
+                # mbar3 > 1.6 converts to a negative Nbar2
+                {"variable": "mbar3", "min": 0.0, "max": 2.0, "points": 5},
+            ],
+            "outputs": list(sweeps._OUTPUTS),
+            "s_grid": [-0.2, 0.0, 0.6],
+        }
+        cfg = parse_config(json.dumps(doc))
+        rows = run_sweep(cfg)
+        assert len(rows) == 20 > 2 * sweeps.BLOCK_POINTS
+        cols = column_names(cfg)[len(cfg.axes):-1]
+        margin = cols.index("stability_margin")
+        blanks = set()
+        for row, pt in zip(rows, sweeps._grid(cfg)):
+            ref_cells, ref_status = reference_row(cfg, pt)
+            assert row.axis_values == pt
+            assert row.status == ref_status
+            for name, got, ref in zip(cols, row.outputs, ref_cells):
+                assert (got is None) == (ref is None), (pt, name)
+                if ref is not None:
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (pt, name)
+                elif row.status == "unsupported" and row.outputs[margin] is not None:
+                    blanks.add(name)
+        assert {r.status for r in rows} == {"ok", "unstable", "unsupported"}
+        assert any(set(r.outputs) == {None} for r in rows)  # negative Nbar2
+        # unequal rates, a zero-rate channel and an inadmissible s all occur
+        assert {"dn1", "eta1", "theta@0.6"} <= blanks
+
 
 class TestEmit:
     def test_csv_layout(self):
@@ -277,9 +409,13 @@ class TestCli:
              "--set", "gamma2=0"],
             # unequal rates (no baseline) and an unstable drift
             ["--set", "omega1=1", "--set", "omega2=1", "--set", "kappa1=1"],
+            # stable, but the Lyapunov solve fails its residual check
+            LYAPUNOV_FAILURE_ARGS,
         ):
             assert main(["steady-state", *argv]) == 3
             assert capsys.readouterr().err.startswith("error: ")
+        assert main(["fcs", "1", *LYAPUNOV_FAILURE_ARGS]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.json"
