@@ -11,18 +11,23 @@ space: the amplitudes obey dc/dt = M c + noise, channel ch couples through
 the vector u_ch, and the covariance Y_jk = (1/2)<c_j c_k† + c_k† c_j> solves
 M Y + Y M† + N = 0 with N = sum_ch (nbar_ch + 1/2) u_ch u_ch†.  The vacuum
 is Y = I/2 and the occupations are n_i = Y_ii - 1/2.
+
+Each CascadedParams field is a scalar (one point) or an array (one item per
+point), and everything here is array arithmetic.  As in ``linalg``, one point
+raises on bad input, while arrays report bad items as masks (``invalid``, and
+(value, unequal-rate mask) from ``equal_rate``, the closed forms and baseline).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import solve_lyapunov, stability_margin
+from .linalg import check_items, solve_lyapunov, stability_margin
 
 
 class InvalidParamsError(Exception):
@@ -46,7 +51,8 @@ class CascadedParams:
 
     All rates and frequencies share one consistent angular-frequency unit.
     ``phi`` is the hopping phase and ``F`` the residual coherent hopping;
-    perfect non-reciprocity corresponds to F = 0.
+    perfect non-reciprocity corresponds to F = 0.  If any field is an array,
+    every field is stored as an array of the common (broadcast) shape.
     """
 
     omega1: float = 0.0
@@ -62,18 +68,22 @@ class CascadedParams:
     nbar3: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("kappa1", "kappa2", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise InvalidParamsError(f"{name} must be non-negative")
-        for name in ("nbar1", "nbar2", "nbar3"):
-            if getattr(self, name) < 0:
-                raise InvalidParamsError(f"{name} must be non-negative")
-        values = [
-            self.omega1, self.omega2, self.kappa1, self.kappa2,
-            self.gamma1, self.gamma2, self.phi, self.nbar1, self.nbar2, self.nbar3,
-        ]
-        if not all(math.isfinite(v) for v in values) or not np.isfinite(complex(self.F)):
-            raise InvalidParamsError("all parameters must be finite")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+        if shape:
+            for name, v in values.items():
+                v = np.asarray(v, complex if name == "F" else float)
+                object.__setattr__(self, name, np.broadcast_to(v, shape))
+        self.invalid()
+
+    def invalid(self) -> NDArray[np.bool_]:
+        """Mask of the invalid points; one point raises InvalidParamsError instead."""
+        failed = np.zeros(np.shape(self.omega1), bool)
+        for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3"):
+            message = f"{name} must be non-negative"
+            failed = check_items(failed, getattr(self, name) < 0, InvalidParamsError, message)
+        finite = np.isfinite([getattr(self, f.name) for f in fields(self)]).all(axis=0)
+        return check_items(failed, ~finite, InvalidParamsError, "all parameters must be finite")
 
     @property
     def detuning(self) -> float:
@@ -86,15 +96,16 @@ class CascadedParams:
         return self.gamma1 + self.gamma2
 
     def equal_rate(self) -> float:
-        """Return the common rate kappa if all four rates are equal, else raise."""
-        rates = (self.kappa1, self.kappa2, self.gamma1, self.gamma2)
-        kappa = rates[0]
-        scale = max(max(rates), 1e-300)
-        if any(abs(r - kappa) > _EQUAL_RATE_RTOL * scale for r in rates):
-            raise UnsupportedParamsError(
-                "closed forms require kappa1 = kappa2 = gamma1 = gamma2"
-            )
-        return kappa
+        """Return the common rate kappa if all four rates are equal, else raise.
+
+        Arrays give (kappa, mask of the points with unequal rates).
+        """
+        rates = np.array([self.kappa1, self.kappa2, self.gamma1, self.gamma2])
+        scale = np.maximum(rates.max(axis=0), 1e-300)
+        bad = (np.abs(rates - self.kappa1) > _EQUAL_RATE_RTOL * scale).any(axis=0)
+        message = "closed forms require kappa1 = kappa2 = gamma1 = gamma2"
+        unequal = check_items(np.zeros_like(bad), bad, UnsupportedParamsError, message)
+        return (self.kappa1, unequal) if unequal.ndim else self.kappa1
 
 
 @dataclass(frozen=True)
@@ -133,48 +144,40 @@ class OccupationReport:
 
 
 def build_system(p: CascadedParams) -> LinearSystem:
-    """Construct drift and noise matrices of the cascaded linear system."""
+    """Drift and noise matrices of the cascaded system; array params give a stack."""
     eip = np.exp(1j * p.phi)
-    M = np.array(
-        [
-            [-1j * p.omega1 - (p.gamma1 + p.kappa1) / 2.0, -1j * p.F],
-            [
-                -1j * np.conj(p.F) - math.sqrt(p.gamma1 * p.gamma2) * eip,
-                -1j * p.omega2 - (p.gamma2 + p.kappa2) / 2.0,
-            ],
-        ],
-        dtype=complex,
-    )
+    M = _vector(
+        -1j * p.omega1 - (p.gamma1 + p.kappa1) / 2.0,
+        -1j * p.F,
+        -1j * np.conj(p.F) - np.sqrt(p.gamma1 * p.gamma2) * eip,
+        -1j * p.omega2 - (p.gamma2 + p.kappa2) / 2.0,
+    ).reshape(np.shape(p.phi) + (2, 2))
     channels = (
-        ChannelSpec(1, np.array([math.sqrt(p.kappa1), 0.0], dtype=complex), p.kappa1, p.nbar1),
-        ChannelSpec(2, np.array([0.0, math.sqrt(p.kappa2)], dtype=complex), p.kappa2, p.nbar2),
+        ChannelSpec(1, _vector(np.sqrt(p.kappa1), 0.0), p.kappa1, p.nbar1),
+        ChannelSpec(2, _vector(0.0, np.sqrt(p.kappa2)), p.kappa2, p.nbar2),
         ChannelSpec(
-            3,
-            np.array([math.sqrt(p.gamma1), math.sqrt(p.gamma2) * eip], dtype=complex),
-            p.collective_rate,
-            p.nbar3,
+            3, _vector(np.sqrt(p.gamma1), np.sqrt(p.gamma2) * eip), p.collective_rate, p.nbar3
         ),
     )
-    N = sum((ch.nbar + 0.5) * np.outer(ch.u, ch.u.conj()) for ch in channels)
+    N = sum(
+        np.asarray(ch.nbar + 0.5)[..., None, None]
+        * (ch.u[..., :, None] * ch.u[..., None, :].conj())
+        for ch in channels
+    )
     return LinearSystem(M=M, channels=channels, N=N)
 
 
-def stack_systems(systems: list[LinearSystem]) -> LinearSystem:
-    """One LinearSystem whose arrays carry a leading point axis."""
-
-    def stack(objs, name: str):
-        return np.array([getattr(obj, name) for obj in objs])
-
-    channels = tuple(
-        ChannelSpec(chs[0].index, *(stack(chs, f) for f in ("u", "rate", "nbar")))
-        for chs in zip(*(sys.channels for sys in systems))
-    )
-    return LinearSystem(stack(systems, "M"), channels, stack(systems, "N"))
+def _vector(*entries) -> NDArray[np.complex128]:
+    """Complex vectors (..., len(entries)) from scalar or array entries."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
 
 
 def steady_state(p: CascadedParams) -> NDArray[np.complex128]:
     """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0."""
-    sys = build_system(p)
+    return _steady_state(build_system(p))
+
+
+def _steady_state(sys: LinearSystem) -> NDArray[np.complex128]:
     margin = stability_margin(sys.M)
     if margin >= 0.0:
         raise UnstableSystemError(f"drift is not stable (margin {margin:.3e})")
@@ -201,43 +204,50 @@ def occupations(Y: NDArray[np.complex128]) -> tuple[float, float]:
 
 def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:
     """(|F|^2, Re{F e^{i phi}}, Im{F e^{i phi}}) entering the closed forms."""
-    fe = complex(p.F) * np.exp(1j * p.phi)
-    return abs(complex(p.F)) ** 2, fe.real, fe.imag
+    fr, fi, eip = np.real(p.F), np.imag(p.F), np.exp(1j * p.phi)
+    f = np.hypot(fr, fi)
+    return f * f, fr * eip.real - fi * eip.imag, fr * eip.imag + fi * eip.real
 
 
 def closed_form_occupations(p: CascadedParams) -> tuple[float, float]:
-    """Equal-rate closed-form steady-state occupations (general F and detuning)."""
-    kappa = p.equal_rate()
+    """Equal-rate closed-form steady-state occupations (general F and detuning).
+
+    Arrays give ((n1, n2), mask of the points with unequal rates).
+    """
+    out = p.equal_rate()
+    kappa, unequal = out if isinstance(out, tuple) else (out, np.bool_(False))
     f2, re, im = _phase_invariants(p)
     delta = p.detuning
     n1b, n2b, n3b = p.nbar1, p.nbar2, p.nbar3
-    denom = 3.0 * f2 + 4.0 * kappa * (kappa + im) + im**2 + delta**2
-    lorentz = 4.0 * kappa**2 + delta**2
+    denom = 3.0 * f2 + 4.0 * kappa * (kappa + im) + im * im + delta * delta
+    lorentz = 4.0 * (kappa * kappa) + delta * delta
     n1 = (
         2.0 * f2 * (n1b + n2b + n3b)
         + re * delta * (n1b - n3b)
-        + 2.0 * im**2 * n3b
+        + 2.0 * (im * im) * n3b
         + 2.0 * im * kappa * (n1b + 3.0 * n3b)
         + lorentz * (n1b + n3b)
     ) / (2.0 * denom)
     n2 = (
         2.0 * f2 * (n1b + n2b + n3b)
         - re * delta * (n2b - n3b)
-        + 2.0 * im**2 * n3b
+        + 2.0 * (im * im) * n3b
         + 2.0 * im * kappa * (n2b + 3.0 * n3b)
         + lorentz * (n2b + n3b)
     ) / (2.0 * denom) + kappa * (2.0 * im + kappa) * (n1b - n3b) / denom
-    return n1, n2
+    return ((n1, n2), unequal) if unequal.ndim else (n1, n2)
 
 
 def disconnected_baseline(p: CascadedParams) -> tuple[float, float]:
     """Occupations with the link and common-bath correlation removed.
 
     This is the |Delta| -> infinity limit at fixed rates and bath occupations,
-    and is independent of F.
+    and is independent of F.  Arrays give ((m1, m2), mask of the points with
+    unequal rates).
     """
-    p.equal_rate()
-    return 0.5 * (p.nbar1 + p.nbar3), 0.5 * (p.nbar2 + p.nbar3)
+    out = p.equal_rate()
+    m = 0.5 * (p.nbar1 + p.nbar3), 0.5 * (p.nbar2 + p.nbar3)
+    return (m, out[1]) if isinstance(out, tuple) else m
 
 
 def delta_n(p: CascadedParams, numeric: bool = False) -> OccupationReport:

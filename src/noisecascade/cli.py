@@ -21,6 +21,7 @@ from .cascaded import (
     InvalidParamsError,
     UnstableSystemError,
     UnsupportedParamsError,
+    _steady_state,
     build_system,
     disconnected_baseline,
     occupations,
@@ -112,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fcs(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets(args.set))
     sys = build_system(p)
-    V = steady_state(p)
+    V = _steady_state(sys)
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
     theta, failed = large_deviation(args.channel, s_values, sys, V)
     if failed.any():

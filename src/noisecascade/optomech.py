@@ -6,6 +6,9 @@ After linearization and adiabatic elimination of the mechanics, the cavity
 fluctuations obey an effective two-mode drift whose off-diagonal entries are
 not complex conjugates; mapping the coefficients onto the cascaded model
 lets the whole occupation/flow machinery apply directly.
+
+As in ``cascaded``, OmParams fields are scalars or arrays (one item per
+point), and the susceptibility and the mapping are array arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, InvalidParamsError
+from .linalg import check_items
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,28 +65,32 @@ class OmParams:
     cavity_resonance: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_m <= 0.0:
-            raise InvalidParamsError("gamma_m must be positive")
-        if self.G1 < 0.0 or self.G2 < 0.0:
-            raise InvalidParamsError("effective couplings G1, G2 must be non-negative")
-        for name in ("Nbar1", "Nbar2", "Nbar_m"):
-            if getattr(self, name) < 0.0:
-                raise InvalidParamsError(f"{name} must be non-negative")
         if self.Omega is None:
             self.Omega = self.omega_m
+        if self.kappa_ext1 is None:
+            self.kappa_ext1 = self.kappa1 - self.kappa_int1
+        if self.kappa_ext2 is None:
+            self.kappa_ext2 = self.kappa2 - self.kappa_int2
+        self.invalid()
+
+    def invalid(self) -> NDArray[np.bool_]:
+        """Mask of the invalid points; one point raises InvalidParamsError instead."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in vars(self).values()))
+        failed, error = np.zeros(shape, bool), InvalidParamsError
+        failed = check_items(failed, self.gamma_m <= 0.0, error, "gamma_m must be positive")
+        message = "effective couplings G1, G2 must be non-negative"
+        failed = check_items(failed, (self.G1 < 0.0) | (self.G2 < 0.0), error, message)
+        for name in ("Nbar1", "Nbar2", "Nbar_m"):
+            message = f"{name} must be non-negative"
+            failed = check_items(failed, getattr(self, name) < 0.0, error, message)
         for i in (1, 2):
-            total = getattr(self, f"kappa{i}")
-            internal = getattr(self, f"kappa_int{i}")
-            external = getattr(self, f"kappa_ext{i}")
-            if external is None:
-                external = total - internal
-                setattr(self, f"kappa_ext{i}", external)
-            if internal < 0.0 or external < 0.0:
-                raise InvalidParamsError(f"kappa splits of cavity {i} must be non-negative")
-            if abs(internal + external - total) > 1e-12 * max(abs(total), 1.0):
-                raise InvalidParamsError(
-                    f"kappa_int{i} + kappa_ext{i} must equal kappa{i}"
-                )
+            total, internal, external = (vars(self)[f"kappa{k}{i}"] for k in ("", "_int", "_ext"))
+            message = f"kappa splits of cavity {i} must be non-negative"
+            failed = check_items(failed, (internal < 0.0) | (external < 0.0), error, message)
+            mismatch = np.abs(internal + external - total) > 1e-12 * np.maximum(abs(total), 1.0)
+            message = f"kappa_int{i} + kappa_ext{i} must equal kappa{i}"
+            failed = check_items(failed, mismatch, error, message)
+        return failed
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,10 @@ class NonReciprocalDesign:
 
 def mech_susceptibility(omega: float, p: OmParams) -> Susceptibility:
     """Mechanical susceptibility 1/[gamma_m/2 - i (omega - omega_m)]."""
-    chi = 1.0 / (p.gamma_m / 2.0 - 1j * (omega - p.omega_m))
-    chi_ref = 1.0 / (p.gamma_m / 2.0 - 1j * (p.Omega - p.omega_m))
-    nu = float(np.angle(chi_ref))
-    chi_tilde = chi * abs(chi_ref) / chi_ref
-    return Susceptibility(chi=chi, chi_tilde=chi_tilde, nu=nu)
+    chi = np.divide(1.0, p.gamma_m / 2.0 - 1j * (omega - p.omega_m))
+    chi_ref = np.divide(1.0, p.gamma_m / 2.0 - 1j * (p.Omega - p.omega_m))
+    chi_tilde = chi * np.abs(chi_ref) / chi_ref
+    return Susceptibility(chi=chi, chi_tilde=chi_tilde, nu=np.angle(chi_ref))
 
 
 def linearize(d: DriveSpec, p: OmParams) -> LinearizationResult:
@@ -204,14 +211,15 @@ def map_to_cascaded(p: OmParams) -> CascadedParams:
     """
     chi = mech_susceptibility(p.Omega, p).chi
     return CascadedParams(
-        omega1=p.Delta1 + p.G1**2 * chi.imag,
-        omega2=p.Delta2 + p.G2**2 * chi.imag,
+        omega1=p.Delta1 + p.G1 * p.G1 * chi.imag,
+        omega2=p.Delta2 + p.G2 * p.G2 * chi.imag,
         kappa1=p.kappa1,
         kappa2=p.kappa2,
-        gamma1=2.0 * p.G1**2 * chi.real,
-        gamma2=2.0 * p.G2**2 * chi.real,
+        gamma1=2.0 * p.G1 * p.G1 * chi.real,
+        gamma2=2.0 * p.G2 * p.G2 * chi.real,
         phi=p.phi,
-        F=p.J - 1j * chi * p.G1 * p.G2 * np.exp(-1j * p.phi),
+        # np.multiply rounds a complex product alike for one point and for arrays
+        F=p.J - np.multiply(1j * chi * p.G1 * p.G2, np.exp(-1j * p.phi)),
         nbar1=p.Nbar1,
         nbar2=p.Nbar2,
         nbar3=p.Nbar_m,

@@ -8,10 +8,11 @@ Baseline occupations may be given either as bath occupations (nbar1..3) or
 as disconnected-baseline occupations (mbar1..3), which are converted via
 Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.
 
-The grid is evaluated in blocks of BLOCK_POINTS points: each point's
-parameters and system are built one by one, and every output column of a
-block comes from one stacked kernel call (one per s value for theta).
-``parallel`` is accepted and ignored.
+The grid is evaluated in blocks of BLOCK_POINTS points.  A block is one
+array-valued parameter set built from the axis columns, with all-zero
+placeholders at its invalid points, and one stacked system; every layer,
+from the parameters to each output column, makes one call per block (one
+per s value for theta).  ``parallel`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ import numpy as np
 
 from .cascaded import (
     CascadedParams,
-    InvalidParamsError,
-    UnsupportedParamsError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     occupations,
-    stack_systems,
 )
 from .counting import flow_first_moment, large_deviation
-from .linalg import solve_lyapunov, stability_margin
+from .linalg import check_items, solve_lyapunov, stability_margin
 from .optomech import OmParams, map_to_cascaded
 
 
@@ -87,11 +85,8 @@ class SweepAxis:
     spacing: str = "linear"
 
     def values(self) -> list[float]:
-        if self.points == 1:
-            return [float(self.min)]
-        if self.spacing == "log":
-            return [float(v) for v in np.geomspace(self.min, self.max, self.points)]
-        return [float(v) for v in np.linspace(self.min, self.max, self.points)]
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(self.min, self.max, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -117,20 +112,22 @@ class ResultRow:
 
 
 def convert_mbar(params: dict) -> dict:
-    """Replace mbar1..3 by nbar1..3 in a parameter dict, validating positivity."""
+    """Replace mbar1..3 by nbar1..3 in a parameter dict, validating positivity.
+
+    Arrays keep their negative occupations, which CascadedParams flags.
+    """
     if not any(k in params for k in _MBAR_KEYS):
         return dict(params)
     if any(k.startswith("nbar") for k in params):
         raise SchemaError("params: give either mbar or nbar occupations, not both")
     out = dict(params)
-    m3 = float(out.pop("mbar3", 0.0))
-    m1 = float(out.pop("mbar1", m3))
-    m2 = float(out.pop("mbar2", m3))
+    m3 = out.pop("mbar3", 0.0)
+    m1 = out.pop("mbar1", m3)
+    m2 = out.pop("mbar2", m3)
     n1, n2 = 2.0 * m1 - m3, 2.0 * m2 - m3
-    if n1 < 0.0 or n2 < 0.0 or m3 < 0.0:
-        raise NegativeOccupationError(
-            f"mbar conversion gives Nbar1 = {n1:g}, Nbar2 = {n2:g}, Nbar3 = {m3:g}"
-        )
+    negative = (n1 < 0.0) | (n2 < 0.0) | (m3 < 0.0)
+    message = "mbar conversion gives Nbar1 = {:g}, Nbar2 = {:g}, Nbar3 = {:g}"
+    check_items(np.zeros_like(negative), negative, NegativeOccupationError, message, n1, n2, m3)
     out.update(nbar1=n1, nbar2=n2, nbar3=m3)
     return out
 
@@ -142,9 +139,8 @@ def cascaded_from_raw(raw: dict) -> CascadedParams:
     """
     raw = convert_mbar(raw)
     if "Delta" in raw:
-        delta = raw.pop("Delta")
-        raw["omega2"] = raw.get("omega1", 0.0) + delta
-    if "F" in raw:
+        raw["omega2"] = raw.get("omega1", 0.0) + raw.pop("Delta")
+    if isinstance(raw.get("F"), str):
         raw["F"] = complex(raw["F"])
     try:
         return CascadedParams(**raw)
@@ -276,15 +272,6 @@ def parse_config(text: str) -> SweepConfig:
     )
 
 
-def _build_point(cfg: SweepConfig, axis_values: tuple[float, ...]) -> CascadedParams:
-    raw = dict(cfg.params)
-    for ax, value in zip(cfg.axes, axis_values):
-        raw[ax.variable] = value
-    if cfg.model == "cascaded":
-        return cascaded_from_raw(raw)
-    return map_to_cascaded(OmParams(**raw))
-
-
 def column_names(cfg: SweepConfig) -> list[str]:
     """Column order: axes, then outputs (theta expanded over s_grid), then status."""
     cols = [ax.variable for ax in cfg.axes]
@@ -297,61 +284,53 @@ def column_names(cfg: SweepConfig) -> list[str]:
     return cols
 
 
-def _per_point(fn, params: list[CascadedParams], mask: np.ndarray):
-    """fn(p) -> (x1, x2) at the masked points as a (P, 2) array, and where it is defined."""
-    out, defined = np.full((len(params), 2), np.nan), mask.copy()
-    for i in np.flatnonzero(mask):
-        try:
-            out[i] = fn(params[i])
-        except UnsupportedParamsError:
-            defined[i] = False
-    return out, defined
-
-
 def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]:
-    """Rows of a block of grid points: one stacked call per kernel and s value.
+    """Rows of a block of grid points: one call per layer and s value.
 
-    A cell is blank where its quantity is undefined: an unstable drift, a
-    failed Lyapunov solve (n*, dn*, eta*), unequal rates (m*, dn*, n*_closed),
-    a zero-rate channel (eta*, theta) or an s outside the admissible region
-    (theta).  A stable row with a blank cell is ``unsupported``, as is a
-    point whose parameters are invalid.
+    The block's parameters are one array-valued CascadedParams built from the
+    axis columns, with all-zero placeholders (as in CascadedParams()) at its
+    invalid points.  A cell is blank where its quantity is undefined: an
+    unstable drift, a failed Lyapunov solve (n*, dn*, eta*), unequal rates
+    (m*, dn*, n*_closed), a zero-rate channel (eta*, theta) or an s outside
+    the admissible region (theta).  A stable row with a blank cell is
+    ``unsupported``, as is a point whose parameters are invalid.
     """
-    params, built = [], np.ones(len(points), bool)
-    for i, pt in enumerate(points):
-        try:
-            params.append(_build_point(cfg, pt))
-        except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
-            params.append(CascadedParams())  # all rates zero: unstable, and blanked
-            built[i] = False
-    sys = stack_systems([build_system(p) for p in params])
+    raw = dict(cfg.params)
+    raw.update(zip((ax.variable for ax in cfg.axes), np.array(points).T))
+    with np.errstate(all="ignore"):  # invalid points may divide by zero or overflow
+        if cfg.model == "cascaded":
+            p = cascaded_from_raw(raw)
+            built = ~p.invalid()
+        else:
+            om = OmParams(**raw)
+            p = map_to_cascaded(om)
+            built = ~(om.invalid() | p.invalid())
+    p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
+    sys = build_system(p)
     margin = stability_margin(sys.M)
     stable = built & (margin < 0.0)
     Y, singular = solve_lyapunov(sys.M, sys.N)
     Y[~stable] = np.nan  # no steady state
     has_y = stable & ~singular
-    n = np.stack(occupations(Y), axis=-1)
-    wanted = set(cfg.outputs)  # the per-point closed forms run only for requested columns
-    base, has_base = _per_point(
-        disconnected_baseline, params, stable & bool(wanted & {"m1", "m2", "dn1", "dn2"})
-    )
-    closed, has_closed = _per_point(
-        closed_form_occupations, params, stable & bool(wanted & {"n1_closed", "n2_closed"})
-    )
+    n = occupations(Y)
+    base, unequal = disconnected_baseline(p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where all rates are zero
+        closed, _ = closed_form_occupations(p)
+    has_base = stable & ~unequal
     cells = {
         "stability_margin": [(margin, built)],
-        "F_residual": [(np.array([abs(complex(p.F)) for p in params]), built)],
+        # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
+        "F_residual": [(np.hypot(p.F.real, p.F.imag), built)],
     }
     for i in (0, 1):
-        cells[f"n{i + 1}"] = [(n[:, i], has_y)]
-        cells[f"m{i + 1}"] = [(base[:, i], has_base)]
-        cells[f"dn{i + 1}"] = [(n[:, i] - base[:, i], has_y & has_base)]
-        cells[f"n{i + 1}_closed"] = [(closed[:, i], has_closed)]
+        cells[f"n{i + 1}"] = [(n[i], has_y)]
+        cells[f"m{i + 1}"] = [(base[i], has_base)]
+        cells[f"dn{i + 1}"] = [(n[i] - base[i], has_y & has_base)]
+        cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
     for k in (1, 2, 3):
-        if f"eta{k}" in wanted:
-            eta, zero_rate = flow_first_moment(k, sys, Y)
-            cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
-    if "theta" in wanted:
+        eta, zero_rate = flow_first_moment(k, sys, Y)
+        cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
+    if "theta" in cfg.outputs:
         thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)
         cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]
     columns = [cell for name in cfg.outputs for cell in cells[name]]

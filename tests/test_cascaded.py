@@ -220,3 +220,99 @@ class TestTemperatureConversion:
             occupation_from_temperature(-1.0, omega=1.0)
         with pytest.raises(InvalidParamsError):
             temperature_from_occupation(0.0, omega=1.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: bit for bit, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_array_fields(rng, n=96):
+    """Random cascaded fields, one item per point, with invalid and unequal-rate items."""
+    kappa = rng.uniform(0.1, 5.0, n)
+    fields = {
+        "omega1": rng.uniform(-10, 10, n),
+        "omega2": rng.uniform(-10, 10, n),
+        "phi": rng.uniform(0, 2 * np.pi, n),
+        "F": rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n),
+        **{f"nbar{i}": rng.uniform(0, 50, n) for i in (1, 2, 3)},
+    }
+    unequal = rng.random(n) < 0.3
+    for name in ("kappa1", "kappa2", "gamma1", "gamma2"):
+        fields[name] = np.where(unequal, rng.uniform(0.1, 5.0, n), kappa)
+    fields["gamma2"][:3] = kappa[:3] * (1.0 + 1e-6)  # unequal just above the tolerance
+    fields["F"][3:6] = [0.0, 2.0, -1.5j]  # real, imaginary and zero hopping
+    fields["kappa1"][10] = -0.1
+    fields["gamma2"][11] = -1e-9
+    fields["nbar2"][12] = -1.0
+    fields["omega1"][13] = np.nan
+    fields["F"][14] = complex(np.inf, 0.0)
+    fields["phi"][15] = np.nan
+    fields["nbar3"][16] = np.inf
+    return fields
+
+
+class TestArrayParams:
+    """Array params against one scalar call per point, invalid items included."""
+
+    def test_matches_per_point_calls(self):
+        rng = np.random.default_rng(20261018)
+        fields = random_array_fields(rng)
+        p = CascadedParams(**fields)
+        invalid = p.invalid()
+        kappa, unequal = p.equal_rate()
+        with np.errstate(all="ignore"):  # the invalid items
+            sys = build_system(p)
+            closed, closed_unequal = closed_form_occupations(p)
+            base, base_unequal = disconnected_baseline(p)
+        assert same_bits(kappa, p.kappa1)
+        assert same_bits(closed_unequal, unequal) and same_bits(base_unequal, unequal)
+        checked = set()
+        for i in range(len(invalid)):
+            point = {name: v[i].item() for name, v in fields.items()}
+            try:
+                q = CascadedParams(**point)
+            except InvalidParamsError:
+                assert invalid[i], i
+                continue
+            assert not invalid[i], i
+            one = build_system(q)
+            assert same_bits(sys.M[i], one.M) and same_bits(sys.N[i], one.N), i
+            for ch, ch_one in zip(sys.channels, one.channels):
+                assert ch.index == ch_one.index
+                for name in ("u", "rate", "nbar"):
+                    assert same_bits(getattr(ch, name)[i], getattr(ch_one, name)), (i, name)
+            try:
+                q.equal_rate()
+            except UnsupportedParamsError:
+                assert unequal[i], i
+                checked.add("unequal")
+                continue
+            assert not unequal[i], i
+            assert same_bits([c[i] for c in closed], closed_form_occupations(q)), i
+            assert same_bits([m[i] for m in base], disconnected_baseline(q)), i
+            checked.add("equal")
+        assert invalid.sum() == 7 and checked == {"equal", "unequal"}
+
+    def test_single_point_returns_and_messages(self):
+        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)
+        assert p.equal_rate() == 1.0 and isinstance(p.equal_rate(), float)
+        n1, n2 = closed_form_occupations(p)
+        assert np.ndim(n1) == np.ndim(n2) == 0
+        assert disconnected_baseline(p) == (1.0, 0.0)
+        assert build_system(p).M.shape == (2, 2)
+        with pytest.raises(InvalidParamsError, match="^gamma1 must be non-negative$"):
+            CascadedParams(gamma1=-1.0, nbar1=-1.0)
+        with pytest.raises(InvalidParamsError, match="^all parameters must be finite$"):
+            CascadedParams(F=complex(0.0, np.nan))
+        with pytest.raises(UnsupportedParamsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
+            closed_form_occupations(CascadedParams(kappa1=1.0))
+
+    def test_scalars_broadcast_against_arrays(self):
+        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=[1.0, 2.0], gamma2=1.0, F=0.1)
+        assert all(np.shape(getattr(p, name)) == (2,) for name in vars(p))
+        assert p.F.dtype == complex and p.kappa1.dtype == float
+        assert build_system(p).M.shape == (2, 2, 2)
+        (n1, _), unequal = closed_form_occupations(p)
+        assert n1.shape == (2,) and unequal.tolist() == [False, True]

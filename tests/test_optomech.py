@@ -206,3 +206,76 @@ class TestCombinedOccupation:
     def test_zero_total_rejected(self):
         with pytest.raises(InvalidParamsError):
             combined_cavity_occupation(0.0, 1.0, 0.0, 1.0)
+
+
+class TestArrayParams:
+    """Array params against one scalar call per point, invalid items included."""
+
+    def test_matches_per_point_calls(self):
+        rng = np.random.default_rng(20261019)
+        n = 96
+        omega_m = rng.uniform(2.0, 10.0, n)
+        fields = {
+            "omega_m": omega_m,
+            "gamma_m": rng.uniform(0.05, 2.0, n),
+            "Delta1": rng.uniform(-10, 10, n),
+            "Delta2": rng.uniform(-10, 10, n),
+            "kappa1": rng.uniform(0.2, 4.0, n),
+            "kappa2": rng.uniform(0.2, 4.0, n),
+            "J": rng.uniform(0, 2.0, n),
+            "phi": rng.uniform(0, 2 * np.pi, n),
+            "G1": rng.uniform(0.05, 1.5, n),
+            "G2": rng.uniform(0.05, 1.5, n),
+            "Omega": omega_m + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.5, 0.5, n)),
+            "kappa_int2": rng.uniform(0.0, 0.1, n),
+            "Nbar1": rng.uniform(0, 5, n),
+            "Nbar2": rng.uniform(0, 5, n),
+            "Nbar_m": rng.uniform(0, 5, n),
+        }
+        fields["kappa_int1"] = rng.uniform(0.0, 0.1, n)
+        fields["kappa_ext1"] = fields["kappa1"] - fields["kappa_int1"]
+        fields["gamma_m"][10:12] = [0.0, -0.3]
+        fields["G2"][12] = -0.1
+        fields["Nbar_m"][13] = -1.0
+        fields["kappa_ext1"][14] += 1e-3  # the split does not add up to kappa1
+        fields["kappa_int2"][15] = fields["kappa2"][15] + 0.5  # negative external part
+        fields["Delta1"][16] = np.nan  # valid OmParams, non-finite mapping
+        p = OmParams(**fields)
+        invalid = p.invalid()
+        with np.errstate(all="ignore"):  # gamma_m = 0 divides by zero
+            mapped = map_to_cascaded(p)
+        mapped_invalid = mapped.invalid()
+        for i in range(n):
+            point = {name: v[i].item() for name, v in fields.items()}
+            try:
+                q = OmParams(**point)
+            except InvalidParamsError:
+                assert invalid[i], i
+                continue
+            assert not invalid[i], i
+            try:
+                one = map_to_cascaded(q)
+            except InvalidParamsError:
+                assert mapped_invalid[i], i
+                continue
+            assert not mapped_invalid[i], i
+            for name, value in vars(one).items():
+                got = np.asarray(getattr(mapped, name)[i])
+                assert got.tobytes() == np.asarray(value, got.dtype).tobytes(), (i, name)
+        assert invalid.sum() == 6 and mapped_invalid[~invalid].sum() == 1
+
+    def test_single_point_messages(self):
+        base = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
+        cases = [
+            ({"gamma_m": 0.0, "G1": -1.0}, "^gamma_m must be positive$"),
+            ({"G2": -1.0, "Nbar1": -1.0}, "^effective couplings G1, G2 must be non-negative$"),
+            ({"Nbar_m": -1.0}, "^Nbar_m must be non-negative$"),
+            ({"kappa_int2": 2.0}, "^kappa splits of cavity 2 must be non-negative$"),
+            ({"kappa_int1": 0.5, "kappa_ext1": 0.9}, r"^kappa_int1 \+ kappa_ext1 must equal"),
+        ]
+        for change, message in cases:
+            with pytest.raises(InvalidParamsError, match=message):
+                OmParams(**{**base, **change})
+        cp = map_to_cascaded(OmParams(**base, G1=0.3, G2=0.2))
+        assert all(np.ndim(v) == 0 for v in vars(cp).values())
+        assert isinstance(cp.F, complex)

@@ -23,9 +23,11 @@ from noisecascade.counting import (
     large_deviation,
 )
 from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
+from noisecascade.optomech import OmParams, map_to_cascaded
 from noisecascade.sweeps import (
     NegativeOccupationError,
     SchemaError,
+    cascaded_from_raw,
     column_names,
     convert_mbar,
     emit,
@@ -260,8 +262,10 @@ class TestRunSweep:
 def reference_row(cfg, axis_values):
     """One row from single-point library calls, by the per-point status rules."""
     n_out = len(column_names(cfg)) - len(cfg.axes) - 1
+    raw = dict(cfg.params)
+    raw.update(zip((ax.variable for ax in cfg.axes), axis_values))
     try:
-        p = sweeps._build_point(cfg, axis_values)
+        p = cascaded_from_raw(raw) if cfg.model == "cascaded" else map_to_cascaded(OmParams(**raw))
     except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
         return (None,) * n_out, "unsupported"
     sys = build_system(p)
