@@ -143,6 +143,7 @@ class OccupationReport:
         object.__setattr__(self, "dn2", self.n2 - self.m2)
 
 
+@np.errstate(invalid="ignore")  # sqrt of a negative rate or inf * 0 at invalid() items
 def build_system(p: CascadedParams) -> LinearSystem:
     """Drift and noise matrices of the cascaded system; array params give a stack."""
     eip = np.exp(1j * p.phi)
@@ -209,6 +210,7 @@ def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:
     return f * f, fr * eip.real - fi * eip.imag, fr * eip.imag + fi * eip.real
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # invalid() items; 0/0 at all-zero rates
 def closed_form_occupations(p: CascadedParams) -> tuple[float, float]:
     """Equal-rate closed-form steady-state occupations (general F and detuning).
 

@@ -111,6 +111,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fcs(args: argparse.Namespace) -> int:
+    if args.s_points < 0 or not np.isfinite([args.s_min, args.s_max]).all():
+        raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
     p = cascaded_from_raw(_parse_sets(args.set))
     sys = build_system(p)
     V = _steady_state(sys)

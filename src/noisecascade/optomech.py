@@ -203,6 +203,7 @@ def build_om_drift(
     return M, noise
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # gamma_m = 0 at invalid() items
 def map_to_cascaded(p: OmParams) -> CascadedParams:
     """Translate optomechanical parameters into cascaded-model parameters.
 

@@ -12,18 +12,19 @@ The grid is evaluated in blocks of BLOCK_POINTS points.  A block is one
 array-valued parameter set built from the axis columns, with all-zero
 placeholders at its invalid points, and one stacked system; every layer,
 from the parameters to each output column, makes one call per block (one
-per s value for theta).  ``parallel`` is accepted and ignored.
+per s value for theta).  The result is columnar: a SweepResult holds value,
+validity and status arrays, which ``emit`` formats in one pass.
+``parallel`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, fields as dc_fields
-from io import StringIO
-import csv
+from sys import float_info
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .cascaded import (
     CascadedParams,
@@ -84,9 +85,9 @@ class SweepAxis:
     points: int
     spacing: str = "linear"
 
-    def values(self) -> list[float]:
+    def values(self) -> NDArray[np.float64]:
         space = np.geomspace if self.spacing == "log" else np.linspace
-        return space(self.min, self.max, self.points).tolist()
+        return space(self.min, self.max, self.points)
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,14 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    """Axis values, one value per output column (None when not computed), status."""
+class SweepResult:
+    """One row per grid point and one column per ``column_names`` entry: the
+    axes and outputs in ``values``, False at blank cells in ``valid``, and
+    the last column in ``status``."""
 
-    axis_values: tuple[float, ...]
-    outputs: tuple[float | None, ...]
-    status: str
+    values: NDArray[np.float64]
+    valid: NDArray[np.bool_]
+    status: NDArray[np.str_]
 
 
 def convert_mbar(params: dict) -> dict:
@@ -149,18 +152,21 @@ def cascaded_from_raw(raw: dict) -> CascadedParams:
 
 
 def _is_number(value) -> bool:
-    """A JSON number; booleans are ints in Python but not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; booleans are ints in Python but not numbers here.
+
+    The bound rejects NaN, Infinity and integers beyond the float range.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= float_info.max
 
 
 def _is_complex(value) -> bool:
-    """A JSON number or a string that complex() accepts, such as "0.1-0.2j"."""
+    """A finite JSON number or a string that complex() accepts, such as "0.1-0.2j"."""
     if isinstance(value, str):
         try:
-            complex(value)
+            return bool(np.isfinite(complex(value)))
         except ValueError:
             return False
-        return True
     return _is_number(value)
 
 
@@ -203,9 +209,9 @@ def parse_config(text: str) -> SweepConfig:
             raise SchemaError(f"params.{name}: unknown parameter for model {model}")
         if name == "F":
             if not _is_complex(value):
-                raise SchemaError("params.F: must be a number or a complex string")
+                raise SchemaError("params.F: must be a finite number or complex string")
         elif not _is_number(value):
-            raise SchemaError(f"params.{name}: must be a number")
+            raise SchemaError(f"params.{name}: must be a finite number")
     if model == "cascaded":
         # validate the mbar conversion on the baseline values up front
         convert_mbar(params)
@@ -230,7 +236,7 @@ def parse_config(text: str) -> SweepConfig:
             raise SchemaError(f"{path}.variable: unknown variable {ax['variable']!r}")
         for key in ("min", "max"):
             if not _is_number(ax[key]):
-                raise SchemaError(f"{path}.{key}: must be a number")
+                raise SchemaError(f"{path}.{key}: must be a finite number")
         points = ax["points"]
         if isinstance(points, bool) or not isinstance(points, int) or points < 1:
             raise SchemaError(f"{path}.points: must be an integer >= 1")
@@ -256,8 +262,11 @@ def parse_config(text: str) -> SweepConfig:
         if name not in _OUTPUTS:
             raise SchemaError(f"outputs: unknown quantity {name!r}")
     s_grid = doc.get("s_grid", [])
-    if not isinstance(s_grid, list) or not all(_is_number(s) for s in s_grid):
+    if not isinstance(s_grid, list):
         raise SchemaError("s_grid: must be a list of numbers")
+    for i, s in enumerate(s_grid):
+        if not _is_number(s):
+            raise SchemaError(f"s_grid[{i}]: must be a finite number")
     if "theta" in outputs_doc and not s_grid:
         raise SchemaError("outputs: 'theta' requires a non-empty s_grid")
 
@@ -284,10 +293,10 @@ def column_names(cfg: SweepConfig) -> list[str]:
     return cols
 
 
-def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]:
-    """Rows of a block of grid points: one call per layer and s value.
+def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[NDArray, ...]:
+    """(values, valid, status) of a block of grid points: one call per layer and s value.
 
-    The block's parameters are one array-valued CascadedParams built from the
+    The block's parameters are one array-valued CascadedParams built from its
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
     invalid points.  A cell is blank where its quantity is undefined: an
     unstable drift, a failed Lyapunov solve (n*, dn*, eta*), unequal rates
@@ -296,15 +305,14 @@ def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]
     ``unsupported``, as is a point whose parameters are invalid.
     """
     raw = dict(cfg.params)
-    raw.update(zip((ax.variable for ax in cfg.axes), np.array(points).T))
-    with np.errstate(all="ignore"):  # invalid points may divide by zero or overflow
-        if cfg.model == "cascaded":
-            p = cascaded_from_raw(raw)
-            built = ~p.invalid()
-        else:
-            om = OmParams(**raw)
-            p = map_to_cascaded(om)
-            built = ~(om.invalid() | p.invalid())
+    raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
+    if cfg.model == "cascaded":
+        p = cascaded_from_raw(raw)
+        built = ~p.invalid()
+    else:
+        om = OmParams(**raw)
+        p = map_to_cascaded(om)
+        built = ~(om.invalid() | p.invalid())
     p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
     sys = build_system(p)
     margin = stability_margin(sys.M)
@@ -314,8 +322,7 @@ def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]
     has_y = stable & ~singular
     n = occupations(Y)
     base, unequal = disconnected_baseline(p)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where all rates are zero
-        closed, _ = closed_form_occupations(p)
+    closed, _ = closed_form_occupations(p)
     has_base = stable & ~unequal
     cells = {
         "stability_margin": [(margin, built)],
@@ -334,56 +341,35 @@ def _block(cfg: SweepConfig, points: list[tuple[float, ...]]) -> list[ResultRow]
         thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)
         cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]
     columns = [cell for name in cfg.outputs for cell in cells[name]]
-    values = np.column_stack([v for v, _ in columns]).tolist()
-    valid = np.column_stack([ok for _, ok in columns]).tolist()
-    rows = []
-    for pt, vs, oks, b, st in zip(points, values, valid, built, stable):
-        status = "ok" if st and all(oks) else "unstable" if b and not st else "unsupported"
-        rows.append(ResultRow(pt, tuple(v if ok else None for v, ok in zip(vs, oks)), status))
-    return rows
+    values = np.column_stack(axis_columns + [v for v, _ in columns])
+    valid = np.column_stack([np.ones_like(built)] * len(axis_columns) + [ok for _, ok in columns])
+    unstable = np.where(built & ~stable, "unstable", "unsupported")
+    return values, valid, np.where(stable & valid.all(axis=1), "ok", unstable)
 
 
-def _grid(cfg: SweepConfig) -> list[tuple[float, ...]]:
-    return list(itertools.product(*(ax.values() for ax in cfg.axes)))
-
-
-def run_sweep(cfg: SweepConfig) -> list[ResultRow]:
+def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the grid in row-major axis order, BLOCK_POINTS points per stacked block."""
-    points = _grid(cfg)
-    return [
-        row
-        for start in range(0, len(points), BLOCK_POINTS)
-        for row in _block(cfg, points[start : start + BLOCK_POINTS])
+    grid = np.meshgrid(*(ax.values() for ax in cfg.axes), indexing="ij")
+    axis_columns = [g.ravel() for g in grid]
+    blocks = [
+        _block(cfg, [c[start : start + BLOCK_POINTS] for c in axis_columns])
+        for start in range(0, axis_columns[0].size, BLOCK_POINTS)
     ]
+    return SweepResult(*map(np.concatenate, zip(*blocks)))
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def emit(rows: list[ResultRow], cfg: SweepConfig) -> bytes:
-    """Serialize rows per the config format; byte-identical for identical inputs."""
-    if not rows:
+def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
+    """Serialize the result per the config format; byte-identical for identical inputs."""
+    if not result.status.size:
         raise ValueError("no rows to emit")
     cols = column_names(cfg)
+    rows = zip(np.where(result.valid, result.values, None).tolist(), result.status.tolist())
     if cfg.format == "json":
-        records = []
-        for row in rows:
-            rec: dict[str, float | str | None] = {}
-            cells = list(row.axis_values) + list(row.outputs) + [row.status]
-            for name, cell in zip(cols, cells):
-                rec[name] = float(cell) if isinstance(cell, (int, float)) else cell
-            records.append(rec)
+        records = [dict(zip(cols, cells + [status])) for cells, status in rows]
         return (json.dumps(records, indent=2) + "\n").encode()
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in rows:
-        cells = list(row.axis_values) + list(row.outputs) + [row.status]
-        writer.writerow(
-            [
-                _fmt_float(c) if isinstance(c, (int, float)) else ("" if c is None else c)
-                for c in cells
-            ]
-        )
-    return buf.getvalue().encode()
+    lines = [",".join(cols)]
+    lines += [
+        ",".join(["" if x is None else "%.17g" % x for x in cells] + [status])
+        for cells, status in rows
+    ]
+    return ("\n".join(lines) + "\n").encode()

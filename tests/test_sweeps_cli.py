@@ -1,6 +1,7 @@
 """Sweep configuration, execution, emission, and the CLI front end."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from noisecascade.optomech import OmParams, map_to_cascaded
 from noisecascade.sweeps import (
     NegativeOccupationError,
     SchemaError,
+    SweepResult,
     cascaded_from_raw,
     column_names,
     convert_mbar,
@@ -62,6 +64,65 @@ def fig2_config(points=5, fmt="csv", **extra):
     }
     doc.update(extra)
     return json.dumps(doc)
+
+
+GOLDEN_CONFIG = {
+    "model": "cascaded",
+    "params": {"kappa2": 1.0, "gamma2": 1.0, "F": 0.0, "mbar1": 2.25, "mbar2": 1.5, "mbar3": 0.5},
+    # kappa1 = gamma1 = 0 is unstable; unequal rates blank m1, m2; all four equal is ok
+    "axes": [{"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2},
+             {"variable": "gamma1", "min": 0.0, "max": 1.0, "points": 2}],
+    "outputs": ["m1", "stability_margin", "F_residual", "m2"],
+}
+
+GOLDEN_CSV = """\
+kappa1,gamma1,m1,stability_margin,F_residual,m2,status
+0,0,,0,0,,unstable
+0,1,,-0.5,0,,unsupported
+1,0,,-0.5,0,,unsupported
+1,1,2.25,-1,0,1.5,ok
+"""
+
+GOLDEN_JSON = """\
+[
+  {
+    "kappa1": 0.0,
+    "gamma1": 0.0,
+    "m1": null,
+    "stability_margin": 0.0,
+    "F_residual": 0.0,
+    "m2": null,
+    "status": "unstable"
+  },
+  {
+    "kappa1": 0.0,
+    "gamma1": 1.0,
+    "m1": null,
+    "stability_margin": -0.5,
+    "F_residual": 0.0,
+    "m2": null,
+    "status": "unsupported"
+  },
+  {
+    "kappa1": 1.0,
+    "gamma1": 0.0,
+    "m1": null,
+    "stability_margin": -0.5,
+    "F_residual": 0.0,
+    "m2": null,
+    "status": "unsupported"
+  },
+  {
+    "kappa1": 1.0,
+    "gamma1": 1.0,
+    "m1": 2.25,
+    "stability_margin": -1.0,
+    "F_residual": 0.0,
+    "m2": 1.5,
+    "status": "ok"
+  }
+]
+"""
 
 
 class TestConvertMbar:
@@ -148,6 +209,23 @@ class TestParseConfig:
             with pytest.raises(SchemaError, match=field):
                 parse_config(json.dumps(doc))
 
+    def test_non_finite_numbers_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for field, edit in (
+            ("params.phi", lambda d: d["params"].update(phi=nan)),
+            ("params.kappa1", lambda d: d["params"].update(kappa1=-inf)),
+            ("params.mbar1", lambda d: d["params"].update(mbar1=10**400)),
+            ("params.F", lambda d: d["params"].update(F=inf)),
+            ("params.F", lambda d: d["params"].update(F="1+nanj")),
+            (r"axes\[0\].min", lambda d: d["axes"][0].update(min=nan)),
+            (r"axes\[1\].max", lambda d: d["axes"][1].update(max=inf)),
+            (r"s_grid\[1\]", lambda d: d.update(outputs=["theta"], s_grid=[0.1, inf])),
+        ):
+            doc = json.loads(fig2_config())
+            edit(doc)
+            with pytest.raises(SchemaError, match=field):
+                parse_config(json.dumps(doc))  # NaN and Infinity as JSON literals
+
     def test_theta_requires_s_grid(self):
         doc = json.loads(fig2_config())
         doc["outputs"] = ["theta"]
@@ -158,31 +236,29 @@ class TestParseConfig:
 class TestRunSweep:
     def test_row_count_and_order(self):
         cfg = parse_config(fig2_config(points=3))
-        rows = run_sweep(cfg)
-        assert len(rows) == 9
+        result = run_sweep(cfg)
+        assert len(result.status) == 9
         # row-major: first axis varies slowest
-        deltas = [r.axis_values[0] for r in rows]
+        deltas = result.values[:, 0].tolist()
         assert deltas == sorted(deltas)
 
     def test_single_point_sweep(self):
         doc = json.loads(fig2_config())
         doc["axes"] = [{"variable": "mbar3", "min": 0.0, "max": 0.0, "points": 1}]
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        assert len(rows) == 1
-        assert rows[0].status == "ok"
-        assert rows[0].outputs[1] == pytest.approx(25.0, abs=1e-9)
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert len(result.status) == 1
+        assert result.status[0] == "ok"
+        assert result.valid[0, 2] and result.values[0, 2] == pytest.approx(25.0, abs=1e-9)
 
     def test_fig2_sign_structure(self):
         cfg = parse_config(fig2_config(points=11))
-        for row in run_sweep(cfg):
-            _, m3 = row.axis_values
-            dn1, dn2 = row.outputs
-            assert row.status == "ok"
-            assert abs(dn1) <= 1e-10
-            if m3 == 50.0:
-                assert abs(dn2) <= 1e-9
-            else:
-                assert np.sign(dn2) == np.sign(50.0 - m3)
+        result = run_sweep(cfg)
+        _, m3, dn1, dn2 = result.values.T
+        assert (result.status == "ok").all() and result.valid.all()
+        assert np.abs(dn1).max() <= 1e-10
+        at_half = m3 == 50.0
+        assert at_half.any() and np.abs(dn2[at_half]).max() <= 1e-9
+        assert (np.sign(dn2[~at_half]) == np.sign(50.0 - m3[~at_half])).all()
 
     def test_unstable_rows_carry_status_not_numbers(self):
         doc = {
@@ -191,10 +267,10 @@ class TestRunSweep:
             "axes": [{"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2}],
             "outputs": ["n1", "n2"],
         }
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        assert rows[0].status == "unstable"  # kappa1 = 0: undamped first mode
-        assert rows[0].outputs == (None, None)
-        assert rows[1].status == "ok"
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status[0] == "unstable"  # kappa1 = 0: undamped first mode
+        assert result.valid[0].tolist() == [True, False, False]
+        assert result.status[1] == "ok"
 
     def test_unsupported_baseline_flagged(self):
         doc = {
@@ -203,11 +279,10 @@ class TestRunSweep:
             "axes": [{"variable": "nbar1", "min": 0.0, "max": 1.0, "points": 2}],
             "outputs": ["n1", "dn2"],
         }
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        for row in rows:
-            assert row.status == "unsupported"
-            assert row.outputs[0] is not None  # plain occupation still fine
-            assert row.outputs[1] is None
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert (result.status == "unsupported").all()
+        assert result.valid[:, 1].all()  # plain occupation still fine
+        assert not result.valid[:, 2].any()
 
     def test_optomech_model(self):
         doc = {
@@ -220,9 +295,9 @@ class TestRunSweep:
             "axes": [{"variable": "Nbar1", "min": 0.0, "max": 4.0, "points": 3}],
             "outputs": ["n1", "n2", "F_residual", "stability_margin"],
         }
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        assert all(r.status == "ok" for r in rows)
-        assert all(r.outputs[3] < 0 for r in rows)
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert (result.status == "ok").all()
+        assert result.valid[:, 4].all() and (result.values[:, 4] < 0).all()
 
     def test_zero_rate_channel_blanks_its_cells(self):
         doc = {
@@ -233,12 +308,10 @@ class TestRunSweep:
             "outputs": ["n1", "eta1", "eta3", "theta"],
             "s_grid": [0.1],
         }
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        zero, *rest = rows
-        assert zero.status == "unsupported"
-        assert zero.outputs[0] is not None and zero.outputs[2] is not None
-        assert zero.outputs[1] is None and zero.outputs[3] is None
-        assert all(r.status == "ok" and None not in r.outputs for r in rest)
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status[0] == "unsupported"
+        assert result.valid[0].tolist() == [True, True, False, True, False]
+        assert (result.status[1:] == "ok").all() and result.valid[1:].all()
 
     def test_lyapunov_failure_blanks_its_cells(self):
         params = {k: v for k, v in LYAPUNOV_FAILURE.items() if k != "nbar1"}
@@ -249,14 +322,15 @@ class TestRunSweep:
             "outputs": ["n1", "eta1", "stability_margin", "theta"],
             "s_grid": [0.0],
         }
-        rows = run_sweep(parse_config(json.dumps(doc)))
-        assert len(rows) == 3
-        assert any(row.outputs[0] is None for row in rows)
-        for row in rows:
-            n1, eta1, margin, theta0 = row.outputs
-            assert margin == pytest.approx(-0.0961, abs=1e-4) and theta0 == 0.0
-            assert (n1 is None) == (eta1 is None) == (row.status == "unsupported")
-            assert row.status in ("ok", "unsupported")
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert len(result.status) == 3
+        _, n1, eta1, margin, theta0 = result.valid.T
+        assert not n1.all()
+        assert margin.all() and theta0.all()
+        assert result.values[:, 3] == pytest.approx(-0.0961, abs=1e-4)
+        assert (result.values[:, 4] == 0.0).all()
+        assert (n1 == eta1).all() and (~n1 == (result.status == "unsupported")).all()
+        assert set(result.status.tolist()) <= {"ok", "unsupported"}
 
 
 def reference_row(cfg, axis_values):
@@ -328,23 +402,28 @@ class TestStackedSweep:
             "s_grid": [-0.2, 0.0, 0.6],
         }
         cfg = parse_config(json.dumps(doc))
-        rows = run_sweep(cfg)
-        assert len(rows) == 20 > 2 * sweeps.BLOCK_POINTS
-        cols = column_names(cfg)[len(cfg.axes):-1]
+        result = run_sweep(cfg)
+        assert len(result.status) == 20 > 2 * sweeps.BLOCK_POINTS
+        n_axes = len(cfg.axes)
+        cols = column_names(cfg)[n_axes:-1]
         margin = cols.index("stability_margin")
+        points = list(itertools.product(*(ax.values().tolist() for ax in cfg.axes)))
+        assert len(points) == len(result.status)
         blanks = set()
-        for row, pt in zip(rows, sweeps._grid(cfg)):
+        rows = zip(points, result.values.tolist(), result.valid.tolist(), result.status.tolist())
+        for pt, values, valid, status in rows:
             ref_cells, ref_status = reference_row(cfg, pt)
-            assert row.axis_values == pt
-            assert row.status == ref_status
-            for name, got, ref in zip(cols, row.outputs, ref_cells):
+            assert tuple(values[:n_axes]) == pt and all(valid[:n_axes])
+            assert status == ref_status
+            outputs = [v if ok else None for v, ok in zip(values[n_axes:], valid[n_axes:])]
+            for name, got, ref in zip(cols, outputs, ref_cells):
                 assert (got is None) == (ref is None), (pt, name)
                 if ref is not None:
                     assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (pt, name)
-                elif row.status == "unsupported" and row.outputs[margin] is not None:
+                elif status == "unsupported" and outputs[margin] is not None:
                     blanks.add(name)
-        assert {r.status for r in rows} == {"ok", "unstable", "unsupported"}
-        assert any(set(r.outputs) == {None} for r in rows)  # negative Nbar2
+        assert set(result.status.tolist()) == {"ok", "unstable", "unsupported"}
+        assert (~result.valid[:, n_axes:]).all(axis=1).any()  # negative Nbar2
         # unequal rates, a zero-rate channel and an inadmissible s all occur
         assert {"dn1", "eta1", "theta@0.6"} <= blanks
 
@@ -370,11 +449,12 @@ class TestEmit:
 
     def test_json_round_trip_is_bit_exact(self):
         cfg = parse_config(fig2_config(points=3, fmt="json"))
-        rows = run_sweep(cfg)
-        records = json.loads(emit(rows, cfg))
-        for row, rec in zip(rows, records):
-            assert rec["dn2"] == row.outputs[1]
-            assert rec["status"] == row.status
+        result = run_sweep(cfg)
+        records = json.loads(emit(result, cfg))
+        assert len(records) == 9 and result.valid.all()
+        for values, status, rec in zip(result.values.tolist(), result.status.tolist(), records):
+            assert rec["dn2"] == values[3]
+            assert rec["status"] == status
 
     def test_deterministic_across_parallel_modes(self):
         cfg = parse_config(fig2_config(points=4))
@@ -384,10 +464,16 @@ class TestEmit:
         )
         assert serial == parallel
 
+    def test_golden_emission(self):
+        for fmt, expected in (("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)):
+            cfg = parse_config(json.dumps(dict(GOLDEN_CONFIG, format=fmt)))
+            assert emit(run_sweep(cfg), cfg).decode() == expected, fmt
+
     def test_empty_rows_rejected(self):
         cfg = parse_config(fig2_config())
+        empty = SweepResult(np.empty((0, 5)), np.empty((0, 5), bool), np.empty(0, str))
         with pytest.raises(ValueError):
-            emit([], cfg)
+            emit(empty, cfg)
 
 
 class TestCli:
@@ -450,6 +536,16 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["theta"]) == 5
         assert out["cumulants"]["1"] == pytest.approx(out["eta1_trace"], rel=1e-6)
+
+    def test_fcs_argument_errors(self, capsys):
+        args = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1",
+                "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar1=2"]
+        for bad in (["--s-points", "-1"], ["--s-min=nan"], ["--s-max=inf"]):
+            assert main([*args, *bad]) == 2, bad
+            assert capsys.readouterr().err.startswith("error: --s-"), bad
+        for points in (0, 1):
+            assert main([*args, "--s-points", str(points)]) == 0
+            assert len(json.loads(capsys.readouterr().out)["theta"]) == points
 
     def test_design_command(self, capsys):
         rc = main([
