@@ -132,7 +132,7 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
 
 
 def _trace(X: NDArray) -> NDArray:
-    return np.trace(X, axis1=-2, axis2=-1)
+    return np.einsum("...ii->...", X)
 
 
 def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]):
@@ -183,7 +183,7 @@ def flow_cumulant(
                 source = source + w * sigma[i] @ P @ sigma[k - j - i]
         sigma.append(solve_lyapunov(sys.M, 0.5 * (source + source.conj().T)))
     theta_n = sum(
-        math.comb(n, j) * fp[j] * np.trace(P @ sigma[n - j]).real for j in range(1, n + 1)
+        math.comb(n, j) * fp[j] * _trace(P @ sigma[n - j]).real for j in range(1, n + 1)
     ) - fm[n]
     return (-1.0) ** n * theta_n
 

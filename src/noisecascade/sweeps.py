@@ -8,12 +8,13 @@ Baseline occupations may be given either as bath occupations (nbar1..3) or
 as disconnected-baseline occupations (mbar1..3), which are converted via
 Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.
 
-The grid is evaluated in blocks of BLOCK_POINTS points.  A block is one
-array-valued parameter set built from the axis columns, with all-zero
+The grid is evaluated in blocks of BLOCK_POINTS (2048) points.  A block is
+one array-valued parameter set built from the axis columns, with all-zero
 placeholders at its invalid points, and one stacked system; every layer,
 from the parameters to each output column, makes one call per block (one
 per s value for theta).  The result is columnar: a SweepResult holds value,
-validity and status arrays, which ``emit`` formats in one pass.
+validity and status arrays, which ``emit`` formats column by column, each
+distinct value of a column once, for CSV and JSON alike.
 ``parallel`` is accepted and ignored.
 """
 
@@ -72,7 +73,7 @@ _OM_FIELDS = {f.name for f in dc_fields(OmParams)}
 _MBAR_KEYS = ("mbar1", "mbar2", "mbar3")
 
 # grid points per stacked block; bounds the memory that one block holds
-BLOCK_POINTS = 512
+BLOCK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -358,18 +359,44 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(*map(np.concatenate, zip(*blocks)))
 
 
+def _csv_numbers(xs: list[float]) -> list[str]:
+    return ["%.17g" % x for x in xs]
+
+
+def _json_numbers(xs: list[float]) -> list[str]:
+    # the encoder's own text for each float, NaN and Infinity included
+    return json.dumps(xs)[1:-1].split(", ")
+
+
+def _column_text(values: NDArray, valid: NDArray[np.bool_], numbers, blank: str) -> list[str]:
+    """Cell text of one column: each distinct float64 bit pattern formatted once
+    (so -0.0 and 0.0, and NaN payloads, stay apart), blank cells as ``blank``."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(numbers(distinct.view(np.float64).tolist()) + [blank], object)
+    return text[np.where(valid, inverse, distinct.size)].tolist()
+
+
 def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
-    """Serialize the result per the config format; byte-identical for identical inputs."""
+    """Serialize the result per the config format; byte-identical for identical inputs.
+
+    CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
+    indent=2)`` of one record per row; blank cells are empty or null.  Each
+    distinct value of a column is formatted once.
+    """
     if not result.status.size:
         raise ValueError("no rows to emit")
     cols = column_names(cfg)
-    rows = zip(np.where(result.valid, result.values, None).tolist(), result.status.tolist())
-    if cfg.format == "json":
-        records = [dict(zip(cols, cells + [status])) for cells, status in rows]
-        return (json.dumps(records, indent=2) + "\n").encode()
-    lines = [",".join(cols)]
-    lines += [
-        ",".join(["" if x is None else "%.17g" % x for x in cells] + [status])
-        for cells, status in rows
+    as_json = cfg.format == "json"
+    numbers, blank = (_json_numbers, "null") if as_json else (_csv_numbers, "")
+    columns = [
+        _column_text(result.values[:, j], result.valid[:, j], numbers, blank)
+        for j in range(result.values.shape[1])
     ]
-    return ("\n".join(lines) + "\n").encode()
+    statuses, inverse = np.unique(result.status, return_inverse=True)
+    statuses = [json.dumps(s) if as_json else s for s in statuses.tolist()]
+    columns.append(np.array(statuses, object)[inverse].tolist())
+    if as_json:
+        keys = (json.dumps(c).replace("%", "%%") for c in cols)
+        record = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+        return ("[\n" + ",\n".join([record % row for row in zip(*columns)]) + "\n]\n").encode()
+    return ("\n".join([",".join(cols), *map(",".join, zip(*columns))]) + "\n").encode()

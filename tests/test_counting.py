@@ -6,6 +6,8 @@ theta against the closed-form trace first moment, conservation of the three
 per-channel flows, and the equal-rate closed forms.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from noisecascade.cascaded import CascadedParams, build_system, steady_state
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
+    _channel,
     bias_matrices,
     biased_covariance,
     flow_cumulant,
@@ -20,7 +23,7 @@ from noisecascade.counting import (
     large_deviation,
     simplified_flows,
 )
-from noisecascade.linalg import stability_margin
+from noisecascade.linalg import solve_lyapunov, stability_margin
 
 RNG = np.random.default_rng(20240819)
 
@@ -221,3 +224,50 @@ class TestSimplifiedFlows:
         with pytest.raises(UnsupportedParamsError):
             simplified_flows(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0,
                                             gamma2=1.0, F=0.1))
+
+
+class TestStackedTraces:
+    """The trace formulas keep the matrix product and trace its diagonal: on the
+    collective channel 3, a fused product-and-trace rounds differently."""
+
+    @staticmethod
+    def reference_trace(X):
+        return np.trace(X, axis1=-2, axis2=-1)
+
+    @staticmethod
+    def stacked_system(count=64):
+        points = [random_stable_system() for _ in range(count)]
+        p = CascadedParams(**{
+            f.name: np.array([getattr(q, f.name) for q in points])
+            for f in dataclasses.fields(CascadedParams)
+        })
+        sys = build_system(p)
+        Y, singular = solve_lyapunov(sys.M, sys.N)
+        assert not singular.any()
+        return sys, Y
+
+    def test_flow_first_moment_bit_identical(self):
+        sys, Y = self.stacked_system()
+        ch = next(c for c in sys.channels if c.index == 3)
+        _, P, _ = _channel(sys, 3)
+        sigma = 2.0 * Y
+        fp_prime, fm_prime = -ch.rate, -ch.rate * (2.0 * ch.nbar + 1.0)
+        ref = -(fp_prime * self.reference_trace(P @ sigma).real
+                - fm_prime * self.reference_trace(P).real)
+        eta, zero_rate = flow_first_moment(3, sys, Y)
+        assert not zero_rate.any()
+        np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
+
+    def test_large_deviation_bit_identical(self):
+        sys, Y = self.stacked_system()
+        for s in (-0.2, 0.05, 0.3):
+            bias = bias_matrices(3, s, sys)
+            sigma, failed = biased_covariance(3, s, sys)
+            ref = (self.reference_trace(bias.Fplus @ sigma).real
+                   - self.reference_trace(bias.Fminus).real)
+            theta, theta_failed = large_deviation(3, s, sys, Y)
+            np.testing.assert_array_equal(theta_failed, failed)
+            assert not failed.all()
+            np.testing.assert_array_equal(
+                theta[~failed].view(np.int64), ref[~failed].view(np.int64)
+            )

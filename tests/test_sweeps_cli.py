@@ -3,9 +3,12 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from noisecascade import sweeps
 from noisecascade.cascaded import (
@@ -28,6 +31,8 @@ from noisecascade.optomech import OmParams, map_to_cascaded
 from noisecascade.sweeps import (
     NegativeOccupationError,
     SchemaError,
+    SweepAxis,
+    SweepConfig,
     SweepResult,
     cascaded_from_raw,
     column_names,
@@ -384,24 +389,27 @@ def reference_row(cfg, axis_values):
     return cells, status
 
 
+# 20 points with ok, unstable and unsupported rows and every output, theta included
+MIXED_GRID = {
+    "model": "cascaded",
+    "params": {"kappa2": 1.0, "gamma2": 1.0, "omega1": 0.3, "phi": 0.4,
+               "mbar1": 1.0, "mbar2": 0.8},
+    "axes": [
+        # kappa1 = gamma1 = 0 leaves mode 1 undamped: unstable
+        {"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2},
+        {"variable": "gamma1", "min": 0.0, "max": 1.0, "points": 2},
+        # mbar3 > 1.6 converts to a negative Nbar2
+        {"variable": "mbar3", "min": 0.0, "max": 2.0, "points": 5},
+    ],
+    "outputs": list(sweeps._OUTPUTS),
+    "s_grid": [-0.2, 0.0, 0.6],
+}
+
+
 class TestStackedSweep:
     def test_rows_match_single_point_results(self, monkeypatch):
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)
-        doc = {
-            "model": "cascaded",
-            "params": {"kappa2": 1.0, "gamma2": 1.0, "omega1": 0.3, "phi": 0.4,
-                       "mbar1": 1.0, "mbar2": 0.8},
-            "axes": [
-                # kappa1 = gamma1 = 0 leaves mode 1 undamped: unstable
-                {"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2},
-                {"variable": "gamma1", "min": 0.0, "max": 1.0, "points": 2},
-                # mbar3 > 1.6 converts to a negative Nbar2
-                {"variable": "mbar3", "min": 0.0, "max": 2.0, "points": 5},
-            ],
-            "outputs": list(sweeps._OUTPUTS),
-            "s_grid": [-0.2, 0.0, 0.6],
-        }
-        cfg = parse_config(json.dumps(doc))
+        cfg = parse_config(json.dumps(MIXED_GRID))
         result = run_sweep(cfg)
         assert len(result.status) == 20 > 2 * sweeps.BLOCK_POINTS
         n_axes = len(cfg.axes)
@@ -427,8 +435,88 @@ class TestStackedSweep:
         # unequal rates, a zero-rate channel and an inadmissible s all occur
         assert {"dn1", "eta1", "theta@0.6"} <= blanks
 
+    def test_emission_independent_of_block_size(self, monkeypatch):
+        for fmt in ("csv", "json"):
+            cfg = parse_config(json.dumps(dict(MIXED_GRID, format=fmt)))
+            default = emit(run_sweep(cfg), cfg)
+            with monkeypatch.context() as m:
+                m.setattr(sweeps, "BLOCK_POINTS", 7)
+                blocked = emit(run_sweep(cfg), cfg)
+            assert blocked == default, fmt
+
+
+def reference_emit(result, cfg):
+    """The per-cell formatter: "%.17g" or "" per CSV cell, json.dumps of dict records."""
+    cols = column_names(cfg)
+    rows = zip(np.where(result.valid, result.values, None).tolist(), result.status.tolist())
+    if cfg.format == "json":
+        records = [dict(zip(cols, cells + [status])) for cells, status in rows]
+        return (json.dumps(records, indent=2) + "\n").encode()
+    lines = [",".join(cols)]
+    lines += [
+        ",".join(["" if x is None else "%.17g" % x for x in cells] + [status])
+        for cells, status in rows
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+STATUSES = ("ok", "unstable", "unsupported")
+NAN_PAYLOAD = float(np.array(0x7FF8000000000001).view(np.float64))
+SPECIAL_VALUES = (0.0, -0.0, math.nan, NAN_PAYLOAD, math.inf, -math.inf, 1.5, 5e-324, 1e300)
+
+
+def emit_case(fmt, values, valid, status, s_grid=()):
+    """A result with columns Delta, n1, eta3 and theta@s for each s."""
+    outputs = ("n1", "eta3", "theta") if s_grid else ("n1", "eta3")
+    axes = (SweepAxis("Delta", 0.0, 1.0, len(status)),)
+    cfg = SweepConfig("cascaded", {}, axes, outputs, format=fmt, s_grid=tuple(s_grid))
+    result = SweepResult(np.array(values, float), np.array(valid, bool), np.array(status))
+    assert result.values.shape == result.valid.shape == (len(status), len(column_names(cfg)) - 1)
+    return cfg, result
+
+
+@st.composite
+def emit_cases(draw):
+    rows = draw(st.integers(1, 12))
+    s_grid = draw(st.lists(st.sampled_from([-0.25, 0.001, 0.6, 1e-7]), unique=True, max_size=2))
+    n_cols = 3 + len(s_grid)
+    # a small pool of values gives heavy repeats within a column
+    pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), min_size=1, max_size=4))
+    cell = st.sampled_from(pool) | st.floats()
+    values = [draw(st.lists(cell, min_size=n_cols, max_size=n_cols)) for _ in range(rows)]
+    valid = np.array([draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
+                      for _ in range(rows)])
+    blank = draw(st.integers(-1, n_cols - 1))
+    if blank >= 0:
+        valid[:, blank] = False
+    status = draw(st.lists(st.sampled_from(STATUSES), min_size=rows, max_size=rows))
+    return emit_case(draw(st.sampled_from(["csv", "json"])), values, valid, status, s_grid)
+
+
+# Delta repeats, n1 mixes 0.0 and -0.0, eta3 holds NaNs and infinities, theta is blank
+SIGNED_ZEROS_AND_NON_FINITE = [
+    [0.0, 0.0, math.nan, 0.25],
+    [0.0, -0.0, NAN_PAYLOAD, 0.25],
+    [1.0, 0.0, math.inf, 0.25],
+    [1.0, -0.0, -math.inf, 0.25],
+    [0.0, 0.0, math.inf, math.nan],
+]
+
 
 class TestEmit:
+    @given(case=emit_cases())
+    @example(case=emit_case("csv", SIGNED_ZEROS_AND_NON_FINITE, [[1, 1, 1, 0]] * 5,
+                            [*STATUSES, "ok", "ok"], [-0.25]))
+    @example(case=emit_case("json", SIGNED_ZEROS_AND_NON_FINITE, [[1, 1, 1, 0]] * 5,
+                            [*STATUSES, "ok", "ok"], [-0.25]))
+    @example(case=emit_case("csv", [[-0.0, 7.0, -1e-7, math.nan]], [[1, 0, 1, 1]],
+                            ["unsupported"], [0.001]))
+    @example(case=emit_case("json", [[-0.0, 7.0, -1e-7, math.nan]], [[1, 0, 1, 1]],
+                            ["unsupported"], [0.001]))
+    def test_matches_reference_formatter(self, case):
+        cfg, result = case
+        assert emit(result, cfg) == reference_emit(result, cfg)
+
     def test_csv_layout(self):
         cfg = parse_config(fig2_config(points=2))
         data = emit(run_sweep(cfg), cfg)
