@@ -16,13 +16,12 @@ from .cascaded import (
 )
 from .counting import (
     bias_matrices,
-    biased_covariance,
     flow_cumulant,
     flow_first_moment,
     large_deviation,
     simplified_flows,
 )
-from .linalg import solve_lyapunov, solve_riccati_biased, stability_margin
+from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
     DriveSpec,
     OmParams,
@@ -48,10 +47,8 @@ __all__ = [
     "steady_state",
     "temperature_from_occupation",
     "solve_lyapunov",
-    "solve_riccati_biased",
     "stability_margin",
     "bias_matrices",
-    "biased_covariance",
     "flow_cumulant",
     "flow_first_moment",
     "large_deviation",

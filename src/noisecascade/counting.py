@@ -2,10 +2,9 @@
 Full counting statistics of excitation exchange with each bath.
 
 The biased dynamics tilts the noise channel of interest by a counting field
-s; the biased covariance solves an algebraic Riccati equation and the
-large-deviation function theta(s) encodes all cumulants of the excitation
-flow.  Everything is in the 2x2 mode space of ``cascaded``: the channel
-enters through the projector P = u_hat u_hat† onto its (possibly
+s, and the large-deviation function theta(s) encodes all cumulants of the
+excitation flow.  Everything is in the 2x2 mode space of ``cascaded``: the
+channel enters through the projector P = u_hat u_hat† onto its (possibly
 collective) mode, the tilting matrices are F-(s) = f-(s) P and
 F+(s) = f+(s) P, and the machinery uses the doubled covariance sigma = 2 Y
 (vacuum = identity).  The trace formulas for theta and the first moment
@@ -21,14 +20,39 @@ A2 = rate nbar (e^s - 1), so f+- = A1 +- A2.  For one mode with Wigner
 function W = Z exp(-2 |a|^2 / sigma), L.L† multiplies W by
 (1 - 1/sigma)^2 |a|^2 + (1 - 1/sigma)/2 and L†.L by
 (1 + 1/sigma)^2 |a|^2 - (1 + 1/sigma)/2.  The |a|^2 terms fix the
-stationary shape, in mode space the stabilizing root of
+stationary shape, in mode space the stabilizing root sigma_s of
 
-    (M - F-/2) sigma + sigma (M - F-/2)† + (1/2) sigma F+ sigma + 2N + F+/2 = 0,
+    A_s sigma + sigma A_s† + (1/2) sigma F+ sigma + 2N + F+/2 = 0,    A_s = M - F-/2,
 
 and the constant terms give the growth rate of Tr rho_s,
-(1/2)[Re Tr(F+ sigma) - Re Tr F-]; theta(s) is twice it, like eta.
-Expanding sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation in
-M per order, with a source built from lower orders: exact cumulants.
+(1/2)[Re Tr(F+ sigma_s) - Re Tr F-]; theta(s) is twice it, like eta.
+
+theta needs only the spectrum of the equation's Hamiltonian matrix
+(Laub, IEEE TAC 24, 913, 1979)
+
+    H_s = [[A_s†, F+/2], [-(2N + F+/2), -A_s]].
+
+With K = A_s† + (F+/2) sigma, the first block row of H_s [I; sigma] is K,
+and its second block row equals sigma K exactly when sigma solves the
+equation above.  So [I; sigma_s] spans an invariant subspace of H_s, on
+which H_s acts as the closed-loop drift K.  For the stabilizing root K is
+stable, so its eigenvalues are the n stable eigenvalues of H_s, and its
+trace Tr A_s† + Tr(F+ sigma_s)/2 gives
+
+    Tr(F+ sigma_s)/2 = sum_{Re lam < 0} lam(H_s) - Tr A_s†.
+
+With Re Tr A_s† = Re Tr M - Re Tr F-/2 this is
+
+    theta(s) = Re Tr(F+ sigma_s) - Re Tr F- = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
+
+H_s is Hamiltonian: its eigenvalues come in pairs lam, -conj(lam).  The
+admissible region is the set of s where the bias matrices are finite, no
+eigenvalue of H_s lies on the imaginary axis (|Re lam| <= 1e-9 max|H_ij|)
+and exactly n eigenvalues have Re lam > 0; its edges are where a pair
+meets the axis.  The tests check theta against the stabilizing root
+itself (tests/riccati_oracle.py).  Expanding sigma_s = sum_k sigma_k s^k / k!
+gives one Lyapunov equation in M per order, with a source built from lower
+orders: exact cumulants.
 """
 
 from __future__ import annotations
@@ -40,7 +64,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import UnstableEffectiveDriftError, check_items, solve_lyapunov, solve_riccati_biased
+from .linalg import check_hermitian, check_items, solve_lyapunov
 
 
 class ZeroRateChannelError(Exception):
@@ -48,7 +72,7 @@ class ZeroRateChannelError(Exception):
 
 
 class OutsideAdmissibleRegionError(Exception):
-    """Counting field left the region where the biased Riccati equation is solvable."""
+    """Counting field left the region where the tilted equation has a stabilizing root."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +108,7 @@ def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
     the collective channel projects onto the collective mode instead.
     """
     ch, P, _ = _channel(sys, channel)
-    # e^|s| may overflow far outside the admissible region; the solve rejects inf
+    # e^|s| may overflow far outside the admissible region; large_deviation rejects inf
     with np.errstate(over="ignore", invalid="ignore"):
         f_common = (ch.nbar + 1.0) * np.expm1(-np.asarray(s))
         f_alt = ch.nbar * np.expm1(s)
@@ -93,41 +117,38 @@ def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
         return BiasMatrices(Fminus=fminus[..., None, None] * P, Fplus=fplus[..., None, None] * P)
 
 
-def biased_covariance(channel: int, s, sys: LinearSystem):
-    """Doubled biased covariance sigma_s, the stabilizing root of the tilted equation.
-
-    A stack of systems or of s values gives (sigma_s, failed).
-    """
-    return _tilted_root(sys, bias_matrices(channel, s, sys), s)
-
-
-def _tilted_root(sys: LinearSystem, bias: BiasMatrices, s):
-    with np.errstate(over="ignore", invalid="ignore"):
-        fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
-        try:
-            return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
-        except UnstableEffectiveDriftError as exc:
-            message = f"no stabilizing biased covariance at s = {s:.6g}"
-            raise OutsideAdmissibleRegionError(message) from exc
-
-
 def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128]):
-    """Large-deviation function theta(s) = Re Tr{F+(s) sigma_s - F-(s)}.
+    """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
-    ``V`` is the unbiased steady-state covariance Y (vacuum = I/2); the
-    direct solve does not need it.  theta(0) is exactly zero.  A stack of
-    systems or a vector of s values gives (theta, failed).
+    One eigvals call on the tilted Hamiltonian H_s (module docstring); no
+    covariance is solved for, so ``V`` is unused.  theta(0) is exactly zero.
+    One point outside the admissible region raises
+    OutsideAdmissibleRegionError; a stack of systems or a vector of s values
+    gives (theta, failed), with NaN in the failed items.
     """
     s = np.asarray(s, dtype=float)
-    if not s.any():
+    if not s.any():  # also on a zero-rate channel, as in a stack
         zeros = np.zeros(np.broadcast_shapes(sys.M.shape[:-2], s.shape))
         return (zeros, zeros != 0.0) if zeros.ndim else 0.0
     bias = bias_matrices(channel, s, sys)
-    out = _tilted_root(sys, bias, s)
-    sigma, failed = out if isinstance(out, tuple) else (out, np.bool_(False))
-    with np.errstate(over="ignore", invalid="ignore"):  # failed items: non-finite F, NaN sigma
-        theta = _trace(bias.Fplus @ sigma).real - _trace(bias.Fminus).real
-    theta, failed = np.where(s == 0.0, 0.0, theta), failed & (s != 0.0)
+    M, N, Fminus, Fplus = np.broadcast_arrays(sys.M, sys.N, bias.Fminus, bias.Fplus)
+    n, error = M.shape[-1], OutsideAdmissibleRegionError
+    message = "no stabilizing biased covariance at s = {:.6g}"
+    finite = np.isfinite(Fminus).all(axis=(-2, -1)) & np.isfinite(Fplus).all(axis=(-2, -1))
+    failed = check_items(np.zeros(M.shape[:-2], bool), ~finite, error, message, s)
+    Fminus, Fplus = (np.where(failed[..., None, None], 0.0, F) for F in (Fminus, Fplus))
+    A, Q = M - 0.5 * Fminus, 2.0 * N + 0.5 * Fplus
+    failed = check_hermitian(failed, Q, "noise matrix N")
+    H = np.block([[A.conj().swapaxes(-2, -1), 0.5 * Fplus], [-Q, -A]])
+    try:
+        lam = np.linalg.eigvals(H).real
+    except np.linalg.LinAlgError as exc:
+        raise error(str(exc)) from exc
+    on_axis = np.abs(lam) <= 1e-9 * np.abs(H).max(axis=(-2, -1))[..., None]
+    bad = on_axis.any(-1) | ((lam > 0.0).sum(-1) != n)
+    failed = check_items(failed, bad, error, message, s)
+    theta = 2.0 * (np.where(lam < 0.0, lam, 0.0).sum(-1) - _trace(M).real)
+    theta, failed = np.where(s == 0.0, 0.0, np.where(failed, np.nan, theta)), failed & (s != 0.0)
     return (theta, failed) if failed.ndim else float(theta)
 
 

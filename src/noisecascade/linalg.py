@@ -3,9 +3,9 @@ Dense linear-algebra kernels for two-mode Gaussian systems.
 
 The model is phase-insensitive (beam-splitter couplings, thermal baths), so
 its drift is a 2x2 complex mode-space matrix M and every covariance a 2x2
-complex Hermitian matrix.  The solvers take the drift A and return the
-Hermitian solution X of equations in A X + X A†; for real inputs they are
-the familiar real-symmetric forms with A^T.
+complex Hermitian matrix.  The Lyapunov solver takes the drift A and
+returns the Hermitian solution X of A X + X A† + N = 0; for real inputs it
+is the familiar real-symmetric form with A^T.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
 item.  One matrix raises on its first failed check; a stack returns
@@ -26,10 +26,6 @@ class SingularSystemError(Exception):
 
 class NonSymmetricInputError(Exception):
     """A matrix that must be Hermitian (symmetric, if real) is not, beyond tolerance."""
-
-
-class UnstableEffectiveDriftError(Exception):
-    """The biased Riccati equation has no stabilizing solution."""
 
 
 def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
@@ -78,7 +74,9 @@ def _hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
 
-def _check_hermitian(failed: NDArray, X: NDArray, name: str, rtol: float = 1e-12) -> NDArray:
+def check_hermitian(failed: NDArray, X: NDArray, name: str, rtol: float = 1e-12) -> NDArray:
+    """``failed`` with the items of ``X`` that are not Hermitian to relative ``rtol``
+    added; one item raises NonSymmetricInputError instead."""
     bad = _maxabs(X - _dagger(X)) > rtol * np.maximum(_maxabs(X), 1.0)
     message = f"{name} is not Hermitian to relative {rtol}"
     return check_items(failed, bad, NonSymmetricInputError, message)
@@ -97,7 +95,7 @@ def solve_lyapunov(
     of N.
     """
     A, N = np.broadcast_arrays(np.asarray(A), np.asarray(N))
-    failed = _check_hermitian(np.zeros(A.shape[:-2], bool), N, "noise matrix N")
+    failed = check_hermitian(np.zeros(A.shape[:-2], bool), N, "noise matrix N")
     norm_n = _maxabs(N)
     # lift a source near underflow by an exact power of two
     lift = np.where((0.0 < norm_n) & (norm_n < 1e-250), 2.0**600, 1.0)
@@ -120,70 +118,3 @@ def solve_lyapunov(
     failed = check_items(failed, bad, SingularSystemError, message, residual, residual_rtol)
     V = V / lift[..., None, None]
     return V if failed.ndim == 0 else (_placeholder(failed, V, np.nan), failed)
-
-
-def solve_riccati_biased(
-    A: NDArray,
-    N: NDArray,
-    Fminus: NDArray,
-    Fplus: NDArray,
-    residual_rtol: float = 1e-9,
-) -> NDArray:
-    """Stabilizing Hermitian X of [A-F-] X + X [A-F-]† + X F+ X + N = 0.
-
-    Direct solve (Laub, IEEE TAC 24, 913, 1979): with At = A - F-, [I; X]
-    spans the stable invariant subspace of H = [[At†, F+], [-N, -At]], and
-    At + X F+ is stable.  The subspace is the range of prod (H - lam) over
-    the n unstable eigenvalues lam; unlike eigenvectors, this also holds
-    when H has Jordan blocks (equal rates, no detuning, F = 0).  Eigenvalues
-    with |Re| <= 1e-9 max|lam| count as on the imaginary axis, where no
-    stabilizing X exists: the counting field is outside the admissible
-    region.  Every failure of a single matrix raises UnstableEffectiveDriftError.
-    """
-    A, N, Fminus, Fplus = np.broadcast_arrays(*(np.asarray(X) for X in (A, N, Fminus, Fplus)))
-    n, error = A.shape[-1], UnstableEffectiveDriftError
-    finite = np.isfinite(Fminus).all(axis=(-2, -1)) & np.isfinite(Fplus).all(axis=(-2, -1))
-    failed = np.zeros(A.shape[:-2], bool)
-    failed = check_items(failed, ~finite, error, "bias matrices are not finite")
-    N, Fminus, Fplus = (_placeholder(failed, X, 0.0) for X in (N, Fminus, Fplus))
-    for X, name in ((N, "noise matrix N"), (Fminus, "Fminus"), (Fplus, "Fplus")):
-        failed = _check_hermitian(failed, X, name)
-    Atil = A - Fminus
-    H0 = np.diag(np.repeat([-1.0, 1.0], n))  # the Hamiltonian of At = -I, N = F+ = 0; X = 0
-    H = _placeholder(failed, np.block([[_dagger(Atil), Fplus], [-N, -Atil]]), H0)
-    try:
-        lam = np.linalg.eigvals(H)
-        on_axis = np.abs(lam.real) <= 1e-9 * np.abs(lam).max(axis=-1, keepdims=True)
-        message = "Hamiltonian eigenvalues on the imaginary axis"
-        failed = check_items(failed, on_axis.any(-1), error, message)
-        unstable = lam.real > 0.0
-        message = "Hamiltonian has not {} unstable eigenvalues"
-        failed = check_items(failed, unstable.sum(-1) != n, error, message, n)
-        # the unstable eigenvalues in their original order; those of H0 for failed items
-        mu = np.take_along_axis(lam, np.argsort(~unstable, axis=-1, kind="stable"), -1)[..., :n]
-        H, mu = _placeholder(failed, H, H0), np.where(failed[..., None], 1.0, mu)
-        P = np.eye(2 * n)
-        for k in range(n):
-            P = (H - mu[..., k, None, None] * np.eye(2 * n)) @ P
-            P = P / _maxabs(P)[..., None, None]
-        overflow = ~np.isfinite(P).all(axis=(-2, -1))
-        failed = check_items(failed, overflow, error, "stable subspace overflows")
-        Z = np.linalg.svd(_placeholder(failed, P, np.eye(2 * n)))[0][..., :n]
-        singular = ~(np.linalg.cond(Z[..., :n, :]) <= 1e12)
-        message = "stable subspace is not a graph (singular Z1)"
-        failed = check_items(failed, singular, error, message)
-        Z1t = _placeholder(failed, Z[..., :n, :], np.eye(n)).swapaxes(-2, -1)
-        X = _hermitian_part(np.linalg.solve(Z1t, Z[..., n:, :].swapaxes(-2, -1)).swapaxes(-2, -1))
-        drift = Atil + X @ Fplus
-        finite = np.isfinite(drift).all(axis=(-2, -1))
-        margin = np.linalg.eigvals(_placeholder(~finite, drift, 0.0)).real.max(-1)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableEffectiveDriftError(str(exc)) from exc
-    failed = check_items(failed, ~(finite & (margin < 0.0)), error, "effective drift unstable")
-    AX, XFX = Atil @ X, X @ Fplus @ X
-    residual = _maxabs(AX + _dagger(AX) + XFX + N)
-    # relative to the largest term: X grows without bound near a pole of sigma_s
-    scale = np.maximum(np.maximum(_maxabs(AX), _maxabs(XFX)), np.maximum(_maxabs(N), 1.0))
-    message = "Riccati residual {:.3e} above tolerance"
-    failed = check_items(failed, ~(residual <= residual_rtol * scale), error, message, residual)
-    return X if failed.ndim == 0 else (_placeholder(failed, X, np.nan), failed)

@@ -1,5 +1,5 @@
-"""Counting statistics: tilted covariance, large-deviation function and
-flow moments.
+"""Counting statistics: large-deviation function, tilted covariance of the
+Riccati oracle, and flow moments.
 
 Internal consistency anchors: theta(0) = 0, the finite-difference slope of
 theta against the closed-form trace first moment, conservation of the three
@@ -11,47 +11,56 @@ import dataclasses
 import numpy as np
 import pytest
 
-from noisecascade.cascaded import CascadedParams, build_system, steady_state
+from noisecascade.cascaded import CascadedParams, LinearSystem, build_system, steady_state
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
     _channel,
     bias_matrices,
-    biased_covariance,
     flow_cumulant,
     flow_first_moment,
     large_deviation,
     simplified_flows,
 )
-from noisecascade.linalg import solve_lyapunov, stability_margin
+from noisecascade.linalg import NonSymmetricInputError, solve_lyapunov, stability_margin
+from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
 
 RNG = np.random.default_rng(20240819)
 
 
-def random_stable_system(nbar_max=5.0, equal_rates=False, zero_f=False):
+def random_stable_system(nbar_max=5.0, equal_rates=False, zero_f=False, rng=RNG):
     while True:
         if equal_rates:
-            kappa = RNG.uniform(0.3, 3.0)
+            kappa = rng.uniform(0.3, 3.0)
             rates = dict(kappa1=kappa, kappa2=kappa, gamma1=kappa, gamma2=kappa)
         else:
             rates = dict(
-                kappa1=RNG.uniform(0.3, 3.0),
-                kappa2=RNG.uniform(0.3, 3.0),
-                gamma1=RNG.uniform(0.3, 3.0),
-                gamma2=RNG.uniform(0.3, 3.0),
+                kappa1=rng.uniform(0.3, 3.0),
+                kappa2=rng.uniform(0.3, 3.0),
+                gamma1=rng.uniform(0.3, 3.0),
+                gamma2=rng.uniform(0.3, 3.0),
             )
         p = CascadedParams(
-            omega1=RNG.uniform(-3, 3),
-            omega2=RNG.uniform(-3, 3),
-            phi=RNG.uniform(0, 2 * np.pi),
-            F=0.0 if zero_f else RNG.uniform(-1, 1) + 1j * RNG.uniform(-1, 1),
-            nbar1=RNG.uniform(0, nbar_max),
-            nbar2=RNG.uniform(0, nbar_max),
-            nbar3=RNG.uniform(0, nbar_max),
+            omega1=rng.uniform(-3, 3),
+            omega2=rng.uniform(-3, 3),
+            phi=rng.uniform(0, 2 * np.pi),
+            F=0.0 if zero_f else rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1),
+            nbar1=rng.uniform(0, nbar_max),
+            nbar2=rng.uniform(0, nbar_max),
+            nbar3=rng.uniform(0, nbar_max),
             **rates,
         )
         if stability_margin(build_system(p).M) < -0.05:
             return p
+
+
+def oracle_covariance(channel, s, sys):
+    """Doubled biased covariance sigma_s, the stabilizing root of the tilted
+    equation, from the oracle's Riccati solve; a stack gives (sigma_s, failed)."""
+    bias = bias_matrices(channel, s, sys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+        return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
 
 
 THERMAL = CascadedParams(
@@ -89,13 +98,13 @@ class TestBiasedCovariance:
     def test_continuation_reproduces_unbiased_limit(self):
         sys = build_system(THERMAL)
         sigma0 = 2.0 * steady_state(THERMAL)
-        sigma = biased_covariance(1, 1e-9, sys)
+        sigma = oracle_covariance(1, 1e-9, sys)
         assert np.abs(sigma - sigma0).max() < 1e-7 * np.abs(sigma0).max()
 
     def test_admissible_region_boundary_reported(self):
         sys = build_system(THERMAL)
-        with pytest.raises(OutsideAdmissibleRegionError):
-            biased_covariance(1, 50.0, sys)
+        with pytest.raises(UnstableEffectiveDriftError):
+            oracle_covariance(1, 50.0, sys)
 
 
 class TestLargeDeviation:
@@ -117,6 +126,62 @@ class TestLargeDeviation:
                 ) / (2 * h)
                 eta = flow_first_moment(ch, sys, V)
                 assert -slope == pytest.approx(eta, rel=1e-6, abs=1e-9)
+
+    def test_matches_riccati_oracle(self):
+        # theta from the spectrum of H_s against Re Tr(F+ sigma_s) - Re Tr F-
+        # with the stabilizing root sigma_s of the oracle's Riccati solve
+        rng = np.random.default_rng(8)
+        s = np.linspace(-8.0, 8.0, 321)
+        accepted = 0
+        for _ in range(40):
+            p = random_stable_system(rng=rng)
+            sys, V = build_system(p), steady_state(p)
+            for ch in (1, 2, 3):
+                theta, failed = large_deviation(ch, s, sys, V)
+                sigma, oracle_failed = oracle_covariance(ch, s, sys)
+                np.testing.assert_array_equal(failed, oracle_failed)
+                bias = bias_matrices(ch, s[~failed], sys)
+                ref = (np.trace(bias.Fplus @ sigma[~failed], axis1=-2, axis2=-1).real
+                       - np.trace(bias.Fminus, axis1=-2, axis2=-1).real)
+                ok = theta[~failed]
+                assert (np.abs(ok - ref) <= 1e-11 * np.maximum(1.0, np.abs(ok))).all()
+                accepted += ok.size
+        assert accepted > 2000
+
+    def test_far_outside_admissible_region_flagged(self):
+        # every admissible set seen is one interval with its edges at |s| <= 5,
+        # so all of these s lie outside it
+        rng = np.random.default_rng(0)
+        s = np.geomspace(8.0, 710.0, 60)
+        s = np.concatenate([-s[::-1], s])
+        draws = 0
+        while draws < 5:
+            p = CascadedParams(
+                omega1=rng.uniform(-3, 3), omega2=rng.uniform(-3, 3),
+                kappa1=rng.uniform(0.3, 3), kappa2=rng.uniform(0.3, 3),
+                gamma1=rng.uniform(0.3, 3), gamma2=rng.uniform(0.3, 3),
+                phi=rng.uniform(0, 2 * np.pi),
+                F=rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5),
+                nbar1=rng.uniform(0, 5), nbar2=rng.uniform(0, 5), nbar3=rng.uniform(0, 5),
+            )
+            sys = build_system(p)
+            if stability_margin(sys.M) >= 0.0:
+                continue
+            draws += 1
+            V = steady_state(p)
+            for ch in (1, 2, 3):
+                theta, failed = large_deviation(ch, s, sys, V)
+                assert failed.all(), (draws, ch, s[~failed], theta[~failed])
+        with pytest.raises(OutsideAdmissibleRegionError):
+            large_deviation(1, 50.0, build_system(THERMAL), steady_state(THERMAL))
+
+    def test_rejects_non_hermitian_noise(self):
+        sys = build_system(THERMAL)
+        sys = dataclasses.replace(sys, N=sys.N + np.array([[0.0, 0.5], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricInputError):
+            large_deviation(1, 0.1, sys, None)
+        theta, failed = large_deviation(1, np.array([0.0, 0.1]), sys, None)
+        assert failed.tolist() == [False, True] and theta[0] == 0.0 and np.isnan(theta[1])
 
     def test_curvature_sign_is_stable_under_refinement(self):
         # theta is convex: its second derivative at 0 is the flow variance
@@ -227,8 +292,9 @@ class TestSimplifiedFlows:
 
 
 class TestStackedTraces:
-    """The trace formulas keep the matrix product and trace its diagonal: on the
-    collective channel 3, a fused product-and-trace rounds differently."""
+    """A stack item equals its single-point call bit for bit.  The trace
+    formulas keep the matrix product and trace its diagonal: on the collective
+    channel 3, a fused product-and-trace rounds differently."""
 
     @staticmethod
     def reference_trace(X):
@@ -259,15 +325,25 @@ class TestStackedTraces:
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
 
     def test_large_deviation_bit_identical(self):
+        # a sweep block evaluates theta on a stack of its points
         sys, Y = self.stacked_system()
-        for s in (-0.2, 0.05, 0.3):
-            bias = bias_matrices(3, s, sys)
-            sigma, failed = biased_covariance(3, s, sys)
-            ref = (self.reference_trace(bias.Fplus @ sigma).real
-                   - self.reference_trace(bias.Fminus).real)
-            theta, theta_failed = large_deviation(3, s, sys, Y)
-            np.testing.assert_array_equal(theta_failed, failed)
-            assert not failed.all()
-            np.testing.assert_array_equal(
-                theta[~failed].view(np.int64), ref[~failed].view(np.int64)
+        items = [
+            LinearSystem(
+                M=sys.M[i], N=sys.N[i],
+                channels=tuple(dataclasses.replace(ch, u=ch.u[i], rate=ch.rate[i], nbar=ch.nbar[i])
+                               for ch in sys.channels),
             )
+            for i in range(len(sys.M))
+        ]
+        for ch in (1, 2, 3):
+            for s in (-0.2, 0.05, 0.3, 1.0):
+                theta, failed = large_deviation(ch, s, sys, Y)
+                assert not failed.all()
+                for i, item in enumerate(items):
+                    try:
+                        single = large_deviation(ch, s, item, Y[i])
+                    except OutsideAdmissibleRegionError:
+                        assert failed[i] and np.isnan(theta[i]), (ch, s, i)
+                    else:
+                        assert not failed[i], (ch, s, i)
+                        assert np.float64(single).view(np.int64) == theta[i].view(np.int64)

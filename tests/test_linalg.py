@@ -1,9 +1,13 @@
-"""Kernels: Lyapunov and biased Riccati solvers, plus the quadrature
-embeddings of the test oracle that the real-input solver tests build on.
+"""Kernels: the Lyapunov solver and the biased Riccati solver of the test
+oracle ``riccati_oracle``, plus the quadrature embeddings of the test oracle
+that the real-input solver tests build on.
 
 The solver tests use manufactured solutions: pick the answer first, build
 the matching right-hand side, then check the solver recovers it.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,13 +15,13 @@ import pytest
 from noisecascade.linalg import (
     NonSymmetricInputError,
     SingularSystemError,
-    UnstableEffectiveDriftError,
     eigenvalues_2x2,
     solve_lyapunov,
-    solve_riccati_biased,
     stability_margin,
 )
+import riccati_oracle
 from quadrature_oracle import embed_drift, real_embedding_matrix
+from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
 
 RNG = np.random.default_rng(20240817)
 
@@ -253,6 +257,18 @@ class TestStackedKernels:
         zero = np.zeros((2, 2))
         items.append((np.diag([1.0, 2.0]), np.eye(2), zero, zero))  # stable subspace [0; I]
         failed = self.assert_matches_single_calls(
-            solve_riccati_biased, items, (UnstableEffectiveDriftError, NonSymmetricInputError)
+            solve_riccati_biased, items,
+            (UnstableEffectiveDriftError, riccati_oracle.NonSymmetricInputError),
         )
         assert failed[-4:].all() and 0 < failed[:-4].sum() < len(items) - 4
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that shares code with the package cannot catch its faults
+    for name in ("quadrature_oracle.py", "riccati_oracle.py"):
+        tree = ast.parse(pathlib.Path(__file__).with_name(name).read_text(), name)
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        assert modules and not any(m.split(".")[0] == "noisecascade" for m in modules), name
