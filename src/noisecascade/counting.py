@@ -52,7 +52,10 @@ and exactly n eigenvalues have Re lam > 0; its edges are where a pair
 meets the axis.  The tests check theta against the stabilizing root
 itself (tests/riccati_oracle.py).  Expanding sigma_s = sum_k sigma_k s^k / k!
 gives one Lyapunov equation in M per order, with a source built from lower
-orders: exact cumulants.
+orders and the derivatives of the tilting functions at s = 0: for odd k
+f+^(k) = -rate and f-^(k) = -rate (2 nbar + 1), for even k
+f+^(k) = rate (2 nbar + 1) and f-^(k) = rate.  This gives exact cumulants;
+order 1, the mean flow, needs no solve.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import check_hermitian, check_items, solve_lyapunov
+from .linalg import check_hermitian, check_items, hermitian_part, solve_lyapunov
 
 
 class ZeroRateChannelError(Exception):
@@ -121,15 +124,13 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
     """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
     One eigvals call on the tilted Hamiltonian H_s (module docstring); no
-    covariance is solved for, so ``V`` is unused.  theta(0) is exactly zero.
+    covariance is solved for, so ``V`` is unused.  theta(0) is exactly zero,
+    also for an unstable drift; a zero-rate channel fails at every s.
     One point outside the admissible region raises
     OutsideAdmissibleRegionError; a stack of systems or a vector of s values
     gives (theta, failed), with NaN in the failed items.
     """
     s = np.asarray(s, dtype=float)
-    if not s.any():  # also on a zero-rate channel, as in a stack
-        zeros = np.zeros(np.broadcast_shapes(sys.M.shape[:-2], s.shape))
-        return (zeros, zeros != 0.0) if zeros.ndim else 0.0
     bias = bias_matrices(channel, s, sys)
     M, N, Fminus, Fplus = np.broadcast_arrays(sys.M, sys.N, bias.Fminus, bias.Fplus)
     n, error = M.shape[-1], OutsideAdmissibleRegionError
@@ -146,9 +147,10 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
         raise error(str(exc)) from exc
     on_axis = np.abs(lam) <= 1e-9 * np.abs(H).max(axis=(-2, -1))[..., None]
     bad = on_axis.any(-1) | ((lam > 0.0).sum(-1) != n)
-    failed = check_items(failed, bad, error, message, s)
+    failed = check_items(failed, bad & (s != 0.0), error, message, s)  # s = 0 conserves Tr rho
     theta = 2.0 * (np.where(lam < 0.0, lam, 0.0).sum(-1) - _trace(M).real)
-    theta, failed = np.where(s == 0.0, 0.0, np.where(failed, np.nan, theta)), failed & (s != 0.0)
+    failed = failed & ((s != 0.0) | ~finite)
+    theta = np.where(failed, np.nan, np.where(s == 0.0, 0.0, theta))
     return (theta, failed) if failed.ndim else float(theta)
 
 
@@ -157,19 +159,12 @@ def _trace(X: NDArray) -> NDArray:
 
 
 def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]):
-    """Mean rate of excitation flow into bath ``channel`` (trace formula).
+    """Mean rate of excitation flow into bath ``channel``: order 1 of ``flow_cumulant``.
 
-    Positive values mean net excitations absorbed by the bath.  Does not
-    require the biased covariance: uses the s-derivatives of the tilting
-    functions, f'+ = -rate and f'- = -rate (2 nbar + 1), at s = 0.  A stack
-    of systems gives (eta, mask of zero-rate points).
+    Positive values mean net excitations absorbed by the bath.  A stack of
+    systems gives (eta, mask of zero-rate points).
     """
-    ch, P, zero = _channel(sys, channel)
-    sigma = 2.0 * np.asarray(V)
-    fp_prime = -ch.rate
-    fm_prime = -ch.rate * (2.0 * ch.nbar + 1.0)
-    eta = -(fp_prime * _trace(P @ sigma).real - fm_prime * _trace(P).real)
-    return (eta, zero) if zero.ndim else eta
+    return flow_cumulant(channel, 1, sys, V)
 
 
 def flow_cumulant(
@@ -178,35 +173,38 @@ def flow_cumulant(
     sys: LinearSystem,
     V: NDArray[np.complex128],
     h: float = 1e-3,
-) -> float:
+) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0, exactly.
 
-    Each Taylor coefficient sigma_k of sigma_s is one Lyapunov solve, with
-    f+-^(k)(0) = rate ((nbar + 1)(-1)^k +- nbar); n = 1 is
-    ``flow_first_moment``.  ``h`` is kept for compatibility and has no effect.
+    Each Taylor coefficient sigma_k, 0 < k < n, is one Lyapunov solve, and
+    eta^(n) = (-1)^n [sum_j C(n, j) f+^(j) Re Tr(P sigma_{n-j}) - f-^(n) Re Tr P].
+    One system returns a float and raises; a stack returns (eta, failed), with
+    NaN where the rate is zero or a Lyapunov solve failed.  ``h`` has no effect.
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    if n == 1:
-        return flow_first_moment(channel, sys, V)
-    ch, P, _ = _channel(sys, channel)
-    fp = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k + ch.nbar) for k in range(1, n + 1)]
-    fm = [0.0] + [ch.rate * ((ch.nbar + 1.0) * (-1) ** k - ch.nbar) for k in range(1, n + 1)]
+    ch, P, failed = _channel(sys, channel)
+    rate, nbar = np.asarray(ch.rate), np.asarray(ch.nbar)
+    odd = -rate, -rate * (2.0 * nbar + 1.0)
+    even = rate * (2.0 * nbar + 1.0), rate
+    fp, fm = zip(*[odd if k % 2 else even for k in range(n + 1)])  # f+-^(k)(0); k = 0 unused
     sigma = [2.0 * np.asarray(V)]
     for k in range(1, n):
-        source = 0.5 * fp[k] * P
+        source = 0.5 * fp[k][..., None, None] * P
         for j in range(1, k + 1):
-            c = math.comb(k, j)
-            rest = sigma[k - j]
-            source = source - 0.5 * c * fm[j] * (P @ rest + rest @ P)
+            c, rest = math.comb(k, j), sigma[k - j]
+            source = source - (0.5 * c * fm[j])[..., None, None] * (P @ rest + rest @ P)
             for i in range(k - j + 1):
                 w = 0.5 * c * math.comb(k - j, i) * fp[j]
-                source = source + w * sigma[i] @ P @ sigma[k - j - i]
-        sigma.append(solve_lyapunov(sys.M, 0.5 * (source + source.conj().T)))
-    theta_n = sum(
-        math.comb(n, j) * fp[j] * _trace(P @ sigma[n - j]).real for j in range(1, n + 1)
-    ) - fm[n]
-    return (-1.0) ** n * theta_n
+                source = source + w[..., None, None] * sigma[i] @ P @ sigma[k - j - i]
+        solved = solve_lyapunov(sys.M, hermitian_part(source))
+        if failed.ndim:
+            solved, singular = solved
+            failed = failed | singular
+        sigma.append(solved)
+    theta_n = sum(math.comb(n, j) * fp[j] * _trace(P @ sigma[n - j]).real for j in range(1, n + 1))
+    eta = (-1.0) ** n * (theta_n - fm[n] * _trace(P).real)
+    return (np.where(failed, np.nan, eta), failed) if failed.ndim else eta
 
 
 def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:

@@ -70,7 +70,7 @@ def _dagger(X: NDArray) -> NDArray:
     return X.conj().swapaxes(-2, -1)
 
 
-def _hermitian_part(X: NDArray) -> NDArray:
+def hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
 
@@ -109,7 +109,7 @@ def solve_lyapunov(
     message = "vectorized Lyapunov system is singular"
     failed = check_items(failed, singular, SingularSystemError, message)
     x = np.linalg.solve(_placeholder(failed, K, np.eye(n * n)), -N.reshape(K.shape[:-1] + (1,)))
-    V = _hermitian_part(x.reshape(A.shape))
+    V = hermitian_part(x.reshape(A.shape))
     residual = _maxabs(A @ V + V @ _dagger(A) + N)
     message = (
         "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"

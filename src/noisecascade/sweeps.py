@@ -301,8 +301,9 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
     invalid points.  A cell is blank where its quantity is undefined: an
     unstable drift, a failed Lyapunov solve (n*, dn*, eta*), unequal rates
-    (m*, dn*, n*_closed), a zero-rate channel (eta*, theta) or an s outside
-    the admissible region (theta).  A stable row with a blank cell is
+    (m*, dn*, n*_closed), a zero-rate channel (eta*, and theta at every s,
+    s = 0 included) or an s outside the admissible region (theta; s = 0 is
+    inside, with theta = 0).  A stable row with a blank cell is
     ``unsupported``, as is a point whose parameters are invalid.
     """
     raw = dict(cfg.params)

@@ -311,11 +311,11 @@ class TestRunSweep:
                        "nbar1": 1.0, "nbar2": 0.5, "nbar3": 2.0},
             "axes": [{"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 3}],
             "outputs": ["n1", "eta1", "eta3", "theta"],
-            "s_grid": [0.1],
+            "s_grid": [0.0, 0.1],
         }
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status[0] == "unsupported"
-        assert result.valid[0].tolist() == [True, True, False, True, False]
+        assert result.valid[0].tolist() == [True, True, False, True, False, False]
         assert (result.status[1:] == "ok").all() and result.valid[1:].all()
 
     def test_lyapunov_failure_blanks_its_cells(self):
