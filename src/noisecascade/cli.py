@@ -31,7 +31,6 @@ from .counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
     flow_cumulant,
-    flow_first_moment,
     large_deviation,
 )
 from .linalg import SingularSystemError
@@ -122,11 +121,12 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise OutsideAdmissibleRegionError(
             f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
         )
+    cumulants = {str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)}
     result = {
         "channel": args.channel,
         "theta": [{"s": s, "theta": t} for s, t in zip(s_values.tolist(), theta.tolist())],
-        "eta1_trace": flow_first_moment(args.channel, sys, V),
-        "cumulants": {str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)},
+        "eta1_trace": cumulants["1"],
+        "cumulants": cumulants,
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -124,11 +124,11 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
     """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
     One eigvals call on the tilted Hamiltonian H_s (module docstring); no
-    covariance is solved for, so ``V`` is unused.  theta(0) is exactly zero,
-    also for an unstable drift; a zero-rate channel fails at every s.
-    One point outside the admissible region raises
-    OutsideAdmissibleRegionError; a stack of systems or a vector of s values
-    gives (theta, failed), with NaN in the failed items.
+    covariance is solved for, so ``V`` is unused.  Invalid input (a zero-rate
+    channel, non-finite bias matrices, a non-Hermitian N) fails at every s,
+    s = 0 included; at s = 0 only the admissibility check is skipped, and theta
+    is exactly zero, also for an unstable drift.  One point raises; a stack of
+    systems or a vector of s values gives (theta, failed), NaN where it would.
     """
     s = np.asarray(s, dtype=float)
     bias = bias_matrices(channel, s, sys)
@@ -149,7 +149,6 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
     bad = on_axis.any(-1) | ((lam > 0.0).sum(-1) != n)
     failed = check_items(failed, bad & (s != 0.0), error, message, s)  # s = 0 conserves Tr rho
     theta = 2.0 * (np.where(lam < 0.0, lam, 0.0).sum(-1) - _trace(M).real)
-    failed = failed & ((s != 0.0) | ~finite)
     theta = np.where(failed, np.nan, np.where(s == 0.0, 0.0, theta))
     return (theta, failed) if failed.ndim else float(theta)
 

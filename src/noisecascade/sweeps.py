@@ -34,7 +34,7 @@ from .cascaded import (
     disconnected_baseline,
     occupations,
 )
-from .counting import flow_first_moment, large_deviation
+from .counting import flow_cumulant, large_deviation
 from .linalg import check_items, solve_lyapunov, stability_margin
 from .optomech import OmParams, map_to_cascaded
 
@@ -71,6 +71,11 @@ _OUTPUTS = (
 _CASCADED_FIELDS = {f.name for f in dc_fields(CascadedParams)}
 _OM_FIELDS = {f.name for f in dc_fields(OmParams)}
 _MBAR_KEYS = ("mbar1", "mbar2", "mbar3")
+# name -> (quantity, spelling) where one quantity has two spellings; any
+# other name is its own quantity and spelling
+_SPELLINGS = {"Delta": ("omega2", "Delta")} | {
+    f"{kind}{i}": ("the bath occupations", kind) for kind in ("nbar", "mbar") for i in (1, 2, 3)
+}
 
 # grid points per stacked block; bounds the memory that one block holds
 BLOCK_POINTS = 2048
@@ -142,6 +147,8 @@ def cascaded_from_raw(raw: dict) -> CascadedParams:
     ``Delta`` sets omega2 = omega1 + Delta.  Unknown names raise SchemaError.
     """
     raw = convert_mbar(raw)
+    if "Delta" in raw and "omega2" in raw:
+        raise SchemaError("Delta: conflicts with omega2 (omega2 = omega1 + Delta); give one")
     if "Delta" in raw:
         raw["omega2"] = raw.get("omega1", 0.0) + raw.pop("Delta")
     if isinstance(raw.get("F"), str):
@@ -235,6 +242,8 @@ def parse_config(text: str) -> SweepConfig:
                 raise SchemaError(f"{path}.{key}: missing")
         if ax["variable"] not in allowed:
             raise SchemaError(f"{path}.variable: unknown variable {ax['variable']!r}")
+        if ax["variable"] in (a.variable for a in axes):
+            raise SchemaError(f"{path}.variable: {ax['variable']!r} is already swept")
         for key in ("min", "max"):
             if not _is_number(ax[key]):
                 raise SchemaError(f"{path}.{key}: must be a finite number")
@@ -255,6 +264,14 @@ def parse_config(text: str) -> SweepConfig:
                 spacing=spacing,
             )
         )
+    named = [(f"params.{k}", k) for k in params]
+    named += [(f"axes[{i}].variable", ax.variable) for i, ax in enumerate(axes)]
+    spelled = {}
+    for path, name in named:
+        quantity, spelling = _SPELLINGS.get(name, (name, name))
+        first_path, first = spelled.setdefault(quantity, (path, spelling))
+        if spelling != first:
+            raise SchemaError(f"{path}: {name!r} conflicts with {first_path}; both set {quantity}")
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:
@@ -265,9 +282,13 @@ def parse_config(text: str) -> SweepConfig:
     s_grid = doc.get("s_grid", [])
     if not isinstance(s_grid, list):
         raise SchemaError("s_grid: must be a list of numbers")
+    columns = {}
     for i, s in enumerate(s_grid):
         if not _is_number(s):
             raise SchemaError(f"s_grid[{i}]: must be a finite number")
+        first = columns.setdefault(f"theta@{float(s):g}", i)
+        if first != i:
+            raise SchemaError(f"s_grid[{i}]: same column name theta@{float(s):g} as s_grid[{first}]")
     if "theta" in outputs_doc and not s_grid:
         raise SchemaError("outputs: 'theta' requires a non-empty s_grid")
 
@@ -337,7 +358,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         cells[f"dn{i + 1}"] = [(n[i] - base[i], has_y & has_base)]
         cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
     for k in (1, 2, 3):
-        eta, zero_rate = flow_first_moment(k, sys, Y)
+        eta, zero_rate = flow_cumulant(k, 1, sys, Y)
         cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
     if "theta" in cfg.outputs:
         thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)

@@ -186,7 +186,7 @@ class TestLargeDeviation:
         with pytest.raises(NonSymmetricInputError):
             large_deviation(1, 0.1, sys, None)
         theta, failed = large_deviation(1, np.array([0.0, 0.1]), sys, None)
-        assert failed.tolist() == [False, True] and theta[0] == 0.0 and np.isnan(theta[1])
+        assert failed.tolist() == [True, True] and np.isnan(theta).all()
 
     def test_curvature_sign_is_stable_under_refinement(self):
         # theta is convex: its second derivative at 0 is the flow variance
@@ -372,6 +372,33 @@ class TestStackedTraces:
                     try:
                         single = large_deviation(ch, s, item, Y[i])
                     except OutsideAdmissibleRegionError:
+                        assert failed[i] and np.isnan(theta[i]), (ch, s, i)
+                    else:
+                        assert not failed[i], (ch, s, i)
+                        assert np.float64(single).view(np.int64) == theta[i].view(np.int64)
+
+    def test_large_deviation_stack_flags_what_a_point_raises(self):
+        # one failure rule for a point and a stack, s = 0 included: a stack
+        # item fails exactly where its single call raises, and equals it bit
+        # for bit elsewhere.  Items: THERMAL, no collective channel, a
+        # zero-rate channel 1 with an unstable drift, a non-Hermitian N.
+        points = [THERMAL, dataclasses.replace(THERMAL, gamma1=0.0, gamma2=0.0),
+                  dataclasses.replace(THERMAL, kappa1=0.0, gamma1=0.0), THERMAL]
+        p = CascadedParams(**{
+            f.name: np.array([getattr(q, f.name) for q in points])
+            for f in dataclasses.fields(CascadedParams)
+        })
+        sys = build_system(p)
+        sys = dataclasses.replace(sys, N=sys.N.copy())
+        sys.N[3, 0, 1] += 0.5
+        errors = (ZeroRateChannelError, OutsideAdmissibleRegionError, NonSymmetricInputError)
+        for ch in (1, 2, 3):
+            for s in (-0.2, 0.0, 0.1, 50.0, 800.0):
+                theta, failed = large_deviation(ch, s, sys, None)
+                for i, item in enumerate(self.items(sys)):
+                    try:
+                        single = large_deviation(ch, s, item, None)
+                    except errors:
                         assert failed[i] and np.isnan(theta[i]), (ch, s, i)
                     else:
                         assert not failed[i], (ch, s, i)

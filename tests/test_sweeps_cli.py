@@ -231,6 +231,28 @@ class TestParseConfig:
             with pytest.raises(SchemaError, match=field):
                 parse_config(json.dumps(doc))  # NaN and Infinity as JSON literals
 
+    def test_ambiguous_names_rejected(self):
+        nbar_params = {"nbar1": 1.0, "nbar2": 2.0, "kappa1": 1.0, "kappa2": 1.0}
+        for field, edit in (
+            # a second axis on one variable would override the first and mislabel rows
+            (r"axes\[1\]\.variable", lambda d: d["axes"][0].update(variable="mbar3")),
+            # Delta sets omega2 = omega1 + Delta
+            (r"axes\[0\]\.variable", lambda d: d["params"].update(omega2=3.0)),
+            (r"axes\[0\]\.variable", lambda d: (d["axes"][0].update(variable="omega2"),
+                                                d["params"].update(Delta=1.0))),
+            ("params.omega2", lambda d: (d["axes"][0].update(variable="phi"),
+                                         d["params"].update(Delta=1.0, omega2=3.0))),
+            # nbar occupations with an mbar axis
+            (r"axes\[1\]\.variable", lambda d: d.update(params=nbar_params)),
+            # theta@{s:g} names a column; a repeated name repeats a JSON key
+            (r"s_grid\[1\]", lambda d: d.update(outputs=["theta"], s_grid=[0.1, 0.1000001])),
+            (r"s_grid\[2\]", lambda d: d.update(outputs=["theta"], s_grid=[0.0, 0.2, 0])),
+        ):
+            doc = json.loads(fig2_config())
+            edit(doc)
+            with pytest.raises(SchemaError, match=field):
+                parse_config(json.dumps(doc))
+
     def test_theta_requires_s_grid(self):
         doc = json.loads(fig2_config())
         doc["outputs"] = ["theta"]
@@ -611,6 +633,19 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
         assert main(["sweep", str(cfg_path)]) == 2
+
+    def test_one_quantity_set_two_ways_exit_code(self, tmp_path, capsys):
+        doc = json.loads(fig2_config(points=2))
+        doc["axes"][0]["variable"] = "omega2"
+        doc["params"]["Delta"] = 1.0
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: axes[0].variable")
+        for first, second in (("omega2=3", "Delta=0"), ("Delta=0", "omega2=3")):
+            args = ["--set", "kappa1=1", "--set", "kappa2=1", "--set", first, "--set", second]
+            assert main(["steady-state", *args]) == 2, first
+            assert capsys.readouterr().err.startswith("error: Delta"), first
 
     def test_fcs_command(self, capsys):
         rc = main([
