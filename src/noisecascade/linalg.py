@@ -5,7 +5,10 @@ The model is phase-insensitive (beam-splitter couplings, thermal baths), so
 its drift is a 2x2 complex mode-space matrix M and every covariance a 2x2
 complex Hermitian matrix.  The Lyapunov solver takes the drift A and
 returns the Hermitian solution X of A X + X A† + N = 0; for real inputs it
-is the familiar real-symmetric form with A^T.
+is the familiar real-symmetric form with A^T.  Its Kronecker operator
+depends on A alone, so a stack factorizes (inverts) it once per distinct
+drift and applies it to each item's N: the thermal noise of a sweep's
+occupation axis enters only through N.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
 item.  One matrix raises on its first failed check; a stack returns
@@ -89,10 +92,12 @@ def solve_lyapunov(
 ) -> NDArray:
     """Solve A X + X A† + N = 0 for Hermitian X.
 
-    Uses the dense row-major vectorization kron(A, I) + kron(I, conj(A)),
-    with n^2 unknowns for an n x n drift, solved by LU with partial
-    pivoting.  The residual is checked against residual_rtol * max-norm
-    of N.
+    Uses the dense row-major vectorization K = kron(A, I) + kron(I, conj(A)),
+    with n^2 unknowns for an n x n drift.  K depends on the drift alone, so
+    a stack builds, checks and inverts K once per distinct drift (items with
+    the same bit pattern of A share it) and applies the inverse to each
+    item's vec(N); one matrix takes the same path.  The residual is checked
+    per item against residual_rtol * max-norm of N.
     """
     A, N = np.broadcast_arrays(np.asarray(A), np.asarray(N))
     failed = check_hermitian(np.zeros(A.shape[:-2], bool), N, "noise matrix N")
@@ -101,16 +106,28 @@ def solve_lyapunov(
     lift = np.where((0.0 < norm_n) & (norm_n < 1e-250), 2.0**600, 1.0)
     N, norm_n = N * lift[..., None, None], norm_n * lift
     n = A.shape[-1]
+    drifts = A.reshape(-1, n, n)
+    if A.ndim == 2:
+        inverse = np.zeros(1, int)
+    else:
+        # bit patterns as keys: -0.0 and 0.0 stay apart, which errs towards more factorizations
+        keys = np.ascontiguousarray(drifts).reshape(-1, n * n)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * n * n)))[:, 0]
+        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        drifts = drifts[first]
     eye = np.eye(n)
-    K = np.einsum("...ik,jl->...ijkl", A, eye) + np.einsum("ik,...jl->...ijkl", eye, A.conj())
-    K = K.reshape(A.shape[:-2] + (n * n, n * n))
-    # a zero determinant sign flags exactly the items whose LU has a zero pivot
+    K = np.einsum("pik,jl->pijkl", drifts, eye) + np.einsum("ik,pjl->pijkl", eye, drifts.conj())
+    K = K.reshape(-1, n * n, n * n)
+    # a zero determinant sign flags exactly the drifts whose LU has a zero pivot
     singular = np.linalg.slogdet(K)[0] == 0.0
+    Kinv = np.linalg.inv(_placeholder(singular, K, np.eye(n * n)))
     message = "vectorized Lyapunov system is singular"
-    failed = check_items(failed, singular, SingularSystemError, message)
-    x = np.linalg.solve(_placeholder(failed, K, np.eye(n * n)), -N.reshape(K.shape[:-1] + (1,)))
+    failed = check_items(failed, singular[inverse].reshape(failed.shape), SingularSystemError, message)
+    x = np.einsum("pij,pj->pi", Kinv[inverse], -N.reshape(-1, n * n))
     V = hermitian_part(x.reshape(A.shape))
-    residual = _maxabs(A @ V + V @ _dagger(A) + N)
+    # V is exactly Hermitian, so V A† is exactly (A V)†
+    AV = A @ V
+    residual = _maxabs(AV + _dagger(AV) + N)
     message = (
         "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"
     )

@@ -11,10 +11,11 @@ Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.
 The grid is evaluated in blocks of BLOCK_POINTS (2048) points.  A block is
 one array-valued parameter set built from the axis columns, with all-zero
 placeholders at its invalid points, and one stacked system; every layer,
-from the parameters to each output column, makes one call per block (one
-per s value for theta).  The result is columnar: a SweepResult holds value,
-validity and status arrays, which ``emit`` formats column by column, each
-distinct value of a column once, for CSV and JSON alike.
+from the parameters to each requested output column, makes one call per
+block (one per s value for theta); an output that is not requested costs
+no call.  The result is columnar: a SweepResult holds value, validity and
+status arrays, which ``emit`` formats column by column, each distinct
+value of a column once, for CSV and JSON alike.
 ``parallel`` is accepted and ignored.
 """
 
@@ -345,7 +346,6 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     has_y = stable & ~singular
     n = occupations(Y)
     base, unequal = disconnected_baseline(p)
-    closed, _ = closed_form_occupations(p)
     has_base = stable & ~unequal
     cells = {
         "stability_margin": [(margin, built)],
@@ -356,10 +356,14 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         cells[f"n{i + 1}"] = [(n[i], has_y)]
         cells[f"m{i + 1}"] = [(base[i], has_base)]
         cells[f"dn{i + 1}"] = [(n[i] - base[i], has_y & has_base)]
-        cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
+    if {"n1_closed", "n2_closed"} & set(cfg.outputs):
+        closed, _ = closed_form_occupations(p)
+        for i in (0, 1):
+            cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
     for k in (1, 2, 3):
-        eta, zero_rate = flow_cumulant(k, 1, sys, Y)
-        cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
+        if f"eta{k}" in cfg.outputs:
+            eta, zero_rate = flow_cumulant(k, 1, sys, Y)
+            cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
     if "theta" in cfg.outputs:
         thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)
         cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]

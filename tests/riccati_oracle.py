@@ -5,8 +5,9 @@ It imports nothing from ``noisecascade``.  The package computes theta(s)
 from the eigenvalues of the tilted Hamiltonian H_s alone; this module
 instead solves for the stabilizing root sigma_s itself (an invariant
 subspace of H_s, a graph test, a linear solve, a check that the closed-loop
-drift is stable and a residual check), so that the tests can compare the
-package's theta with Re Tr(F+ sigma_s) - Re Tr F-.
+drift is stable, one Newton step on the Riccati residual and a residual
+check), so that the tests can compare the package's theta with
+Re Tr(F+ sigma_s) - Re Tr F-.
 
 Like the package's kernels, the solver takes one matrix (n, n) or a stack
 (..., n, n).  One matrix raises on its first failed check; a stack returns
@@ -53,6 +54,17 @@ def _check_hermitian(failed, X, name, rtol=1e-12):
     return check_items(failed, bad, NonSymmetricInputError, message)
 
 
+def _newton_step(drift, X, Atil, N, Fplus):
+    """Newton correction D of X: drift D + D drift† = -R(X), with the closed-loop
+    drift At + X F+ and the Riccati residual R; solved as a dense Kronecker system."""
+    n = X.shape[-1]
+    R = Atil @ X + X @ _dagger(Atil) + X @ Fplus @ X + N
+    eye = np.eye(n)
+    K = np.einsum("...ik,jl->...ijkl", drift, eye) + np.einsum("ik,...jl->...ijkl", eye, drift.conj())
+    K = K.reshape(drift.shape[:-2] + (n * n, n * n))
+    return np.linalg.solve(K, -R.reshape(K.shape[:-1] + (1,))).reshape(X.shape)
+
+
 def solve_riccati_biased(A, N, Fminus, Fplus, residual_rtol=1e-9):
     """Stabilizing Hermitian X of [A-F-] X + X [A-F-]† + X F+ X + N = 0.
 
@@ -63,7 +75,8 @@ def solve_riccati_biased(A, N, Fminus, Fplus, residual_rtol=1e-9):
     when H has Jordan blocks (equal rates, no detuning, F = 0).  Eigenvalues
     with |Re| <= 1e-9 max|lam| count as on the imaginary axis, where no
     stabilizing X exists: the counting field is outside the admissible
-    region.  Every failure of a single matrix raises UnstableEffectiveDriftError.
+    region.  One Newton step, with its own Kronecker solve, then refines X.
+    Every failure of a single matrix raises UnstableEffectiveDriftError.
     """
     A, N, Fminus, Fplus = np.broadcast_arrays(*(np.asarray(X) for X in (A, N, Fminus, Fplus)))
     n, error = A.shape[-1], UnstableEffectiveDriftError
@@ -105,6 +118,7 @@ def solve_riccati_biased(A, N, Fminus, Fplus, residual_rtol=1e-9):
     except np.linalg.LinAlgError as exc:
         raise UnstableEffectiveDriftError(str(exc)) from exc
     failed = check_items(failed, ~(finite & (margin < 0.0)), error, "effective drift unstable")
+    X = _hermitian_part(X + _newton_step(_placeholder(failed, drift, -np.eye(n)), X, Atil, N, Fplus))
     AX, XFX = Atil @ X, X @ Fplus @ X
     residual = _maxabs(AX + _dagger(AX) + XFX + N)
     # relative to the largest term: X grows without bound near a pole of sigma_s

@@ -263,6 +263,75 @@ class TestStackedKernels:
         assert failed[-4:].all() and 0 < failed[:-4].sum() < len(items) - 4
 
 
+class TestSharedFactorization:
+    """Items of a stack that share a drift share its factorized Kronecker
+    operator; each item still equals its single call and is checked alone."""
+
+    @staticmethod
+    def hermitian(size):
+        Z = RNG.normal(size=(size, 2, 2)) + 1j * RNG.normal(size=(size, 2, 2))
+        return Z @ Z.conj().swapaxes(-2, -1)
+
+    def test_items_sharing_a_drift_match_single_calls(self):
+        drifts = np.stack([random_stable_drift() for _ in range(3)])
+        A = drifts[RNG.integers(0, 3, size=30)]
+        N = self.hermitian(30)
+        N[4] = np.zeros((2, 2))
+        N[9] = 1e-300 * N[9]  # lifted by 2^600 before the solve
+        items = list(zip(A, N))
+        failed = TestStackedKernels.assert_matches_single_calls(solve_lyapunov, items, ())
+        assert not failed.any()
+
+    def test_per_item_checks_within_one_drift(self):
+        M = random_stable_drift()
+        N = self.hermitian(4)
+        N[0, 0, 1] += 0.5  # not Hermitian
+        N[1] = 1e-300 * N[1]
+        N[2] = 0.0
+        items = [(M, X) for X in N]
+        failed = TestStackedKernels.assert_matches_single_calls(
+            solve_lyapunov, items, (NonSymmetricInputError,)
+        )
+        assert failed.tolist() == [True, False, False, False]
+        X, _ = solve_lyapunov(M, N)
+        np.testing.assert_array_equal(X[2], np.zeros((2, 2)))
+        assert np.abs(X[1]).max() < 1e-280
+
+    def test_repeated_singular_drift_flags_its_group(self):
+        marginal = np.diag([1j, -1.0])  # lam + conj(lam) = 0
+        unstable = np.diag([1.0, -1.0])  # 1 + (-1) = 0
+        stable = random_stable_drift()
+        A = np.stack([marginal, stable, unstable, marginal, stable, unstable, unstable])
+        N = self.hermitian(len(A))
+        failed = TestStackedKernels.assert_matches_single_calls(
+            solve_lyapunov, list(zip(A, N)), (SingularSystemError,)
+        )
+        assert failed.tolist() == [True, False, True, True, False, True, True]
+
+    def test_factors_each_distinct_drift_once(self, monkeypatch):
+        operators = {"inv": 0, "slogdet": 0}
+        for name in operators:
+            kernel = getattr(np.linalg, name)
+
+            def counted(K, kernel=kernel, name=name):
+                operators[name] += np.prod(K.shape[:-2], dtype=int)
+                return kernel(K)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        drifts = np.stack([random_stable_drift() for _ in range(21)])
+        index = np.concatenate([np.arange(21), RNG.integers(0, 21, size=2048 - 21)])
+        X, failed = solve_lyapunov(drifts[index], self.hermitian(2048))
+        assert not failed.any() and operators == {"inv": 21, "slogdet": 21}
+        # keys are bit patterns: -0.0 and 0.0 are two drifts
+        operators.update(inv=0, slogdet=0)
+        A = np.array([[-1.0, 0.0], [0.5, -2.0]])
+        B = A.copy()
+        B[0, 1] = -0.0
+        X, failed = solve_lyapunov(np.stack([A, B, A]), np.eye(2))
+        assert not failed.any() and operators == {"inv": 2, "slogdet": 2}
+        np.testing.assert_array_equal(X[0], X[1])
+
+
 def test_oracles_import_nothing_from_the_package():
     # an oracle that shares code with the package cannot catch its faults
     for name in ("quadrature_oracle.py", "riccati_oracle.py"):

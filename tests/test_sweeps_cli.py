@@ -457,6 +457,21 @@ class TestStackedSweep:
         # unequal rates, a zero-rate channel and an inadmissible s all occur
         assert {"dn1", "eta1", "theta@0.6"} <= blanks
 
+    def test_only_requested_columns_call_their_kernels(self, monkeypatch):
+        calls = []
+        for name in ("flow_cumulant", "closed_form_occupations"):
+            kernel = getattr(sweeps, name)
+            monkeypatch.setattr(sweeps, name, lambda *a, f=kernel, n=name: calls.append(n) or f(*a))
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
+        for outputs, per_block in (
+            (["n1", "n2", "dn1", "dn2"], []),
+            (["eta2", "n2_closed"], ["closed_form_occupations", "flow_cumulant"]),
+            (list(sweeps._OUTPUTS), ["closed_form_occupations"] + ["flow_cumulant"] * 3),
+        ):
+            calls.clear()
+            run_sweep(parse_config(json.dumps(dict(MIXED_GRID, outputs=outputs))))
+            assert calls == per_block * 3, outputs
+
     def test_emission_independent_of_block_size(self, monkeypatch):
         for fmt in ("csv", "json"):
             cfg = parse_config(json.dumps(dict(MIXED_GRID, format=fmt)))
