@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys as _sys
 
@@ -216,9 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused for the process.
+
+    Reuse is sound because ``parse_args`` leaves the parser as it was:
+    ``append`` copies its default list before appending, and a subcommand
+    parses into a fresh namespace. A command must not change a list argument
+    in place: without ``--set`` it receives the parser's default list itself.
+    ``build_parser`` still returns a new parser.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, NegativeOccupationError, InvalidParamsError, OSError) as exc:

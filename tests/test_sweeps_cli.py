@@ -4,13 +4,17 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from noisecascade import sweeps
+import noisecascade
+from noisecascade import cli, sweeps
 from noisecascade.cascaded import (
     InvalidParamsError,
     UnsupportedParamsError,
@@ -19,7 +23,7 @@ from noisecascade.cascaded import (
     disconnected_baseline,
     occupations,
 )
-from noisecascade.cli import main
+from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
@@ -731,3 +735,101 @@ class TestCli:
         ])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+
+FCS_SETS = ["--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1", "--set", "gamma2=1",
+            "--set", "nbar1=2", "--set", "nbar2=1", "--set", "nbar3=0.5"]
+OM_SETS = ["--set", "omega_m=5", "--set", "gamma_m=0.4", "--set", "Delta1=5", "--set", "Delta2=5",
+           "--set", "kappa1=1", "--set", "kappa2=1", "--set", "G1=0.3", "--set", "G2=0.2"]
+# every subcommand, an error of each exit code, and an argparse rejection;
+# "{dir}" is the test's temporary directory, which holds a sweep config
+REPEATED_CALLS = {
+    "steady-state": (0, ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1",
+                         "--set", "gamma1=1", "--set", "gamma2=1",
+                         "--set", "mbar1=50", "--set", "mbar2=100", "--set", "mbar3=0"]),
+    "sweep --out": (0, ["sweep", "{dir}/sweep.json", "--out", "{dir}/out.csv"]),
+    "fcs": (0, ["fcs", "3", *FCS_SETS, "--s-points", "5"]),
+    "map-om": (0, ["map-om", *OM_SETS, "--set", "J=0.3", "--set", "phi=1.5707963267948966"]),
+    "design": (0, ["design", *OM_SETS]),
+    "preset": (0, ["preset", "microwave"]),
+    "preset --mapped": (0, ["preset", "microwave", "--mapped"]),
+    "config error": (2, ["steady-state", "--set", "kappa1=-1"]),
+    "numerical error": (3, ["fcs", "1", *LYAPUNOV_FAILURE_ARGS]),
+    "argparse rejection": (2, ["fcs", "4", *FCS_SETS]),
+}
+
+
+def call_main(argv, capsys, out_path=None):
+    """(exit code, stdout, stderr, bytes written to ``out_path``) of one
+    ``main`` call in this process; an argparse rejection gives its exit code."""
+    if out_path is not None and out_path.exists():
+        out_path.unlink()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    written = out_path.read_bytes() if out_path is not None and out_path.exists() else None
+    return rc, captured.out, captured.err, written
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noisecascade.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "noisecascade.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's arguments."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            assert main(["preset", "microwave"]) == 0
+            assert len(built) == 1
+            assert main(["steady-state", *FCS_SETS]) == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        rc, out, _, _ = call_main(["fcs", "1", *FCS_SETS, "--set", "kappa1=2", "--s-points", "3"],
+                                  capsys)
+        assert rc == 0 and len(json.loads(out)["theta"]) == 3
+        steady = ["steady-state", "--set", "kappa1=0.5", "--set", "kappa2=1.5",
+                  "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar2=4"]
+        assert call_main(steady, capsys)[:3] == fresh_process(steady)
+        # the default --s-points again, and none of the first call's --set values
+        fcs = ["fcs", "2", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "nbar1=1"]
+        rc, out, err, _ = call_main(fcs, capsys)
+        assert len(json.loads(out)["theta"]) == 11
+        assert (rc, out, err) == fresh_process(fcs)
+        rc, out, err, _ = call_main(["fcs", "4", *FCS_SETS], capsys)
+        assert rc == 2 and out == "" and "invalid choice: 4" in err
+        valid = ["fcs", "3", *FCS_SETS]
+        assert call_main(valid, capsys)[:3] == fresh_process(valid)
+
+    @pytest.mark.parametrize("name", list(REPEATED_CALLS))
+    def test_repeated_call_is_byte_identical(self, name, tmp_path, capsys):
+        (tmp_path / "sweep.json").write_text(fig2_config(points=3))
+        expected_rc, template = REPEATED_CALLS[name]
+        argv = [arg.format(dir=tmp_path) for arg in template]
+        out_path = tmp_path / "out.csv"
+        first = call_main(argv, capsys, out_path)
+        assert first[0] == expected_rc
+        assert (first[3] is not None) == (name == "sweep --out")
+        assert call_main(argv, capsys, out_path) == first
