@@ -67,7 +67,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
-from .linalg import check_hermitian, check_items, hermitian_part, solve_lyapunov
+from .linalg import (
+    check_hermitian,
+    check_items,
+    hermitian_part,
+    solve_lyapunov,
+    stacked_product,
+    trace_product,
+)
 
 
 class ZeroRateChannelError(Exception):
@@ -192,16 +199,20 @@ def flow_cumulant(
         source = 0.5 * fp[k][..., None, None] * P
         for j in range(1, k + 1):
             c, rest = math.comb(k, j), sigma[k - j]
-            source = source - (0.5 * c * fm[j])[..., None, None] * (P @ rest + rest @ P)
+            anti = stacked_product(P, rest) + stacked_product(rest, P)
+            source = source - (0.5 * c * fm[j])[..., None, None] * anti
             for i in range(k - j + 1):
                 w = 0.5 * c * math.comb(k - j, i) * fp[j]
-                source = source + w[..., None, None] * sigma[i] @ P @ sigma[k - j - i]
+                sandwich = stacked_product(stacked_product(sigma[i], P), sigma[k - j - i])
+                source = source + w[..., None, None] * sandwich
         solved = solve_lyapunov(sys.M, hermitian_part(source))
         if failed.ndim:
             solved, singular = solved
             failed = failed | singular
         sigma.append(solved)
-    theta_n = sum(math.comb(n, j) * fp[j] * _trace(P @ sigma[n - j]).real for j in range(1, n + 1))
+    theta_n = sum(
+        math.comb(n, j) * fp[j] * trace_product(P, sigma[n - j]).real for j in range(1, n + 1)
+    )
     eta = (-1.0) ** n * (theta_n - fm[n] * _trace(P).real)
     return (np.where(failed, np.nan, eta), failed) if failed.ndim else eta
 

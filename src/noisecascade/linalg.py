@@ -15,9 +15,16 @@ item.  One matrix raises on its first failed check; a stack returns
 (X, failed), with NaN in the failed items.  A failed item is replaced by a
 harmless placeholder before the next LAPACK call, so that it cannot raise
 LinAlgError for the whole stack.
+
+Stacked products and traces of products (``stacked_product``,
+``trace_product``) are whole-stack elementwise arithmetic with no per-item
+BLAS call: numpy's matmul dispatches one BLAS call per item of a stack,
+which costs far more than the few multiplies of a small matrix.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,10 +49,11 @@ def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
     return ((tr + disc)[..., 0] / 2.0, (tr - disc)[..., 0] / 2.0)
 
 
-def stability_margin(M: NDArray[np.complex128]) -> float:
+def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     """Largest real part among the eigenvalues of the 2x2 complex drift.
 
     A negative return value certifies stability of the mode-space dynamics.
+    One drift gives a float; a stack (..., 2, 2) gives an array of shape (...).
     """
     lam1, lam2 = eigenvalues_2x2(M)
     return np.maximum(lam1.real, lam2.real)
@@ -73,6 +81,32 @@ def _dagger(X: NDArray) -> NDArray:
     return X.conj().swapaxes(-2, -1)
 
 
+def stacked_product(X: NDArray, Y: NDArray) -> NDArray:
+    """X Y for one matrix or a stack: (X Y)_il = sum_j X_ij Y_jl, one broadcast
+    multiply per j over the whole stack.
+
+    Each multiply runs its inner loop along one row of one item: the broadcast
+    axis keeps rows of different items from merging into one loop.  So every
+    item, a single matrix included, takes the same loop with the same length and
+    strides, and its bits do not depend on its position or the stack length.
+    """
+    XY = X[..., :, 0, None] * Y[..., None, 0, :]
+    for j in range(1, X.shape[-1]):
+        XY = XY + X[..., :, j, None] * Y[..., None, j, :]
+    return XY
+
+
+def trace_product(X: NDArray, Y: NDArray) -> NDArray:
+    """Tr(X Y) = sum_ij X_ij Y_ji for one matrix or a stack, without forming X Y.
+
+    The n^2 terms X_ij Y_ji come from one elementwise multiply and are added in
+    row-major order, the same order for every item and for a single matrix.
+    """
+    terms = X * Y.swapaxes(-2, -1)
+    n = X.shape[-1]
+    return functools.reduce(np.add, (terms[..., i, j] for i in range(n) for j in range(n)))
+
+
 def hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
@@ -89,7 +123,7 @@ def solve_lyapunov(
     A: NDArray,
     N: NDArray,
     residual_rtol: float = 1e-10,
-) -> NDArray:
+) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
     """Solve A X + X A† + N = 0 for Hermitian X.
 
     Uses the dense row-major vectorization K = kron(A, I) + kron(I, conj(A)),
@@ -97,7 +131,8 @@ def solve_lyapunov(
     a stack builds, checks and inverts K once per distinct drift (items with
     the same bit pattern of A share it) and applies the inverse to each
     item's vec(N); one matrix takes the same path.  The residual is checked
-    per item against residual_rtol * max-norm of N.
+    per item against residual_rtol * max-norm of N.  One matrix returns X and
+    raises on a failed check; a stack returns (X, failed), NaN in failed items.
     """
     A, N = np.broadcast_arrays(np.asarray(A), np.asarray(N))
     failed = check_hermitian(np.zeros(A.shape[:-2], bool), N, "noise matrix N")
@@ -126,7 +161,7 @@ def solve_lyapunov(
     x = np.einsum("pij,pj->pi", Kinv[inverse], -N.reshape(-1, n * n))
     V = hermitian_part(x.reshape(A.shape))
     # V is exactly Hermitian, so V A† is exactly (A V)†
-    AV = A @ V
+    AV = stacked_product(A, V)
     residual = _maxabs(AV + _dagger(AV) + N)
     message = (
         "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"

@@ -334,12 +334,19 @@ class TestSimplifiedFlows:
 
 class TestStackedTraces:
     """A stack item equals its single-point call bit for bit.  The trace
-    formulas keep the matrix product and trace its diagonal: on the collective
-    channel 3, a fused product-and-trace rounds differently."""
+    formulas take Tr(P sigma) = sum_ij P_ij sigma_ji without forming the
+    product P sigma: the terms of one elementwise multiply, added in row-major
+    order.  On the collective channel 3 this rounds differently from the
+    trace of the matrix product."""
 
     @staticmethod
     def reference_trace(X):
         return np.trace(X, axis1=-2, axis2=-1)
+
+    @staticmethod
+    def reference_trace_product(X, Y):
+        terms = X * Y.swapaxes(-2, -1)
+        return terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
 
     @staticmethod
     def stacked_system(count=64, points=None):
@@ -371,11 +378,15 @@ class TestStackedTraces:
         _, P, _ = _channel(sys, 3)
         sigma = 2.0 * Y
         fp_prime, fm_prime = -ch.rate, -ch.rate * (2.0 * ch.nbar + 1.0)
-        ref = -(fp_prime * self.reference_trace(P @ sigma).real
-                - fm_prime * self.reference_trace(P).real)
+        trace = self.reference_trace_product(P, sigma).real
+        ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
         eta, zero_rate = flow_first_moment(3, sys, Y)
         assert not zero_rate.any()
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
+        # the trace of the matrix product, as before, agrees to rounding (|P_ij| <= 1)
+        matmul_trace = self.reference_trace(P @ sigma).real
+        bound = 4 * np.finfo(float).eps * np.abs(sigma).max(axis=(-2, -1))
+        assert (np.abs(trace - matmul_trace) <= bound).all()
 
     def test_large_deviation_bit_identical(self):
         # a sweep block evaluates theta on a stack of its points

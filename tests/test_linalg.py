@@ -18,6 +18,8 @@ from noisecascade.linalg import (
     eigenvalues_2x2,
     solve_lyapunov,
     stability_margin,
+    stacked_product,
+    trace_product,
 )
 import riccati_oracle
 from quadrature_oracle import embed_drift, real_embedding_matrix
@@ -263,6 +265,71 @@ class TestStackedKernels:
         assert failed[-4:].all() and 0 < failed[:-4].sum() < len(items) - 4
 
 
+    def test_lyapunov_residual_per_item(self):
+        # the residual A V + V A† + N is a whole-stack product; its checks stay per item
+        stable = random_stable_drift()
+        marginal = np.diag([0.0, -1.0])  # 0 + conj(0) = 0: singular
+        A = np.stack([stable, marginal, stable, stable, marginal, stable])
+        N = TestSharedFactorization.hermitian(len(A))
+        N[2] = 1e-300 * N[2]  # lifted by 2^600 before the solve
+        N[3, 0, 1] += 0.5  # not Hermitian
+        items = list(zip(A, N))
+        failed = self.assert_matches_single_calls(
+            solve_lyapunov, items, (SingularSystemError, NonSymmetricInputError)
+        )
+        assert failed.tolist() == [False, True, False, True, True, False]
+        X, _ = solve_lyapunov(A, N)
+        for i in np.flatnonzero(~failed):
+            assert_same_bits(X[i], solve_lyapunov(*items[i]))
+
+
+def assert_same_bits(actual, desired):
+    actual, desired = (np.asarray(z, dtype=complex).reshape(-1) for z in (actual, desired))
+    np.testing.assert_array_equal(actual.view(np.int64), desired.view(np.int64))
+
+
+class TestStackedProducts:
+    """The whole-stack product and trace of a product against matmul, for one
+    matrix, stacks of several shapes and an empty stack; every stack item
+    equals its one-matrix call bit for bit."""
+
+    @staticmethod
+    def random(shape, n):
+        return RNG.normal(size=(*shape, n, n)) + 1j * RNG.normal(size=(*shape, n, n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4), (0,)])
+    def test_match_matmul(self, shape, n):
+        X, Y = self.random(shape, n), self.random(shape, n)
+        maxabs = (np.abs(Z).max(initial=0.0) for Z in (X, Y))
+        bound = 4 * n * np.finfo(float).eps * np.prod(list(maxabs))
+        XY, trace = stacked_product(X, Y), trace_product(X, Y)
+        assert XY.shape == (*shape, n, n) and np.shape(trace) == shape
+        assert np.abs(XY - X @ Y).max(initial=0.0) <= bound
+        assert np.abs(trace - np.trace(X @ Y, axis1=-2, axis2=-1)).max(initial=0.0) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_items_equal_single_calls(self, shape, n):
+        X, Y = self.random(shape, n), self.random(shape, n)
+        # transposed views too: their items are not contiguous rows
+        for X, Y in ((X, Y), (X.swapaxes(-2, -1), Y.swapaxes(-2, -1))):
+            XY, trace = stacked_product(X, Y), trace_product(X, Y)
+            for idx in np.ndindex(shape):
+                assert_same_bits(XY[idx], stacked_product(X[idx], Y[idx]))
+                assert_same_bits(trace[idx], trace_product(X[idx], Y[idx]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_last_item_equals_single_call(self, n):
+        # a SIMD loop may end a stack with a scalar tail; the last item of
+        # stacks of every length mod 16 sits in one
+        X, Y = self.random((2049,), n), self.random((2049,), n)
+        for k in (*range(1, 18), 2049):
+            i = k - 1
+            assert_same_bits(stacked_product(X[:k], Y[:k])[i], stacked_product(X[i], Y[i]))
+            assert_same_bits(trace_product(X[:k], Y[:k])[i], trace_product(X[i], Y[i]))
+
+
 class TestSharedFactorization:
     """Items of a stack that share a drift share its factorized Kronecker
     operator; each item still equals its single call and is checked alone."""
@@ -330,6 +397,16 @@ class TestSharedFactorization:
         X, failed = solve_lyapunov(np.stack([A, B, A]), np.eye(2))
         assert not failed.any() and operators == {"inv": 2, "slogdet": 2}
         np.testing.assert_array_equal(X[0], X[1])
+
+
+def test_package_makes_no_matmul():
+    # numpy's matmul makes one BLAS call per item of a stack, which costs far
+    # more than a 2x2 product; the kernels use stacked_product and trace_product
+    import noisecascade
+
+    for path in pathlib.Path(noisecascade.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), path.name)
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), path.name
 
 
 def test_oracles_import_nothing_from_the_package():
