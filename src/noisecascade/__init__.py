@@ -14,13 +14,7 @@ from .cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from .counting import (
-    bias_matrices,
-    flow_cumulant,
-    flow_first_moment,
-    large_deviation,
-    simplified_flows,
-)
+from .counting import bias_matrices, flow_cumulant, large_deviation, simplified_flows
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
     DriveSpec,
@@ -50,7 +44,6 @@ __all__ = [
     "stability_margin",
     "bias_matrices",
     "flow_cumulant",
-    "flow_first_moment",
     "large_deviation",
     "simplified_flows",
     "DriveSpec",

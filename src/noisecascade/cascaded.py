@@ -43,6 +43,8 @@ class UnsupportedParamsError(Exception):
 
 
 _EQUAL_RATE_RTOL = 1e-12
+# a pair for one point; for arrays, a pair of arrays and the mask of the unequal-rate points
+_Pairs = tuple[float, float] | tuple[tuple[NDArray, NDArray], NDArray[np.bool_]]
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,16 @@ class CascadedParams:
         return check_items(failed, ~finite, InvalidParamsError, "all parameters must be finite")
 
     @property
-    def detuning(self) -> float:
+    def detuning(self) -> float | NDArray[np.float64]:
         """Delta = omega2 - omega1."""
         return self.omega2 - self.omega1
 
     @property
-    def collective_rate(self) -> float:
+    def collective_rate(self) -> float | NDArray[np.float64]:
         """kappa3 = gamma1 + gamma2, the collective damping rate."""
         return self.gamma1 + self.gamma2
 
-    def equal_rate(self) -> float:
+    def equal_rate(self) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
         """Return the common rate kappa if all four rates are equal, else raise.
 
         Arrays give (kappa, mask of the points with unequal rates).
@@ -173,19 +175,28 @@ def _vector(*entries) -> NDArray[np.complex128]:
     return np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
 
 
-def steady_state(p: CascadedParams) -> NDArray[np.complex128]:
-    """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0."""
-    return _steady_state(build_system(p))
+def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
+    """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0.
+
+    One point raises on a drift that is not strictly stable or a failed solve;
+    arrays give (Y, failed), NaN and flagged where the single call raises
+    (invalid, unstable and marginal points, failed solves).
+    """
+    return _steady_state(build_system(p), p.invalid())
 
 
-def _steady_state(sys: LinearSystem) -> NDArray[np.complex128]:
+def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] = np.False_):
     margin = stability_margin(sys.M)
-    if margin >= 0.0:
-        raise UnstableSystemError(f"drift is not stable (margin {margin:.3e})")
-    return solve_lyapunov(sys.M, sys.N)
+    message = "drift is not stable (margin {:.3e})"
+    failed = check_items(failed, margin >= 0.0, UnstableSystemError, message, margin)
+    if not failed.ndim:
+        return solve_lyapunov(sys.M, sys.N)
+    bad = failed[..., None, None]  # stable placeholders keep the failed items out of the solve
+    Y, singular = solve_lyapunov(np.where(bad, -np.eye(2), sys.M), np.where(bad, 0.0, sys.N))
+    return np.where(bad, np.nan, Y), failed | singular
 
 
-def occupations(Y: NDArray[np.complex128]) -> tuple[float, float]:
+def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArray, NDArray]:
     """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s).
 
     Values that come out slightly negative from numerical noise near vacuum
@@ -211,7 +222,7 @@ def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # invalid() items; 0/0 at all-zero rates
-def closed_form_occupations(p: CascadedParams) -> tuple[float, float]:
+def closed_form_occupations(p: CascadedParams) -> _Pairs:
     """Equal-rate closed-form steady-state occupations (general F and detuning).
 
     Arrays give ((n1, n2), mask of the points with unequal rates).
@@ -240,7 +251,7 @@ def closed_form_occupations(p: CascadedParams) -> tuple[float, float]:
     return ((n1, n2), unequal) if unequal.ndim else (n1, n2)
 
 
-def disconnected_baseline(p: CascadedParams) -> tuple[float, float]:
+def disconnected_baseline(p: CascadedParams) -> _Pairs:
     """Occupations with the link and common-bath correlation removed.
 
     This is the |Delta| -> infinity limit at fixed rates and bath occupations,
@@ -253,11 +264,14 @@ def disconnected_baseline(p: CascadedParams) -> tuple[float, float]:
 
 
 def delta_n(p: CascadedParams, numeric: bool = False) -> OccupationReport:
-    """Occupation changes relative to the disconnected baseline.
+    """Occupation changes relative to the disconnected baseline, at one point.
 
     By default the occupations come from the equal-rate closed forms; with
     ``numeric=True`` they are recomputed from the Lyapunov steady state.
+    Array-valued parameters raise ValueError.
     """
+    if np.ndim(p.omega1):
+        raise ValueError("delta_n takes one parameter point; arrays are not supported")
     m1, m2 = disconnected_baseline(p)
     if numeric:
         n1, n2 = occupations(steady_state(p))

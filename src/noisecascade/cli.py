@@ -115,9 +115,9 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
     p = cascaded_from_raw(_parse_sets(args.set))
     sys = build_system(p)
-    V = _steady_state(sys)
+    V = _steady_state(sys)  # an unstable system fails here, before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
-    theta, failed = large_deviation(args.channel, s_values, sys, V)
+    theta, failed = large_deviation(args.channel, s_values, sys)
     if failed.any():
         raise OutsideAdmissibleRegionError(
             f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"

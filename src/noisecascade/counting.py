@@ -127,15 +127,17 @@ def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
         return BiasMatrices(Fminus=fminus[..., None, None] * P, Fplus=fplus[..., None, None] * P)
 
 
-def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128]):
+def large_deviation(
+    channel: int, s, sys: LinearSystem
+) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
-    One eigvals call on the tilted Hamiltonian H_s (module docstring); no
-    covariance is solved for, so ``V`` is unused.  Invalid input (a zero-rate
-    channel, non-finite bias matrices, a non-Hermitian N) fails at every s,
-    s = 0 included; at s = 0 only the admissibility check is skipped, and theta
-    is exactly zero, also for an unstable drift.  One point raises; a stack of
-    systems or a vector of s values gives (theta, failed), NaN where it would.
+    One eigvals call on the tilted Hamiltonian H_s (module docstring).  Invalid
+    input (a zero-rate channel, non-finite bias matrices, a non-Hermitian N)
+    fails at every s, s = 0 included; at s = 0 only the admissibility check is
+    skipped, and theta is exactly zero, also for an unstable drift.  One point
+    raises; a stack of systems or a vector of s values gives (theta, failed),
+    NaN where it would.
     """
     s = np.asarray(s, dtype=float)
     bias = bias_matrices(channel, s, sys)
@@ -146,7 +148,7 @@ def large_deviation(channel: int, s, sys: LinearSystem, V: NDArray[np.complex128
     failed = check_items(np.zeros(M.shape[:-2], bool), ~finite, error, message, s)
     Fminus, Fplus = (np.where(failed[..., None, None], 0.0, F) for F in (Fminus, Fplus))
     A, Q = M - 0.5 * Fminus, 2.0 * N + 0.5 * Fplus
-    failed = check_hermitian(failed, Q, "noise matrix N")
+    failed = check_hermitian(failed, Q)
     H = np.block([[A.conj().swapaxes(-2, -1), 0.5 * Fplus], [-Q, -A]])
     try:
         lam = np.linalg.eigvals(H).real
@@ -164,28 +166,17 @@ def _trace(X: NDArray) -> NDArray:
     return np.einsum("...ii->...", X)
 
 
-def flow_first_moment(channel: int, sys: LinearSystem, V: NDArray[np.complex128]):
-    """Mean rate of excitation flow into bath ``channel``: order 1 of ``flow_cumulant``.
-
-    Positive values mean net excitations absorbed by the bath.  A stack of
-    systems gives (eta, mask of zero-rate points).
-    """
-    return flow_cumulant(channel, 1, sys, V)
-
-
 def flow_cumulant(
-    channel: int,
-    n: int,
-    sys: LinearSystem,
-    V: NDArray[np.complex128],
-    h: float = 1e-3,
+    channel: int, n: int, sys: LinearSystem, V: NDArray[np.complex128]
 ) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0, exactly.
 
-    Each Taylor coefficient sigma_k, 0 < k < n, is one Lyapunov solve, and
-    eta^(n) = (-1)^n [sum_j C(n, j) f+^(j) Re Tr(P sigma_{n-j}) - f-^(n) Re Tr P].
-    One system returns a float and raises; a stack returns (eta, failed), with
-    NaN where the rate is zero or a Lyapunov solve failed.  ``h`` has no effect.
+    ``V`` is the steady-state covariance; order 1 is the mean flow into the
+    bath (> 0: net absorption).  Each Taylor coefficient sigma_k, 0 < k < n, is
+    one Lyapunov solve, and eta^(n) = (-1)^n [sum_j C(n, j) f+^(j)
+    Re Tr(P sigma_{n-j}) - f-^(n) Re Tr P].  One system returns a float and
+    raises; a stack returns (eta, failed), NaN where the rate is zero or a
+    Lyapunov solve failed.
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")

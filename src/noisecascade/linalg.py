@@ -29,6 +29,9 @@ import functools
 import numpy as np
 from numpy.typing import NDArray
 
+_HERMITIAN_RTOL = 1e-12  # relative asymmetry allowed in a noise matrix
+_RESIDUAL_RTOL = 1e-10  # Lyapunov residual allowed, relative to max|N|
+
 
 class SingularSystemError(Exception):
     """Vectorized Lyapunov system is numerically singular (drift not stable)."""
@@ -111,19 +114,15 @@ def hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
 
-def check_hermitian(failed: NDArray, X: NDArray, name: str, rtol: float = 1e-12) -> NDArray:
-    """``failed`` with the items of ``X`` that are not Hermitian to relative ``rtol``
-    added; one item raises NonSymmetricInputError instead."""
-    bad = _maxabs(X - _dagger(X)) > rtol * np.maximum(_maxabs(X), 1.0)
-    message = f"{name} is not Hermitian to relative {rtol}"
+def check_hermitian(failed: NDArray, N: NDArray) -> NDArray:
+    """``failed`` with the items of the noise matrix ``N`` that are not Hermitian
+    to relative _HERMITIAN_RTOL added; one item raises NonSymmetricInputError instead."""
+    bad = _maxabs(N - _dagger(N)) > _HERMITIAN_RTOL * np.maximum(_maxabs(N), 1.0)
+    message = f"noise matrix N is not Hermitian to relative {_HERMITIAN_RTOL}"
     return check_items(failed, bad, NonSymmetricInputError, message)
 
 
-def solve_lyapunov(
-    A: NDArray,
-    N: NDArray,
-    residual_rtol: float = 1e-10,
-) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
+def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
     """Solve A X + X A† + N = 0 for Hermitian X.
 
     Uses the dense row-major vectorization K = kron(A, I) + kron(I, conj(A)),
@@ -131,11 +130,11 @@ def solve_lyapunov(
     a stack builds, checks and inverts K once per distinct drift (items with
     the same bit pattern of A share it) and applies the inverse to each
     item's vec(N); one matrix takes the same path.  The residual is checked
-    per item against residual_rtol * max-norm of N.  One matrix returns X and
+    per item against _RESIDUAL_RTOL * max-norm of N.  One matrix returns X and
     raises on a failed check; a stack returns (X, failed), NaN in failed items.
     """
     A, N = np.broadcast_arrays(np.asarray(A), np.asarray(N))
-    failed = check_hermitian(np.zeros(A.shape[:-2], bool), N, "noise matrix N")
+    failed = check_hermitian(np.zeros(A.shape[:-2], bool), N)
     norm_n = _maxabs(N)
     # lift a source near underflow by an exact power of two
     lift = np.where((0.0 < norm_n) & (norm_n < 1e-250), 2.0**600, 1.0)
@@ -166,7 +165,7 @@ def solve_lyapunov(
     message = (
         "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"
     )
-    bad = ~(residual <= residual_rtol * norm_n)
-    failed = check_items(failed, bad, SingularSystemError, message, residual, residual_rtol)
+    bad = ~(residual <= _RESIDUAL_RTOL * norm_n)
+    failed = check_items(failed, bad, SingularSystemError, message, residual, _RESIDUAL_RTOL)
     V = V / lift[..., None, None]
     return V if failed.ndim == 0 else (_placeholder(failed, V, np.nan), failed)

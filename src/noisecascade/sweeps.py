@@ -16,7 +16,7 @@ block (one per s value for theta); an output that is not requested costs
 no call.  The result is columnar: a SweepResult holds value, validity and
 status arrays, which ``emit`` formats column by column, each distinct
 value of a column once, for CSV and JSON alike.
-``parallel`` is accepted and ignored.
+``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class SweepConfig:
     axes: tuple[SweepAxis, ...]
     outputs: tuple[str, ...]
     format: str = "csv"
-    parallel: bool = False
     s_grid: tuple[float, ...] = ()
 
 
@@ -205,8 +204,7 @@ def parse_config(text: str) -> SweepConfig:
     fmt = doc.get("format", "csv")
     if fmt not in _FORMATS:
         raise SchemaError(f"format: must be one of {_FORMATS}")
-    parallel = doc.get("parallel", False)
-    if not isinstance(parallel, bool):
+    if not isinstance(doc.get("parallel", False), bool):
         raise SchemaError("parallel: must be a boolean")
 
     params = doc["params"]
@@ -299,7 +297,6 @@ def parse_config(text: str) -> SweepConfig:
         axes=tuple(axes),
         outputs=tuple(outputs_doc),
         format=fmt,
-        parallel=parallel,
         s_grid=tuple(float(s) for s in s_grid),
     )
 
@@ -365,7 +362,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
             eta, zero_rate = flow_cumulant(k, 1, sys, Y)
             cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
     if "theta" in cfg.outputs:
-        thetas = (large_deviation(1, s, sys, Y) for s in cfg.s_grid)
+        thetas = (large_deviation(1, s, sys) for s in cfg.s_grid)
         cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]
     columns = [cell for name in cfg.outputs for cell in cells[name]]
     values = np.column_stack(axis_columns + [v for v, _ in columns])

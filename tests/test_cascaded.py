@@ -5,6 +5,7 @@ The key oracle is the equal-rate closed-form occupation pair, checked to
 tight tolerance against the independent Lyapunov numeric path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from noisecascade.cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from noisecascade.linalg import stability_margin
+from noisecascade.linalg import SingularSystemError, stability_margin
 
 RNG = np.random.default_rng(20240818)
 
@@ -293,6 +294,37 @@ class TestArrayParams:
             assert same_bits([m[i] for m in base], disconnected_baseline(q)), i
             checked.add("equal")
         assert invalid.sum() == 7 and checked == {"equal", "unequal"}
+
+    def test_steady_state_stack_flags_what_a_point_raises(self):
+        # a stack item fails exactly where its single call raises, and equals it
+        # bit for bit elsewhere
+        points = [
+            dict(kappa1=1.0, kappa2=0.5, gamma1=0.3, gamma2=0.7, F=0.2j, nbar1=2.0, nbar3=1.0),
+            dict(omega1=1.0, omega2=1.0, kappa2=1.0, nbar2=3.0),  # mode 1 undamped: marginal
+            # eigenvalues -1/2 +- 1/2: marginal through the cascaded coupling
+            dict(gamma1=1.0, gamma2=1.0, F=0.5, phi=-np.pi / 2, nbar3=1.0),
+            # margin -2.5e-13: stable, but the solve fails its residual check
+            dict(gamma1=1.0, gamma2=1.0, F=0.5 + 1e-12, phi=-np.pi / 2, nbar3=1.0, kappa1=1e-12),
+            dict(kappa1=-1.0, kappa2=1.0),  # invalid
+            dict(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0, omega2=0.4),
+        ]
+        stack = CascadedParams(**{
+            f.name: np.array([point.get(f.name, 0.0) for point in points])
+            for f in dataclasses.fields(CascadedParams)
+        })
+        Y, failed = steady_state(stack)
+        assert failed.tolist() == [False, True, True, True, True, False]
+        for i, point in enumerate(points):
+            try:
+                single = steady_state(CascadedParams(**point))
+            except (InvalidParamsError, UnstableSystemError, SingularSystemError):
+                assert failed[i] and np.isnan(Y[i]).all(), i
+            else:
+                assert not failed[i] and same_bits(Y[i], single), i
+        # delta_n takes one point: arrays raise a clear error, not a numpy one
+        for numeric in (False, True):
+            with pytest.raises(ValueError, match="^delta_n takes one parameter point"):
+                delta_n(stack, numeric=numeric)
 
     def test_single_point_returns_and_messages(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)

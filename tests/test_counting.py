@@ -18,7 +18,6 @@ from noisecascade.counting import (
     _channel,
     bias_matrices,
     flow_cumulant,
-    flow_first_moment,
     large_deviation,
     simplified_flows,
 )
@@ -93,7 +92,7 @@ class TestBiasMatrices:
         with pytest.raises(ZeroRateChannelError):
             bias_matrices(3, 0.1, sys)
         with pytest.raises(ZeroRateChannelError):
-            large_deviation(3, 0.0, sys, steady_state(p))
+            large_deviation(3, 0.0, sys)
 
 
 class TestBiasedCovariance:
@@ -112,12 +111,11 @@ class TestBiasedCovariance:
 class TestLargeDeviation:
     def test_exactly_zero_at_origin(self):
         sys = build_system(THERMAL)
-        V = steady_state(THERMAL)
         for ch in (1, 2, 3):
-            assert large_deviation(ch, 0.0, sys, V) == 0.0
+            assert large_deviation(ch, 0.0, sys) == 0.0
         # also where no steady state exists: mode 1 is undamped
         undamped = dataclasses.replace(THERMAL, kappa1=0.0, gamma1=0.0)
-        assert large_deviation(2, 0.0, build_system(undamped), None) == 0.0
+        assert large_deviation(2, 0.0, build_system(undamped)) == 0.0
 
     def test_slope_matches_trace_formula(self):
         h = 1e-4
@@ -127,9 +125,9 @@ class TestLargeDeviation:
             V = steady_state(p)
             for ch in (1, 2, 3):
                 slope = (
-                    large_deviation(ch, h, sys, V) - large_deviation(ch, -h, sys, V)
+                    large_deviation(ch, h, sys) - large_deviation(ch, -h, sys)
                 ) / (2 * h)
-                eta = flow_first_moment(ch, sys, V)
+                eta = flow_cumulant(ch, 1, sys, V)
                 assert -slope == pytest.approx(eta, rel=1e-6, abs=1e-9)
 
     def test_matches_riccati_oracle(self):
@@ -139,10 +137,9 @@ class TestLargeDeviation:
         s = np.linspace(-8.0, 8.0, 321)
         accepted = 0
         for _ in range(40):
-            p = random_stable_system(rng=rng)
-            sys, V = build_system(p), steady_state(p)
+            sys = build_system(random_stable_system(rng=rng))
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys, V)
+                theta, failed = large_deviation(ch, s, sys)
                 sigma, oracle_failed = oracle_covariance(ch, s, sys)
                 np.testing.assert_array_equal(failed, oracle_failed)
                 bias = bias_matrices(ch, s[~failed], sys)
@@ -190,30 +187,28 @@ class TestLargeDeviation:
             if stability_margin(sys.M) >= 0.0:
                 continue
             draws += 1
-            V = steady_state(p)
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys, V)
+                theta, failed = large_deviation(ch, s, sys)
                 assert failed.all(), (draws, ch, s[~failed], theta[~failed])
         with pytest.raises(OutsideAdmissibleRegionError):
-            large_deviation(1, 50.0, build_system(THERMAL), steady_state(THERMAL))
+            large_deviation(1, 50.0, build_system(THERMAL))
 
     def test_rejects_non_hermitian_noise(self):
         sys = build_system(THERMAL)
         sys = dataclasses.replace(sys, N=sys.N + np.array([[0.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(NonSymmetricInputError):
-            large_deviation(1, 0.1, sys, None)
-        theta, failed = large_deviation(1, np.array([0.0, 0.1]), sys, None)
+            large_deviation(1, 0.1, sys)
+        theta, failed = large_deviation(1, np.array([0.0, 0.1]), sys)
         assert failed.tolist() == [True, True] and np.isnan(theta).all()
 
     def test_curvature_sign_is_stable_under_refinement(self):
         # theta is convex: its second derivative at 0 is the flow variance
         sys = build_system(THERMAL)
-        V = steady_state(THERMAL)
         for h in (2e-3, 1e-3):
             second = (
-                large_deviation(1, h, sys, V)
-                - 2.0 * large_deviation(1, 0.0, sys, V)
-                + large_deviation(1, -h, sys, V)
+                large_deviation(1, h, sys)
+                - 2.0 * large_deviation(1, 0.0, sys)
+                + large_deviation(1, -h, sys)
             ) / h**2
             assert second > 0.0
 
@@ -227,14 +222,14 @@ class TestFlowFirstMoment:
         sys = build_system(p)
         V = steady_state(p)
         for ch in (1, 2, 3):
-            assert flow_first_moment(ch, sys, V) == pytest.approx(0.0, abs=1e-10)
+            assert flow_cumulant(ch, 1, sys, V) == pytest.approx(0.0, abs=1e-10)
 
     def test_conservation(self):
         for _ in range(50):
             p = random_stable_system()
             sys = build_system(p)
             V = steady_state(p)
-            etas = [flow_first_moment(ch, sys, V) for ch in (1, 2, 3)]
+            etas = [flow_cumulant(ch, 1, sys, V) for ch in (1, 2, 3)]
             scale = max(max(abs(e) for e in etas), 1e-12)
             assert abs(sum(etas)) <= 1e-9 * scale
 
@@ -244,28 +239,11 @@ class TestFlowFirstMoment:
                            nbar1=0.0, nbar2=0.0, nbar3=10.0)
         sys = build_system(p)
         V = steady_state(p)
-        assert flow_first_moment(1, sys, V) > 0.0
-        assert flow_first_moment(3, sys, V) < 0.0
+        assert flow_cumulant(1, 1, sys, V) > 0.0
+        assert flow_cumulant(3, 1, sys, V) < 0.0
 
 
 class TestFlowCumulant:
-    def test_first_order_matches_trace_formula(self):
-        for _ in range(10):
-            p = random_stable_system()
-            sys = build_system(p)
-            V = steady_state(p)
-            ch = int(RNG.integers(1, 4))
-            eta_fd = flow_cumulant(ch, 1, sys, V, h=1e-4)
-            eta = flow_first_moment(ch, sys, V)
-            assert eta_fd == pytest.approx(eta, rel=1e-6, abs=1e-9)
-
-    def test_h_refinement_converged(self):
-        sys = build_system(THERMAL)
-        V = steady_state(THERMAL)
-        a = flow_cumulant(1, 1, sys, V, h=1e-3)
-        b = flow_cumulant(1, 1, sys, V, h=5e-4)
-        assert b == pytest.approx(a, rel=1e-8)
-
     def test_order_bounds(self):
         sys = build_system(THERMAL)
         V = steady_state(THERMAL)
@@ -278,7 +256,7 @@ class TestFlowCumulant:
         sys = build_system(THERMAL)
         V = steady_state(THERMAL)
         for n in (2, 3, 4):
-            assert np.isfinite(flow_cumulant(1, n, sys, V, h=5e-3))
+            assert np.isfinite(flow_cumulant(1, n, sys, V))
 
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev
@@ -291,7 +269,7 @@ class TestFlowCumulant:
             p = random_stable_system(rng=rng)
             sys, V = build_system(p), steady_state(p)
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys, V)
+                theta, failed = large_deviation(ch, s, sys)
                 assert not failed.any()
                 fit = np.polynomial.Chebyshev.fit(s, theta, 24, domain=[-0.1, 0.1])
                 for n, bound in bounds.items():
@@ -318,7 +296,7 @@ class TestSimplifiedFlows:
             sys = build_system(p)
             V = steady_state(p)
             closed = simplified_flows(p)
-            numeric = [flow_first_moment(ch, sys, V) for ch in (1, 2, 3)]
+            numeric = [flow_cumulant(ch, 1, sys, V) for ch in (1, 2, 3)]
             np.testing.assert_allclose(numeric, closed, rtol=1e-9, atol=1e-10)
 
     def test_requires_equal_rates_and_zero_f(self):
@@ -372,7 +350,7 @@ class TestStackedTraces:
             for i in range(len(sys.M))
         ]
 
-    def test_flow_first_moment_bit_identical(self):
+    def test_first_moment_bit_identical(self):
         sys, Y = self.stacked_system()
         ch = next(c for c in sys.channels if c.index == 3)
         _, P, _ = _channel(sys, 3)
@@ -380,7 +358,7 @@ class TestStackedTraces:
         fp_prime, fm_prime = -ch.rate, -ch.rate * (2.0 * ch.nbar + 1.0)
         trace = self.reference_trace_product(P, sigma).real
         ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
-        eta, zero_rate = flow_first_moment(3, sys, Y)
+        eta, zero_rate = flow_cumulant(3, 1, sys, Y)
         assert not zero_rate.any()
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
         # the trace of the matrix product, as before, agrees to rounding (|P_ij| <= 1)
@@ -390,15 +368,15 @@ class TestStackedTraces:
 
     def test_large_deviation_bit_identical(self):
         # a sweep block evaluates theta on a stack of its points
-        sys, Y = self.stacked_system()
+        sys, _ = self.stacked_system()
         items = self.items(sys)
         for ch in (1, 2, 3):
             for s in (-0.2, 0.05, 0.3, 1.0):
-                theta, failed = large_deviation(ch, s, sys, Y)
+                theta, failed = large_deviation(ch, s, sys)
                 assert not failed.all()
                 for i, item in enumerate(items):
                     try:
-                        single = large_deviation(ch, s, item, Y[i])
+                        single = large_deviation(ch, s, item)
                     except OutsideAdmissibleRegionError:
                         assert failed[i] and np.isnan(theta[i]), (ch, s, i)
                     else:
@@ -422,10 +400,10 @@ class TestStackedTraces:
         errors = (ZeroRateChannelError, OutsideAdmissibleRegionError, NonSymmetricInputError)
         for ch in (1, 2, 3):
             for s in (-0.2, 0.0, 0.1, 50.0, 800.0):
-                theta, failed = large_deviation(ch, s, sys, None)
+                theta, failed = large_deviation(ch, s, sys)
                 for i, item in enumerate(self.items(sys)):
                     try:
-                        single = large_deviation(ch, s, item, None)
+                        single = large_deviation(ch, s, item)
                     except errors:
                         assert failed[i] and np.isnan(theta[i]), (ch, s, i)
                     else:

@@ -11,7 +11,7 @@ import numpy as np
 
 import quadrature_oracle as quad
 from noisecascade.cascaded import CascadedParams, build_system, steady_state
-from noisecascade.counting import flow_first_moment
+from noisecascade.counting import flow_cumulant
 from noisecascade.linalg import stability_margin
 
 RNG = np.random.default_rng(20240820)
@@ -52,4 +52,4 @@ def test_steady_state_and_flows_match_quadrature_oracle():
         # scale of the largest one
         scale = max(abs(e) for e in expected)
         for ch, e in zip((1, 2, 3), expected):
-            assert abs(flow_first_moment(ch, sys, Y) - e) <= 1e-12 * scale
+            assert abs(flow_cumulant(ch, 1, sys, Y) - e) <= 1e-12 * scale

@@ -1,6 +1,5 @@
 """Sweep configuration, execution, emission, and the CLI front end."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +26,7 @@ from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    flow_first_moment,
+    flow_cumulant,
     large_deviation,
 )
 from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
@@ -257,6 +256,14 @@ class TestParseConfig:
             with pytest.raises(SchemaError, match=field):
                 parse_config(json.dumps(doc))
 
+    def test_parallel_key_must_be_boolean(self):
+        # accepted and validated, without effect: every sweep runs in one process
+        for value in (True, False):
+            assert parse_config(fig2_config(parallel=value)) == parse_config(fig2_config())
+        for value in (1, "true", None):
+            with pytest.raises(SchemaError, match="^parallel: must be a boolean$"):
+                parse_config(fig2_config(parallel=value))
+
     def test_theta_requires_s_grid(self):
         doc = json.loads(fig2_config())
         doc["outputs"] = ["theta"]
@@ -392,13 +399,13 @@ def reference_row(cfg, axis_values):
             out = []
             for s in cfg.s_grid:
                 try:
-                    out.append(large_deviation(1, s, sys, V))
+                    out.append(large_deviation(1, s, sys))
                 except (OutsideAdmissibleRegionError, ZeroRateChannelError):
                     out.append(None)
             return out
         try:
             if name.startswith("eta"):
-                return [None if V is None else flow_first_moment(int(name[-1]), sys, V)]
+                return [None if V is None else flow_cumulant(int(name[-1]), 1, sys, V)]
             if name.endswith("_closed"):
                 return [closed_form_occupations(p)[int(name[1]) - 1]]
             i = int(name[-1]) - 1
@@ -588,10 +595,8 @@ class TestEmit:
     def test_deterministic_across_parallel_modes(self):
         cfg = parse_config(fig2_config(points=4))
         serial = emit(run_sweep(cfg), cfg)
-        parallel = emit(
-            run_sweep(dataclasses.replace(cfg, parallel=True)), cfg
-        )
-        assert serial == parallel
+        cfg_parallel = parse_config(fig2_config(points=4, parallel=True))
+        assert emit(run_sweep(cfg_parallel), cfg_parallel) == serial
 
     def test_golden_emission(self):
         for fmt, expected in (("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)):
