@@ -185,8 +185,10 @@ def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_
     return _steady_state(build_system(p), p.invalid())
 
 
-def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] = np.False_):
-    margin = stability_margin(sys.M)
+def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] = np.False_, margin=None):
+    """``steady_state`` of a built system, with ``failed`` items flagged up front;
+    ``margin`` is stability_margin(sys.M), computed here unless the caller has it."""
+    margin = stability_margin(sys.M) if margin is None else margin
     message = "drift is not stable (margin {:.3e})"
     failed = check_items(failed, margin >= 0.0, UnstableSystemError, message, margin)
     if not failed.ndim:

@@ -5,19 +5,19 @@ The biased dynamics tilts the noise channel of interest by a counting field
 s, and the large-deviation function theta(s) encodes all cumulants of the
 excitation flow.  Everything is in the 2x2 mode space of ``cascaded``: the
 channel enters through the projector P = u_hat u_hat† onto its (possibly
-collective) mode, the tilting matrices are F-(s) = f-(s) P and
-F+(s) = f+(s) P, and the machinery uses the doubled covariance sigma = 2 Y
-(vacuum = identity).  The trace formulas for theta and the first moment
-are consistent (equilibrium flows vanish and the per-channel moments sum to
-zero) only in that normalization.  The flows come out as
+collective) unit mode vector u_hat, the tilting matrices are F-(s) = f-(s) P
+and F+(s) = f+(s) P, and the machinery uses the doubled covariance
+sigma = 2 Y (vacuum = identity).  The trace formulas for theta and the first
+moment are consistent (equilibrium flows vanish and the per-channel moments
+sum to zero) only in that normalization.  The flows come out as
 eta_ch = 2 rate_ch (<n_ch> - nbar_ch), with <n_ch> the occupation of the
 channel's mode.
 
 Tilted equation (Pigeon et al., PRA 92, 013844, 2015): counting adds
 A1 L.L† + A2 L†.L to the Lindblad generator, where L = u_hat† c puts an
-excitation into the bath, A1 = rate (nbar + 1)(e^-s - 1) and
-A2 = rate nbar (e^s - 1), so f+- = A1 +- A2.  For one mode with Wigner
-function W = Z exp(-2 |a|^2 / sigma), L.L† multiplies W by
+excitation into the bath, A1 = rate (nbar + 1)(e^-s - 1) = rate f_c and
+A2 = rate nbar (e^s - 1) = rate f_a, so f+- = rate (f_c +- f_a).  For one
+mode with Wigner function W = Z exp(-2 |a|^2 / sigma), L.L† multiplies W by
 (1 - 1/sigma)^2 |a|^2 + (1 - 1/sigma)/2 and L†.L by
 (1 + 1/sigma)^2 |a|^2 - (1 + 1/sigma)/2.  The |a|^2 terms fix the
 stationary shape, in mode space the stabilizing root sigma_s of
@@ -36,26 +36,52 @@ With K = A_s† + (F+/2) sigma, the first block row of H_s [I; sigma] is K,
 and its second block row equals sigma K exactly when sigma solves the
 equation above.  So [I; sigma_s] spans an invariant subspace of H_s, on
 which H_s acts as the closed-loop drift K.  For the stabilizing root K is
-stable, so its eigenvalues are the n stable eigenvalues of H_s, and its
-trace Tr A_s† + Tr(F+ sigma_s)/2 gives
+stable, so its eigenvalues are the n stable eigenvalues of H_s, and
+Tr(F+ sigma_s)/2 = sum_{Re lam < 0} lam(H_s) - Tr A_s†, which gives
 
-    Tr(F+ sigma_s)/2 = sum_{Re lam < 0} lam(H_s) - Tr A_s†.
+    theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
-With Re Tr A_s† = Re Tr M - Re Tr F-/2 this is
+H_s is Hamiltonian (J H_s is Hermitian), so its eigenvalues come in pairs
+lam, -conj(lam).  For the two modes (n = 2) the stable sum is exact
+arithmetic on 2x2 quantities, with no eigenvalue solve:
 
-    theta(s) = Re Tr(F+ sigma_s) - Re Tr F- = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
+* Characteristic polynomial.  The tilt adds U C U† to
+  L0 = [[lam - M†, 0], [2N, lam + M]], with U = diag(u_hat, u_hat) and
+  C = [[f-/2, -f+/2], [f+/2, -f-/2]], so the determinant lemma gives
+  det(lam - H_s) = D+ D- + (f-/2)(a- D+ - a+ D-) + f+ b + rate^2 f_c f_a a+ a-,
+  with D+ = det(lam + M), D- = det(lam - M†), a+ = lam + alpha,
+  a- = lam - conj(alpha), alpha = u_hat† adj(M) u_hat and
+  b = u_hat† adj(lam + M) N adj(lam - M†) u_hat.  The last term is
+  (f+^2 - f-^2)/4 a+ a-, with the cancellation of f+^2 - f-^2 done exactly.
+* Depressed quartic.  Shifting M by -(i/2) Im Tr M (a rotating frame)
+  shifts every eigenvalue by an imaginary constant and removes the lam^3
+  term; the pairing then makes lam^4 + c2 lam^2 + c1 lam + c0 have real c2,
+  c0 and imaginary c1.  Each coefficient is e0 + f- e1 + f+ e2 +
+  rate^2 f_c f_a e3, with real e_k that depend on the system only.
+* Resolvent cubic.  z^3 + 2 c2 z^2 + (c2^2 - 4 c0) z + |c1|^2 has the roots
+  (lam_i + lam_j)^2 over the pairings of the four eigenvalues.  With the
+  stable ones mu_1, mu_2 (a_i = -Re mu_i > 0, Im mu_1 = -Im mu_2 in the
+  rotating frame) these are (a1 + a2)^2 >= (a1 - a2)^2 >= 0 >= -4 (Im mu_1)^2,
+  so theta = 2 (-sqrt(z_max) - Re Tr M).  The three roots come from the
+  trigonometric formula, and one Newton step on the cubic polishes z_max;
+  it takes a root near zero (all eigenvalues on the axis) to relative
+  accuracy, where the formula alone leaves sqrt(eps) of the largest root.
 
-H_s is Hamiltonian: its eigenvalues come in pairs lam, -conj(lam).  The
-admissible region is the set of s where the bias matrices are finite, no
-eigenvalue of H_s lies on the imaginary axis (|Re lam| <= 1e-9 max|H_ij|)
-and exactly n eigenvalues have Re lam > 0; its edges are where a pair
-meets the axis.  The tests check theta against the stabilizing root
-itself (tests/riccati_oracle.py).  Expanding sigma_s = sum_k sigma_k s^k / k!
-gives one Lyapunov equation in M per order, with a source built from lower
-orders and the derivatives of the tilting functions at s = 0: for odd k
-f+^(k) = -rate and f-^(k) = -rate (2 nbar + 1), for even k
-f+^(k) = rate (2 nbar + 1) and f-^(k) = rate.  This gives exact cumulants;
-order 1, the mean flow, needs no solve.
+The admissible region is the set of s where the tilting functions are
+finite, no eigenvalue of H_s lies on the imaginary axis
+(a_min = (sqrt(z_max) - sqrt(z_mid))/2 <= 1e-9 max|H_ij| counts as on it,
+with max|H_ij| taken from the blocks A_s, F+/2 and 2N + F+/2) and the
+cubic has three real roots (to a relative tolerance on its discriminant);
+an eigenvalue on the axis makes a pair of roots complex.  Its edges are
+where a pair of eigenvalues meets the axis.  The tests check theta against
+the 4x4 spectrum (tests/spectral_oracle.py) and against the stabilizing
+root itself (tests/riccati_oracle.py).  Expanding
+sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation in M per
+order, with a source built from lower orders and the derivatives of the
+tilting functions at s = 0: for odd k f+^(k) = -rate and
+f-^(k) = -rate (2 nbar + 1), for even k f+^(k) = rate (2 nbar + 1) and
+f-^(k) = rate.  This gives exact cumulants; order 1, the mean flow, needs
+no solve.
 """
 
 from __future__ import annotations
@@ -68,6 +94,7 @@ from numpy.typing import NDArray
 
 from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
 from .linalg import (
+    _maxabs,
     check_hermitian,
     check_items,
     hermitian_part,
@@ -75,6 +102,12 @@ from .linalg import (
     stacked_product,
     trace_product,
 )
+
+
+# rounding may push |x| = |Delta1| / (2 Delta0^(3/2)) of a double root of the
+# resolvent cubic past 1 (by 4e-16 at zero temperature); a complex pair of roots
+# seen at the edge of the admissible region gave |x| - 1 >= 1e-6
+_DISCRIMINANT_RTOL = 1e-10
 
 
 class ZeroRateChannelError(Exception):
@@ -93,12 +126,12 @@ class BiasMatrices:
     Fplus: NDArray[np.complex128]
 
 
-def _channel(sys: LinearSystem, channel: int):
-    """The channel's spec, its projector u_hat u_hat† onto the channel's (possibly
+def _unit_vector(sys: LinearSystem, channel: int):
+    """The channel's spec, its unit vector u_hat onto the channel's (possibly
     collective) mode, and the mask of points where its rate is zero.
 
-    One system raises ZeroRateChannelError instead; in a stack the projector
-    of a zero-rate point is NaN.
+    One system raises ZeroRateChannelError instead; in a stack u_hat is NaN
+    at a zero-rate point.
     """
     for ch in sys.channels:
         if ch.index == channel:
@@ -106,9 +139,24 @@ def _channel(sys: LinearSystem, channel: int):
             message = f"channel {channel} has zero rate"
             zero = check_items(zero, np.asarray(ch.rate) <= 0.0, ZeroRateChannelError, message)
             with np.errstate(divide="ignore", invalid="ignore"):
-                uhat = ch.u / np.sqrt(ch.rate)[..., None]
-            return ch, uhat[..., :, None] * uhat.conj()[..., None, :], zero
+                return ch, ch.u / np.sqrt(ch.rate)[..., None], zero
     raise ValueError(f"no channel with index {channel}")
+
+
+def _channel(sys: LinearSystem, channel: int):
+    """The channel's spec, its projector u_hat u_hat†, and the mask of points
+    where its rate is zero (``_unit_vector``)."""
+    ch, uhat, zero = _unit_vector(sys, channel)
+    return ch, uhat[..., :, None] * uhat.conj()[..., None, :], zero
+
+
+def _tilting(ch, s) -> tuple[NDArray, NDArray]:
+    """f_c = (nbar + 1)(e^-s - 1) and f_a = nbar (e^s - 1); f+- = rate (f_c +- f_a).
+
+    e^|s| may overflow far outside the admissible region, which callers
+    allow: large_deviation rejects the inf.
+    """
+    return (ch.nbar + 1.0) * np.expm1(-s), ch.nbar * np.expm1(s)
 
 
 def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
@@ -118,13 +166,42 @@ def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
     the collective channel projects onto the collective mode instead.
     """
     ch, P, _ = _channel(sys, channel)
-    # e^|s| may overflow far outside the admissible region; large_deviation rejects inf
     with np.errstate(over="ignore", invalid="ignore"):
-        f_common = (ch.nbar + 1.0) * np.expm1(-np.asarray(s))
-        f_alt = ch.nbar * np.expm1(s)
-        fminus = ch.rate * (f_common - f_alt)
-        fplus = ch.rate * (f_common + f_alt)
+        f_c, f_a = _tilting(ch, np.asarray(s))
+        fminus = ch.rate * (f_c - f_a)
+        fplus = ch.rate * (f_c + f_a)
         return BiasMatrices(Fminus=fminus[..., None, None] * P, Fplus=fplus[..., None, None] * P)
+
+
+def _system_terms(M: NDArray, N: NDArray, uhat: NDArray) -> tuple[NDArray, NDArray]:
+    """Re Tr M and the table e (..., 4, 3) with (c2, Im c1, c0) = e_0 + f- e_1
+    + f+ e_2 + rate^2 f_c f_a e_3 (module docstring), for the drift shifted
+    by -(i/2) Im Tr M.  Every term is written out entry by entry, so that each
+    item of a stack rounds like one point."""
+    m11, m12, m21, m22 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    n11, n12, n21, n22 = N[..., 0, 0], N[..., 0, 1], N[..., 1, 0], N[..., 1, 1]
+    u1, u2 = uhat[..., 0], uhat[..., 1]
+    u1c, u2c = u1.conj(), u2.conj()
+    shift = 0.5j * (m11.imag + m22.imag)
+    m11, m22 = m11 - shift, m22 - shift
+    t = m11.real + m22.real
+    d = m11 * m22 - m12 * m21
+    # v = u_hat† adj(M), alpha = v u_hat and y = N u_hat; then
+    # b = lam^2 u_hat† y + 2i lam Im(v y) - v N v†
+    v1, v2 = u1c * m22 - u2c * m21, u2c * m11 - u1c * m12
+    v1c, v2c = v1.conj(), v2.conj()
+    alpha = v1 * u1 + v2 * u2
+    y1, y2 = n11 * u1 + n12 * u2, n21 * u1 + n22 * u2
+    n_uu = (u1c * y1 + u2c * y2).real
+    n_vv = (v1 * (n11 * v1c + n12 * v2c) + v2 * (n21 * v1c + n22 * v2c)).real
+    a_re, a_im, d_re, d_im = alpha.real, alpha.imag, d.real, d.imag
+    e = [
+        [2.0 * d_re - t * t, -2.0 * t * d_im, d_re * d_re + d_im * d_im],
+        [t - a_re, d_im + t * a_im, -(a_re * d_re + a_im * d_im)],
+        [n_uu, 2.0 * (v1 * y1 + v2 * y2).imag, -n_vv],
+        [np.ones_like(t), 2.0 * a_im, -(a_re * a_re + a_im * a_im)],
+    ]
+    return t, np.moveaxis(np.array(e), (0, 1), (-2, -1))
 
 
 def large_deviation(
@@ -132,32 +209,55 @@ def large_deviation(
 ) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
-    One eigvals call on the tilted Hamiltonian H_s (module docstring).  Invalid
-    input (a zero-rate channel, non-finite bias matrices, a non-Hermitian N)
-    fails at every s, s = 0 included; at s = 0 only the admissibility check is
-    skipped, and theta is exactly zero, also for an unstable drift.  One point
-    raises; a stack of systems or a vector of s values gives (theta, failed),
-    NaN where it would.
+    The stable sum is sqrt of the largest root of the resolvent cubic of
+    det(lam - H_s), built from 2x2 quantities with no eigenvalue solve
+    (module docstring).  Invalid input (a zero-rate channel, non-finite
+    matrices or tilting functions, a non-Hermitian N) fails at every s,
+    s = 0 included; at s = 0 only the admissibility check is skipped, and
+    theta is exactly zero, also for an unstable drift.  One point raises; a
+    stack of systems or a vector of s values gives (theta, failed), NaN
+    where it would.
     """
     s = np.asarray(s, dtype=float)
-    bias = bias_matrices(channel, s, sys)
-    M, N, Fminus, Fplus = np.broadcast_arrays(sys.M, sys.N, bias.Fminus, bias.Fplus)
-    n, error = M.shape[-1], OutsideAdmissibleRegionError
-    message = "no stabilizing biased covariance at s = {:.6g}"
-    finite = np.isfinite(Fminus).all(axis=(-2, -1)) & np.isfinite(Fplus).all(axis=(-2, -1))
-    failed = check_items(np.zeros(M.shape[:-2], bool), ~finite, error, message, s)
-    Fminus, Fplus = (np.where(failed[..., None, None], 0.0, F) for F in (Fminus, Fplus))
-    A, Q = M - 0.5 * Fminus, 2.0 * N + 0.5 * Fplus
-    failed = check_hermitian(failed, Q)
-    H = np.block([[A.conj().swapaxes(-2, -1), 0.5 * Fplus], [-Q, -A]])
-    try:
-        lam = np.linalg.eigvals(H).real
-    except np.linalg.LinAlgError as exc:
-        raise error(str(exc)) from exc
-    on_axis = np.abs(lam) <= 1e-9 * np.abs(H).max(axis=(-2, -1))[..., None]
-    bad = on_axis.any(-1) | ((lam > 0.0).sum(-1) != n)
-    failed = check_items(failed, bad & (s != 0.0), error, message, s)  # s = 0 conserves Tr rho
-    theta = 2.0 * (np.where(lam < 0.0, lam, 0.0).sum(-1) - _trace(M).real)
+    ch, uhat, _ = _unit_vector(sys, channel)
+    error, message = OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {:.6g}"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_c, f_a = _tilting(ch, s)
+        fminus, fplus = ch.rate * (f_c - f_a), ch.rate * (f_c + f_a)
+        P = uhat[..., :, None] * uhat.conj()[..., None, :]
+        A = sys.M - (0.5 * fminus)[..., None, None] * P
+        Q = 2.0 * sys.N + (0.5 * fplus)[..., None, None] * P
+        # max|H_ij| over the blocks A_s†, F+/2, -Q and -A_s
+        scale = np.maximum(np.maximum(_maxabs(A), _maxabs(Q)), np.abs(0.5 * fplus) * _maxabs(P))
+        failed = check_items(np.zeros(scale.shape, bool), ~np.isfinite(scale), error, message, s)
+        failed = check_hermitian(failed, Q)
+        # an extra axis keeps one point in array arithmetic, which rounds like a stack
+        M, N = (np.asarray(X)[..., None, :, :] for X in (sys.M, sys.N))
+        t, e = _system_terms(M, N, np.asarray(uhat)[..., None, :])
+        K = ch.rate * ch.rate * f_c * f_a
+        fm, fp, K = (np.asarray(f)[..., None, None] for f in (fminus, fplus, K))
+        c = e[..., 0, :] + fm * e[..., 1, :] + fp * e[..., 2, :] + K * e[..., 3, :]
+        c2, c1_im, c0 = c[..., 0], c[..., 1], c[..., 2]
+        # the resolvent cubic z^3 + 2 c2 z^2 + (c2^2 - 4 c0) z + D, D = |c1|^2
+        D = c1_im * c1_im
+        delta0 = c2 * c2 + 12.0 * c0
+        delta1 = 2.0 * c2 * c2 * c2 - 72.0 * c2 * c0 - 27.0 * D
+        r = np.sqrt(delta0)
+        x = delta1 / (2.0 * delta0 * r)
+        real_roots = np.abs(x) <= 1.0 + _DISCRIMINANT_RTOL
+        phi = np.arccos(np.clip(x, -1.0, 1.0))
+        turns = np.array([0.0, -2.0, 2.0]).reshape((3,) + (1,) * phi.ndim)
+        cosines = np.cos((phi + turns * np.pi) / 3.0)
+        z_max, z_mid, z_min = (2.0 * r * cosines - 2.0 * c2) / 3.0
+        cubic = ((z_max + 2.0 * c2) * z_max + (c2 * c2 - 4.0 * c0)) * z_max + D
+        z_max = z_max - cubic / ((z_max - z_mid) * (z_max - z_min))  # one Newton step
+        root = np.sqrt(z_max)
+        theta = -2.0 * (root + t)
+        a_min = 0.5 * (root - np.sqrt(np.maximum(z_mid, 0.0)))
+        # a Newton step that divides by a double root gives no finite theta
+        admissible = real_roots & (a_min > 1e-9 * scale[..., None]) & np.isfinite(theta)
+        theta, admissible = theta[..., 0], admissible[..., 0]
+    failed = check_items(failed, ~admissible & (s != 0.0), error, message, s)  # s = 0 conserves Tr rho
     theta = np.where(failed, np.nan, np.where(s == 0.0, 0.0, theta))
     return (theta, failed) if failed.ndim else float(theta)
 

@@ -30,13 +30,14 @@ from numpy.typing import NDArray
 
 from .cascaded import (
     CascadedParams,
+    _steady_state,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     occupations,
 )
 from .counting import flow_cumulant, large_deviation
-from .linalg import check_items, solve_lyapunov, stability_margin
+from .linalg import check_items, stability_margin
 from .optomech import OmParams, map_to_cascaded
 
 
@@ -338,9 +339,8 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     sys = build_system(p)
     margin = stability_margin(sys.M)
     stable = built & (margin < 0.0)
-    Y, singular = solve_lyapunov(sys.M, sys.N)
-    Y[~stable] = np.nan  # no steady state
-    has_y = stable & ~singular
+    Y, no_y = _steady_state(sys, ~built, margin)  # NaN at unstable rows and failed solves
+    has_y = ~no_y
     n = occupations(Y)
     base, unequal = disconnected_baseline(p)
     has_base = stable & ~unequal

@@ -1,5 +1,5 @@
 """Counting statistics: large-deviation function, tilted covariance of the
-Riccati oracle, and flow moments.
+Riccati oracle, the 4x4 spectrum of the spectral oracle, and flow moments.
 
 Internal consistency anchors: theta(0) = 0, the finite-difference slope of
 theta against the closed-form trace first moment, conservation of the three
@@ -22,7 +22,9 @@ from noisecascade.counting import (
     simplified_flows,
 )
 from noisecascade.linalg import NonSymmetricInputError, solve_lyapunov, stability_margin
+from noisecascade.optomech import OmParams, map_to_cascaded
 from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
+import spectral_oracle
 
 RNG = np.random.default_rng(20240819)
 
@@ -60,6 +62,13 @@ def oracle_covariance(channel, s, sys):
     with np.errstate(over="ignore", invalid="ignore"):
         fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
         return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
+
+
+def spectral_theta(channel, s, sys):
+    """(theta, failed) of the spectral oracle: the stable eigenvalues of the 4x4 H_s."""
+    ch = next(c for c in sys.channels if c.index == channel)
+    Fminus, Fplus = spectral_oracle.tilting(ch.u, ch.rate, ch.nbar, s)
+    return spectral_oracle.large_deviation(sys.M, sys.N, Fminus, Fplus, s)
 
 
 THERMAL = CascadedParams(
@@ -201,6 +210,18 @@ class TestLargeDeviation:
         theta, failed = large_deviation(1, np.array([0.0, 0.1]), sys)
         assert failed.tolist() == [True, True] and np.isnan(theta).all()
 
+    def test_zero_temperature_has_no_counting_statistics(self):
+        # theta = 0 where no transport is possible: with every bath in its vacuum
+        # no excitation is ever absorbed, at every s and on every channel
+        rng = np.random.default_rng(15)
+        s = np.linspace(-8.0, 8.0, 161)
+        for _ in range(20):
+            sys = build_system(random_stable_system(nbar_max=0.0, rng=rng))
+            for ch in (1, 2, 3):
+                theta, failed = large_deviation(ch, s, sys)
+                assert not failed.any()
+                assert np.abs(theta).max() <= 1e-10, (ch, np.abs(theta).max())
+
     def test_curvature_sign_is_stable_under_refinement(self):
         # theta is convex: its second derivative at 0 is the flow variance
         sys = build_system(THERMAL)
@@ -211,6 +232,96 @@ class TestLargeDeviation:
                 + large_deviation(1, -h, sys)
             ) / h**2
             assert second > 0.0
+
+
+class TestSpectralOracle:
+    """The closed form against the stable eigenvalues of the 4x4 H_s: the same
+    theta to 1e-12 max(1, |theta|) and the same failed flags."""
+
+    @staticmethod
+    def assert_matches(sys, s, values=None):
+        """The number of items compared; ``values`` masks the s at which the
+        values are compared (all by default)."""
+        values = np.ones(np.shape(s), bool) if values is None else values
+        compared = 0
+        for ch in (1, 2, 3):
+            theta, failed = large_deviation(ch, s, sys)
+            ref, ref_failed = spectral_theta(ch, s, sys)
+            np.testing.assert_array_equal(failed, ref_failed)
+            ok = ~failed & values
+            error = np.abs(theta[ok] - ref[ok])
+            assert (error <= 1e-12 * np.maximum(1.0, np.abs(ref[ok]))).all(), (ch, error.max())
+            compared += ok.sum()
+        return compared
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(8)
+        s = np.linspace(-8.0, 8.0, 321)
+        compared = sum(self.assert_matches(build_system(random_stable_system(rng=rng)), s)
+                       for _ in range(40))
+        assert compared > 2000
+
+    def test_equal_rate_jordan_systems(self):
+        # F = 0 and Delta = 0 make the drift a Jordan block; H_s then often has
+        # a double eigenvalue on the imaginary axis, which must stay flagged
+        rng = np.random.default_rng(11)
+        s = np.linspace(-8.0, 8.0, 321)
+        compared = 0
+        for _ in range(30):
+            p = random_stable_system(equal_rates=True, zero_f=True, rng=rng)
+            compared += self.assert_matches(build_system(dataclasses.replace(p, omega2=p.omega1)), s)
+        assert compared > 1000
+
+    def test_degenerate_zero_temperature(self):
+        # equal rates, F = 0, Delta = 0 and all nbar = 0: the resolvent cubic has a
+        # double root at 0 at every s.  The 4x4 eigenvalues lose digits on this
+        # near-Jordan H_s as |s| grows (5e-9 at |s| = 8; the invariant test below
+        # bounds the closed form there), so values are compared for |s| <= 3
+        rng = np.random.default_rng(12)
+        s = np.linspace(-8.0, 8.0, 321)
+        compared = 0
+        for _ in range(20):
+            p = random_stable_system(nbar_max=0.0, equal_rates=True, zero_f=True, rng=rng)
+            sys = build_system(dataclasses.replace(p, omega2=p.omega1))
+            compared += self.assert_matches(sys, s, values=np.abs(s) <= 3.0)
+        assert compared > 1000
+
+    def test_hot_baths(self):
+        rng = np.random.default_rng(13)
+        s = np.linspace(-1.0, 1.0, 201)
+        compared = sum(
+            self.assert_matches(build_system(random_stable_system(nbar_max=50.0, rng=rng)), s)
+            for _ in range(30)
+        )
+        assert compared > 1000
+
+    def test_far_region_flagged_alike(self):
+        rng = np.random.default_rng(14)
+        s = np.geomspace(8.0, 710.0, 60)
+        s = np.concatenate([-s[::-1], s])
+        for _ in range(10):
+            assert self.assert_matches(build_system(random_stable_system(rng=rng)), s) == 0
+
+    def test_sweep_theta_om_points(self):
+        # the 21 x 21 optomechanical grid of the sweep-theta-om benchmark, as a stack
+        J, G2 = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.5, 21), indexing="ij")
+        om = OmParams(omega_m=5.0, gamma_m=0.4, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0,
+                      G1=0.3, phi=np.pi / 2, Nbar1=2.0, Nbar2=4.0, Nbar_m=1.0,
+                      J=J.ravel(), G2=G2.ravel())
+        sys = build_system(map_to_cascaded(om))
+        compared = sum(self.assert_matches(sys, s) for s in (-1.0, -0.3, -0.1, 0.1, 0.3, 0.5, 1.0))
+        assert compared > 5000
+
+    def test_no_eigenvalue_solve(self, monkeypatch):
+        # the closed form builds no 4x4 matrix and calls no LAPACK routine
+        def forbidden(*args, **kwargs):
+            raise AssertionError("large_deviation called a 4x4 eigenvalue path")
+
+        for name in ("eigvals", "eig", "solve", "inv", "det", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np, "block", forbidden)
+        theta, failed = large_deviation(3, np.linspace(-0.2, 0.2, 11), build_system(THERMAL))
+        assert np.isfinite(theta).all() and not failed.any()
 
 
 class TestFlowFirstMoment:

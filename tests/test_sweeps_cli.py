@@ -493,6 +493,80 @@ class TestStackedSweep:
             assert blocked == default, fmt
 
 
+    def test_one_stability_margin_call_per_block(self, monkeypatch):
+        # the block's margin feeds its steady state; unstable rows reach the
+        # Lyapunov solve only as a shared stable placeholder drift
+        from noisecascade import cascaded
+
+        margins, drifts = [], []
+        margin, solve = cascaded.stability_margin, cascaded.solve_lyapunov
+        for module in (sweeps, cascaded):
+            monkeypatch.setattr(module, "stability_margin", lambda M: margins.append(1) or margin(M))
+        monkeypatch.setattr(cascaded, "solve_lyapunov", lambda A, N: drifts.append(A) or solve(A, N))
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
+        result = run_sweep(parse_config(json.dumps(MIXED_GRID)))
+        assert len(margins) == 3 and len(drifts) == 3
+        drifts = np.concatenate(drifts)
+        assert (margin(drifts) < 0.0).all()
+        unstable = result.status == "unstable"
+        assert unstable.any() and (drifts[unstable] == -np.eye(2)).all()
+
+
+# the theta sweep of the CI workflow: 6 x 6 J x G2 on the optomechanical model
+THETA_SWEEP = {
+    "model": "optomech",
+    "params": {"omega_m": 5.0, "gamma_m": 0.4, "Delta1": 5.0, "Delta2": 5.0,
+               "kappa1": 1.0, "kappa2": 1.0, "G1": 0.3, "phi": 1.5707963267948966,
+               "Nbar1": 2.0, "Nbar2": 4.0, "Nbar_m": 1.0},
+    "axes": [{"variable": "J", "min": 0, "max": 1, "points": 6},
+             {"variable": "G2", "min": 0, "max": 1.5, "points": 6}],
+    "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "theta"],
+    "s_grid": [-0.3, 0, 0.5],
+    "format": "json",
+}
+# rows whose s = 0.5 lies outside the admissible region, as the 4x4 eigenvalue
+# path flagged them before the closed form replaced it
+THETA_SWEEP_BLANK_ROWS = [0, 1, 6, 7, 12, 13, 14, 18, 19, 20, 24, 25, 26, 27, 30, 31, 32, 33, 34]
+
+
+class TestThetaAdmissibility:
+    def test_ci_theta_sweep_rows_pinned(self):
+        cfg = parse_config(json.dumps(THETA_SWEEP))
+        result = run_sweep(cfg)
+        cols = column_names(cfg)
+        statuses = result.status.tolist()
+        assert statuses.count("ok") == 17 and statuses.count("unsupported") == 19
+        valid = {name: result.valid[:, cols.index(name)] for name in cols[:-1]}
+        assert np.flatnonzero(~valid["theta@0.5"]).tolist() == THETA_SWEEP_BLANK_ROWS
+        assert valid["theta@-0.3"].all() and valid["theta@0"].all()
+        ok = np.array(statuses) == "ok"
+        assert (ok == valid["theta@0.5"]).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_theta_om_configs_all_ok(self, seed):
+        # the sweep-theta-om workload's config (benchmarks/workloads.py): seeds
+        # other than 0 move G1 by up to 2 % and the occupations by up to 3 %
+        rng = np.random.default_rng(seed) if seed else None
+
+        def jitter(x, r):
+            return x if rng is None else x * float(rng.uniform(1 - r, 1 + r))
+
+        params = {"omega_m": 5.0, "gamma_m": 0.4, "Delta1": 5.0, "Delta2": 5.0,
+                  "kappa1": 1.0, "kappa2": 1.0, "G1": jitter(0.3, 0.02), "phi": math.pi / 2,
+                  "Nbar1": jitter(2.0, 0.03), "Nbar2": jitter(4.0, 0.03),
+                  "Nbar_m": jitter(1.0, 0.03)}
+        config = {
+            "model": "optomech", "params": params,
+            "axes": [{"variable": "J", "min": 0, "max": 1, "points": 21},
+                     {"variable": "G2", "min": 0, "max": 1.5, "points": 21}],
+            "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin", "F_residual",
+                        "theta"],
+            "s_grid": [-0.3, -0.1, 0.1, 0.3],
+        }
+        result = run_sweep(parse_config(json.dumps(config)))
+        assert (result.status == "ok").all() and result.valid.all()
+
+
 def reference_emit(result, cfg):
     """The per-cell formatter: "%.17g" or "" per CSV cell, json.dumps of dict records."""
     cols = column_names(cfg)
