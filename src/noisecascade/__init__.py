@@ -2,7 +2,6 @@
 
 from .cascaded import (
     CascadedParams,
-    ChannelSpec,
     LinearSystem,
     OccupationReport,
     build_system,
@@ -14,7 +13,7 @@ from .cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from .counting import bias_matrices, flow_cumulant, large_deviation, simplified_flows
+from .counting import flow_cumulant, large_deviation, simplified_flows
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
     DriveSpec,
@@ -29,7 +28,6 @@ from .sweeps import SweepConfig, SweepResult, emit, parse_config, run_sweep
 
 __all__ = [
     "CascadedParams",
-    "ChannelSpec",
     "LinearSystem",
     "OccupationReport",
     "build_system",
@@ -42,7 +40,6 @@ __all__ = [
     "temperature_from_occupation",
     "solve_lyapunov",
     "stability_margin",
-    "bias_matrices",
     "flow_cumulant",
     "large_deviation",
     "simplified_flows",

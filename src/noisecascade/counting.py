@@ -4,8 +4,9 @@ Full counting statistics of excitation exchange with each bath.
 The biased dynamics tilts the noise channel of interest by a counting field
 s, and the large-deviation function theta(s) encodes all cumulants of the
 excitation flow.  Everything is in the 2x2 mode space of ``cascaded``: the
-channel enters through the projector P = u_hat u_hat† onto its (possibly
-collective) unit mode vector u_hat, the tilting matrices are F-(s) = f-(s) P
+channel ch enters through the projector P = u_hat u_hat† onto its (possibly
+collective) unit mode vector u_hat = u_ch / sqrt(rate_ch), with u_ch column
+ch - 1 of the coupling matrix U, the tilting matrices are F-(s) = f-(s) P
 and F+(s) = f+(s) P, and the machinery uses the doubled covariance
 sigma = 2 Y (vacuum = identity).  The trace formulas for theta and the first
 moment are consistent (equilibrium flows vanish and the per-channel moments
@@ -87,7 +88,6 @@ no solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -118,59 +118,31 @@ class OutsideAdmissibleRegionError(Exception):
     """Counting field left the region where the tilted equation has a stabilizing root."""
 
 
-@dataclass(frozen=True)
-class BiasMatrices:
-    """Tilting matrices F-(s), F+(s) of the biased dynamics; both vanish at s=0."""
-
-    Fminus: NDArray[np.complex128]
-    Fplus: NDArray[np.complex128]
-
-
 def _unit_vector(sys: LinearSystem, channel: int):
-    """The channel's spec, its unit vector u_hat onto the channel's (possibly
-    collective) mode, and the mask of points where its rate is zero.
+    """The channel's rate, bath occupation and unit vector u_hat (column
+    channel - 1 of U over sqrt(rate)), and the mask of the points where its
+    rate is zero.
 
     One system raises ZeroRateChannelError instead; in a stack u_hat is NaN
     at a zero-rate point.
     """
-    for ch in sys.channels:
-        if ch.index == channel:
-            zero = np.zeros(np.shape(ch.rate), bool)
-            message = f"channel {channel} has zero rate"
-            zero = check_items(zero, np.asarray(ch.rate) <= 0.0, ZeroRateChannelError, message)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return ch, ch.u / np.sqrt(ch.rate)[..., None], zero
-    raise ValueError(f"no channel with index {channel}")
+    if channel not in range(1, sys.U.shape[-1] + 1):
+        raise ValueError(f"no channel with index {channel}")
+    c = channel - 1
+    rate, nbar = sys.rate[..., c], sys.nbar[..., c]
+    zero = np.zeros(np.shape(rate), bool)
+    zero = check_items(zero, rate <= 0.0, ZeroRateChannelError, f"channel {channel} has zero rate")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rate, nbar, sys.U[..., :, c] / np.sqrt(rate)[..., None], zero
 
 
-def _channel(sys: LinearSystem, channel: int):
-    """The channel's spec, its projector u_hat u_hat†, and the mask of points
-    where its rate is zero (``_unit_vector``)."""
-    ch, uhat, zero = _unit_vector(sys, channel)
-    return ch, uhat[..., :, None] * uhat.conj()[..., None, :], zero
-
-
-def _tilting(ch, s) -> tuple[NDArray, NDArray]:
+def _tilting(nbar, s) -> tuple[NDArray, NDArray]:
     """f_c = (nbar + 1)(e^-s - 1) and f_a = nbar (e^s - 1); f+- = rate (f_c +- f_a).
 
     e^|s| may overflow far outside the admissible region, which callers
     allow: large_deviation rejects the inf.
     """
-    return (ch.nbar + 1.0) * np.expm1(-s), ch.nbar * np.expm1(s)
-
-
-def bias_matrices(channel: int, s, sys: LinearSystem) -> BiasMatrices:
-    """Tilting matrices for counting excitations exchanged with one bath.
-
-    For a local channel this is f_{j+-}(s) on the channel's diagonal entry;
-    the collective channel projects onto the collective mode instead.
-    """
-    ch, P, _ = _channel(sys, channel)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_c, f_a = _tilting(ch, np.asarray(s))
-        fminus = ch.rate * (f_c - f_a)
-        fplus = ch.rate * (f_c + f_a)
-        return BiasMatrices(Fminus=fminus[..., None, None] * P, Fplus=fplus[..., None, None] * P)
+    return (nbar + 1.0) * np.expm1(-s), nbar * np.expm1(s)
 
 
 def _system_terms(M: NDArray, N: NDArray, uhat: NDArray) -> tuple[NDArray, NDArray]:
@@ -219,11 +191,11 @@ def large_deviation(
     where it would.
     """
     s = np.asarray(s, dtype=float)
-    ch, uhat, _ = _unit_vector(sys, channel)
+    rate, nbar, uhat, _ = _unit_vector(sys, channel)
     error, message = OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {:.6g}"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_c, f_a = _tilting(ch, s)
-        fminus, fplus = ch.rate * (f_c - f_a), ch.rate * (f_c + f_a)
+        f_c, f_a = _tilting(nbar, s)
+        fminus, fplus = rate * (f_c - f_a), rate * (f_c + f_a)
         P = uhat[..., :, None] * uhat.conj()[..., None, :]
         A = sys.M - (0.5 * fminus)[..., None, None] * P
         Q = 2.0 * sys.N + (0.5 * fplus)[..., None, None] * P
@@ -234,7 +206,7 @@ def large_deviation(
         # an extra axis keeps one point in array arithmetic, which rounds like a stack
         M, N = (np.asarray(X)[..., None, :, :] for X in (sys.M, sys.N))
         t, e = _system_terms(M, N, np.asarray(uhat)[..., None, :])
-        K = ch.rate * ch.rate * f_c * f_a
+        K = rate * rate * f_c * f_a
         fm, fp, K = (np.asarray(f)[..., None, None] for f in (fminus, fplus, K))
         c = e[..., 0, :] + fm * e[..., 1, :] + fp * e[..., 2, :] + K * e[..., 3, :]
         c2, c1_im, c0 = c[..., 0], c[..., 1], c[..., 2]
@@ -280,8 +252,8 @@ def flow_cumulant(
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    ch, P, failed = _channel(sys, channel)
-    rate, nbar = np.asarray(ch.rate), np.asarray(ch.nbar)
+    rate, nbar, uhat, failed = _unit_vector(sys, channel)
+    P = uhat[..., :, None] * uhat.conj()[..., None, :]
     odd = -rate, -rate * (2.0 * nbar + 1.0)
     even = rate * (2.0 * nbar + 1.0), rate
     fp, fm = zip(*[odd if k % 2 else even for k in range(n + 1)])  # f+-^(k)(0); k = 0 unused

@@ -169,7 +169,7 @@ def test_criterion_05_mapping_equivalence():
             p.G1 * math.sqrt(p.gamma_m) * chi_mag,
             p.G2 * math.sqrt(p.gamma_m) * chi_mag * np.exp(1j * p.phi),
         ])
-        u3 = sys.channels[2].u
+        u3 = sys.U[..., 2]
         worst_u = max(worst_u, np.abs(u3 - expected).max() / max(np.abs(expected).max(), 1.0))
     ok = worst_m <= 1e-12 and worst_u <= 1e-12
     report(5, ok, f"1000 draws: drift dev {worst_m:.2e}, coupling dev {worst_u:.2e} (<=1e-12)")

@@ -26,8 +26,18 @@ from noisecascade.cascaded import (
     temperature_from_occupation,
 )
 from noisecascade.linalg import SingularSystemError, stability_margin
+from noisecascade.optomech import OmParams, map_to_cascaded
 
 RNG = np.random.default_rng(20240818)
+
+
+def assert_input_output_form(sys):
+    """M + M† = -U U† on every item, to 1e-13 max(1, largest rate); the worst
+    seen on rates up to 5 is 3.6e-15."""
+    M, U = sys.M, sys.U
+    defect = M + M.conj().swapaxes(-2, -1) + U @ U.conj().swapaxes(-2, -1)
+    scale = np.maximum(sys.rate.max(axis=-1), 1.0)
+    assert (np.abs(defect).max(axis=(-2, -1)) <= 1e-13 * scale).all()
 
 
 def random_equal_rate_params(nbar_max=200.0):
@@ -89,21 +99,49 @@ class TestBuildSystem:
         assert sys.M[1, 1] == pytest.approx(-3.0j - (1.0 + 2.0) / 2)
 
     def test_channel_couplings(self):
+        # channel c is column c - 1 of U
         p = CascadedParams(kappa1=4.0, kappa2=9.0, gamma1=1.0, gamma2=4.0, phi=0.3)
-        sys = build_system(p)
-        np.testing.assert_allclose(sys.channels[0].u, [2.0, 0.0])
-        np.testing.assert_allclose(sys.channels[1].u, [0.0, 3.0])
-        np.testing.assert_allclose(
-            sys.channels[2].u, [1.0, 2.0 * np.exp(0.3j)], atol=1e-15
-        )
+        U = build_system(p).U
+        assert U.shape == (2, 3)
+        np.testing.assert_allclose(U[..., 0], [2.0, 0.0])
+        np.testing.assert_allclose(U[..., 1], [0.0, 3.0])
+        np.testing.assert_allclose(U[..., 2], [1.0, 2.0 * np.exp(0.3j)], atol=1e-15)
 
     def test_fluctuation_dissipation_structure(self):
-        # the Hermitian part of M must equal minus half the channel projectors
-        for _ in range(20):
-            p = random_equal_rate_params(nbar_max=10.0)
+        # input-output form: M + M† = -U U†, on a stack of random unequal-rate points
+        n = 200
+        fields = {name: RNG.uniform(0.0, 5.0, n)
+                  for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")}
+        p = CascadedParams(
+            omega1=RNG.uniform(-10, 10, n), omega2=RNG.uniform(-10, 10, n),
+            phi=RNG.uniform(0, 2 * np.pi, n), F=RNG.uniform(-3, 3, n) + 1j * RNG.uniform(-3, 3, n),
+            **fields,
+        )
+        sys = build_system(p)
+        assert sys.M.shape == (n, 2, 2) and sys.U.shape == (n, 2, 3)
+        assert_input_output_form(sys)
+
+    def test_mapped_fluctuation_dissipation_structure(self):
+        # the same structure for the optomechanical mapping of a (J, G2) grid
+        J, G2 = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.5, 21), indexing="ij")
+        om = OmParams(omega_m=5.0, gamma_m=0.4, Delta1=5.0, Delta2=4.0, kappa1=1.3, kappa2=0.7,
+                      G1=0.3, phi=1.1, Nbar1=2.0, Nbar2=4.0, Nbar_m=1.0,
+                      Omega=5.2, J=J.ravel(), G2=G2.ravel())
+        sys = build_system(map_to_cascaded(om))
+        assert sys.U.shape == (441, 2, 3)
+        assert_input_output_form(sys)
+
+    def test_stored_rates(self):
+        # rate is (kappa1, kappa2, gamma1 + gamma2) as given; the squared column
+        # norms of U round away from it for these values
+        kappa1, kappa2, gamma1, gamma2 = 0.3, 0.7, 0.2, 0.5
+        expected = np.array([kappa1, kappa2, gamma1 + gamma2])
+        for phi in (0.3, np.array([0.0, 1.0, 2.0, 3.0])):
+            p = CascadedParams(kappa1=kappa1, kappa2=kappa2, gamma1=gamma1, gamma2=gamma2, phi=phi)
             sys = build_system(p)
-            total = sum(np.outer(ch.u, ch.u.conj()) for ch in sys.channels)
-            np.testing.assert_allclose(sys.M + sys.M.conj().T, -total, atol=1e-12)
+            for norms in ((np.abs(sys.U) ** 2).sum(axis=-2), (sys.U.conj() * sys.U).real.sum(axis=-2)):
+                assert (norms != expected).all()
+            assert same_bits(sys.rate, np.broadcast_to(expected, np.shape(phi) + (3,)))
 
     def test_vacuum_noise_floor(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
@@ -278,11 +316,8 @@ class TestArrayParams:
                 continue
             assert not invalid[i], i
             one = build_system(q)
-            assert same_bits(sys.M[i], one.M) and same_bits(sys.N[i], one.N), i
-            for ch, ch_one in zip(sys.channels, one.channels):
-                assert ch.index == ch_one.index
-                for name in ("u", "rate", "nbar"):
-                    assert same_bits(getattr(ch, name)[i], getattr(ch_one, name)), (i, name)
+            for name in ("M", "U", "rate", "nbar", "N"):
+                assert same_bits(getattr(sys, name)[i], getattr(one, name)), (i, name)
             try:
                 q.equal_rate()
             except UnsupportedParamsError:

@@ -15,8 +15,6 @@ from noisecascade.cascaded import CascadedParams, LinearSystem, build_system, st
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    _channel,
-    bias_matrices,
     flow_cumulant,
     large_deviation,
     simplified_flows,
@@ -55,19 +53,24 @@ def random_stable_system(nbar_max=5.0, equal_rates=False, zero_f=False, rng=RNG)
             return p
 
 
+def oracle_tilting(channel, s, sys):
+    """Tilting matrices (F-, F+) of the spectral oracle for one channel."""
+    c = channel - 1
+    return spectral_oracle.tilting(sys.U[..., c], sys.rate[..., c], sys.nbar[..., c], s)
+
+
 def oracle_covariance(channel, s, sys):
     """Doubled biased covariance sigma_s, the stabilizing root of the tilted
     equation, from the oracle's Riccati solve; a stack gives (sigma_s, failed)."""
-    bias = bias_matrices(channel, s, sys)
+    Fminus, Fplus = oracle_tilting(channel, s, sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+        fminus, fplus = 0.5 * Fminus, 0.5 * Fplus
         return solve_riccati_biased(sys.M, 2.0 * sys.N + fplus, fminus, fplus)
 
 
 def spectral_theta(channel, s, sys):
     """(theta, failed) of the spectral oracle: the stable eigenvalues of the 4x4 H_s."""
-    ch = next(c for c in sys.channels if c.index == channel)
-    Fminus, Fplus = spectral_oracle.tilting(ch.u, ch.rate, ch.nbar, s)
+    Fminus, Fplus = oracle_tilting(channel, s, sys)
     return spectral_oracle.large_deviation(sys.M, sys.N, Fminus, Fplus, s)
 
 
@@ -78,30 +81,44 @@ THERMAL = CascadedParams(
 
 
 class TestBiasMatrices:
+    """The spectral oracle's tilting matrices, which every oracle comparison
+    uses, and the package's zero-rate check."""
+
     def test_vanish_at_zero(self):
         sys = build_system(THERMAL)
         for ch in (1, 2, 3):
-            b = bias_matrices(ch, 0.0, sys)
-            assert np.abs(b.Fminus).max() == 0.0
-            assert np.abs(b.Fplus).max() == 0.0
+            Fminus, Fplus = oracle_tilting(ch, 0.0, sys)
+            assert np.abs(Fminus).max() == 0.0
+            assert np.abs(Fplus).max() == 0.0
 
     def test_local_channel_block_structure(self):
         sys = build_system(THERMAL)
         s = 0.02
-        b = bias_matrices(1, s, sys)
+        Fminus, _ = oracle_tilting(1, s, sys)
         nbar, rate = 3.0, 1.0
         fminus = rate * ((nbar + 1) * np.expm1(-s) - nbar * np.expm1(s))
-        np.testing.assert_allclose(b.Fminus, fminus * np.diag([1.0, 0.0]), atol=1e-14)
-        assert b.Fminus[1, 1] == 0.0
+        np.testing.assert_allclose(Fminus, fminus * np.diag([1.0, 0.0]), atol=1e-14)
+        assert Fminus[1, 1] == 0.0
 
     def test_zero_rate_channel_rejected(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.0, gamma2=0.0,
                            nbar1=1.0)
         sys = build_system(p)
         with pytest.raises(ZeroRateChannelError):
-            bias_matrices(3, 0.1, sys)
-        with pytest.raises(ZeroRateChannelError):
             large_deviation(3, 0.0, sys)
+        with pytest.raises(ZeroRateChannelError):
+            flow_cumulant(3, 1, sys, steady_state(p))
+
+
+class TestChannelChecks:
+    @pytest.mark.parametrize("channel", [0, -1, 4])
+    def test_no_such_channel(self, channel):
+        # channels are 1, 2, 3: 0 and -1 must not read a column from the end of U
+        sys = build_system(THERMAL)
+        with pytest.raises(ValueError, match="no channel"):
+            large_deviation(channel, 0.1, sys)
+        with pytest.raises(ValueError, match="no channel"):
+            flow_cumulant(channel, 1, sys, steady_state(THERMAL))
 
 
 class TestBiasedCovariance:
@@ -151,9 +168,9 @@ class TestLargeDeviation:
                 theta, failed = large_deviation(ch, s, sys)
                 sigma, oracle_failed = oracle_covariance(ch, s, sys)
                 np.testing.assert_array_equal(failed, oracle_failed)
-                bias = bias_matrices(ch, s[~failed], sys)
-                ref = (np.trace(bias.Fplus @ sigma[~failed], axis1=-2, axis2=-1).real
-                       - np.trace(bias.Fminus, axis1=-2, axis2=-1).real)
+                Fminus, Fplus = oracle_tilting(ch, s[~failed], sys)
+                ref = (np.trace(Fplus @ sigma[~failed], axis1=-2, axis2=-1).real
+                       - np.trace(Fminus, axis1=-2, axis2=-1).real)
                 ok = theta[~failed]
                 assert (np.abs(ok - ref) <= 1e-12 * np.maximum(1.0, np.abs(ok))).all()
                 accepted += ok.size
@@ -168,8 +185,8 @@ class TestLargeDeviation:
             sys = build_system(random_stable_system(rng=rng))
             for ch in (1, 2, 3):
                 sigma, failed = oracle_covariance(ch, s, sys)
-                bias = bias_matrices(ch, s[~failed], sys)
-                fminus, fplus = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+                Fminus, Fplus = oracle_tilting(ch, s[~failed], sys)
+                fminus, fplus = 0.5 * Fminus, 0.5 * Fplus
                 AX, XFX = (sys.M - fminus) @ sigma[~failed], sigma[~failed] @ fplus @ sigma[~failed]
                 terms = (AX, AX.conj().swapaxes(-2, -1), XFX, 2.0 * sys.N + fplus)
                 scale = np.maximum(np.max([np.abs(T).max(axis=(-2, -1)) for T in terms], 0), 1.0)
@@ -452,21 +469,15 @@ class TestStackedTraces:
     @staticmethod
     def items(sys):
         """The single systems of a stack."""
-        return [
-            LinearSystem(
-                M=sys.M[i], N=sys.N[i],
-                channels=tuple(dataclasses.replace(ch, u=ch.u[i], rate=ch.rate[i], nbar=ch.nbar[i])
-                               for ch in sys.channels),
-            )
-            for i in range(len(sys.M))
-        ]
+        return [LinearSystem(*(X[i] for X in dataclasses.astuple(sys))) for i in range(len(sys.M))]
 
     def test_first_moment_bit_identical(self):
         sys, Y = self.stacked_system()
-        ch = next(c for c in sys.channels if c.index == 3)
-        _, P, _ = _channel(sys, 3)
+        rate, nbar, u = sys.rate[..., 2], sys.nbar[..., 2], sys.U[..., 2]
+        uhat = u / np.sqrt(rate)[..., None]
+        P = uhat[..., :, None] * uhat.conj()[..., None, :]
         sigma = 2.0 * Y
-        fp_prime, fm_prime = -ch.rate, -ch.rate * (2.0 * ch.nbar + 1.0)
+        fp_prime, fm_prime = -rate, -rate * (2.0 * nbar + 1.0)
         trace = self.reference_trace_product(P, sigma).real
         ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
         eta, zero_rate = flow_cumulant(3, 1, sys, Y)

@@ -237,7 +237,7 @@ class TestStackedKernels:
 
     def test_riccati(self):
         from noisecascade.cascaded import CascadedParams, build_system
-        from noisecascade.counting import bias_matrices
+        import spectral_oracle
 
         items = []
         for s in np.linspace(-3.0, 3.0, 25):
@@ -249,8 +249,9 @@ class TestStackedKernels:
                 nbar1=RNG.uniform(0, 3), nbar2=RNG.uniform(0, 3), nbar3=RNG.uniform(0, 3),
             )
             sys = build_system(p)
-            bias = bias_matrices(1 + len(items) % 3, s, sys)
-            fm, fp = 0.5 * bias.Fminus, 0.5 * bias.Fplus
+            c = len(items) % 3  # channel c + 1
+            Fminus, Fplus = spectral_oracle.tilting(sys.U[..., c], sys.rate[..., c], sys.nbar[..., c], s)
+            fm, fp = 0.5 * Fminus, 0.5 * Fplus
             items.append((sys.M, 2.0 * sys.N + fp, fm, fp))
         M, N, fm, fp = items[0]
         items.append((M, N, fm, np.full((2, 2), np.inf)))  # not finite

@@ -130,7 +130,7 @@ class TestMapping:
             p = random_om_params()
             _, noise = build_om_drift(p, p.Omega)
             chi_mag = abs(mech_susceptibility(p.Omega, p).chi)
-            u3 = build_system(map_to_cascaded(p)).channels[2].u
+            u3 = build_system(map_to_cascaded(p)).U[..., 2]
             expected = np.array(
                 [p.G1 * math.sqrt(p.gamma_m) * chi_mag,
                  p.G2 * math.sqrt(p.gamma_m) * chi_mag * np.exp(1j * p.phi)]
