@@ -178,7 +178,7 @@ def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] = np.False_, marg
     ``margin`` is stability_margin(sys.M), computed here unless the caller has it."""
     margin = stability_margin(sys.M) if margin is None else margin
     message = "drift is not stable (margin {:.3e})"
-    failed = check_items(failed, margin >= 0.0, UnstableSystemError, message, margin)
+    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
     if not failed.ndim:
         return solve_lyapunov(sys.M, sys.N)
     bad = failed[..., None, None]  # stable placeholders keep the failed items out of the solve

@@ -133,10 +133,6 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _om_dict(p: OmParams) -> dict:
-    return {k: v for k, v in dataclasses.asdict(p).items() if v is not None}
-
-
 def _cascaded_dict(p: CascadedParams) -> dict:
     """Field values of ``p`` for JSON, with F as [re, im]."""
     out = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
@@ -168,7 +164,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     if args.name != "microwave":
         raise SchemaError(f"unknown preset {args.name!r}")
     p = preset_microwave()
-    out = _om_dict(p)
+    out = dataclasses.asdict(p)
     if args.mapped:
         out = {"preset": out, "mapped": _cascaded_dict(map_to_cascaded(p))}
     print(json.dumps(out, indent=2))

@@ -285,8 +285,10 @@ def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:
 
     The occupancy symbols here are the *bath* occupations: numerically
     matching these expressions against the general trace formula singles out
-    that reading.  The three flows sum to zero identically.
+    that reading.  The three flows sum to zero identically.  One point only.
     """
+    if np.ndim(p.omega1):
+        raise ValueError("simplified_flows takes one parameter point; arrays are not supported")
     kappa = p.equal_rate()
     if p.F != 0:
         raise UnsupportedParamsError("simplified flows require F = 0")

@@ -42,14 +42,16 @@ class NonSymmetricInputError(Exception):
 
 
 def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
-    """Closed-form eigenvalues of a 2x2 complex matrix or a stack (quadratic formula)."""
+    """Closed-form eigenvalues mean +- sqrt(half^2 + M01 M10) of a 2x2 complex
+    matrix or a stack, with mean and half the half-sum and half-difference of
+    the diagonal: unlike tr^2 - 4 det, this keeps a large common diagonal from
+    rounding away the damping or overflowing."""
     # an extra axis keeps one matrix in array arithmetic, which rounds complex
     # products like a stack does (numpy scalars may differ in the last bit)
     M = np.asarray(M, dtype=complex)[..., None, :, :]
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    return ((tr + disc)[..., 0] / 2.0, (tr - disc)[..., 0] / 2.0)
+    mean, half = (M[..., 0, 0] + M[..., 1, 1]) / 2.0, (M[..., 0, 0] - M[..., 1, 1]) / 2.0
+    disc = np.sqrt(half * half + M[..., 0, 1] * M[..., 1, 0])
+    return (mean + disc)[..., 0], (mean - disc)[..., 0]
 
 
 def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:

@@ -14,7 +14,7 @@ point), and the susceptibility and the mapping are array arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,8 +40,9 @@ class OmParams:
     """Hardware parameters of the two-cavity/one-mechanical-mode platform.
 
     ``Omega`` is the evaluation frequency in the rotating frame (defaults to
-    the mechanical resonance).  ``kappa_int``/``kappa_ext`` split each total
-    linewidth; unspecified splits default to fully extrinsic.
+    the mechanical resonance).  Each cavity enters through its total linewidth
+    ``kappa_i`` and one bath occupation ``Nbar_i``; a cavity with intrinsic
+    loss to a second bath takes ``Nbar_i`` from combined_cavity_occupation.
     """
 
     omega_m: float
@@ -55,22 +56,13 @@ class OmParams:
     G1: float = 0.0
     G2: float = 0.0
     Omega: float | None = None
-    kappa_int1: float = 0.0
-    kappa_ext1: float | None = None
-    kappa_int2: float = 0.0
-    kappa_ext2: float | None = None
     Nbar1: float = 0.0
     Nbar2: float = 0.0
     Nbar_m: float = 0.0
-    cavity_resonance: float | None = None
 
     def __post_init__(self) -> None:
         if self.Omega is None:
             self.Omega = self.omega_m
-        if self.kappa_ext1 is None:
-            self.kappa_ext1 = self.kappa1 - self.kappa_int1
-        if self.kappa_ext2 is None:
-            self.kappa_ext2 = self.kappa2 - self.kappa_int2
         self.invalid()
 
     def invalid(self) -> NDArray[np.bool_]:
@@ -83,13 +75,6 @@ class OmParams:
         for name in ("Nbar1", "Nbar2", "Nbar_m"):
             message = f"{name} must be non-negative"
             failed = check_items(failed, getattr(self, name) < 0.0, error, message)
-        for i in (1, 2):
-            total, internal, external = (vars(self)[f"kappa{k}{i}"] for k in ("", "_int", "_ext"))
-            message = f"kappa splits of cavity {i} must be non-negative"
-            failed = check_items(failed, (internal < 0.0) | (external < 0.0), error, message)
-            mismatch = np.abs(internal + external - total) > 1e-12 * np.maximum(abs(total), 1.0)
-            message = f"kappa_int{i} + kappa_ext{i} must equal kappa{i}"
-            failed = check_items(failed, mismatch, error, message)
         return failed
 
 
@@ -245,7 +230,10 @@ def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
 def combined_cavity_occupation(
     kappa_ext: float, nbar_ext: float, kappa_int: float, nbar_int: float
 ) -> float:
-    """Occupation seen by a cavity's combined input: rate-weighted bath average."""
+    """Occupation seen by a cavity's combined input: rate-weighted bath average.
+
+    It folds an intrinsic-loss bath into OmParams' ``Nbar1``/``Nbar2``, with
+    the total ``kappa_ext + kappa_int`` as ``kappa1``/``kappa2``."""
     total = kappa_ext + kappa_int
     if total <= 0.0:
         raise InvalidParamsError("total linewidth must be positive")
@@ -255,9 +243,10 @@ def combined_cavity_occupation(
 def preset_microwave() -> OmParams:
     """Experimentally feasible microwave electromechanical parameter set.
 
-    All rates are angular frequencies (2 pi x Hz).  The hopping phase is set
-    to the on-resonance non-reciprocal value; the quoted J = 2 pi x 1 MHz
-    sits about 2% above the exact design point 2 G^2 / gamma_m.
+    Cavities at 2 pi x 5 GHz, which enter only through the detunings from
+    their drives.  All rates are angular frequencies (2 pi x Hz).  The hopping
+    phase is set to the on-resonance non-reciprocal value; the quoted
+    J = 2 pi x 1 MHz sits about 2% above the exact design point 2 G^2 / gamma_m.
     """
     return OmParams(
         omega_m=TWO_PI * 6e6,
@@ -274,5 +263,4 @@ def preset_microwave() -> OmParams:
         Nbar1=0.0,
         Nbar2=0.0,
         Nbar_m=0.5,
-        cavity_resonance=TWO_PI * 5e9,
     )

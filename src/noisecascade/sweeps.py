@@ -12,10 +12,12 @@ The grid is evaluated in blocks of BLOCK_POINTS (2048) points.  A block is
 one array-valued parameter set built from the axis columns, with all-zero
 placeholders at its invalid points, and one stacked system; every layer,
 from the parameters to each requested output column, makes one call per
-block (one per s value for theta); an output that is not requested costs
-no call.  The result is columnar: a SweepResult holds value, validity and
-status arrays, which ``emit`` formats column by column, each distinct
-value of a column once, for CSV and JSON alike.
+block (theta takes the whole s_grid in that call, split into more calls
+only beyond BLOCK_POINTS (point, s) pairs).  The steady state, occupations
+and baseline run for every config; the closed forms, flows and theta only
+when requested.  The result is columnar: a SweepResult holds value,
+validity and status arrays, which ``emit`` formats column by column, each
+distinct value of a column once, for CSV and JSON alike.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -182,7 +184,7 @@ def _is_complex(value) -> bool:
 def _allowed_variables(model: str) -> set[str]:
     if model == "cascaded":
         return _CASCADED_FIELDS | {"Delta"} | set(_MBAR_KEYS)
-    return {f for f in _OM_FIELDS if f != "cavity_resonance"}
+    return _OM_FIELDS
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -315,7 +317,7 @@ def column_names(cfg: SweepConfig) -> list[str]:
 
 
 def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[NDArray, ...]:
-    """(values, valid, status) of a block of grid points: one call per layer and s value.
+    """(values, valid, status) of a block of grid points: one call per layer.
 
     The block's parameters are one array-valued CascadedParams built from its
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
@@ -362,8 +364,11 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
             eta, zero_rate = flow_cumulant(k, 1, sys, Y)
             cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
     if "theta" in cfg.outputs:
-        thetas = (large_deviation(1, s, sys) for s in cfg.s_grid)
-        cells["theta"] = [(theta, stable & ~failed) for theta, failed in thetas]
+        # one call per chunk of s values, at most BLOCK_POINTS (point, s) pairs each
+        s, chunk = np.array(cfg.s_grid)[:, None], max(1, BLOCK_POINTS // built.size)
+        thetas = [large_deviation(1, s[i : i + chunk], sys) for i in range(0, len(s), chunk)]
+        theta, failed = map(np.concatenate, zip(*thetas))
+        cells["theta"] = list(zip(theta, stable & ~failed))
     columns = [cell for name in cfg.outputs for cell in cells[name]]
     values = np.column_stack(axis_columns + [v for v, _ in columns])
     valid = np.column_stack([np.ones_like(built)] * len(axis_columns) + [ok for _, ok in columns])

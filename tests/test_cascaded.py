@@ -160,6 +160,25 @@ class TestSteadyState:
         with pytest.raises(UnstableSystemError):
             steady_state(CascadedParams(omega1=1.0, omega2=1.0))
 
+    def test_nan_drift_is_unstable(self, monkeypatch):
+        # a NaN margin is not stable: the item reaches the solve only as the
+        # -I placeholder, and one point raises
+        from noisecascade import cascaded
+
+        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.5, gamma2=0.25, nbar1=2.0)
+        stack = build_system(CascadedParams(**{**vars(p), "kappa1": np.array([1.0, 1.0])}))
+        M = stack.M.copy()
+        M[1, 0, 0] = np.nan
+        drifts, solve = [], cascaded.solve_lyapunov
+        monkeypatch.setattr(cascaded, "solve_lyapunov",
+                            lambda A, N: drifts.append(A) or solve(A, N))
+        Y, failed = cascaded._steady_state(dataclasses.replace(stack, M=M), np.zeros(2, bool))
+        assert failed.tolist() == [False, True] and np.isnan(Y[1]).all()
+        assert (drifts[0][1] == -np.eye(2)).all()
+        assert same_bits(Y[0], steady_state(p))
+        with pytest.raises(UnstableSystemError, match="margin nan"):
+            cascaded._steady_state(dataclasses.replace(build_system(p), M=M[1]))
+
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,
                            gamma1=0.0, gamma2=0.0)

@@ -437,6 +437,11 @@ class TestSimplifiedFlows:
             simplified_flows(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0,
                                             gamma2=1.0, F=0.1))
 
+    def test_arrays_raise_a_clear_error(self):
+        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, nbar1=[1.0, 2.0])
+        with pytest.raises(ValueError, match="^simplified_flows takes one parameter point"):
+            simplified_flows(p)
+
 
 class TestStackedTraces:
     """A stack item equals its single-point call bit for bit.  The trace

@@ -93,6 +93,19 @@ class TestStabilityMargin:
                 np.linalg.eigvals(M).real.max(), abs=1e-12
             )
 
+    @pytest.mark.parametrize("omega", [1e8, 1e160])
+    def test_large_common_frequency_keeps_the_damping(self, omega):
+        # tr^2 - 4 det gave -0.69651 at omega = 1e8 and overflowed to NaN
+        # beyond |M| ~ 1e154; shifting by i omega I removes the common rotation
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        p = CascadedParams(omega1=omega, omega2=omega + 0.3, kappa1=1.0, kappa2=1.0,
+                           gamma1=1.0, gamma2=1.0, F=0.2, phi=0.4)
+        M = build_system(p).M
+        margin = stability_margin(M)  # a RuntimeWarning is an error here
+        reference = np.linalg.eigvals(M + 1j * omega * np.eye(2)).real.max()
+        assert np.isfinite(margin) and abs(margin - reference) <= 1e-13
+
 
 class TestSolveLyapunov:
     def test_manufactured_solution(self):

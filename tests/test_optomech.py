@@ -2,6 +2,7 @@
 drift, the mapping onto the cascaded model, and the non-reciprocity design.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,21 +54,19 @@ class TestParams:
                      kappa1=1.0, kappa2=1.0)
         assert p.Omega == 5.0
 
-    def test_kappa_split_defaults_to_fully_external(self):
-        p = OmParams(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0,
-                     kappa1=1.0, kappa2=2.0, kappa_int1=0.25)
-        assert p.kappa_ext1 == pytest.approx(0.75)
-        assert p.kappa_ext2 == pytest.approx(2.0)
-
-    def test_inconsistent_split_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            OmParams(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0,
-                     kappa1=1.0, kappa2=1.0, kappa_int1=0.5, kappa_ext1=0.9)
-
     def test_nonpositive_mechanical_damping_rejected(self):
         with pytest.raises(InvalidParamsError):
             OmParams(omega_m=5.0, gamma_m=0.0, Delta1=5.0, Delta2=5.0,
                      kappa1=1.0, kappa2=1.0)
+
+    def test_every_field_reaches_the_mapping(self):
+        # a field that no computation reads would be an option without effect
+        base = dict(omega_m=5.0, gamma_m=0.4, Delta1=4.0, Delta2=6.0, kappa1=1.0, kappa2=1.5,
+                    J=0.3, phi=0.7, G1=0.3, G2=0.5, Omega=5.2, Nbar1=1.0, Nbar2=2.0, Nbar_m=0.5)
+        assert set(base) == {f.name for f in dataclasses.fields(OmParams)} and len(base) == 14
+        reference = vars(map_to_cascaded(OmParams(**base)))
+        for name, value in base.items():
+            assert vars(map_to_cascaded(OmParams(**{**base, name: 1.1 * value}))) != reference, name
 
 
 class TestSusceptibility:
@@ -227,19 +226,14 @@ class TestArrayParams:
             "G1": rng.uniform(0.05, 1.5, n),
             "G2": rng.uniform(0.05, 1.5, n),
             "Omega": omega_m + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.5, 0.5, n)),
-            "kappa_int2": rng.uniform(0.0, 0.1, n),
             "Nbar1": rng.uniform(0, 5, n),
             "Nbar2": rng.uniform(0, 5, n),
             "Nbar_m": rng.uniform(0, 5, n),
         }
-        fields["kappa_int1"] = rng.uniform(0.0, 0.1, n)
-        fields["kappa_ext1"] = fields["kappa1"] - fields["kappa_int1"]
         fields["gamma_m"][10:12] = [0.0, -0.3]
         fields["Omega"][10] = omega_m[10]  # chi(Omega) = 1/0, silent (pytest fails on warnings)
         fields["G2"][12] = -0.1
         fields["Nbar_m"][13] = -1.0
-        fields["kappa_ext1"][14] += 1e-3  # the split does not add up to kappa1
-        fields["kappa_int2"][15] = fields["kappa2"][15] + 0.5  # negative external part
         fields["Delta1"][16] = np.nan  # valid OmParams, non-finite mapping
         p = OmParams(**fields)
         invalid = p.invalid()
@@ -262,7 +256,7 @@ class TestArrayParams:
             for name, value in vars(one).items():
                 got = np.asarray(getattr(mapped, name)[i])
                 assert got.tobytes() == np.asarray(value, got.dtype).tobytes(), (i, name)
-        assert invalid.sum() == 6 and mapped_invalid[~invalid].sum() == 1
+        assert invalid.sum() == 4 and mapped_invalid[~invalid].sum() == 1
 
     def test_single_point_messages(self):
         base = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
@@ -270,8 +264,6 @@ class TestArrayParams:
             ({"gamma_m": 0.0, "G1": -1.0}, "^gamma_m must be positive$"),
             ({"G2": -1.0, "Nbar1": -1.0}, "^effective couplings G1, G2 must be non-negative$"),
             ({"Nbar_m": -1.0}, "^Nbar_m must be non-negative$"),
-            ({"kappa_int2": 2.0}, "^kappa splits of cavity 2 must be non-negative$"),
-            ({"kappa_int1": 0.5, "kappa_ext1": 0.9}, r"^kappa_int1 \+ kappa_ext1 must equal"),
         ]
         for change, message in cases:
             with pytest.raises(InvalidParamsError, match=message):

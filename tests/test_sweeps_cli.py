@@ -168,6 +168,12 @@ class TestParseConfig:
         with pytest.raises(SchemaError, match="params.frequency"):
             parse_config(json.dumps(doc))
 
+    def test_removed_optomech_fields_rejected(self):
+        for name in ("kappa_int1", "kappa_ext2", "cavity_resonance"):
+            doc = dict(THETA_SWEEP, params={**THETA_SWEEP["params"], name: 0.3})
+            with pytest.raises(SchemaError, match=f"^params.{name}: unknown parameter"):
+                parse_config(json.dumps(doc))
+
     def test_empty_axes(self):
         doc = json.loads(fig2_config())
         doc["axes"] = []
@@ -529,6 +535,27 @@ THETA_SWEEP = {
 THETA_SWEEP_BLANK_ROWS = [0, 1, 6, 7, 12, 13, 14, 18, 19, 20, 24, 25, 26, 27, 30, 31, 32, 33, 34]
 
 
+class TestThetaBatching:
+    def test_one_large_deviation_call_per_block(self, monkeypatch):
+        # the whole s_grid goes to one call while it fits in BLOCK_POINTS
+        # (point, s) pairs; smaller blocks split it without changing a byte
+        cfg = parse_config(json.dumps(THETA_SWEEP))
+        calls, kernel = [], sweeps.large_deviation
+
+        def counted(channel, s, sys):  # records the (point, s) pairs of each call
+            calls.append(np.size(s) * len(sys.M))
+            return kernel(channel, s, sys)
+
+        monkeypatch.setattr(sweeps, "large_deviation", counted)
+        default = emit(run_sweep(cfg), cfg)
+        assert calls == [3 * 36]
+        for block_points, pairs in ((40, [36] * 3), (8, [8] * 12 + [8, 4])):
+            calls.clear()
+            monkeypatch.setattr(sweeps, "BLOCK_POINTS", block_points)
+            assert emit(run_sweep(cfg), cfg) == default, block_points
+            assert calls == pairs, block_points
+
+
 class TestThetaAdmissibility:
     def test_ci_theta_sweep_rows_pinned(self):
         cfg = parse_config(json.dumps(THETA_SWEEP))
@@ -802,6 +829,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["gamma1"] == pytest.approx(2.0 * 0.09 * 5.0)
         assert out["F_residual"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_map_om_rejects_removed_fields(self, capsys):
+        for name in ("kappa_int1", "cavity_resonance"):
+            assert main(["map-om", *OM_SETS, "--set", f"{name}=7"]) == 2, name
+            assert name in capsys.readouterr().err, name
 
     def test_fcs_far_outside_admissible_region_exit_code(self, capsys):
         # e^|s| overflows at the ends of this range
