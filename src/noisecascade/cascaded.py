@@ -21,8 +21,8 @@ raises on bad input, while arrays report bad items as masks (``invalid``, and
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -42,6 +42,9 @@ class UnstableSystemError(Exception):
 class UnsupportedParamsError(Exception):
     """Closed-form expressions require equal rates; these parameters do not qualify."""
 
+
+_log = logging.getLogger("noisecascade")
+_log.addHandler(logging.NullHandler())  # no output unless the application configures logging
 
 _EQUAL_RATE_RTOL = 1e-12
 # a pair for one point; for arrays, a pair of arrays and the mask of the unequal-rate points
@@ -83,7 +86,7 @@ class CascadedParams:
         """Mask of the invalid points; one point raises InvalidParamsError instead."""
         failed = np.zeros(np.shape(self.omega1), bool)
         for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3"):
-            message = f"{name} must be non-negative"
+            message = f"{name}: must be non-negative"
             failed = check_items(failed, getattr(self, name) < 0, InvalidParamsError, message)
         finite = np.isfinite([getattr(self, f.name) for f in fields(self)]).all(axis=0)
         return check_items(failed, ~finite, InvalidParamsError, "all parameters must be finite")
@@ -173,10 +176,12 @@ def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_
     return _steady_state(build_system(p), p.invalid())
 
 
-def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] = np.False_, margin=None):
-    """``steady_state`` of a built system, with ``failed`` items flagged up front;
-    ``margin`` is stability_margin(sys.M), computed here unless the caller has it."""
+def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None, margin=None):
+    """``steady_state`` of a built (possibly stacked) system, with ``failed``
+    items flagged up front (none by default); ``margin`` is
+    stability_margin(sys.M), computed here unless the caller has it."""
     margin = stability_margin(sys.M) if margin is None else margin
+    failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
     failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
     if not failed.ndim:
@@ -190,16 +195,13 @@ def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArra
     """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s).
 
     Values that come out slightly negative from numerical noise near vacuum
-    are clamped to zero with a warning.
+    are clamped to zero, with a warning on the "noisecascade" logger, which
+    is silent unless logging is configured.
     """
     n = np.diagonal(Y, axis1=-2, axis2=-1).real - 0.5
     for i in range(2):
         if (n[..., i] < 0.0).any():
-            warnings.warn(
-                f"occupation n{i + 1} = {np.nanmin(n[..., i]):.3e} clamped to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _log.warning("occupation n%d = %.3e clamped to 0", i + 1, np.nanmin(n[..., i]))
     n1, n2 = np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0)
     return n1, n2
 

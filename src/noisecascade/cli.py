@@ -2,6 +2,10 @@
 Command-line front end: single-point steady states, sweeps, counting
 statistics, optomechanical mapping and design helpers.
 
+The ``--set NAME=VALUE`` values of ``steady-state`` and ``fcs`` (cascaded
+model) and of ``map-om`` and ``design`` (optomech model) go through
+sweeps.check_params, the checks of a sweep config's ``params``.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures of single-point commands (NUMERIC_ERRORS: unstable system, failed
 Lyapunov solve, counting field outside the admissible region, ...).
@@ -46,6 +50,7 @@ from .sweeps import (
     NegativeOccupationError,
     SchemaError,
     cascaded_from_raw,
+    check_params,
     emit,
     parse_config,
     run_sweep,
@@ -62,28 +67,23 @@ NUMERIC_ERRORS = (
 )
 
 
-def _parse_sets(pairs: list[str]) -> dict:
+def _parse_sets(model: str, pairs: list[str]) -> dict:
+    """The ``--set`` values of ``model`` as a config's params: F stays a string."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise SchemaError(f"expected name=value, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            out[name] = complex(value) if name == "F" else float(value)
+            out[name] = value if name == "F" else float(value)
         except ValueError as exc:
             raise SchemaError(f"{name}: not a number: {value!r}") from exc
+    check_params(model, out, prefix="")
     return out
 
 
-def _om_from_sets(pairs: list[str]) -> OmParams:
-    try:
-        return OmParams(**_parse_sets(pairs))
-    except TypeError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def _cmd_steady_state(args: argparse.Namespace) -> int:
-    p = cascaded_from_raw(_parse_sets(args.set))
+    p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     n1, n2 = occupations(steady_state(p))
     out = {"n1": n1, "n2": n2}
     try:
@@ -113,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fcs(args: argparse.Namespace) -> int:
     if args.s_points < 0 or not np.isfinite([args.s_min, args.s_max]).all():
         raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
-    p = cascaded_from_raw(_parse_sets(args.set))
+    p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
     V = _steady_state(sys)  # an unstable system fails here, before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
@@ -141,8 +141,7 @@ def _cascaded_dict(p: CascadedParams) -> dict:
 
 
 def _cmd_map_om(args: argparse.Namespace) -> int:
-    p = _om_from_sets(args.set)
-    cp = map_to_cascaded(p)
+    cp = map_to_cascaded(OmParams(**_parse_sets("optomech", args.set)))
     out = _cascaded_dict(cp)
     out["F_residual"] = abs(complex(cp.F))
     print(json.dumps(out, indent=2))
@@ -150,7 +149,7 @@ def _cmd_map_om(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    d = design_nonreciprocal(_om_from_sets(args.set))
+    d = design_nonreciprocal(OmParams(**_parse_sets("optomech", args.set)))
     print(
         json.dumps(
             {"j_star": d.j_star, "phi_star": d.phi_star, "residual": d.residual},

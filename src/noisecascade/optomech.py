@@ -67,15 +67,14 @@ class OmParams:
 
     def invalid(self) -> NDArray[np.bool_]:
         """Mask of the invalid points; one point raises InvalidParamsError instead."""
-        shape = np.broadcast_shapes(*(np.shape(v) for v in vars(self).values()))
-        failed, error = np.zeros(shape, bool), InvalidParamsError
-        failed = check_items(failed, self.gamma_m <= 0.0, error, "gamma_m must be positive")
-        message = "effective couplings G1, G2 must be non-negative"
-        failed = check_items(failed, (self.G1 < 0.0) | (self.G2 < 0.0), error, message)
-        for name in ("Nbar1", "Nbar2", "Nbar_m"):
-            message = f"{name} must be non-negative"
+        values = np.broadcast_arrays(*vars(self).values())
+        failed, error = np.zeros(values[0].shape, bool), InvalidParamsError
+        failed = check_items(failed, self.gamma_m <= 0.0, error, "gamma_m: must be positive")
+        for name in ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m"):
+            message = f"{name}: must be non-negative"
             failed = check_items(failed, getattr(self, name) < 0.0, error, message)
-        return failed
+        finite = np.isfinite(values).all(axis=0)
+        return check_items(failed, ~finite, error, "all parameters must be finite")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ Configs are JSON documents with top-level keys ``model``, ``params``,
 ``axes``, ``outputs``, ``format`` and optional ``parallel`` / ``s_grid``.
 Baseline occupations may be given either as bath occupations (nbar1..3) or
 as disconnected-baseline occupations (mbar1..3), which are converted via
-Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.
+Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.  ``check_params``
+holds the rules for a model's parameters (known names, finite numbers, one
+spelling per quantity, required fields); ``parse_config`` applies it to
+``params`` and the axis variables, and the CLI to its ``--set`` values.
 
 The grid is evaluated in blocks of BLOCK_POINTS (2048) points.  A block is
 one array-valued parameter set built from the axis columns, with all-zero
@@ -24,7 +27,7 @@ distinct value of a column once, for CSV and JSON alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import MISSING, dataclass, fields as dc_fields
 from sys import float_info
 
 import numpy as np
@@ -72,9 +75,9 @@ _OUTPUTS = (
     "F_residual",
 )
 
-_CASCADED_FIELDS = {f.name for f in dc_fields(CascadedParams)}
-_OM_FIELDS = {f.name for f in dc_fields(OmParams)}
 _MBAR_KEYS = ("mbar1", "mbar2", "mbar3")
+# each model's parameter dataclass, and the names it takes besides the fields
+_PARAMS = {"cascaded": (CascadedParams, {"Delta", *_MBAR_KEYS}), "optomech": (OmParams, set())}
 # name -> (quantity, spelling) where one quantity has two spellings; any
 # other name is its own quantity and spelling
 _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
@@ -130,8 +133,6 @@ def convert_mbar(params: dict) -> dict:
     """
     if not any(k in params for k in _MBAR_KEYS):
         return dict(params)
-    if any(k.startswith("nbar") for k in params):
-        raise SchemaError("params: give either mbar or nbar occupations, not both")
     out = dict(params)
     m3 = out.pop("mbar3", 0.0)
     m1 = out.pop("mbar1", m3)
@@ -145,21 +146,15 @@ def convert_mbar(params: dict) -> dict:
 
 
 def cascaded_from_raw(raw: dict) -> CascadedParams:
-    """Build CascadedParams from user-facing names: mbar1..3, Delta and F as a string.
-
-    ``Delta`` sets omega2 = omega1 + Delta.  Unknown names raise SchemaError.
+    """Build CascadedParams from user-facing names that passed check_params:
+    mbar1..3, Delta and F as a string.  ``Delta`` sets omega2 = omega1 + Delta.
     """
     raw = convert_mbar(raw)
-    if "Delta" in raw and "omega2" in raw:
-        raise SchemaError("Delta: conflicts with omega2 (omega2 = omega1 + Delta); give one")
     if "Delta" in raw:
         raw["omega2"] = raw.get("omega1", 0.0) + raw.pop("Delta")
     if isinstance(raw.get("F"), str):
         raw["F"] = complex(raw["F"])
-    try:
-        return CascadedParams(**raw)
-    except TypeError as exc:
-        raise SchemaError(str(exc)) from exc
+    return CascadedParams(**raw)
 
 
 def _is_number(value) -> bool:
@@ -181,10 +176,39 @@ def _is_complex(value) -> bool:
     return _is_number(value)
 
 
-def _allowed_variables(model: str) -> set[str]:
-    if model == "cascaded":
-        return _CASCADED_FIELDS | {"Delta"} | set(_MBAR_KEYS)
-    return _OM_FIELDS
+def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "params.") -> None:
+    """Check a model's parameters and the variables ``swept`` by the axes.
+
+    Every name must be a field of the model's parameter dataclass or one of
+    its other names (Delta, mbar1..3), every value a finite number (F may
+    also be a complex string such as "0.1-0.2j"), no quantity may be set by
+    two spellings (Delta and omega2, nbar* and mbar*), and every field
+    without a default must be given or swept.  A SchemaError names the
+    field: ``prefix`` and the name, or ``axes[i].variable``.
+    """
+    cls, extra_names = _PARAMS[model]
+    fields = dc_fields(cls)
+    known = {f.name for f in fields} | extra_names
+    named = [(f"{prefix}{k}", k) for k in params]
+    named += [(f"axes[{i}].variable", k) for i, k in enumerate(swept)]
+    spelled = {}
+    for path, name in named:
+        if not isinstance(name, str) or name not in known:
+            raise SchemaError(f"{path}: unknown parameter {name!r} for model {model}")
+        quantity, spelling = _SPELLINGS.get(name, (name, name))
+        first_path, first = spelled.setdefault(quantity, (path, spelling))
+        if spelling != first:
+            raise SchemaError(f"{path}: {name!r} conflicts with {first_path}; both set {quantity}")
+    for name, value in params.items():
+        if name == "F":
+            if not _is_complex(value):
+                raise SchemaError(f"{prefix}F: must be a finite number or complex string")
+        elif not _is_number(value):
+            raise SchemaError(f"{prefix}{name}: must be a finite number")
+    for f in fields:
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in params and f.name not in swept:
+            raise SchemaError(f"{prefix}{f.name}: missing")
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -213,19 +237,6 @@ def parse_config(text: str) -> SweepConfig:
     params = doc["params"]
     if not isinstance(params, dict):
         raise SchemaError("params: must be an object")
-    allowed = _allowed_variables(model)
-    for name, value in params.items():
-        if name not in allowed:
-            raise SchemaError(f"params.{name}: unknown parameter for model {model}")
-        if name == "F":
-            if not _is_complex(value):
-                raise SchemaError("params.F: must be a finite number or complex string")
-        elif not _is_number(value):
-            raise SchemaError(f"params.{name}: must be a finite number")
-    if model == "cascaded":
-        # validate the mbar conversion on the baseline values up front
-        convert_mbar(params)
-
     axes_doc = doc["axes"]
     if not isinstance(axes_doc, list) or not axes_doc:
         raise SchemaError("axes: must be a non-empty list")
@@ -242,8 +253,6 @@ def parse_config(text: str) -> SweepConfig:
         for key in ("variable", "min", "max", "points"):
             if key not in ax:
                 raise SchemaError(f"{path}.{key}: missing")
-        if ax["variable"] not in allowed:
-            raise SchemaError(f"{path}.variable: unknown variable {ax['variable']!r}")
         if ax["variable"] in (a.variable for a in axes):
             raise SchemaError(f"{path}.variable: {ax['variable']!r} is already swept")
         for key in ("min", "max"):
@@ -266,14 +275,10 @@ def parse_config(text: str) -> SweepConfig:
                 spacing=spacing,
             )
         )
-    named = [(f"params.{k}", k) for k in params]
-    named += [(f"axes[{i}].variable", ax.variable) for i, ax in enumerate(axes)]
-    spelled = {}
-    for path, name in named:
-        quantity, spelling = _SPELLINGS.get(name, (name, name))
-        first_path, first = spelled.setdefault(quantity, (path, spelling))
-        if spelling != first:
-            raise SchemaError(f"{path}: {name!r} conflicts with {first_path}; both set {quantity}")
+    check_params(model, params, tuple(ax.variable for ax in axes))
+    if model == "cascaded":
+        # validate the mbar conversion on the baseline values up front
+        convert_mbar(params)
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:

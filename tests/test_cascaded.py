@@ -179,6 +179,17 @@ class TestSteadyState:
         with pytest.raises(UnstableSystemError, match="margin nan"):
             cascaded._steady_state(dataclasses.replace(build_system(p), M=M[1]))
 
+    def test_stack_without_a_mask(self):
+        # with no failed mask, _steady_state takes a stack as steady_state does
+        from noisecascade import cascaded
+
+        p = CascadedParams(kappa1=np.array([1.0, 0.0]), kappa2=1.0,
+                           gamma1=np.array([0.5, 0.0]), gamma2=0.25, nbar1=2.0)
+        Y, failed = cascaded._steady_state(build_system(p))
+        expected, expected_failed = steady_state(p)
+        assert failed.tolist() == expected_failed.tolist() == [False, True]  # mode 1 undamped
+        assert same_bits(Y, expected)
+
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,
                            gamma1=0.0, gamma2=0.0)
@@ -387,7 +398,7 @@ class TestArrayParams:
         assert np.ndim(n1) == np.ndim(n2) == 0
         assert disconnected_baseline(p) == (1.0, 0.0)
         assert build_system(p).M.shape == (2, 2)
-        with pytest.raises(InvalidParamsError, match="^gamma1 must be non-negative$"):
+        with pytest.raises(InvalidParamsError, match="^gamma1: must be non-negative$"):
             CascadedParams(gamma1=-1.0, nbar1=-1.0)
         with pytest.raises(InvalidParamsError, match="^all parameters must be finite$"):
             CascadedParams(F=complex(0.0, np.nan))

@@ -234,7 +234,8 @@ class TestArrayParams:
         fields["Omega"][10] = omega_m[10]  # chi(Omega) = 1/0, silent (pytest fails on warnings)
         fields["G2"][12] = -0.1
         fields["Nbar_m"][13] = -1.0
-        fields["Delta1"][16] = np.nan  # valid OmParams, non-finite mapping
+        fields["kappa2"][14] = -0.5
+        fields["Delta1"][16] = np.nan
         p = OmParams(**fields)
         invalid = p.invalid()
         mapped = map_to_cascaded(p)
@@ -256,14 +257,20 @@ class TestArrayParams:
             for name, value in vars(one).items():
                 got = np.asarray(getattr(mapped, name)[i])
                 assert got.tobytes() == np.asarray(value, got.dtype).tobytes(), (i, name)
-        assert invalid.sum() == 4 and mapped_invalid[~invalid].sum() == 1
+        # OmParams checks all that the mapping passes through, so each invalid
+        # mapped point is an invalid OmParams point
+        assert invalid.sum() == 6 and not mapped_invalid[~invalid].any()
 
     def test_single_point_messages(self):
         base = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
         cases = [
-            ({"gamma_m": 0.0, "G1": -1.0}, "^gamma_m must be positive$"),
-            ({"G2": -1.0, "Nbar1": -1.0}, "^effective couplings G1, G2 must be non-negative$"),
-            ({"Nbar_m": -1.0}, "^Nbar_m must be non-negative$"),
+            ({"gamma_m": 0.0, "G1": -1.0}, "^gamma_m: must be positive$"),
+            ({"G2": -1.0, "Nbar1": -1.0}, "^G2: must be non-negative$"),
+            ({"Nbar_m": -1.0}, "^Nbar_m: must be non-negative$"),
+            ({"kappa1": -1.0}, "^kappa1: must be non-negative$"),
+            ({"G1": np.nan}, "^all parameters must be finite$"),
+            ({"gamma_m": np.inf}, "^all parameters must be finite$"),
+            ({"Omega": -np.inf}, "^all parameters must be finite$"),
         ]
         for change, message in cases:
             with pytest.raises(InvalidParamsError, match=message):

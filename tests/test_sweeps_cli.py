@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +40,7 @@ from noisecascade.sweeps import (
     SweepConfig,
     SweepResult,
     cascaded_from_raw,
+    check_params,
     column_names,
     convert_mbar,
     emit,
@@ -143,8 +146,10 @@ class TestConvertMbar:
             convert_mbar({"mbar1": 50.0, "mbar2": 100.0, "mbar3": 120.0})
 
     def test_mixing_with_nbar_rejected(self):
-        with pytest.raises(SchemaError):
-            convert_mbar({"mbar1": 1.0, "nbar2": 1.0})
+        # the shared parameter check rejects it; convert_mbar only converts
+        message = "^params.nbar2: 'nbar2' conflicts with params.mbar1; both set the bath occupations$"
+        with pytest.raises(SchemaError, match=message):
+            check_params("cascaded", {"mbar1": 1.0, "nbar2": 1.0})
 
     def test_passthrough_without_mbar(self):
         params = {"nbar1": 1.0, "kappa1": 2.0}
@@ -442,6 +447,17 @@ MIXED_GRID = {
     ],
     "outputs": list(sweeps._OUTPUTS),
     "s_grid": [-0.2, 0.0, 0.6],
+}
+
+# every Nbar = 0: the mapped system sits at the vacuum, where rounding leaves
+# some occupations at about -1e-16, which occupations() clamps to 0
+ZERO_TEMPERATURE_SWEEP = {
+    "model": "optomech",
+    "params": {"omega_m": 5.0, "gamma_m": 0.4, "Delta1": 5.0, "Delta2": 5.0,
+               "kappa1": 1.0, "kappa2": 1.0, "G1": 0.3, "G2": 0.3, "J": 0.45,
+               "phi": 1.5707963267948966},
+    "axes": [{"variable": "Omega", "min": 4.0, "max": 6.0, "points": 21}],
+    "outputs": ["n1", "n2", "eta1", "eta2", "eta3"],
 }
 
 
@@ -766,11 +782,15 @@ class TestCli:
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["sweep", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: axes[0].variable")
-        for first, second in (("omega2=3", "Delta=0"), ("Delta=0", "omega2=3")):
+        assert capsys.readouterr().err == (
+            "error: axes[0].variable: 'omega2' conflicts with params.Delta; both set omega2\n")
+        for first, second, message in (
+            ("omega2=3", "Delta=0", "error: Delta: 'Delta' conflicts with omega2; both set omega2\n"),
+            ("Delta=0", "omega2=3", "error: omega2: 'omega2' conflicts with Delta; both set omega2\n"),
+        ):
             args = ["--set", "kappa1=1", "--set", "kappa2=1", "--set", first, "--set", second]
             assert main(["steady-state", *args]) == 2, first
-            assert capsys.readouterr().err.startswith("error: Delta"), first
+            assert capsys.readouterr().err == message, first
 
     def test_fcs_command(self, capsys):
         rc = main([
@@ -944,3 +964,119 @@ class TestParserReuse:
         assert first[0] == expected_rc
         assert (first[3] is not None) == (name == "sweep --out")
         assert call_main(argv, capsys, out_path) == first
+
+
+class TestParamCheck:
+    """A config's params and the CLI's --set values go through one check, check_params."""
+
+    @staticmethod
+    def config_error(doc, tmp_path, capsys):
+        """The SchemaError text of parse_config, which ``sweep`` prints with exit code 2."""
+        with pytest.raises(SchemaError) as exc:
+            parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        return str(exc.value)
+
+    @staticmethod
+    def set_error(argv, capsys):
+        """The stderr of a CLI call that must exit 2 and print nothing to stdout."""
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        return err
+
+    def test_required_field_missing(self, tmp_path, capsys):
+        params = {k: v for k, v in THETA_SWEEP["params"].items() if k != "omega_m"}
+        doc = dict(THETA_SWEEP, params=params)
+        assert self.config_error(doc, tmp_path, capsys) == "params.omega_m: missing"
+        # a swept field counts as given
+        axes = [*THETA_SWEEP["axes"], {"variable": "omega_m", "min": 4.5, "max": 5.5, "points": 2}]
+        cfg = parse_config(json.dumps(dict(doc, axes=axes)))
+        assert len(run_sweep(cfg).status) == 6 * 6 * 2
+        assert OM_SETS[:2] == ["--set", "omega_m=5"]
+        for command in ("map-om", "design"):
+            assert self.set_error([command, *OM_SETS[2:]], capsys) == "error: omega_m: missing\n"
+
+    @pytest.mark.parametrize("command", ["steady-state", "fcs", "map-om", "design"])
+    def test_unknown_set_name(self, command, capsys):
+        model = "optomech" if command in ("map-om", "design") else "cascaded"
+        sets = OM_SETS if model == "optomech" else FCS_SETS
+        argv = [command, *(["1"] if command == "fcs" else []), *sets, "--set", "foo=1"]
+        expected = f"error: foo: unknown parameter 'foo' for model {model}\n"
+        assert self.set_error(argv, capsys) == expected
+
+    def test_unknown_names_in_a_config(self, tmp_path, capsys):
+        for variable in ("temperature", ["kappa1"]):
+            doc = json.loads(fig2_config())
+            doc["axes"][1]["variable"] = variable
+            expected = f"axes[1].variable: unknown parameter {variable!r} for model cascaded"
+            assert self.config_error(doc, tmp_path, capsys) == expected
+
+    def test_bad_set_values(self, capsys):
+        for argv, message in (
+            (["design", *OM_SETS, "--set", "G1=nan"], "G1: must be a finite number"),
+            (["map-om", *OM_SETS, "--set", "gamma_m=inf"], "gamma_m: must be a finite number"),
+            (["map-om", *OM_SETS, "--set", "Nbar_m=1e400"], "Nbar_m: must be a finite number"),
+            (["fcs", "2", *FCS_SETS, "--set", "nbar1=-inf"], "nbar1: must be a finite number"),
+            (["steady-state", *FCS_SETS, "--set", "F=1+nanj"],
+             "F: must be a finite number or complex string"),
+            (["fcs", "1", *FCS_SETS, "--set", "F=abc"],
+             "F: must be a finite number or complex string"),
+            (["steady-state", *FCS_SETS, "--set", "phi=x"], "phi: not a number: 'x'"),
+            # signs are checked by OmParams.invalid(), for library callers too
+            (["design", *OM_SETS, "--set", "kappa1=-1"], "kappa1: must be non-negative"),
+            (["map-om", *OM_SETS, "--set", "gamma_m=0"], "gamma_m: must be positive"),
+        ):
+            assert self.set_error(argv, capsys) == f"error: {message}\n", argv
+
+    def test_conflicts_read_alike_from_both_front_ends(self, tmp_path, capsys):
+        for params, expected in (
+            ({"omega1": 0.5, "Delta": 1.0, "omega2": 3.0},
+             "{p}omega2: 'omega2' conflicts with {p}Delta; both set omega2"),
+            ({"mbar1": 1.0, "nbar2": 1.0},
+             "{p}nbar2: 'nbar2' conflicts with {p}mbar1; both set the bath occupations"),
+        ):
+            doc = {"model": "cascaded", "params": {"kappa1": 1.0, **params},
+                   "axes": [{"variable": "kappa2", "min": 1.0, "max": 2.0, "points": 2}],
+                   "outputs": ["n1"]}
+            assert self.config_error(doc, tmp_path, capsys) == expected.format(p="params.")
+            sets = [a for k, v in doc["params"].items() for a in ("--set", f"{k}={v}")]
+            for command in (["steady-state"], ["fcs", "3"]):
+                err = self.set_error([*command, *sets, "--set", "kappa2=1"], capsys)
+                assert err == f"error: {expected.format(p='')}\n", command
+
+    def test_set_values_build_what_a_config_builds(self):
+        sets = ["omega1=0.5", "Delta=1", "F=0.1-0.2j", "mbar1=2", "mbar3=1", "kappa1=1"]
+        raw = cli._parse_sets("cascaded", sets)
+        assert raw["F"] == "0.1-0.2j"  # a string until cascaded_from_raw, as in a config
+        doc = {"model": "cascaded", "axes": [{"variable": "kappa2", "min": 1, "max": 1, "points": 1}],
+               "outputs": ["n1"], "params": {"omega1": 0.5, "Delta": 1, "F": "0.1-0.2j",
+                                             "mbar1": 2, "mbar3": 1, "kappa1": 1}}
+        assert cascaded_from_raw(raw) == cascaded_from_raw(parse_config(json.dumps(doc)).params)
+
+
+class TestZeroTemperature:
+    def test_clamp_is_logged_not_warned(self, caplog):
+        # the pytest filter makes a RuntimeWarning an error, as -W error::RuntimeWarning does
+        cfg = parse_config(json.dumps(ZERO_TEMPERATURE_SWEEP))
+        with caplog.at_level(logging.WARNING, logger="noisecascade"):
+            result = run_sweep(cfg)
+        assert (result.status == "ok").all() and result.valid.all()
+        notices = [r.getMessage() for r in caplog.records if r.name == "noisecascade"]
+        assert notices, "no clamp at this grid: pick one whose vacuum rounds below 0"
+        for notice in notices:
+            assert re.fullmatch(r"occupation n[12] = -\d\.\d{3}e-1[4-7] clamped to 0", notice)
+        n = result.values[:, 1:3]
+        assert (n >= 0.0).all() and (n < 1e-14).all()
+
+    def test_cli_sweep_leaves_stderr_empty(self, tmp_path, monkeypatch):
+        # logging is not configured in the CLI, so the notice reaches no handler
+        path = tmp_path / "zero_temperature.json"
+        path.write_text(json.dumps(ZERO_TEMPERATURE_SWEEP))
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        rc, out, err = fresh_process(["sweep", str(path)])
+        assert (rc, err) == (0, "")
+        assert out.count("\n") == 1 + 21 and out.count(",ok\n") == 21
