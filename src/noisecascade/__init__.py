@@ -8,6 +8,7 @@ from .cascaded import (
     closed_form_occupations,
     delta_n,
     disconnected_baseline,
+    linear_response,
     occupation_from_temperature,
     occupations,
     steady_state,
@@ -34,6 +35,7 @@ __all__ = [
     "closed_form_occupations",
     "delta_n",
     "disconnected_baseline",
+    "linear_response",
     "occupation_from_temperature",
     "occupations",
     "steady_state",

@@ -2,9 +2,9 @@
 Two oscillators sharing a common engineered bath plus two local baths.
 
 Builds the linear Langevin system for the cascaded two-oscillator model,
-solves for its steady-state covariance, and evaluates the equal-rate
-closed-form occupations that serve as independent oracles for the numeric
-path.
+solves for its steady-state covariance and for its linear response to the
+bath occupations, and evaluates the equal-rate closed-form occupations that
+serve as independent oracles for the numeric path.
 
 The model is phase-insensitive, so everything lives in the 2x2 complex mode
 space: the amplitudes obey dc/dt = M c + noise, channel c couples through
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import check_items, solve_lyapunov, stability_margin
+from .linalg import SingularSystemError, check_items, solve_lyapunov, stability_margin
 
 
 class InvalidParamsError(Exception):
@@ -88,8 +88,12 @@ class CascadedParams:
         for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3"):
             message = f"{name}: must be non-negative"
             failed = check_items(failed, getattr(self, name) < 0, InvalidParamsError, message)
-        finite = np.isfinite([getattr(self, f.name) for f in fields(self)]).all(axis=0)
-        return check_items(failed, ~finite, InvalidParamsError, "all parameters must be finite")
+        names = [f.name for f in fields(self)]
+        finite = np.isfinite([getattr(self, name) for name in names])
+        # the first field that is not finite at some point: the one a single point names
+        first = names[np.argmin(finite.reshape(len(names), -1).all(axis=1))]
+        message = f"{first}: must be finite"
+        return check_items(failed, ~finite.all(axis=0), InvalidParamsError, message)
 
     @property
     def detuning(self) -> float | NDArray[np.float64]:
@@ -176,11 +180,10 @@ def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_
     return _steady_state(build_system(p), p.invalid())
 
 
-def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None, margin=None):
+def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None):
     """``steady_state`` of a built (possibly stacked) system, with ``failed``
-    items flagged up front (none by default); ``margin`` is
-    stability_margin(sys.M), computed here unless the caller has it."""
-    margin = stability_margin(sys.M) if margin is None else margin
+    items flagged up front (none by default)."""
+    margin = stability_margin(sys.M)
     failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
     failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
@@ -192,18 +195,71 @@ def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None, ma
 
 
 def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArray, NDArray]:
-    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s).
+    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s),
+    clamped at zero as ``_clamped_occupations`` does."""
+    return _clamped_occupations(np.diagonal(Y, axis1=-2, axis2=-1).real - 0.5)
 
-    Values that come out slightly negative from numerical noise near vacuum
-    are clamped to zero, with a warning on the "noisecascade" logger, which
-    is silent unless logging is configured.
+
+def _clamped_occupations(n: NDArray[np.float64]) -> tuple[float, float] | tuple[NDArray, ...]:
+    """(n1, n2) from occupations n (..., 2), with values that come out slightly
+    negative from numerical noise near vacuum clamped to zero.
+
+    Each clamped mode is noted with a warning on the "noisecascade" logger,
+    which is silent unless logging is configured.
     """
-    n = np.diagonal(Y, axis1=-2, axis2=-1).real - 0.5
     for i in range(2):
         if (n[..., i] < 0.0).any():
             _log.warning("occupation n%d = %.3e clamped to 0", i + 1, np.nanmin(n[..., i]))
     n1, n2 = np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0)
     return n1, n2
+
+
+def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
+    """Occupation weights W (..., 2, 3) and flow conductances G (..., 3, 3) of
+    the bath occupations: n_i = sum_j W_ij nbar_j and eta_k = sum_j G_kj nbar_j.
+
+    Both depend on the drift and couplings alone (``sys.N`` and ``sys.nbar``
+    are not read).  With X_j the solution of M X_j + X_j M† + u_j u_j† = 0
+    for column u_j of U, the covariance is Y = sum_j (nbar_j + 1/2) X_j.
+    M + M† = -U U† makes X_1 + X_2 + X_3 = I, so X_3 = I - X_1 - X_2 needs no
+    solve, and X_1, X_2 share one Lyapunov operator.  Then W_ij = Re (X_j)_ii
+    and G_kj = 2 u_k† X_j u_k - 2 rate_k delta_kj, from the mean flow
+    2 u_k† Y u_k - rate_k (2 nbar_k + 1) of ``counting.flow_cumulant``.
+    Column 3 of G is -(G_k1 + G_k2), so every row sums to exactly zero, as
+    flows at equal nbar vanish; the columns sum to 2 (|u_j|^2 - rate_j),
+    zero up to the rounding of the stored rates.
+
+    One system raises on an unstable drift or a failed solve and returns
+    (W, G); a stack returns (W, G, failed), NaN where the single call raises.
+    """
+    return _linear_response(sys, stability_margin(sys.M))
+
+
+def _linear_response(sys: LinearSystem, margin):
+    """``linear_response`` with the stability margin of ``sys.M`` given: its
+    unstable items reach the Lyapunov solve only as the placeholder drift -I."""
+    failed = np.zeros(np.shape(margin), bool)
+    message = "drift is not stable (margin {:.3e})"
+    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
+    M = np.where(failed[..., None, None], -np.eye(2), sys.M)
+    u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
+    source = u[..., :2, :, None] * u[..., :2, None, :].conj()
+    X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for both sources
+    message = "Lyapunov solve of the response to nbar1 or nbar2 failed"
+    failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
+    # column 3 of W from X_3 = I - X_1 - X_2, and of G from its zero row sums
+    w = np.diagonal(X, axis1=-2, axis2=-1).real  # w[..., j, i] = Re (X_j)_ii
+    W = np.stack([w[..., 0, :], w[..., 1, :], 1.0 - w[..., 0, :] - w[..., 1, :]], axis=-1)
+    # q[..., j, k] = u_k† X_j u_k of the Hermitian X_j
+    x00, x01, x11 = (X[..., :, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
+    u0, u1 = sys.U[..., None, 0, :], sys.U[..., None, 1, :]
+    q = x00.real * np.abs(u0) ** 2 + x11.real * np.abs(u1) ** 2 + 2.0 * (u0.conj() * x01 * u1).real
+    g = 2.0 * q - 2.0 * sys.rate[..., None, :] * np.eye(2, 3)
+    G = np.stack([g[..., 0, :], g[..., 1, :], -(g[..., 0, :] + g[..., 1, :])], axis=-1)
+    if not failed.ndim:
+        return W, G
+    nan = failed[..., None, None]
+    return np.where(nan, np.nan, W), np.where(nan, np.nan, G), failed
 
 
 def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:

@@ -6,9 +6,11 @@ its drift is a 2x2 complex mode-space matrix M and every covariance a 2x2
 complex Hermitian matrix.  The Lyapunov solver takes the drift A and
 returns the Hermitian solution X of A X + X A† + N = 0; for real inputs it
 is the familiar real-symmetric form with A^T.  Its Kronecker operator
-depends on A alone, so a stack factorizes (inverts) it once per distinct
-drift and applies it to each item's N: the thermal noise of a sweep's
-occupation axis enters only through N.
+depends on A alone, so it is inverted once per drift as passed and applied
+to every source N that broadcasts against that drift: a caller with several
+sources per drift (``cascaded.linear_response``, one per bath) passes the
+drift once, and a caller that repeats drifts (a sweep whose points differ
+only in their bath occupations) passes each distinct drift once.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
 item.  One matrix raises on its first failed check; a stack returns
@@ -45,12 +47,24 @@ def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
     """Closed-form eigenvalues mean +- sqrt(half^2 + M01 M10) of a 2x2 complex
     matrix or a stack, with mean and half the half-sum and half-difference of
     the diagonal: unlike tr^2 - 4 det, this keeps a large common diagonal from
-    rounding away the damping or overflowing."""
+    rounding away the damping or overflowing.  Where half^2 or M01 M10
+    overflows, the discriminant is taken of the entries scaled by a power of
+    two; every other item keeps the unscaled formula bit for bit."""
     # an extra axis keeps one matrix in array arithmetic, which rounds complex
     # products like a stack does (numpy scalars may differ in the last bit)
     M = np.asarray(M, dtype=complex)[..., None, :, :]
     mean, half = (M[..., 0, 0] + M[..., 1, 1]) / 2.0, (M[..., 0, 0] - M[..., 1, 1]) / 2.0
-    disc = np.sqrt(half * half + M[..., 0, 1] * M[..., 1, 0])
+    m01, m10 = M[..., 0, 1], M[..., 1, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = np.sqrt(half * half + m01 * m10)
+    entries = (half, m01, m10)
+    overflow = ~np.isfinite(disc) & np.logical_and.reduce([np.isfinite(z) for z in entries])
+    if overflow.any():
+        h, a, b = (z[overflow] for z in entries)
+        size = np.maximum.reduce([np.abs(part) for z in (h, a, b) for part in (z.real, z.imag)])
+        scale = np.ldexp(1.0, np.frexp(size)[1] - 1)  # size / scale lies in [1, 2)
+        h, a, b = h / scale, a / scale, b / scale
+        disc[overflow] = scale * np.sqrt(h * h + a * b)
     return (mean + disc)[..., 0], (mean - disc)[..., 0]
 
 
@@ -129,38 +143,32 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[n
 
     Uses the dense row-major vectorization K = kron(A, I) + kron(I, conj(A)),
     with n^2 unknowns for an n x n drift.  K depends on the drift alone, so
-    a stack builds, checks and inverts K once per distinct drift (items with
-    the same bit pattern of A share it) and applies the inverse to each
-    item's vec(N); one matrix takes the same path.  The residual is checked
-    per item against _RESIDUAL_RTOL * max-norm of N.  One matrix returns X and
-    raises on a failed check; a stack returns (X, failed), NaN in failed items.
+    it is built, checked and inverted once per drift as passed, and the
+    inverse is applied to every vec(N) that broadcasts against it: a drift
+    (..., 1, n, n) serves k sources (..., k, n, n) with one inversion.  The
+    residual is checked per item against _RESIDUAL_RTOL * max-norm of N.  One
+    matrix and one source return X and raise on a failed check; otherwise
+    the result is (X, failed) of the broadcast shape, NaN in failed items.
     """
-    A, N = np.broadcast_arrays(np.asarray(A), np.asarray(N))
-    failed = check_hermitian(np.zeros(A.shape[:-2], bool), N)
+    A, N = np.asarray(A), np.asarray(N)
+    failed = check_hermitian(np.zeros(np.broadcast_shapes(A.shape, N.shape)[:-2], bool), N)
     norm_n = _maxabs(N)
     # lift a source near underflow by an exact power of two
     lift = np.where((0.0 < norm_n) & (norm_n < 1e-250), 2.0**600, 1.0)
     N, norm_n = N * lift[..., None, None], norm_n * lift
     n = A.shape[-1]
-    drifts = A.reshape(-1, n, n)
-    if A.ndim == 2:
-        inverse = np.zeros(1, int)
-    else:
-        # bit patterns as keys: -0.0 and 0.0 stay apart, which errs towards more factorizations
-        keys = np.ascontiguousarray(drifts).reshape(-1, n * n)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * n * n)))[:, 0]
-        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
-        drifts = drifts[first]
     eye = np.eye(n)
-    K = np.einsum("pik,jl->pijkl", drifts, eye) + np.einsum("ik,pjl->pijkl", eye, drifts.conj())
-    K = K.reshape(-1, n * n, n * n)
+    K = np.einsum("...ik,jl->...ijkl", A, eye) + np.einsum("ik,...jl->...ijkl", eye, A.conj())
+    K = K.reshape(A.shape[:-2] + (n * n, n * n))
     # a zero determinant sign flags exactly the drifts whose LU has a zero pivot
     singular = np.linalg.slogdet(K)[0] == 0.0
     Kinv = np.linalg.inv(_placeholder(singular, K, np.eye(n * n)))
     message = "vectorized Lyapunov system is singular"
-    failed = check_items(failed, singular[inverse].reshape(failed.shape), SingularSystemError, message)
-    x = np.einsum("pij,pj->pi", Kinv[inverse], -N.reshape(-1, n * n))
-    V = hermitian_part(x.reshape(A.shape))
+    failed = check_items(failed, singular, SingularSystemError, message)
+    # one contiguous operator per item, as each source sees it
+    Kinv = np.broadcast_to(Kinv, failed.shape + (n * n, n * n)).reshape(-1, n * n, n * n)
+    vec_n = np.broadcast_to(N, failed.shape + (n, n)).reshape(-1, n * n)
+    V = hermitian_part(np.einsum("pij,pj->pi", Kinv, -vec_n).reshape(failed.shape + (n, n)))
     # V is exactly Hermitian, so V A† is exactly (A V)†
     AV = stacked_product(A, V)
     residual = _maxabs(AV + _dagger(AV) + N)

@@ -73,8 +73,10 @@ class OmParams:
         for name in ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m"):
             message = f"{name}: must be non-negative"
             failed = check_items(failed, getattr(self, name) < 0.0, error, message)
-        finite = np.isfinite(values).all(axis=0)
-        return check_items(failed, ~finite, error, "all parameters must be finite")
+        finite = np.isfinite(values)
+        # the first field that is not finite at some point: the one a single point names
+        first = list(vars(self))[np.argmin(finite.reshape(len(finite), -1).all(axis=1))]
+        return check_items(failed, ~finite.all(axis=0), error, f"{first}: must be finite")
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,9 @@ def build_om_drift(
     return M, noise
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # gamma_m = 0 at invalid() items
+# gamma_m = 0 at invalid() items; G1^2 or G1 G2 beyond the float range gives
+# non-finite fields, which CascadedParams.invalid() flags
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def map_to_cascaded(p: OmParams) -> CascadedParams:
     """Translate optomechanical parameters into cascaded-model parameters.
 

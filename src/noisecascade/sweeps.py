@@ -13,14 +13,21 @@ spelling per quantity, required fields); ``parse_config`` applies it to
 
 The grid is evaluated in blocks of BLOCK_POINTS (2048) points.  A block is
 one array-valued parameter set built from the axis columns, with all-zero
-placeholders at its invalid points, and one stacked system; every layer,
-from the parameters to each requested output column, makes one call per
-block (theta takes the whole s_grid in that call, split into more calls
-only beyond BLOCK_POINTS (point, s) pairs).  The steady state, occupations
-and baseline run for every config; the closed forms, flows and theta only
-when requested.  The result is columnar: a SweepResult holds value,
-validity and status arrays, which ``emit`` formats column by column, each
-distinct value of a column once, for CSV and JSON alike.
+placeholders at its invalid points; every layer, from the parameters to
+each requested output column, makes one call per block (theta takes the
+whole s_grid in that call, split into more calls only beyond BLOCK_POINTS
+(point, s) pairs).  Occupations and flows are linear in the bath
+occupations, so the points of a block that differ only in nbar1..3 (keyed
+on the float64 bits of every other field) share one system: the stability
+margin and the linear response (W, G) of ``cascaded.linear_response`` are
+computed once per distinct system, and each point's occupations and flows
+are n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and
+eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
+``cascaded.occupations``.  The baseline runs for every config; the response
+only for n*, dn* and eta*, the closed forms and theta only when requested;
+theta is evaluated per point.  The result is columnar: a SweepResult holds
+value, validity and status arrays, which ``emit`` formats column by column,
+each distinct value of a column once, for CSV and JSON alike.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -35,13 +42,14 @@ from numpy.typing import NDArray
 
 from .cascaded import (
     CascadedParams,
-    _steady_state,
+    LinearSystem,
+    _clamped_occupations,
+    _linear_response,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
-    occupations,
 )
-from .counting import flow_cumulant, large_deviation
+from .counting import large_deviation
 from .linalg import check_items, stability_margin
 from .optomech import OmParams, map_to_cascaded
 
@@ -326,12 +334,15 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
 
     The block's parameters are one array-valued CascadedParams built from its
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
-    invalid points.  A cell is blank where its quantity is undefined: an
-    unstable drift, a failed Lyapunov solve (n*, dn*, eta*), unequal rates
-    (m*, dn*, n*_closed), a zero-rate channel (eta*, and theta at every s,
-    s = 0 included) or an s outside the admissible region (theta; s = 0 is
-    inside, with theta = 0).  A stable row with a blank cell is
-    ``unsupported``, as is a point whose parameters are invalid.
+    invalid points.  Points that differ only in nbar1..3 share one system:
+    the margin and the linear response (W, G) are computed once per distinct
+    system, and each point's occupations and flows follow from its nbar.  A
+    cell is blank where its quantity is undefined: an unstable drift, a
+    failed Lyapunov solve (n*, dn*, eta*), unequal rates (m*, dn*,
+    n*_closed), a zero-rate channel (eta*, and theta at every s, s = 0
+    included) or an s outside the admissible region (theta; s = 0 is inside,
+    with theta = 0).  A stable row with a blank cell is ``unsupported``, as
+    is a point whose parameters are invalid.
     """
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
@@ -343,12 +354,21 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         p = map_to_cascaded(om)
         built = ~(om.invalid() | p.invalid())
     p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
-    sys = build_system(p)
-    margin = stability_margin(sys.M)
+    # key each point on the float64 bits of every field but nbar1..3
+    rest = [getattr(p, f.name) for f in dc_fields(p) if not f.name.startswith("nbar")]
+    keys = np.hstack([x.view(np.float64).reshape(x.size, -1) for x in rest])
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    if "theta" in cfg.outputs:  # theta needs each point's noise matrix
+        sys = build_system(p)
+        distinct = LinearSystem(**{f.name: getattr(sys, f.name)[first] for f in dc_fields(sys)})
+    else:
+        distinct = build_system(
+            CascadedParams(**{f.name: getattr(p, f.name)[first] for f in dc_fields(p)})
+        )
+    margin_distinct = stability_margin(distinct.M)
+    margin = margin_distinct[inverse]
     stable = built & (margin < 0.0)
-    Y, no_y = _steady_state(sys, ~built, margin)  # NaN at unstable rows and failed solves
-    has_y = ~no_y
-    n = occupations(Y)
     base, unequal = disconnected_baseline(p)
     has_base = stable & ~unequal
     cells = {
@@ -357,17 +377,26 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         "F_residual": [(np.hypot(p.F.real, p.F.imag), built)],
     }
     for i in (0, 1):
-        cells[f"n{i + 1}"] = [(n[i], has_y)]
         cells[f"m{i + 1}"] = [(base[i], has_base)]
-        cells[f"dn{i + 1}"] = [(n[i] - base[i], has_y & has_base)]
+    if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
+        W, G, no_response = _linear_response(distinct, margin_distinct)
+        W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
+        # n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and eta_k = sum_j G_kj (nbar_j - nbar3):
+        # rows of W sum to one and rows of G to zero
+        d1, d2 = p.nbar1 - p.nbar3, p.nbar2 - p.nbar3
+        n = p.nbar3[:, None] + W[..., 0] * d1[:, None] + W[..., 1] * d2[:, None]
+        n = _clamped_occupations(n)
+        eta = G[..., 0] * d1[:, None] + G[..., 1] * d2[:, None]
+        zero_rate = distinct.rate[inverse] <= 0.0
+        for i in (0, 1):
+            cells[f"n{i + 1}"] = [(n[i], has_response)]
+            cells[f"dn{i + 1}"] = [(n[i] - base[i], has_response & has_base)]
+        for k in (0, 1, 2):
+            cells[f"eta{k + 1}"] = [(eta[:, k], has_response & ~zero_rate[:, k])]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):
         closed, _ = closed_form_occupations(p)
         for i in (0, 1):
             cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
-    for k in (1, 2, 3):
-        if f"eta{k}" in cfg.outputs:
-            eta, zero_rate = flow_cumulant(k, 1, sys, Y)
-            cells[f"eta{k}"] = [(eta, has_y & ~zero_rate)]
     if "theta" in cfg.outputs:
         # one call per chunk of s values, at most BLOCK_POINTS (point, s) pairs each
         s, chunk = np.array(cfg.s_grid)[:, None], max(1, BLOCK_POINTS // built.size)

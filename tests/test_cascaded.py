@@ -14,19 +14,23 @@ import pytest
 from noisecascade.cascaded import (
     CascadedParams,
     InvalidParamsError,
+    LinearSystem,
     UnstableSystemError,
     UnsupportedParamsError,
     build_system,
     closed_form_occupations,
     delta_n,
     disconnected_baseline,
+    linear_response,
     occupation_from_temperature,
     occupations,
     steady_state,
     temperature_from_occupation,
 )
+from noisecascade.counting import flow_cumulant
 from noisecascade.linalg import SingularSystemError, stability_margin
 from noisecascade.optomech import OmParams, map_to_cascaded
+from test_sweeps_cli import LYAPUNOV_FAILURE
 
 RNG = np.random.default_rng(20240818)
 
@@ -400,8 +404,11 @@ class TestArrayParams:
         assert build_system(p).M.shape == (2, 2)
         with pytest.raises(InvalidParamsError, match="^gamma1: must be non-negative$"):
             CascadedParams(gamma1=-1.0, nbar1=-1.0)
-        with pytest.raises(InvalidParamsError, match="^all parameters must be finite$"):
-            CascadedParams(F=complex(0.0, np.nan))
+        # the first non-finite field is named
+        with pytest.raises(InvalidParamsError, match="^F: must be finite$"):
+            CascadedParams(F=complex(0.0, np.nan), nbar3=np.inf)
+        with pytest.raises(InvalidParamsError, match="^omega2: must be finite$"):
+            CascadedParams(omega2=np.inf, phi=np.nan)
         with pytest.raises(UnsupportedParamsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
             closed_form_occupations(CascadedParams(kappa1=1.0))
 
@@ -412,3 +419,87 @@ class TestArrayParams:
         assert build_system(p).M.shape == (2, 2, 2)
         (n1, _), unequal = closed_form_occupations(p)
         assert n1.shape == (2,) and unequal.tolist() == [False, True]
+
+
+def random_stable_systems(rng, size):
+    """Random 2-mode, 3-channel systems M = -iH - UU†/2 with a full-rank U,
+    so M + M† = -UU† < 0 makes every one stable; rates are |u_c|^2."""
+    U = rng.normal(size=(size, 2, 3)) + 1j * rng.normal(size=(size, 2, 3))
+    H = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    UU = U @ U.conj().swapaxes(-2, -1)
+    M = -0.5j * (H + H.conj().swapaxes(-2, -1)) - 0.5 * UU
+    rate = (np.abs(U) ** 2).sum(axis=-2)
+    nbar = rng.uniform(0.0, 5.0, (size, 3))
+    N = (U * (nbar + 0.5)[:, None, :]) @ U.conj().swapaxes(-2, -1)
+    return LinearSystem(M=M, U=U, rate=rate, nbar=nbar, N=N)
+
+
+class TestLinearResponse:
+    """Occupation weights W and flow conductances G: n = W nbar, eta = G nbar."""
+
+    CRITERION_8 = CascadedParams(omega1=0.0, omega2=1.3, kappa1=1.0, kappa2=1.0,
+                                 gamma1=1.0, gamma2=1.0, phi=0.0, F=0.0)
+
+    def test_rows_and_columns_sum_to_zero(self):
+        systems = random_stable_systems(np.random.default_rng(1), 100)
+        W, G, failed = linear_response(systems)
+        assert not failed.any() and W.shape == (100, 2, 3) and G.shape == (100, 3, 3)
+        assert (G.sum(axis=-1) == 0.0).all()  # column 3 is -(G_k1 + G_k2)
+        bound = 1e-14 * systems.rate.max(axis=-1)[:, None]
+        assert (np.abs(G.sum(axis=-2)) <= bound).all()
+        assert np.abs(W.sum(axis=-1) - 1.0).max() <= 1e-14
+
+    def test_matches_flows_and_occupations_at_unit_occupations(self):
+        for p in (self.CRITERION_8, random_equal_rate_params(), random_equal_rate_params()):
+            W, G = linear_response(build_system(p))
+            scale = max(p.kappa1, p.kappa2, p.collective_rate)
+            for j in range(3):
+                unit = dict(zip(("nbar1", "nbar2", "nbar3"), np.eye(3)[j]))
+                q = dataclasses.replace(p, **unit)
+                sys, Y = build_system(q), steady_state(q)
+                for k in range(3):
+                    assert abs(G[k, j] - flow_cumulant(k + 1, 1, sys, Y)) <= 1e-13 * scale
+                assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
+
+    def test_onsager_casimir(self):
+        # the time-reversed partner (M^T, conj(U)) transmits the other way: G -> G^T
+        systems = random_stable_systems(np.random.default_rng(2), 100)
+        partner = LinearSystem(M=systems.M.swapaxes(-2, -1), U=systems.U.conj(),
+                               rate=systems.rate, nbar=systems.nbar, N=systems.N.conj())
+        G, G_partner = linear_response(systems)[1], linear_response(partner)[1]
+        bound = 1e-13 * systems.rate.max(axis=-1)[:, None, None]
+        assert (np.abs(G - G_partner.swapaxes(-2, -1)) <= bound).all()
+
+    def test_criterion_8_isolates(self):
+        W, G = linear_response(build_system(self.CRITERION_8))
+        expected = [[-1.0, 0.0, 1.0], [0.351, -1.0, 0.649], [0.649, 1.0, -1.649]]
+        np.testing.assert_allclose(G, expected, rtol=0.0, atol=1e-3)
+        assert G[0, 1] == 0.0  # no flow into bath 1 from bath 2
+        contrast = (G[1, 0] - G[0, 1]) / (G[1, 0] + G[0, 1])
+        assert contrast == 1.0
+
+    def test_stack_items_equal_single_calls(self):
+        fields = random_array_fields(np.random.default_rng(3), n=40)
+        fields["kappa1"][20] = fields["gamma1"][20] = fields["F"][20] = 0.0  # mode 1 undamped
+        for name, value in LYAPUNOV_FAILURE.items():  # stable, but its solve fails
+            fields[name][21] = complex(value) if name == "F" else value
+        p = CascadedParams(**fields)
+        built = ~p.invalid()
+        p = CascadedParams(**{k: np.where(built, v, 0.0) for k, v in fields.items()})
+        systems = build_system(p)
+        W, G, failed = linear_response(systems)
+        assert failed[20] and failed[21] and failed[~built].all() and (~failed).sum() > 20
+        for i in range(len(failed)):
+            item = LinearSystem(*(getattr(systems, f.name)[i] for f in dataclasses.fields(systems)))
+            try:
+                single = linear_response(item)
+            except (UnstableSystemError, SingularSystemError):
+                assert failed[i] and np.isnan(W[i]).all() and np.isnan(G[i]).all(), i
+            else:
+                assert not failed[i], i
+                assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
+
+    def test_one_unstable_system_raises(self):
+        p = dataclasses.replace(self.CRITERION_8, kappa1=0.0, gamma1=0.0)
+        with pytest.raises(UnstableSystemError, match="^drift is not stable"):
+            linear_response(build_system(p))

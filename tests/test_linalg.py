@@ -107,6 +107,34 @@ class TestStabilityMargin:
         assert np.isfinite(margin) and abs(margin - reference) <= 1e-13
 
 
+    def test_overflowing_discriminant_is_scaled(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # half^2 overflowed to NaN here; a RuntimeWarning is an error in the tests
+        M = build_system(CascadedParams(omega2=1e160, kappa1=1.0, kappa2=1.0)).M
+        assert stability_margin(M) == -0.5
+        # M01 M10 overflows too; eigenvalues agree with eigvals of M / 2^700 times 2^700
+        big = np.array([[3e200j - 1.0, 2e200], [-1.5e200 + 1e199j, -1e200j - 2.0]])
+        lam = np.sort_complex(np.array(eigenvalues_2x2(big)))
+        reference = np.sort_complex(np.linalg.eigvals(big / 2.0**700) * 2.0**700)
+        assert np.abs(lam - reference).max() <= 1e-14 * np.abs(big).max()
+        # items whose unscaled formula is finite keep its bits, next to overflowing ones
+        M = RNG.normal(size=(64, 2, 2)) + 1j * RNG.normal(size=(64, 2, 2))
+        M[::8] *= 1e180
+        M[1::8, 0, 1] *= 1e300  # large, but M01 M10 stays finite
+        stack = eigenvalues_2x2(M)
+        mean, half = (M[:, 0, 0] + M[:, 1, 1]) / 2.0, (M[:, 0, 0] - M[:, 1, 1]) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = np.sqrt(half * half + M[:, 0, 1] * M[:, 1, 0])
+        finite = np.isfinite(disc)
+        assert finite.sum() == 56
+        for got, plain in zip(stack, (mean + disc, mean - disc)):
+            assert np.isfinite(got).all()
+            assert_same_bits(got[finite], plain[finite])
+        for i in range(64):
+            assert_same_bits(np.array(eigenvalues_2x2(M[i])), np.array([stack[0][i], stack[1][i]]))
+
+
 class TestSolveLyapunov:
     def test_manufactured_solution(self):
         for _ in range(25):
@@ -345,7 +373,7 @@ class TestStackedProducts:
 
 
 class TestSharedFactorization:
-    """Items of a stack that share a drift share its factorized Kronecker
+    """Sources broadcast against one drift share its factorized Kronecker
     operator; each item still equals its single call and is checked alone."""
 
     @staticmethod
@@ -390,6 +418,7 @@ class TestSharedFactorization:
         assert failed.tolist() == [True, False, True, True, False, True, True]
 
     def test_factors_each_distinct_drift_once(self, monkeypatch):
+        # one operator per drift as passed, shared by the sources broadcast against it
         operators = {"inv": 0, "slogdet": 0}
         for name in operators:
             kernel = getattr(np.linalg, name)
@@ -400,17 +429,18 @@ class TestSharedFactorization:
 
             monkeypatch.setattr(np.linalg, name, counted)
         drifts = np.stack([random_stable_drift() for _ in range(21)])
-        index = np.concatenate([np.arange(21), RNG.integers(0, 21, size=2048 - 21)])
-        X, failed = solve_lyapunov(drifts[index], self.hermitian(2048))
-        assert not failed.any() and operators == {"inv": 21, "slogdet": 21}
-        # keys are bit patterns: -0.0 and 0.0 are two drifts
+        N = self.hermitian(21 * 5).reshape(21, 5, 2, 2)
+        X, failed = solve_lyapunov(drifts[:, None], N)
+        assert X.shape == (21, 5, 2, 2) and not failed.any()
+        assert operators == {"inv": 21, "slogdet": 21}
+        # the same bits as one drift per source, and as each single call
+        assert_same_bits(X, solve_lyapunov(np.repeat(drifts[:, None], 5, axis=1), N)[0])
+        assert operators == {"inv": 21 + 105, "slogdet": 21 + 105}
         operators.update(inv=0, slogdet=0)
-        A = np.array([[-1.0, 0.0], [0.5, -2.0]])
-        B = A.copy()
-        B[0, 1] = -0.0
-        X, failed = solve_lyapunov(np.stack([A, B, A]), np.eye(2))
-        assert not failed.any() and operators == {"inv": 2, "slogdet": 2}
-        np.testing.assert_array_equal(X[0], X[1])
+        X, failed = solve_lyapunov(drifts[3], N[3])
+        assert not failed.any() and operators == {"inv": 1, "slogdet": 1}
+        for k in range(5):
+            assert_same_bits(X[k], solve_lyapunov(drifts[3], N[3, k]))
 
 
 def test_package_makes_no_matmul():

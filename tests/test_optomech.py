@@ -268,9 +268,9 @@ class TestArrayParams:
             ({"G2": -1.0, "Nbar1": -1.0}, "^G2: must be non-negative$"),
             ({"Nbar_m": -1.0}, "^Nbar_m: must be non-negative$"),
             ({"kappa1": -1.0}, "^kappa1: must be non-negative$"),
-            ({"G1": np.nan}, "^all parameters must be finite$"),
-            ({"gamma_m": np.inf}, "^all parameters must be finite$"),
-            ({"Omega": -np.inf}, "^all parameters must be finite$"),
+            ({"G1": np.nan, "Nbar2": np.inf}, "^G1: must be finite$"),
+            ({"gamma_m": np.inf}, "^gamma_m: must be finite$"),
+            ({"Omega": -np.inf}, "^Omega: must be finite$"),
         ]
         for change, message in cases:
             with pytest.raises(InvalidParamsError, match=message):

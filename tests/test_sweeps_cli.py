@@ -362,6 +362,12 @@ class TestRunSweep:
         assert result.valid[0].tolist() == [True, True, False, True, False, False]
         assert (result.status[1:] == "ok").all() and result.valid[1:].all()
 
+    def test_overflowing_mapping_gives_unsupported_rows(self):
+        # a RuntimeWarning is an error in the tests, as under -W error::RuntimeWarning
+        result = run_sweep(parse_config(json.dumps(G1_OVERFLOW_SWEEP)))
+        assert result.status.tolist() == ["ok", "unsupported", "unsupported"]
+        assert result.valid[0].all() and not result.valid[1:, 1:].any()
+
     def test_lyapunov_failure_blanks_its_cells(self):
         params = {k: v for k, v in LYAPUNOV_FAILURE.items() if k != "nbar1"}
         doc = {
@@ -383,14 +389,15 @@ class TestRunSweep:
 
 
 def reference_row(cfg, axis_values):
-    """One row from single-point library calls, by the per-point status rules."""
+    """One row from single-point library calls, by the per-point status rules,
+    and the largest bath occupation of the point (0 where it is invalid)."""
     n_out = len(column_names(cfg)) - len(cfg.axes) - 1
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_values))
     try:
         p = cascaded_from_raw(raw) if cfg.model == "cascaded" else map_to_cascaded(OmParams(**raw))
     except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
-        return (None,) * n_out, "unsupported"
+        return (None,) * n_out, "unsupported", 0.0
     sys = build_system(p)
     margin = stability_margin(sys.M)
     stable = margin < 0.0
@@ -430,7 +437,7 @@ def reference_row(cfg, axis_values):
 
     cells = tuple(v for name in cfg.outputs for v in cell(name))
     status = "unstable" if not stable else "unsupported" if None in cells else "ok"
-    return cells, status
+    return cells, status, max(p.nbar1, p.nbar2, p.nbar3)
 
 
 # 20 points with ok, unstable and unsupported rows and every output, theta included
@@ -449,8 +456,8 @@ MIXED_GRID = {
     "s_grid": [-0.2, 0.0, 0.6],
 }
 
-# every Nbar = 0: the mapped system sits at the vacuum, where rounding leaves
-# some occupations at about -1e-16, which occupations() clamps to 0
+# every Nbar = 0: the mapped system sits at the vacuum, where the occupations
+# and flows, linear in the bath occupations, are exactly 0
 ZERO_TEMPERATURE_SWEEP = {
     "model": "optomech",
     "params": {"omega_m": 5.0, "gamma_m": 0.4, "Delta1": 5.0, "Delta2": 5.0,
@@ -458,6 +465,27 @@ ZERO_TEMPERATURE_SWEEP = {
                "phi": 1.5707963267948966},
     "axes": [{"variable": "Omega", "min": 4.0, "max": 6.0, "points": 21}],
     "outputs": ["n1", "n2", "eta1", "eta2", "eta3"],
+}
+
+
+# G1^2 overflows at the two upper points, which map to non-finite cascaded fields
+G1_OVERFLOW_SWEEP = {
+    "model": "optomech",
+    "params": {"omega_m": 5.0, "gamma_m": 0.4, "Delta1": 5.0, "Delta2": 5.0,
+               "kappa1": 1.0, "kappa2": 1.0, "G2": 0.3, "J": 0.45,
+               "phi": 1.5707963267948966, "Nbar1": 1.0, "Nbar_m": 0.5},
+    "axes": [{"variable": "G1", "min": 0.1, "max": 1e200, "points": 3}],
+    "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin", "F_residual"],
+}
+
+# many points per system: 5 systems, each with 501 values of nbar1, in two blocks
+NBAR1_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa1": 1.0, "kappa2": 0.5, "gamma1": 0.8, "gamma2": 1.2, "phi": 0.4,
+               "F": "0.1-0.2j", "nbar2": 1.5, "nbar3": 0.5},
+    "axes": [{"variable": "Delta", "min": -2.0, "max": 2.0, "points": 5},
+             {"variable": "nbar1", "min": 0.0, "max": 10.0, "points": 501}],
+    "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin"],
 }
 
 
@@ -475,14 +503,17 @@ class TestStackedSweep:
         blanks = set()
         rows = zip(points, result.values.tolist(), result.valid.tolist(), result.status.tolist())
         for pt, values, valid, status in rows:
-            ref_cells, ref_status = reference_row(cfg, pt)
+            ref_cells, ref_status, nbar = reference_row(cfg, pt)
             assert tuple(values[:n_axes]) == pt and all(valid[:n_axes])
             assert status == ref_status
             outputs = [v if ok else None for v, ok in zip(values[n_axes:], valid[n_axes:])]
             for name, got, ref in zip(cols, outputs, ref_cells):
                 assert (got is None) == (ref is None), (pt, name)
                 if ref is not None:
-                    assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (pt, name)
+                    # the absolute part, as in benchmarks/oracle.close: at equal
+                    # nbar the sweep's dn2 is exactly 0, the reference's 2.2e-16
+                    tolerance = pytest.approx(ref, rel=1e-12, abs=1e-12 * max(nbar, 1.0))
+                    assert got == tolerance, (pt, name)
                 elif status == "unsupported" and outputs[margin] is not None:
                     blanks.add(name)
         assert set(result.status.tolist()) == {"ok", "unstable", "unsupported"}
@@ -492,46 +523,95 @@ class TestStackedSweep:
 
     def test_only_requested_columns_call_their_kernels(self, monkeypatch):
         calls = []
-        for name in ("flow_cumulant", "closed_form_occupations"):
+        for name in ("_linear_response", "closed_form_occupations"):
             kernel = getattr(sweeps, name)
             monkeypatch.setattr(sweeps, name, lambda *a, f=kernel, n=name: calls.append(n) or f(*a))
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
         for outputs, per_block in (
-            (["n1", "n2", "dn1", "dn2"], []),
-            (["eta2", "n2_closed"], ["closed_form_occupations", "flow_cumulant"]),
-            (list(sweeps._OUTPUTS), ["closed_form_occupations"] + ["flow_cumulant"] * 3),
+            (["m1", "m2", "stability_margin", "F_residual"], []),
+            (["theta"], []),
+            (["n1", "n2", "dn1", "dn2"], ["_linear_response"]),
+            (["eta2", "n2_closed"], ["_linear_response", "closed_form_occupations"]),
+            (list(sweeps._OUTPUTS), ["_linear_response", "closed_form_occupations"]),
         ):
             calls.clear()
             run_sweep(parse_config(json.dumps(dict(MIXED_GRID, outputs=outputs))))
             assert calls == per_block * 3, outputs
 
     def test_emission_independent_of_block_size(self, monkeypatch):
-        for fmt in ("csv", "json"):
-            cfg = parse_config(json.dumps(dict(MIXED_GRID, format=fmt)))
-            default = emit(run_sweep(cfg), cfg)
-            with monkeypatch.context() as m:
-                m.setattr(sweeps, "BLOCK_POINTS", 7)
-                blocked = emit(run_sweep(cfg), cfg)
-            assert blocked == default, fmt
+        for doc, block_points in ((MIXED_GRID, 7), (NBAR1_SWEEP, 300)):
+            for fmt in ("csv", "json"):
+                cfg = parse_config(json.dumps(dict(doc, format=fmt)))
+                default = emit(run_sweep(cfg), cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(sweeps, "BLOCK_POINTS", block_points)
+                    blocked = emit(run_sweep(cfg), cfg)
+                assert blocked == default, fmt
+
+    def test_every_field_but_nbar_keys_a_system(self):
+        # points that differ in any one such field get their own system
+        base = {"omega1": 0.2, "omega2": -0.3, "kappa1": 1.0, "kappa2": 0.5, "gamma1": 0.8,
+                "gamma2": 1.2, "phi": 0.4, "F": 0.1, "nbar2": 1.5, "nbar3": 0.5}
+        for name in ("omega1", "omega2", "kappa1", "kappa2", "gamma1", "gamma2", "phi", "F"):
+            doc = {"model": "cascaded", "params": {k: v for k, v in base.items() if k != name},
+                   "axes": [{"variable": name, "min": base[name], "max": base[name] + 0.5,
+                             "points": 2},
+                            {"variable": "nbar1", "min": 0.0, "max": 2.0, "points": 2}],
+                   "outputs": ["n1", "n2", "eta1", "eta2", "eta3"]}
+            cfg = parse_config(json.dumps(doc))
+            result = run_sweep(cfg)
+            points = itertools.product(*(ax.values().tolist() for ax in cfg.axes))
+            for values, point in zip(result.values.tolist(), points):
+                cells, status, nbar = reference_row(cfg, point)
+                assert status == "ok"
+                tolerance = pytest.approx(cells, rel=1e-12, abs=1e-12 * max(nbar, 1.0))
+                assert values[2:] == tolerance, (name, point)
+
+    def test_points_sharing_a_system_match_single_points(self, monkeypatch):
+        systems, response = [], sweeps._linear_response
+        monkeypatch.setattr(
+            sweeps, "_linear_response", lambda sys, m: systems.append(len(sys.M)) or response(sys, m)
+        )
+        cfg = parse_config(json.dumps(NBAR1_SWEEP))
+        result = run_sweep(cfg)
+        assert systems == [5, 1] and (result.status == "ok").all()  # 2048 = 4 * 501 + 44
+        points = list(itertools.product(*(ax.values().tolist() for ax in cfg.axes)))
+        for i in range(0, len(points), 23):
+            cells, status, nbar = reference_row(cfg, points[i])
+            assert status == "ok"
+            tolerance = pytest.approx(cells, rel=1e-12, abs=1e-12 * max(nbar, 1.0))
+            assert result.values[i, 2:].tolist() == tolerance, points[i]
 
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
-        # the block's margin feeds its steady state; unstable rows reach the
-        # Lyapunov solve only as a shared stable placeholder drift
+        # the margin and the response take the block's distinct systems, one per
+        # set of fields other than nbar1..3; unstable systems reach the Lyapunov
+        # solve only as the placeholder drift -I
         from noisecascade import cascaded
 
-        margins, drifts = [], []
-        margin, solve = cascaded.stability_margin, cascaded.solve_lyapunov
+        margins, responses, drifts = [], [], []
+        margin, response = cascaded.stability_margin, cascaded._linear_response
+        solve = cascaded.solve_lyapunov
         for module in (sweeps, cascaded):
-            monkeypatch.setattr(module, "stability_margin", lambda M: margins.append(1) or margin(M))
+            monkeypatch.setattr(module, "stability_margin", lambda M: margins.append(M) or margin(M))
+        monkeypatch.setattr(
+            sweeps, "_linear_response", lambda sys, m: responses.append(sys.M) or response(sys, m)
+        )
         monkeypatch.setattr(cascaded, "solve_lyapunov", lambda A, N: drifts.append(A) or solve(A, N))
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
         result = run_sweep(parse_config(json.dumps(MIXED_GRID)))
-        assert len(margins) == 3 and len(drifts) == 3
-        drifts = np.concatenate(drifts)
-        assert (margin(drifts) < 0.0).all()
-        unstable = result.status == "unstable"
-        assert unstable.any() and (drifts[unstable] == -np.eye(2)).all()
+        # the (kappa1, gamma1) pairs of rows 0-7, 8-15 and 16-19, and in each
+        # block the all-zero placeholder of its invalid mbar3 = 2 point
+        assert [len(M) for M in margins] == [3, 4, 2]
+        assert len(responses) == len(drifts) == 3
+        for M, response_M, drift in zip(margins, responses, drifts):
+            assert response_M is M and drift.shape == (len(M), 1, 2, 2)
+            assert len(np.unique(M.reshape(len(M), -1), axis=0)) == len(M)
+            unstable = ~(margin(M) < 0.0)
+            assert unstable.any() and (drift[unstable] == -np.eye(2)).all()
+            assert (margin(drift[:, 0]) < 0.0).all()
+            np.testing.assert_array_equal(drift[~unstable, 0], M[~unstable])
+        assert (result.status == "unstable").any()
 
 
 # the theta sweep of the CI workflow: 6 x 6 J x G2 on the optomechanical model
@@ -1029,6 +1109,8 @@ class TestParamCheck:
             # signs are checked by OmParams.invalid(), for library callers too
             (["design", *OM_SETS, "--set", "kappa1=-1"], "kappa1: must be non-negative"),
             (["map-om", *OM_SETS, "--set", "gamma_m=0"], "gamma_m: must be positive"),
+            # finite inputs whose mapping is not: G1^2 overflows, and times Im chi = 0 is NaN
+            (["map-om", *OM_SETS, "--set", "G1=1e200"], "omega1: must be finite"),
         ):
             assert self.set_error(argv, capsys) == f"error: {message}\n", argv
 
@@ -1064,13 +1146,32 @@ class TestZeroTemperature:
         cfg = parse_config(json.dumps(ZERO_TEMPERATURE_SWEEP))
         with caplog.at_level(logging.WARNING, logger="noisecascade"):
             result = run_sweep(cfg)
-        assert (result.status == "ok").all() and result.valid.all()
+            assert (result.status == "ok").all() and result.valid.all()
+            # every nbar is 0, so n and eta, linear in nbar, are exactly 0: nothing to clamp
+            assert (result.values[:, 1:] == 0.0).all()
+            assert not caplog.records
+            # a covariance whose vacuum rounds below zero is clamped, with a notice
+            n1, n2 = occupations(np.diag([0.5 - 2.0**-53, 0.5]))
+        assert n1 == 0.0 and n2 == 0.0
         notices = [r.getMessage() for r in caplog.records if r.name == "noisecascade"]
-        assert notices, "no clamp at this grid: pick one whose vacuum rounds below 0"
+        assert notices == ["occupation n1 = -1.110e-16 clamped to 0"]
+
+    def test_sweep_clamps_by_the_same_rule(self, caplog):
+        # mode 1 sees only bath 1 (gamma1 = 0, F = 0) at nbar1 = 0, so n1 is 0,
+        # and nbar3 + sum_j W_1j (nbar_j - nbar3) rounds to +-2.2e-16
+        doc = {"model": "cascaded",
+               "params": {"kappa2": 1.0, "gamma2": 1.0, "omega2": 1.0, "nbar3": 1.0},
+               "axes": [{"variable": "kappa1", "min": 0.25, "max": 2.0, "points": 8}],
+               "outputs": ["n1", "n2"]}
+        with caplog.at_level(logging.WARNING, logger="noisecascade"):
+            result = run_sweep(parse_config(json.dumps(doc)))
+        assert (result.status == "ok").all()
+        notices = [r.getMessage() for r in caplog.records if r.name == "noisecascade"]
+        assert notices, "no clamp at this grid: pick one whose n1 rounds below 0"
         for notice in notices:
-            assert re.fullmatch(r"occupation n[12] = -\d\.\d{3}e-1[4-7] clamped to 0", notice)
-        n = result.values[:, 1:3]
-        assert (n >= 0.0).all() and (n < 1e-14).all()
+            assert re.fullmatch(r"occupation n1 = -\d\.\d{3}e-1[4-7] clamped to 0", notice)
+        n1 = result.values[:, 1]
+        assert (n1 >= 0.0).all() and (n1 < 1e-15).all()
 
     def test_cli_sweep_leaves_stderr_empty(self, tmp_path, monkeypatch):
         # logging is not configured in the CLI, so the notice reaches no handler
