@@ -43,16 +43,9 @@ class NonSymmetricInputError(Exception):
     """A matrix that must be Hermitian (symmetric, if real) is not, beyond tolerance."""
 
 
-def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
-    """Closed-form eigenvalues mean +- sqrt(half^2 + M01 M10) of a 2x2 complex
-    matrix or a stack, with mean and half the half-sum and half-difference of
-    the diagonal: unlike tr^2 - 4 det, this keeps a large common diagonal from
-    rounding away the damping or overflowing.  Where half^2 or M01 M10
-    overflows, the discriminant is taken of the entries scaled by a power of
-    two; every other item keeps the unscaled formula bit for bit."""
-    # an extra axis keeps one matrix in array arithmetic, which rounds complex
-    # products like a stack does (numpy scalars may differ in the last bit)
-    M = np.asarray(M, dtype=complex)[..., None, :, :]
+def _mean_half_disc(M: NDArray[np.complex128]) -> tuple[NDArray, NDArray, NDArray]:
+    """mean, half and disc = sqrt(half^2 + M01 M10) of ``eigenvalues_2x2`` for
+    a matrix or stack with an extra axis (..., 1, 2, 2)."""
     mean, half = (M[..., 0, 0] + M[..., 1, 1]) / 2.0, (M[..., 0, 0] - M[..., 1, 1]) / 2.0
     m01, m10 = M[..., 0, 1], M[..., 1, 0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -65,6 +58,19 @@ def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
         scale = np.ldexp(1.0, np.frexp(size)[1] - 1)  # size / scale lies in [1, 2)
         h, a, b = h / scale, a / scale, b / scale
         disc[overflow] = scale * np.sqrt(h * h + a * b)
+    return mean, half, disc
+
+
+def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
+    """Closed-form eigenvalues mean +- sqrt(half^2 + M01 M10) of a 2x2 complex
+    matrix or a stack, with mean and half the half-sum and half-difference of
+    the diagonal: unlike tr^2 - 4 det, this keeps a large common diagonal from
+    rounding away the damping or overflowing.  Where half^2 or M01 M10
+    overflows, the discriminant is taken of the entries scaled by a power of
+    two; every other item keeps the unscaled formula bit for bit."""
+    # an extra axis keeps one matrix in array arithmetic, which rounds complex
+    # products like a stack does (numpy scalars may differ in the last bit)
+    mean, _, disc = _mean_half_disc(np.asarray(M, dtype=complex)[..., None, :, :])
     return (mean + disc)[..., 0], (mean - disc)[..., 0]
 
 
@@ -73,9 +79,40 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
 
     A negative return value certifies stability of the mode-space dynamics.
     One drift gives a float; a stack (..., 2, 2) gives an array of shape (...).
+
+    The eigenvalues of M - i Im(mean) I have the real parts of M's and are
+    rho +- disc, with rho = Re(mean).  In one of them rho and +-Re(disc) have
+    the same sign, so that root has no cancellation.  In the other they cancel
+    where the damping rates differ by many orders (next to a rate of 1e17 a
+    margin of -1 read 0).  Where that real part is below 1/8 of its rounding
+    bound |rho| + |disc|, the root is also taken as det / root in two frames,
+    M shifted by i Im(M00) and by i Im(M11), each of which makes one diagonal
+    entry real (one of them suits a large common frequency, or a large
+    frequency of either mode), and the candidate with the smallest rounding
+    bound is kept.  rho -+ disc keeps precedence unless a bound is 16 times
+    smaller, so where it is accurate its bits stay; where the products
+    overflow it stays too.
     """
-    lam1, lam2 = eigenvalues_2x2(M)
-    return np.maximum(lam1.real, lam2.real)
+    M = np.asarray(M, dtype=complex)[..., None, :, :]  # as in eigenvalues_2x2
+    mean, half, disc = _mean_half_disc(M)
+    rho, step = mean.real, np.abs(disc.real)
+    big, other = rho + np.copysign(step, rho), rho - np.copysign(step, rho)
+    bound = np.abs(rho) + np.abs(disc)
+    cancelled = 8.0 * np.abs(other) < bound
+    if cancelled.any():
+        m01, m10 = M[..., 0, 1], M[..., 1, 0]
+        root = rho + np.where((rho < 0.0) == (disc.real < 0.0), disc, -disc)  # Re(root) = big
+        coupling = np.abs(m01) * np.abs(m10)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for d in (1.0, -1.0):  # shift by i Im(M00), then by i Im(M11)
+                x = M[..., 0, 0].real + 1j * (1.0 - d) * half.imag
+                y = M[..., 1, 1].real - 1j * (1.0 + d) * half.imag
+                shifted = root - 1j * d * half.imag
+                candidate = 16.0 * (np.abs(x) * np.abs(y) + coupling) / np.abs(shifted)
+                better = cancelled & (candidate < bound)
+                other = np.where(better, ((x * y - m01 * m10) / shifted).real, other)
+                bound = np.where(better, candidate, bound)
+    return np.maximum(big[..., 0], other[..., 0])
 
 
 def check_items(failed: NDArray, bad: NDArray, error: type, message: str, *args) -> NDArray:

@@ -26,8 +26,11 @@ eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
 ``cascaded.occupations``.  The baseline runs for every config; the response
 only for n*, dn* and eta*, the closed forms and theta only when requested;
 theta is evaluated per point.  The result is columnar: a SweepResult holds
-value, validity and status arrays, which ``emit`` formats column by column,
-each distinct value of a column once, for CSV and JSON alike.
+value, validity and status arrays.  ``emit`` formats each distinct value of
+a column once, the distinct values of all columns together: JSON in one
+``json.dumps`` call, CSV in one exact vectorized "%.17g" pass (``_g17``, in
+chunks of 4096 values) for 1e-6 <= |x| < 1e17 and zeros, with "%.17g" of
+each other value (NaN, infinities, the rest) as its fallback.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -421,8 +424,122 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(*map(np.concatenate, zip(*blocks)))
 
 
-def _csv_numbers(xs: list[float]) -> list[str]:
-    return ["%.17g" % x for x in xs]
+# CSV number text: one vectorized pass per chunk of values (see _csv_numbers)
+_FORMAT_CHUNK = 4096  # values per pass; bounds the temporaries, not the result
+_POW10 = np.array([float(10**p) for p in range(23)])  # 10^0..10^22, all exact
+_WORD = np.array([[0], [8], [16]])  # first byte of each 8-byte word of a text
+_BELOW = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)  # [c]: bytes 0..c-1
+_DOT = np.array([0] + [ord(".") << 8 * c for c in range(8)] + [0], np.uint64)  # [c + 1]: byte c
+_ZEROS = np.array([int.from_bytes(b"0.000"[:z], "little") for z in range(6)], np.uint64)
+_STATUSES = ("ok", "unstable", "unsupported")
+
+
+def _two_product(a: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
+    """(prod, err) with prod + err = a b exactly: Dekker's product with
+    Veltkamp's split, exact because numpy rounds each multiply and add."""
+
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        high = c - (c - v)
+        return high, v - high
+
+    prod = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+
+
+def _digits8(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
+    """The eight decimal digits of each x < 10^8 as byte values, the first
+    in the lowest byte: each lane is split in two by a multiply and a shift,
+    in 32-, then 16-, then 8-bit lanes."""
+    high = x // 10000
+    x = high | ((x - high * 10000) << 32)
+    high = ((x * 5243) >> 19) & 0x0000007F0000007F  # lane // 100 for lanes < 10^4
+    x = high | ((x - high * 100) << 16)
+    high = ((x * 103) >> 10) & 0x000F000F000F000F  # lane // 10 for lanes < 100
+    return high | ((x - high * 10) << 8)
+
+
+def _g17(x: NDArray[np.float64]) -> list[bytes]:
+    """``b"%.17g" % v`` for each v of x, byte for byte.
+
+    For 1e-6 <= |v| < 1e17 the 17 digits are D = round(|v| 10^(16-k)) with
+    k = floor(log10 |v|): 10^(16-k) is an exact double, the product is exact
+    as prod + err, and prod >= 2^53 is an even integer, so prod + rint(err)
+    rounds half to even as "%.17g" does.  k comes from log10 and is checked
+    exactly against the product.  The text is laid out in three
+    little-endian words per value: fixed notation for -4 <= k <= 16, d.ddde-0X
+    for k = -5, -6, trailing zeros dropped, and a sign, also on -0.0.
+    Zeros format here too; NaN, infinities and values outside the window
+    fall back to "%.17g".
+    """
+    ax = np.abs(x)
+    near = (ax >= 1e-6) & (ax < 1e17)
+    a = np.where(near, ax, 0.0)
+    k = np.clip(np.floor(np.log10(np.where(near, ax, 1.0))), -6, 16).astype(np.int64)
+    prod, err = _two_product(a, _POW10[16 - k])
+    # where log10 misplaced k, a 10^(16-k) lies outside [1e16, 1e17): move k by one
+    up = (prod > 1e17) | ((prod == 1e17) & (err >= 0.0))
+    down = (prod < 1e16) | ((prod == 1e16) & (err < 0.0))
+    moved = np.flatnonzero(near & (up | down))
+    k[moved] += up[moved].astype(np.int64) - down[moved]
+    prod[moved], err[moved] = _two_product(a[moved], _POW10[16 - np.clip(k[moved], -6, 16)])
+    fallback = ~(near & (k >= -6)) & (x != 0.0)
+    # D < 10^17: the nearest double below each power of ten in the window is
+    # at least 4.5e-17 of it away, so none rounds up to the next decade
+    D = (prod.astype(np.int64) + np.rint(err).astype(np.int64)).astype(np.uint64)
+
+    # the digits, one byte each, in three words per value: D's first digit
+    # and the two halves of the other 16
+    first = D // 10**16
+    halves = np.empty((2, x.size), np.uint64)
+    halves[1] = D - first * 10**16
+    halves[0] = halves[1] // 10**8
+    halves[1] -= halves[0] * 10**8
+    halves = _digits8(halves)
+    text = np.zeros((3, x.size), np.uint64)
+    text[:2] = halves << 8
+    text[1:] |= halves >> 56
+    text[0] |= first
+    # significant digits: through the highest nonzero byte, read from the
+    # float exponent of each word (a zero word reads about -128 bytes)
+    top = (text.astype(np.float64).view(np.int64) >> 52) - 1023
+    significant = ((top >> 3) + _WORD + 1).max(axis=0)
+    length = np.maximum(significant, k + 1)  # an integer keeps its trailing zeros
+    text = (text | 0x3030303030303030) & _BELOW[np.clip(length - _WORD, 0, 8)]
+    # "." after the integer part, or after the first digit of d.ddde-0X, where
+    # digits follow it: the bytes from there on move up by one
+    dot = np.where(k < -4, 1, np.where(k < 0, 24, k + 1))
+    dot = np.where(dot < length, dot, 24) - _WORD
+    below = _BELOW[np.clip(dot, 0, 8)]
+    high = text & ~below
+    text = (text & below) | (high << 8) | _DOT[np.clip(dot, -1, 8) + 1]
+    text[1:] |= high[:-1] >> 56
+    # the sign and the "0.000" of 1e-4 <= |v| < 1 in front, by a shift of at
+    # most six bytes (each shift count stays below 64)
+    negative = np.signbit(x).astype(np.uint64)
+    zeros = np.where((k < 0) & (k >= -4), 1 - k, 0).astype(np.uint64)
+    shift = 8 * (zeros + negative)
+    shifted = text << shift
+    shifted[1:] |= (text[:-1] >> 1) >> (63 - shift)
+    shifted[0] |= (_ZEROS[zeros] << 8 * negative) | ord("-") * negative
+    # at most 23 bytes ("-0.00012345678901234567"); bytes() drops the zero padding
+    texts = np.ascontiguousarray(shifted.T, dtype="<u8").view("S24")[:, 0]
+    for e in (-5, -6):
+        at = np.flatnonzero((k == e) & ~fallback)
+        texts[at] = np.char.add(texts[at], b"e-0%d" % -e)
+    out = texts.tolist()
+    for i in np.flatnonzero(fallback).tolist():
+        out[i] = b"%.17g" % x[i]
+    return out
+
+
+def _csv_numbers(x: NDArray[np.float64]) -> list[bytes]:
+    """``b"%.17g" % v`` for each v of x, _FORMAT_CHUNK values per vectorized pass."""
+    out = []
+    for start in range(0, x.size, _FORMAT_CHUNK):
+        out += _g17(x[start : start + _FORMAT_CHUNK])
+    return out
 
 
 def _json_numbers(xs: list[float]) -> list[str]:
@@ -430,35 +547,50 @@ def _json_numbers(xs: list[float]) -> list[str]:
     return json.dumps(xs)[1:-1].split(", ")
 
 
-def _column_text(values: NDArray, valid: NDArray[np.bool_], numbers, blank: str) -> list[str]:
-    """Cell text of one column: each distinct float64 bit pattern formatted once
-    (so -0.0 and 0.0, and NaN payloads, stay apart), blank cells as ``blank``."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(numbers(distinct.view(np.float64).tolist()) + [blank], object)
-    return text[np.where(valid, inverse, distinct.size)].tolist()
+def _status_codes(status: NDArray[np.str_]) -> NDArray[np.intp]:
+    """Each row's index in _STATUSES, by comparison rather than a sort of the strings."""
+    codes = np.full(status.shape, -1)
+    for i, name in enumerate(_STATUSES):
+        codes[status == name] = i
+    if (codes < 0).any():
+        raise ValueError(f"unknown row status {str(status[codes < 0][0])!r}")
+    return codes
 
 
 def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     """Serialize the result per the config format; byte-identical for identical inputs.
 
     CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
-    indent=2)`` of one record per row; blank cells are empty or null.  Each
-    distinct value of a column is formatted once.
+    indent=2)`` of one record per row; blank cells are empty or null.  The
+    distinct values of every column are formatted together, once each: for
+    CSV in one exact vectorized "%.17g" pass (``_g17``: fixed and d.ddde-0X
+    text for 1e-6 <= |x| < 1e17 and zeros, "%.17g" of each other value), for
+    JSON in one ``json.dumps`` call.  The CSV is assembled as bytes.
     """
     if not result.status.size:
         raise ValueError("no rows to emit")
     cols = column_names(cfg)
     as_json = cfg.format == "json"
-    numbers, blank = (_json_numbers, "null") if as_json else (_csv_numbers, "")
+    # each distinct float64 bit pattern of a column (so -0.0 and 0.0, and NaN
+    # payloads, stay apart)
+    distinct, inverse = zip(
+        *(np.unique(c.view(np.int64), return_inverse=True) for c in result.values.T)
+    )
+    values = np.concatenate(distinct).view(np.float64)
+    # one table: the numbers, the blank cell, then the statuses
+    if as_json:
+        text = _json_numbers(values.tolist()) + ["null"] + [json.dumps(s) for s in _STATUSES]
+    else:
+        text = _csv_numbers(values) + [b""] + [s.encode() for s in _STATUSES]
+    text, blank = np.array(text, object), values.size
+    starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
     columns = [
-        _column_text(result.values[:, j], result.valid[:, j], numbers, blank)
-        for j in range(result.values.shape[1])
+        text[np.where(ok, i + start, blank)].tolist()
+        for i, start, ok in zip(inverse, starts, result.valid.T)
     ]
-    statuses, inverse = np.unique(result.status, return_inverse=True)
-    statuses = [json.dumps(s) if as_json else s for s in statuses.tolist()]
-    columns.append(np.array(statuses, object)[inverse].tolist())
+    columns.append(text[blank + 1 + _status_codes(result.status)].tolist())
     if as_json:
         keys = (json.dumps(c).replace("%", "%%") for c in cols)
         record = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
         return ("[\n" + ",\n".join([record % row for row in zip(*columns)]) + "\n]\n").encode()
-    return ("\n".join([",".join(cols), *map(",".join, zip(*columns))]) + "\n").encode()
+    return b"\n".join([",".join(cols).encode(), *map(b",".join, zip(*columns)), b""])

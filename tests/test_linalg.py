@@ -134,6 +134,38 @@ class TestStabilityMargin:
         for i in range(64):
             assert_same_bits(np.array(eigenvalues_2x2(M[i])), np.array([stack[0][i], stack[1][i]]))
 
+    def test_disparate_damping_rates_keep_the_small_root(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # mean + disc cancelled to 0.0 here, so a stable point read unstable
+        p = CascadedParams(kappa1=1e17, kappa2=1.0, gamma1=1.0, gamma2=1.0, omega2=0.3)
+        M = build_system(p).M
+        assert stability_margin(M) == np.linalg.eigvals(M).real.max() == -1.0
+
+    @pytest.mark.parametrize("frequencies", ["own", "common", "swapped"])
+    def test_matches_eigvals_on_graded_drifts(self, frequencies):
+        # triangular drifts, whose eigenvalues eigvals returns to a few ulp,
+        # with damping rates 1e-150..1e150 and frequencies scaled by each
+        # mode's own rate, shared by both modes, or scaled by the other's
+        rng = np.random.default_rng(7)
+        n = 4000
+        rates = 10.0 ** rng.uniform(-150.0, 150.0, (2, n))
+        if frequencies == "own":
+            omega = rng.normal(size=(2, n)) * rates
+        elif frequencies == "common":
+            omega = 10.0 ** rng.uniform(-150.0, 150.0, n) * (1.0 + 0.1 * rng.normal(size=(2, n)))
+        else:
+            omega = rng.normal(size=(2, n)) * rates[::-1]
+        M = np.zeros((n, 2, 2), complex)
+        M[:, 0, 0], M[:, 1, 1] = -rates[0] - 1j * omega[0], -rates[1] - 1j * omega[1]
+        coupling = rng.normal(size=n) * np.sqrt(rates[0] * rates[1])
+        M[: n // 2, 1, 0], M[n // 2 :, 0, 1] = coupling[: n // 2], coupling[n // 2 :]
+        margin = stability_margin(M)
+        reference = np.linalg.eigvals(M).real.max(axis=-1)
+        np.testing.assert_allclose(margin, reference, rtol=1e-14, atol=0.0)
+        for i in range(0, n, 97):
+            assert_same_bits(stability_margin(M[i]), margin[i])
+
 
 class TestSolveLyapunov:
     def test_manufactured_solution(self):

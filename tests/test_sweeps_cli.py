@@ -762,6 +762,13 @@ class TestEmit:
         cfg, result = case
         assert emit(result, cfg) == reference_emit(result, cfg)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_status_rejected(self, fmt):
+        # statuses are looked up in a fixed table, not sorted from the rows
+        cfg, result = emit_case(fmt, [[0.0, 1.0, 2.0]] * 2, [[1, 1, 1]] * 2, ["ok", "failed"])
+        with pytest.raises(ValueError, match="unknown row status 'failed'"):
+            emit(result, cfg)
+
     def test_csv_layout(self):
         cfg = parse_config(fig2_config(points=2))
         data = emit(run_sweep(cfg), cfg)
