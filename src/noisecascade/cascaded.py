@@ -80,7 +80,8 @@ class CascadedParams:
             for name, v in values.items():
                 v = np.asarray(v, complex if name == "F" else float)
                 object.__setattr__(self, name, np.broadcast_to(v, shape))
-        self.invalid()
+        else:  # one point raises here; arrays report their invalid() mask to the caller
+            self.invalid()
 
     def invalid(self) -> NDArray[np.bool_]:
         """Mask of the invalid points; one point raises InvalidParamsError instead."""

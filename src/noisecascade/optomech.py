@@ -8,7 +8,8 @@ not complex conjugates; mapping the coefficients onto the cascaded model
 lets the whole occupation/flow machinery apply directly.
 
 As in ``cascaded``, OmParams fields are scalars or arrays (one item per
-point), and the susceptibility and the mapping are array arithmetic.
+point), and the susceptibility, the drift and the mapping are array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class OmParams:
     def __post_init__(self) -> None:
         if self.Omega is None:
             self.Omega = self.omega_m
-        self.invalid()
+        # one point raises here; arrays report their invalid() mask to the caller
+        if not np.broadcast_shapes(*map(np.shape, vars(self).values())):
+            self.invalid()
 
     def invalid(self) -> NDArray[np.bool_]:
         """Mask of the invalid points; one point raises InvalidParamsError instead."""
@@ -163,30 +166,37 @@ def build_om_drift(
 
     The mechanical noise column is returned after the gauge transformation
     that makes it real at Omega up to the hopping phase, i.e.
-    (G1 sqrt(gamma_m) chi~, G2 sqrt(gamma_m) chi~ e^{i phi}).
+    (G1 sqrt(gamma_m) chi~, G2 sqrt(gamma_m) chi~ e^{i phi}).  Array fields
+    (or omega) give a drift (..., 2, 2) and a noise column (..., 2).
     """
     sus = mech_susceptibility(omega, p)
     chi = sus.chi
     eip = np.exp(1j * p.phi)
-    M = np.array(
-        [
-            [
-                -1j * p.Delta1 - p.kappa1 / 2.0 - p.G1**2 * chi,
-                -1j * p.J - chi * p.G1 * p.G2 / eip,
-            ],
-            [
-                -1j * p.J - chi * p.G1 * p.G2 * eip,
-                -1j * p.Delta2 - p.kappa2 / 2.0 - p.G2**2 * chi,
-            ],
-        ],
-        dtype=complex,
+    m11, m12, m21, m22 = np.broadcast_arrays(
+        -1j * p.Delta1 - p.kappa1 / 2.0 - p.G1**2 * chi,
+        -1j * p.J - chi * p.G1 * p.G2 / eip,
+        -1j * p.J - _complex_product(chi * p.G1 * p.G2, eip),
+        -1j * p.Delta2 - p.kappa2 / 2.0 - p.G2**2 * chi,
     )
-    sqrt_gm = math.sqrt(p.gamma_m)
-    noise = np.array(
-        [p.G1 * sqrt_gm * sus.chi_tilde, p.G2 * sqrt_gm * sus.chi_tilde * eip],
-        dtype=complex,
-    )
+    M = np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2).astype(complex)
+    sqrt_gm = np.sqrt(p.gamma_m)
+    noise = np.stack(
+        np.broadcast_arrays(
+            p.G1 * sqrt_gm * sus.chi_tilde,
+            _complex_product(p.G2 * sqrt_gm * sus.chi_tilde, eip),
+        ),
+        -1,
+    ).astype(complex)
     return M, noise
+
+
+def _complex_product(a, b) -> NDArray[np.complex128]:
+    """a b as one complex point rounds it, (ac - bd) + i(ad + bc), also for
+    arrays, whose numpy loop may fuse a multiply and an add."""
+    out = np.empty(np.broadcast(a, b).shape, complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 # gamma_m = 0 at invalid() items; G1^2 or G1 G2 beyond the float range gives

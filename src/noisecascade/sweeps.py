@@ -27,10 +27,13 @@ eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
 only for n*, dn* and eta*, the closed forms and theta only when requested;
 theta is evaluated per point.  The result is columnar: a SweepResult holds
 value, validity and status arrays.  ``emit`` formats each distinct value of
-a column once, the distinct values of all columns together: JSON in one
-``json.dumps`` call, CSV in one exact vectorized "%.17g" pass (``_g17``, in
-chunks of 4096 values) for 1e-6 <= |x| < 1e17 and zeros, with "%.17g" of
-each other value (NaN, infinities, the rest) as its fallback.
+a column once, the distinct values of all columns together, in one exact
+vectorized pass (in chunks of 4096 values) that shares its digit and layout
+code between the formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17
+and zeros, JSON as ``float.__repr__``, the shortest round-trip digits that
+``json.dumps`` writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each
+other value (NaN, infinities, the rest) falls back to "%.17g" or
+``json.dumps`` of that value.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -424,7 +427,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(*map(np.concatenate, zip(*blocks)))
 
 
-# CSV number text: one vectorized pass per chunk of values (see _csv_numbers)
+# number text: one vectorized pass per chunk of values (see _number_text)
 _FORMAT_CHUNK = 4096  # values per pass; bounds the temporaries, not the result
 _POW10 = np.array([float(10**p) for p in range(23)])  # 10^0..10^22, all exact
 _WORD = np.array([[0], [8], [16]])  # first byte of each 8-byte word of a text
@@ -448,6 +451,13 @@ def _two_product(a: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
     return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
 
 
+def _two_sum(a: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
+    """(s, t) with s + t = a + b exactly: Knuth's TwoSum."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _digits8(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
     """The eight decimal digits of each x < 10^8 as byte values, the first
     in the lowest byte: each lane is split in two by a multiply and a shift,
@@ -460,21 +470,16 @@ def _digits8(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
     return high | ((x - high * 10) << 8)
 
 
-def _g17(x: NDArray[np.float64]) -> list[bytes]:
-    """``b"%.17g" % v`` for each v of x, byte for byte.
-
-    For 1e-6 <= |v| < 1e17 the 17 digits are D = round(|v| 10^(16-k)) with
-    k = floor(log10 |v|): 10^(16-k) is an exact double, the product is exact
-    as prod + err, and prod >= 2^53 is an even integer, so prod + rint(err)
-    rounds half to even as "%.17g" does.  k comes from log10 and is checked
-    exactly against the product.  The text is laid out in three
-    little-endian words per value: fixed notation for -4 <= k <= 16, d.ddde-0X
-    for k = -5, -6, trailing zeros dropped, and a sign, also on -0.0.
-    Zeros format here too; NaN, infinities and values outside the window
-    fall back to "%.17g".
+def _scaled(x: NDArray[np.float64], top: float) -> tuple[NDArray, ...]:
+    """(a, k, prod, err, fallback) for each v of x, in the window
+    1e-6 <= |v| < top (top <= 1e17): a = |v|, k = floor(log10 a) and
+    prod + err = a 10^(16-k) exactly, in [1e16, 1e17).  10^(16-k) is an exact
+    double and the product is exact as prod + err; k comes from log10 and is
+    checked exactly against the product.  Zeros take k = 0 and prod = err = 0;
+    ``fallback`` marks the rest (NaN, infinities, values outside the window).
     """
     ax = np.abs(x)
-    near = (ax >= 1e-6) & (ax < 1e17)
+    near = (ax >= 1e-6) & (ax < top)
     a = np.where(near, ax, 0.0)
     k = np.clip(np.floor(np.log10(np.where(near, ax, 1.0))), -6, 16).astype(np.int64)
     prod, err = _two_product(a, _POW10[16 - k])
@@ -484,11 +489,17 @@ def _g17(x: NDArray[np.float64]) -> list[bytes]:
     moved = np.flatnonzero(near & (up | down))
     k[moved] += up[moved].astype(np.int64) - down[moved]
     prod[moved], err[moved] = _two_product(a[moved], _POW10[16 - np.clip(k[moved], -6, 16)])
-    fallback = ~(near & (k >= -6)) & (x != 0.0)
-    # D < 10^17: the nearest double below each power of ten in the window is
-    # at least 4.5e-17 of it away, so none rounds up to the next decade
-    D = (prod.astype(np.int64) + np.rint(err).astype(np.int64)).astype(np.uint64)
+    return a, k, prod, err, ~(near & (k >= -6)) & (x != 0.0)
 
+
+def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
+    """The text of each v of x from its digits D (10^16 <= D < 10^17, 0 for
+    zeros) and decimal exponent k, in three little-endian words per value:
+    fixed notation for -4 <= k <= 16, d.ddde-0X for k = -5, -6, trailing
+    zeros dropped but ``fraction`` (0 or 1) digits kept after the point of
+    an integer, and a sign, also on -0.0.  ``fallback_text(v)`` gives the
+    text of each v that ``fallback`` marks.
+    """
     # the digits, one byte each, in three words per value: D's first digit
     # and the two halves of the other 16
     first = D // 10**16
@@ -505,7 +516,8 @@ def _g17(x: NDArray[np.float64]) -> list[bytes]:
     # float exponent of each word (a zero word reads about -128 bytes)
     top = (text.astype(np.float64).view(np.int64) >> 52) - 1023
     significant = ((top >> 3) + _WORD + 1).max(axis=0)
-    length = np.maximum(significant, k + 1)  # an integer keeps its trailing zeros
+    # an integer keeps its trailing zeros, and "fraction" zeros after the point
+    length = np.maximum(significant, k + 1 + fraction)
     text = (text | 0x3030303030303030) & _BELOW[np.clip(length - _WORD, 0, 8)]
     # "." after the integer part, or after the first digit of d.ddde-0X, where
     # digits follow it: the bytes from there on move up by one
@@ -530,21 +542,85 @@ def _g17(x: NDArray[np.float64]) -> list[bytes]:
         texts[at] = np.char.add(texts[at], b"e-0%d" % -e)
     out = texts.tolist()
     for i in np.flatnonzero(fallback).tolist():
-        out[i] = b"%.17g" % x[i]
+        out[i] = fallback_text(float(x[i]))
     return out
 
 
-def _csv_numbers(x: NDArray[np.float64]) -> list[bytes]:
-    """``b"%.17g" % v`` for each v of x, _FORMAT_CHUNK values per vectorized pass."""
+def _g17(x: NDArray[np.float64]) -> list[bytes]:
+    """``b"%.17g" % v`` for each v of x, byte for byte.
+
+    For 1e-6 <= |v| < 1e17 (``_scaled``) the 17 digits are
+    D = round(|v| 10^(16-k)): prod >= 2^53 is an even integer, so
+    prod + rint(err) rounds half to even as "%.17g" does.  Zeros format here
+    too; NaN, infinities and values outside the window fall back to "%.17g".
+    """
+    _, k, prod, err, fallback = _scaled(x, 1e17)
+    # D < 10^17: the nearest double below each power of ten in the window is
+    # at least 4.5e-17 of it away, so none rounds up to the next decade
+    D = (prod.astype(np.int64) + np.rint(err).astype(np.int64)).astype(np.uint64)
+    return _layout(D, k, x, fallback, 0, lambda v: b"%.17g" % v)
+
+
+def _shortest_digits(a, k, prod, err) -> NDArray[np.uint64]:
+    """The shortest digits that read back as each a of ``_scaled`` (Steele &
+    White), as D, 10^16 <= D < 10^17, with the trailing zeros to drop.
+
+    In units of S = a 10^(16-k) = prod + err, a = m 2^e reads back from every
+    decimal in [S - h_low, S + h], the edges included only for an even m:
+    h = 2^(e-1) 10^(16-k) is an exact double, 0.55 < h < 11.2, and
+    h_low = h/2 where m is a power of two.  The integers in that range are
+    LO..HI, from err -/+ h by TwoSum.  D is S rounded to the nearest multiple
+    of T = 100, 10 or 1, the coarsest with a multiple in LO..HI, ties to an
+    even last digit; dropping its trailing zeros leaves the shortest, because
+    HI - LO < 23 makes a multiple of 100 there the only one, within 12 of S.
+    The nearest multiple of T lies in LO..HI where the range is symmetric
+    about S, and for every power of two in the window, which the tests check
+    one by one.  S is rounded from floor(S) = prod + floor(err) and
+    S - floor(S) = err - floor(err), both exact (S < 2^57 has at most 105
+    significant bits, so err is a multiple of 2^-48).  D < 10^17: 10^(k+1)
+    would have to read back as a, and each power of ten in the window is a
+    double or lies below its nearest double.
+    """
+    h = np.ldexp(_POW10[16 - np.maximum(k, -6)], np.frexp(a)[1] - 54)  # k = -7 falls back
+    bits = a.view(np.uint64)
+    h_low = np.where(bits & (2**52 - 1) == 0, 0.5 * h, h)
+    odd = (bits & 1) == 1  # an odd m excludes the edges
+    p = prod.astype(np.int64)
+    s, t = _two_sum(err, h)
+    hi = np.floor(s)
+    HI = p + (hi - ((s == hi) & ((t < 0.0) | ((t == 0.0) & odd)))).astype(np.int64)
+    s, t = _two_sum(err, -h_low)
+    lo = np.ceil(s)
+    LO = p + (lo + ((s == lo) & ((t > 0.0) | ((t == 0.0) & odd)))).astype(np.int64)
+    T = np.where(HI // 100 * 100 >= LO, 100, np.where(HI // 10 * 10 >= LO, 10, 1))
+    below = np.floor(err)
+    F = p + below.astype(np.int64)
+    q = F // T
+    # 2 (S - q T) - T as an integer plus 2 (S - F) in [0, 2): its sign is exact
+    g = (2 * (F - q * T) - T) + 2.0 * (err - below)
+    return ((q + ((g > 0.0) | ((g == 0.0) & (q & 1 == 1)))) * T).astype(np.uint64)
+
+
+def _repr17(x: NDArray[np.float64]) -> list[bytes]:
+    """``float.__repr__(v)`` for each v of x as bytes, byte for byte: the
+    JSON number text.
+
+    For 1e-6 <= |v| < 1e16 (``_scaled``) the digits are the shortest that
+    read back as v (``_shortest_digits``).  Zeros format here too, as "0.0";
+    NaN, infinities and values outside the window fall back to
+    ``json.dumps`` ("NaN", "Infinity", "1e-06", ...).
+    """
+    a, k, prod, err, fallback = _scaled(x, 1e16)
+    D = _shortest_digits(a, k, prod, err)
+    return _layout(D, k, x, fallback, 1, lambda v: json.dumps(v).encode())
+
+
+def _number_text(format_chunk, x: NDArray[np.float64]) -> list[bytes]:
+    """``format_chunk`` (_g17 or _repr17) of x, _FORMAT_CHUNK values per vectorized pass."""
     out = []
     for start in range(0, x.size, _FORMAT_CHUNK):
-        out += _g17(x[start : start + _FORMAT_CHUNK])
+        out += format_chunk(x[start : start + _FORMAT_CHUNK])
     return out
-
-
-def _json_numbers(xs: list[float]) -> list[str]:
-    # the encoder's own text for each float, NaN and Infinity included
-    return json.dumps(xs)[1:-1].split(", ")
 
 
 def _status_codes(status: NDArray[np.str_]) -> NDArray[np.intp]:
@@ -562,10 +638,12 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
 
     CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
     indent=2)`` of one record per row; blank cells are empty or null.  The
-    distinct values of every column are formatted together, once each: for
-    CSV in one exact vectorized "%.17g" pass (``_g17``: fixed and d.ddde-0X
-    text for 1e-6 <= |x| < 1e17 and zeros, "%.17g" of each other value), for
-    JSON in one ``json.dumps`` call.  The CSV is assembled as bytes.
+    distinct values of every column are formatted together, once each, in
+    one exact vectorized pass: for CSV "%.17g" (``_g17``: 1e-6 <= |x| < 1e17
+    and zeros), for JSON ``float.__repr__``, the encoder's number text
+    (``_repr17``: 1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text,
+    with "%.17g" or ``json.dumps`` of each other value.  Both are assembled
+    as bytes.
     """
     if not result.status.size:
         raise ValueError("no rows to emit")
@@ -579,9 +657,10 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     values = np.concatenate(distinct).view(np.float64)
     # one table: the numbers, the blank cell, then the statuses
     if as_json:
-        text = _json_numbers(values.tolist()) + ["null"] + [json.dumps(s) for s in _STATUSES]
+        text = _number_text(_repr17, values) + [b"null"]
+        text += [json.dumps(s).encode() for s in _STATUSES]
     else:
-        text = _csv_numbers(values) + [b""] + [s.encode() for s in _STATUSES]
+        text = _number_text(_g17, values) + [b""] + [s.encode() for s in _STATUSES]
     text, blank = np.array(text, object), values.size
     starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
     columns = [
@@ -591,6 +670,6 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     columns.append(text[blank + 1 + _status_codes(result.status)].tolist())
     if as_json:
         keys = (json.dumps(c).replace("%", "%%") for c in cols)
-        record = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-        return ("[\n" + ",\n".join([record % row for row in zip(*columns)]) + "\n]\n").encode()
+        record = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").encode()
+        return b"[\n" + b",\n".join([record % row for row in zip(*columns)]) + b"\n]\n"
     return b"\n".join([",".join(cols).encode(), *map(b",".join, zip(*columns)), b""])

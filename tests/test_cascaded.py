@@ -412,6 +412,13 @@ class TestArrayParams:
         with pytest.raises(UnsupportedParamsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
             closed_form_occupations(CascadedParams(kappa1=1.0))
 
+    def test_arrays_with_invalid_items_construct(self):
+        # only one point raises; an array reports its bad items through invalid()
+        p = CascadedParams(kappa1=[1.0, -1.0, 2.0], nbar3=[0.0, 1.0, np.nan])
+        assert p.invalid().tolist() == [False, True, True]
+        with pytest.raises(InvalidParamsError, match="^kappa1: must be non-negative$"):
+            CascadedParams(kappa1=np.array(-1.0))  # a 0-d array is one point
+
     def test_scalars_broadcast_against_arrays(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=[1.0, 2.0], gamma2=1.0, F=0.1)
         assert all(np.shape(getattr(p, name)) == (2,) for name in vars(p))

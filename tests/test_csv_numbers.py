@@ -1,5 +1,5 @@
-"""The CSV number text of sweeps: ``_csv_numbers``, the vectorized "%.17g",
-against Python's ``b"%.17g" % x`` value by value."""
+"""The CSV number text of sweeps: ``_g17``, the vectorized "%.17g", against
+Python's ``b"%.17g" % x`` value by value."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from noisecascade.sweeps import _FORMAT_CHUNK, _csv_numbers
+from noisecascade.sweeps import _FORMAT_CHUNK, _g17, _number_text
 
 # the window's edges, where log10 can misplace the exponent and the layout
 # switches between fixed and exponent notation, each with its neighbours, and
@@ -28,7 +28,7 @@ TIES = [1.0 + j / 2**17 for j in range(1, 2**17, 2)]
 
 def assert_matches_python(values):
     values = np.asarray(values, dtype=np.float64)
-    got = _csv_numbers(values)
+    got = _number_text(_g17, values)
     want = [b"%.17g" % v for v in values.tolist()]
     mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not mismatches, mismatches[:5]
@@ -37,7 +37,7 @@ def assert_matches_python(values):
 def test_edges_ties_and_signed_zeros():
     values = EDGES + SPECIAL + TIES
     assert_matches_python(values + [-v for v in values])
-    text = _csv_numbers(np.array([0.0, -0.0, 1e-5, -0.00025, 100.0]))
+    text = _number_text(_g17, np.array([0.0, -0.0, 1e-5, -0.00025, 100.0]))
     assert text == [b"0", b"-0", b"1.0000000000000001e-05", b"-0.00025000000000000001", b"100"]
 
 
@@ -51,14 +51,17 @@ def test_matches_python_on_any_bits(values):
     assert_matches_python(values)
 
 
-def test_a_million_random_bit_patterns():
-    # random signs and mantissas; three in four take a binary exponent in or
-    # near the window (2^-24 .. 2^59), the rest any exponent, NaN and inf included
-    rng = np.random.default_rng(20261018)
-    n = 10**6
+def random_bit_patterns(seed, n=10**6):
+    """Random signs and mantissas; three in four take a binary exponent in or
+    near the window (2^-24 .. 2^59), the rest any exponent, NaN and inf included."""
+    rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
     exponent = rng.integers(1023 - 24, 1023 + 60, n).astype(np.uint64)
     windowed = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
     bits = np.where(np.arange(n) % 4 == 0, bits, windowed)
     assert n > 100 * _FORMAT_CHUNK  # many chunks
-    assert_matches_python(bits.view(np.float64))
+    return bits.view(np.float64)
+
+
+def test_a_million_random_bit_patterns():
+    assert_matches_python(random_bit_patterns(20261018))

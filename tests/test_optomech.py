@@ -261,6 +261,22 @@ class TestArrayParams:
         # mapped point is an invalid OmParams point
         assert invalid.sum() == 6 and not mapped_invalid[~invalid].any()
 
+    def test_arrays_with_invalid_items_construct(self):
+        base = dict(omega_m=5.0, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
+        p = OmParams(**base, gamma_m=np.array([0.4, -0.1]), G1=0.3)
+        assert p.invalid().tolist() == [False, True]
+
+    def test_drift_stack_equals_single_calls(self):
+        base = dict(omega_m=5.0, Delta1=5.0, Delta2=4.0, kappa1=1.0, kappa2=0.7, J=0.2,
+                    phi=0.4, G1=0.3, G2=0.5, Omega=5.2)
+        gamma_m = np.array([0.4, 0.5])
+        M, noise = build_om_drift(OmParams(**base, gamma_m=gamma_m), 4.9)
+        assert M.shape == (2, 2, 2) and noise.shape == (2, 2)
+        for i, g in enumerate(gamma_m.tolist()):
+            M_one, noise_one = build_om_drift(OmParams(**base, gamma_m=g), 4.9)
+            assert M_one.shape == (2, 2) and noise_one.shape == (2,)
+            assert M[i].tobytes() == M_one.tobytes() and noise[i].tobytes() == noise_one.tobytes()
+
     def test_single_point_messages(self):
         base = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
         cases = [
