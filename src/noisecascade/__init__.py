@@ -17,10 +17,8 @@ from .cascaded import (
 from .counting import flow_cumulant, large_deviation, simplified_flows
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
-    DriveSpec,
     OmParams,
     design_nonreciprocal,
-    linearize,
     map_to_cascaded,
     mech_susceptibility,
     preset_microwave,
@@ -45,10 +43,8 @@ __all__ = [
     "flow_cumulant",
     "large_deviation",
     "simplified_flows",
-    "DriveSpec",
     "OmParams",
     "design_nonreciprocal",
-    "linearize",
     "map_to_cascaded",
     "mech_susceptibility",
     "preset_microwave",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,14 +51,56 @@ _EQUAL_RATE_RTOL = 1e-12
 _Pairs = tuple[float, float] | tuple[tuple[NDArray, NDArray], NDArray[np.bool_]]
 
 
+class _ParamSet:
+    """The construction and validity rule that both parameter dataclasses share.
+
+    A subclass lists its complex fields, its positive and its non-negative
+    fields; every field must be finite.  If any field is an array, every field
+    is stored as an array of the common (broadcast) shape, complex for the
+    complex fields and float otherwise.  One point raises InvalidParamsError on
+    construction; arrays construct and report their bad items through
+    ``invalid()``.
+    """
+
+    _complex: tuple[str, ...] = ()
+    _positive: tuple[str, ...] = ()
+    _nonnegative: tuple[str, ...] = ()
+
+    # the dataclass __init__ sets exactly the fields, in field order, so
+    # vars(self) lists them
+    def __post_init__(self) -> None:
+        shape = np.broadcast_shapes(*map(np.shape, vars(self).values()))
+        if shape:
+            for name, v in list(vars(self).items()):
+                v = np.asarray(v, complex if name in self._complex else float)
+                object.__setattr__(self, name, np.broadcast_to(v, shape))
+        else:  # one point raises here; arrays report their invalid() mask to the caller
+            self.invalid()
+
+    def invalid(self) -> NDArray[np.bool_]:
+        """Mask of the invalid points; one point raises InvalidParamsError instead."""
+        names, values = list(vars(self)), list(vars(self).values())
+        failed, error = np.zeros(np.shape(values[0]), bool), InvalidParamsError
+        for name in self._positive:
+            message = f"{name}: must be positive"
+            failed = check_items(failed, getattr(self, name) <= 0, error, message)
+        for name in self._nonnegative:
+            message = f"{name}: must be non-negative"
+            failed = check_items(failed, getattr(self, name) < 0, error, message)
+        finite = np.isfinite(values)
+        # the first field that is not finite at some point: the one a single point names
+        first = names[np.argmin(finite.reshape(len(names), -1).all(axis=1))]
+        return check_items(failed, ~finite.all(axis=0), error, f"{first}: must be finite")
+
+
 @dataclass(frozen=True)
-class CascadedParams:
+class CascadedParams(_ParamSet):
     """Full parameter set of the two-oscillator/three-bath model.
 
     All rates and frequencies share one consistent angular-frequency unit.
     ``phi`` is the hopping phase and ``F`` the residual coherent hopping;
-    perfect non-reciprocity corresponds to F = 0.  If any field is an array,
-    every field is stored as an array of the common (broadcast) shape.
+    perfect non-reciprocity corresponds to F = 0.  Fields follow the rule of
+    ``_ParamSet``: rates and occupations must be non-negative.
     """
 
     omega1: float = 0.0
@@ -73,28 +115,8 @@ class CascadedParams:
     nbar2: float = 0.0
     nbar3: float = 0.0
 
-    def __post_init__(self) -> None:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-        if shape:
-            for name, v in values.items():
-                v = np.asarray(v, complex if name == "F" else float)
-                object.__setattr__(self, name, np.broadcast_to(v, shape))
-        else:  # one point raises here; arrays report their invalid() mask to the caller
-            self.invalid()
-
-    def invalid(self) -> NDArray[np.bool_]:
-        """Mask of the invalid points; one point raises InvalidParamsError instead."""
-        failed = np.zeros(np.shape(self.omega1), bool)
-        for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3"):
-            message = f"{name}: must be non-negative"
-            failed = check_items(failed, getattr(self, name) < 0, InvalidParamsError, message)
-        names = [f.name for f in fields(self)]
-        finite = np.isfinite([getattr(self, name) for name in names])
-        # the first field that is not finite at some point: the one a single point names
-        first = names[np.argmin(finite.reshape(len(names), -1).all(axis=1))]
-        message = f"{first}: must be finite"
-        return check_items(failed, ~finite.all(axis=0), InvalidParamsError, message)
+    _complex = ("F",)
+    _nonnegative = ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")
 
     @property
     def detuning(self) -> float | NDArray[np.float64]:
@@ -184,15 +206,22 @@ def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_
 def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None):
     """``steady_state`` of a built (possibly stacked) system, with ``failed``
     items flagged up front (none by default)."""
-    margin = stability_margin(sys.M)
+    failed, M = _stable_drift(sys.M, stability_margin(sys.M), failed)
+    if not failed.ndim:
+        return solve_lyapunov(M, sys.N)
+    bad = failed[..., None, None]  # the placeholders keep the failed items out of the solve
+    Y, singular = solve_lyapunov(M, np.where(bad, 0.0, sys.N))
+    return np.where(bad, np.nan, Y), failed | singular
+
+
+def _stable_drift(M: NDArray, margin, failed: NDArray[np.bool_] | None = None):
+    """(failed, M) with the items whose margin is not negative (NaN too) added
+    to ``failed`` (none by default), and the stable placeholder drift -I at
+    every failed item of M; one system raises UnstableSystemError instead."""
     failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
-    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
-    if not failed.ndim:
-        return solve_lyapunov(sys.M, sys.N)
-    bad = failed[..., None, None]  # stable placeholders keep the failed items out of the solve
-    Y, singular = solve_lyapunov(np.where(bad, -np.eye(2), sys.M), np.where(bad, 0.0, sys.N))
-    return np.where(bad, np.nan, Y), failed | singular
+    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)
+    return failed, np.where(failed[..., None, None], -np.eye(2), M)
 
 
 def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArray, NDArray]:
@@ -239,10 +268,7 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
 def _linear_response(sys: LinearSystem, margin):
     """``linear_response`` with the stability margin of ``sys.M`` given: its
     unstable items reach the Lyapunov solve only as the placeholder drift -I."""
-    failed = np.zeros(np.shape(margin), bool)
-    message = "drift is not stable (margin {:.3e})"
-    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)  # NaN too
-    M = np.where(failed[..., None, None], -np.eye(2), sys.M)
+    failed, M = _stable_drift(sys.M, margin)
     u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
     source = u[..., :2, :, None] * u[..., :2, None, :].conj()
     X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for both sources
@@ -329,20 +355,45 @@ def delta_n(p: CascadedParams, numeric: bool = False) -> OccupationReport:
     return OccupationReport(n1=n1, n2=n2, m1=m1, m2=m2)
 
 
+def _check_conversion(hbar_over_kB: float, **args: float) -> None:
+    """Raise InvalidParamsError naming the first non-finite argument, or a
+    hbar_over_kB that is not positive."""
+    for name, value in {**args, "hbar_over_kB": hbar_over_kB}.items():
+        if not math.isfinite(value):
+            raise InvalidParamsError(f"{name} must be finite")
+    if hbar_over_kB <= 0.0:
+        raise InvalidParamsError("hbar_over_kB must be positive")
+
+
 def occupation_from_temperature(T: float, omega: float, hbar_over_kB: float = 1.0) -> float:
-    """Bose-Einstein occupation of a mode at frequency omega and temperature T."""
+    """Bose-Einstein occupation of a mode at frequency omega and temperature T.
+
+    Raises InvalidParamsError on non-finite arguments and where the occupation
+    overflows (hbar_over_kB omega / T underflows to 0 or near it)."""
+    _check_conversion(hbar_over_kB, T=T, omega=omega)
     if T < 0.0 or omega <= 0.0:
         raise InvalidParamsError("T must be >= 0 and omega > 0")
-    if T == 0.0:
+    x = hbar_over_kB * omega / T if T > 0.0 else math.inf
+    if x > 700.0:  # T = 0, or exp would overflow: the occupation underflows to zero
         return 0.0
-    x = hbar_over_kB * omega / T
-    if x > 700.0:  # exp would overflow; occupation underflows to zero
-        return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if math.isinf(n):
+        raise InvalidParamsError(f"occupation overflows: hbar_over_kB omega / T = {x:.3e}")
+    return n
 
 
 def temperature_from_occupation(nbar: float, omega: float, hbar_over_kB: float = 1.0) -> float:
-    """Inverse of occupation_from_temperature; requires nbar > 0."""
+    """Inverse of occupation_from_temperature; requires nbar > 0.
+
+    Raises InvalidParamsError on non-finite arguments and where the
+    temperature leaves the float range (overflows, or underflows to 0)."""
+    _check_conversion(hbar_over_kB, nbar=nbar, omega=omega)
     if nbar <= 0.0 or omega <= 0.0:
         raise InvalidParamsError("nbar and omega must be positive")
-    return hbar_over_kB * omega / math.log1p(1.0 / nbar)
+    inverse = 1.0 / nbar
+    # ln(1 + 1/nbar) = -ln(nbar) to the last bit where 1/nbar overflows
+    x = math.log1p(inverse) if inverse < math.inf else -math.log(nbar)
+    T = hbar_over_kB * omega / x
+    if not 0.0 < T < math.inf:
+        raise InvalidParamsError(f"temperature leaves the float range: T = {T:.3e}")
+    return T

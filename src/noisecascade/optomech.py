@@ -7,9 +7,11 @@ fluctuations obey an effective two-mode drift whose off-diagonal entries are
 not complex conjugates; mapping the coefficients onto the cascaded model
 lets the whole occupation/flow machinery apply directly.
 
-As in ``cascaded``, OmParams fields are scalars or arrays (one item per
-point), and the susceptibility, the drift and the mapping are array
-arithmetic.
+The couplings G_i are the drive-enhanced (already linearized) ones.  OmParams
+follows the parameter rule of ``cascaded.CascadedParams``: fields are scalars
+or arrays (one item per point), and if any field is an array, every field is
+stored as a float array of the broadcast shape.  The susceptibility, the drift
+and the mapping are array arithmetic.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, InvalidParamsError
-from .linalg import check_items
+from .cascaded import CascadedParams, InvalidParamsError, _ParamSet
 
 TWO_PI = 2.0 * math.pi
-
-STRONG_DRIVE_THRESHOLD = 10.0
-
-
-class DegenerateCavityError(Exception):
-    """Cavity with zero linewidth and zero detuning has no steady drive response."""
 
 
 class NoCouplingError(Exception):
@@ -37,13 +32,15 @@ class NoCouplingError(Exception):
 
 
 @dataclass
-class OmParams:
+class OmParams(_ParamSet):
     """Hardware parameters of the two-cavity/one-mechanical-mode platform.
 
     ``Omega`` is the evaluation frequency in the rotating frame (defaults to
     the mechanical resonance).  Each cavity enters through its total linewidth
     ``kappa_i`` and one bath occupation ``Nbar_i``; a cavity with intrinsic
     loss to a second bath takes ``Nbar_i`` from combined_cavity_occupation.
+    ``gamma_m`` must be positive, and the rates, couplings and occupations
+    non-negative.
     """
 
     omega_m: float
@@ -61,50 +58,13 @@ class OmParams:
     Nbar2: float = 0.0
     Nbar_m: float = 0.0
 
+    _positive = ("gamma_m",)
+    _nonnegative = ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m")
+
     def __post_init__(self) -> None:
         if self.Omega is None:
             self.Omega = self.omega_m
-        # one point raises here; arrays report their invalid() mask to the caller
-        if not np.broadcast_shapes(*map(np.shape, vars(self).values())):
-            self.invalid()
-
-    def invalid(self) -> NDArray[np.bool_]:
-        """Mask of the invalid points; one point raises InvalidParamsError instead."""
-        values = np.broadcast_arrays(*vars(self).values())
-        failed, error = np.zeros(values[0].shape, bool), InvalidParamsError
-        failed = check_items(failed, self.gamma_m <= 0.0, error, "gamma_m: must be positive")
-        for name in ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m"):
-            message = f"{name}: must be non-negative"
-            failed = check_items(failed, getattr(self, name) < 0.0, error, message)
-        finite = np.isfinite(values)
-        # the first field that is not finite at some point: the one a single point names
-        first = list(vars(self))[np.argmin(finite.reshape(len(finite), -1).all(axis=1))]
-        return check_items(failed, ~finite.all(axis=0), error, f"{first}: must be finite")
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """Single-photon couplings and drive amplitudes before linearization."""
-
-    g1: float
-    g2: float
-    E1: float
-    E2: float
-
-
-@dataclass(frozen=True)
-class LinearizationResult:
-    """Steady-state drive amplitudes and effective couplings.
-
-    ``strong_drive`` flags whether both |alpha_i| clear the linearization
-    validity threshold.
-    """
-
-    alpha1: float
-    alpha2: float
-    G1: float
-    G2: float
-    strong_drive: bool
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -137,28 +97,6 @@ def mech_susceptibility(omega: float, p: OmParams) -> Susceptibility:
     return Susceptibility(chi=chi, chi_tilde=chi_tilde, nu=np.angle(chi_ref))
 
 
-def linearize(d: DriveSpec, p: OmParams) -> LinearizationResult:
-    """Classical drive amplitudes |alpha_i| and effective couplings G_i = g_i |alpha_i|.
-
-    Drive phases are absorbed into the overall phase convention (G_1 real,
-    G_2's phase folded into phi), so only magnitudes are returned.
-    """
-    alphas = []
-    for delta, kappa, E in ((p.Delta1, p.kappa1, d.E1), (p.Delta2, p.kappa2, d.E2)):
-        denom = 4.0 * delta**2 + kappa**2
-        if denom == 0.0:
-            raise DegenerateCavityError("4 Delta^2 + kappa^2 vanishes")
-        alphas.append(2.0 * abs(E) / math.sqrt(denom))
-    strong = all(a >= STRONG_DRIVE_THRESHOLD for a in alphas)
-    return LinearizationResult(
-        alpha1=alphas[0],
-        alpha2=alphas[1],
-        G1=abs(d.g1) * alphas[0],
-        G2=abs(d.g2) * alphas[1],
-        strong_drive=strong,
-    )
-
-
 def build_om_drift(
     p: OmParams, omega: float
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
@@ -172,31 +110,18 @@ def build_om_drift(
     sus = mech_susceptibility(omega, p)
     chi = sus.chi
     eip = np.exp(1j * p.phi)
+    # G G and np.multiply round alike for one point and for arrays (G**2 and a
+    # complex product of two numpy scalars may differ in the last bit)
     m11, m12, m21, m22 = np.broadcast_arrays(
-        -1j * p.Delta1 - p.kappa1 / 2.0 - p.G1**2 * chi,
+        -1j * p.Delta1 - p.kappa1 / 2.0 - p.G1 * p.G1 * chi,
         -1j * p.J - chi * p.G1 * p.G2 / eip,
-        -1j * p.J - _complex_product(chi * p.G1 * p.G2, eip),
-        -1j * p.Delta2 - p.kappa2 / 2.0 - p.G2**2 * chi,
+        -1j * p.J - np.multiply(chi * p.G1 * p.G2, eip),
+        -1j * p.Delta2 - p.kappa2 / 2.0 - p.G2 * p.G2 * chi,
     )
-    M = np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2).astype(complex)
-    sqrt_gm = np.sqrt(p.gamma_m)
-    noise = np.stack(
-        np.broadcast_arrays(
-            p.G1 * sqrt_gm * sus.chi_tilde,
-            _complex_product(p.G2 * sqrt_gm * sus.chi_tilde, eip),
-        ),
-        -1,
-    ).astype(complex)
-    return M, noise
-
-
-def _complex_product(a, b) -> NDArray[np.complex128]:
-    """a b as one complex point rounds it, (ac - bd) + i(ad + bc), also for
-    arrays, whose numpy loop may fuse a multiply and an add."""
-    out = np.empty(np.broadcast(a, b).shape, complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    M = np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2)
+    sqrt_gm, chi_t = np.sqrt(p.gamma_m), sus.chi_tilde
+    column = p.G1 * sqrt_gm * chi_t, np.multiply(p.G2 * sqrt_gm * chi_t, eip)
+    return M, np.stack(np.broadcast_arrays(*column), -1)
 
 
 # gamma_m = 0 at invalid() items; G1^2 or G1 G2 beyond the float range gives

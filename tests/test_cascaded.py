@@ -294,6 +294,116 @@ class TestTemperatureConversion:
         with pytest.raises(InvalidParamsError):
             temperature_from_occupation(0.0, omega=1.0)
 
+    @pytest.mark.parametrize("convert", [occupation_from_temperature, temperature_from_occupation])
+    def test_nonfinite_and_nonpositive_constant_are_named(self, convert):
+        first = convert.__code__.co_varnames[0]  # T or nbar
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InvalidParamsError, match=f"^{first} must be finite$"):
+                convert(value, 1.0)
+            with pytest.raises(InvalidParamsError, match="^omega must be finite$"):
+                convert(1.0, value)
+            with pytest.raises(InvalidParamsError, match="^hbar_over_kB must be finite$"):
+                convert(1.0, 1.0, value)
+        for hbar_over_kB in (0.0, -1.0):
+            with pytest.raises(InvalidParamsError, match="^hbar_over_kB must be positive$"):
+                convert(1.0, 1.0, hbar_over_kB)
+
+    def test_out_of_range_results_raise(self):
+        # hbar omega / kT underflows to 0 (or 1/expm1 of it overflows): n beyond floats
+        for T, omega in ((1e308, 1e-300), (1e300, 1e-9)):
+            with pytest.raises(InvalidParamsError, match="^occupation overflows"):
+                occupation_from_temperature(T, omega)
+        # T = omega / ln(1 + 1/nbar) overflows, or underflows to 0
+        for nbar, omega in ((1e308, 10.0), (1e-300, 5e-324)):
+            with pytest.raises(InvalidParamsError, match="^temperature leaves the float range"):
+                temperature_from_occupation(nbar, omega)
+
+    def test_subnormal_occupation(self):
+        # 1/nbar overflows, and ln(1 + 1/nbar) = -ln(nbar) to the last bit
+        for nbar in (1e-310, 5e-324):
+            assert temperature_from_occupation(nbar, 2.0) == 2.0 / -math.log(nbar)
+        assert temperature_from_occupation(1e-300, 2.0) == 2.0 / math.log1p(1e300)
+
+
+# each class's validity rule, restated apart from the package: its positive
+# fields, then its non-negative ones, then the first field (in field order)
+# that is not finite is named
+RULES = {
+    CascadedParams: ((), ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")),
+    OmParams: (("gamma_m",), ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m")),
+}
+OM_BASE = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
+# each class's base point and (change, error message) cases at one point
+SINGLE_POINT_MESSAGES = {
+    CascadedParams: ({}, [
+        ({"gamma1": -1.0, "nbar1": -1.0}, "gamma1: must be non-negative"),
+        ({"F": complex(0.0, np.nan), "nbar3": np.inf}, "F: must be finite"),
+        ({"omega2": np.inf, "phi": np.nan}, "omega2: must be finite"),
+    ]),
+    OmParams: (OM_BASE, [
+        ({"gamma_m": 0.0, "G1": -1.0}, "gamma_m: must be positive"),
+        ({"G2": -1.0, "Nbar1": -1.0}, "G2: must be non-negative"),
+        ({"Nbar_m": -1.0}, "Nbar_m: must be non-negative"),
+        ({"kappa1": -1.0}, "kappa1: must be non-negative"),
+        ({"G1": np.nan, "Nbar2": np.inf}, "G1: must be finite"),
+        ({"gamma_m": np.inf}, "gamma_m: must be finite"),
+        ({"Omega": -np.inf}, "Omega: must be finite"),
+    ]),
+}
+
+
+def expected_error(cls, point):
+    """The message a single point raises under RULES, or None for a valid point."""
+    positive, nonnegative = RULES[cls]
+    for name in positive:
+        if point[name] <= 0.0:
+            return f"{name}: must be positive"
+    for name in nonnegative:
+        if point[name] < 0.0:
+            return f"{name}: must be non-negative"
+    for f in dataclasses.fields(cls):
+        if not np.isfinite(point[f.name]):
+            return f"{f.name}: must be finite"
+    return None
+
+
+class TestParamRule:
+    """The construction and validity rule that CascadedParams and OmParams share."""
+
+    @pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
+    def test_single_point_messages(self, cls):
+        base, cases = SINGLE_POINT_MESSAGES[cls]
+        for change, message in cases:
+            with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                cls(**{**base, **change})
+
+    @pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
+    def test_invalid_is_where_a_point_raises(self, cls):
+        # negative, zero, NaN and +-inf items, several per point on some points
+        rng = np.random.default_rng(20261021)
+        n, special = 400, np.array([-1.0, 0.0, np.nan, np.inf, -np.inf])
+        fields = {}
+        for f in dataclasses.fields(cls):
+            v = rng.uniform(0.1, 5.0, n)
+            v = np.where(rng.random(n) < 0.05, rng.choice(special, n), v)
+            if f.name == "F":  # a non-finite imaginary part alone, too
+                v = v.astype(complex)
+                v.imag = np.where(rng.random(n) < 0.05, rng.choice(special, n), 0.5)
+            fields[f.name] = v
+        p = cls(**fields)
+        assert all(getattr(p, name).shape == (n,) for name in fields)
+        invalid = p.invalid()
+        for i in range(n):
+            point = {name: v[i].item() for name, v in fields.items()}
+            message = expected_error(cls, point)
+            if message is None:
+                cls(**point)
+            else:
+                with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                    cls(**point)
+            assert invalid[i] == (message is not None), i
+        assert 0.2 * n < invalid.sum() < 0.8 * n
+
 
 def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes: bit for bit, so -0.0 and 0.0 differ."""
@@ -402,13 +512,6 @@ class TestArrayParams:
         assert np.ndim(n1) == np.ndim(n2) == 0
         assert disconnected_baseline(p) == (1.0, 0.0)
         assert build_system(p).M.shape == (2, 2)
-        with pytest.raises(InvalidParamsError, match="^gamma1: must be non-negative$"):
-            CascadedParams(gamma1=-1.0, nbar1=-1.0)
-        # the first non-finite field is named
-        with pytest.raises(InvalidParamsError, match="^F: must be finite$"):
-            CascadedParams(F=complex(0.0, np.nan), nbar3=np.inf)
-        with pytest.raises(InvalidParamsError, match="^omega2: must be finite$"):
-            CascadedParams(omega2=np.inf, phi=np.nan)
         with pytest.raises(UnsupportedParamsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
             closed_form_occupations(CascadedParams(kappa1=1.0))
 

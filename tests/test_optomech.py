@@ -1,5 +1,10 @@
-"""Optomechanical realization: susceptibility, linearization, the effective
-drift, the mapping onto the cascaded model, and the non-reciprocity design.
+"""Optomechanical realization: susceptibility, the effective drift, the
+mapping onto the cascaded model, and the non-reciprocity design.
+
+Array parameters are checked against one scalar call per point, bit for bit;
+the parameter rule that OmParams shares with CascadedParams (broadcast
+storage, invalid() against the single-point errors and their messages) is
+tested in test_cascaded.TestParamRule.
 """
 
 import dataclasses
@@ -12,14 +17,11 @@ from noisecascade.cascaded import InvalidParamsError, build_system
 from noisecascade.linalg import stability_margin
 from noisecascade.optomech import (
     TWO_PI,
-    DegenerateCavityError,
-    DriveSpec,
     NoCouplingError,
     OmParams,
     build_om_drift,
     combined_cavity_occupation,
     design_nonreciprocal,
-    linearize,
     map_to_cascaded,
     mech_susceptibility,
     preset_microwave,
@@ -46,6 +48,27 @@ def random_om_params():
         Nbar2=RNG.uniform(0, 5),
         Nbar_m=RNG.uniform(0, 5),
     )
+
+
+def random_om_fields(rng, n):
+    """Random OmParams fields, one item per point; Omega is omega_m on about half."""
+    omega_m = rng.uniform(2.0, 10.0, n)
+    return {
+        "omega_m": omega_m,
+        "gamma_m": rng.uniform(0.05, 2.0, n),
+        "Delta1": rng.uniform(-10, 10, n),
+        "Delta2": rng.uniform(-10, 10, n),
+        "kappa1": rng.uniform(0.2, 4.0, n),
+        "kappa2": rng.uniform(0.2, 4.0, n),
+        "J": rng.uniform(0, 2.0, n),
+        "phi": rng.uniform(0, 2 * np.pi, n),
+        "G1": rng.uniform(0.05, 1.5, n),
+        "G2": rng.uniform(0.05, 1.5, n),
+        "Omega": omega_m + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.5, 0.5, n)),
+        "Nbar1": rng.uniform(0, 5, n),
+        "Nbar2": rng.uniform(0, 5, n),
+        "Nbar_m": rng.uniform(0, 5, n),
+    }
 
 
 class TestParams:
@@ -89,30 +112,6 @@ class TestSusceptibility:
         sus = mech_susceptibility(p.Omega, p)
         # at omega = Omega the gauged susceptibility is |chi(Omega)|, real
         assert sus.chi_tilde == pytest.approx(abs(sus.chi))
-
-
-class TestLinearize:
-    def test_amplitude_formula(self):
-        p = OmParams(omega_m=5.0, gamma_m=0.1, Delta1=3.0, Delta2=0.0,
-                     kappa1=8.0, kappa2=2.0)
-        res = linearize(DriveSpec(g1=0.5, g2=0.2, E1=50.0, E2=10.0), p)
-        assert res.alpha1 == pytest.approx(100.0 / math.sqrt(36.0 + 64.0))
-        assert res.alpha2 == pytest.approx(10.0)
-        assert res.G1 == pytest.approx(0.5 * res.alpha1)
-        assert res.G2 == pytest.approx(2.0)
-        assert res.strong_drive
-
-    def test_weak_drive_flagged(self):
-        p = OmParams(omega_m=5.0, gamma_m=0.1, Delta1=0.0, Delta2=0.0,
-                     kappa1=2.0, kappa2=2.0)
-        res = linearize(DriveSpec(g1=0.1, g2=0.1, E1=1.0, E2=1.0), p)
-        assert not res.strong_drive
-
-    def test_degenerate_cavity_rejected(self):
-        p = OmParams(omega_m=5.0, gamma_m=0.1, Delta1=0.0, Delta2=0.0,
-                     kappa1=0.0, kappa2=1.0)
-        with pytest.raises(DegenerateCavityError):
-            linearize(DriveSpec(g1=0.1, g2=0.1, E1=1.0, E2=1.0), p)
 
 
 class TestMapping:
@@ -213,23 +212,8 @@ class TestArrayParams:
     def test_matches_per_point_calls(self):
         rng = np.random.default_rng(20261019)
         n = 96
-        omega_m = rng.uniform(2.0, 10.0, n)
-        fields = {
-            "omega_m": omega_m,
-            "gamma_m": rng.uniform(0.05, 2.0, n),
-            "Delta1": rng.uniform(-10, 10, n),
-            "Delta2": rng.uniform(-10, 10, n),
-            "kappa1": rng.uniform(0.2, 4.0, n),
-            "kappa2": rng.uniform(0.2, 4.0, n),
-            "J": rng.uniform(0, 2.0, n),
-            "phi": rng.uniform(0, 2 * np.pi, n),
-            "G1": rng.uniform(0.05, 1.5, n),
-            "G2": rng.uniform(0.05, 1.5, n),
-            "Omega": omega_m + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.5, 0.5, n)),
-            "Nbar1": rng.uniform(0, 5, n),
-            "Nbar2": rng.uniform(0, 5, n),
-            "Nbar_m": rng.uniform(0, 5, n),
-        }
+        fields = random_om_fields(rng, n)
+        omega_m = fields["omega_m"]
         fields["gamma_m"][10:12] = [0.0, -0.3]
         fields["Omega"][10] = omega_m[10]  # chi(Omega) = 1/0, silent (pytest fails on warnings)
         fields["G2"][12] = -0.1
@@ -266,31 +250,36 @@ class TestArrayParams:
         p = OmParams(**base, gamma_m=np.array([0.4, -0.1]), G1=0.3)
         assert p.invalid().tolist() == [False, True]
 
-    def test_drift_stack_equals_single_calls(self):
-        base = dict(omega_m=5.0, Delta1=5.0, Delta2=4.0, kappa1=1.0, kappa2=0.7, J=0.2,
-                    phi=0.4, G1=0.3, G2=0.5, Omega=5.2)
-        gamma_m = np.array([0.4, 0.5])
-        M, noise = build_om_drift(OmParams(**base, gamma_m=gamma_m), 4.9)
-        assert M.shape == (2, 2, 2) and noise.shape == (2, 2)
-        for i, g in enumerate(gamma_m.tolist()):
-            M_one, noise_one = build_om_drift(OmParams(**base, gamma_m=g), 4.9)
-            assert M_one.shape == (2, 2) and noise_one.shape == (2,)
-            assert M[i].tobytes() == M_one.tobytes() and noise[i].tobytes() == noise_one.tobytes()
+    def test_scalars_broadcast_against_arrays(self):
+        p = OmParams(omega_m=np.array([5.0, 6.0]), gamma_m=0.4, Delta1=5.0, Delta2=5.0,
+                     kappa1=1.0, kappa2=1.0)
+        assert all(np.shape(v) == (2,) and v.dtype == float for v in vars(p).values())
+        assert p.Omega.tolist() == [5.0, 6.0]  # Omega defaults to omega_m per point
+        q = OmParams(omega_m=5.0, gamma_m=0.4, Delta1=5.0, Delta2=5.0, kappa1=1.0,
+                     kappa2=1.0, G1=[[0.1], [0.2], [0.3]], Nbar_m=[0.0, 1.0])
+        assert all(np.shape(v) == (3, 2) for v in vars(q).values())
+        assert (q.Omega == 5.0).all() and q.G1[:, 1].tolist() == [0.1, 0.2, 0.3]
 
-    def test_single_point_messages(self):
-        base = dict(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0, kappa1=1.0, kappa2=1.0)
-        cases = [
-            ({"gamma_m": 0.0, "G1": -1.0}, "^gamma_m: must be positive$"),
-            ({"G2": -1.0, "Nbar1": -1.0}, "^G2: must be non-negative$"),
-            ({"Nbar_m": -1.0}, "^Nbar_m: must be non-negative$"),
-            ({"kappa1": -1.0}, "^kappa1: must be non-negative$"),
-            ({"G1": np.nan, "Nbar2": np.inf}, "^G1: must be finite$"),
-            ({"gamma_m": np.inf}, "^gamma_m: must be finite$"),
-            ({"Omega": -np.inf}, "^Omega: must be finite$"),
-        ]
-        for change, message in cases:
-            with pytest.raises(InvalidParamsError, match=message):
-                OmParams(**{**base, **change})
-        cp = map_to_cascaded(OmParams(**base, G1=0.3, G2=0.2))
-        assert all(np.ndim(v) == 0 for v in vars(cp).values())
-        assert isinstance(cp.F, complex)
+    def test_drift_stack_equals_single_calls(self):
+        # the drift and the mapping of a stack item equal its single call bit for
+        # bit; G**2 or a complex product of two numpy scalars would round
+        # differently on a few items in 10^4, so the check takes many items
+        rng = np.random.default_rng(20261020)
+        n = 5000
+        fields = random_om_fields(rng, n)
+        p = OmParams(**fields)
+        omega = rng.uniform(2.0, 10.0, n)
+        M, noise = build_om_drift(p, omega)
+        mapped = map_to_cascaded(p)
+        assert M.shape == (n, 2, 2) and noise.shape == (n, 2)
+        for i in range(n):
+            q = OmParams(**{name: v[i].item() for name, v in fields.items()})
+            M_one, noise_one = build_om_drift(q, omega[i].item())
+            assert M_one.shape == (2, 2) and noise_one.shape == (2,)
+            assert M[i].tobytes() == M_one.tobytes(), i
+            assert noise[i].tobytes() == noise_one.tobytes(), i
+            one = map_to_cascaded(q)
+            assert all(np.ndim(v) == 0 for v in vars(one).values()) and isinstance(one.F, complex)
+            for name, value in vars(one).items():
+                got = np.asarray(getattr(mapped, name)[i])
+                assert got.tobytes() == np.asarray(value, got.dtype).tobytes(), (i, name)
