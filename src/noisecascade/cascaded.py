@@ -118,6 +118,18 @@ class CascadedParams(_ParamSet):
     _complex = ("F",)
     _nonnegative = ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")
 
+    def invalid(self) -> NDArray[np.bool_]:
+        """The mask of ``_ParamSet.invalid``, with the points added where the
+        noise term (nbar_c + 1/2) rate_c of a channel is not finite (the rate
+        of channel 3 is gamma1 + gamma2); one point raises InvalidParamsError."""
+        failed = super().invalid()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, rate in enumerate((self.kappa1, self.kappa2, self.collective_rate), 1):
+                term = (getattr(self, f"nbar{c}") + 0.5) * rate
+                message = f"nbar{c}: noise term (nbar{c} + 1/2) * rate is not finite"
+                failed = check_items(failed, ~np.isfinite(term), InvalidParamsError, message)
+        return failed
+
     @property
     def detuning(self) -> float | NDArray[np.float64]:
         """Delta = omega2 - omega1."""

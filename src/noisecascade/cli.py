@@ -26,7 +26,6 @@ from .cascaded import (
     InvalidParamsError,
     UnstableSystemError,
     UnsupportedParamsError,
-    _steady_state,
     build_system,
     disconnected_baseline,
     occupations,
@@ -35,7 +34,7 @@ from .cascaded import (
 from .counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    flow_cumulant,
+    _flow_cumulants,
     large_deviation,
 )
 from .linalg import SingularSystemError
@@ -115,19 +114,18 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
-    V = _steady_state(sys)  # an unstable system fails here, before theta
+    etas, _ = _flow_cumulants(args.channel, 2, sys)  # an unstable system fails here, before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
     theta, failed = large_deviation(args.channel, s_values, sys)
     if failed.any():
         raise OutsideAdmissibleRegionError(
             f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
         )
-    cumulants = {str(n): flow_cumulant(args.channel, n, sys, V) for n in (1, 2)}
     result = {
         "channel": args.channel,
         "theta": [{"s": s, "theta": t} for s, t in zip(s_values.tolist(), theta.tolist())],
-        "eta1_trace": cumulants["1"],
-        "cumulants": cumulants,
+        "eta1_trace": etas[0],
+        "cumulants": {"1": etas[0], "2": etas[1]},
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -77,12 +77,17 @@ an eigenvalue on the axis makes a pair of roots complex.  Its edges are
 where a pair of eigenvalues meets the axis.  The tests check theta against
 the 4x4 spectrum (tests/spectral_oracle.py) and against the stabilizing
 root itself (tests/riccati_oracle.py).  Expanding
-sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation in M per
-order, with a source built from lower orders and the derivatives of the
-tilting functions at s = 0: for odd k f+^(k) = -rate and
-f-^(k) = -rate (2 nbar + 1), for even k f+^(k) = rate (2 nbar + 1) and
-f-^(k) = rate.  This gives exact cumulants; order 1, the mean flow, needs
-no solve.
+sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation
+M sigma_k + sigma_k M† + S_k = 0 per order, with a Hermitian source S_k
+built from lower orders and the derivatives of the tilting functions at
+s = 0: for odd k f+^(k) = -rate and f-^(k) = -rate (2 nbar + 1), for even k
+f+^(k) = rate (2 nbar + 1) and f-^(k) = rate.  The cumulant of order n
+reads sigma_k only through Re Tr(P sigma_k), k < n, and the top one needs
+no solve by duality: with the channel's adjoint Gramian Z,
+M† Z + Z M + P = 0, Tr(P sigma_k) = Tr(Z S_k).  Z does not depend on
+sigma_0 = 2V, so the two share one stacked Lyapunov solve (drifts M and M†,
+sources N and P): orders 1 and 2 cost that one solve, and orders 3 and 4
+one more solve each.  This gives exact cumulants.
 """
 
 from __future__ import annotations
@@ -92,13 +97,16 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError
+from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError, _stable_drift
 from .linalg import (
+    SingularSystemError,
+    _dagger,
     _maxabs,
     check_hermitian,
     check_items,
     hermitian_part,
     solve_lyapunov,
+    stability_margin,
     stacked_product,
     trace_product,
 )
@@ -239,25 +247,47 @@ def _trace(X: NDArray) -> NDArray:
 
 
 def flow_cumulant(
-    channel: int, n: int, sys: LinearSystem, V: NDArray[np.complex128]
+    channel: int, n: int, sys: LinearSystem
 ) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0, exactly.
 
-    ``V`` is the steady-state covariance; order 1 is the mean flow into the
-    bath (> 0: net absorption).  Each Taylor coefficient sigma_k, 0 < k < n, is
-    one Lyapunov solve, and eta^(n) = (-1)^n [sum_j C(n, j) f+^(j)
-    Re Tr(P sigma_{n-j}) - f-^(n) Re Tr P].  One system returns a float and
-    raises; a stack returns (eta, failed), NaN where the rate is zero or a
-    Lyapunov solve failed.
+    Order 1 is the mean flow into the bath (> 0: net absorption).  The steady
+    state and the counted channel's adjoint Gramian come from one stacked
+    Lyapunov solve, and orders 3 and 4 add one solve each (module docstring).
+    One system returns a float and raises (an unstable drift, a zero-rate
+    channel, a failed solve, a non-Hermitian N included); a stack returns
+    (eta, failed), NaN where the single call raises.
+    """
+    etas, failed = _flow_cumulants(channel, n, sys)
+    return (etas[-1], failed) if failed.ndim else etas[-1]
+
+
+def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDArray[np.bool_]]:
+    """([eta^(1), ..., eta^(n)], failed) of ``flow_cumulant``; one system raises.
+
+    eta^(m) = (-1)^m [sum_j C(m, j) f+^(j) Re Tr(P sigma_{m-j}) - f-^(m) Re Tr P].
+    sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, each
+    sigma_k, 0 < k < n - 1, is one more, and the top term is
+    Tr(P sigma_{n-1}) = Tr(Z S_{n-1}) of the source S_{n-1} of sigma_{n-1}.
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    rate, nbar, uhat, failed = _unit_vector(sys, channel)
+    failed, M = _stable_drift(sys.M, stability_margin(sys.M))
+    rate, nbar, uhat, zero = _unit_vector(sys, channel)
+    failed = failed | zero
     P = uhat[..., :, None] * uhat.conj()[..., None, :]
+    sources = np.stack([sys.N, P], axis=-3)
+    if failed.ndim:  # the placeholders keep the failed items out of the solve
+        sources = np.where(failed[..., None, None, None], 0.0, sources)
+    X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)
+    message = "Lyapunov solve of the steady state or the channel's Gramian failed"
+    failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
+    V, Z = X[..., 0, :, :], X[..., 1, :, :]
     odd = -rate, -rate * (2.0 * nbar + 1.0)
     even = rate * (2.0 * nbar + 1.0), rate
     fp, fm = zip(*[odd if k % 2 else even for k in range(n + 1)])  # f+-^(k)(0); k = 0 unused
-    sigma = [2.0 * np.asarray(V)]
+    sigma = [2.0 * V]
+    traces = [trace_product(P, sigma[0]).real]  # Re Tr(P sigma_k)
     for k in range(1, n):
         source = 0.5 * fp[k][..., None, None] * P
         for j in range(1, k + 1):
@@ -268,16 +298,22 @@ def flow_cumulant(
                 w = 0.5 * c * math.comb(k - j, i) * fp[j]
                 sandwich = stacked_product(stacked_product(sigma[i], P), sigma[k - j - i])
                 source = source + w[..., None, None] * sandwich
-        solved = solve_lyapunov(sys.M, hermitian_part(source))
+        source = hermitian_part(source)
+        if k == n - 1:
+            traces.append(trace_product(Z, source).real)
+            break
+        solved = solve_lyapunov(M, source)
         if failed.ndim:
             solved, singular = solved
             failed = failed | singular
         sigma.append(solved)
-    theta_n = sum(
-        math.comb(n, j) * fp[j] * trace_product(P, sigma[n - j]).real for j in range(1, n + 1)
-    )
-    eta = (-1.0) ** n * (theta_n - fm[n] * _trace(P).real)
-    return (np.where(failed, np.nan, eta), failed) if failed.ndim else eta
+        traces.append(trace_product(P, solved).real)
+    trace_p, etas = _trace(P).real, []
+    for m in range(1, n + 1):
+        theta_m = sum(math.comb(m, j) * fp[j] * traces[m - j] for j in range(1, m + 1))
+        eta = (-1.0) ** m * (theta_m - fm[m] * trace_p)
+        etas.append(np.where(failed, np.nan, eta) if failed.ndim else eta)
+    return etas, failed
 
 
 def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:

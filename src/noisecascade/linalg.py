@@ -102,8 +102,8 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     if cancelled.any():
         m01, m10 = M[..., 0, 1], M[..., 1, 0]
         root = rho + np.where((rho < 0.0) == (disc.real < 0.0), disc, -disc)  # Re(root) = big
-        coupling = np.abs(m01) * np.abs(m10)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            coupling = np.abs(m01) * np.abs(m10)
             for d in (1.0, -1.0):  # shift by i Im(M00), then by i Im(M11)
                 x = M[..., 0, 0].real + 1j * (1.0 - d) * half.imag
                 y = M[..., 1, 1].real - 1j * (1.0 + d) * half.imag

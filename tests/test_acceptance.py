@@ -219,11 +219,10 @@ def test_criterion_07_fcs_consistency():
             if stability_margin(build_system(p).M) < -0.05:
                 break
         sys = build_system(p)
-        V = steady_state(p)
         etas = []
         for ch in (1, 2, 3):
             worst_theta0 = max(worst_theta0, abs(large_deviation(ch, 0.0, sys)))
-            eta = flow_cumulant(ch, 1, sys, V)
+            eta = flow_cumulant(ch, 1, sys)
             theta, failed = large_deviation(ch, s_stencil, sys)
             dev = np.inf if failed.any() else abs(-theta @ weights - eta) / max(abs(eta), 1e-6)
             worst_slope = max(worst_slope, dev)
@@ -247,8 +246,7 @@ def test_criterion_08_flow_isolation():
             nbar1=n1b, nbar2=n2b, nbar3=n3b,
         )
         sys = build_system(p)
-        V = steady_state(p)
-        return p, [flow_cumulant(ch, 1, sys, V) for ch in (1, 2, 3)]
+        return p, [flow_cumulant(ch, 1, sys) for ch in (1, 2, 3)]
 
     eta1_values = [flows(3.0, n2b, 0.5)[1][0] for n2b in np.linspace(0.0, 50.0, 50)]
     spread1 = max(eta1_values) - min(eta1_values)

@@ -568,7 +568,7 @@ class TestLinearResponse:
                 q = dataclasses.replace(p, **unit)
                 sys, Y = build_system(q), steady_state(q)
                 for k in range(3):
-                    assert abs(G[k, j] - flow_cumulant(k + 1, 1, sys, Y)) <= 1e-13 * scale
+                    assert abs(G[k, j] - flow_cumulant(k + 1, 1, sys)) <= 1e-13 * scale
                 assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
 
     def test_onsager_casimir(self):

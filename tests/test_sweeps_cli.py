@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import noisecascade
 from noisecascade import cli, sweeps
 from noisecascade.cascaded import (
+    CascadedParams,
     InvalidParamsError,
     UnsupportedParamsError,
     build_system,
@@ -57,6 +58,14 @@ LYAPUNOV_FAILURE = {
     "nbar1": 1.679835083819845, "nbar2": 4.201539073060322, "nbar3": 2.435238425813368,
 }
 LYAPUNOV_FAILURE_ARGS = [a for k, v in LYAPUNOV_FAILURE.items() for a in ("--set", f"{k}={v}")]
+# finite values whose products overflow: F makes |M01| |M10| overflow in the
+# stability margin (stable, but the Lyapunov solve fails), and nbar3 makes the
+# noise term (nbar3 + 1/2)(gamma1 + gamma2) overflow
+HUGE_F_ARGV = ["steady-state", "--set", "omega2=3.19", "--set", "kappa1=6.5", "--set", "gamma1=6.4",
+               "--set", "gamma2=1.3", "--set", "phi=0.87", "--set", "F=1e200+1.709j",
+               "--set", "nbar1=0.45"]
+HUGE_NBAR_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=4.6", "--set", "gamma1=0.67",
+                  "--set", "gamma2=8.5", "--set", "nbar3=1e308", "--s-points", "0"]
 
 
 def fig2_config(points=5, fmt="csv", **extra):
@@ -423,7 +432,7 @@ def reference_row(cfg, axis_values):
             return out
         try:
             if name.startswith("eta"):
-                return [None if V is None else flow_cumulant(int(name[-1]), 1, sys, V)]
+                return [None if V is None else flow_cumulant(int(name[-1]), 1, sys)]
             if name.endswith("_closed"):
                 return [closed_form_occupations(p)[int(name[1]) - 1]]
             i = int(name[-1]) - 1
@@ -842,6 +851,8 @@ class TestCli:
         ):
             assert main(["steady-state", *argv]) == 3
             assert capsys.readouterr().err.startswith("error: ")
+        # fcs fails in its one stacked solve of the steady state and the
+        # channel's Gramian, before theta
         assert main(["fcs", "1", *LYAPUNOV_FAILURE_ARGS]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -972,6 +983,7 @@ REPEATED_CALLS = {
     "preset": (0, ["preset", "microwave"]),
     "preset --mapped": (0, ["preset", "microwave", "--mapped"]),
     "config error": (2, ["steady-state", "--set", "kappa1=-1"]),
+    # the stacked solve of the steady state and the channel's Gramian fails
     "numerical error": (3, ["fcs", "1", *LYAPUNOV_FAILURE_ARGS]),
     "argparse rejection": (2, ["fcs", "4", *FCS_SETS]),
 }
@@ -991,12 +1003,13 @@ def call_main(argv, capsys, out_path=None):
     return rc, captured.out, captured.err, written
 
 
-def fresh_process(argv):
-    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+def fresh_process(argv, flags=()):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter with
+    the interpreter options ``flags``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(noisecascade.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "noisecascade.cli", *argv],
+    proc = subprocess.run([sys.executable, *flags, "-m", "noisecascade.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -1188,3 +1201,38 @@ class TestZeroTemperature:
         rc, out, err = fresh_process(["sweep", str(path)])
         assert (rc, err) == (0, "")
         assert out.count("\n") == 1 + 21 and out.count(",ok\n") == 21
+
+
+class TestOverflowingInputs:
+    """Finite inputs whose products overflow fail with one error line and no warning."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (HUGE_F_ARGV, 3, "error: Lyapunov residual "),
+        (HUGE_NBAR_ARGV, 2, "error: nbar3: noise term (nbar3 + 1/2) * rate is not finite\n"),
+    ])
+    def test_one_error_line_under_warnings_as_errors(self, argv, code, message):
+        rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, out) == (code, "")
+        assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1, err
+
+    def test_overflowing_noise_term_is_invalid(self):
+        rates = dict(kappa1=1.0, kappa2=4.6, gamma1=0.67, gamma2=8.5)
+        with pytest.raises(InvalidParamsError, match=r"^nbar3: noise term"):
+            CascadedParams(**rates, nbar3=1e308)
+        # channel 1 overflows through its rate, channel 3 through gamma1 + gamma2
+        with pytest.raises(InvalidParamsError, match=r"^nbar1: noise term"):
+            CascadedParams(kappa1=1.5e308, nbar1=1.0)
+        with pytest.raises(InvalidParamsError, match=r"^nbar3: noise term"):
+            CascadedParams(gamma1=1e308, gamma2=1e308)
+        p = CascadedParams(**rates, nbar3=np.array([0.5, 1e308, 0.0]), nbar2=np.array([0, 0, 1e308]))
+        assert p.invalid().tolist() == [False, True, True]
+        assert not CascadedParams(nbar1=1e308, nbar2=1e308, nbar3=1e308).invalid()  # zero rates
+
+    def test_overflowing_noise_term_gives_unsupported_rows(self):
+        doc = {"model": "cascaded",
+               "params": {"kappa1": 1.0, "kappa2": 4.6, "gamma1": 0.67, "gamma2": 8.5},
+               "axes": [{"variable": "nbar3", "min": 0.5, "max": 1e308, "points": 2}],
+               "outputs": ["n1", "eta3"]}
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status.tolist() == ["ok", "unsupported"]
+        assert result.valid[0].all() and not result.valid[1, 1:].any()
