@@ -120,10 +120,15 @@ class CascadedParams(_ParamSet):
 
     def invalid(self) -> NDArray[np.bool_]:
         """The mask of ``_ParamSet.invalid``, with the points added where the
-        noise term (nbar_c + 1/2) rate_c of a channel is not finite (the rate
-        of channel 3 is gamma1 + gamma2); one point raises InvalidParamsError."""
+        damping (gamma_i + kappa_i)/2 of a mode or the noise term
+        (nbar_c + 1/2) rate_c of a channel is not finite (the rate of channel 3
+        is gamma1 + gamma2); one point raises InvalidParamsError."""
         failed = super().invalid()
         with np.errstate(over="ignore", invalid="ignore"):
+            for i in (1, 2):
+                damping = (getattr(self, f"gamma{i}") + getattr(self, f"kappa{i}")) / 2.0
+                message = f"kappa{i}: damping (gamma{i} + kappa{i}) / 2 is not finite"
+                failed = check_items(failed, ~np.isfinite(damping), InvalidParamsError, message)
             for c, rate in enumerate((self.kappa1, self.kappa2, self.collective_rate), 1):
                 term = (getattr(self, f"nbar{c}") + 0.5) * rate
                 message = f"nbar{c}: noise term (nbar{c} + 1/2) * rate is not finite"
@@ -232,7 +237,9 @@ def _stable_drift(M: NDArray, margin, failed: NDArray[np.bool_] | None = None):
     every failed item of M; one system raises UnstableSystemError instead."""
     failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
-    failed = check_items(failed, ~(margin < 0.0), UnstableSystemError, message, margin)
+    # logical_not, not ~: ~ of the Python bool of a float margin is -2, which is truthy
+    unstable = np.logical_not(margin < 0.0)
+    failed = check_items(failed, unstable, UnstableSystemError, message, margin)
     return failed, np.where(failed[..., None, None], -np.eye(2), M)
 
 

@@ -183,6 +183,16 @@ class TestSteadyState:
         with pytest.raises(UnstableSystemError, match="margin nan"):
             cascaded._steady_state(dataclasses.replace(build_system(p), M=M[1]))
 
+    def test_float_margin(self):
+        # a Python float margin, as a caller may pass for one system: ~ of its
+        # bool would be -2, truthy, and flag a stable drift
+        from noisecascade import cascaded
+
+        failed, M = cascaded._stable_drift(-np.eye(2), -1.0)
+        assert not failed and (M == -np.eye(2)).all()
+        with pytest.raises(UnstableSystemError, match=r"margin 0\.000e\+00"):
+            cascaded._stable_drift(np.zeros((2, 2)), 0.0)
+
     def test_stack_without_a_mask(self):
         # with no failed mask, _steady_state takes a stack as steady_state does
         from noisecascade import cascaded

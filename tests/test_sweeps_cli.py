@@ -59,13 +59,17 @@ LYAPUNOV_FAILURE = {
 }
 LYAPUNOV_FAILURE_ARGS = [a for k, v in LYAPUNOV_FAILURE.items() for a in ("--set", f"{k}={v}")]
 # finite values whose products overflow: F makes |M01| |M10| overflow in the
-# stability margin (stable, but the Lyapunov solve fails), and nbar3 makes the
-# noise term (nbar3 + 1/2)(gamma1 + gamma2) overflow
+# stability margin (stable, but the Lyapunov solve fails), nbar3 makes the
+# noise term (nbar3 + 1/2)(gamma1 + gamma2) overflow, and kappa1 + gamma1
+# the damping of mode 1
 HUGE_F_ARGV = ["steady-state", "--set", "omega2=3.19", "--set", "kappa1=6.5", "--set", "gamma1=6.4",
                "--set", "gamma2=1.3", "--set", "phi=0.87", "--set", "F=1e200+1.709j",
                "--set", "nbar1=0.45"]
 HUGE_NBAR_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=4.6", "--set", "gamma1=0.67",
                   "--set", "gamma2=8.5", "--set", "nbar3=1e308", "--s-points", "0"]
+# kappa1 + gamma1 overflows in the damping of mode 1
+HUGE_DAMPING_ARGV = ["steady-state", "--set", "kappa1=1e308", "--set", "gamma1=1e308",
+                     "--set", "kappa2=1"]
 
 
 def fig2_config(points=5, fmt="csv", **extra):
@@ -581,9 +585,11 @@ class TestStackedSweep:
         monkeypatch.setattr(
             sweeps, "_linear_response", lambda sys, m: systems.append(len(sys.M)) or response(sys, m)
         )
+        # at 2048 points per block the third system spans both blocks: 2048 = 4 * 501 + 44
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 2048)
         cfg = parse_config(json.dumps(NBAR1_SWEEP))
         result = run_sweep(cfg)
-        assert systems == [5, 1] and (result.status == "ok").all()  # 2048 = 4 * 501 + 44
+        assert systems == [5, 1] and (result.status == "ok").all()
         points = list(itertools.product(*(ax.values().tolist() for ax in cfg.axes)))
         for i in range(0, len(points), 23):
             cells, status, nbar = reference_row(cfg, points[i])
@@ -591,6 +597,49 @@ class TestStackedSweep:
             tolerance = pytest.approx(cells, rel=1e-12, abs=1e-12 * max(nbar, 1.0))
             assert result.values[i, 2:].tolist() == tolerance, points[i]
 
+    def test_readme_grid_is_one_block(self, monkeypatch):
+        # 101 x 101 points fit in one block: one call per layer, and the
+        # response takes the 101 systems of the Delta values
+        calls = []
+        # each kernel's first argument, and the number of systems in it
+        for name, size in (("build_system", lambda p: p.phi.size),
+                           ("stability_margin", len), ("_linear_response", lambda sys: len(sys.M))):
+            kernel = getattr(sweeps, name)
+            counted = lambda x, *a, f=kernel, n=name, size=size: calls.append((n, size(x))) or f(x, *a)
+            monkeypatch.setattr(sweeps, name, counted)
+        result = run_sweep(parse_config(fig2_config(101, outputs=["n1", "n2", "dn1", "dn2"])))
+        assert calls == [("build_system", 101), ("stability_margin", 101), ("_linear_response", 101)]
+        assert (result.status == "ok").all()
+
+    def test_block_without_a_varying_field_is_one_system(self, monkeypatch):
+        systems, response = [], sweeps._linear_response
+        monkeypatch.setattr(
+            sweeps, "_linear_response", lambda sys, m: systems.append(len(sys.M)) or response(sys, m)
+        )
+        doc = dict(NBAR1_SWEEP, axes=NBAR1_SWEEP["axes"][1:])
+        for points in (1, 7):  # a one-point block, and one whose points differ only in nbar1
+            systems.clear()
+            doc["axes"] = [dict(doc["axes"][0], points=points)]
+            result = run_sweep(parse_config(json.dumps(doc)))
+            assert systems == [1] and (result.status == "ok").all()
+
+    def test_varying_fields_key_as_all_fields_do(self, monkeypatch):
+        # MIXED_GRID's block, with the all-zero placeholders of its invalid
+        # points: keyed on the fields that vary it falls into the same
+        # systems as keyed on all fields but nbar1..3
+        blocks, build = [], sweeps.build_system
+        monkeypatch.setattr(sweeps, "build_system", lambda p: blocks.append(p) or build(p))
+        run_sweep(parse_config(json.dumps(MIXED_GRID)))  # theta builds every point's system
+        (p,) = blocks
+        assert (p.kappa1 == 0.0).any() and (p.phi == 0.0).any()  # placeholders
+        rest = [getattr(p, name) for name in ("omega1", "omega2", "kappa1", "kappa2",
+                                              "gamma1", "gamma2", "phi", "F")]
+        keys = np.hstack([x.view(np.float64).reshape(x.size, -1) for x in rest])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+        _, first_all, inverse_all = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = sweeps._systems(p)
+        assert len(first) == len(first_all) == 5
+        np.testing.assert_array_equal(first[inverse], first_all[inverse_all])
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
         # the margin and the response take the block's distinct systems, one per
@@ -1209,6 +1258,7 @@ class TestOverflowingInputs:
     @pytest.mark.parametrize("argv, code, message", [
         (HUGE_F_ARGV, 3, "error: Lyapunov residual "),
         (HUGE_NBAR_ARGV, 2, "error: nbar3: noise term (nbar3 + 1/2) * rate is not finite\n"),
+        (HUGE_DAMPING_ARGV, 2, "error: kappa1: damping (gamma1 + kappa1) / 2 is not finite\n"),
     ])
     def test_one_error_line_under_warnings_as_errors(self, argv, code, message):
         rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
@@ -1227,6 +1277,26 @@ class TestOverflowingInputs:
         p = CascadedParams(**rates, nbar3=np.array([0.5, 1e308, 0.0]), nbar2=np.array([0, 0, 1e308]))
         assert p.invalid().tolist() == [False, True, True]
         assert not CascadedParams(nbar1=1e308, nbar2=1e308, nbar3=1e308).invalid()  # zero rates
+
+    def test_overflowing_damping_is_invalid(self):
+        for i in (1, 2):
+            with pytest.raises(InvalidParamsError, match=rf"^kappa{i}: damping"):
+                CascadedParams(**{f"kappa{i}": 1e308, f"gamma{i}": 1e308})
+        # one rate near the maximum per mode leaves each damping finite
+        assert not CascadedParams(kappa1=1e308, gamma2=1e308).invalid()
+        mode1, mode2 = np.array([1.0, 1e308, 1.0]), np.array([1.0, 1.0, 1e308])
+        p = CascadedParams(kappa1=mode1, gamma1=mode1, kappa2=mode2, gamma2=mode2)
+        assert p.invalid().tolist() == [False, True, True]
+
+    def test_overflowing_damping_gives_unsupported_rows(self):
+        # the point of HUGE_DAMPING_ARGV as a one-point sweep (its neighbours at
+        # such rates overflow elsewhere)
+        doc = {"model": "cascaded",
+               "params": {"gamma1": 1e308, "kappa2": 1.0},
+               "axes": [{"variable": "kappa1", "min": 1e308, "max": 1e308, "points": 1}],
+               "outputs": ["n1", "eta1", "m1", "stability_margin", "F_residual"]}
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status.tolist() == ["unsupported"] and not result.valid[0, 1:].any()
 
     def test_overflowing_noise_term_gives_unsupported_rows(self):
         doc = {"model": "cascaded",
