@@ -120,9 +120,10 @@ class CascadedParams(_ParamSet):
 
     def invalid(self) -> NDArray[np.bool_]:
         """The mask of ``_ParamSet.invalid``, with the points added where the
-        damping (gamma_i + kappa_i)/2 of a mode or the noise term
-        (nbar_c + 1/2) rate_c of a channel is not finite (the rate of channel 3
-        is gamma1 + gamma2); one point raises InvalidParamsError."""
+        damping (gamma_i + kappa_i)/2 of a mode, the noise term
+        (nbar_c + 1/2) rate_c of a channel (the rate of channel 3 is
+        gamma1 + gamma2) or the entry N_ii of the noise matrix, the sum of
+        those terms for mode i, is not finite; one point raises InvalidParamsError."""
         failed = super().invalid()
         with np.errstate(over="ignore", invalid="ignore"):
             for i in (1, 2):
@@ -133,6 +134,11 @@ class CascadedParams(_ParamSet):
                 term = (getattr(self, f"nbar{c}") + 0.5) * rate
                 message = f"nbar{c}: noise term (nbar{c} + 1/2) * rate is not finite"
                 failed = check_items(failed, ~np.isfinite(term), InvalidParamsError, message)
+            for i in (1, 2):  # N_ii = (nbar_i + 1/2) kappa_i + (nbar3 + 1/2) gamma_i
+                kappa, gamma, nbar = (getattr(self, f"{x}{i}") for x in ("kappa", "gamma", "nbar"))
+                entry = (nbar + 0.5) * kappa + (self.nbar3 + 0.5) * gamma
+                message = f"nbar{i}: noise matrix entry N{i}{i} is not finite"
+                failed = check_items(failed, ~np.isfinite(entry), InvalidParamsError, message)
         return failed
 
     @property
@@ -300,7 +306,7 @@ def _linear_response(sys: LinearSystem, margin):
     x00, x01, x11 = (X[..., :, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
     u0, u1 = sys.U[..., None, 0, :], sys.U[..., None, 1, :]
     q = x00.real * np.abs(u0) ** 2 + x11.real * np.abs(u1) ** 2 + 2.0 * (u0.conj() * x01 * u1).real
-    g = 2.0 * q - 2.0 * sys.rate[..., None, :] * np.eye(2, 3)
+    g = 2.0 * (q - sys.rate[..., None, :] * np.eye(2, 3))  # 2 rate_3 may overflow
     G = np.stack([g[..., 0, :], g[..., 1, :], -(g[..., 0, :] + g[..., 1, :])], axis=-1)
     if not failed.ndim:
         return W, G

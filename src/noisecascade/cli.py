@@ -46,7 +46,6 @@ from .optomech import (
     preset_microwave,
 )
 from .sweeps import (
-    NegativeOccupationError,
     SchemaError,
     cascaded_from_raw,
     check_params,
@@ -227,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, NegativeOccupationError, InvalidParamsError, OSError) as exc:
+    except (SchemaError, InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except NUMERIC_ERRORS as exc:

@@ -255,13 +255,15 @@ def flow_cumulant(
     state and the counted channel's adjoint Gramian come from one stacked
     Lyapunov solve, and orders 3 and 4 add one solve each (module docstring).
     One system returns a float and raises (an unstable drift, a zero-rate
-    channel, a failed solve, a non-Hermitian N included); a stack returns
-    (eta, failed), NaN where the single call raises.
+    channel, a failed solve, a non-Hermitian N, a moment beyond the float
+    range included); a stack returns (eta, failed), NaN where the single
+    call raises.
     """
     etas, failed = _flow_cumulants(channel, n, sys)
     return (etas[-1], failed) if failed.ndim else etas[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # eta^(m) ~ nbar^m may overflow: such items fail
 def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDArray[np.bool_]]:
     """([eta^(1), ..., eta^(n)], failed) of ``flow_cumulant``; one system raises.
 
@@ -311,8 +313,11 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
     trace_p, etas = _trace(P).real, []
     for m in range(1, n + 1):
         theta_m = sum(math.comb(m, j) * fp[j] * traces[m - j] for j in range(1, m + 1))
-        eta = (-1.0) ** m * (theta_m - fm[m] * trace_p)
-        etas.append(np.where(failed, np.nan, eta) if failed.ndim else eta)
+        etas.append((-1.0) ** m * (theta_m - fm[m] * trace_p))
+        message = f"flow cumulant of order {m} is not finite"
+        failed = check_items(failed, ~np.isfinite(etas[-1]), SingularSystemError, message)
+    if failed.ndim:
+        etas = [np.where(failed, np.nan, eta) for eta in etas]
     return etas, failed
 
 

@@ -108,10 +108,11 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
                 x = M[..., 0, 0].real + 1j * (1.0 - d) * half.imag
                 y = M[..., 1, 1].real - 1j * (1.0 + d) * half.imag
                 shifted = root - 1j * d * half.imag
-                candidate = 16.0 * (np.abs(x) * np.abs(y) + coupling) / np.abs(shifted)
-                better = cancelled & (candidate < bound)
+                # compared with bound / 16: 16 times the candidate may overflow
+                candidate = (np.abs(x) * np.abs(y) + coupling) / np.abs(shifted)
+                better = cancelled & (candidate < bound / 16.0)
                 other = np.where(better, ((x * y - m01 * m10) / shifted).real, other)
-                bound = np.where(better, candidate, bound)
+                bound = np.where(better, 16.0 * candidate, bound)
     return np.maximum(big[..., 0], other[..., 0])
 
 

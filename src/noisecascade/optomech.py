@@ -31,7 +31,7 @@ class NoCouplingError(Exception):
     """The non-reciprocity design condition needs both optomechanical couplings."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class OmParams(_ParamSet):
     """Hardware parameters of the two-cavity/one-mechanical-mode platform.
 
@@ -63,21 +63,8 @@ class OmParams(_ParamSet):
 
     def __post_init__(self) -> None:
         if self.Omega is None:
-            self.Omega = self.omega_m
+            object.__setattr__(self, "Omega", self.omega_m)
         super().__post_init__()
-
-
-@dataclass(frozen=True)
-class Susceptibility:
-    """Mechanical response chi at one frequency, with its Omega-referenced form.
-
-    ``chi_tilde`` = chi(omega) |chi(Omega)| / chi(Omega) and ``nu`` is the
-    phase of chi(Omega); 2 Re chi = gamma_m |chi|^2 holds identically.
-    """
-
-    chi: complex
-    chi_tilde: complex
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -89,12 +76,10 @@ class NonReciprocalDesign:
     residual: float
 
 
-def mech_susceptibility(omega: float, p: OmParams) -> Susceptibility:
-    """Mechanical susceptibility 1/[gamma_m/2 - i (omega - omega_m)]."""
-    chi = np.divide(1.0, p.gamma_m / 2.0 - 1j * (omega - p.omega_m))
-    chi_ref = np.divide(1.0, p.gamma_m / 2.0 - 1j * (p.Omega - p.omega_m))
-    chi_tilde = chi * np.abs(chi_ref) / chi_ref
-    return Susceptibility(chi=chi, chi_tilde=chi_tilde, nu=np.angle(chi_ref))
+def mech_susceptibility(omega: float, p: OmParams) -> complex | NDArray[np.complex128]:
+    """Mechanical susceptibility chi(omega) = 1/[gamma_m/2 - i (omega - omega_m)];
+    2 Re chi = gamma_m |chi|^2 holds identically."""
+    return np.divide(1.0, p.gamma_m / 2.0 - 1j * (omega - p.omega_m))
 
 
 def build_om_drift(
@@ -104,11 +89,11 @@ def build_om_drift(
 
     The mechanical noise column is returned after the gauge transformation
     that makes it real at Omega up to the hopping phase, i.e.
-    (G1 sqrt(gamma_m) chi~, G2 sqrt(gamma_m) chi~ e^{i phi}).  Array fields
+    (G1 sqrt(gamma_m) chi~, G2 sqrt(gamma_m) chi~ e^{i phi}) with
+    chi~ = chi(omega) |chi(Omega)| / chi(Omega).  Array fields
     (or omega) give a drift (..., 2, 2) and a noise column (..., 2).
     """
-    sus = mech_susceptibility(omega, p)
-    chi = sus.chi
+    chi, chi_ref = mech_susceptibility(omega, p), mech_susceptibility(p.Omega, p)
     eip = np.exp(1j * p.phi)
     # G G and np.multiply round alike for one point and for arrays (G**2 and a
     # complex product of two numpy scalars may differ in the last bit)
@@ -119,7 +104,7 @@ def build_om_drift(
         -1j * p.Delta2 - p.kappa2 / 2.0 - p.G2 * p.G2 * chi,
     )
     M = np.stack([np.stack([m11, m12], -1), np.stack([m21, m22], -1)], -2)
-    sqrt_gm, chi_t = np.sqrt(p.gamma_m), sus.chi_tilde
+    sqrt_gm, chi_t = np.sqrt(p.gamma_m), chi * np.abs(chi_ref) / chi_ref
     column = p.G1 * sqrt_gm * chi_t, np.multiply(p.G2 * sqrt_gm * chi_t, eip)
     return M, np.stack(np.broadcast_arrays(*column), -1)
 
@@ -133,7 +118,7 @@ def map_to_cascaded(p: OmParams) -> CascadedParams:
     Valid when the mechanical susceptibility is effectively constant over
     the signal bandwidth; all coefficients are frozen at Omega.
     """
-    chi = mech_susceptibility(p.Omega, p).chi
+    chi = mech_susceptibility(p.Omega, p)
     return CascadedParams(
         omega1=p.Delta1 + p.G1 * p.G1 * chi.imag,
         omega2=p.Delta2 + p.G2 * p.G2 * chi.imag,
@@ -158,7 +143,7 @@ def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
     """
     if p.G1 * p.G2 <= 0.0:
         raise NoCouplingError("design condition needs G1 * G2 > 0")
-    chi = mech_susceptibility(p.Omega, p).chi
+    chi = mech_susceptibility(p.Omega, p)
     j_star = p.G1 * p.G2 * abs(chi)
     phi_star = float(np.angle(1j * chi))
     residual = abs(j_star - 1j * chi * p.G1 * p.G2 * np.exp(-1j * phi_star))

@@ -50,6 +50,7 @@ from numpy.typing import NDArray
 
 from .cascaded import (
     CascadedParams,
+    InvalidParamsError,
     LinearSystem,
     _clamped_occupations,
     _linear_response,
@@ -64,10 +65,6 @@ from .optomech import OmParams, map_to_cascaded
 
 class SchemaError(Exception):
     """Config document violates the sweep schema; message carries the field path."""
-
-
-class NegativeOccupationError(Exception):
-    """mbar-to-Nbar conversion produced a negative bath occupation."""
 
 
 _TOP_KEYS = {"model", "params", "axes", "outputs", "format", "parallel", "s_grid"}
@@ -147,7 +144,8 @@ class SweepResult:
 
 
 def convert_mbar(params: dict) -> dict:
-    """Replace mbar1..3 by nbar1..3 in a parameter dict, validating positivity.
+    """Replace mbar1..3 by nbar1..3 in a parameter dict; a negative bath
+    occupation raises InvalidParamsError.
 
     Arrays keep their negative occupations, which CascadedParams flags.
     """
@@ -160,7 +158,7 @@ def convert_mbar(params: dict) -> dict:
     n1, n2 = 2.0 * m1 - m3, 2.0 * m2 - m3
     negative = (n1 < 0.0) | (n2 < 0.0) | (m3 < 0.0)
     message = "mbar conversion gives Nbar1 = {:g}, Nbar2 = {:g}, Nbar3 = {:g}"
-    check_items(np.zeros_like(negative), negative, NegativeOccupationError, message, n1, n2, m3)
+    check_items(np.zeros_like(negative), negative, InvalidParamsError, message, n1, n2, m3)
     out.update(nbar1=n1, nbar2=n2, nbar3=m3)
     return out
 
@@ -295,10 +293,11 @@ def parse_config(text: str) -> SweepConfig:
                 spacing=spacing,
             )
         )
-    check_params(model, params, tuple(ax.variable for ax in axes))
+    swept = tuple(ax.variable for ax in axes)
+    check_params(model, params, swept)
     if model == "cascaded":
-        # validate the mbar conversion on the baseline values up front
-        convert_mbar(params)
+        # validate the mbar conversion up front on the values that no axis replaces
+        convert_mbar({k: v for k, v in params.items() if k not in swept})
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:

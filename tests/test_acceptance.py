@@ -164,7 +164,7 @@ def test_criterion_05_mapping_equivalence():
         sys = build_system(map_to_cascaded(p))
         scale = max(np.abs(M_om).max(), 1.0)
         worst_m = max(worst_m, np.abs(M_om - sys.M).max() / scale)
-        chi_mag = abs(mech_susceptibility(p.Omega, p).chi)
+        chi_mag = abs(mech_susceptibility(p.Omega, p))
         expected = np.array([
             p.G1 * math.sqrt(p.gamma_m) * chi_mag,
             p.G2 * math.sqrt(p.gamma_m) * chi_mag * np.exp(1j * p.phi),

@@ -619,6 +619,13 @@ class TestLinearResponse:
                 assert not failed[i], i
                 assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
 
+    def test_rate_near_the_float_maximum(self):
+        # 2 rate_3 overflowed to inf, and inf * 0 put NaN into G
+        W, G = linear_response(build_system(CascadedParams(gamma1=1e308, kappa1=1.0, kappa2=1.0)))
+        assert np.isfinite(W).all() and np.isfinite(G).all()
+        expected = [[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, -2.0]]
+        np.testing.assert_allclose(G, expected, rtol=1e-15, atol=0.0)
+
     def test_one_unstable_system_raises(self):
         p = dataclasses.replace(self.CRITERION_8, kappa1=0.0, gamma1=0.0)
         with pytest.raises(UnstableSystemError, match="^drift is not stable"):

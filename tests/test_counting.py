@@ -19,7 +19,12 @@ from noisecascade.counting import (
     large_deviation,
     simplified_flows,
 )
-from noisecascade.linalg import NonSymmetricInputError, solve_lyapunov, stability_margin
+from noisecascade.linalg import (
+    NonSymmetricInputError,
+    SingularSystemError,
+    solve_lyapunov,
+    stability_margin,
+)
 from noisecascade.optomech import OmParams, map_to_cascaded
 from exact_cumulant_oracle import exact_cumulants
 from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
@@ -380,6 +385,19 @@ class TestFlowCumulant:
         sys = build_system(THERMAL)
         for n in (2, 3, 4):
             assert np.isfinite(flow_cumulant(1, n, sys))
+
+    def test_moment_beyond_the_float_range_fails(self):
+        # eta^(2) grows like nbar^2: 5e299 at nbar1 = 1e150, beyond the float
+        # range at 1e160, where the sum was NaN
+        rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
+        assert flow_cumulant(1, 2, build_system(CascadedParams(**rates, nbar1=1e150))) == 5e299
+        with pytest.raises(SingularSystemError, match="^flow cumulant of order 2 is not finite$"):
+            flow_cumulant(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
+        sys = build_system(CascadedParams(**rates, nbar1=np.array([1e150, 1e160])))
+        eta, failed = flow_cumulant(1, 2, sys)
+        assert failed.tolist() == [False, True] and eta[0] == 5e299 and np.isnan(eta[1])
+        eta, failed = flow_cumulant(1, 1, sys)
+        assert not failed.any() and eta.tolist() == [-1e150, -1e160]
 
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev

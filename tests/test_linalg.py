@@ -151,6 +151,14 @@ class TestStabilityMargin:
                            F=1e200 + 1.709j, nbar1=0.45)
         assert_same_bits(stability_margin(build_system(p).M), np.float64(-2.620017928058309))
 
+    def test_candidate_bound_near_the_float_maximum(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # eigenvalues -5e307 and -0.5: 16 times the rounding bound of the
+        # candidate root overflowed, so the cancelled margin 0 stood
+        M = build_system(CascadedParams(gamma1=1e308, kappa1=1.0, kappa2=1.0)).M
+        assert stability_margin(M) == pytest.approx(-0.5, rel=1e-15)
+
     @pytest.mark.parametrize("frequencies", ["own", "common", "swapped"])
     def test_matches_eigvals_on_graded_drifts(self, frequencies):
         # triangular drifts, whose eigenvalues eigvals returns to a few ulp,

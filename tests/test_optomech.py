@@ -72,6 +72,14 @@ def random_om_fields(rng, n):
 
 
 class TestParams:
+    def test_frozen(self):
+        # one point is checked only at construction, so its fields cannot change
+        p = random_om_params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.gamma_m = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.Omega = None
+
     def test_omega_defaults_to_mechanical_resonance(self):
         p = OmParams(omega_m=5.0, gamma_m=0.1, Delta1=5.0, Delta2=5.0,
                      kappa1=1.0, kappa2=1.0)
@@ -96,22 +104,33 @@ class TestSusceptibility:
     def test_on_resonance_value(self):
         p = OmParams(omega_m=5.0, gamma_m=0.2, Delta1=5.0, Delta2=5.0,
                      kappa1=1.0, kappa2=1.0)
-        sus = mech_susceptibility(5.0, p)
-        assert sus.chi == pytest.approx(10.0)  # 2/gamma_m, purely real
-        assert sus.nu == pytest.approx(0.0)
+        assert mech_susceptibility(5.0, p) == pytest.approx(10.0)  # 2/gamma_m, purely real
+        assert np.angle(mech_susceptibility(p.Omega, p)) == pytest.approx(0.0)
 
     def test_lorentzian_identity(self):
         # 2 Re chi = gamma_m |chi|^2 at every frequency
         p = random_om_params()
         for omega in np.linspace(p.omega_m - 5, p.omega_m + 5, 11):
-            chi = mech_susceptibility(float(omega), p).chi
+            chi = mech_susceptibility(float(omega), p)
             assert 2.0 * chi.real == pytest.approx(p.gamma_m * abs(chi) ** 2)
+
+    def test_array_fields_give_an_array(self):
+        # chi(omega) itself, one item per point, equal to the single-point values
+        fields = random_om_fields(np.random.default_rng(4), 8)
+        p = OmParams(**fields)
+        chi = mech_susceptibility(p.Omega, p)
+        assert chi.shape == (8,) and chi.dtype == complex
+        for i in range(8):
+            q = OmParams(**{name: v[i].item() for name, v in fields.items()})
+            assert chi[i] == mech_susceptibility(q.Omega, q)
 
     def test_gauge_form_has_reference_magnitude(self):
         p = random_om_params()
-        sus = mech_susceptibility(p.Omega, p)
-        # at omega = Omega the gauged susceptibility is |chi(Omega)|, real
-        assert sus.chi_tilde == pytest.approx(abs(sus.chi))
+        # at omega = Omega the gauged susceptibility chi~ of the noise column
+        # is |chi(Omega)|, real
+        _, noise = build_om_drift(p, p.Omega)
+        scale = p.G1 * math.sqrt(p.gamma_m)
+        assert noise[0] == pytest.approx(scale * abs(mech_susceptibility(p.Omega, p)))
 
 
 class TestMapping:
@@ -127,7 +146,7 @@ class TestMapping:
         for _ in range(200):
             p = random_om_params()
             _, noise = build_om_drift(p, p.Omega)
-            chi_mag = abs(mech_susceptibility(p.Omega, p).chi)
+            chi_mag = abs(mech_susceptibility(p.Omega, p))
             u3 = build_system(map_to_cascaded(p)).U[..., 2]
             expected = np.array(
                 [p.G1 * math.sqrt(p.gamma_m) * chi_mag,

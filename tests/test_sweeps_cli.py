@@ -35,7 +35,6 @@ from noisecascade.counting import (
 from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
 from noisecascade.optomech import OmParams, map_to_cascaded
 from noisecascade.sweeps import (
-    NegativeOccupationError,
     SchemaError,
     SweepAxis,
     SweepConfig,
@@ -70,6 +69,15 @@ HUGE_NBAR_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=4.6", "--set
 # kappa1 + gamma1 overflows in the damping of mode 1
 HUGE_DAMPING_ARGV = ["steady-state", "--set", "kappa1=1e308", "--set", "gamma1=1e308",
                      "--set", "kappa2=1"]
+# every noise term is finite, but N11 = (nbar1 + 1/2) kappa1 + (nbar3 + 1/2) gamma1 is not
+HUGE_DIAGONAL_ARGV = ["steady-state", "--set", "kappa1=1e307", "--set", "gamma1=1e307",
+                      "--set", "nbar1=10", "--set", "nbar3=10", "--set", "kappa2=1"]
+# eta^(2) grows like nbar1^2 and leaves the float range
+HUGE_CUMULANT_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
+                      "--set", "gamma2=1", "--set", "nbar1=1e160", "--s-points", "0"]
+# stable, with eigenvalues -5e307 and -0.5
+HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
+                   "--set", "kappa2=1"]
 
 
 def fig2_config(points=5, fmt="csv", **extra):
@@ -155,7 +163,8 @@ class TestConvertMbar:
         assert out == {"nbar1": 80.0, "nbar2": 180.0, "nbar3": 20.0}
 
     def test_negative_result_rejected(self):
-        with pytest.raises(NegativeOccupationError):
+        message = "^mbar conversion gives Nbar1 = -20, Nbar2 = 80, Nbar3 = 120$"
+        with pytest.raises(InvalidParamsError, match=message):
             convert_mbar({"mbar1": 50.0, "mbar2": 100.0, "mbar3": 120.0})
 
     def test_mixing_with_nbar_rejected(self):
@@ -214,8 +223,66 @@ class TestParseConfig:
         doc = json.loads(fig2_config())
         doc["params"]["mbar3"] = 120.0
         del doc["axes"][1]
-        with pytest.raises(NegativeOccupationError):
+        with pytest.raises(InvalidParamsError, match="^mbar conversion gives Nbar1 = -20,"):
             parse_config(json.dumps(doc))
+
+    def test_swept_mbar_is_not_converted_from_params(self, tmp_path, capsys):
+        # params.mbar3 = 10 gives Nbar1 = -6 and Nbar2 = -4, but the axis
+        # replaces it, and every grid point converts to valid occupations
+        rates = {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1}
+        doc = {"model": "cascaded", "params": {**rates, "mbar1": 2, "mbar2": 3, "mbar3": 10},
+               "axes": [{"variable": "mbar3", "min": 0, "max": 4, "points": 3}],
+               "outputs": ["n1", "n2", "dn1", "dn2"]}
+        outputs = []
+        for params in (doc["params"], {**rates, "mbar1": 2, "mbar2": 3}):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**doc, "params": params}))
+            assert main(["sweep", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == "" and outputs[0].out.count(",ok\n") == 3
+        # a params value that no axis replaces is still checked at parse time
+        doc["axes"][0]["variable"] = "Delta"
+        message = "mbar conversion gives Nbar1 = -6, Nbar2 = -4, Nbar3 = 10"
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            parse_config(json.dumps(doc))
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    AXIS = GOLDEN_CONFIG["axes"][0]
+    SET_WITHOUT_VALUE = ["steady-state", "--set", "kappa1"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([GOLDEN_CONFIG], "top level must be an object"),
+        ({k: v for k, v in GOLDEN_CONFIG.items() if k != "outputs"},
+         "missing required key: outputs"),
+        ({**GOLDEN_CONFIG, "model": "fluid"}, "model: must be one of ('cascaded', 'optomech')"),
+        ({**GOLDEN_CONFIG, "format": "xml"}, "format: must be one of ('csv', 'json')"),
+        ({**GOLDEN_CONFIG, "params": []}, "params: must be an object"),
+        ({**GOLDEN_CONFIG, "axes": [AXIS] * 4}, "axes: at most 3 sweep axes supported"),
+        ({**GOLDEN_CONFIG, "axes": ["kappa1"]}, "axes[0]: must be an object"),
+        ({**GOLDEN_CONFIG, "axes": [{**AXIS, "step": 0.5}]}, "axes[0]: unknown keys ['step']"),
+        ({**GOLDEN_CONFIG, "axes": [{k: v for k, v in AXIS.items() if k != "points"}]},
+         "axes[0].points: missing"),
+        ({**GOLDEN_CONFIG, "axes": [{**AXIS, "spacing": "cubic"}]},
+         "axes[0].spacing: must be 'linear' or 'log'"),
+        ({**GOLDEN_CONFIG, "outputs": []}, "outputs: must be a non-empty list"),
+        ({**GOLDEN_CONFIG, "outputs": "m1"}, "outputs: must be a non-empty list"),
+        ({**GOLDEN_CONFIG, "s_grid": 0.5}, "s_grid: must be a list of numbers"),
+        (SET_WITHOUT_VALUE, "expected name=value, got 'kappa1'"),
+    ])
+    def test_input_error_messages(self, doc, message, tmp_path, capsys):
+        """Each config (or the --set argv) exits 2 with its message on stderr."""
+        argv = doc
+        if doc is not self.SET_WITHOUT_VALUE:
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                parse_config(json.dumps(doc))
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            argv = ["sweep", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_malformed_complex_f(self):
         doc = json.loads(fig2_config())
@@ -409,7 +476,7 @@ def reference_row(cfg, axis_values):
     raw.update(zip((ax.variable for ax in cfg.axes), axis_values))
     try:
         p = cascaded_from_raw(raw) if cfg.model == "cascaded" else map_to_cascaded(OmParams(**raw))
-    except (NegativeOccupationError, InvalidParamsError, UnsupportedParamsError):
+    except (InvalidParamsError, UnsupportedParamsError):
         return (None,) * n_out, "unsupported", 0.0
     sys = build_system(p)
     margin = stability_margin(sys.M)
@@ -1259,6 +1326,8 @@ class TestOverflowingInputs:
         (HUGE_F_ARGV, 3, "error: Lyapunov residual "),
         (HUGE_NBAR_ARGV, 2, "error: nbar3: noise term (nbar3 + 1/2) * rate is not finite\n"),
         (HUGE_DAMPING_ARGV, 2, "error: kappa1: damping (gamma1 + kappa1) / 2 is not finite\n"),
+        (HUGE_DIAGONAL_ARGV, 2, "error: nbar1: noise matrix entry N11 is not finite\n"),
+        (HUGE_CUMULANT_ARGV, 3, "error: flow cumulant of order 2 is not finite\n"),
     ])
     def test_one_error_line_under_warnings_as_errors(self, argv, code, message):
         rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
@@ -1277,6 +1346,24 @@ class TestOverflowingInputs:
         p = CascadedParams(**rates, nbar3=np.array([0.5, 1e308, 0.0]), nbar2=np.array([0, 0, 1e308]))
         assert p.invalid().tolist() == [False, True, True]
         assert not CascadedParams(nbar1=1e308, nbar2=1e308, nbar3=1e308).invalid()  # zero rates
+        # each noise term is finite, their sum N22 on the diagonal of N is not
+        rates = dict(kappa2=1e307, gamma2=1e307)
+        with pytest.raises(InvalidParamsError, match=r"^nbar2: noise matrix entry N22 is not finite$"):
+            CascadedParams(**rates, nbar2=10.0, nbar3=10.0)
+        nbar = np.array([1.0, 10.0])
+        assert CascadedParams(**rates, nbar2=nbar, nbar3=nbar).invalid().tolist() == [False, True]
+
+    def test_huge_rate_of_a_stable_drift(self):
+        # the margin read 0 (unstable) and G held NaN, with two RuntimeWarnings
+        rc, out, err = fresh_process(HUGE_GAMMA_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, json.loads(out), err) == (0, {"n1": 0.0, "n2": 0.0}, "")
+        doc = {"model": "cascaded",
+               "params": {"kappa1": 1.0, "kappa2": 1.0, "gamma2": 0.0, "nbar1": 1.0, "nbar2": 2.0},
+               "axes": [{"variable": "gamma1", "min": 1e308, "max": 1e308, "points": 1}],
+               "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin"]}
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status.tolist() == ["ok"] and result.valid.all()
+        assert result.values[0, -1] == -0.49999999999999994
 
     def test_overflowing_damping_is_invalid(self):
         for i in (1, 2):
