@@ -69,7 +69,9 @@ class _ParamSet:
     # the dataclass __init__ sets exactly the fields, in field order, so
     # vars(self) lists them
     def __post_init__(self) -> None:
-        shape = np.broadcast_shapes(*map(np.shape, vars(self).values()))
+        # a Python number (numpy's float64 and complex128 too) is one point
+        shapes = [np.shape(v) for v in vars(self).values() if not isinstance(v, (int, float, complex))]
+        shape = np.broadcast_shapes(*shapes) if shapes else ()
         if shape:
             for name, v in list(vars(self).items()):
                 v = np.asarray(v, complex if name in self._complex else float)
@@ -77,20 +79,25 @@ class _ParamSet:
         else:  # one point raises here; arrays report their invalid() mask to the caller
             self.invalid()
 
+    def _checks(self) -> list[tuple[str, NDArray[np.bool_] | bool]]:
+        """(message, bad) rows of the rule, in the order a single point tests
+        them: positive fields, non-negative fields, then finiteness in field order."""
+        rows = [(f"{name}: must be positive", getattr(self, name) <= 0) for name in self._positive]
+        rows += [(f"{name}: must be non-negative", getattr(self, name) < 0) for name in self._nonnegative]
+        # one isfinite call over all fields: on a Python number, the call costs more than its work
+        bad = ~np.isfinite(list(vars(self).values()))
+        return rows + [(f"{name}: must be finite", b) for name, b in zip(vars(self), bad)]
+
     def invalid(self) -> NDArray[np.bool_]:
-        """Mask of the invalid points; one point raises InvalidParamsError instead."""
-        names, values = list(vars(self)), list(vars(self).values())
-        failed, error = np.zeros(np.shape(values[0]), bool), InvalidParamsError
-        for name in self._positive:
-            message = f"{name}: must be positive"
-            failed = check_items(failed, getattr(self, name) <= 0, error, message)
-        for name in self._nonnegative:
-            message = f"{name}: must be non-negative"
-            failed = check_items(failed, getattr(self, name) < 0, error, message)
-        finite = np.isfinite(values)
-        # the first field that is not finite at some point: the one a single point names
-        first = names[np.argmin(finite.reshape(len(names), -1).all(axis=1))]
-        return check_items(failed, ~finite.all(axis=0), error, f"{first}: must be finite")
+        """Mask of the invalid points, the OR of the ``_checks`` rows; one point
+        raises InvalidParamsError with the message of its first failing row instead."""
+        rows = self._checks()
+        if np.ndim(rows[0][1]):
+            return np.logical_or.reduce([bad for _, bad in rows])
+        for message, bad in rows:
+            if bad:
+                raise InvalidParamsError(message)
+        return np.False_
 
 
 @dataclass(frozen=True)
@@ -118,28 +125,26 @@ class CascadedParams(_ParamSet):
     _complex = ("F",)
     _nonnegative = ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")
 
-    def invalid(self) -> NDArray[np.bool_]:
-        """The mask of ``_ParamSet.invalid``, with the points added where the
-        damping (gamma_i + kappa_i)/2 of a mode, the noise term
-        (nbar_c + 1/2) rate_c of a channel (the rate of channel 3 is
-        gamma1 + gamma2) or the entry N_ii of the noise matrix, the sum of
-        those terms for mode i, is not finite; one point raises InvalidParamsError."""
-        failed = super().invalid()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in (1, 2):
-                damping = (getattr(self, f"gamma{i}") + getattr(self, f"kappa{i}")) / 2.0
-                message = f"kappa{i}: damping (gamma{i} + kappa{i}) / 2 is not finite"
-                failed = check_items(failed, ~np.isfinite(damping), InvalidParamsError, message)
-            for c, rate in enumerate((self.kappa1, self.kappa2, self.collective_rate), 1):
-                term = (getattr(self, f"nbar{c}") + 0.5) * rate
-                message = f"nbar{c}: noise term (nbar{c} + 1/2) * rate is not finite"
-                failed = check_items(failed, ~np.isfinite(term), InvalidParamsError, message)
-            for i in (1, 2):  # N_ii = (nbar_i + 1/2) kappa_i + (nbar3 + 1/2) gamma_i
-                kappa, gamma, nbar = (getattr(self, f"{x}{i}") for x in ("kappa", "gamma", "nbar"))
-                entry = (nbar + 0.5) * kappa + (self.nbar3 + 0.5) * gamma
-                message = f"nbar{i}: noise matrix entry N{i}{i} is not finite"
-                failed = check_items(failed, ~np.isfinite(entry), InvalidParamsError, message)
-        return failed
+    @np.errstate(over="ignore", invalid="ignore")
+    def _checks(self) -> list[tuple[str, NDArray[np.bool_] | bool]]:
+        """The rows of ``_ParamSet._checks``, then the points where the damping
+        (gamma_i + kappa_i)/2 of a mode, the noise term (nbar_c + 1/2) rate_c
+        of a channel (the rate of channel 3 is gamma1 + gamma2) or the entry
+        N_ii of the noise matrix, the sum of those terms for mode i, is not finite."""
+        k1, k2, g1, g2 = self.kappa1, self.kappa2, self.gamma1, self.gamma2
+        w1, w2, w3 = self.nbar1 + 0.5, self.nbar2 + 0.5, self.nbar3 + 0.5
+        terms = {
+            "kappa1: damping (gamma1 + kappa1) / 2": (g1 + k1) / 2.0,
+            "kappa2: damping (gamma2 + kappa2) / 2": (g2 + k2) / 2.0,
+            "nbar1: noise term (nbar1 + 1/2) * rate": w1 * k1,
+            "nbar2: noise term (nbar2 + 1/2) * rate": w2 * k2,
+            "nbar3: noise term (nbar3 + 1/2) * rate": w3 * self.collective_rate,
+            # N_ii = (nbar_i + 1/2) kappa_i + (nbar3 + 1/2) gamma_i
+            "nbar1: noise matrix entry N11": w1 * k1 + w3 * g1,
+            "nbar2: noise matrix entry N22": w2 * k2 + w3 * g2,
+        }
+        bad = ~np.isfinite(list(terms.values()))
+        return super()._checks() + [(f"{name} is not finite", b) for name, b in zip(terms, bad)]
 
     @property
     def detuning(self) -> float | NDArray[np.float64]:

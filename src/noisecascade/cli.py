@@ -6,6 +6,10 @@ The ``--set NAME=VALUE`` values of ``steady-state`` and ``fcs`` (cascaded
 model) and of ``map-om`` and ``design`` (optomech model) go through
 sweeps.check_params, the checks of a sweep config's ``params``.
 
+``fcs`` prints exactly the text ``json.dumps(result, indent=2)`` would, but
+writes it in one pass from a template (``_fcs_json``); the other commands
+print ``json.dumps`` itself.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures of single-point commands (NUMERIC_ERRORS: unstable system, failed
 Lyapunov solve, counting field outside the admissible region, ...).
@@ -120,14 +124,26 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise OutsideAdmissibleRegionError(
             f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
         )
-    result = {
-        "channel": args.channel,
-        "theta": [{"s": s, "theta": t} for s, t in zip(s_values.tolist(), theta.tolist())],
-        "eta1_trace": etas[0],
-        "cumulants": {"1": etas[0], "2": etas[1]},
-    }
-    print(json.dumps(result, indent=2))
+    print(_fcs_json(args.channel, s_values.tolist(), theta.tolist(), *map(float, etas)))
     return 0
+
+
+def _fcs_json(channel: int, s: list[float], theta: list[float], eta1: float, eta2: float) -> str:
+    """The text ``json.dumps(result, indent=2)`` gives for the fcs result, in one pass.
+
+    With ``indent``, json runs its pure-Python encoder, which costs several
+    times this template.  Every number here is finite (theta and the
+    cumulants fail first, and s is checked), and json writes a finite float
+    as ``float.__repr__``, which ``!r`` of a float gives too.
+    """
+    points = ",".join(
+        f'\n    {{\n      "s": {x!r},\n      "theta": {t!r}\n    }}' for x, t in zip(s, theta)
+    )
+    points = f"[{points}\n  ]" if points else "[]"  # json writes an empty list as []
+    return (
+        f'{{\n  "channel": {channel},\n  "theta": {points},\n  "eta1_trace": {eta1!r},\n'
+        f'  "cumulants": {{\n    "1": {eta1!r},\n    "2": {eta2!r}\n  }}\n}}'
+    )
 
 
 def _cascaded_dict(p: CascadedParams) -> dict:

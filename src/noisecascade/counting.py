@@ -304,10 +304,16 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
         if k == n - 1:
             traces.append(trace_product(Z, source).real)
             break
-        solved = solve_lyapunov(M, source)
-        if failed.ndim:
-            solved, singular = solved
+        # a source beyond the float range would fail the solve's residual
+        # check; sigma_k gives eta^(k+1) and higher, so name that order
+        message = f"flow cumulant of order {k + 1} is not finite"
+        unbounded = ~np.isfinite(source).all(axis=(-2, -1))
+        failed = check_items(failed, unbounded, SingularSystemError, message)
+        if failed.ndim:  # the placeholders keep the failed items out of the solve
+            solved, singular = solve_lyapunov(M, np.where(failed[..., None, None], 0.0, source))
             failed = failed | singular
+        else:
+            solved = solve_lyapunov(M, source)
         sigma.append(solved)
         traces.append(trace_product(P, solved).real)
     trace_p, etas = _trace(P).real, []

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisecascade.cascaded import (
     CascadedParams,
@@ -337,7 +339,8 @@ class TestTemperatureConversion:
 
 # each class's validity rule, restated apart from the package: its positive
 # fields, then its non-negative ones, then the first field (in field order)
-# that is not finite is named
+# that is not finite is named; CascadedParams then checks the terms of
+# CASCADED_TERMS in their order
 RULES = {
     CascadedParams: ((), ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")),
     OmParams: (("gamma_m",), ("kappa1", "kappa2", "G1", "G2", "Nbar1", "Nbar2", "Nbar_m")),
@@ -349,9 +352,22 @@ SINGLE_POINT_MESSAGES = {
         ({"gamma1": -1.0, "nbar1": -1.0}, "gamma1: must be non-negative"),
         ({"F": complex(0.0, np.nan), "nbar3": np.inf}, "F: must be finite"),
         ({"omega2": np.inf, "phi": np.nan}, "omega2: must be finite"),
+        # the earlier row wins: non-negative before finite before the terms,
+        # damping before noise term before the noise matrix entry
+        ({"kappa1": -1.0, "omega2": np.nan}, "kappa1: must be non-negative"),
+        ({"omega1": np.inf, "kappa1": 1e308, "gamma1": 1e308}, "omega1: must be finite"),
+        ({"kappa1": 1e308, "gamma1": 1e308, "nbar1": 1e308},
+         r"kappa1: damping \(gamma1 \+ kappa1\) / 2 is not finite"),
+        ({"kappa2": 10.0, "nbar2": 1e308, "nbar3": 1e308, "gamma1": 10.0},
+         r"nbar2: noise term \(nbar2 \+ 1/2\) \* rate is not finite"),
+        ({"kappa1": 1e307, "gamma1": 1e307, "nbar1": 10.0, "nbar3": 10.0},
+         "nbar1: noise matrix entry N11 is not finite"),
+        ({"kappa2": 1e307, "gamma2": 1e307, "nbar2": 10.0, "nbar3": 10.0},
+         "nbar2: noise matrix entry N22 is not finite"),
     ]),
     OmParams: (OM_BASE, [
         ({"gamma_m": 0.0, "G1": -1.0}, "gamma_m: must be positive"),
+        ({"gamma_m": 0.0, "J": np.nan}, "gamma_m: must be positive"),
         ({"G2": -1.0, "Nbar1": -1.0}, "G2: must be non-negative"),
         ({"Nbar_m": -1.0}, "Nbar_m: must be non-negative"),
         ({"kappa1": -1.0}, "kappa1: must be non-negative"),
@@ -374,7 +390,45 @@ def expected_error(cls, point):
     for f in dataclasses.fields(cls):
         if not np.isfinite(point[f.name]):
             return f"{f.name}: must be finite"
+    if cls is CascadedParams:
+        for message, term in CASCADED_TERMS:
+            if not math.isfinite(term(**point)):
+                return f"{message} is not finite"
     return None
+
+
+# the terms CascadedParams checks after the fields, in Python float arithmetic
+CASCADED_TERMS = [
+    ("kappa1: damping (gamma1 + kappa1) / 2", lambda gamma1, kappa1, **_: (gamma1 + kappa1) / 2),
+    ("kappa2: damping (gamma2 + kappa2) / 2", lambda gamma2, kappa2, **_: (gamma2 + kappa2) / 2),
+    ("nbar1: noise term (nbar1 + 1/2) * rate", lambda nbar1, kappa1, **_: (nbar1 + 0.5) * kappa1),
+    ("nbar2: noise term (nbar2 + 1/2) * rate", lambda nbar2, kappa2, **_: (nbar2 + 0.5) * kappa2),
+    ("nbar3: noise term (nbar3 + 1/2) * rate",
+     lambda nbar3, gamma1, gamma2, **_: (nbar3 + 0.5) * (gamma1 + gamma2)),
+    ("nbar1: noise matrix entry N11",
+     lambda nbar1, kappa1, nbar3, gamma1, **_: (nbar1 + 0.5) * kappa1 + (nbar3 + 0.5) * gamma1),
+    ("nbar2: noise matrix entry N22",
+     lambda nbar2, kappa2, nbar3, gamma2, **_: (nbar2 + 0.5) * kappa2 + (nbar3 + 0.5) * gamma2),
+]
+# a point takes each field from VALID_VALUES and then up to two faults; the
+# magnitudes make the terms' sums and products leave the float range
+VALID_VALUES = st.sampled_from([0.0, 0.5, 2.0, 1e154, 1e307, 1e308])
+FAULTS = st.sampled_from([-1.0, -0.0, 0.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def rule_points(draw, cls):
+    """Fields of 1 to 8 points of ``cls``, as lists of Python numbers."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        point = {name: draw(VALID_VALUES) for name in names}
+        for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+            point[name] = draw(FAULTS)
+        if "F" in point:
+            point["F"] = complex(point["F"], draw(st.one_of(VALID_VALUES, FAULTS)))
+        points.append(point)
+    return {name: [point[name] for point in points] for name in names}
 
 
 class TestParamRule:
@@ -413,6 +467,25 @@ class TestParamRule:
                     cls(**point)
             assert invalid[i] == (message is not None), i
         assert 0.2 * n < invalid.sum() < 0.8 * n
+
+    @pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_invalid_matches_the_rule_row_by_row(self, cls, data):
+        # the mask of an array against the oracle, and each point's message;
+        # no numpy warning, as the suite makes warnings errors
+        fields = data.draw(rule_points(cls))
+        invalid = cls(**{name: np.array(v) for name, v in fields.items()}).invalid()
+        for i in range(len(invalid)):
+            point = {name: v[i] for name, v in fields.items()}
+            message = expected_error(cls, point)
+            assert invalid[i] == (message is not None), point
+            if message is None:
+                cls(**point)
+            else:
+                with pytest.raises(InvalidParamsError) as info:
+                    cls(**point)
+                assert str(info.value) == message, point
 
 
 def same_bits(a, b) -> bool:

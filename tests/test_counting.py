@@ -399,6 +399,18 @@ class TestFlowCumulant:
         eta, failed = flow_cumulant(1, 1, sys)
         assert not failed.any() and eta.tolist() == [-1e150, -1e160]
 
+    def test_source_beyond_the_float_range_names_its_order(self):
+        # the source of sigma_2 grows like nbar^3 and overflows at nbar1 = 1e110;
+        # orders 3 and 4 both name order 3, not a failed Lyapunov solve
+        rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
+        for n in (3, 4):
+            with pytest.raises(SingularSystemError, match="^flow cumulant of order 3 is not finite$"):
+                flow_cumulant(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
+        sys = build_system(CascadedParams(**rates, nbar1=np.array([1.0, 1e110])))
+        eta, failed = flow_cumulant(1, 4, sys)
+        assert failed.tolist() == [False, True] and np.isnan(eta[1])
+        assert eta[0] == flow_cumulant(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
+
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev
         # interpolant on 25 nodes, against the Lyapunov recursion; each bound is

@@ -29,6 +29,7 @@ from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
+    _flow_cumulants,
     flow_cumulant,
     large_deviation,
 )
@@ -1103,6 +1104,57 @@ REPEATED_CALLS = {
     "numerical error": (3, ["fcs", "1", *LYAPUNOV_FAILURE_ARGS]),
     "argparse rejection": (2, ["fcs", "4", *FCS_SETS]),
 }
+
+
+# grids of the fcs text checks: the default one, no s, one s, a grid that
+# crosses s = 0 (theta = 0.0 there), and numbers json writes in exponent form
+FCS_GRIDS = {
+    "default": ([], (-0.01, 0.01, 11)),
+    "no s": (["--s-points", "0"], (-0.01, 0.01, 0)),
+    "one s": (["--s-points", "1"], (-0.01, 0.01, 1)),
+    "across 0": (["--s-min=-0.2", "--s-max=0.2", "--s-points=5"], (-0.2, 0.2, 5)),
+    "exponents": (["--s-min=-1e-7", "--s-max=1e-7", "--s-points=3"], (-1e-7, 1e-7, 3)),
+}
+FCS_TEXT_PARAMS = dict(kappa1=0.3, kappa2=1.0, gamma1=0.7, gamma2=0.1, phi=0.4, F=0.2 - 0.1j,
+                       omega2=0.5, nbar1=2.0, nbar2=1.0, nbar3=0.5)
+
+
+def reference_fcs_text(channel, params, grid):
+    """The fcs stdout as json.dumps(result, indent=2) renders it, with the
+    result built from the library calls that ``fcs`` makes."""
+    sys = build_system(CascadedParams(**params))
+    etas, _ = _flow_cumulants(channel, 2, sys)
+    s = np.linspace(*grid)
+    theta, failed = large_deviation(channel, s, sys)
+    assert not failed.any()
+    result = {
+        "channel": channel,
+        "theta": [{"s": x, "theta": t} for x, t in zip(s.tolist(), theta.tolist())],
+        "eta1_trace": etas[0],
+        "cumulants": {"1": etas[0], "2": etas[1]},
+    }
+    return json.dumps(result, indent=2) + "\n"
+
+
+class TestFcsText:
+    """``fcs`` writes its JSON from a template: the text must be json's own."""
+
+    @pytest.mark.parametrize("grid", list(FCS_GRIDS))
+    @pytest.mark.parametrize("channel", [1, 2, 3])
+    def test_stdout_is_json_indent_2(self, channel, grid, capsys):
+        args, linspace = FCS_GRIDS[grid]
+        sets = [a for k, v in FCS_TEXT_PARAMS.items() for a in ("--set", f"{k}={v}")]
+        assert main(["fcs", str(channel), *sets, *args]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == reference_fcs_text(channel, FCS_TEXT_PARAMS, linspace)
+        doc = json.loads(out)
+        if grid == "no s":
+            assert '"theta": [],' in out
+        if grid == "across 0":
+            assert doc["theta"][2] == {"s": 0.0, "theta": 0.0}
+        if grid == "exponents":
+            assert '"s": -1e-07,' in out
 
 
 def call_main(argv, capsys, out_path=None):
