@@ -3,10 +3,8 @@
 from .cascaded import (
     CascadedParams,
     LinearSystem,
-    OccupationReport,
     build_system,
     closed_form_occupations,
-    delta_n,
     disconnected_baseline,
     linear_response,
     occupation_from_temperature,
@@ -28,10 +26,8 @@ from .sweeps import SweepConfig, SweepResult, emit, parse_config, run_sweep
 __all__ = [
     "CascadedParams",
     "LinearSystem",
-    "OccupationReport",
     "build_system",
     "closed_form_occupations",
-    "delta_n",
     "disconnected_baseline",
     "linear_response",
     "occupation_from_temperature",

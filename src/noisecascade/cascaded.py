@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -180,22 +180,6 @@ class LinearSystem:
     rate: NDArray[np.float64]
     nbar: NDArray[np.float64]
     N: NDArray[np.complex128]
-
-
-@dataclass(frozen=True)
-class OccupationReport:
-    """Steady-state occupations, disconnected baselines, and their differences."""
-
-    n1: float
-    n2: float
-    m1: float
-    m2: float
-    dn1: float = field(init=False)
-    dn2: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dn1", self.n1 - self.m1)
-        object.__setattr__(self, "dn2", self.n2 - self.m2)
 
 
 @np.errstate(invalid="ignore")  # sqrt of a negative rate or inf * 0 at invalid() items
@@ -366,23 +350,6 @@ def disconnected_baseline(p: CascadedParams) -> _Pairs:
     out = p.equal_rate()
     m = 0.5 * (p.nbar1 + p.nbar3), 0.5 * (p.nbar2 + p.nbar3)
     return (m, out[1]) if isinstance(out, tuple) else m
-
-
-def delta_n(p: CascadedParams, numeric: bool = False) -> OccupationReport:
-    """Occupation changes relative to the disconnected baseline, at one point.
-
-    By default the occupations come from the equal-rate closed forms; with
-    ``numeric=True`` they are recomputed from the Lyapunov steady state.
-    Array-valued parameters raise ValueError.
-    """
-    if np.ndim(p.omega1):
-        raise ValueError("delta_n takes one parameter point; arrays are not supported")
-    m1, m2 = disconnected_baseline(p)
-    if numeric:
-        n1, n2 = occupations(steady_state(p))
-    else:
-        n1, n2 = closed_form_occupations(p)
-    return OccupationReport(n1=n1, n2=n2, m1=m1, m2=m2)
 
 
 def _check_conversion(hbar_over_kB: float, **args: float) -> None:

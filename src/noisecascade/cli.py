@@ -115,6 +115,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fcs(args: argparse.Namespace) -> int:
     if args.s_points < 0 or not np.isfinite([args.s_min, args.s_max]).all():
         raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
+    if abs(args.s_max - args.s_min) > _sys.float_info.max:  # linspace would overflow
+        raise SchemaError("--s-max - --s-min overflows the float range")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
     etas, _ = _flow_cumulants(args.channel, 2, sys)  # an unstable system fails here, before theta
@@ -198,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("config")
     sw.add_argument("--format", choices=("csv", "json"), default=None)
     sw.add_argument("--out", default=None)
-    sw.add_argument("--parallel", action="store_true", help="accepted; has no effect")
     sw.set_defaults(func=_cmd_sweep)
 
     fc = sub.add_parser("fcs", help="counting statistics for one channel")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, InvalidParamsError, _ParamSet
+from .cascaded import CascadedParams, _ParamSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +38,9 @@ class OmParams(_ParamSet):
     ``Omega`` is the evaluation frequency in the rotating frame (defaults to
     the mechanical resonance).  Each cavity enters through its total linewidth
     ``kappa_i`` and one bath occupation ``Nbar_i``; a cavity with intrinsic
-    loss to a second bath takes ``Nbar_i`` from combined_cavity_occupation.
+    loss to a second bath takes the rate-weighted average
+    ``Nbar_i = (kappa_ext nbar_ext + kappa_int nbar_int) / kappa_i`` with
+    ``kappa_i = kappa_ext + kappa_int``.
     ``gamma_m`` must be positive, and the rates, couplings and occupations
     non-negative.
     """
@@ -148,19 +150,6 @@ def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
     phi_star = float(np.angle(1j * chi))
     residual = abs(j_star - 1j * chi * p.G1 * p.G2 * np.exp(-1j * phi_star))
     return NonReciprocalDesign(j_star=j_star, phi_star=phi_star, residual=residual)
-
-
-def combined_cavity_occupation(
-    kappa_ext: float, nbar_ext: float, kappa_int: float, nbar_int: float
-) -> float:
-    """Occupation seen by a cavity's combined input: rate-weighted bath average.
-
-    It folds an intrinsic-loss bath into OmParams' ``Nbar1``/``Nbar2``, with
-    the total ``kappa_ext + kappa_int`` as ``kappa1``/``kappa2``."""
-    total = kappa_ext + kappa_int
-    if total <= 0.0:
-        raise InvalidParamsError("total linewidth must be positive")
-    return (kappa_ext * nbar_ext + kappa_int * nbar_int) / total
 
 
 def preset_microwave() -> OmParams:

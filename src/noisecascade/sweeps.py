@@ -284,15 +284,10 @@ def parse_config(text: str) -> SweepConfig:
             raise SchemaError(f"{path}.spacing: must be 'linear' or 'log'")
         if spacing == "log" and (ax["min"] <= 0 or ax["max"] <= 0):
             raise SchemaError(f"{path}: log spacing requires positive bounds")
-        axes.append(
-            SweepAxis(
-                variable=ax["variable"],
-                min=float(ax["min"]),
-                max=float(ax["max"]),
-                points=points,
-                spacing=spacing,
-            )
-        )
+        lo, hi = float(ax["min"]), float(ax["max"])
+        if spacing == "linear" and abs(hi - lo) > float_info.max:  # linspace would overflow
+            raise SchemaError(f"{path}: max - min overflows the float range")
+        axes.append(SweepAxis(ax["variable"], lo, hi, points, spacing))
     swept = tuple(ax.variable for ax in axes)
     check_params(model, params, swept)
     if model == "cascaded":

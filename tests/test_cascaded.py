@@ -21,7 +21,6 @@ from noisecascade.cascaded import (
     UnsupportedParamsError,
     build_system,
     closed_form_occupations,
-    delta_n,
     disconnected_baseline,
     linear_response,
     occupation_from_temperature,
@@ -259,17 +258,11 @@ class TestDeltaN:
             omega1=0.0, omega2=3.0, kappa1=1.0, kappa2=1.0, gamma1=1.0,
             gamma2=1.0, F=0.0, nbar1=100.0, nbar2=150.0, nbar3=0.0,
         )
-        report = delta_n(p, numeric=True)
-        assert abs(report.dn1) < 1e-10
+        (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+        assert abs(n1 - m1) < 1e-10
         # dn2 carries the Lorentzian-weighted imbalance
         lorentz = 2.0 * 1.0 / (4.0 + 9.0)
-        assert report.dn2 == pytest.approx(lorentz * (50.0 - 0.0), abs=1e-9)
-
-    def test_report_differences_are_exact(self):
-        p = random_equal_rate_params(nbar_max=50.0)
-        r = delta_n(p)
-        assert r.dn1 == r.n1 - r.m1
-        assert r.dn2 == r.n2 - r.m2
+        assert n2 - m2 == pytest.approx(lorentz * (50.0 - 0.0), abs=1e-9)
 
 
 class TestEquilibrium:
@@ -583,10 +576,6 @@ class TestArrayParams:
                 assert failed[i] and np.isnan(Y[i]).all(), i
             else:
                 assert not failed[i] and same_bits(Y[i], single), i
-        # delta_n takes one point: arrays raise a clear error, not a numpy one
-        for numeric in (False, True):
-            with pytest.raises(ValueError, match="^delta_n takes one parameter point"):
-                delta_n(stack, numeric=numeric)
 
     def test_single_point_returns_and_messages(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)

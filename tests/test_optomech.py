@@ -20,7 +20,6 @@ from noisecascade.optomech import (
     NoCouplingError,
     OmParams,
     build_om_drift,
-    combined_cavity_occupation,
     design_nonreciprocal,
     map_to_cascaded,
     mech_susceptibility,
@@ -211,18 +210,6 @@ class TestPreset:
     def test_mapped_system_is_stable(self):
         cp = map_to_cascaded(preset_microwave())
         assert stability_margin(build_system(cp).M) < 0.0
-
-
-class TestCombinedOccupation:
-    def test_weighted_average(self):
-        assert combined_cavity_occupation(3.0, 2.0, 1.0, 10.0) == pytest.approx(4.0)
-
-    def test_pure_external(self):
-        assert combined_cavity_occupation(1.0, 0.7, 0.0, 99.0) == pytest.approx(0.7)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            combined_cavity_occupation(0.0, 1.0, 0.0, 1.0)
 
 
 class TestArrayParams:

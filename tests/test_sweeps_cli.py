@@ -76,6 +76,15 @@ HUGE_DIAGONAL_ARGV = ["steady-state", "--set", "kappa1=1e307", "--set", "gamma1=
 # eta^(2) grows like nbar1^2 and leaves the float range
 HUGE_CUMULANT_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
                       "--set", "gamma2=1", "--set", "nbar1=1e160", "--s-points", "0"]
+# each end of the s grid is finite, its span s_max - s_min is not
+HUGE_S_SPAN_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
+                    "--set", "gamma2=1", "--set", "nbar1=2", "--s-min=-1e308", "--s-max=1e308",
+                    "--s-points=3"]
+# the same for a linear sweep axis
+HUGE_AXIS_SPAN = {"model": "cascaded",
+                  "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "nbar1": 1},
+                  "axes": [{"variable": "omega1", "min": -1e308, "max": 1e308, "points": 3}],
+                  "outputs": ["n1", "n2"]}
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
@@ -981,9 +990,14 @@ class TestCli:
         assert rc == 0
         content = out_path.read_bytes()
         assert content.startswith(b"Delta,mbar3,dn1,dn2,status")
-        rc = main(["sweep", str(cfg_path), "--out", str(out_path), "--parallel"])
-        assert rc == 0
+        # the parallel key is accepted and has no effect; the --parallel flag is gone
+        cfg_path.write_text(fig2_config(points=2, parallel=True))
+        assert main(["sweep", str(cfg_path), "--out", str(out_path)]) == 0
         assert out_path.read_bytes() == content
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(cfg_path), "--parallel"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_sweep_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -1380,11 +1394,27 @@ class TestOverflowingInputs:
         (HUGE_DAMPING_ARGV, 2, "error: kappa1: damping (gamma1 + kappa1) / 2 is not finite\n"),
         (HUGE_DIAGONAL_ARGV, 2, "error: nbar1: noise matrix entry N11 is not finite\n"),
         (HUGE_CUMULANT_ARGV, 3, "error: flow cumulant of order 2 is not finite\n"),
+        (HUGE_S_SPAN_ARGV, 2, "error: --s-max - --s-min overflows the float range\n"),
     ])
     def test_one_error_line_under_warnings_as_errors(self, argv, code, message):
         rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
         assert (rc, out) == (code, "")
         assert err.startswith(message) and err.endswith("\n") and err.count("\n") == 1, err
+
+    def test_overflowing_axis_span_fails_at_parse_time(self, tmp_path):
+        # linspace gave the axis values nan, inf, 1e308 and two unsupported rows
+        with pytest.raises(SchemaError, match=r"^axes\[0\]: max - min overflows the float range$"):
+            parse_config(json.dumps(HUGE_AXIS_SPAN))
+        cfg_path = tmp_path / "span.json"
+        cfg_path.write_text(json.dumps(HUGE_AXIS_SPAN))
+        rc, out, err = fresh_process(["sweep", str(cfg_path)], flags=("-W", "error::RuntimeWarning"))
+        assert (rc, out, err) == (2, "", "error: axes[0]: max - min overflows the float range\n")
+        # log spacing and a finite linear span still parse
+        doc = json.loads(json.dumps(HUGE_AXIS_SPAN))
+        doc["axes"][0].update(min=1e-308, max=1e308, spacing="log")
+        assert parse_config(json.dumps(doc)).axes[0].spacing == "log"
+        doc["axes"][0].update(min=-8e307, max=8e307, spacing="linear")
+        assert parse_config(json.dumps(doc)).axes[0].values().tolist() == [-8e307, 0.0, 8e307]
 
     def test_overflowing_noise_term_is_invalid(self):
         rates = dict(kappa1=1.0, kappa2=4.6, gamma1=0.67, gamma2=8.5)
