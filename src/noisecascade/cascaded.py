@@ -79,14 +79,22 @@ class _ParamSet:
         else:  # one point raises here; arrays report their invalid() mask to the caller
             self.invalid()
 
+    @classmethod
+    def _sign_rule(cls, values: dict) -> list[tuple[str, NDArray[np.bool_] | bool]]:
+        """(message, bad) rows of the positive, then the non-negative fields
+        among ``values`` (field name -> value)."""
+        rows = [(f"{n}: must be positive", values[n] <= 0) for n in cls._positive if n in values]
+        return rows + [
+            (f"{n}: must be non-negative", values[n] < 0) for n in cls._nonnegative if n in values
+        ]
+
     def _checks(self) -> list[tuple[str, NDArray[np.bool_] | bool]]:
         """(message, bad) rows of the rule, in the order a single point tests
-        them: positive fields, non-negative fields, then finiteness in field order."""
-        rows = [(f"{name}: must be positive", getattr(self, name) <= 0) for name in self._positive]
-        rows += [(f"{name}: must be non-negative", getattr(self, name) < 0) for name in self._nonnegative]
+        them: the sign rule, then finiteness in field order."""
         # one isfinite call over all fields: on a Python number, the call costs more than its work
         bad = ~np.isfinite(list(vars(self).values()))
-        return rows + [(f"{name}: must be finite", b) for name, b in zip(vars(self), bad)]
+        finite = [(f"{name}: must be finite", b) for name, b in zip(vars(self), bad)]
+        return self._sign_rule(vars(self)) + finite
 
     def invalid(self) -> NDArray[np.bool_]:
         """Mask of the invalid points, the OR of the ``_checks`` rows; one point
@@ -208,17 +216,13 @@ def build_system(p: CascadedParams) -> LinearSystem:
 def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
     """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0.
 
-    One point raises on a drift that is not strictly stable or a failed solve;
-    arrays give (Y, failed), NaN and flagged where the single call raises
-    (invalid, unstable and marginal points, failed solves).
+    One point raises on a drift that is not strictly stable or a failed solve
+    (with the solve's own residual message); arrays give (Y, failed), NaN and
+    flagged where the single call raises (invalid, unstable and marginal
+    points, failed solves), with the failed items kept out of the solve.
     """
-    return _steady_state(build_system(p), p.invalid())
-
-
-def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None):
-    """``steady_state`` of a built (possibly stacked) system, with ``failed``
-    items flagged up front (none by default)."""
-    failed, M = _stable_drift(sys.M, stability_margin(sys.M), failed)
+    sys = build_system(p)
+    failed, M = _stable_drift(sys.M, p.invalid())
     if not failed.ndim:
         return solve_lyapunov(M, sys.N)
     bad = failed[..., None, None]  # the placeholders keep the failed items out of the solve
@@ -226,10 +230,12 @@ def _steady_state(sys: LinearSystem, failed: NDArray[np.bool_] | None = None):
     return np.where(bad, np.nan, Y), failed | singular
 
 
-def _stable_drift(M: NDArray, margin, failed: NDArray[np.bool_] | None = None):
-    """(failed, M) with the items whose margin is not negative (NaN too) added
-    to ``failed`` (none by default), and the stable placeholder drift -I at
-    every failed item of M; one system raises UnstableSystemError instead."""
+def _stable_drift(M: NDArray, failed: NDArray[np.bool_] | None = None):
+    """(failed, M) with the items whose ``stability_margin`` is not negative
+    (NaN too) added to ``failed`` (none by default), and the stable
+    placeholder drift -I at every failed item of M; one system raises
+    UnstableSystemError instead."""
+    margin = stability_margin(M)
     failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
     # logical_not, not ~: ~ of the Python bool of a float margin is -2, which is truthy
@@ -275,14 +281,9 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
 
     One system raises on an unstable drift or a failed solve and returns
     (W, G); a stack returns (W, G, failed), NaN where the single call raises.
+    Unstable items reach the Lyapunov solve only as the placeholder drift -I.
     """
-    return _linear_response(sys, stability_margin(sys.M))
-
-
-def _linear_response(sys: LinearSystem, margin):
-    """``linear_response`` with the stability margin of ``sys.M`` given: its
-    unstable items reach the Lyapunov solve only as the placeholder drift -I."""
-    failed, M = _stable_drift(sys.M, margin)
+    failed, M = _stable_drift(sys.M)
     u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
     source = u[..., :2, :, None] * u[..., :2, None, :].conj()
     X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for both sources

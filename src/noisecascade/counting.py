@@ -106,7 +106,6 @@ from .linalg import (
     check_items,
     hermitian_part,
     solve_lyapunov,
-    stability_margin,
     stacked_product,
     trace_product,
 )
@@ -274,13 +273,12 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    failed, M = _stable_drift(sys.M, stability_margin(sys.M))
+    failed, M = _stable_drift(sys.M)
     rate, nbar, uhat, zero = _unit_vector(sys, channel)
     failed = failed | zero
     P = uhat[..., :, None] * uhat.conj()[..., None, :]
-    sources = np.stack([sys.N, P], axis=-3)
-    if failed.ndim:  # the placeholders keep the failed items out of the solve
-        sources = np.where(failed[..., None, None, None], 0.0, sources)
+    # an extra axis makes one system solve as a stack; placeholders keep failed items out
+    sources = np.where(failed[..., None, None, None], 0.0, np.stack([sys.N, P], axis=-3))
     X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)
     message = "Lyapunov solve of the steady state or the channel's Gramian failed"
     failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
@@ -309,22 +307,20 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
         message = f"flow cumulant of order {k + 1} is not finite"
         unbounded = ~np.isfinite(source).all(axis=(-2, -1))
         failed = check_items(failed, unbounded, SingularSystemError, message)
-        if failed.ndim:  # the placeholders keep the failed items out of the solve
-            solved, singular = solve_lyapunov(M, np.where(failed[..., None, None], 0.0, source))
-            failed = failed | singular
-        else:
-            solved = solve_lyapunov(M, source)
-        sigma.append(solved)
-        traces.append(trace_product(P, solved).real)
+        source = np.where(failed[..., None, None], 0.0, source)[..., None, :, :]
+        solved, singular = solve_lyapunov(M[..., None, :, :], source)
+        message = f"Lyapunov solve for the flow cumulant of order {k + 1} failed"
+        failed = check_items(failed, singular[..., 0], SingularSystemError, message)
+        sigma.append(solved[..., 0, :, :])
+        traces.append(trace_product(P, sigma[k]).real)
     trace_p, etas = _trace(P).real, []
     for m in range(1, n + 1):
         theta_m = sum(math.comb(m, j) * fp[j] * traces[m - j] for j in range(1, m + 1))
         etas.append((-1.0) ** m * (theta_m - fm[m] * trace_p))
         message = f"flow cumulant of order {m} is not finite"
         failed = check_items(failed, ~np.isfinite(etas[-1]), SingularSystemError, message)
-    if failed.ndim:
-        etas = [np.where(failed, np.nan, eta) for eta in etas]
-    return etas, failed
+    # [()]: one system's eta stays a numpy scalar
+    return [np.where(failed, np.nan, eta)[()] for eta in etas], failed
 
 
 def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:

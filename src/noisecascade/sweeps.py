@@ -9,21 +9,23 @@ as disconnected-baseline occupations (mbar1..3), which are converted via
 Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.  ``check_params``
 holds the rules for a model's parameters (known names, finite numbers, one
 spelling per quantity, required fields); ``parse_config`` applies it to
-``params`` and the axis variables, and the CLI to its ``--set`` values.
+``params`` and the axis variables, with the model's sign rule on the
+``params`` that no axis replaces, and the CLI to its ``--set`` values.
 
 The grid is evaluated in blocks of BLOCK_POINTS (16384) points, so a grid
-of up to 128 x 128 points, the README's 101 x 101 included, is one block.
-A block is one array-valued parameter set built from the axis columns, with
-all-zero placeholders at its invalid points; every layer, from the
-parameters to each requested output column, makes one call per block (theta
-takes the whole s_grid in that call, split into more calls only beyond
-BLOCK_POINTS (point, s) pairs).  Occupations and flows are linear in the
+of up to 128 x 128 points, the README's 101 x 101 included, is one block;
+with theta, a block holds at most BLOCK_POINTS (point, s) pairs, one point
+at least.  A block is one array-valued parameter set built from the axis
+columns, with all-zero placeholders at its invalid points; every layer,
+from the parameters to each requested output column (theta over the whole
+s_grid), makes one call per block.  Occupations and flows are linear in the
 bath occupations, so the points of a block that differ only in nbar1..3
 (keyed on the float64 bits of every other field, of which only the words
 that vary within the block are compared) share one system: the stability
-margin and the linear response (W, G) of ``cascaded.linear_response`` are
-computed once per distinct system, and each point's occupations and flows
-are n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and
+margin and the linear response (W, G) of ``cascaded.linear_response``,
+which takes the margin again, are computed per distinct system, and each
+point's occupations and flows are
+n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and
 eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
 ``cascaded.occupations``.  The baseline runs for every config; the response
 only for n*, dn* and eta*, the closed forms and theta only when requested;
@@ -53,10 +55,10 @@ from .cascaded import (
     InvalidParamsError,
     LinearSystem,
     _clamped_occupations,
-    _linear_response,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
+    linear_response,
 )
 from .counting import large_deviation
 from .linalg import check_items, stability_margin
@@ -97,11 +99,14 @@ _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
     f"{kind}{i}": ("the bath occupations", kind) for kind in ("nbar", "mbar") for i in (1, 2, 3)
 }
 
-# grid points per stacked block; bounds the memory that one block holds.  At
-# 16384 points evaluation peaks at about 10 MB (tracemalloc), on the order of
-# emission: 9.3 MB against 14.1 MB for emitting the CSV of a 128 x 128
-# cascaded grid with nine outputs, 10.4 MB against 7.3 MB for the JSON of a
-# 64 x 64 optomech grid with theta at 4 s values
+# grid points per stacked block, or with theta (point, s) pairs per block,
+# one point at least; bounds the memory that one block holds.  tracemalloc
+# peaks of evaluating a full block against emitting it: 9.7 MB against
+# 22.8 MB for the CSV of a 128 x 128 Delta x nbar3 cascaded grid (128
+# systems, every output but theta and F_residual), but 36.2 MB against
+# 6.3 MB where every point is its own system (Delta x kappa1, output n1);
+# 10.4 MB against 7.3 MB for the JSON of a 64 x 64 optomech grid with theta
+# at 4 s values
 BLOCK_POINTS = 16384
 
 
@@ -290,16 +295,22 @@ def parse_config(text: str) -> SweepConfig:
         axes.append(SweepAxis(ax["variable"], lo, hi, points, spacing))
     swept = tuple(ax.variable for ax in axes)
     check_params(model, params, swept)
+    # the model's sign rule and the mbar conversion, on the values that no axis replaces
+    fixed = {k: v for k, v in params.items() if k not in swept}
+    for message, bad in _PARAMS[model][0]._sign_rule(fixed):
+        if bad:
+            raise SchemaError(f"params.{message}")
     if model == "cascaded":
-        # validate the mbar conversion up front on the values that no axis replaces
-        convert_mbar({k: v for k, v in params.items() if k not in swept})
+        convert_mbar(fixed)
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:
         raise SchemaError("outputs: must be a non-empty list")
-    for name in outputs_doc:
+    for i, name in enumerate(outputs_doc):
         if name not in _OUTPUTS:
             raise SchemaError(f"outputs: unknown quantity {name!r}")
+        if name in outputs_doc[:i]:
+            raise SchemaError(f"outputs[{i}]: {name!r} is already requested")
     s_grid = doc.get("s_grid", [])
     if not isinstance(s_grid, list):
         raise SchemaError("s_grid: must be a list of numbers")
@@ -383,8 +394,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         distinct = build_system(
             CascadedParams(**{f.name: getattr(p, f.name)[first] for f in dc_fields(p)})
         )
-    margin_distinct = stability_margin(distinct.M)
-    margin = margin_distinct[inverse]
+    margin = stability_margin(distinct.M)[inverse]
     stable = built & (margin < 0.0)
     base, unequal = disconnected_baseline(p)
     has_base = stable & ~unequal
@@ -396,7 +406,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     for i in (0, 1):
         cells[f"m{i + 1}"] = [(base[i], has_base)]
     if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
-        W, G, no_response = _linear_response(distinct, margin_distinct)
+        W, G, no_response = linear_response(distinct)
         W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
         # n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and eta_k = sum_j G_kj (nbar_j - nbar3):
         # rows of W sum to one and rows of G to zero
@@ -415,10 +425,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         for i in (0, 1):
             cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
     if "theta" in cfg.outputs:
-        # one call per chunk of s values, at most BLOCK_POINTS (point, s) pairs each
-        s, chunk = np.array(cfg.s_grid)[:, None], max(1, BLOCK_POINTS // built.size)
-        thetas = [large_deviation(1, s[i : i + chunk], sys) for i in range(0, len(s), chunk)]
-        theta, failed = map(np.concatenate, zip(*thetas))
+        theta, failed = large_deviation(1, np.array(cfg.s_grid)[:, None], sys)
         cells["theta"] = list(zip(theta, stable & ~failed))
     columns = [cell for name in cfg.outputs for cell in cells[name]]
     values = np.column_stack(axis_columns + [v for v, _ in columns])
@@ -428,12 +435,13 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate the grid in row-major axis order, BLOCK_POINTS points per stacked block."""
+    """Evaluate the grid in row-major axis order, in the stacked blocks of ``BLOCK_POINTS``."""
     grid = np.meshgrid(*(ax.values() for ax in cfg.axes), indexing="ij")
     axis_columns = [g.ravel() for g in grid]
+    size = max(1, BLOCK_POINTS // len(cfg.s_grid)) if "theta" in cfg.outputs else BLOCK_POINTS
     blocks = [
-        _block(cfg, [c[start : start + BLOCK_POINTS] for c in axis_columns])
-        for start in range(0, axis_columns[0].size, BLOCK_POINTS)
+        _block(cfg, [c[start : start + size] for c in axis_columns])
+        for start in range(0, axis_columns[0].size, size)
     ]
     return SweepResult(*map(np.concatenate, zip(*blocks)))
 

@@ -177,33 +177,36 @@ class TestSteadyState:
         drifts, solve = [], cascaded.solve_lyapunov
         monkeypatch.setattr(cascaded, "solve_lyapunov",
                             lambda A, N: drifts.append(A) or solve(A, N))
-        Y, failed = cascaded._steady_state(dataclasses.replace(stack, M=M), np.zeros(2, bool))
-        assert failed.tolist() == [False, True] and np.isnan(Y[1]).all()
+        W, G, failed = linear_response(dataclasses.replace(stack, M=M))
+        assert failed.tolist() == [False, True] and np.isnan(W[1]).all() and np.isnan(G[1]).all()
         assert (drifts[0][1] == -np.eye(2)).all()
-        assert same_bits(Y[0], steady_state(p))
+        W0, G0 = linear_response(build_system(p))
+        assert same_bits(W[0], W0) and same_bits(G[0], G0)
         with pytest.raises(UnstableSystemError, match="margin nan"):
-            cascaded._steady_state(dataclasses.replace(build_system(p), M=M[1]))
+            linear_response(dataclasses.replace(build_system(p), M=M[1]))
 
     def test_float_margin(self):
-        # a Python float margin, as a caller may pass for one system: ~ of its
-        # bool would be -2, truthy, and flag a stable drift
+        # the margin of one drift is a numpy scalar: ~ of a Python bool would
+        # be -2, truthy, and flag a stable drift
         from noisecascade import cascaded
 
-        failed, M = cascaded._stable_drift(-np.eye(2), -1.0)
+        failed, M = cascaded._stable_drift(-np.eye(2))
         assert not failed and (M == -np.eye(2)).all()
         with pytest.raises(UnstableSystemError, match=r"margin 0\.000e\+00"):
-            cascaded._stable_drift(np.zeros((2, 2)), 0.0)
+            cascaded._stable_drift(np.zeros((2, 2)))
 
     def test_stack_without_a_mask(self):
-        # with no failed mask, _steady_state takes a stack as steady_state does
-        from noisecascade import cascaded
-
+        # a stack of valid points (no item failed up front) flags what a
+        # point raises, and its stable item equals the point
         p = CascadedParams(kappa1=np.array([1.0, 0.0]), kappa2=1.0,
                            gamma1=np.array([0.5, 0.0]), gamma2=0.25, nbar1=2.0)
-        Y, failed = cascaded._steady_state(build_system(p))
-        expected, expected_failed = steady_state(p)
-        assert failed.tolist() == expected_failed.tolist() == [False, True]  # mode 1 undamped
-        assert same_bits(Y, expected)
+        assert not p.invalid().any()
+        Y, failed = steady_state(p)
+        assert failed.tolist() == [False, True] and np.isnan(Y[1]).all()  # mode 1 undamped
+        points = [CascadedParams(**{k: v[i] for k, v in vars(p).items()}) for i in (0, 1)]
+        assert same_bits(Y[0], steady_state(points[0]))
+        with pytest.raises(UnstableSystemError):
+            steady_state(points[1])
 
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,

@@ -411,6 +411,32 @@ class TestFlowCumulant:
         assert failed.tolist() == [False, True] and np.isnan(eta[1])
         assert eta[0] == flow_cumulant(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
 
+    def test_failed_solve_names_its_order(self, monkeypatch):
+        # a failed solve of sigma_1 (the source of order 2's top term, solved
+        # for order 3 and up) names order 2, as its source check does
+        from noisecascade import counting
+
+        rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
+        point = build_system(CascadedParams(**rates, nbar1=2.0))
+        expected = flow_cumulant(1, 3, point)
+        solve = counting.solve_lyapunov
+
+        def last_item_fails(A, N):
+            X, failed = solve(A, N)
+            if N.shape[-3] == 1:  # a sigma_k solve; the first one has two sources
+                failed = failed.copy()
+                failed[-1] = True
+            return X, failed
+
+        monkeypatch.setattr(counting, "solve_lyapunov", last_item_fails)
+        assert np.isfinite(flow_cumulant(1, 2, point))  # order 2 solves no sigma_k
+        with pytest.raises(SingularSystemError,
+                           match="^Lyapunov solve for the flow cumulant of order 2 failed$"):
+            flow_cumulant(1, 3, point)
+        stack = build_system(CascadedParams(**rates, nbar1=np.array([2.0, 1.0])))
+        eta, failed = flow_cumulant(1, 3, stack)
+        assert failed.tolist() == [False, True] and eta[0] == expected and np.isnan(eta[1])
+
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev
         # interpolant on 25 nodes, against the Lyapunov recursion; each bound is

@@ -85,6 +85,20 @@ HUGE_AXIS_SPAN = {"model": "cascaded",
                   "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "nbar1": 1},
                   "axes": [{"variable": "omega1", "min": -1e308, "max": 1e308, "points": 3}],
                   "outputs": ["n1", "n2"]}
+# a fixed parameter that breaks the model's sign rule: kappa1 < 0 on the
+# cascaded model, gamma_m = 0 on the optomechanical one
+NEGATIVE_RATE_SWEEP = {"model": "cascaded",
+                       "params": {"kappa1": -1, "kappa2": 1, "gamma1": 1, "gamma2": 1},
+                       "axes": [{"variable": "omega2", "min": 0, "max": 1, "points": 2}],
+                       "outputs": ["n1"]}
+ZERO_GAMMA_M_SWEEP = {"model": "optomech",
+                      "params": {"omega_m": 5.0, "gamma_m": 0, "Delta1": 5.0, "Delta2": 5.0,
+                                 "kappa1": 1.0, "kappa2": 1.0, "G1": 0.3, "G2": 0.3,
+                                 "phi": 1.5707963267948966, "Nbar1": 2.0},
+                      "axes": [{"variable": "J", "min": 0, "max": 1, "points": 2}],
+                      "outputs": ["n1"]}
+REPEATED_OUTPUT_SWEEP = {**NEGATIVE_RATE_SWEEP, "outputs": ["n1", "n1"],
+                         "params": {**NEGATIVE_RATE_SWEEP["params"], "kappa1": 1}}
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
@@ -371,6 +385,34 @@ class TestParseConfig:
         with pytest.raises(SchemaError, match="s_grid"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        (NEGATIVE_RATE_SWEEP, "params.kappa1: must be non-negative"),
+        (ZERO_GAMMA_M_SWEEP, "params.gamma_m: must be positive"),
+        (REPEATED_OUTPUT_SWEEP, "outputs[1]: 'n1' is already requested"),
+    ])
+    def test_rejected_before_any_point(self, doc, message, tmp_path, capsys):
+        # unchecked, each would exit 0: with every row unsupported, or with two
+        # n1 columns (two n1 keys per JSON record)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        rc, out, err = fresh_process(["sweep", str(path)], flags=("-W", "error::RuntimeWarning"))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_swept_values_keep_the_sign_rule_per_row(self):
+        # an axis replaces the fixed value: its negative point is an unsupported row
+        axis = {"variable": "kappa1", "min": -1, "max": 1, "points": 2}
+        result = run_sweep(parse_config(json.dumps({**NEGATIVE_RATE_SWEEP, "axes": [axis]})))
+        assert result.status.tolist() == ["unsupported", "ok"]
+        axis = {"variable": "gamma_m", "min": 0, "max": 0.4, "points": 2}
+        params = {**ZERO_GAMMA_M_SWEEP["params"], "J": 0.4}
+        result = run_sweep(parse_config(json.dumps({**ZERO_GAMMA_M_SWEEP, "axes": [axis],
+                                                    "params": params})))
+        assert result.status.tolist() == ["unsupported", "ok"]
+
 
 class TestRunSweep:
     def test_row_count_and_order(self):
@@ -613,20 +655,21 @@ class TestStackedSweep:
 
     def test_only_requested_columns_call_their_kernels(self, monkeypatch):
         calls = []
-        for name in ("_linear_response", "closed_form_occupations"):
+        for name in ("linear_response", "closed_form_occupations"):
             kernel = getattr(sweeps, name)
             monkeypatch.setattr(sweeps, name, lambda *a, f=kernel, n=name: calls.append(n) or f(*a))
-        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
+        # 20 points in 3 blocks, and with theta's 3 s values in 10 blocks of 8 // 3 = 2
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)
         for outputs, per_block in (
             (["m1", "m2", "stability_margin", "F_residual"], []),
             (["theta"], []),
-            (["n1", "n2", "dn1", "dn2"], ["_linear_response"]),
-            (["eta2", "n2_closed"], ["_linear_response", "closed_form_occupations"]),
-            (list(sweeps._OUTPUTS), ["_linear_response", "closed_form_occupations"]),
+            (["n1", "n2", "dn1", "dn2"], ["linear_response"]),
+            (["eta2", "n2_closed"], ["linear_response", "closed_form_occupations"]),
+            (list(sweeps._OUTPUTS), ["linear_response", "closed_form_occupations"]),
         ):
             calls.clear()
             run_sweep(parse_config(json.dumps(dict(MIXED_GRID, outputs=outputs))))
-            assert calls == per_block * 3, outputs
+            assert calls == per_block * (10 if "theta" in outputs else 3), outputs
 
     def test_emission_independent_of_block_size(self, monkeypatch):
         for doc, block_points in ((MIXED_GRID, 7), (NBAR1_SWEEP, 300)):
@@ -658,9 +701,9 @@ class TestStackedSweep:
                 assert values[2:] == tolerance, (name, point)
 
     def test_points_sharing_a_system_match_single_points(self, monkeypatch):
-        systems, response = [], sweeps._linear_response
+        systems, response = [], sweeps.linear_response
         monkeypatch.setattr(
-            sweeps, "_linear_response", lambda sys, m: systems.append(len(sys.M)) or response(sys, m)
+            sweeps, "linear_response", lambda sys: systems.append(len(sys.M)) or response(sys)
         )
         # at 2048 points per block the third system spans both blocks: 2048 = 4 * 501 + 44
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 2048)
@@ -676,22 +719,28 @@ class TestStackedSweep:
 
     def test_readme_grid_is_one_block(self, monkeypatch):
         # 101 x 101 points fit in one block: one call per layer, and the
-        # response takes the 101 systems of the Delta values
+        # response takes the 101 systems of the Delta values (and their
+        # margin again, inside linear_response)
+        from noisecascade import cascaded
+
         calls = []
         # each kernel's first argument, and the number of systems in it
-        for name, size in (("build_system", lambda p: p.phi.size),
-                           ("stability_margin", len), ("_linear_response", lambda sys: len(sys.M))):
-            kernel = getattr(sweeps, name)
+        for module, name, size in ((sweeps, "build_system", lambda p: p.phi.size),
+                                   (sweeps, "stability_margin", len),
+                                   (cascaded, "stability_margin", len),
+                                   (sweeps, "linear_response", lambda sys: len(sys.M))):
+            kernel = getattr(module, name)
             counted = lambda x, *a, f=kernel, n=name, size=size: calls.append((n, size(x))) or f(x, *a)
-            monkeypatch.setattr(sweeps, name, counted)
+            monkeypatch.setattr(module, name, counted)
         result = run_sweep(parse_config(fig2_config(101, outputs=["n1", "n2", "dn1", "dn2"])))
-        assert calls == [("build_system", 101), ("stability_margin", 101), ("_linear_response", 101)]
+        assert calls == [("build_system", 101), ("stability_margin", 101),
+                         ("linear_response", 101), ("stability_margin", 101)]
         assert (result.status == "ok").all()
 
     def test_block_without_a_varying_field_is_one_system(self, monkeypatch):
-        systems, response = [], sweeps._linear_response
+        systems, response = [], sweeps.linear_response
         monkeypatch.setattr(
-            sweeps, "_linear_response", lambda sys, m: systems.append(len(sys.M)) or response(sys, m)
+            sweeps, "linear_response", lambda sys: systems.append(len(sys.M)) or response(sys)
         )
         doc = dict(NBAR1_SWEEP, axes=NBAR1_SWEEP["axes"][1:])
         for points in (1, 7):  # a one-point block, and one whose points differ only in nbar1
@@ -719,27 +768,30 @@ class TestStackedSweep:
         np.testing.assert_array_equal(first[inverse], first_all[inverse_all])
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
-        # the margin and the response take the block's distinct systems, one per
-        # set of fields other than nbar1..3; unstable systems reach the Lyapunov
+        # the sweep's margin column and the response take the block's distinct
+        # systems, one per set of fields other than nbar1..3, and the response
+        # takes their margin once more; unstable systems reach the Lyapunov
         # solve only as the placeholder drift -I
         from noisecascade import cascaded
 
         margins, responses, drifts = [], [], []
-        margin, response = cascaded.stability_margin, cascaded._linear_response
+        margin, response = cascaded.stability_margin, cascaded.linear_response
         solve = cascaded.solve_lyapunov
         for module in (sweeps, cascaded):
             monkeypatch.setattr(module, "stability_margin", lambda M: margins.append(M) or margin(M))
         monkeypatch.setattr(
-            sweeps, "_linear_response", lambda sys, m: responses.append(sys.M) or response(sys, m)
+            sweeps, "linear_response", lambda sys: responses.append(sys.M) or response(sys)
         )
         monkeypatch.setattr(cascaded, "solve_lyapunov", lambda A, N: drifts.append(A) or solve(A, N))
-        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)  # 20 points in 3 blocks
+        # with theta's 3 s values, 24 // 3 = 8 points per block: 20 points in 3 blocks
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 24)
         result = run_sweep(parse_config(json.dumps(MIXED_GRID)))
         # the (kappa1, gamma1) pairs of rows 0-7, 8-15 and 16-19, and in each
         # block the all-zero placeholder of its invalid mbar3 = 2 point
-        assert [len(M) for M in margins] == [3, 4, 2]
+        assert [len(M) for M in margins] == [3, 3, 4, 4, 2, 2]
+        assert all(column is inside for column, inside in zip(margins[::2], margins[1::2]))
         assert len(responses) == len(drifts) == 3
-        for M, response_M, drift in zip(margins, responses, drifts):
+        for M, response_M, drift in zip(margins[::2], responses, drifts):
             assert response_M is M and drift.shape == (len(M), 1, 2, 2)
             assert len(np.unique(M.reshape(len(M), -1), axis=0)) == len(M)
             unstable = ~(margin(M) < 0.0)
@@ -768,23 +820,24 @@ THETA_SWEEP_BLANK_ROWS = [0, 1, 6, 7, 12, 13, 14, 18, 19, 20, 24, 25, 26, 27, 30
 
 class TestThetaBatching:
     def test_one_large_deviation_call_per_block(self, monkeypatch):
-        # the whole s_grid goes to one call while it fits in BLOCK_POINTS
-        # (point, s) pairs; smaller blocks split it without changing a byte
+        # each block's one call takes the whole s_grid, and a block holds at
+        # most BLOCK_POINTS (point, s) pairs, one point at least; smaller
+        # blocks change no byte
         cfg = parse_config(json.dumps(THETA_SWEEP))
         calls, kernel = [], sweeps.large_deviation
 
-        def counted(channel, s, sys):  # records the (point, s) pairs of each call
-            calls.append(np.size(s) * len(sys.M))
+        def counted(channel, s, sys):  # records the s values and points of each call
+            calls.append((np.size(s), len(sys.M)))
             return kernel(channel, s, sys)
 
         monkeypatch.setattr(sweeps, "large_deviation", counted)
         default = emit(run_sweep(cfg), cfg)
-        assert calls == [3 * 36]
-        for block_points, pairs in ((40, [36] * 3), (8, [8] * 12 + [8, 4])):
+        assert calls == [(3, 36)]
+        for block_points, points in ((40, [13, 13, 10]), (8, [2] * 18), (2, [1] * 36)):
             calls.clear()
             monkeypatch.setattr(sweeps, "BLOCK_POINTS", block_points)
             assert emit(run_sweep(cfg), cfg) == default, block_points
-            assert calls == pairs, block_points
+            assert calls == [(3, n) for n in points], block_points
 
 
 class TestThetaAdmissibility:
