@@ -12,7 +12,7 @@ from .cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from .counting import flow_cumulant, large_deviation, simplified_flows
+from .counting import flow_cumulants, large_deviation, simplified_flows
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
     OmParams,
@@ -36,7 +36,7 @@ __all__ = [
     "temperature_from_occupation",
     "solve_lyapunov",
     "stability_margin",
-    "flow_cumulant",
+    "flow_cumulants",
     "large_deviation",
     "simplified_flows",
     "OmParams",

@@ -274,7 +274,7 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     M + M† = -U U† makes X_1 + X_2 + X_3 = I, so X_3 = I - X_1 - X_2 needs no
     solve, and X_1, X_2 share one Lyapunov operator.  Then W_ij = Re (X_j)_ii
     and G_kj = 2 u_k† X_j u_k - 2 rate_k delta_kj, from the mean flow
-    2 u_k† Y u_k - rate_k (2 nbar_k + 1) of ``counting.flow_cumulant``.
+    2 u_k† Y u_k - rate_k (2 nbar_k + 1), order 1 of ``counting.flow_cumulants``.
     Column 3 of G is -(G_k1 + G_k2), so every row sums to exactly zero, as
     flows at equal nbar vanish; the columns sum to 2 (|u_j|^2 - rate_j),
     zero up to the rounding of the stored rates.

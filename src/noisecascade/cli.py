@@ -38,7 +38,7 @@ from .cascaded import (
 from .counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    _flow_cumulants,
+    flow_cumulants,
     large_deviation,
 )
 from .linalg import SingularSystemError
@@ -99,7 +99,7 @@ def _cmd_steady_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "rb") as fh:
         cfg = parse_config(fh.read())
     if args.format:
         cfg = dataclasses.replace(cfg, format=args.format)
@@ -119,14 +119,14 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise SchemaError("--s-max - --s-min overflows the float range")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
-    etas, _ = _flow_cumulants(args.channel, 2, sys)  # an unstable system fails here, before theta
+    eta1, eta2 = flow_cumulants(args.channel, 2, sys)  # an unstable system fails here, before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
     theta, failed = large_deviation(args.channel, s_values, sys)
     if failed.any():
         raise OutsideAdmissibleRegionError(
             f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
         )
-    print(_fcs_json(args.channel, s_values.tolist(), theta.tolist(), *map(float, etas)))
+    print(_fcs_json(args.channel, s_values.tolist(), theta.tolist(), float(eta1), float(eta2)))
     return 0
 
 

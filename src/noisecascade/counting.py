@@ -241,35 +241,23 @@ def large_deviation(
     return (theta, failed) if failed.ndim else float(theta)
 
 
-def _trace(X: NDArray) -> NDArray:
-    return np.einsum("...ii->...", X)
-
-
-def flow_cumulant(
-    channel: int, n: int, sys: LinearSystem
-) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """n-th flow moment eta^(n) = (-1)^n d^n theta/ds^n at s = 0, exactly.
-
-    Order 1 is the mean flow into the bath (> 0: net absorption).  The steady
-    state and the counted channel's adjoint Gramian come from one stacked
-    Lyapunov solve, and orders 3 and 4 add one solve each (module docstring).
-    One system returns a float and raises (an unstable drift, a zero-rate
-    channel, a failed solve, a non-Hermitian N, a moment beyond the float
-    range included); a stack returns (eta, failed), NaN where the single
-    call raises.
-    """
-    etas, failed = _flow_cumulants(channel, n, sys)
-    return (etas[-1], failed) if failed.ndim else etas[-1]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # eta^(m) ~ nbar^m may overflow: such items fail
-def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDArray[np.bool_]]:
-    """([eta^(1), ..., eta^(n)], failed) of ``flow_cumulant``; one system raises.
+def flow_cumulants(
+    channel: int, n: int, sys: LinearSystem
+) -> list[float] | tuple[list[NDArray[np.float64]], NDArray[np.bool_]]:
+    """Flow moments [eta^(1), ..., eta^(n)], eta^(m) = (-1)^m d^m theta/ds^m at s = 0, exactly.
+
+    Order 1 is the mean flow into the bath (> 0: net absorption).  One system
+    returns the list and raises (an unstable drift, a zero-rate channel, a
+    failed solve, a non-Hermitian N, a moment beyond the float range
+    included); a stack returns (list, failed), NaN in every order where the
+    single call raises.
 
     eta^(m) = (-1)^m [sum_j C(m, j) f+^(j) Re Tr(P sigma_{m-j}) - f-^(m) Re Tr P].
-    sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, each
-    sigma_k, 0 < k < n - 1, is one more, and the top term is
-    Tr(P sigma_{n-1}) = Tr(Z S_{n-1}) of the source S_{n-1} of sigma_{n-1}.
+    sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, and
+    each sigma_k, 0 < k < n - 1, is one more.  The top term of every order m
+    is Tr(P sigma_{m-1}) = Tr(Z S_{m-1}) of the source S_{m-1} of sigma_{m-1}
+    (module docstring), so eta^(m) is the same number for every n >= m.
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
@@ -288,6 +276,7 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
     fp, fm = zip(*[odd if k % 2 else even for k in range(n + 1)])  # f+-^(k)(0); k = 0 unused
     sigma = [2.0 * V]
     traces = [trace_product(P, sigma[0]).real]  # Re Tr(P sigma_k)
+    tops = traces[:]  # the same from the Gramian, Re Tr(Z S_k), k > 0
     for k in range(1, n):
         source = 0.5 * fp[k][..., None, None] * P
         for j in range(1, k + 1):
@@ -299,8 +288,8 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
                 sandwich = stacked_product(stacked_product(sigma[i], P), sigma[k - j - i])
                 source = source + w[..., None, None] * sandwich
         source = hermitian_part(source)
+        tops.append(trace_product(Z, source).real)
         if k == n - 1:
-            traces.append(trace_product(Z, source).real)
             break
         # a source beyond the float range would fail the solve's residual
         # check; sigma_k gives eta^(k+1) and higher, so name that order
@@ -313,14 +302,17 @@ def _flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list, NDAr
         failed = check_items(failed, singular[..., 0], SingularSystemError, message)
         sigma.append(solved[..., 0, :, :])
         traces.append(trace_product(P, sigma[k]).real)
-    trace_p, etas = _trace(P).real, []
+    trace_p, etas = np.einsum("...ii->...", P).real, []
     for m in range(1, n + 1):
-        theta_m = sum(math.comb(m, j) * fp[j] * traces[m - j] for j in range(1, m + 1))
+        # Re Tr(P sigma_k), k < m, the top one from the Gramian: eta^(m) does not depend on n
+        own = traces[: m - 1] + tops[m - 1 : m]
+        theta_m = sum(math.comb(m, j) * fp[j] * own[m - j] for j in range(1, m + 1))
         etas.append((-1.0) ** m * (theta_m - fm[m] * trace_p))
         message = f"flow cumulant of order {m} is not finite"
         failed = check_items(failed, ~np.isfinite(etas[-1]), SingularSystemError, message)
     # [()]: one system's eta stays a numpy scalar
-    return [np.where(failed, np.nan, eta)[()] for eta in etas], failed
+    etas = [np.where(failed, np.nan, eta)[()] for eta in etas]
+    return (etas, failed) if failed.ndim else etas
 
 
 def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:

@@ -141,8 +141,11 @@ def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
     """Hopping rate and phase that cancel the residual coherent hopping F.
 
     J* = G1 G2 |chi(Omega)| and phi* = arg(i chi(Omega)), so that
-    J* - i chi(Omega) G1 G2 e^{-i phi*} = 0 with J* real.
+    J* - i chi(Omega) G1 G2 e^{-i phi*} = 0 with J* real.  One point only:
+    array parameters raise ValueError.
     """
+    if np.ndim(p.omega_m):
+        raise ValueError("design_nonreciprocal takes one parameter point; arrays are not supported")
     if p.G1 * p.G2 <= 0.0:
         raise NoCouplingError("design condition needs G1 * G2 > 0")
     chi = mech_susceptibility(p.Omega, p)

@@ -234,12 +234,14 @@ def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "par
             raise SchemaError(f"{prefix}{f.name}: missing")
 
 
-def parse_config(text: str) -> SweepConfig:
-    """Parse and validate a JSON sweep config."""
+def parse_config(text: str | bytes) -> SweepConfig:
+    """Parse and validate a JSON sweep config; bytes must be UTF-8."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("not valid JSON: nested too deeply for the decoder") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS

@@ -1,6 +1,6 @@
 """Exact flow cumulants of orders 1 and 2, in rational arithmetic.
 
-Oracle for ``counting.flow_cumulant``: it imports nothing from the package.
+Oracle for ``counting.flow_cumulants``: it imports nothing from the package.
 The inputs are the double drift M, noise matrix N, coupling column u, rate
 and bath occupation of one channel, each read as the exact rational it
 stores.  The projector is P = u u† / rate, exact, and the Taylor

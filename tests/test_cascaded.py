@@ -28,7 +28,7 @@ from noisecascade.cascaded import (
     steady_state,
     temperature_from_occupation,
 )
-from noisecascade.counting import flow_cumulant
+from noisecascade.counting import flow_cumulants
 from noisecascade.linalg import SingularSystemError, stability_margin
 from noisecascade.optomech import OmParams, map_to_cascaded
 from test_sweeps_cli import LYAPUNOV_FAILURE
@@ -643,7 +643,7 @@ class TestLinearResponse:
                 q = dataclasses.replace(p, **unit)
                 sys, Y = build_system(q), steady_state(q)
                 for k in range(3):
-                    assert abs(G[k, j] - flow_cumulant(k + 1, 1, sys)) <= 1e-13 * scale
+                    assert abs(G[k, j] - flow_cumulants(k + 1, 1, sys)[0]) <= 1e-13 * scale
                 assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
 
     def test_onsager_casimir(self):

@@ -15,7 +15,7 @@ from noisecascade.cascaded import CascadedParams, LinearSystem, build_system, st
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    flow_cumulant,
+    flow_cumulants,
     large_deviation,
     simplified_flows,
 )
@@ -113,7 +113,7 @@ class TestBiasMatrices:
         with pytest.raises(ZeroRateChannelError):
             large_deviation(3, 0.0, sys)
         with pytest.raises(ZeroRateChannelError):
-            flow_cumulant(3, 1, sys)
+            flow_cumulants(3, 1, sys)
 
 
 class TestChannelChecks:
@@ -124,7 +124,7 @@ class TestChannelChecks:
         with pytest.raises(ValueError, match="no channel"):
             large_deviation(channel, 0.1, sys)
         with pytest.raises(ValueError, match="no channel"):
-            flow_cumulant(channel, 1, sys)
+            flow_cumulants(channel, 1, sys)
 
 
 class TestBiasedCovariance:
@@ -158,7 +158,7 @@ class TestLargeDeviation:
                 slope = (
                     large_deviation(ch, h, sys) - large_deviation(ch, -h, sys)
                 ) / (2 * h)
-                eta = flow_cumulant(ch, 1, sys)
+                (eta,) = flow_cumulants(ch, 1, sys)
                 assert -slope == pytest.approx(eta, rel=1e-6, abs=1e-9)
 
     def test_matches_riccati_oracle(self):
@@ -354,13 +354,13 @@ class TestFlowFirstMoment:
         )
         sys = build_system(p)
         for ch in (1, 2, 3):
-            assert flow_cumulant(ch, 1, sys) == pytest.approx(0.0, abs=1e-10)
+            assert flow_cumulants(ch, 1, sys) == pytest.approx([0.0], abs=1e-10)
 
     def test_conservation(self):
         for _ in range(50):
             p = random_stable_system()
             sys = build_system(p)
-            etas = [flow_cumulant(ch, 1, sys) for ch in (1, 2, 3)]
+            etas = [flow_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
             scale = max(max(abs(e) for e in etas), 1e-12)
             assert abs(sum(etas)) <= 1e-9 * scale
 
@@ -369,35 +369,48 @@ class TestFlowFirstMoment:
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
                            nbar1=0.0, nbar2=0.0, nbar3=10.0)
         sys = build_system(p)
-        assert flow_cumulant(1, 1, sys) > 0.0
-        assert flow_cumulant(3, 1, sys) < 0.0
+        assert flow_cumulants(1, 1, sys)[0] > 0.0
+        assert flow_cumulants(3, 1, sys)[0] < 0.0
 
 
 class TestFlowCumulant:
     def test_order_bounds(self):
         sys = build_system(THERMAL)
         with pytest.raises(ValueError):
-            flow_cumulant(1, 0, sys)
+            flow_cumulants(1, 0, sys)
         with pytest.raises(ValueError):
-            flow_cumulant(1, 5, sys)
+            flow_cumulants(1, 5, sys)
+
+    def test_orders_do_not_depend_on_the_highest_one(self):
+        # every order takes its top term from the Gramian, so eta^(m) is the
+        # same number whether m is the highest order asked for or a lower one
+        for _ in range(10):
+            sys = build_system(random_stable_system())
+            for ch in (1, 2, 3):
+                etas = np.array(flow_cumulants(ch, 4, sys))
+                for n in (1, 2, 3):
+                    lower = np.array(flow_cumulants(ch, n, sys))
+                    np.testing.assert_array_equal(lower.view(np.int64), etas[:n].view(np.int64))
 
     def test_higher_orders_evaluate(self):
         sys = build_system(THERMAL)
-        for n in (2, 3, 4):
-            assert np.isfinite(flow_cumulant(1, n, sys))
+        assert np.isfinite(flow_cumulants(1, 4, sys)).all()
 
     def test_moment_beyond_the_float_range_fails(self):
         # eta^(2) grows like nbar^2: 5e299 at nbar1 = 1e150, beyond the float
         # range at 1e160, where the sum was NaN
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
-        assert flow_cumulant(1, 2, build_system(CascadedParams(**rates, nbar1=1e150))) == 5e299
+        point = build_system(CascadedParams(**rates, nbar1=1e150))
+        assert flow_cumulants(1, 2, point) == [-1e150, 5e299]
         with pytest.raises(SingularSystemError, match="^flow cumulant of order 2 is not finite$"):
-            flow_cumulant(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
+            flow_cumulants(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
         sys = build_system(CascadedParams(**rates, nbar1=np.array([1e150, 1e160])))
-        eta, failed = flow_cumulant(1, 2, sys)
-        assert failed.tolist() == [False, True] and eta[0] == 5e299 and np.isnan(eta[1])
-        eta, failed = flow_cumulant(1, 1, sys)
-        assert not failed.any() and eta.tolist() == [-1e150, -1e160]
+        (eta1, eta2), failed = flow_cumulants(1, 2, sys)
+        # an item fails in every order, its finite mean flow too
+        assert failed.tolist() == [False, True] and eta2[0] == 5e299 and np.isnan(eta2[1])
+        assert eta1[0] == -1e150 and np.isnan(eta1[1])
+        (eta1,), failed = flow_cumulants(1, 1, sys)
+        assert not failed.any() and eta1.tolist() == [-1e150, -1e160]
 
     def test_source_beyond_the_float_range_names_its_order(self):
         # the source of sigma_2 grows like nbar^3 and overflows at nbar1 = 1e110;
@@ -405,11 +418,12 @@ class TestFlowCumulant:
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         for n in (3, 4):
             with pytest.raises(SingularSystemError, match="^flow cumulant of order 3 is not finite$"):
-                flow_cumulant(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
+                flow_cumulants(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
         sys = build_system(CascadedParams(**rates, nbar1=np.array([1.0, 1e110])))
-        eta, failed = flow_cumulant(1, 4, sys)
-        assert failed.tolist() == [False, True] and np.isnan(eta[1])
-        assert eta[0] == flow_cumulant(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
+        etas, failed = flow_cumulants(1, 4, sys)
+        assert failed.tolist() == [False, True] and np.isnan(etas).T[1].all()
+        single = flow_cumulants(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
+        assert [eta[0] for eta in etas] == single
 
     def test_failed_solve_names_its_order(self, monkeypatch):
         # a failed solve of sigma_1 (the source of order 2's top term, solved
@@ -418,7 +432,7 @@ class TestFlowCumulant:
 
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         point = build_system(CascadedParams(**rates, nbar1=2.0))
-        expected = flow_cumulant(1, 3, point)
+        expected = flow_cumulants(1, 3, point)
         solve = counting.solve_lyapunov
 
         def last_item_fails(A, N):
@@ -429,13 +443,14 @@ class TestFlowCumulant:
             return X, failed
 
         monkeypatch.setattr(counting, "solve_lyapunov", last_item_fails)
-        assert np.isfinite(flow_cumulant(1, 2, point))  # order 2 solves no sigma_k
+        assert np.isfinite(flow_cumulants(1, 2, point)).all()  # order 2 solves no sigma_k
         with pytest.raises(SingularSystemError,
                            match="^Lyapunov solve for the flow cumulant of order 2 failed$"):
-            flow_cumulant(1, 3, point)
+            flow_cumulants(1, 3, point)
         stack = build_system(CascadedParams(**rates, nbar1=np.array([2.0, 1.0])))
-        eta, failed = flow_cumulant(1, 3, stack)
-        assert failed.tolist() == [False, True] and eta[0] == expected and np.isnan(eta[1])
+        etas, failed = flow_cumulants(1, 3, stack)
+        assert failed.tolist() == [False, True] and [eta[0] for eta in etas] == expected
+        assert np.isnan(etas).T[1].all()
 
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev
@@ -451,10 +466,9 @@ class TestFlowCumulant:
                 theta, failed = large_deviation(ch, s, sys)
                 assert not failed.any()
                 fit = np.polynomial.Chebyshev.fit(s, theta, 24, domain=[-0.1, 0.1])
-                for n, bound in bounds.items():
-                    eta = flow_cumulant(ch, n, sys)
+                for n, eta in enumerate(flow_cumulants(ch, 4, sys), start=1):
                     ref = (-1) ** n * fit.deriv(n)(0.0)
-                    assert abs(eta - ref) <= bound * max(1.0, abs(eta)), (ch, n, eta, ref)
+                    assert abs(eta - ref) <= bounds[n] * max(1.0, abs(eta)), (ch, n, eta, ref)
 
     def test_matches_exact_oracle_on_graded_drifts(self):
         # rates 10^U(-6, 3) against the rational recursion on the same doubles
@@ -476,8 +490,8 @@ class TestFlowCumulant:
             for ch in (1, 2, 3):
                 c = ch - 1
                 exact = exact_cumulants(sys.M, sys.N, sys.U[:, c], sys.rate[c], sys.nbar[c])
-                for n, bound in bounds.items():
-                    eta, ref = flow_cumulant(ch, n, sys), float(exact[n - 1])
+                for n, eta in enumerate(flow_cumulants(ch, 2, sys), start=1):
+                    ref, bound = float(exact[n - 1]), bounds[n]
                     assert abs(eta - ref) <= bound * abs(ref), (ch, n, eta, ref)
 
 
@@ -498,7 +512,7 @@ class TestSimplifiedFlows:
             p = random_stable_system(equal_rates=True, zero_f=True)
             sys = build_system(p)
             closed = simplified_flows(p)
-            numeric = [flow_cumulant(ch, 1, sys) for ch in (1, 2, 3)]
+            numeric = [flow_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
             np.testing.assert_allclose(numeric, closed, rtol=1e-9, atol=1e-10)
 
     def test_requires_equal_rates_and_zero_f(self):
@@ -559,7 +573,7 @@ class TestStackedTraces:
         fp_prime, fm_prime = -rate, -rate * (2.0 * nbar + 1.0)
         trace = self.reference_trace_product(P, sigma).real
         ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
-        eta, zero_rate = flow_cumulant(3, 1, sys)
+        (eta,), zero_rate = flow_cumulants(3, 1, sys)
         assert not zero_rate.any()
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
         # the trace of the matrix product, as before, agrees to rounding (|P_ij| <= 1)
@@ -612,15 +626,14 @@ class TestStackedTraces:
                         assert np.float64(single).view(np.int64) == theta[i].view(np.int64)
 
     def test_flow_cumulant_bit_identical(self):
-        # the sweep's eta columns are order 1 of flow_cumulant on a stack
         sys, _ = self.stacked_system(count=100)
         items = self.items(sys)
         for ch in (1, 2, 3):
             for n in (1, 2, 3, 4):
-                eta, failed = flow_cumulant(ch, n, sys)
+                etas, failed = flow_cumulants(ch, n, sys)
                 assert not failed.any()
-                single = np.array([flow_cumulant(ch, n, it) for it in items])
-                np.testing.assert_array_equal(eta.view(np.int64), single.view(np.int64))
+                single = np.array([flow_cumulants(ch, n, it) for it in items]).T
+                np.testing.assert_array_equal(np.array(etas).view(np.int64), single.view(np.int64))
 
     def test_flow_cumulant_flags_failed_items(self):
         # item 1 has no collective channel; item 2's drift is marginal, so it
@@ -631,7 +644,7 @@ class TestStackedTraces:
         sys.M[2] = np.diag([0.0, -1.0])
         single = build_system(THERMAL)
         for n in (1, 2, 3, 4):
-            eta, failed = flow_cumulant(3, n, sys)
+            etas, failed = flow_cumulants(3, n, sys)
             assert failed.tolist() == [False, True, True]
-            assert np.isnan(eta[failed]).all()
-            assert eta[0] == flow_cumulant(3, n, single)
+            assert np.isnan(np.array(etas)[:, failed]).all()
+            assert [eta[0] for eta in etas] == flow_cumulants(3, n, single)

@@ -8,6 +8,7 @@ the matching right-hand side, then check the solver recovers it.
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -512,3 +513,14 @@ def test_oracles_import_nothing_from_the_package():
         modules += [node.module or "" for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom)]
         assert modules and not any(m.split(".")[0] == "noisecascade" for m in modules), name
+
+
+def test_package_deprecations_fail_the_suite():
+    # pyproject's filterwarnings makes a DeprecationWarning raised in a
+    # noisecascade module an error, so a numpy API fails the suite when numpy
+    # deprecates it; one raised in another module stays a warning
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("deprecated", DeprecationWarning, "linalg.py", 1,
+                               module="noisecascade.linalg")
+    with pytest.warns(DeprecationWarning):
+        warnings.warn_explicit("deprecated", DeprecationWarning, "other.py", 1, module="other")

@@ -190,6 +190,15 @@ class TestDesign:
         with pytest.raises(NoCouplingError):
             design_nonreciprocal(p)
 
+    @pytest.mark.parametrize("G1", [np.array([0.3, 0.4]), np.array([0.3])], ids=["two", "one"])
+    def test_rejects_array_params(self, G1):
+        # numpy's own errors surfaced before: an ambiguous truth value for two
+        # items, "only 0-dimensional arrays can be converted" for one
+        p = OmParams(omega_m=5.0, gamma_m=0.4, Delta1=5.0, Delta2=5.0,
+                     kappa1=1.0, kappa2=1.0, G1=G1, G2=0.2)
+        with pytest.raises(ValueError, match="^design_nonreciprocal takes one parameter point"):
+            design_nonreciprocal(p)
+
 
 class TestPreset:
     def test_mapped_rates(self):

@@ -1,5 +1,6 @@
 """Sweep configuration, execution, emission, and the CLI front end."""
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -29,8 +30,7 @@ from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
-    _flow_cumulants,
-    flow_cumulant,
+    flow_cumulants,
     large_deviation,
 )
 from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
@@ -102,6 +102,10 @@ REPEATED_OUTPUT_SWEEP = {**NEGATIVE_RATE_SWEEP, "outputs": ["n1", "n1"],
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
+# sweep config files that JSON cannot decode: a UTF-16 byte-order mark, not
+# UTF-8, and a nesting too deep for the decoder's recursion
+NOT_UTF8_CONFIG = b"\xff\xfe{}"
+TOO_DEEP_CONFIG = b"[" * 100_000 + b"]" * 100_000
 
 
 def fig2_config(points=5, fmt="csv", **extra):
@@ -402,6 +406,22 @@ class TestParseConfig:
         rc, out, err = fresh_process(["sweep", str(path)], flags=("-W", "error::RuntimeWarning"))
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("data, message", [
+        (NOT_UTF8_CONFIG,
+         "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (TOO_DEEP_CONFIG, "not valid JSON: nested too deeply for the decoder"),
+    ], ids=["not_utf8", "too_deep"])
+    def test_undecodable_file_is_a_schema_error(self, data, message, tmp_path, capsys):
+        # each died with a traceback and exit 1: a UnicodeDecodeError, a RecursionError
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_config(data)
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        rc, out, err = fresh_process(["sweep", str(path)], flags=("-W", "error::RuntimeWarning"))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_swept_values_keep_the_sign_rule_per_row(self):
         # an axis replaces the fixed value: its negative point is an unsupported row
         axis = {"variable": "kappa1", "min": -1, "max": 1, "points": 2}
@@ -555,7 +575,7 @@ def reference_row(cfg, axis_values):
             return out
         try:
             if name.startswith("eta"):
-                return [None if V is None else flow_cumulant(int(name[-1]), 1, sys)]
+                return [None if V is None else flow_cumulants(int(name[-1]), 1, sys)[0]]
             if name.endswith("_closed"):
                 return [closed_form_occupations(p)[int(name[1]) - 1]]
             i = int(name[-1]) - 1
@@ -1052,6 +1072,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
+    def test_sweep_format_option_overrides_the_config(self, tmp_path, capsys):
+        cfg_path, out_path = tmp_path / "sweep.json", tmp_path / "out"
+        for config_format, option in (("csv", "json"), ("json", "csv")):
+            text = fig2_config(points=3, fmt=config_format)
+            cfg_path.write_text(text)
+            rc, out, err, written = call_main(
+                ["sweep", str(cfg_path), "--format", option, "--out", str(out_path)], capsys, out_path
+            )
+            cfg = parse_config(text)
+            expected = emit(run_sweep(cfg), dataclasses.replace(cfg, format=option))
+            assert (rc, out, err, written) == (0, "", "", expected)
+            assert expected != emit(run_sweep(cfg), cfg)
+
     def test_sweep_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -1190,7 +1223,7 @@ def reference_fcs_text(channel, params, grid):
     """The fcs stdout as json.dumps(result, indent=2) renders it, with the
     result built from the library calls that ``fcs`` makes."""
     sys = build_system(CascadedParams(**params))
-    etas, _ = _flow_cumulants(channel, 2, sys)
+    etas = flow_cumulants(channel, 2, sys)
     s = np.linspace(*grid)
     theta, failed = large_deviation(channel, s, sys)
     assert not failed.any()
