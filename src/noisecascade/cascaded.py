@@ -16,7 +16,7 @@ and the occupations are n_i = Y_ii - 1/2.
 Each CascadedParams field is a scalar (one point) or an array (one item per
 point), and everything here is array arithmetic.  As in ``linalg``, one point
 raises on bad input, while arrays report bad items as masks (``invalid``, and
-(value, unequal-rate mask) from ``equal_rate``, the closed forms and baseline).
+(value, unequal-rate mask) from ``equal_rate`` and the closed forms).
 """
 
 from __future__ import annotations
@@ -341,16 +341,19 @@ def closed_form_occupations(p: CascadedParams) -> _Pairs:
     return ((n1, n2), unequal) if unequal.ndim else (n1, n2)
 
 
-def disconnected_baseline(p: CascadedParams) -> _Pairs:
-    """Occupations with the link and common-bath correlation removed.
-
-    This is the |Delta| -> infinity limit at fixed rates and bath occupations,
-    and is independent of F.  Arrays give ((m1, m2), mask of the points with
-    unequal rates).
+# 0/0 at a mode without a rate; occupations near the float maximum may overflow the sum
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def disconnected_baseline(p: CascadedParams) -> tuple[float, float] | tuple[NDArray, NDArray]:
+    """(m1, m2), for one point or arrays alike: the occupations with the link
+    and common-bath correlation removed, the |Delta| -> infinity limit at
+    fixed rates and bath occupations, independent of F.  Each mode sits at the
+    rate-weighted average of its baths, m_i = kappa_i / (kappa_i + gamma_i)
+    nbar_i + gamma_i / (kappa_i + gamma_i) nbar3, whose weights are exactly
+    1/2 at kappa_i = gamma_i; m_i is NaN where kappa_i + gamma_i = 0, and inf
+    where the sum overflows.
     """
-    out = p.equal_rate()
-    m = 0.5 * (p.nbar1 + p.nbar3), 0.5 * (p.nbar2 + p.nbar3)
-    return (m, out[1]) if isinstance(out, tuple) else m
+    pairs = (p.kappa1, p.gamma1, p.nbar1), (p.kappa2, p.gamma2, p.nbar2)
+    return tuple(np.divide(k, k + g) * n + np.divide(g, k + g) * p.nbar3 for k, g, n in pairs)
 
 
 def _check_conversion(hbar_over_kB: float, **args: float) -> None:

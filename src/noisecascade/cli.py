@@ -29,7 +29,6 @@ from .cascaded import (
     CascadedParams,
     InvalidParamsError,
     UnstableSystemError,
-    UnsupportedParamsError,
     build_system,
     disconnected_baseline,
     occupations,
@@ -86,15 +85,10 @@ def _parse_sets(model: str, pairs: list[str]) -> dict:
 
 def _cmd_steady_state(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
-    n1, n2 = occupations(steady_state(p))
-    out = {"n1": n1, "n2": n2}
-    try:
-        m1, m2 = disconnected_baseline(p)
-    except UnsupportedParamsError:
-        pass  # baseline undefined for unequal rates; report occupations only
-    else:
-        out.update(m1=m1, m2=m2, dn1=n1 - m1, dn2=n2 - m2)
-    print(json.dumps(out, indent=2))
+    (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+    out = {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "dn1": n1 - m1, "dn2": n2 - m2}
+    # a mode without a baseline (kappa_i + gamma_i = 0) reads null, as a sweep's blank cell
+    print(json.dumps({k: v if np.isfinite(v) else None for k, v in out.items()}, indent=2))
     return 0
 
 

@@ -5,8 +5,9 @@ deterministic CSV/JSON emission.
 Configs are JSON documents with top-level keys ``model``, ``params``,
 ``axes``, ``outputs``, ``format`` and optional ``parallel`` / ``s_grid``.
 Baseline occupations may be given either as bath occupations (nbar1..3) or
-as disconnected-baseline occupations (mbar1..3), which are converted via
-Nbar_i = 2 mbar_i - mbar_3 for i = 1, 2 and Nbar_3 = mbar_3.  ``check_params``
+as disconnected-baseline occupations (mbar1..3), converted at every rate by
+the equal-rate inverse Nbar_i = 2 mbar_i - mbar_3 (i = 1, 2), Nbar_3 = mbar_3:
+mbar_i is the m_i column only where kappa_i = gamma_i.  ``check_params``
 holds the rules for a model's parameters (known names, finite numbers, one
 spelling per quantity, required fields); ``parse_config`` applies it to
 ``params`` and the axis variables, with the model's sign rule on the
@@ -27,9 +28,9 @@ which takes the margin again, are computed per distinct system, and each
 point's occupations and flows are
 n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and
 eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
-``cascaded.occupations``.  The baseline runs for every config; the response
-only for n*, dn* and eta*, the closed forms and theta only when requested;
-theta is evaluated per point.  The result is columnar: a SweepResult holds
+``cascaded.occupations``.  The baseline runs only for m* and dn*, the
+response only for n*, dn* and eta*, the closed forms and theta only when
+requested; theta runs per point.  The result is columnar: a SweepResult holds
 value, validity and status arrays.  ``emit`` formats each distinct value of
 a column once, the distinct values of all columns together, in one exact
 vectorized pass (in chunks of 4096 values) that shares its digit and layout
@@ -52,7 +53,6 @@ from numpy.typing import NDArray
 
 from .cascaded import (
     CascadedParams,
-    InvalidParamsError,
     LinearSystem,
     _clamped_occupations,
     build_system,
@@ -61,7 +61,7 @@ from .cascaded import (
     linear_response,
 )
 from .counting import large_deviation
-from .linalg import check_items, stability_margin
+from .linalg import stability_margin
 from .optomech import OmParams, map_to_cascaded
 
 
@@ -148,22 +148,23 @@ class SweepResult:
     status: NDArray[np.str_]
 
 
-def convert_mbar(params: dict) -> dict:
-    """Replace mbar1..3 by nbar1..3 in a parameter dict; a negative bath
-    occupation raises InvalidParamsError.
-
-    Arrays keep their negative occupations, which CascadedParams flags.
+def convert_mbar(params: dict, prefix: str = "") -> dict:
+    """Replace mbar1..3 by nbar1..3 in a parameter dict by the equal-rate
+    inverse at every rate, so mbar_i is mode i's baseline only where
+    kappa_i = gamma_i.  One point raises SchemaError on a negative bath
+    occupation, naming ``prefix`` and mbar3 if it is negative, else the first
+    mbar_i whose Nbar_i is; arrays keep theirs, which CascadedParams flags.
     """
     if not any(k in params for k in _MBAR_KEYS):
         return dict(params)
     out = dict(params)
     m3 = out.pop("mbar3", 0.0)
-    m1 = out.pop("mbar1", m3)
-    m2 = out.pop("mbar2", m3)
-    n1, n2 = 2.0 * m1 - m3, 2.0 * m2 - m3
-    negative = (n1 < 0.0) | (n2 < 0.0) | (m3 < 0.0)
-    message = "mbar conversion gives Nbar1 = {:g}, Nbar2 = {:g}, Nbar3 = {:g}"
-    check_items(np.zeros_like(negative), negative, InvalidParamsError, message, n1, n2, m3)
+    n1, n2 = 2.0 * out.pop("mbar1", m3) - m3, 2.0 * out.pop("mbar2", m3) - m3
+    message = "{}{}: mbar conversion gives Nbar1 = {:g}, Nbar2 = {:g}, Nbar3 = {:g}"
+    if np.ndim(n1) == np.ndim(n2) == 0:  # one point raises
+        for name, nbar in (("mbar3", m3), ("mbar1", n1), ("mbar2", n2)):
+            if nbar < 0.0:
+                raise SchemaError(message.format(prefix, name, n1, n2, m3))
     out.update(nbar1=n1, nbar2=n2, nbar3=m3)
     return out
 
@@ -303,7 +304,7 @@ def parse_config(text: str | bytes) -> SweepConfig:
         if bad:
             raise SchemaError(f"params.{message}")
     if model == "cascaded":
-        convert_mbar(fixed)
+        convert_mbar(fixed, prefix="params.")
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:
@@ -372,11 +373,12 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     the margin and the linear response (W, G) are computed once per distinct
     system, and each point's occupations and flows follow from its nbar.  A
     cell is blank where its quantity is undefined: an unstable drift, a
-    failed Lyapunov solve (n*, dn*, eta*), unequal rates (m*, dn*,
-    n*_closed), a zero-rate channel (eta*, and theta at every s, s = 0
-    included) or an s outside the admissible region (theta; s = 0 is inside,
-    with theta = 0).  A stable row with a blank cell is ``unsupported``, as
-    is a point whose parameters are invalid.
+    failed Lyapunov solve (n*, dn*, eta*), a baseline m_i that is not finite
+    (m_i, dn_i; NaN where kappa_i + gamma_i = 0), unequal rates (n*_closed),
+    a zero-rate channel (eta*, and theta at every s, s = 0 included) or an s
+    outside the admissible region (theta; s = 0 is inside, with theta = 0).
+    A stable row with a blank cell is ``unsupported``, as is a point whose
+    parameters are invalid.
     """
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
@@ -398,15 +400,15 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         )
     margin = stability_margin(distinct.M)[inverse]
     stable = built & (margin < 0.0)
-    base, unequal = disconnected_baseline(p)
-    has_base = stable & ~unequal
     cells = {
         "stability_margin": [(margin, built)],
         # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
         "F_residual": [(np.hypot(p.F.real, p.F.imag), built)],
     }
-    for i in (0, 1):
-        cells[f"m{i + 1}"] = [(base[i], has_base)]
+    if {"m1", "m2", "dn1", "dn2"} & set(cfg.outputs):
+        base = disconnected_baseline(p)
+        defined = np.isfinite(base)  # NaN where kappa_i + gamma_i = 0
+        cells["m1"], cells["m2"] = ([(m, stable & ok)] for m, ok in zip(base, defined))
     if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
         W, G, no_response = linear_response(distinct)
         W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
@@ -419,13 +421,13 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         zero_rate = distinct.rate[inverse] <= 0.0
         for i in (0, 1):
             cells[f"n{i + 1}"] = [(n[i], has_response)]
-            cells[f"dn{i + 1}"] = [(n[i] - base[i], has_response & has_base)]
+            if {"dn1", "dn2"} & set(cfg.outputs):
+                cells[f"dn{i + 1}"] = [(n[i] - base[i], has_response & defined[i])]
         for k in (0, 1, 2):
             cells[f"eta{k + 1}"] = [(eta[:, k], has_response & ~zero_rate[:, k])]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):
-        closed, _ = closed_form_occupations(p)
-        for i in (0, 1):
-            cells[f"n{i + 1}_closed"] = [(closed[i], has_base)]
+        closed, unequal = closed_form_occupations(p)
+        cells["n1_closed"], cells["n2_closed"] = ([(n, stable & ~unequal)] for n in closed)
     if "theta" in cfg.outputs:
         theta, failed = large_deviation(1, np.array(cfg.s_grid)[:, None], sys)
         cells["theta"] = list(zip(theta, stable & ~failed))

@@ -7,6 +7,7 @@ tight tolerance against the independent Lyapunov numeric path.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,71 @@ class TestDeltaN:
         lorentz = 2.0 * 1.0 / (4.0 + 9.0)
         assert n2 - m2 == pytest.approx(lorentz * (50.0 - 0.0), abs=1e-9)
 
+    def test_baseline_at_equal_rates_is_the_plain_average(self):
+        # each weight kappa / (2 kappa) is exactly 1/2, also at non-dyadic rates,
+        # and 0.5 a + 0.5 b rounds like 0.5 (a + b)
+        rng = np.random.default_rng(30)
+        size = 2000
+        kappa = np.concatenate([[0.3, 0.1, 0.7, 1e-3], rng.uniform(0.01, 100.0, size - 4)])
+        nbar1, nbar2, nbar3 = (rng.uniform(0.0, 100.0, size) for _ in range(3))
+        p = CascadedParams(kappa1=kappa, gamma1=kappa, kappa2=kappa[::-1], gamma2=kappa[::-1],
+                           nbar1=nbar1, nbar2=nbar2, nbar3=nbar3)
+        m1, m2 = disconnected_baseline(p)
+        assert same_bits(m1, 0.5 * (nbar1 + nbar3)) and same_bits(m2, 0.5 * (nbar2 + nbar3))
+        for i in range(0, size, 97):  # one point returns the same bits
+            q = CascadedParams(kappa1=0.3, gamma1=0.3, kappa2=kappa[i], gamma2=kappa[i],
+                               nbar1=nbar1[i], nbar2=nbar2[i], nbar3=nbar3[i])
+            assert same_bits(disconnected_baseline(q), [m1[i], m2[i]]), i
+
+    def test_baseline_is_nan_exactly_where_a_mode_has_no_rate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, and nothing raises
+            # mode 1 is undamped, yet the point is stable: F damps it through mode 2
+            p = CascadedParams(kappa2=1.0, gamma2=1.0, F=0.5, nbar2=2.0, nbar3=1.0)
+            m1, m2 = disconnected_baseline(p)
+            assert math.isnan(m1) and m2 == 1.5
+            assert occupations(steady_state(p)) == pytest.approx((1.5, 1.5), abs=1e-12)
+            rate1, rate2 = np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.0, 3.0, 0.0])
+            q = CascadedParams(kappa1=rate1, gamma1=rate2, kappa2=rate2, gamma2=rate2[::-1],
+                               nbar1=1.0, nbar2=2.0, nbar3=0.5)
+            m1, m2 = disconnected_baseline(q)
+            # occupations near the float maximum overflow the weighted sum: inf, no warning
+            top = np.finfo(float).max
+            big = CascadedParams(kappa1=0.31, gamma1=0.37, kappa2=1.0, nbar1=top, nbar3=top)
+            assert disconnected_baseline(big) == (np.inf, 0.0)
+        assert np.isnan(m1).tolist() == (rate1 + rate2 == 0.0).tolist() == [True, False, False, False]
+        assert np.isnan(m2).tolist() == (rate2 + rate2[::-1] == 0.0).tolist()
+        assert m1[1:].tolist() == [1.0, 0.5, 1.0] and m2[1:3].tolist() == [0.5, 2.0]
+
+    def test_baseline_is_mode_1_at_every_rate_without_hopping(self):
+        # F = 0: mode 1 never sees mode 2, so n1 = m1 at unequal rates too; the
+        # steady state shares no code with the baseline
+        rng = np.random.default_rng(31)
+        size = 2000
+
+        def rates():
+            return 10.0 ** rng.uniform(-2.0, 2.0, size)
+
+        p = CascadedParams(omega1=rng.uniform(-10, 10, size), omega2=rng.uniform(-10, 10, size),
+                           kappa1=rates(), kappa2=rates(), gamma1=rates(), gamma2=rates(),
+                           phi=rng.uniform(0, 2 * np.pi, size),
+                           **{f"nbar{i}": rng.uniform(0.0, 50.0, size) for i in (1, 2, 3)})
+        Y, failed = steady_state(p)
+        assert not failed.any() and (p.kappa1 != p.gamma1).all()
+        (n1, _), (m1, _) = occupations(Y), disconnected_baseline(p)
+        assert (np.abs(n1 - m1) <= 1e-12 * m1).all()
+
+    def test_baseline_is_the_large_detuning_limit_at_unequal_rates(self):
+        # with F != 0 both modes approach the baseline as 1/Delta
+        base = dict(kappa1=0.7, kappa2=1.9, gamma1=0.3, gamma2=1.2, phi=0.4, F=0.6 - 0.8j,
+                    nbar1=3.0, nbar2=8.0, nbar3=1.0)
+        error = {}
+        for delta in (1e4, 1e6):
+            p = CascadedParams(omega2=delta, **base)
+            n, m = occupations(steady_state(p)), disconnected_baseline(p)
+            error[delta] = np.abs(np.subtract(n, m)) / m
+        assert (error[1e6] < 1e-5).all() and (50.0 * error[1e6] <= error[1e4]).all()
+
 
 class TestEquilibrium:
     def test_common_temperature_gives_thermal_state(self):
@@ -526,9 +592,9 @@ class TestArrayParams:
         kappa, unequal = p.equal_rate()
         sys = build_system(p)
         closed, closed_unequal = closed_form_occupations(p)
-        base, base_unequal = disconnected_baseline(p)
+        base = disconnected_baseline(p)  # defined at every rate: no mask
         assert same_bits(kappa, p.kappa1)
-        assert same_bits(closed_unequal, unequal) and same_bits(base_unequal, unequal)
+        assert same_bits(closed_unequal, unequal)
         checked = set()
         for i in range(len(invalid)):
             point = {name: v[i].item() for name, v in fields.items()}
@@ -541,6 +607,7 @@ class TestArrayParams:
             one = build_system(q)
             for name in ("M", "U", "rate", "nbar", "N"):
                 assert same_bits(getattr(sys, name)[i], getattr(one, name)), (i, name)
+            assert same_bits([m[i] for m in base], disconnected_baseline(q)), i
             try:
                 q.equal_rate()
             except UnsupportedParamsError:
@@ -549,7 +616,6 @@ class TestArrayParams:
                 continue
             assert not unequal[i], i
             assert same_bits([c[i] for c in closed], closed_form_occupations(q)), i
-            assert same_bits([m[i] for m in base], disconnected_baseline(q)), i
             checked.add("equal")
         assert invalid.sum() == 7 and checked == {"equal", "unequal"}
 

@@ -1,10 +1,19 @@
 """The README's examples run as written: every fenced python block, and its
 JSON sweep config through parse_config, run_sweep and emit."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
 
+from noisecascade import (
+    design_nonreciprocal,
+    disconnected_baseline,
+    map_to_cascaded,
+    occupations,
+    preset_microwave,
+    steady_state,
+)
 from noisecascade.sweeps import column_names, emit, parse_config, run_sweep
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -32,3 +41,18 @@ def test_sweep_config_runs():
     lines = emit(result, cfg).decode().split("\n")
     assert lines[0] == ",".join(column_names(cfg))
     assert len(lines) == points + 2  # header, one line per point, trailing LF
+
+
+def test_preset_design_point_numbers():
+    """The preset tuned to its design point: the README's rates and occupations."""
+    pre = preset_microwave()
+    d = design_nonreciprocal(pre)
+    q = dataclasses.replace(pre, J=d.j_star, phi=d.phi_star, Nbar1=1.0, Nbar2=2.0, Nbar_m=0.5)
+    p = map_to_cascaded(q)
+    assert p.kappa1 == p.kappa2 and p.gamma1 == p.gamma2 and p.gamma1 < p.kappa1
+    (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+    assert abs(n1 - m1) <= 1e-12  # dn1: mode 1 does not feel mode 2
+    text = " ".join(README.split())
+    for quoted in (f"`kappa = {p.kappa1:.4e}`", f"`gamma = 4 G^2 / gamma_m = {p.gamma1:.4e}`",
+                   f"`n1 = m1 = {m1:.5f}`", f"`dn2 = {n2 - m2:.5f}`"):
+        assert quoted in text, quoted

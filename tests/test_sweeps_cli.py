@@ -34,7 +34,7 @@ from noisecascade.counting import (
     large_deviation,
 )
 from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
-from noisecascade.optomech import OmParams, map_to_cascaded
+from noisecascade.optomech import OmParams, design_nonreciprocal, map_to_cascaded, preset_microwave
 from noisecascade.sweeps import (
     SchemaError,
     SweepAxis,
@@ -102,6 +102,14 @@ REPEATED_OUTPUT_SWEEP = {**NEGATIVE_RATE_SWEEP, "outputs": ["n1", "n1"],
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
+# steady-state at unequal rates, and with mode 1 undamped but stable through F
+STEADY_STATE_UNEQUAL_RATES = ["steady-state", "--set", "kappa1=2", "--set", "kappa2=1",
+                              "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar1=1"]
+STEADY_STATE_UNDAMPED_MODE = ["steady-state", "--set", "kappa2=1", "--set", "gamma2=1",
+                              "--set", "F=0.5", "--set", "nbar2=2", "--set", "nbar3=1"]
+# mbar1 = 50 with mbar2 = mbar3 = 120 converts to Nbar1 = -20
+NEGATIVE_MBAR_ARGV = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
+                      "--set", "gamma2=1", "--set", "mbar1=50", "--set", "mbar3=120"]
 # sweep config files that JSON cannot decode: a UTF-16 byte-order mark, not
 # UTF-8, and a nesting too deep for the decoder's recursion
 NOT_UTF8_CONFIG = b"\xff\xfe{}"
@@ -129,7 +137,8 @@ def fig2_config(points=5, fmt="csv", **extra):
 GOLDEN_CONFIG = {
     "model": "cascaded",
     "params": {"kappa2": 1.0, "gamma2": 1.0, "F": 0.0, "mbar1": 2.25, "mbar2": 1.5, "mbar3": 0.5},
-    # kappa1 = gamma1 = 0 is unstable; unequal rates blank m1, m2; all four equal is ok
+    # kappa1 = gamma1 = 0 is unstable; at kappa1 != gamma1, m1 is the rate-weighted
+    # baseline (Nbar3 = 0.5 or Nbar1 = 4.0), and mbar1 = 2.25 is m1 only at kappa1 = gamma1
     "axes": [{"variable": "kappa1", "min": 0.0, "max": 1.0, "points": 2},
              {"variable": "gamma1", "min": 0.0, "max": 1.0, "points": 2}],
     "outputs": ["m1", "stability_margin", "F_residual", "m2"],
@@ -138,8 +147,8 @@ GOLDEN_CONFIG = {
 GOLDEN_CSV = """\
 kappa1,gamma1,m1,stability_margin,F_residual,m2,status
 0,0,,0,0,,unstable
-0,1,,-0.5,0,,unsupported
-1,0,,-0.5,0,,unsupported
+0,1,0.5,-0.5,0,1.5,ok
+1,0,4,-0.5,0,1.5,ok
 1,1,2.25,-1,0,1.5,ok
 """
 
@@ -157,20 +166,20 @@ GOLDEN_JSON = """\
   {
     "kappa1": 0.0,
     "gamma1": 1.0,
-    "m1": null,
+    "m1": 0.5,
     "stability_margin": -0.5,
     "F_residual": 0.0,
-    "m2": null,
-    "status": "unsupported"
+    "m2": 1.5,
+    "status": "ok"
   },
   {
     "kappa1": 1.0,
     "gamma1": 0.0,
-    "m1": null,
+    "m1": 4.0,
     "stability_margin": -0.5,
     "F_residual": 0.0,
-    "m2": null,
-    "status": "unsupported"
+    "m2": 1.5,
+    "status": "ok"
   },
   {
     "kappa1": 1.0,
@@ -191,9 +200,29 @@ class TestConvertMbar:
         assert out == {"nbar1": 80.0, "nbar2": 180.0, "nbar3": 20.0}
 
     def test_negative_result_rejected(self):
-        message = "^mbar conversion gives Nbar1 = -20, Nbar2 = 80, Nbar3 = 120$"
-        with pytest.raises(InvalidParamsError, match=message):
-            convert_mbar({"mbar1": 50.0, "mbar2": 100.0, "mbar3": 120.0})
+        # named for mbar3 if it is negative, else for the first mbar_i whose Nbar_i is
+        for params, message in (
+            ({"mbar1": 50.0, "mbar2": 100.0, "mbar3": 120.0},
+             "mbar1: mbar conversion gives Nbar1 = -20, Nbar2 = 80, Nbar3 = 120"),
+            ({"mbar1": 70.0, "mbar2": 50.0, "mbar3": 120.0},
+             "mbar2: mbar conversion gives Nbar1 = 20, Nbar2 = -20, Nbar3 = 120"),
+            ({"mbar1": 1.0, "mbar2": 1.0, "mbar3": -1.0},
+             "mbar3: mbar conversion gives Nbar1 = 3, Nbar2 = 3, Nbar3 = -1"),
+        ):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                convert_mbar(params)
+            with pytest.raises(SchemaError, match=f"^params.{re.escape(message)}$"):
+                convert_mbar(params, prefix="params.")
+
+    def test_mbar_is_the_baseline_only_at_equal_rates(self):
+        # Nbar_i = 2 mbar_i - mbar3 at every rate: MIXED_GRID's rows at
+        # mbar1 = 1, mbar3 = 0 give Nbar1 = 2, and m1 = mbar1 only at kappa1 = gamma1
+        result = run_sweep(parse_config(json.dumps(dict(MIXED_GRID, outputs=["m1", "n1", "dn1"]))))
+        rows = {tuple(v[:3]): (v[3:], s) for v, s in zip(result.values.tolist(), result.status)}
+        # kappa1 = gamma1 = 1: m1 = mbar1 = 1; kappa1 = 1, gamma1 = 0: m1 = Nbar1 = 2
+        for (kappa1, gamma1), m1 in (((1.0, 1.0), 1.0), ((1.0, 0.0), 2.0)):
+            (m, n, dn), status = rows[kappa1, gamma1, 0.0]
+            assert (m, status) == (m1, "ok") and abs(n - m1) <= 1e-12 and abs(dn) <= 1e-12
 
     def test_mixing_with_nbar_rejected(self):
         # the shared parameter check rejects it; convert_mbar only converts
@@ -251,7 +280,7 @@ class TestParseConfig:
         doc = json.loads(fig2_config())
         doc["params"]["mbar3"] = 120.0
         del doc["axes"][1]
-        with pytest.raises(InvalidParamsError, match="^mbar conversion gives Nbar1 = -20,"):
+        with pytest.raises(SchemaError, match="^params.mbar1: mbar conversion gives Nbar1 = -20,"):
             parse_config(json.dumps(doc))
 
     def test_swept_mbar_is_not_converted_from_params(self, tmp_path, capsys):
@@ -271,8 +300,8 @@ class TestParseConfig:
         assert outputs[0].err == "" and outputs[0].out.count(",ok\n") == 3
         # a params value that no axis replaces is still checked at parse time
         doc["axes"][0]["variable"] = "Delta"
-        message = "mbar conversion gives Nbar1 = -6, Nbar2 = -4, Nbar3 = 10"
-        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+        message = "params.mbar1: mbar conversion gives Nbar1 = -6, Nbar2 = -4, Nbar3 = 10"
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             parse_config(json.dumps(doc))
         path.write_text(json.dumps(doc))
         assert main(["sweep", str(path)]) == 2
@@ -473,17 +502,31 @@ class TestRunSweep:
         assert result.valid[0].tolist() == [True, False, False]
         assert result.status[1] == "ok"
 
-    def test_unsupported_baseline_flagged(self):
+    def test_baseline_at_unequal_rates(self):
+        # m2 = (kappa2 nbar2 + gamma2 nbar3) / (kappa2 + gamma2) at kappa2 != gamma2
         doc = {
             "model": "cascaded",
-            "params": {"kappa1": 1.0, "kappa2": 2.0, "gamma1": 1.0, "gamma2": 1.0},
+            "params": {"kappa1": 1.0, "kappa2": 2.0, "gamma1": 1.0, "gamma2": 1.0,
+                       "nbar2": 3.0, "nbar3": 0.5},
             "axes": [{"variable": "nbar1", "min": 0.0, "max": 1.0, "points": 2}],
-            "outputs": ["n1", "dn2"],
+            "outputs": ["n1", "n2", "m2", "dn2"],
         }
         result = run_sweep(parse_config(json.dumps(doc)))
+        assert (result.status == "ok").all() and result.valid.all()
+        _, _, n2, m2, dn2 = result.values.T
+        assert (m2 == 2.0 / 3.0 * 3.0 + 1.0 / 3.0 * 0.5).all() and (dn2 == n2 - m2).all()
+        # mode 1 has no rate but is stable through F: m1 and dn1 are blank, and
+        # JSON writes them as null, never NaN
+        doc = {"model": "cascaded",
+               "params": {"kappa2": 1.0, "gamma2": 1.0, "F": 0.5, "nbar2": 2.0, "nbar3": 1.0},
+               "axes": [{"variable": "omega1", "min": 0.0, "max": 0.5, "points": 2}],
+               "outputs": ["n1", "m1", "dn1", "m2", "dn2"], "format": "json"}
+        cfg = parse_config(json.dumps(doc))
+        result = run_sweep(cfg)
         assert (result.status == "unsupported").all()
-        assert result.valid[:, 1].all()  # plain occupation still fine
-        assert not result.valid[:, 2].any()
+        assert result.valid.tolist() == [[True, True, False, False, True, True]] * 2
+        text = emit(result, cfg)
+        assert b"NaN" not in text and json.loads(text)[0]["m1"] is None
 
     def test_optomech_model(self):
         doc = {
@@ -499,6 +542,15 @@ class TestRunSweep:
         result = run_sweep(parse_config(json.dumps(doc)))
         assert (result.status == "ok").all()
         assert result.valid[:, 4].all() and (result.values[:, 4] < 0).all()
+
+    def test_preset_rows_fill_the_baseline(self):
+        # every row was unsupported while the baseline required equal rates;
+        # dn1 = n1 - m1 changes sign where J crosses J*
+        result = run_sweep(parse_config(json.dumps(PRESET_DN_SWEEP)))
+        assert (result.status == "ok").all() and result.valid.all()
+        J, n1, _, m1, _, dn1, _ = result.values.T
+        assert (dn1 == n1 - m1).all() and np.sign(dn1).tolist() == [-1, -1, -1, 1, 1]
+        assert J[2] < design_nonreciprocal(preset_microwave()).j_star < J[3]
 
     def test_zero_rate_channel_blanks_its_cells(self):
         doc = {
@@ -548,7 +600,7 @@ def reference_row(cfg, axis_values):
     raw.update(zip((ax.variable for ax in cfg.axes), axis_values))
     try:
         p = cascaded_from_raw(raw) if cfg.model == "cascaded" else map_to_cascaded(OmParams(**raw))
-    except (InvalidParamsError, UnsupportedParamsError):
+    except (InvalidParamsError, SchemaError):  # bad fields, a negative mbar conversion
         return (None,) * n_out, "unsupported", 0.0
     sys = build_system(p)
     margin = stability_margin(sys.M)
@@ -583,6 +635,8 @@ def reference_row(cfg, axis_values):
             if name[0] == "n":
                 return [n]
             m = disconnected_baseline(p)[i]
+            if not math.isfinite(m):  # a mode without a rate has no baseline
+                return [None]
             return [m if name[0] == "m" else None if n is None else n - m]
         except (UnsupportedParamsError, ZeroRateChannelError):
             return [None]
@@ -630,6 +684,15 @@ G1_OVERFLOW_SWEEP = {
     "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin", "F_residual"],
 }
 
+# the microwave preset with J swept across the design point J* = 2 G1 G2 / gamma_m
+# = 6.16e6: its mapped rates are unequal (gamma = 4 G^2 / gamma_m = 0.98 kappa)
+PRESET_DN_SWEEP = {
+    "model": "optomech",
+    "params": {k: v for k, v in dataclasses.asdict(preset_microwave()).items() if k != "J"},
+    "axes": [{"variable": "J", "min": 5e6, "max": 7e6, "points": 5}],
+    "outputs": ["n1", "n2", "m1", "m2", "dn1", "dn2"],
+}
+
 # many points per system: 5 systems, each with 501 values of nbar1, in two blocks
 NBAR1_SWEEP = {
     "model": "cascaded",
@@ -670,8 +733,8 @@ class TestStackedSweep:
                     blanks.add(name)
         assert set(result.status.tolist()) == {"ok", "unstable", "unsupported"}
         assert (~result.valid[:, n_axes:]).all(axis=1).any()  # negative Nbar2
-        # unequal rates, a zero-rate channel and an inadmissible s all occur
-        assert {"dn1", "eta1", "theta@0.6"} <= blanks
+        # unequal rates (closed forms), a zero-rate channel and an inadmissible s all occur
+        assert {"n1_closed", "eta1", "theta@0.6"} <= blanks
 
     def test_only_requested_columns_call_their_kernels(self, monkeypatch):
         calls = []
@@ -1035,6 +1098,24 @@ class TestCli:
         assert out["dn1"] == pytest.approx(0.0, abs=1e-10)
         assert out["dn2"] == pytest.approx(25.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv, baseline", [
+        # unequal rates at F = 0: mode 1 sits at m1 = (2 nbar1 + nbar3) / 3
+        (STEADY_STATE_UNEQUAL_RATES, (2.0 / 3.0, 0.0)),
+        # mode 1 has no rate, yet F keeps the point stable: no m1
+        (STEADY_STATE_UNDAMPED_MODE, (None, 1.5)),
+    ], ids=["unequal_rates", "undamped_mode"])
+    def test_steady_state_prints_the_baseline_at_every_rate(self, argv, baseline):
+        rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, err) == (0, "") and "NaN" not in out
+        doc = json.loads(out)
+        assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
+        assert (doc["m1"], doc["m2"]) == baseline
+        if baseline[0] is None:
+            assert doc["dn1"] is None and doc["n1"] == pytest.approx(1.5, abs=1e-12)
+        else:
+            assert abs(doc["dn1"]) <= 1e-12 * doc["m1"]  # mode 1 never sees mode 2
+        assert doc["dn2"] == doc["n2"] - doc["m2"]
+
     def test_config_error_exit_code(self, capsys):
         rc = main(["steady-state", "--set", "kappa1=-1"])
         assert rc == 2
@@ -1043,7 +1124,7 @@ class TestCli:
         for argv in (
             ["--set", "kappa1=0", "--set", "kappa2=0", "--set", "gamma1=0",
              "--set", "gamma2=0"],
-            # unequal rates (no baseline) and an unstable drift
+            # mode 2 undamped: an unstable drift
             ["--set", "omega1=1", "--set", "omega2=1", "--set", "kappa1=1"],
             # stable, but the Lyapunov solve fails its residual check
             LYAPUNOV_FAILURE_ARGS,
@@ -1418,6 +1499,18 @@ class TestParamCheck:
                 err = self.set_error([*command, *sets, "--set", "kappa2=1"], capsys)
                 assert err == f"error: {expected.format(p='')}\n", command
 
+    def test_mbar_conversion_names_its_field(self, tmp_path, capsys):
+        message = "mbar1: mbar conversion gives Nbar1 = -20, Nbar2 = 120, Nbar3 = 120"
+        assert self.set_error(NEGATIVE_MBAR_ARGV, capsys) == f"error: {message}\n"
+        rc, out, err = fresh_process(NEGATIVE_MBAR_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+        doc = {"model": "cascaded",
+               "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "mbar1": 50,
+                          "mbar3": 120},
+               "axes": [{"variable": "Delta", "min": 0, "max": 1, "points": 2}],
+               "outputs": ["n1"]}
+        assert self.config_error(doc, tmp_path, capsys) == f"params.{message}"
+
     def test_set_values_build_what_a_config_builds(self):
         sets = ["omega1=0.5", "Delta=1", "F=0.1-0.2j", "mbar1=2", "mbar3=1", "kappa1=1"]
         raw = cli._parse_sets("cascaded", sets)
@@ -1524,7 +1617,8 @@ class TestOverflowingInputs:
     def test_huge_rate_of_a_stable_drift(self):
         # the margin read 0 (unstable) and G held NaN, with two RuntimeWarnings
         rc, out, err = fresh_process(HUGE_GAMMA_ARGV, flags=("-W", "error::RuntimeWarning"))
-        assert (rc, json.loads(out), err) == (0, {"n1": 0.0, "n2": 0.0}, "")
+        keys = ("n1", "n2", "m1", "m2", "dn1", "dn2")
+        assert (rc, json.loads(out), err) == (0, dict.fromkeys(keys, 0.0), "")
         doc = {"model": "cascaded",
                "params": {"kappa1": 1.0, "kappa2": 1.0, "gamma2": 0.0, "nbar1": 1.0, "nbar2": 2.0},
                "axes": [{"variable": "gamma1", "min": 1e308, "max": 1e308, "points": 1}],
