@@ -10,8 +10,8 @@ The model is phase-insensitive, so everything lives in the 2x2 complex mode
 space: the amplitudes obey dc/dt = M c + noise, channel c couples through
 column c - 1 of the coupling matrix U (input-output form, M + M† = -U U†),
 and the covariance Y_jk = (1/2)<c_j c_k† + c_k† c_j> solves
-M Y + Y M† + N = 0 with N = U diag(nbar + 1/2) U†.  The vacuum is Y = I/2
-and the occupations are n_i = Y_ii - 1/2.
+M Y + Y M† + N = 0 with N = U diag(nbar + 1/2) U†.  The vacuum is Y = I/2,
+and the occupations n_i = Y_ii - 1/2 are sum_j W_ij nbar_j (``linear_response``).
 
 Each CascadedParams field is a scalar (one point) or an array (one item per
 point), and everything here is array arithmetic.  As in ``linalg``, one point
@@ -246,22 +246,21 @@ def _stable_drift(M: NDArray, failed: NDArray[np.bool_] | None = None):
 
 def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArray, NDArray]:
     """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s),
-    clamped at zero as ``_clamped_occupations`` does."""
-    return _clamped_occupations(np.diagonal(Y, axis1=-2, axis2=-1).real - 0.5)
+    clamped at zero as ``_clamped_occupations`` does; the subtraction cancels
+    where n_i << 1/2, which sum_j W_ij nbar_j of ``linear_response`` does not."""
+    return _clamped_occupations(np.diagonal(Y, axis1=-2, axis2=-1).real[..., None] - 0.5)
 
 
-def _clamped_occupations(n: NDArray[np.float64]) -> tuple[float, float] | tuple[NDArray, ...]:
-    """(n1, n2) from occupations n (..., 2), with values that come out slightly
-    negative from numerical noise near vacuum clamped to zero.
-
-    Each clamped mode is noted with a warning on the "noisecascade" logger,
-    which is silent unless logging is configured.
-    """
+def _clamped_occupations(terms: NDArray[np.float64]) -> tuple[float, float] | tuple[NDArray, ...]:
+    """(n1, n2) from the terms (..., 2, k) of each occupation, added in order
+    after a zero (no -0.0; a point rounds as a stack does), with values that
+    round slightly below zero near vacuum clamped to zero and noted with a
+    warning on the "noisecascade" logger, silent unless logging is configured."""
+    n = sum(terms[..., c] for c in range(terms.shape[-1]))
     for i in range(2):
         if (n[..., i] < 0.0).any():
             _log.warning("occupation n%d = %.3e clamped to 0", i + 1, np.nanmin(n[..., i]))
-    n1, n2 = np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0)
-    return n1, n2
+    return tuple(np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0))
 
 
 def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
@@ -269,15 +268,15 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     the bath occupations: n_i = sum_j W_ij nbar_j and eta_k = sum_j G_kj nbar_j.
 
     Both depend on the drift and couplings alone (``sys.N`` and ``sys.nbar``
-    are not read).  With X_j the solution of M X_j + X_j M† + u_j u_j† = 0
-    for column u_j of U, the covariance is Y = sum_j (nbar_j + 1/2) X_j.
-    M + M† = -U U† makes X_1 + X_2 + X_3 = I, so X_3 = I - X_1 - X_2 needs no
-    solve, and X_1, X_2 share one Lyapunov operator.  Then W_ij = Re (X_j)_ii
-    and G_kj = 2 u_k† X_j u_k - 2 rate_k delta_kj, from the mean flow
-    2 u_k† Y u_k - rate_k (2 nbar_k + 1), order 1 of ``counting.flow_cumulants``.
-    Column 3 of G is -(G_k1 + G_k2), so every row sums to exactly zero, as
-    flows at equal nbar vanish; the columns sum to 2 (|u_j|^2 - rate_j),
-    zero up to the rounding of the stored rates.
+    are not read).  X_j solves M X_j + X_j M† + u_j u_j† = 0 for column u_j
+    of U, all three on one Lyapunov operator, and Y = sum_j (nbar_j + 1/2) X_j.
+    Each X_j is positive semidefinite, so W_ij = Re (X_j)_ii >= 0 up to the
+    solve's error: n_i adds non-negative terms, with no vacuum 1/2 to subtract
+    (M + M† = -U U† makes X_1 + X_2 + X_3 = I).  G_kj = 2 u_k† X_j u_k -
+    2 rate_k delta_kj (j = 1, 2) from the mean flow 2 u_k† Y u_k -
+    rate_k (2 nbar_k + 1), order 1 of ``counting.flow_cumulants``; column 3 is
+    -(G_k1 + G_k2), so every row sums to exactly zero, as flows at equal nbar
+    vanish, and the columns sum to 2 (|u_j|^2 - rate_j), zero up to rounding.
 
     One system raises on an unstable drift or a failed solve and returns
     (W, G); a stack returns (W, G, failed), NaN where the single call raises.
@@ -285,15 +284,13 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     """
     failed, M = _stable_drift(sys.M)
     u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
-    source = u[..., :2, :, None] * u[..., :2, None, :].conj()
-    X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for both sources
-    message = "Lyapunov solve of the response to nbar1 or nbar2 failed"
+    source = u[..., :, :, None] * u[..., :, None, :].conj()
+    X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for all sources
+    message = "Lyapunov solve of the response to the bath occupations failed"
     failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
-    # column 3 of W from X_3 = I - X_1 - X_2, and of G from its zero row sums
-    w = np.diagonal(X, axis1=-2, axis2=-1).real  # w[..., j, i] = Re (X_j)_ii
-    W = np.stack([w[..., 0, :], w[..., 1, :], 1.0 - w[..., 0, :] - w[..., 1, :]], axis=-1)
-    # q[..., j, k] = u_k† X_j u_k of the Hermitian X_j
-    x00, x01, x11 = (X[..., :, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
+    W = np.diagonal(X, axis1=-2, axis2=-1).real.swapaxes(-2, -1)  # W[..., i, j] = Re (X_j)_ii
+    # q[..., j, k] = u_k† X_j u_k (j = 1, 2); column 3 of G from its zero row sums
+    x00, x01, x11 = (X[..., :2, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
     u0, u1 = sys.U[..., None, 0, :], sys.U[..., None, 1, :]
     q = x00.real * np.abs(u0) ** 2 + x11.real * np.abs(u1) ** 2 + 2.0 * (u0.conj() * x01 * u1).real
     g = 2.0 * (q - sys.rate[..., None, :] * np.eye(2, 3))  # 2 rate_3 may overflow

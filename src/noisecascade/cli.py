@@ -29,10 +29,10 @@ from .cascaded import (
     CascadedParams,
     InvalidParamsError,
     UnstableSystemError,
+    _clamped_occupations,
     build_system,
     disconnected_baseline,
-    occupations,
-    steady_state,
+    linear_response,
 )
 from .counting import (
     OutsideAdmissibleRegionError,
@@ -85,7 +85,9 @@ def _parse_sets(model: str, pairs: list[str]) -> dict:
 
 def _cmd_steady_state(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
-    (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+    sys = build_system(p)
+    W, _ = linear_response(sys)  # n_i = sum_j W_ij nbar_j, as in a sweep
+    (n1, n2), (m1, m2) = _clamped_occupations(W * sys.nbar[..., None, :]), disconnected_baseline(p)
     out = {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "dn1": n1 - m1, "dn2": n2 - m2}
     # a mode without a baseline (kappa_i + gamma_i = 0) reads null, as a sweep's blank cell
     print(json.dumps({k: v if np.isfinite(v) else None for k, v in out.items()}, indent=2))

@@ -134,6 +134,12 @@ def _maxabs(X: NDArray) -> NDArray:
     return np.abs(X).max(axis=(-2, -1))
 
 
+def _ldexp(X: NDArray, e: NDArray) -> NDArray:
+    """X 2^e, one e per item of a real or complex stack: exact where normal."""
+    X = np.ascontiguousarray(X, complex if X.dtype.kind == "c" else float)
+    return np.ldexp(X.view(float), e[..., None, None]).view(X.dtype)
+
+
 def _dagger(X: NDArray) -> NDArray:
     return X.conj().swapaxes(-2, -1)
 
@@ -183,17 +189,17 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[n
     with n^2 unknowns for an n x n drift.  K depends on the drift alone, so
     it is built, checked and inverted once per drift as passed, and the
     inverse is applied to every vec(N) that broadcasts against it: a drift
-    (..., 1, n, n) serves k sources (..., k, n, n) with one inversion.  The
+    (..., 1, n, n) serves k sources (..., k, n, n) with one inversion.  A and
+    N are scaled by powers of two to max-norms in [1/2, 1), which keeps the
+    bits of X and keeps every intermediate inside the float range.  The
     residual is checked per item against _RESIDUAL_RTOL * max-norm of N.  One
     matrix and one source return X and raise on a failed check; otherwise
     the result is (X, failed) of the broadcast shape, NaN in failed items.
     """
     A, N = np.asarray(A), np.asarray(N)
     failed = check_hermitian(np.zeros(np.broadcast_shapes(A.shape, N.shape)[:-2], bool), N)
-    norm_n = _maxabs(N)
-    # lift a source near underflow by an exact power of two
-    lift = np.where((0.0 < norm_n) & (norm_n < 1e-250), 2.0**600, 1.0)
-    N, norm_n = N * lift[..., None, None], norm_n * lift
+    (norm_n, b), a = np.frexp(_maxabs(N)), np.frexp(_maxabs(A))[1]  # max|N| = norm_n 2^b
+    A, N = _ldexp(A, -a), _ldexp(N, -b)  # max-norms in [1/2, 1); X scales by 2^(b - a)
     n = A.shape[-1]
     eye = np.eye(n)
     K = np.einsum("...ik,jl->...ijkl", A, eye) + np.einsum("ik,...jl->...ijkl", eye, A.conj())
@@ -214,6 +220,7 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[n
         "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"
     )
     bad = ~(residual <= _RESIDUAL_RTOL * norm_n)
+    residual = np.ldexp(residual, b)  # in the units of N
     failed = check_items(failed, bad, SingularSystemError, message, residual, _RESIDUAL_RTOL)
-    V = V / lift[..., None, None]
+    V = _ldexp(V, b - a)
     return V if failed.ndim == 0 else (_placeholder(failed, V, np.nan), failed)

@@ -22,15 +22,12 @@ from the parameters to each requested output column (theta over the whole
 s_grid), makes one call per block.  Occupations and flows are linear in the
 bath occupations, so the points of a block that differ only in nbar1..3
 (keyed on the float64 bits of every other field, of which only the words
-that vary within the block are compared) share one system: the stability
-margin and the linear response (W, G) of ``cascaded.linear_response``,
-which takes the margin again, are computed per distinct system, and each
-point's occupations and flows are
-n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and
-eta_k = sum_j G_kj (nbar_j - nbar3), with the logged clamp of
-``cascaded.occupations``.  The baseline runs only for m* and dn*, the
-response only for n*, dn* and eta*, the closed forms and theta only when
-requested; theta runs per point.  The result is columnar: a SweepResult holds
+that vary within the block are compared) share one system: its margin and
+linear response (W, G) of ``cascaded.linear_response`` are computed once,
+and each point takes n_i = sum_j W_ij nbar_j, as ``steady-state`` does,
+and eta_k = sum_j G_kj (nbar_j - nbar3).  The baseline runs only for m* and
+dn*, the response only for n*, dn* and eta*, the closed forms and theta only
+when requested; theta runs per point.  The result is columnar: a SweepResult holds
 value, validity and status arrays.  ``emit`` formats each distinct value of
 a column once, the distinct values of all columns together, in one exact
 vectorized pass (in chunks of 4096 values) that shares its digit and layout
@@ -412,12 +409,9 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
         W, G, no_response = linear_response(distinct)
         W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
-        # n_i = nbar3 + sum_j W_ij (nbar_j - nbar3) and eta_k = sum_j G_kj (nbar_j - nbar3):
-        # rows of W sum to one and rows of G to zero
-        d1, d2 = p.nbar1 - p.nbar3, p.nbar2 - p.nbar3
-        n = p.nbar3[:, None] + W[..., 0] * d1[:, None] + W[..., 1] * d2[:, None]
-        n = _clamped_occupations(n)
-        eta = G[..., 0] * d1[:, None] + G[..., 1] * d2[:, None]
+        # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
+        n = _clamped_occupations(W * np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)[..., None, :])
+        eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
         zero_rate = distinct.rate[inverse] <= 0.0
         for i in (0, 1):
             cells[f"n{i + 1}"] = [(n[i], has_response)]

@@ -20,6 +20,7 @@ from noisecascade.cascaded import (
     LinearSystem,
     UnstableSystemError,
     UnsupportedParamsError,
+    _clamped_occupations,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -32,6 +33,7 @@ from noisecascade.cascaded import (
 from noisecascade.counting import flow_cumulants
 from noisecascade.linalg import SingularSystemError, stability_margin
 from noisecascade.optomech import OmParams, map_to_cascaded
+from exact_occupation_oracle import exact_occupations
 from test_sweeps_cli import LYAPUNOV_FAILURE
 
 RNG = np.random.default_rng(20240818)
@@ -749,6 +751,51 @@ class TestLinearResponse:
             else:
                 assert not failed[i], i
                 assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
+
+    # the bound on every occupation against tests/exact_occupation_oracle.py,
+    # relative, stated before the first run
+    ORACLE_RTOL = 1e-9
+
+    @staticmethod
+    def occupations_and_exact(p):
+        """n = sum_j W_ij nbar_j of each item of array params p that the
+        response does not flag, and the exact occupations of the same doubles."""
+        sys = build_system(p)
+        W, _, failed = linear_response(sys)
+        n = np.stack(_clamped_occupations(W * sys.nbar[..., None, :]), axis=-1)
+        kept = np.flatnonzero(~failed)
+        exact = [exact_occupations(sys.M[i], sys.U[i], sys.nbar[i]) for i in kept]
+        return n[kept], np.array(exact, float).reshape(-1, 2)
+
+    def test_occupations_match_exact_oracle_on_graded_systems(self):
+        # rates 10^U(-12, 2), nbar 10^U(-3, 6) with 30 % set to 0, and the
+        # detuning, F and phi of the graded cumulant check: the worst error is
+        # 3.9e-11, where Y_ii - 1/2 of ``occupations`` is off by up to 4.5e-4
+        rng = np.random.default_rng(0)
+        rates = 10.0 ** rng.uniform(-12.0, 2.0, (4, 300))
+        nbar = 10.0 ** rng.uniform(-3.0, 6.0, (3, 300)) * (rng.uniform(size=(3, 300)) >= 0.3)
+        p = CascadedParams(
+            omega2=rng.uniform(-5.0, 5.0, 300), kappa1=rates[0], kappa2=rates[1],
+            gamma1=rates[2], gamma2=rates[3], phi=rng.uniform(0.0, 2.0 * np.pi, 300),
+            F=rng.uniform(0.0, 2.0, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300)),
+            nbar1=nbar[0], nbar2=nbar[1], nbar3=nbar[2],
+        )
+        n, exact = self.occupations_and_exact(p)
+        assert len(n) >= 280 and (exact == 0.0).any()  # zero where every nbar is
+        assert (np.abs(n - exact) <= self.ORACLE_RTOL * exact).all()
+
+    def test_occupations_without_cancellation(self):
+        # nbar3 >> n, where nbar3 + sum_j W_ij (nbar_j - nbar3) would cancel to
+        # 1.000124e-06, and n << 1/2, where Y_ii - 1/2 cancels to 9.999778782798785e-13
+        found = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1e-12, gamma2=1e-12, nbar3=1e6)
+        small = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1e-9, gamma2=1e-9, nbar3=1e-3)
+        p = CascadedParams(**{f.name: np.array([getattr(found, f.name), getattr(small, f.name)])
+                              for f in dataclasses.fields(found)})
+        n, exact = self.occupations_and_exact(p)
+        assert len(n) == 2 and (np.abs(n - exact) <= self.ORACLE_RTOL * exact).all()
+        assert n[0, 0] == 9.99999999999e-07 and n[1, 0] == 9.99999999e-13
+        vacuum_read = occupations(steady_state(small))[0]
+        assert abs(vacuum_read - exact[1, 0]) > 1e4 * self.ORACLE_RTOL * exact[1, 0]
 
     def test_rate_near_the_float_maximum(self):
         # 2 rate_3 overflowed to inf, and inf * 0 put NaN into G

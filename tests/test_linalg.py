@@ -363,7 +363,7 @@ class TestStackedKernels:
         marginal = np.diag([0.0, -1.0])  # 0 + conj(0) = 0: singular
         A = np.stack([stable, marginal, stable, stable, marginal, stable])
         N = TestSharedFactorization.hermitian(len(A))
-        N[2] = 1e-300 * N[2]  # lifted by 2^600 before the solve
+        N[2] = 1e-300 * N[2]  # scaled up to a max-norm in [1/2, 1) before the solve
         N[3, 0, 1] += 0.5  # not Hermitian
         items = list(zip(A, N))
         failed = self.assert_matches_single_calls(
@@ -436,7 +436,7 @@ class TestSharedFactorization:
         A = drifts[RNG.integers(0, 3, size=30)]
         N = self.hermitian(30)
         N[4] = np.zeros((2, 2))
-        N[9] = 1e-300 * N[9]  # lifted by 2^600 before the solve
+        N[9] = 1e-300 * N[9]  # scaled up to a max-norm in [1/2, 1) before the solve
         items = list(zip(A, N))
         failed = TestStackedKernels.assert_matches_single_calls(solve_lyapunov, items, ())
         assert not failed.any()
@@ -506,7 +506,7 @@ def test_package_makes_no_matmul():
 def test_oracles_import_nothing_from_the_package():
     # an oracle that shares code with the package cannot catch its faults
     for name in ("quadrature_oracle.py", "riccati_oracle.py", "spectral_oracle.py",
-                 "exact_cumulant_oracle.py"):
+                 "exact_cumulant_oracle.py", "exact_occupation_oracle.py"):
         tree = ast.parse(pathlib.Path(__file__).with_name(name).read_text(), name)
         modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                    for alias in node.names]

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from noisecascade.cascaded import (
     build_system,
     closed_form_occupations,
     disconnected_baseline,
+    linear_response,
     occupations,
+    steady_state,
 )
 from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
@@ -102,6 +105,10 @@ REPEATED_OUTPUT_SWEEP = {**NEGATIVE_RATE_SWEEP, "outputs": ["n1", "n1"],
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
+# every noise term and N11 = 0.3 * max finite; unscaled, the solve's
+# Hermitian part 0.5 * (X + X†) would overflow
+MAX_NBAR_ARGV = ["steady-state", "--set", "kappa1=0.1", "--set", "gamma1=0.2", "--set", "kappa2=1",
+                 "--set", "nbar1=1.7976931348623157e308", "--set", "nbar3=1.7976931348623157e308"]
 # steady-state at unequal rates, and with mode 1 undamped but stable through F
 STEADY_STATE_UNEQUAL_RATES = ["steady-state", "--set", "kappa1=2", "--set", "kappa2=1",
                               "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar1=1"]
@@ -1538,11 +1545,15 @@ class TestZeroTemperature:
         assert notices == ["occupation n1 = -1.110e-16 clamped to 0"]
 
     def test_sweep_clamps_by_the_same_rule(self, caplog):
-        # mode 1 sees only bath 1 (gamma1 = 0, F = 0) at nbar1 = 0, so n1 is 0,
-        # and nbar3 + sum_j W_1j (nbar_j - nbar3) rounds to +-2.2e-16
-        doc = {"model": "cascaded",
-               "params": {"kappa2": 1.0, "gamma2": 1.0, "omega2": 1.0, "nbar3": 1.0},
-               "axes": [{"variable": "kappa1", "min": 0.25, "max": 2.0, "points": 8}],
+        # at F = 0 mode 1 does not see bath 2, so n1 = W_12 nbar2 is 0 at
+        # nbar1 = nbar3 = 0; at these graded rates the solve's forward error
+        # makes the computed W_12 about -2.0e-9
+        point = {"kappa1": 3.401668370530468e-06, "kappa2": 497.5997933843718,
+                 "gamma1": 1.5720362614624595e-05, "gamma2": 387.64141714077704,
+                 "omega1": 0.6520024343978597, "omega2": -1.7275923356078065,
+                 "phi": 6.080327158986618}
+        doc = {"model": "cascaded", "params": point,
+               "axes": [{"variable": "nbar2", "min": 1e-6, "max": 1e-5, "points": 4}],
                "outputs": ["n1", "n2"]}
         with caplog.at_level(logging.WARNING, logger="noisecascade"):
             result = run_sweep(parse_config(json.dumps(doc)))
@@ -1568,7 +1579,8 @@ class TestOverflowingInputs:
     """Finite inputs whose products overflow fail with one error line and no warning."""
 
     @pytest.mark.parametrize("argv, code, message", [
-        (HUGE_F_ARGV, 3, "error: Lyapunov residual "),
+        (HUGE_F_ARGV, 3,
+         "error: Lyapunov solve of the response to the bath occupations failed\n"),
         (HUGE_NBAR_ARGV, 2, "error: nbar3: noise term (nbar3 + 1/2) * rate is not finite\n"),
         (HUGE_DAMPING_ARGV, 2, "error: kappa1: damping (gamma1 + kappa1) / 2 is not finite\n"),
         (HUGE_DIAGONAL_ARGV, 2, "error: nbar1: noise matrix entry N11 is not finite\n"),
@@ -1627,6 +1639,21 @@ class TestOverflowingInputs:
         assert result.status.tolist() == ["ok"] and result.valid.all()
         assert result.values[0, -1] == -0.49999999999999994
 
+    def test_occupations_near_the_float_maximum(self):
+        # the Lyapunov solve scales N to a max-norm in [1/2, 1), so X + X† stays
+        # finite: a library call and the CLI, warnings as errors
+        sets = dict(arg.split("=") for arg in MAX_NBAR_ARGV[2::2])
+        p = CascadedParams(**{k: float(v) for k, v in sets.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Y, (W, _) = steady_state(p), linear_response(build_system(p))
+        assert np.isfinite(Y).all() and np.isfinite(W).all()
+        rc, out, err = fresh_process(MAX_NBAR_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
+        assert doc["n1"] == 1.7976931348623153e308 and doc["m1"] == 1.7976931348623155e308
+
     def test_overflowing_damping_is_invalid(self):
         for i in (1, 2):
             with pytest.raises(InvalidParamsError, match=rf"^kappa{i}: damping"):
@@ -1655,3 +1682,36 @@ class TestOverflowingInputs:
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status.tolist() == ["ok", "unsupported"]
         assert result.valid[0].all() and not result.valid[1, 1:].any()
+
+
+class TestOneOccupationFormula:
+    """``steady-state`` and a sweep form n_i = sum_j W_ij nbar_j alike."""
+
+    def test_steady_state_equals_a_one_point_sweep(self, capsys):
+        # two formulas for the same occupations, such as Y_ii - 1/2 and
+        # nbar3 + W (nbar - nbar3), differ in the last bits at most points
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(240):
+            rates = 10.0 ** rng.uniform(-12.0, 2.0, 4)
+            nbar = 10.0 ** rng.uniform(-3.0, 6.0, 3) * (rng.uniform(size=3) >= 0.3)
+            F = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            params = dict(zip(("kappa1", "kappa2", "gamma1", "gamma2"), rates.tolist()),
+                          omega2=rng.uniform(-5.0, 5.0), phi=rng.uniform(0.0, 2.0 * np.pi),
+                          F=str(complex(F)), nbar1=nbar[0], nbar2=nbar[1], nbar3=nbar[2])
+            params = {k: v if k == "F" else float(v) for k, v in params.items()}
+            argv = ["steady-state"] + [a for k, v in params.items() for a in ("--set", f"{k}={v}")]
+            rc = main(argv)
+            out, _ = capsys.readouterr()
+            kappa1 = params.pop("kappa1")
+            doc = {"model": "cascaded", "params": params, "outputs": ["n1", "n2"],
+                   "axes": [{"variable": "kappa1", "min": kappa1, "max": kappa1, "points": 1}]}
+            result = run_sweep(parse_config(json.dumps(doc)))
+            # a point fails (exit 3) exactly where its sweep row is unsupported
+            assert (rc == 0) == (result.status[0] == "ok"), argv
+            if rc == 0:
+                point = json.loads(out)
+                cells = result.values[0, 1:].tolist()
+                assert [point["n1"].hex(), point["n2"].hex()] == [x.hex() for x in cells], argv
+                compared += 1
+        assert compared >= 200
