@@ -251,6 +251,7 @@ def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArra
     return _clamped_occupations(np.diagonal(Y, axis1=-2, axis2=-1).real[..., None] - 0.5)
 
 
+@np.errstate(over="ignore")  # a sum past the float maximum is inf, which callers blank
 def _clamped_occupations(terms: NDArray[np.float64]) -> tuple[float, float] | tuple[NDArray, ...]:
     """(n1, n2) from the terms (..., 2, k) of each occupation, added in order
     after a zero (no -0.0; a point rounds as a stack does), with values that

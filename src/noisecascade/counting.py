@@ -70,13 +70,16 @@ arithmetic on 2x2 quantities, with no eigenvalue solve:
 
 The admissible region is the set of s where the tilting functions are
 finite, no eigenvalue of H_s lies on the imaginary axis
-(a_min = (sqrt(z_max) - sqrt(z_mid))/2 <= 1e-9 max|H_ij| counts as on it,
-with max|H_ij| taken from the blocks A_s, F+/2 and 2N + F+/2) and the
+(a_min = (sqrt(z_max) - sqrt(z_mid))/2 <= 1e-9 h counts as on it) and the
 cubic has three real roots (to a relative tolerance on its discriminant);
 an eigenvalue on the axis makes a pair of roots complex.  Its edges are
-where a pair of eigenvalues meets the axis.  The tests check theta against
-the 4x4 spectrum (tests/spectral_oracle.py) and against the stabilizing
-root itself (tests/riccati_oracle.py).  Expanding
+where a pair of eigenvalues meets the axis.  The scale h = max(max|M| +
+|f-/2| max|P|, 2 max|N| + |f+/2| max|P|) comes from per-point maxima: it
+is never below max|H_ij| over the blocks A_s, F+/2 and 2N + F+/2, above it
+by at most twice the smaller term of the larger sum (where M or 2N cancels
+the tilt), and infinite only where that sum overflows.  The tests check
+theta against the 4x4 spectrum (tests/spectral_oracle.py) and against the
+stabilizing root itself (tests/riccati_oracle.py).  Expanding
 sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation
 M sigma_k + sigma_k M† + S_k = 0 per order, with a Hermitian source S_k
 built from lower orders and the derivatives of the tilting functions at
@@ -126,9 +129,9 @@ class OutsideAdmissibleRegionError(Exception):
 
 
 def _unit_vector(sys: LinearSystem, channel: int):
-    """The channel's rate, bath occupation and unit vector u_hat (column
-    channel - 1 of U over sqrt(rate)), and the mask of the points where its
-    rate is zero.
+    """The channel's rate, bath occupation, unit vector u_hat (column
+    channel - 1 of U over sqrt(rate)) and projector P = u_hat u_hat†, and
+    the mask of the points where its rate is zero.
 
     One system raises ZeroRateChannelError instead; in a stack u_hat is NaN
     at a zero-rate point.
@@ -140,7 +143,8 @@ def _unit_vector(sys: LinearSystem, channel: int):
     zero = np.zeros(np.shape(rate), bool)
     zero = check_items(zero, rate <= 0.0, ZeroRateChannelError, f"channel {channel} has zero rate")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return rate, nbar, sys.U[..., :, c] / np.sqrt(rate)[..., None], zero
+        uhat = sys.U[..., :, c] / np.sqrt(rate)[..., None]
+    return rate, nbar, uhat, uhat[..., :, None] * uhat.conj()[..., None, :], zero
 
 
 def _tilting(nbar, s) -> tuple[NDArray, NDArray]:
@@ -191,25 +195,23 @@ def large_deviation(
     The stable sum is sqrt of the largest root of the resolvent cubic of
     det(lam - H_s), built from 2x2 quantities with no eigenvalue solve
     (module docstring).  Invalid input (a zero-rate channel, non-finite
-    matrices or tilting functions, a non-Hermitian N) fails at every s,
-    s = 0 included; at s = 0 only the admissibility check is skipped, and
-    theta is exactly zero, also for an unstable drift.  One point raises; a
-    stack of systems or a vector of s values gives (theta, failed), NaN
-    where it would.
+    matrices or tilting functions, an N that is not Hermitian, checked once
+    per point relative to max(max|N|, 1)) fails at every s, s = 0 included;
+    at s = 0 only the admissibility check is skipped, and theta is exactly
+    zero, also for an unstable drift.  One point raises; a stack of systems
+    or a vector of s values gives (theta, failed), NaN where it would.
     """
     s = np.asarray(s, dtype=float)
-    rate, nbar, uhat, _ = _unit_vector(sys, channel)
+    rate, nbar, uhat, P, _ = _unit_vector(sys, channel)
     error, message = OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {:.6g}"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_c, f_a = _tilting(nbar, s)
         fminus, fplus = rate * (f_c - f_a), rate * (f_c + f_a)
-        P = uhat[..., :, None] * uhat.conj()[..., None, :]
-        A = sys.M - (0.5 * fminus)[..., None, None] * P
-        Q = 2.0 * sys.N + (0.5 * fplus)[..., None, None] * P
-        # max|H_ij| over the blocks A_s†, F+/2, -Q and -A_s
-        scale = np.maximum(np.maximum(_maxabs(A), _maxabs(Q)), np.abs(0.5 * fplus) * _maxabs(P))
+        # h of the module docstring: per-point maxima, no (s, point) stack of 2x2 matrices
+        tilt_m, tilt_p = (np.abs(0.5 * f) * _maxabs(P) for f in (fminus, fplus))
+        scale = np.maximum(_maxabs(sys.M) + tilt_m, 2.0 * _maxabs(sys.N) + tilt_p)
         failed = check_items(np.zeros(scale.shape, bool), ~np.isfinite(scale), error, message, s)
-        failed = check_hermitian(failed, Q)
+        failed = check_hermitian(failed, sys.N)  # P is Hermitian: so is 2N + F+/2 where N is
         # an extra axis keeps one point in array arithmetic, which rounds like a stack
         M, N = (np.asarray(X)[..., None, :, :] for X in (sys.M, sys.N))
         t, e = _system_terms(M, N, np.asarray(uhat)[..., None, :])
@@ -262,9 +264,8 @@ def flow_cumulants(
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
     failed, M = _stable_drift(sys.M)
-    rate, nbar, uhat, zero = _unit_vector(sys, channel)
+    rate, nbar, _, P, zero = _unit_vector(sys, channel)
     failed = failed | zero
-    P = uhat[..., :, None] * uhat.conj()[..., None, :]
     # an extra axis makes one system solve as a stack; placeholders keep failed items out
     sources = np.where(failed[..., None, None, None], 0.0, np.stack([sys.N, P], axis=-3))
     X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)

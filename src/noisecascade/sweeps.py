@@ -370,12 +370,12 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     the margin and the linear response (W, G) are computed once per distinct
     system, and each point's occupations and flows follow from its nbar.  A
     cell is blank where its quantity is undefined: an unstable drift, a
-    failed Lyapunov solve (n*, dn*, eta*), a baseline m_i that is not finite
-    (m_i, dn_i; NaN where kappa_i + gamma_i = 0), unequal rates (n*_closed),
-    a zero-rate channel (eta*, and theta at every s, s = 0 included) or an s
-    outside the admissible region (theta; s = 0 is inside, with theta = 0).
-    A stable row with a blank cell is ``unsupported``, as is a point whose
-    parameters are invalid.
+    failed Lyapunov solve (n*, dn*, eta*), an n_i (inf past the float
+    maximum) or m_i that is not finite (with dn_i; m_i is NaN where kappa_i
+    + gamma_i = 0), unequal rates (n*_closed), a zero-rate channel (eta*, and
+    theta at every s, s = 0 included) or an s outside the admissible region
+    (theta; s = 0 is inside, with theta = 0).  A stable row with a blank
+    cell is ``unsupported``, as is a point whose parameters are invalid.
     """
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
@@ -412,11 +412,12 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
         n = _clamped_occupations(W * np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)[..., None, :])
         eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
+        has_n = has_response & np.isfinite(n)  # n_i is inf where its sum passes the float maximum
         zero_rate = distinct.rate[inverse] <= 0.0
         for i in (0, 1):
-            cells[f"n{i + 1}"] = [(n[i], has_response)]
+            cells[f"n{i + 1}"] = [(n[i], has_n[i])]
             if {"dn1", "dn2"} & set(cfg.outputs):
-                cells[f"dn{i + 1}"] = [(n[i] - base[i], has_response & defined[i])]
+                cells[f"dn{i + 1}"] = [(n[i] - base[i], has_n[i] & defined[i])]
         for k in (0, 1, 2):
             cells[f"eta{k + 1}"] = [(eta[:, k], has_response & ~zero_rate[:, k])]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):

@@ -10,10 +10,14 @@ quantities; this module instead assembles
 and sums its stable eigenvalues from one eigvals call,
 theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].  This form holds for
 any number n of modes, so it is also the route to counting statistics of a
-larger model.  The admissibility rule is the package's: the tilting
-functions are finite, 2N + F+/2 is Hermitian, no eigenvalue has
-|Re lam| <= 1e-9 max|H_ij| and exactly n have Re lam > 0; at s = 0 only the
-last two checks are skipped and theta is exactly zero.
+larger model.  The admissibility rule: the tilting functions are finite,
+2N + F+/2 is Hermitian, no eigenvalue has |Re lam| <= 1e-9 max|H_ij| and
+exactly n have Re lam > 0; at s = 0 only the last two checks are skipped
+and theta is exactly zero.  It takes max|H_ij| from H_s itself and checks
+2N + F+/2 at each s.  The package checks N once per point and takes a
+per-point bound that is never below max|H_ij| (below 3 max|H_ij| on random
+and graded systems), so the two rules differ only next to an edge of the
+admissible region.
 
 Every function takes one system or a stack and returns (theta, failed)
 arrays, with NaN in the failed items.

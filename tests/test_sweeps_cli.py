@@ -109,6 +109,22 @@ HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
 # Hermitian part 0.5 * (X + X†) would overflow
 MAX_NBAR_ARGV = ["steady-state", "--set", "kappa1=0.1", "--set", "gamma1=0.2", "--set", "kappa2=1",
                  "--set", "nbar1=1.7976931348623157e308", "--set", "nbar3=1.7976931348623157e308"]
+# every bath at the float maximum: the weights of mode 2 sum to 1 + a few ulp,
+# so its occupation sum passes the maximum, as a CLI call and a one-point sweep
+FLOAT_MAX = "1.7976931348623157e308"
+OVERFLOWING_SUM_ARGV = ["steady-state"] + [
+    arg for value in ("kappa1=0.1", "gamma1=0.1", "kappa2=0.1", "gamma2=0.1", f"nbar1={FLOAT_MAX}",
+                      f"nbar2={FLOAT_MAX}", f"nbar3={FLOAT_MAX}", "F=0.05", "omega2=0.3", "phi=1")
+    for arg in ("--set", value)
+]
+OVERFLOWING_SUM_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa1": 0.1, "gamma1": 0.1, "kappa2": 0.1, "gamma2": 0.1,
+               "nbar1": float(FLOAT_MAX), "nbar2": float(FLOAT_MAX), "F": "0.05", "omega2": 0.3,
+               "phi": 1.0},
+    "axes": [{"variable": "nbar3", "min": float(FLOAT_MAX), "max": float(FLOAT_MAX), "points": 1}],
+    "outputs": ["n1", "n2", "dn1", "m1"],
+}
 # steady-state at unequal rates, and with mode 1 undamped but stable through F
 STEADY_STATE_UNEQUAL_RATES = ["steady-state", "--set", "kappa1=2", "--set", "kappa2=1",
                               "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar1=1"]
@@ -1653,6 +1669,20 @@ class TestOverflowingInputs:
         doc = json.loads(out)
         assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
         assert doc["n1"] == 1.7976931348623153e308 and doc["m1"] == 1.7976931348623155e308
+
+    def test_occupation_sum_past_the_float_maximum(self):
+        # n2 is inf: null in steady-state and a blank cell in a sweep, as a
+        # baseline without a rate, with no warning
+        rc, out, err = fresh_process(OVERFLOWING_SUM_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["n1"] == float(FLOAT_MAX) and doc["n2"] is None and doc["dn2"] is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_sweep(parse_config(json.dumps(OVERFLOWING_SUM_SWEEP)))
+        assert result.status.tolist() == ["unsupported"]
+        assert result.valid[0].tolist() == [True, True, False, True, True]
+        assert result.values[0, 1] == doc["n1"]
 
     def test_overflowing_damping_is_invalid(self):
         for i in (1, 2):
