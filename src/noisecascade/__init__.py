@@ -7,12 +7,10 @@ from .cascaded import (
     closed_form_occupations,
     disconnected_baseline,
     linear_response,
-    occupation_from_temperature,
     occupations,
     steady_state,
-    temperature_from_occupation,
 )
-from .counting import flow_cumulants, large_deviation, simplified_flows
+from .counting import flow_cumulants, large_deviation
 from .linalg import solve_lyapunov, stability_margin
 from .optomech import (
     OmParams,
@@ -30,15 +28,12 @@ __all__ = [
     "closed_form_occupations",
     "disconnected_baseline",
     "linear_response",
-    "occupation_from_temperature",
     "occupations",
     "steady_state",
-    "temperature_from_occupation",
     "solve_lyapunov",
     "stability_margin",
     "flow_cumulants",
     "large_deviation",
-    "simplified_flows",
     "OmParams",
     "design_nonreciprocal",
     "map_to_cascaded",

@@ -11,7 +11,9 @@ space: the amplitudes obey dc/dt = M c + noise, channel c couples through
 column c - 1 of the coupling matrix U (input-output form, M + M† = -U U†),
 and the covariance Y_jk = (1/2)<c_j c_k† + c_k† c_j> solves
 M Y + Y M† + N = 0 with N = U diag(nbar + 1/2) U†.  The vacuum is Y = I/2,
-and the occupations n_i = Y_ii - 1/2 are sum_j W_ij nbar_j (``linear_response``).
+and the occupations n_i = Y_ii - 1/2 equal sum_j W_ij nbar_j, which
+``occupations`` adds from the weights W of ``linear_response`` with no
+vacuum 1/2 to cancel.
 
 Each CascadedParams field is a scalar (one point) or an array (one item per
 point), and everything here is array arithmetic.  As in ``linalg``, one point
@@ -22,7 +24,6 @@ raises on bad input, while arrays report bad items as masks (``invalid``, and
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,19 +245,15 @@ def _stable_drift(M: NDArray, failed: NDArray[np.bool_] | None = None):
     return failed, np.where(failed[..., None, None], -np.eye(2), M)
 
 
-def occupations(Y: NDArray[np.complex128]) -> tuple[float, float] | tuple[NDArray, NDArray]:
-    """Mode occupations n_i = Y_ii - 1/2 from the mode-space covariance(s),
-    clamped at zero as ``_clamped_occupations`` does; the subtraction cancels
-    where n_i << 1/2, which sum_j W_ij nbar_j of ``linear_response`` does not."""
-    return _clamped_occupations(np.diagonal(Y, axis1=-2, axis2=-1).real[..., None] - 0.5)
-
-
 @np.errstate(over="ignore")  # a sum past the float maximum is inf, which callers blank
-def _clamped_occupations(terms: NDArray[np.float64]) -> tuple[float, float] | tuple[NDArray, ...]:
-    """(n1, n2) from the terms (..., 2, k) of each occupation, added in order
-    after a zero (no -0.0; a point rounds as a stack does), with values that
-    round slightly below zero near vacuum clamped to zero and noted with a
-    warning on the "noisecascade" logger, silent unless logging is configured."""
+def occupations(W: NDArray, nbar: NDArray) -> tuple[float, float] | tuple[NDArray, NDArray]:
+    """(n1, n2) with n_i = sum_j W_ij nbar_j from the occupation weights W
+    (..., 2, k) of ``linear_response`` and the bath occupations nbar (..., k),
+    the terms added in order after a zero (no -0.0; a point rounds as a stack
+    does).  A value that rounds slightly below zero near vacuum is clamped to
+    zero and noted with a warning on the "noisecascade" logger, silent unless
+    logging is configured."""
+    terms = W * nbar[..., None, :]
     n = sum(terms[..., c] for c in range(terms.shape[-1]))
     for i in range(2):
         if (n[..., i] < 0.0).any():
@@ -352,47 +349,3 @@ def disconnected_baseline(p: CascadedParams) -> tuple[float, float] | tuple[NDAr
     """
     pairs = (p.kappa1, p.gamma1, p.nbar1), (p.kappa2, p.gamma2, p.nbar2)
     return tuple(np.divide(k, k + g) * n + np.divide(g, k + g) * p.nbar3 for k, g, n in pairs)
-
-
-def _check_conversion(hbar_over_kB: float, **args: float) -> None:
-    """Raise InvalidParamsError naming the first non-finite argument, or a
-    hbar_over_kB that is not positive."""
-    for name, value in {**args, "hbar_over_kB": hbar_over_kB}.items():
-        if not math.isfinite(value):
-            raise InvalidParamsError(f"{name} must be finite")
-    if hbar_over_kB <= 0.0:
-        raise InvalidParamsError("hbar_over_kB must be positive")
-
-
-def occupation_from_temperature(T: float, omega: float, hbar_over_kB: float = 1.0) -> float:
-    """Bose-Einstein occupation of a mode at frequency omega and temperature T.
-
-    Raises InvalidParamsError on non-finite arguments and where the occupation
-    overflows (hbar_over_kB omega / T underflows to 0 or near it)."""
-    _check_conversion(hbar_over_kB, T=T, omega=omega)
-    if T < 0.0 or omega <= 0.0:
-        raise InvalidParamsError("T must be >= 0 and omega > 0")
-    x = hbar_over_kB * omega / T if T > 0.0 else math.inf
-    if x > 700.0:  # T = 0, or exp would overflow: the occupation underflows to zero
-        return 0.0
-    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf
-    if math.isinf(n):
-        raise InvalidParamsError(f"occupation overflows: hbar_over_kB omega / T = {x:.3e}")
-    return n
-
-
-def temperature_from_occupation(nbar: float, omega: float, hbar_over_kB: float = 1.0) -> float:
-    """Inverse of occupation_from_temperature; requires nbar > 0.
-
-    Raises InvalidParamsError on non-finite arguments and where the
-    temperature leaves the float range (overflows, or underflows to 0)."""
-    _check_conversion(hbar_over_kB, nbar=nbar, omega=omega)
-    if nbar <= 0.0 or omega <= 0.0:
-        raise InvalidParamsError("nbar and omega must be positive")
-    inverse = 1.0 / nbar
-    # ln(1 + 1/nbar) = -ln(nbar) to the last bit where 1/nbar overflows
-    x = math.log1p(inverse) if inverse < math.inf else -math.log(nbar)
-    T = hbar_over_kB * omega / x
-    if not 0.0 < T < math.inf:
-        raise InvalidParamsError(f"temperature leaves the float range: T = {T:.3e}")
-    return T

@@ -73,11 +73,16 @@ finite, no eigenvalue of H_s lies on the imaginary axis
 (a_min = (sqrt(z_max) - sqrt(z_mid))/2 <= 1e-9 h counts as on it) and the
 cubic has three real roots (to a relative tolerance on its discriminant);
 an eigenvalue on the axis makes a pair of roots complex.  Its edges are
-where a pair of eigenvalues meets the axis.  The scale h = max(max|M| +
-|f-/2| max|P|, 2 max|N| + |f+/2| max|P|) comes from per-point maxima: it
-is never below max|H_ij| over the blocks A_s, F+/2 and 2N + F+/2, above it
-by at most twice the smaller term of the larger sum (where M or 2N cancels
-the tilt), and infinite only where that sum overflows.  The tests check
+where a pair of eigenvalues meets the axis.  There two eigenvalues of H_s
+nearly collide, and both this closed form and an eigenvalue solve resolve
+|Re lam| only to about sqrt(eps) max|H_ij|, coarser than 1e-9 h: the tests
+find every edge where the 4x4 spectrum does to 1e-12 relative in s on
+systems with O(1) rates, and to 1e-3 on graded ones.  The scale
+h = max(max|M| + |f-/2| max|P|, 2 max|N| + |f+/2| max|P|) comes from
+per-point maxima: it is never below max|H_ij| over the blocks A_s, F+/2 and
+2N + F+/2, above it by at most twice the smaller term of the larger sum
+(where M or 2N cancels the tilt), and infinite only where that sum
+overflows.  The tests check
 theta against the 4x4 spectrum (tests/spectral_oracle.py) and against the
 stabilizing root itself (tests/riccati_oracle.py).  Expanding
 sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation
@@ -100,7 +105,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, LinearSystem, UnsupportedParamsError, _stable_drift
+from .cascaded import LinearSystem, _stable_drift
 from .linalg import (
     SingularSystemError,
     _dagger,
@@ -314,23 +319,3 @@ def flow_cumulants(
     # [()]: one system's eta stays a numpy scalar
     etas = [np.where(failed, np.nan, eta)[()] for eta in etas]
     return (etas, failed) if failed.ndim else etas
-
-
-def simplified_flows(p: CascadedParams) -> tuple[float, float, float]:
-    """Closed-form first moments for equal rates and F = 0.
-
-    The occupancy symbols here are the *bath* occupations: numerically
-    matching these expressions against the general trace formula singles out
-    that reading.  The three flows sum to zero identically.  One point only.
-    """
-    if np.ndim(p.omega1):
-        raise ValueError("simplified_flows takes one parameter point; arrays are not supported")
-    kappa = p.equal_rate()
-    if p.F != 0:
-        raise UnsupportedParamsError("simplified flows require F = 0")
-    lorentz = 2.0 * kappa**2 / (4.0 * kappa**2 + p.detuning**2)
-    n1b, n2b, n3b = p.nbar1, p.nbar2, p.nbar3
-    eta1 = kappa * (n3b - n1b)
-    eta2 = kappa * (lorentz * (n1b - n3b) + (n3b - n2b))
-    eta3 = kappa * (lorentz * (n3b - n1b) + (n1b - n3b) + (n2b - n3b))
-    return eta1, eta2, eta3

@@ -44,9 +44,19 @@ class NonSymmetricInputError(Exception):
 
 
 def _mean_half_disc(M: NDArray[np.complex128]) -> tuple[NDArray, NDArray, NDArray]:
-    """mean, half and disc = sqrt(half^2 + M01 M10) of ``eigenvalues_2x2`` for
-    a matrix or stack with an extra axis (..., 1, 2, 2)."""
-    mean, half = (M[..., 0, 0] + M[..., 1, 1]) / 2.0, (M[..., 0, 0] - M[..., 1, 1]) / 2.0
+    """mean, half and disc of a matrix or stack with an extra axis
+    (..., 1, 2, 2), whose eigenvalues are mean +- disc: mean and half are the
+    half-sum and half-difference of the diagonal, and disc = sqrt(half^2 +
+    M01 M10).  Unlike tr^2 - 4 det, this keeps a large common diagonal from
+    rounding away the damping or overflowing.  Each diagonal entry is halved
+    before the sum and the difference, which then cannot overflow (frequencies
+    of opposite signs near the float maximum); halving is exact above the
+    subnormal range, so the bits stay wherever M00 +- M11 is finite.  Where
+    half^2 or M01 M10 overflows, the discriminant is taken of the entries
+    scaled by a power of two; every other item keeps the unscaled formula bit
+    for bit."""
+    m00, m11 = M[..., 0, 0] / 2.0, M[..., 1, 1] / 2.0
+    mean, half = m00 + m11, m00 - m11
     m01, m10 = M[..., 0, 1], M[..., 1, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         disc = np.sqrt(half * half + m01 * m10)
@@ -59,19 +69,6 @@ def _mean_half_disc(M: NDArray[np.complex128]) -> tuple[NDArray, NDArray, NDArra
         h, a, b = h / scale, a / scale, b / scale
         disc[overflow] = scale * np.sqrt(h * h + a * b)
     return mean, half, disc
-
-
-def eigenvalues_2x2(M: NDArray[np.complex128]) -> tuple[complex, complex]:
-    """Closed-form eigenvalues mean +- sqrt(half^2 + M01 M10) of a 2x2 complex
-    matrix or a stack, with mean and half the half-sum and half-difference of
-    the diagonal: unlike tr^2 - 4 det, this keeps a large common diagonal from
-    rounding away the damping or overflowing.  Where half^2 or M01 M10
-    overflows, the discriminant is taken of the entries scaled by a power of
-    two; every other item keeps the unscaled formula bit for bit."""
-    # an extra axis keeps one matrix in array arithmetic, which rounds complex
-    # products like a stack does (numpy scalars may differ in the last bit)
-    mean, _, disc = _mean_half_disc(np.asarray(M, dtype=complex)[..., None, :, :])
-    return (mean + disc)[..., 0], (mean - disc)[..., 0]
 
 
 def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
@@ -93,7 +90,9 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     smaller, so where it is accurate its bits stay; where the products
     overflow it stays too.
     """
-    M = np.asarray(M, dtype=complex)[..., None, :, :]  # as in eigenvalues_2x2
+    # an extra axis keeps one matrix in array arithmetic, which rounds complex
+    # products like a stack does (numpy scalars may differ in the last bit)
+    M = np.asarray(M, dtype=complex)[..., None, :, :]
     mean, half, disc = _mean_half_disc(M)
     rho, step = mean.real, np.abs(disc.real)
     big, other = rho + np.copysign(step, rho), rho - np.copysign(step, rho)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, _ParamSet
+from .cascaded import CascadedParams, InvalidParamsError, _ParamSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,21 +137,30 @@ def map_to_cascaded(p: OmParams) -> CascadedParams:
     )
 
 
+# chi(Omega) overflows where |gamma_m/2 - i (Omega - omega_m)| is below about
+# 1 / float max, and J* where G1 G2 |chi| passes the float maximum: both raise
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
     """Hopping rate and phase that cancel the residual coherent hopping F.
 
     J* = G1 G2 |chi(Omega)| and phi* = arg(i chi(Omega)), so that
     J* - i chi(Omega) G1 G2 e^{-i phi*} = 0 with J* real.  One point only:
-    array parameters raise ValueError.
+    array parameters raise ValueError.  A chi(Omega) or a design point
+    outside the float range raises InvalidParamsError.
     """
     if np.ndim(p.omega_m):
         raise ValueError("design_nonreciprocal takes one parameter point; arrays are not supported")
     if p.G1 * p.G2 <= 0.0:
         raise NoCouplingError("design condition needs G1 * G2 > 0")
     chi = mech_susceptibility(p.Omega, p)
+    if not np.isfinite(chi):
+        message = "gamma_m: susceptibility 1 / (gamma_m/2 - i (Omega - omega_m)) is not finite"
+        raise InvalidParamsError(message)
     j_star = p.G1 * p.G2 * abs(chi)
     phi_star = float(np.angle(1j * chi))
     residual = abs(j_star - 1j * chi * p.G1 * p.G2 * np.exp(-1j * phi_star))
+    if not np.isfinite([j_star, residual]).all():
+        raise InvalidParamsError("G1, G2: design point J* = G1 G2 |chi(Omega)| is not finite")
     return NonReciprocalDesign(j_star=j_star, phi_star=phi_star, residual=residual)
 
 

@@ -51,11 +51,11 @@ from numpy.typing import NDArray
 from .cascaded import (
     CascadedParams,
     LinearSystem,
-    _clamped_occupations,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     linear_response,
+    occupations,
 )
 from .counting import large_deviation
 from .linalg import stability_margin
@@ -410,7 +410,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         W, G, no_response = linear_response(distinct)
         W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
         # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
-        n = _clamped_occupations(W * np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)[..., None, :])
+        n = occupations(W, np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1))
         eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
         has_n = has_response & np.isfinite(n)  # n_i is inf where its sum passes the float maximum
         zero_rate = distinct.rate[inverse] <= 0.0

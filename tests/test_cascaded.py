@@ -1,5 +1,5 @@
 """Cascaded two-oscillator model: system construction, steady states,
-closed-form occupations, baselines, and temperature conversions.
+occupations, closed-form occupations and baselines.
 
 The key oracle is the equal-rate closed-form occupation pair, checked to
 tight tolerance against the independent Lyapunov numeric path.
@@ -20,15 +20,12 @@ from noisecascade.cascaded import (
     LinearSystem,
     UnstableSystemError,
     UnsupportedParamsError,
-    _clamped_occupations,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     linear_response,
-    occupation_from_temperature,
     occupations,
     steady_state,
-    temperature_from_occupation,
 )
 from noisecascade.counting import flow_cumulants
 from noisecascade.linalg import SingularSystemError, stability_margin
@@ -46,6 +43,13 @@ def assert_input_output_form(sys):
     defect = M + M.conj().swapaxes(-2, -1) + U @ U.conj().swapaxes(-2, -1)
     scale = np.maximum(sys.rate.max(axis=-1), 1.0)
     assert (np.abs(defect).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+
+
+def numeric_occupations(p):
+    """(n1, n2) of one point: occupations(W, nbar) from its linear response."""
+    sys = build_system(p)
+    W, _ = linear_response(sys)
+    return occupations(W, sys.nbar)
 
 
 def random_equal_rate_params(nbar_max=200.0):
@@ -214,7 +218,7 @@ class TestSteadyState:
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,
                            gamma1=0.0, gamma2=0.0)
-        n1, n2 = occupations(steady_state(p))
+        n1, n2 = numeric_occupations(p)
         assert n1 == pytest.approx(3.0, abs=1e-12)
         assert n2 == pytest.approx(7.0, abs=1e-12)
 
@@ -222,7 +226,7 @@ class TestSteadyState:
         for _ in range(100):
             p = random_equal_rate_params()
             n1c, n2c = closed_form_occupations(p)
-            n1n, n2n = occupations(steady_state(p))
+            n1n, n2n = numeric_occupations(p)
             assert abs(n1n - n1c) <= 1e-10 * max(abs(n1c), 1.0)
             assert abs(n2n - n2c) <= 1e-10 * max(abs(n2c), 1.0)
 
@@ -254,7 +258,7 @@ class TestDeltaN:
         base = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
                     nbar1=40.0, nbar2=10.0, nbar3=6.0)
         p_far = CascadedParams(omega1=0.0, omega2=1e7, **base)
-        n_far = occupations(steady_state(p_far))
+        n_far = numeric_occupations(p_far)
         m = disconnected_baseline(p_far)
         np.testing.assert_allclose(n_far, m, atol=1e-6)
 
@@ -264,7 +268,7 @@ class TestDeltaN:
             omega1=0.0, omega2=3.0, kappa1=1.0, kappa2=1.0, gamma1=1.0,
             gamma2=1.0, F=0.0, nbar1=100.0, nbar2=150.0, nbar3=0.0,
         )
-        (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+        (n1, n2), (m1, m2) = numeric_occupations(p), disconnected_baseline(p)
         assert abs(n1 - m1) < 1e-10
         # dn2 carries the Lorentzian-weighted imbalance
         lorentz = 2.0 * 1.0 / (4.0 + 9.0)
@@ -293,7 +297,7 @@ class TestDeltaN:
             p = CascadedParams(kappa2=1.0, gamma2=1.0, F=0.5, nbar2=2.0, nbar3=1.0)
             m1, m2 = disconnected_baseline(p)
             assert math.isnan(m1) and m2 == 1.5
-            assert occupations(steady_state(p)) == pytest.approx((1.5, 1.5), abs=1e-12)
+            assert numeric_occupations(p) == pytest.approx((1.5, 1.5), abs=1e-12)
             rate1, rate2 = np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.0, 3.0, 0.0])
             q = CascadedParams(kappa1=rate1, gamma1=rate2, kappa2=rate2, gamma2=rate2[::-1],
                                nbar1=1.0, nbar2=2.0, nbar3=0.5)
@@ -319,9 +323,10 @@ class TestDeltaN:
                            kappa1=rates(), kappa2=rates(), gamma1=rates(), gamma2=rates(),
                            phi=rng.uniform(0, 2 * np.pi, size),
                            **{f"nbar{i}": rng.uniform(0.0, 50.0, size) for i in (1, 2, 3)})
-        Y, failed = steady_state(p)
+        sys = build_system(p)
+        W, _, failed = linear_response(sys)
         assert not failed.any() and (p.kappa1 != p.gamma1).all()
-        (n1, _), (m1, _) = occupations(Y), disconnected_baseline(p)
+        (n1, _), (m1, _) = occupations(W, sys.nbar), disconnected_baseline(p)
         assert (np.abs(n1 - m1) <= 1e-12 * m1).all()
 
     def test_baseline_is_the_large_detuning_limit_at_unequal_rates(self):
@@ -331,7 +336,7 @@ class TestDeltaN:
         error = {}
         for delta in (1e4, 1e6):
             p = CascadedParams(omega2=delta, **base)
-            n, m = occupations(steady_state(p)), disconnected_baseline(p)
+            n, m = numeric_occupations(p), disconnected_baseline(p)
             error[delta] = np.abs(np.subtract(n, m)) / m
         assert (error[1e6] < 1e-5).all() and (50.0 * error[1e6] <= error[1e4]).all()
 
@@ -346,59 +351,8 @@ class TestEquilibrium:
                 gamma1=p.gamma1, gamma2=p.gamma2, phi=p.phi, F=p.F,
                 nbar1=nbar, nbar2=nbar, nbar3=nbar,
             )
-            for n in closed_form_occupations(p) + occupations(steady_state(p)):
+            for n in closed_form_occupations(p) + numeric_occupations(p):
                 assert n == pytest.approx(nbar, abs=1e-10 * max(nbar, 1.0))
-
-
-class TestTemperatureConversion:
-    def test_round_trip(self):
-        for T in (0.1, 1.0, 17.5):
-            n = occupation_from_temperature(T, omega=2.0)
-            assert temperature_from_occupation(n, omega=2.0) == pytest.approx(T)
-
-    def test_zero_temperature(self):
-        assert occupation_from_temperature(0.0, omega=1.0) == 0.0
-
-    def test_high_temperature_is_classical(self):
-        # equipartition: nbar -> kT / (hbar omega)
-        n = occupation_from_temperature(1e6, omega=1.0)
-        assert n == pytest.approx(1e6, rel=1e-5)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParamsError):
-            occupation_from_temperature(-1.0, omega=1.0)
-        with pytest.raises(InvalidParamsError):
-            temperature_from_occupation(0.0, omega=1.0)
-
-    @pytest.mark.parametrize("convert", [occupation_from_temperature, temperature_from_occupation])
-    def test_nonfinite_and_nonpositive_constant_are_named(self, convert):
-        first = convert.__code__.co_varnames[0]  # T or nbar
-        for value in (np.inf, -np.inf, np.nan):
-            with pytest.raises(InvalidParamsError, match=f"^{first} must be finite$"):
-                convert(value, 1.0)
-            with pytest.raises(InvalidParamsError, match="^omega must be finite$"):
-                convert(1.0, value)
-            with pytest.raises(InvalidParamsError, match="^hbar_over_kB must be finite$"):
-                convert(1.0, 1.0, value)
-        for hbar_over_kB in (0.0, -1.0):
-            with pytest.raises(InvalidParamsError, match="^hbar_over_kB must be positive$"):
-                convert(1.0, 1.0, hbar_over_kB)
-
-    def test_out_of_range_results_raise(self):
-        # hbar omega / kT underflows to 0 (or 1/expm1 of it overflows): n beyond floats
-        for T, omega in ((1e308, 1e-300), (1e300, 1e-9)):
-            with pytest.raises(InvalidParamsError, match="^occupation overflows"):
-                occupation_from_temperature(T, omega)
-        # T = omega / ln(1 + 1/nbar) overflows, or underflows to 0
-        for nbar, omega in ((1e308, 10.0), (1e-300, 5e-324)):
-            with pytest.raises(InvalidParamsError, match="^temperature leaves the float range"):
-                temperature_from_occupation(nbar, omega)
-
-    def test_subnormal_occupation(self):
-        # 1/nbar overflows, and ln(1 + 1/nbar) = -ln(nbar) to the last bit
-        for nbar in (1e-310, 5e-324):
-            assert temperature_from_occupation(nbar, 2.0) == 2.0 / -math.log(nbar)
-        assert temperature_from_occupation(1e-300, 2.0) == 2.0 / math.log1p(1e300)
 
 
 # each class's validity rule, restated apart from the package: its positive
@@ -762,7 +716,7 @@ class TestLinearResponse:
         response does not flag, and the exact occupations of the same doubles."""
         sys = build_system(p)
         W, _, failed = linear_response(sys)
-        n = np.stack(_clamped_occupations(W * sys.nbar[..., None, :]), axis=-1)
+        n = np.stack(occupations(W, sys.nbar), axis=-1)
         kept = np.flatnonzero(~failed)
         exact = [exact_occupations(sys.M[i], sys.U[i], sys.nbar[i]) for i in kept]
         return n[kept], np.array(exact, float).reshape(-1, 2)
@@ -770,7 +724,7 @@ class TestLinearResponse:
     def test_occupations_match_exact_oracle_on_graded_systems(self):
         # rates 10^U(-12, 2), nbar 10^U(-3, 6) with 30 % set to 0, and the
         # detuning, F and phi of the graded cumulant check: the worst error is
-        # 3.9e-11, where Y_ii - 1/2 of ``occupations`` is off by up to 4.5e-4
+        # 3.9e-11, where Y_ii - 1/2 of the steady state is off by up to 4.5e-4
         rng = np.random.default_rng(0)
         rates = 10.0 ** rng.uniform(-12.0, 2.0, (4, 300))
         nbar = 10.0 ** rng.uniform(-3.0, 6.0, (3, 300)) * (rng.uniform(size=(3, 300)) >= 0.3)
@@ -794,7 +748,7 @@ class TestLinearResponse:
         n, exact = self.occupations_and_exact(p)
         assert len(n) == 2 and (np.abs(n - exact) <= self.ORACLE_RTOL * exact).all()
         assert n[0, 0] == 9.99999999999e-07 and n[1, 0] == 9.99999999e-13
-        vacuum_read = occupations(steady_state(small))[0]
+        vacuum_read = steady_state(small)[0, 0].real - 0.5
         assert abs(vacuum_read - exact[1, 0]) > 1e4 * self.ORACLE_RTOL * exact[1, 0]
 
     def test_rate_near_the_float_maximum(self):

@@ -18,7 +18,6 @@ from noisecascade.counting import (
     ZeroRateChannelError,
     flow_cumulants,
     large_deviation,
-    simplified_flows,
 )
 from noisecascade.linalg import (
     NonSymmetricInputError,
@@ -29,6 +28,7 @@ from noisecascade.linalg import (
     stability_margin,
 )
 from noisecascade.optomech import OmParams, map_to_cascaded
+from equal_rate_flows import simplified_flows
 from exact_cumulant_oracle import exact_cumulants
 from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
 import spectral_oracle

@@ -13,10 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
+import noisecascade
 from noisecascade.linalg import (
     NonSymmetricInputError,
     SingularSystemError,
-    eigenvalues_2x2,
     solve_lyapunov,
     stability_margin,
     stacked_product,
@@ -32,7 +32,7 @@ RNG = np.random.default_rng(20240817)
 def random_stable_drift():
     """Random 2x2 complex matrix shifted to have strictly negative real parts."""
     M = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
-    shift = max(l.real for l in eigenvalues_2x2(M))
+    shift = stability_margin(M)
     return M - (shift + 0.5 + RNG.uniform(0, 2)) * np.eye(2)
 
 
@@ -114,26 +114,28 @@ class TestStabilityMargin:
         # half^2 overflowed to NaN here; a RuntimeWarning is an error in the tests
         M = build_system(CascadedParams(omega2=1e160, kappa1=1.0, kappa2=1.0)).M
         assert stability_margin(M) == -0.5
-        # M01 M10 overflows too; eigenvalues agree with eigvals of M / 2^700 times 2^700
+        # M00 - M11 overflowed to NaN at opposite frequencies near the float maximum
+        M = build_system(CascadedParams(omega1=1e308, omega2=-1e308, kappa1=1.0, kappa2=1.0)).M
+        assert stability_margin(M) == -0.5
+        # M01 M10 overflows too; the margin agrees with eigvals of M / 2^700 times 2^700
         big = np.array([[3e200j - 1.0, 2e200], [-1.5e200 + 1e199j, -1e200j - 2.0]])
-        lam = np.sort_complex(np.array(eigenvalues_2x2(big)))
-        reference = np.sort_complex(np.linalg.eigvals(big / 2.0**700) * 2.0**700)
-        assert np.abs(lam - reference).max() <= 1e-14 * np.abs(big).max()
-        # items whose unscaled formula is finite keep its bits, next to overflowing ones
+        reference = np.linalg.eigvals(big / 2.0**700).real.max() * 2.0**700
+        assert abs(stability_margin(big) - reference) <= 1e-14 * np.abs(big).max()
+        # items whose unscaled discriminant is finite keep their bits next to
+        # overflowing ones, and every item equals its single call
         M = RNG.normal(size=(64, 2, 2)) + 1j * RNG.normal(size=(64, 2, 2))
         M[::8] *= 1e180
         M[1::8, 0, 1] *= 1e300  # large, but M01 M10 stays finite
-        stack = eigenvalues_2x2(M)
-        mean, half = (M[:, 0, 0] + M[:, 1, 1]) / 2.0, (M[:, 0, 0] - M[:, 1, 1]) / 2.0
+        stack = stability_margin(M)
+        half = (M[:, 0, 0] - M[:, 1, 1]) / 2.0
         with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.sqrt(half * half + M[:, 0, 1] * M[:, 1, 0])
-        finite = np.isfinite(disc)
-        assert finite.sum() == 56
-        for got, plain in zip(stack, (mean + disc, mean - disc)):
-            assert np.isfinite(got).all()
-            assert_same_bits(got[finite], plain[finite])
+            finite = np.isfinite(np.sqrt(half * half + M[:, 0, 1] * M[:, 1, 0]))
+        assert finite.sum() == 56 and np.isfinite(stack).all()
+        assert_same_bits(stack[finite], stability_margin(M[finite]))
         for i in range(64):
-            assert_same_bits(np.array(eigenvalues_2x2(M[i])), np.array([stack[0][i], stack[1][i]]))
+            reference = np.linalg.eigvals(M[i] / 2.0**700).real.max() * 2.0**700
+            assert abs(stack[i] - reference) <= 1e-14 * np.abs(M[i]).max(), i
+            assert_same_bits(stability_margin(M[i]), stack[i])
 
     def test_disparate_damping_rates_keep_the_small_root(self):
         from noisecascade.cascaded import CascadedParams, build_system
@@ -513,6 +515,18 @@ def test_oracles_import_nothing_from_the_package():
         modules += [node.module or "" for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom)]
         assert modules and not any(m.split(".")[0] == "noisecascade" for m in modules), name
+
+
+def test_commands_import_no_private_names():
+    # the commands run on the package's public functions: what a command needs
+    # of another module is public there, and its tests and tracer see it
+    package = pathlib.Path(noisecascade.__file__).parent
+    for name in ("cli.py", "sweeps.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "noisecascade")
+                   for alias in node.names if alias.name.startswith("_")]
+        assert not private, (name, private)
 
 
 def test_package_deprecations_fail_the_suite():

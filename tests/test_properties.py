@@ -7,12 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noisecascade.cascaded import (
-    CascadedParams,
-    build_system,
-    occupation_from_temperature,
-    temperature_from_occupation,
-)
+from noisecascade.cascaded import CascadedParams, build_system
 from noisecascade.counting import flow_cumulants, large_deviation
 from noisecascade.linalg import stability_margin
 from quadrature_oracle import embed_drift, real_embedding_matrix
@@ -52,13 +47,6 @@ def test_noise_matrix_dominates_dissipation(k1, k2, g1, g2, phi, n3):
     excess = sys.N + 0.5 * (sys.M + sys.M.conj().T)
     eigs = np.linalg.eigvalsh(0.5 * (excess + excess.conj().T))
     assert eigs.min() >= -1e-10
-
-
-@given(T=st.floats(min_value=1e-3, max_value=1e4), omega=st.floats(min_value=1e-3, max_value=1e3))
-def test_temperature_occupation_round_trip(T, omega):
-    n = occupation_from_temperature(T, omega)
-    if n > 0.0:
-        assert abs(temperature_from_occupation(n, omega) - T) <= 1e-9 * T
 
 
 # counting statistics: exact invariants of theta(s) and the cumulants

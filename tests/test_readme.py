@@ -7,12 +7,13 @@ import re
 from pathlib import Path
 
 from noisecascade import (
+    build_system,
     design_nonreciprocal,
     disconnected_baseline,
+    linear_response,
     map_to_cascaded,
     occupations,
     preset_microwave,
-    steady_state,
 )
 from noisecascade.sweeps import column_names, emit, parse_config, run_sweep
 
@@ -50,7 +51,9 @@ def test_preset_design_point_numbers():
     q = dataclasses.replace(pre, J=d.j_star, phi=d.phi_star, Nbar1=1.0, Nbar2=2.0, Nbar_m=0.5)
     p = map_to_cascaded(q)
     assert p.kappa1 == p.kappa2 and p.gamma1 == p.gamma2 and p.gamma1 < p.kappa1
-    (n1, n2), (m1, m2) = occupations(steady_state(p)), disconnected_baseline(p)
+    sys = build_system(p)
+    W, _ = linear_response(sys)
+    (n1, n2), (m1, m2) = occupations(W, sys.nbar), disconnected_baseline(p)
     assert abs(n1 - m1) <= 1e-12  # dn1: mode 1 does not feel mode 2
     text = " ".join(README.split())
     for quoted in (f"`kappa = {p.kappa1:.4e}`", f"`gamma = 4 G^2 / gamma_m = {p.gamma1:.4e}`",

@@ -83,6 +83,16 @@ HUGE_CUMULANT_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--s
 HUGE_S_SPAN_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
                     "--set", "gamma2=1", "--set", "nbar1=2", "--s-min=-1e308", "--s-max=1e308",
                     "--s-points=3"]
+# frequencies of opposite signs near the float maximum: M00 - M11 overflowed
+# in the stability margin, which is -0.5; the Lyapunov solve fails
+OPPOSITE_FREQUENCIES_ARGV = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1",
+                             "--set", "omega1=1e308", "--set", "omega2=-1e308"]
+# the susceptibility chi(Omega) = 1 / (gamma_m / 2) overflows in design, and
+# with a finite chi the design point J* = G1 G2 |chi|
+DESIGN_ARGS = ["design", "--set", "omega_m=1", "--set", "Delta1=1", "--set", "Delta2=1",
+               "--set", "kappa1=1", "--set", "kappa2=1"]
+TINY_GAMMA_M_ARGV = [*DESIGN_ARGS, "--set", "gamma_m=1e-320", "--set", "G1=1", "--set", "G2=1"]
+HUGE_DESIGN_ARGV = [*DESIGN_ARGS, "--set", "gamma_m=1", "--set", "G1=1e200", "--set", "G2=1e200"]
 # the same for a linear sweep axis
 HUGE_AXIS_SPAN = {"model": "cascaded",
                   "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "nbar1": 1},
@@ -654,7 +664,7 @@ def reference_row(cfg, axis_values):
             if name.endswith("_closed"):
                 return [closed_form_occupations(p)[int(name[1]) - 1]]
             i = int(name[-1]) - 1
-            n = None if V is None else occupations(V)[i]
+            n = None if V is None else V[i, i].real - 0.5
             if name[0] == "n":
                 return [n]
             m = disconnected_baseline(p)[i]
@@ -1554,8 +1564,9 @@ class TestZeroTemperature:
             # every nbar is 0, so n and eta, linear in nbar, are exactly 0: nothing to clamp
             assert (result.values[:, 1:] == 0.0).all()
             assert not caplog.records
-            # a covariance whose vacuum rounds below zero is clamped, with a notice
-            n1, n2 = occupations(np.diag([0.5 - 2.0**-53, 0.5]))
+            # a weight that rounds below zero gives a sum below zero, which is
+            # clamped, with a notice
+            n1, n2 = occupations(np.array([[-(2.0**-53), 0.0, 0.0], [0.0, 0.0, 0.0]]), np.ones(3))
         assert n1 == 0.0 and n2 == 0.0
         notices = [r.getMessage() for r in caplog.records if r.name == "noisecascade"]
         assert notices == ["occupation n1 = -1.110e-16 clamped to 0"]
@@ -1602,6 +1613,11 @@ class TestOverflowingInputs:
         (HUGE_DIAGONAL_ARGV, 2, "error: nbar1: noise matrix entry N11 is not finite\n"),
         (HUGE_CUMULANT_ARGV, 3, "error: flow cumulant of order 2 is not finite\n"),
         (HUGE_S_SPAN_ARGV, 2, "error: --s-max - --s-min overflows the float range\n"),
+        (OPPOSITE_FREQUENCIES_ARGV, 3,
+         "error: Lyapunov solve of the response to the bath occupations failed\n"),
+        (TINY_GAMMA_M_ARGV, 2, "error: gamma_m: susceptibility 1 / (gamma_m/2 - i (Omega - omega_m)) "
+         "is not finite\n"),
+        (HUGE_DESIGN_ARGV, 2, "error: G1, G2: design point J* = G1 G2 |chi(Omega)| is not finite\n"),
     ])
     def test_one_error_line_under_warnings_as_errors(self, argv, code, message):
         rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
