@@ -18,7 +18,9 @@ vacuum 1/2 to cancel.
 Each CascadedParams field is a scalar (one point) or an array (one item per
 point), and everything here is array arithmetic.  As in ``linalg``, one point
 raises on bad input, while arrays report bad items as masks (``invalid``, and
-(value, unequal-rate mask) from ``equal_rate`` and the closed forms).
+the failed items of the solves).  The closed forms and the disconnected
+baseline never raise: their values are NaN where they are undefined, for one
+point and arrays alike.
 """
 
 from __future__ import annotations
@@ -40,16 +42,10 @@ class UnstableSystemError(Exception):
     """Drift matrix is not strictly stable; no steady state exists."""
 
 
-class UnsupportedParamsError(Exception):
-    """Closed-form expressions require equal rates; these parameters do not qualify."""
-
-
 _log = logging.getLogger("noisecascade")
 _log.addHandler(logging.NullHandler())  # no output unless the application configures logging
 
 _EQUAL_RATE_RTOL = 1e-12
-# a pair for one point; for arrays, a pair of arrays and the mask of the unequal-rate points
-_Pairs = tuple[float, float] | tuple[tuple[NDArray, NDArray], NDArray[np.bool_]]
 
 
 class _ParamSet:
@@ -164,18 +160,6 @@ class CascadedParams(_ParamSet):
     def collective_rate(self) -> float | NDArray[np.float64]:
         """kappa3 = gamma1 + gamma2, the collective damping rate."""
         return self.gamma1 + self.gamma2
-
-    def equal_rate(self) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
-        """Return the common rate kappa if all four rates are equal, else raise.
-
-        Arrays give (kappa, mask of the points with unequal rates).
-        """
-        rates = np.array([self.kappa1, self.kappa2, self.gamma1, self.gamma2])
-        scale = np.maximum(rates.max(axis=0), 1e-300)
-        bad = (np.abs(rates - self.kappa1) > _EQUAL_RATE_RTOL * scale).any(axis=0)
-        message = "closed forms require kappa1 = kappa2 = gamma1 = gamma2"
-        unequal = check_items(np.zeros_like(bad), bad, UnsupportedParamsError, message)
-        return (self.kappa1, unequal) if unequal.ndim else self.kappa1
 
 
 @dataclass(frozen=True)
@@ -307,13 +291,16 @@ def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # invalid() items; 0/0 at all-zero rates
-def closed_form_occupations(p: CascadedParams) -> _Pairs:
-    """Equal-rate closed-form steady-state occupations (general F and detuning).
-
-    Arrays give ((n1, n2), mask of the points with unequal rates).
+def closed_form_occupations(p: CascadedParams) -> tuple[float, float] | tuple[NDArray, NDArray]:
+    """(n1, n2), for one point or arrays alike: the equal-rate closed-form
+    steady-state occupations (general F and detuning), NaN where
+    kappa1 = kappa2 = gamma1 = gamma2 = kappa does not hold to a relative
+    1e-12 of the largest rate.
     """
-    out = p.equal_rate()
-    kappa, unequal = out if isinstance(out, tuple) else (out, np.bool_(False))
+    rates = np.array([p.kappa1, p.kappa2, p.gamma1, p.gamma2])
+    scale = np.maximum(rates.max(axis=0), 1e-300)
+    unequal = (np.abs(rates - p.kappa1) > _EQUAL_RATE_RTOL * scale).any(axis=0)
+    kappa = np.where(unequal, np.nan, p.kappa1)  # NaN carries through to n1 and n2
     f2, re, im = _phase_invariants(p)
     delta = p.detuning
     n1b, n2b, n3b = p.nbar1, p.nbar2, p.nbar3
@@ -333,7 +320,7 @@ def closed_form_occupations(p: CascadedParams) -> _Pairs:
         + 2.0 * im * kappa * (n2b + 3.0 * n3b)
         + lorentz * (n2b + n3b)
     ) / (2.0 * denom) + kappa * (2.0 * im + kappa) * (n1b - n3b) / denom
-    return ((n1, n2), unequal) if unequal.ndim else (n1, n2)
+    return n1, n2
 
 
 # 0/0 at a mode without a rate; occupations near the float maximum may overflow the sum

@@ -27,15 +27,16 @@ linear response (W, G) of ``cascaded.linear_response`` are computed once,
 and each point takes n_i = sum_j W_ij nbar_j, as ``steady-state`` does,
 and eta_k = sum_j G_kj (nbar_j - nbar3).  The baseline runs only for m* and
 dn*, the response only for n*, dn* and eta*, the closed forms and theta only
-when requested; theta runs per point.  The result is columnar: a SweepResult holds
-value, validity and status arrays.  ``emit`` formats each distinct value of
-a column once, the distinct values of all columns together, in one exact
-vectorized pass (in chunks of 4096 values) that shares its digit and layout
-code between the formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17
-and zeros, JSON as ``float.__repr__``, the shortest round-trip digits that
-``json.dumps`` writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each
-other value (NaN, infinities, the rest) falls back to "%.17g" or
-``json.dumps`` of that value.
+when requested; theta runs per point.  The result is columnar: a SweepResult
+holds a value array and a status vector, and a cell is blank exactly where
+its value is not finite.  ``emit`` writes a blank cell as empty (CSV) or
+null (JSON), and formats each distinct value of a column once, the distinct
+values of all columns together, in one exact vectorized pass (in chunks of
+4096 values) that shares its digit and layout code between the formats: CSV
+as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17 and zeros, JSON as
+``float.__repr__``, the shortest round-trip digits that ``json.dumps``
+writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each other finite
+value falls back to "%.17g" or ``json.dumps`` of that value.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -137,11 +138,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepResult:
     """One row per grid point and one column per ``column_names`` entry: the
-    axes and outputs in ``values``, False at blank cells in ``valid``, and
-    the last column in ``status``."""
+    axes and outputs in ``values``, where a cell that is not finite is blank,
+    and the last column in ``status``."""
 
     values: NDArray[np.float64]
-    valid: NDArray[np.bool_]
     status: NDArray[np.str_]
 
 
@@ -362,20 +362,23 @@ def _systems(p: CascadedParams) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
 
 
 def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[NDArray, ...]:
-    """(values, valid, status) of a block of grid points: one call per layer.
+    """(values, status) of a block of grid points: one call per layer.
 
     The block's parameters are one array-valued CascadedParams built from its
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
     invalid points.  Points that differ only in nbar1..3 share one system:
     the margin and the linear response (W, G) are computed once per distinct
     system, and each point's occupations and flows follow from its nbar.  A
-    cell is blank where its quantity is undefined: an unstable drift, a
-    failed Lyapunov solve (n*, dn*, eta*), an n_i (inf past the float
-    maximum) or m_i that is not finite (with dn_i; m_i is NaN where kappa_i
-    + gamma_i = 0), unequal rates (n*_closed), a zero-rate channel (eta*, and
-    theta at every s, s = 0 included) or an s outside the admissible region
-    (theta; s = 0 is inside, with theta = 0).  A stable row with a blank
-    cell is ``unsupported``, as is a point whose parameters are invalid.
+    cell is blank exactly where its value is not finite.  Each kernel writes
+    NaN where its value is undefined: a failed Lyapunov solve (n*, dn*,
+    eta*), a mode without a rate (m*, dn*), unequal rates (n*_closed) and a
+    zero-rate channel 1 or an s outside the admissible region (theta; s = 0
+    is inside, with theta = 0); an n_i past the float maximum is inf.  Two
+    rules add NaN in place: a row rule, by which stability_margin and
+    F_residual need valid parameters and every other output a stable drift,
+    and eta_k is NaN where channel k has no rate, as ``fcs`` refuses that
+    channel.  A stable row with a blank cell is ``unsupported``, as is a
+    point whose parameters are invalid.
     """
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
@@ -398,39 +401,39 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     margin = stability_margin(distinct.M)[inverse]
     stable = built & (margin < 0.0)
     cells = {
-        "stability_margin": [(margin, built)],
+        "stability_margin": [margin],
         # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
-        "F_residual": [(np.hypot(p.F.real, p.F.imag), built)],
+        "F_residual": [np.hypot(p.F.real, p.F.imag)],
     }
     if {"m1", "m2", "dn1", "dn2"} & set(cfg.outputs):
         base = disconnected_baseline(p)
-        defined = np.isfinite(base)  # NaN where kappa_i + gamma_i = 0
-        cells["m1"], cells["m2"] = ([(m, stable & ok)] for m, ok in zip(base, defined))
+        cells["m1"], cells["m2"] = ([m] for m in base)
     if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
-        W, G, no_response = linear_response(distinct)
-        W, G, has_response = W[inverse], G[inverse], built & ~no_response[inverse]
+        W, G, _ = linear_response(distinct)  # NaN at failed systems
+        W, G = W[inverse], G[inverse]
         # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
         n = occupations(W, np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1))
         eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
-        has_n = has_response & np.isfinite(n)  # n_i is inf where its sum passes the float maximum
-        zero_rate = distinct.rate[inverse] <= 0.0
+        eta[distinct.rate[inverse] <= 0.0] = np.nan
         for i in (0, 1):
-            cells[f"n{i + 1}"] = [(n[i], has_n[i])]
+            cells[f"n{i + 1}"] = [n[i]]
             if {"dn1", "dn2"} & set(cfg.outputs):
-                cells[f"dn{i + 1}"] = [(n[i] - base[i], has_n[i] & defined[i])]
+                cells[f"dn{i + 1}"] = [n[i] - base[i]]
         for k in (0, 1, 2):
-            cells[f"eta{k + 1}"] = [(eta[:, k], has_response & ~zero_rate[:, k])]
+            cells[f"eta{k + 1}"] = [eta[:, k]]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):
-        closed, unequal = closed_form_occupations(p)
-        cells["n1_closed"], cells["n2_closed"] = ([(n, stable & ~unequal)] for n in closed)
+        cells["n1_closed"], cells["n2_closed"] = ([n] for n in closed_form_occupations(p))
     if "theta" in cfg.outputs:
-        theta, failed = large_deviation(1, np.array(cfg.s_grid)[:, None], sys)
-        cells["theta"] = list(zip(theta, stable & ~failed))
-    columns = [cell for name in cfg.outputs for cell in cells[name]]
-    values = np.column_stack(axis_columns + [v for v, _ in columns])
-    valid = np.column_stack([np.ones_like(built)] * len(axis_columns) + [ok for _, ok in columns])
+        theta, _ = large_deviation(1, np.array(cfg.s_grid)[:, None], sys)  # NaN where it fails
+        cells["theta"] = list(theta)
+    values = np.column_stack(axis_columns + [v for name in cfg.outputs for v in cells[name]])
+    start = len(axis_columns)
+    for name in cfg.outputs:  # the row rule, in place
+        stop = start + len(cells[name])
+        values[~built if name in ("stability_margin", "F_residual") else ~stable, start:stop] = np.nan
+        start = stop
     unstable = np.where(built & ~stable, "unstable", "unsupported")
-    return values, valid, np.where(stable & valid.all(axis=1), "ok", unstable)
+    return values, np.where(stable & np.isfinite(values).all(axis=1), "ok", unstable)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -655,37 +658,34 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     """Serialize the result per the config format; byte-identical for identical inputs.
 
     CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
-    indent=2)`` of one record per row; blank cells are empty or null.  The
-    distinct values of every column are formatted together, once each, in
-    one exact vectorized pass: for CSV "%.17g" (``_g17``: 1e-6 <= |x| < 1e17
-    and zeros), for JSON ``float.__repr__``, the encoder's number text
-    (``_repr17``: 1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text,
-    with "%.17g" or ``json.dumps`` of each other value.  Both are assembled
-    as bytes.
+    indent=2)`` of one record per row; a cell whose value is not finite is
+    blank, empty or null, so the output holds no nan, inf, NaN or Infinity
+    and the JSON is strict.  The distinct values of every column are
+    formatted together, once each, in one exact vectorized pass: for CSV
+    "%.17g" (``_g17``: 1e-6 <= |x| < 1e17 and zeros), for JSON
+    ``float.__repr__``, the encoder's number text (``_repr17``:
+    1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text, with "%.17g" or
+    ``json.dumps`` of each other finite value.  Both are assembled as bytes.
     """
     if not result.status.size:
         raise ValueError("no rows to emit")
     cols = column_names(cfg)
     as_json = cfg.format == "json"
-    # each distinct float64 bit pattern of a column (so -0.0 and 0.0, and NaN
-    # payloads, stay apart)
+    # each distinct float64 bit pattern of a column (so -0.0 and 0.0 stay apart)
     distinct, inverse = zip(
         *(np.unique(c.view(np.int64), return_inverse=True) for c in result.values.T)
     )
     values = np.concatenate(distinct).view(np.float64)
-    # one table: the numbers, the blank cell, then the statuses
+    # one table: the numbers, blank where not finite, then the statuses
     if as_json:
-        text = _number_text(_repr17, values) + [b"null"]
-        text += [json.dumps(s).encode() for s in _STATUSES]
+        text = _number_text(_repr17, values) + [json.dumps(s).encode() for s in _STATUSES]
     else:
-        text = _number_text(_g17, values) + [b""] + [s.encode() for s in _STATUSES]
-    text, blank = np.array(text, object), values.size
+        text = _number_text(_g17, values) + [s.encode() for s in _STATUSES]
+    text = np.array(text, object)
+    text[np.flatnonzero(~np.isfinite(values))] = b"null" if as_json else b""
     starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
-    columns = [
-        text[np.where(ok, i + start, blank)].tolist()
-        for i, start, ok in zip(inverse, starts, result.valid.T)
-    ]
-    columns.append(text[blank + 1 + _status_codes(result.status)].tolist())
+    columns = [text[i + start].tolist() for i, start in zip(inverse, starts)]
+    columns.append(text[values.size + _status_codes(result.status)].tolist())
     if as_json:
         keys = (json.dumps(c).replace("%", "%%") for c in cols)
         record = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").encode()

@@ -19,7 +19,6 @@ from noisecascade.cascaded import (
     InvalidParamsError,
     LinearSystem,
     UnstableSystemError,
-    UnsupportedParamsError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -90,11 +89,6 @@ class TestParams:
         p = CascadedParams(omega1=1.0, omega2=3.5, gamma1=0.4, gamma2=0.6)
         assert p.detuning == pytest.approx(2.5)
         assert p.collective_rate == pytest.approx(1.0)
-
-    def test_equal_rate_guard(self):
-        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0 + 1e-6)
-        with pytest.raises(UnsupportedParamsError):
-            p.equal_rate()
 
 
 class TestBuildSystem:
@@ -355,6 +349,67 @@ class TestEquilibrium:
                 assert n == pytest.approx(nbar, abs=1e-10 * max(nbar, 1.0))
 
 
+class TestClosedFormsWithoutAGate:
+    """closed_form_occupations follows the baseline's convention: NaN where the
+    rates are unequal, for one point and arrays alike, and it never raises."""
+
+    # equal-rate points and their (n1, n2) bits, which the NaN rule for
+    # unequal rates leaves unchanged
+    PINNED = [
+        (dict(omega2=1.3, nbar1=1.0, nbar2=2.0, nbar3=3.0),
+         ("0x1.0000000000000p+1", "0x1.13023fe334a3cp+1")),
+        (dict(F=0.5j, nbar1=2.0), ("0x1.9249249249249p-1", "0x1.4924924924924p-1")),
+        (dict(omega2=3.0, nbar1=100.0, nbar2=150.0),
+         ("0x1.9000000000000p+5", "0x1.4ac4ec4ec4ec5p+6")),
+        (dict(omega1=-0.7, omega2=2.9, phi=2.1, F=0.3 - 0.45j, nbar1=4.5, nbar2=0.25, nbar3=7.0,
+              kappa1=0.37, kappa2=0.37, gamma1=0.37, gamma2=0.37),
+         ("0x1.67f2a99240ae6p+2", "0x1.f096286bd442ap+1")),
+    ]
+
+    def test_equal_rate_values_are_pinned(self):
+        for fields, bits in self.PINNED:
+            rates = dict.fromkeys(("kappa1", "kappa2", "gamma1", "gamma2"), 1.0)
+            n1, n2 = closed_form_occupations(CascadedParams(**{**rates, **fields}))
+            assert (float(n1).hex(), float(n2).hex()) == bits, fields
+
+    def test_point_equals_its_item_in_a_stack(self):
+        rng = np.random.default_rng(34)
+        size = 600
+        kappa = rng.uniform(0.1, 5.0, size)
+        rates = {name: kappa.copy() for name in ("kappa1", "kappa2", "gamma1", "gamma2")}
+        unequal = rng.random(size) < 0.3
+        unequal[:4] = False
+        rates["gamma2"][unequal] *= 1.0 + rng.choice([1e-11, 1e-6, 0.5], unequal.sum())
+        for v in rates.values():
+            v[:4] = 0.0  # equal at zero
+        fields = dict(rates, omega1=rng.uniform(-10, 10, size), omega2=rng.uniform(-10, 10, size),
+                      phi=rng.uniform(0, 2 * np.pi, size),
+                      F=rng.uniform(-3, 3, size) + 1j * rng.uniform(-3, 3, size),
+                      **{f"nbar{i}": rng.uniform(0, 50, size) for i in (1, 2, 3)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, and nothing raises
+            n1, n2 = closed_form_occupations(CascadedParams(**fields))
+            for i in range(size):
+                point = CascadedParams(**{name: v[i].item() for name, v in fields.items()})
+                assert same_bits([n1[i], n2[i]], closed_form_occupations(point)), i
+        assert np.isnan(n1).tolist() == np.isnan(n2).tolist() == unequal.tolist()
+
+    def test_unequal_rates_give_nan_without_an_exception(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rates in ((1.0, 1.0, 1.0, 1.0 + 1e-6), (2.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
+                          (0.0, 0.0, 0.0, 1e-300)):
+                p = CascadedParams(**dict(zip(("kappa1", "kappa2", "gamma1", "gamma2"), rates)),
+                                   F=0.2, nbar1=1.0, nbar3=2.0)
+                assert all(math.isnan(n) for n in closed_form_occupations(p)), rates
+                stack = CascadedParams(**{k: np.array([v, 1.0]) for k, v in vars(p).items()})
+                n1, n2 = closed_form_occupations(stack)
+                assert np.isnan([n1[0], n2[0]]).all() and np.isfinite([n1[1], n2[1]]).all()
+            # within 1e-12 of the largest rate, the rates count as equal
+            p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0 + 5e-13, nbar1=1.0)
+            assert np.isfinite(closed_form_occupations(p)).all()
+
+
 # each class's validity rule, restated apart from the package: its positive
 # fields, then its non-negative ones, then the first field (in field order)
 # that is not finite is named; CascadedParams then checks the terms of
@@ -545,12 +600,10 @@ class TestArrayParams:
         fields = random_array_fields(rng)
         p = CascadedParams(**fields)
         invalid = p.invalid()
-        kappa, unequal = p.equal_rate()
         sys = build_system(p)
-        closed, closed_unequal = closed_form_occupations(p)
+        closed = closed_form_occupations(p)  # NaN at unequal rates: no mask
         base = disconnected_baseline(p)  # defined at every rate: no mask
-        assert same_bits(kappa, p.kappa1)
-        assert same_bits(closed_unequal, unequal)
+        assert np.isnan(closed[0][:3]).all()  # unequal just above the tolerance
         checked = set()
         for i in range(len(invalid)):
             point = {name: v[i].item() for name, v in fields.items()}
@@ -564,15 +617,8 @@ class TestArrayParams:
             for name in ("M", "U", "rate", "nbar", "N"):
                 assert same_bits(getattr(sys, name)[i], getattr(one, name)), (i, name)
             assert same_bits([m[i] for m in base], disconnected_baseline(q)), i
-            try:
-                q.equal_rate()
-            except UnsupportedParamsError:
-                assert unequal[i], i
-                checked.add("unequal")
-                continue
-            assert not unequal[i], i
             assert same_bits([c[i] for c in closed], closed_form_occupations(q)), i
-            checked.add("equal")
+            checked.add("unequal" if np.isnan(closed[0][i]) else "equal")
         assert invalid.sum() == 7 and checked == {"equal", "unequal"}
 
     def test_steady_state_stack_flags_what_a_point_raises(self):
@@ -604,13 +650,10 @@ class TestArrayParams:
 
     def test_single_point_returns_and_messages(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)
-        assert p.equal_rate() == 1.0 and isinstance(p.equal_rate(), float)
         n1, n2 = closed_form_occupations(p)
         assert np.ndim(n1) == np.ndim(n2) == 0
         assert disconnected_baseline(p) == (1.0, 0.0)
         assert build_system(p).M.shape == (2, 2)
-        with pytest.raises(UnsupportedParamsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
-            closed_form_occupations(CascadedParams(kappa1=1.0))
 
     def test_arrays_with_invalid_items_construct(self):
         # only one point raises; an array reports its bad items through invalid()
@@ -624,8 +667,8 @@ class TestArrayParams:
         assert all(np.shape(getattr(p, name)) == (2,) for name in vars(p))
         assert p.F.dtype == complex and p.kappa1.dtype == float
         assert build_system(p).M.shape == (2, 2, 2)
-        (n1, _), unequal = closed_form_occupations(p)
-        assert n1.shape == (2,) and unequal.tolist() == [False, True]
+        n1, n2 = closed_form_occupations(p)
+        assert n1.shape == (2,) and np.isnan(n1).tolist() == np.isnan(n2).tolist() == [False, True]
 
 
 def random_stable_systems(rng, size):

@@ -28,7 +28,7 @@ from noisecascade.linalg import (
     stability_margin,
 )
 from noisecascade.optomech import OmParams, map_to_cascaded
-from equal_rate_flows import simplified_flows
+from equal_rate_flows import ClosedFlowsError, simplified_flows
 from exact_cumulant_oracle import exact_cumulants
 from riccati_oracle import UnstableEffectiveDriftError, solve_riccati_biased
 import spectral_oracle
@@ -633,12 +633,10 @@ class TestSimplifiedFlows:
             np.testing.assert_allclose(numeric, closed, rtol=1e-9, atol=1e-10)
 
     def test_requires_equal_rates_and_zero_f(self):
-        from noisecascade.cascaded import UnsupportedParamsError
-
-        with pytest.raises(UnsupportedParamsError):
+        with pytest.raises(ClosedFlowsError, match="kappa1 = kappa2 = gamma1 = gamma2"):
             simplified_flows(CascadedParams(kappa1=1.0, kappa2=2.0,
                                             gamma1=1.0, gamma2=1.0))
-        with pytest.raises(UnsupportedParamsError):
+        with pytest.raises(ClosedFlowsError, match="F = 0"):
             simplified_flows(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0,
                                             gamma2=1.0, F=0.1))
 

@@ -37,7 +37,7 @@ def test_sweep_config_runs():
     cfg = parse_config(text)
     result = run_sweep(cfg)
     points = math.prod(ax.points for ax in cfg.axes)
-    assert result.values.shape == result.valid.shape == (points, len(column_names(cfg)) - 1)
+    assert result.values.shape == (points, len(column_names(cfg)) - 1)
     assert (result.status == "ok").all()
     lines = emit(result, cfg).decode().split("\n")
     assert lines[0] == ",".join(column_names(cfg))

@@ -1,6 +1,8 @@
 """Sweep configuration, execution, emission, and the CLI front end."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -10,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from noisecascade import cli, sweeps
 from noisecascade.cascaded import (
     CascadedParams,
     InvalidParamsError,
-    UnsupportedParamsError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -511,13 +513,13 @@ class TestRunSweep:
         result = run_sweep(parse_config(json.dumps(doc)))
         assert len(result.status) == 1
         assert result.status[0] == "ok"
-        assert result.valid[0, 2] and result.values[0, 2] == pytest.approx(25.0, abs=1e-9)
+        assert result.values[0, 2] == pytest.approx(25.0, abs=1e-9)
 
     def test_fig2_sign_structure(self):
         cfg = parse_config(fig2_config(points=11))
         result = run_sweep(cfg)
         _, m3, dn1, dn2 = result.values.T
-        assert (result.status == "ok").all() and result.valid.all()
+        assert (result.status == "ok").all() and np.isfinite(result.values).all()
         assert np.abs(dn1).max() <= 1e-10
         at_half = m3 == 50.0
         assert at_half.any() and np.abs(dn2[at_half]).max() <= 1e-9
@@ -532,7 +534,7 @@ class TestRunSweep:
         }
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status[0] == "unstable"  # kappa1 = 0: undamped first mode
-        assert result.valid[0].tolist() == [True, False, False]
+        assert np.isfinite(result.values[0]).tolist() == [True, False, False]
         assert result.status[1] == "ok"
 
     def test_baseline_at_unequal_rates(self):
@@ -545,7 +547,7 @@ class TestRunSweep:
             "outputs": ["n1", "n2", "m2", "dn2"],
         }
         result = run_sweep(parse_config(json.dumps(doc)))
-        assert (result.status == "ok").all() and result.valid.all()
+        assert (result.status == "ok").all() and np.isfinite(result.values).all()
         _, _, n2, m2, dn2 = result.values.T
         assert (m2 == 2.0 / 3.0 * 3.0 + 1.0 / 3.0 * 0.5).all() and (dn2 == n2 - m2).all()
         # mode 1 has no rate but is stable through F: m1 and dn1 are blank, and
@@ -557,7 +559,7 @@ class TestRunSweep:
         cfg = parse_config(json.dumps(doc))
         result = run_sweep(cfg)
         assert (result.status == "unsupported").all()
-        assert result.valid.tolist() == [[True, True, False, False, True, True]] * 2
+        assert np.isfinite(result.values).tolist() == [[True, True, False, False, True, True]] * 2
         text = emit(result, cfg)
         assert b"NaN" not in text and json.loads(text)[0]["m1"] is None
 
@@ -574,13 +576,13 @@ class TestRunSweep:
         }
         result = run_sweep(parse_config(json.dumps(doc)))
         assert (result.status == "ok").all()
-        assert result.valid[:, 4].all() and (result.values[:, 4] < 0).all()
+        assert (result.values[:, 4] < 0).all()
 
     def test_preset_rows_fill_the_baseline(self):
         # every row was unsupported while the baseline required equal rates;
         # dn1 = n1 - m1 changes sign where J crosses J*
         result = run_sweep(parse_config(json.dumps(PRESET_DN_SWEEP)))
-        assert (result.status == "ok").all() and result.valid.all()
+        assert (result.status == "ok").all() and np.isfinite(result.values).all()
         J, n1, _, m1, _, dn1, _ = result.values.T
         assert (dn1 == n1 - m1).all() and np.sign(dn1).tolist() == [-1, -1, -1, 1, 1]
         assert J[2] < design_nonreciprocal(preset_microwave()).j_star < J[3]
@@ -596,14 +598,14 @@ class TestRunSweep:
         }
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status[0] == "unsupported"
-        assert result.valid[0].tolist() == [True, True, False, True, False, False]
-        assert (result.status[1:] == "ok").all() and result.valid[1:].all()
+        assert np.isfinite(result.values[0]).tolist() == [True, True, False, True, False, False]
+        assert (result.status[1:] == "ok").all() and np.isfinite(result.values[1:]).all()
 
     def test_overflowing_mapping_gives_unsupported_rows(self):
         # a RuntimeWarning is an error in the tests, as under -W error::RuntimeWarning
         result = run_sweep(parse_config(json.dumps(G1_OVERFLOW_SWEEP)))
         assert result.status.tolist() == ["ok", "unsupported", "unsupported"]
-        assert result.valid[0].all() and not result.valid[1:, 1:].any()
+        assert np.isfinite(result.values[0]).all() and np.isnan(result.values[1:, 1:]).all()
 
     def test_lyapunov_failure_blanks_its_cells(self):
         params = {k: v for k, v in LYAPUNOV_FAILURE.items() if k != "nbar1"}
@@ -616,7 +618,7 @@ class TestRunSweep:
         }
         result = run_sweep(parse_config(json.dumps(doc)))
         assert len(result.status) == 3
-        _, n1, eta1, margin, theta0 = result.valid.T
+        _, n1, eta1, margin, theta0 = np.isfinite(result.values).T
         assert not n1.all()
         assert margin.all() and theta0.all()
         assert result.values[:, 3] == pytest.approx(-0.0961, abs=1e-4)
@@ -661,8 +663,9 @@ def reference_row(cfg, axis_values):
         try:
             if name.startswith("eta"):
                 return [None if V is None else flow_cumulants(int(name[-1]), 1, sys)[0]]
-            if name.endswith("_closed"):
-                return [closed_form_occupations(p)[int(name[1]) - 1]]
+            if name.endswith("_closed"):  # NaN at unequal rates
+                n = closed_form_occupations(p)[int(name[1]) - 1]
+                return [n if math.isfinite(n) else None]
             i = int(name[-1]) - 1
             n = None if V is None else V[i, i].real - 0.5
             if name[0] == "n":
@@ -671,7 +674,7 @@ def reference_row(cfg, axis_values):
             if not math.isfinite(m):  # a mode without a rate has no baseline
                 return [None]
             return [m if name[0] == "m" else None if n is None else n - m]
-        except (UnsupportedParamsError, ZeroRateChannelError):
+        except ZeroRateChannelError:
             return [None]
 
     cells = tuple(v for name in cfg.outputs for v in cell(name))
@@ -749,7 +752,8 @@ class TestStackedSweep:
         points = list(itertools.product(*(ax.values().tolist() for ax in cfg.axes)))
         assert len(points) == len(result.status)
         blanks = set()
-        rows = zip(points, result.values.tolist(), result.valid.tolist(), result.status.tolist())
+        filled = np.isfinite(result.values)
+        rows = zip(points, result.values.tolist(), filled.tolist(), result.status.tolist())
         for pt, values, valid, status in rows:
             ref_cells, ref_status, nbar = reference_row(cfg, pt)
             assert tuple(values[:n_axes]) == pt and all(valid[:n_axes])
@@ -765,7 +769,7 @@ class TestStackedSweep:
                 elif status == "unsupported" and outputs[margin] is not None:
                     blanks.add(name)
         assert set(result.status.tolist()) == {"ok", "unstable", "unsupported"}
-        assert (~result.valid[:, n_axes:]).all(axis=1).any()  # negative Nbar2
+        assert (~filled[:, n_axes:]).all(axis=1).any()  # negative Nbar2
         # unequal rates (closed forms), a zero-rate channel and an inadmissible s all occur
         assert {"n1_closed", "eta1", "theta@0.6"} <= blanks
 
@@ -963,7 +967,7 @@ class TestThetaAdmissibility:
         cols = column_names(cfg)
         statuses = result.status.tolist()
         assert statuses.count("ok") == 17 and statuses.count("unsupported") == 19
-        valid = {name: result.valid[:, cols.index(name)] for name in cols[:-1]}
+        valid = {name: np.isfinite(result.values[:, cols.index(name)]) for name in cols[:-1]}
         assert np.flatnonzero(~valid["theta@0.5"]).tolist() == THETA_SWEEP_BLANK_ROWS
         assert valid["theta@-0.3"].all() and valid["theta@0"].all()
         ok = np.array(statuses) == "ok"
@@ -991,13 +995,15 @@ class TestThetaAdmissibility:
             "s_grid": [-0.3, -0.1, 0.1, 0.3],
         }
         result = run_sweep(parse_config(json.dumps(config)))
-        assert (result.status == "ok").all() and result.valid.all()
+        assert (result.status == "ok").all() and np.isfinite(result.values).all()
 
 
 def reference_emit(result, cfg):
-    """The per-cell formatter: "%.17g" or "" per CSV cell, json.dumps of dict records."""
+    """The per-cell formatter: "%.17g" per CSV cell and json.dumps of dict
+    records, with a value that is not finite blank: "" or None."""
     cols = column_names(cfg)
-    rows = zip(np.where(result.valid, result.values, None).tolist(), result.status.tolist())
+    cells = np.where(np.isfinite(result.values), result.values, None).tolist()
+    rows = zip(cells, result.status.tolist())
     if cfg.format == "json":
         records = [dict(zip(cols, cells + [status])) for cells, status in rows]
         return (json.dumps(records, indent=2) + "\n").encode()
@@ -1014,13 +1020,13 @@ NAN_PAYLOAD = float(np.array(0x7FF8000000000001).view(np.float64))
 SPECIAL_VALUES = (0.0, -0.0, math.nan, NAN_PAYLOAD, math.inf, -math.inf, 1.5, 5e-324, 1e300)
 
 
-def emit_case(fmt, values, valid, status, s_grid=()):
+def emit_case(fmt, values, status, s_grid=()):
     """A result with columns Delta, n1, eta3 and theta@s for each s."""
     outputs = ("n1", "eta3", "theta") if s_grid else ("n1", "eta3")
     axes = (SweepAxis("Delta", 0.0, 1.0, len(status)),)
     cfg = SweepConfig("cascaded", {}, axes, outputs, format=fmt, s_grid=tuple(s_grid))
-    result = SweepResult(np.array(values, float), np.array(valid, bool), np.array(status))
-    assert result.values.shape == result.valid.shape == (len(status), len(column_names(cfg)) - 1)
+    result = SweepResult(np.array(values, float), np.array(status))
+    assert result.values.shape == (len(status), len(column_names(cfg)) - 1)
     return cfg, result
 
 
@@ -1029,47 +1035,66 @@ def emit_cases(draw):
     rows = draw(st.integers(1, 12))
     s_grid = draw(st.lists(st.sampled_from([-0.25, 0.001, 0.6, 1e-7]), unique=True, max_size=2))
     n_cols = 3 + len(s_grid)
-    # a small pool of values gives heavy repeats within a column
+    # a small pool of values gives heavy repeats within a column; its NaNs
+    # and infinities are blank cells
     pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), min_size=1, max_size=4))
     cell = st.sampled_from(pool) | st.floats()
-    values = [draw(st.lists(cell, min_size=n_cols, max_size=n_cols)) for _ in range(rows)]
-    valid = np.array([draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
-                      for _ in range(rows)])
+    values = np.array([draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+                       for _ in range(rows)])
     blank = draw(st.integers(-1, n_cols - 1))
     if blank >= 0:
-        valid[:, blank] = False
+        values[:, blank] = draw(st.sampled_from([math.nan, NAN_PAYLOAD, math.inf, -math.inf]))
     status = draw(st.lists(st.sampled_from(STATUSES), min_size=rows, max_size=rows))
-    return emit_case(draw(st.sampled_from(["csv", "json"])), values, valid, status, s_grid)
+    return emit_case(draw(st.sampled_from(["csv", "json"])), values, status, s_grid)
 
 
-# Delta repeats, n1 mixes 0.0 and -0.0, eta3 holds NaNs and infinities, theta is blank
+# Delta repeats, n1 mixes 0.0 and -0.0, eta3 and theta hold NaNs (one with a
+# payload) and infinities, which are blank
 SIGNED_ZEROS_AND_NON_FINITE = [
-    [0.0, 0.0, math.nan, 0.25],
-    [0.0, -0.0, NAN_PAYLOAD, 0.25],
-    [1.0, 0.0, math.inf, 0.25],
-    [1.0, -0.0, -math.inf, 0.25],
+    [0.0, 0.0, math.nan, math.nan],
+    [0.0, -0.0, NAN_PAYLOAD, -math.inf],
+    [1.0, 0.0, math.inf, NAN_PAYLOAD],
+    [1.0, -0.0, -math.inf, math.inf],
     [0.0, 0.0, math.inf, math.nan],
 ]
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestEmit:
     @given(case=emit_cases())
-    @example(case=emit_case("csv", SIGNED_ZEROS_AND_NON_FINITE, [[1, 1, 1, 0]] * 5,
-                            [*STATUSES, "ok", "ok"], [-0.25]))
-    @example(case=emit_case("json", SIGNED_ZEROS_AND_NON_FINITE, [[1, 1, 1, 0]] * 5,
-                            [*STATUSES, "ok", "ok"], [-0.25]))
-    @example(case=emit_case("csv", [[-0.0, 7.0, -1e-7, math.nan]], [[1, 0, 1, 1]],
-                            ["unsupported"], [0.001]))
-    @example(case=emit_case("json", [[-0.0, 7.0, -1e-7, math.nan]], [[1, 0, 1, 1]],
-                            ["unsupported"], [0.001]))
+    @example(case=emit_case("csv", SIGNED_ZEROS_AND_NON_FINITE, [*STATUSES, "ok", "ok"], [-0.25]))
+    @example(case=emit_case("json", SIGNED_ZEROS_AND_NON_FINITE, [*STATUSES, "ok", "ok"], [-0.25]))
+    @example(case=emit_case("csv", [[-0.0, math.nan, -1e-7, math.nan]], ["unsupported"], [0.001]))
+    @example(case=emit_case("json", [[-0.0, math.nan, -1e-7, math.nan]], ["unsupported"], [0.001]))
     def test_matches_reference_formatter(self, case):
         cfg, result = case
         assert emit(result, cfg) == reference_emit(result, cfg)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_values_emit_blank_cells(self, fmt):
+        # NaN, a NaN with a payload and both infinities are blank in either format
+        values = [[0.0, math.nan, NAN_PAYLOAD], [1.0, math.inf, -math.inf], [2.0, 1.5, -0.0]]
+        cfg, result = emit_case(fmt, values, ["unsupported", "unsupported", "ok"])
+        text = emit(result, cfg)
+        if fmt == "json":
+            rows = [[r["n1"], r["eta3"]] for r in strict_json(text)]
+            assert rows == [[None, None], [None, None], [1.5, -0.0]]
+        else:
+            assert text.decode().split("\n")[1:] == [
+                "0,,,unsupported", "1,,,unsupported", "2,1.5,-0,ok", ""]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unknown_status_rejected(self, fmt):
         # statuses are looked up in a fixed table, not sorted from the rows
-        cfg, result = emit_case(fmt, [[0.0, 1.0, 2.0]] * 2, [[1, 1, 1]] * 2, ["ok", "failed"])
+        cfg, result = emit_case(fmt, [[0.0, 1.0, 2.0]] * 2, ["ok", "failed"])
         with pytest.raises(ValueError, match="unknown row status 'failed'"):
             emit(result, cfg)
 
@@ -1095,7 +1120,7 @@ class TestEmit:
         cfg = parse_config(fig2_config(points=3, fmt="json"))
         result = run_sweep(cfg)
         records = json.loads(emit(result, cfg))
-        assert len(records) == 9 and result.valid.all()
+        assert len(records) == 9 and np.isfinite(result.values).all()
         for values, status, rec in zip(result.values.tolist(), result.status.tolist(), records):
             assert rec["dn2"] == values[3]
             assert rec["status"] == status
@@ -1113,9 +1138,57 @@ class TestEmit:
 
     def test_empty_rows_rejected(self):
         cfg = parse_config(fig2_config())
-        empty = SweepResult(np.empty((0, 5)), np.empty((0, 5), bool), np.empty(0, str))
+        empty = SweepResult(np.empty((0, 5)), np.empty(0, str))
         with pytest.raises(ValueError):
             emit(empty, cfg)
+
+
+# the long s grid of the CI workflow: a 64 x 64 cascaded Delta x nbar3 grid at
+# 100 s values, 409 600 (point, s) pairs in 26 blocks
+THETA_LONG_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa1": 1.0, "kappa2": 0.5, "gamma1": 0.8, "gamma2": 1.2,
+               "nbar1": 2.0, "nbar2": 1.0, "phi": 0.3},
+    "axes": [{"variable": "Delta", "min": -5, "max": 5, "points": 64},
+             {"variable": "nbar3", "min": 0, "max": 5, "points": 64}],
+    "outputs": ["n1", "n2", "eta1", "theta"],
+    "s_grid": [round(-0.2 + 0.004 * i, 4) for i in range(100)],
+}
+
+
+def ci_sweep_configs():
+    """Every sweep config that the CI workflow runs, by name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    nbar1_4001 = json.loads(json.dumps(NBAR1_SWEEP))
+    nbar1_4001["axes"][1]["points"] = 4001
+    return {
+        "readme": json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1)),
+        "mixed": MIXED_GRID, "zero_temperature": ZERO_TEMPERATURE_SWEEP,
+        "g1_overflow": G1_OVERFLOW_SWEEP, "nbar1": NBAR1_SWEEP, "nbar1_4001": nbar1_4001,
+        "preset_dn": PRESET_DN_SWEEP, "overflowing_sum": OVERFLOWING_SUM_SWEEP,
+        "theta_sweep": THETA_SWEEP,
+        "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
+        "theta_long100": THETA_LONG_SWEEP,
+    }
+
+
+class TestStrictOutput:
+    """No sweep writes nan, inf, NaN or Infinity: a blank cell is empty or null."""
+
+    @pytest.mark.parametrize("name", list(ci_sweep_configs()))
+    def test_ci_configs_emit_strict_output(self, name):
+        cfg = parse_config(json.dumps(ci_sweep_configs()[name]))
+        result = run_sweep(cfg)
+        for fmt in ("csv", "json"):
+            text = emit(result, dataclasses.replace(cfg, format=fmt)).decode()
+            if fmt == "json":
+                records = strict_json(text)
+                cells = [v for r in records for k, v in r.items() if k != "status"]
+                assert all(v is None or math.isfinite(v) for v in cells), name
+            else:
+                rows = list(csv.reader(io.StringIO(text)))[1:]
+                assert all(v == "" or math.isfinite(float(v)) for r in rows for v in r[:-1]), name
+            assert len(text.splitlines()) > len(result.status)
 
 
 class TestCli:
@@ -1560,7 +1633,7 @@ class TestZeroTemperature:
         cfg = parse_config(json.dumps(ZERO_TEMPERATURE_SWEEP))
         with caplog.at_level(logging.WARNING, logger="noisecascade"):
             result = run_sweep(cfg)
-            assert (result.status == "ok").all() and result.valid.all()
+            assert (result.status == "ok").all() and np.isfinite(result.values).all()
             # every nbar is 0, so n and eta, linear in nbar, are exactly 0: nothing to clamp
             assert (result.values[:, 1:] == 0.0).all()
             assert not caplog.records
@@ -1668,7 +1741,7 @@ class TestOverflowingInputs:
                "axes": [{"variable": "gamma1", "min": 1e308, "max": 1e308, "points": 1}],
                "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin"]}
         result = run_sweep(parse_config(json.dumps(doc)))
-        assert result.status.tolist() == ["ok"] and result.valid.all()
+        assert result.status.tolist() == ["ok"] and np.isfinite(result.values).all()
         assert result.values[0, -1] == -0.49999999999999994
 
     def test_occupations_near_the_float_maximum(self):
@@ -1697,7 +1770,8 @@ class TestOverflowingInputs:
             warnings.simplefilter("error", RuntimeWarning)
             result = run_sweep(parse_config(json.dumps(OVERFLOWING_SUM_SWEEP)))
         assert result.status.tolist() == ["unsupported"]
-        assert result.valid[0].tolist() == [True, True, False, True, True]
+        assert result.values[0, 2] == np.inf  # n2
+        assert np.isfinite(result.values[0]).tolist() == [True, True, False, True, True]
         assert result.values[0, 1] == doc["n1"]
 
     def test_overflowing_damping_is_invalid(self):
@@ -1718,7 +1792,7 @@ class TestOverflowingInputs:
                "axes": [{"variable": "kappa1", "min": 1e308, "max": 1e308, "points": 1}],
                "outputs": ["n1", "eta1", "m1", "stability_margin", "F_residual"]}
         result = run_sweep(parse_config(json.dumps(doc)))
-        assert result.status.tolist() == ["unsupported"] and not result.valid[0, 1:].any()
+        assert result.status.tolist() == ["unsupported"] and np.isnan(result.values[0, 1:]).all()
 
     def test_overflowing_noise_term_gives_unsupported_rows(self):
         doc = {"model": "cascaded",
@@ -1727,19 +1801,25 @@ class TestOverflowingInputs:
                "outputs": ["n1", "eta3"]}
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status.tolist() == ["ok", "unsupported"]
-        assert result.valid[0].all() and not result.valid[1, 1:].any()
+        assert np.isfinite(result.values[0]).all() and np.isnan(result.values[1, 1:]).all()
 
 
 class TestOneOccupationFormula:
-    """``steady-state`` and a sweep form n_i = sum_j W_ij nbar_j alike."""
+    """``steady-state`` and a sweep form its six keys alike, blank cells included."""
+
+    KEYS = ("n1", "n2", "m1", "m2", "dn1", "dn2")
 
     def test_steady_state_equals_a_one_point_sweep(self, capsys):
         # two formulas for the same occupations, such as Y_ii - 1/2 and
-        # nbar3 + W (nbar - nbar3), differ in the last bits at most points
+        # nbar3 + W (nbar - nbar3), differ in the last bits at most points;
+        # every fourth point has a mode without a rate (kappa_i = gamma_i = 0)
         rng = np.random.default_rng(5)
-        compared = 0
-        for _ in range(240):
+        compared, undamped = 0, 0
+        for k in range(240):
             rates = 10.0 ** rng.uniform(-12.0, 2.0, 4)
+            if k % 4 == 3:
+                mode = rng.integers(2)
+                rates[[mode, mode + 2]] = 0.0
             nbar = 10.0 ** rng.uniform(-3.0, 6.0, 3) * (rng.uniform(size=3) >= 0.3)
             F = rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             params = dict(zip(("kappa1", "kappa2", "gamma1", "gamma2"), rates.tolist()),
@@ -1749,15 +1829,21 @@ class TestOneOccupationFormula:
             argv = ["steady-state"] + [a for k, v in params.items() for a in ("--set", f"{k}={v}")]
             rc = main(argv)
             out, _ = capsys.readouterr()
-            kappa1 = params.pop("kappa1")
-            doc = {"model": "cascaded", "params": params, "outputs": ["n1", "n2"],
-                   "axes": [{"variable": "kappa1", "min": kappa1, "max": kappa1, "points": 1}]}
-            result = run_sweep(parse_config(json.dumps(doc)))
-            # a point fails (exit 3) exactly where its sweep row is unsupported
-            assert (rc == 0) == (result.status[0] == "ok"), argv
+            omega2 = params.pop("omega2")
+            doc = {"model": "cascaded", "params": params, "outputs": list(self.KEYS),
+                   "axes": [{"variable": "omega2", "min": omega2, "max": omega2, "points": 1}],
+                   "format": "json"}
+            cfg = parse_config(json.dumps(doc))
+            (row,) = strict_json(emit(run_sweep(cfg), cfg))
+            # a point fails (exit 3) exactly where its sweep row has no occupations
+            assert (rc == 0) == (row["n1"] is not None), argv
             if rc == 0:
                 point = json.loads(out)
-                cells = result.values[0, 1:].tolist()
-                assert [point["n1"].hex(), point["n2"].hex()] == [x.hex() for x in cells], argv
+                assert list(point) == list(self.KEYS), argv
+                for key in self.KEYS:
+                    assert (point[key] is None) == (row[key] is None), (argv, key)
+                    if row[key] is not None:
+                        assert point[key].hex() == row[key].hex(), (argv, key)
                 compared += 1
-        assert compared >= 200
+                undamped += row["m1"] is None or row["m2"] is None
+        assert compared >= 200 and undamped >= 30
