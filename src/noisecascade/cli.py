@@ -10,6 +10,10 @@ sweeps.check_params, the checks of a sweep config's ``params``.
 writes it in one pass from a template (``_fcs_json``); the other commands
 print ``json.dumps`` itself.
 
+``main`` reads a command's arguments with that command's parser alone and
+uses the top-level parser of ``build_parser`` only when ``argv[0]`` names no
+command; its messages and exit codes are the top-level parser's.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures of single-point commands (NUMERIC_ERRORS: unstable system, failed
 Lyapunov solve, counting field outside the admissible region, ...).
@@ -223,20 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call and reused for the process.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of ``main`` and its commands' own parsers by name, built
+    on the first call and reused for the process.
 
-    Reuse is sound because ``parse_args`` leaves the parser as it was:
-    ``append`` copies its default list before appending, and a subcommand
-    parses into a fresh namespace. A command must not change a list argument
-    in place: without ``--set`` it receives the parser's default list itself.
+    ``main`` reads a command's arguments with that command's parser alone,
+    so each token is classified once; the top-level parser runs only when
+    ``argv[0]`` names no command (no arguments, ``-h``, an unknown command).
+    Reuse is sound because ``parse_args`` leaves a parser as it was:
+    ``append`` copies its default list before appending, and each parse
+    fills a fresh namespace. A command must not change a list argument in
+    place: without ``--set`` it receives the parser's default list itself.
     ``build_parser`` still returns a new parser.
     """
-    return build_parser()
+    parser = build_parser()
+    (commands,) = parser._subparsers._group_actions  # the top level's one positional
+    return parser, commands.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = _sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the top-level parser would do, without classifying the tokens twice
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (SchemaError, InvalidParamsError, OSError) as exc:

@@ -89,8 +89,22 @@ _OUTPUTS = (
 )
 
 _MBAR_KEYS = ("mbar1", "mbar2", "mbar3")
-# each model's parameter dataclass, and the names it takes besides the fields
-_PARAMS = {"cascaded": (CascadedParams, {"Delta", *_MBAR_KEYS}), "optomech": (OmParams, set())}
+# each model's parameter dataclass, every name it takes (the fields, and
+# Delta and mbar1..3 for cascaded), and its fields without a default in field
+# order, built once for check_params
+_PARAMS = {
+    model: (
+        cls,
+        {f.name for f in dc_fields(cls)} | extra_names,
+        tuple(
+            f.name for f in dc_fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        ),
+    )
+    for model, cls, extra_names in (
+        ("cascaded", CascadedParams, {"Delta", *_MBAR_KEYS}),
+        ("optomech", OmParams, set()),
+    )
+}
 # name -> (quantity, spelling) where one quantity has two spellings; any
 # other name is its own quantity and spelling
 _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
@@ -207,9 +221,7 @@ def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "par
     without a default must be given or swept.  A SchemaError names the
     field: ``prefix`` and the name, or ``axes[i].variable``.
     """
-    cls, extra_names = _PARAMS[model]
-    fields = dc_fields(cls)
-    known = {f.name for f in fields} | extra_names
+    _, known, required = _PARAMS[model]
     named = [(f"{prefix}{k}", k) for k in params]
     named += [(f"axes[{i}].variable", k) for i, k in enumerate(swept)]
     spelled = {}
@@ -226,10 +238,9 @@ def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "par
                 raise SchemaError(f"{prefix}F: must be a finite number or complex string")
         elif not _is_number(value):
             raise SchemaError(f"{prefix}{name}: must be a finite number")
-    for f in fields:
-        required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in params and f.name not in swept:
-            raise SchemaError(f"{prefix}{f.name}: missing")
+    for name in required:
+        if name not in params and name not in swept:
+            raise SchemaError(f"{prefix}{name}: missing")
 
 
 def parse_config(text: str | bytes) -> SweepConfig:
@@ -522,7 +533,8 @@ def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
     text of each v that ``fallback`` marks.
     """
     # the digits, one byte each, in three words per value: D's first digit
-    # and the two halves of the other 16
+    # and the two halves of the other 16; each array is released once read,
+    # so a chunk holds about three (3, n) word arrays at a time
     first = D // 10**16
     halves = np.empty((2, x.size), np.uint64)
     halves[1] = D - first * 10**16
@@ -533,21 +545,30 @@ def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
     text[:2] = halves << 8
     text[1:] |= halves >> 56
     text[0] |= first
+    del first, halves
     # significant digits: through the highest nonzero byte, read from the
     # float exponent of each word (a zero word reads about -128 bytes)
     top = (text.astype(np.float64).view(np.int64) >> 52) - 1023
     significant = ((top >> 3) + _WORD + 1).max(axis=0)
+    del top
     # an integer keeps its trailing zeros, and "fraction" zeros after the point
     length = np.maximum(significant, k + 1 + fraction)
-    text = (text | 0x3030303030303030) & _BELOW[np.clip(length - _WORD, 0, 8)]
+    del significant
+    text |= 0x3030303030303030
+    text &= _BELOW[np.clip(length - _WORD, 0, 8)]
     # "." after the integer part, or after the first digit of d.ddde-0X, where
     # digits follow it: the bytes from there on move up by one
     dot = np.where(k < -4, 1, np.where(k < 0, 24, k + 1))
     dot = np.where(dot < length, dot, 24) - _WORD
+    del length
     below = _BELOW[np.clip(dot, 0, 8)]
     high = text & ~below
-    text = (text & below) | (high << 8) | _DOT[np.clip(dot, -1, 8) + 1]
+    text &= below
+    del below
+    text |= high << 8
+    text |= _DOT[np.clip(dot, -1, 8) + 1]
     text[1:] |= high[:-1] >> 56
+    del dot, high
     # the sign and the "0.000" of 1e-4 <= |v| < 1 in front, by a shift of at
     # most six bytes (each shift count stays below 64)
     negative = np.signbit(x).astype(np.uint64)
@@ -555,9 +576,12 @@ def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
     shift = 8 * (zeros + negative)
     shifted = text << shift
     shifted[1:] |= (text[:-1] >> 1) >> (63 - shift)
+    del text
     shifted[0] |= (_ZEROS[zeros] << 8 * negative) | ord("-") * negative
+    del negative, zeros, shift
     # at most 23 bytes ("-0.00012345678901234567"); bytes() drops the zero padding
     texts = np.ascontiguousarray(shifted.T, dtype="<u8").view("S24")[:, 0]
+    del shifted
     for e in (-5, -6):
         at = np.flatnonzero((k == e) & ~fallback)
         texts[at] = np.char.add(texts[at], b"e-0%d" % -e)

@@ -1521,6 +1521,58 @@ class TestParserReuse:
         assert call_main(argv, capsys, out_path) == first
 
 
+# argv that the parsers reject (exit code 2) or answer with help (0), and
+# two valid calls: name -> (exit code, argv)
+PARSER_CASES = {
+    "fcs 4": (2, ["fcs", "4"]),
+    "fcs 1 --bogus": (2, ["fcs", "1", "--bogus"]),
+    "sweep --parallel": (2, ["sweep", "c.json", "--parallel"]),
+    "unknown command": (2, ["nope"]),
+    "no argv": (2, []),
+    "--help": (0, ["--help"]),
+    "fcs --help": (0, ["fcs", "--help"]),
+    "fcs --s-points x": (2, ["fcs", "1", "--s-points", "x"]),
+    "steady-state --set": (2, ["steady-state", "--set"]),
+    "sweep": (2, ["sweep"]),
+    "preset": (2, ["preset"]),
+    "fcs 1 extra": (2, ["fcs", "1", "extra"]),
+    "-h fcs": (0, ["-h", "fcs"]),
+    "valid fcs": (0, ["fcs", "3", *FCS_SETS, "--s-points", "3"]),
+    "valid steady-state": (0, ["steady-state", *FCS_SETS]),
+}
+
+
+class TestParserParity:
+    """``main`` reads a command's arguments with that command's parser alone;
+    it answers as the top-level parser does, byte for byte."""
+
+    @staticmethod
+    def top_level(argv, capsys):
+        """(exit code, stdout, stderr) of ``build_parser().parse_args(argv)``
+        and, where it parses, of the command it names."""
+        try:
+            args = build_parser().parse_args(argv)
+            rc = args.func(args)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("name", list(PARSER_CASES))
+    def test_main_answers_as_the_top_level_parser(self, name, capsys):
+        expected_rc, argv = PARSER_CASES[name]
+        expected = self.top_level(argv, capsys)
+        assert expected[0] == expected_rc
+        assert call_main(argv, capsys)[:3] == expected
+
+    @pytest.mark.parametrize("name", ["fcs 1 --bogus", "valid fcs"])
+    def test_no_argv_reads_sys_argv(self, name, monkeypatch, capsys):
+        _, argv = PARSER_CASES[name]
+        expected = self.top_level(argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["noisecascade", *argv])
+        assert call_main(None, capsys)[:3] == expected
+
+
 class TestParamCheck:
     """A config's params and the CLI's --set values go through one check, check_params."""
 
