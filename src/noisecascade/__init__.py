@@ -8,7 +8,6 @@ from .cascaded import (
     disconnected_baseline,
     linear_response,
     occupations,
-    steady_state,
 )
 from .counting import flow_cumulants, large_deviation
 from .linalg import solve_lyapunov, stability_margin
@@ -29,7 +28,6 @@ __all__ = [
     "disconnected_baseline",
     "linear_response",
     "occupations",
-    "steady_state",
     "solve_lyapunov",
     "stability_margin",
     "flow_cumulants",

@@ -2,9 +2,9 @@
 Two oscillators sharing a common engineered bath plus two local baths.
 
 Builds the linear Langevin system for the cascaded two-oscillator model,
-solves for its steady-state covariance and for its linear response to the
-bath occupations, and evaluates the equal-rate closed-form occupations that
-serve as independent oracles for the numeric path.
+solves for its linear response to the bath occupations, and evaluates the
+equal-rate closed-form occupations that serve as independent oracles for the
+numeric path.
 
 The model is phase-insensitive, so everything lives in the 2x2 complex mode
 space: the amplitudes obey dc/dt = M c + noise, channel c couples through
@@ -16,22 +16,24 @@ and the occupations n_i = Y_ii - 1/2 equal sum_j W_ij nbar_j, which
 vacuum 1/2 to cancel.
 
 Each CascadedParams field is a scalar (one point) or an array (one item per
-point), and everything here is array arithmetic.  As in ``linalg``, one point
-raises on bad input, while arrays report bad items as masks (``invalid``, and
-the failed items of the solves).  The closed forms and the disconnected
-baseline never raise: their values are NaN where they are undefined, for one
-point and arrays alike.
+point), and everything here is array arithmetic.  ``linalg`` kernels report
+failed items; ``linear_response``, ``flow_cumulants`` and ``large_deviation``
+raise for one point.  So one point raises on bad input, while arrays report
+bad items as masks (``invalid``, and the failed items of the response).  The
+closed forms and the disconnected baseline never raise: their values are NaN
+where they are undefined, for one point and arrays alike.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import SingularSystemError, check_items, solve_lyapunov, stability_margin
+from .linalg import solve_lyapunov, stability_margin
 
 
 class InvalidParamsError(Exception):
@@ -40,6 +42,10 @@ class InvalidParamsError(Exception):
 
 class UnstableSystemError(Exception):
     """Drift matrix is not strictly stable; no steady state exists."""
+
+
+class SingularSystemError(Exception):
+    """A Lyapunov solve failed: singular, or its residual beyond tolerance."""
 
 
 _log = logging.getLogger("noisecascade")
@@ -162,23 +168,43 @@ class CascadedParams(_ParamSet):
         return self.gamma1 + self.gamma2
 
 
+def check_items(failed: NDArray, bad: NDArray, error: type, message: str, *args) -> NDArray:
+    """``failed`` with the items in ``bad`` added; one item (0-d mask) raises instead.
+
+    The message is formatted only when raising, so ``args`` may be stacks.
+    """
+    if failed.ndim == 0 and bad:
+        raise error(message.format(*args))
+    return failed | bad
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Mode-space drift M (..., n, n), coupling matrix U (..., n, k) whose
-    column c - 1 couples channel c, the channel rates and bath occupations
-    (..., k), and the Hermitian noise matrix N (..., n, n)."""
+    column c - 1 couples channel c, and the channel rates and bath
+    occupations (..., k).  The noise matrix N is derived from U and nbar."""
 
     M: NDArray[np.complex128]
     U: NDArray[np.complex128]
     rate: NDArray[np.float64]
     nbar: NDArray[np.float64]
-    N: NDArray[np.complex128]
+
+    @functools.cached_property
+    @np.errstate(invalid="ignore")  # inf * 0 at invalid() items
+    def N(self) -> NDArray[np.complex128]:
+        """N = sum_c (nbar_c + 1/2) u_c u_c† (..., n, n), Hermitian to rounding;
+        built on first use, one n x n outer product per column: faster on a
+        stack than one (..., n, n, k) broadcast."""
+        w, U, Uc = self.nbar + 0.5, self.U, self.U.conj()
+        outer = (U[..., :, None, c] * Uc[..., None, :, c] for c in range(U.shape[-1]))
+        return sum(w[..., c, None, None] * uu for c, uu in enumerate(outer))
 
 
 @np.errstate(invalid="ignore")  # sqrt of a negative rate or inf * 0 at invalid() items
 def build_system(p: CascadedParams) -> LinearSystem:
-    """Drift, couplings and noise matrix of the cascaded system; array params
-    give a stack.  The rates are stored as given: |u_c|^2 rounds away from them."""
+    """Drift, couplings, rates and bath occupations of the cascaded system;
+    array params give a stack.  The rates are stored as given: |u_c|^2 rounds
+    away from them."""
     eip, shape = np.exp(1j * p.phi), np.shape(p.phi)
     M = np.empty(shape + (2, 2), complex)
     M[..., 0, 0] = -1j * p.omega1 - (p.gamma1 + p.kappa1) / 2.0
@@ -191,40 +217,18 @@ def build_system(p: CascadedParams) -> LinearSystem:
     rate, nbar = np.empty(shape + (3,)), np.empty(shape + (3,))
     rate[..., 0], rate[..., 1], rate[..., 2] = p.kappa1, p.kappa2, p.collective_rate
     nbar[..., 0], nbar[..., 1], nbar[..., 2] = p.nbar1, p.nbar2, p.nbar3
-    # N = sum_c (nbar_c + 1/2) u_c u_c†, one 2x2 outer product per column:
-    # faster on a stack than one (..., 2, 2, 3) broadcast
-    w, Uc = nbar + 0.5, U.conj()
-    N = sum(w[..., c, None, None] * (U[..., :, None, c] * Uc[..., None, :, c]) for c in range(3))
-    return LinearSystem(M=M, U=U, rate=rate, nbar=nbar, N=N)
+    return LinearSystem(M=M, U=U, rate=rate, nbar=nbar)
 
 
-def steady_state(p: CascadedParams) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
-    """Steady-state 2x2 Hermitian covariance Y from M Y + Y M† + N = 0.
-
-    One point raises on a drift that is not strictly stable or a failed solve
-    (with the solve's own residual message); arrays give (Y, failed), NaN and
-    flagged where the single call raises (invalid, unstable and marginal
-    points, failed solves), with the failed items kept out of the solve.
-    """
-    sys = build_system(p)
-    failed, M = _stable_drift(sys.M, p.invalid())
-    if not failed.ndim:
-        return solve_lyapunov(M, sys.N)
-    bad = failed[..., None, None]  # the placeholders keep the failed items out of the solve
-    Y, singular = solve_lyapunov(M, np.where(bad, 0.0, sys.N))
-    return np.where(bad, np.nan, Y), failed | singular
-
-
-def _stable_drift(M: NDArray, failed: NDArray[np.bool_] | None = None):
-    """(failed, M) with the items whose ``stability_margin`` is not negative
-    (NaN too) added to ``failed`` (none by default), and the stable
-    placeholder drift -I at every failed item of M; one system raises
-    UnstableSystemError instead."""
+def _stable_drift(M: NDArray):
+    """(failed, M): the items whose ``stability_margin`` is not negative (NaN
+    too), and the stable placeholder drift -I at every failed item of M; one
+    system raises UnstableSystemError instead."""
     margin = stability_margin(M)
-    failed = np.zeros(np.shape(margin), bool) if failed is None else failed
     message = "drift is not stable (margin {:.3e})"
     # logical_not, not ~: ~ of the Python bool of a float margin is -2, which is truthy
     unstable = np.logical_not(margin < 0.0)
+    failed = np.zeros(np.shape(margin), bool)
     failed = check_items(failed, unstable, UnstableSystemError, message, margin)
     return failed, np.where(failed[..., None, None], -np.eye(2), M)
 
@@ -249,9 +253,10 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     """Occupation weights W (..., 2, 3) and flow conductances G (..., 3, 3) of
     the bath occupations: n_i = sum_j W_ij nbar_j and eta_k = sum_j G_kj nbar_j.
 
-    Both depend on the drift and couplings alone (``sys.N`` and ``sys.nbar``
-    are not read).  X_j solves M X_j + X_j M† + u_j u_j† = 0 for column u_j
-    of U, all three on one Lyapunov operator, and Y = sum_j (nbar_j + 1/2) X_j.
+    Both depend on the drift and couplings alone: ``sys.nbar`` is not read,
+    so the noise matrix ``sys.N`` is never built.  X_j solves
+    M X_j + X_j M† + u_j u_j† = 0 for column u_j of U, all three on one
+    Lyapunov operator, and Y = sum_j (nbar_j + 1/2) X_j.
     Each X_j is positive semidefinite, so W_ij = Re (X_j)_ii >= 0 up to the
     solve's error: n_i adds non-negative terms, with no vacuum 1/2 to subtract
     (M + M† = -U U† makes X_1 + X_2 + X_3 = I).  G_kj = 2 u_k† X_j u_k -

@@ -32,6 +32,7 @@ import numpy as np
 from .cascaded import (
     CascadedParams,
     InvalidParamsError,
+    SingularSystemError,
     UnstableSystemError,
     build_system,
     disconnected_baseline,
@@ -44,7 +45,6 @@ from .counting import (
     flow_cumulants,
     large_deviation,
 )
-from .linalg import SingularSystemError
 from .optomech import (
     NoCouplingError,
     OmParams,
@@ -73,12 +73,17 @@ NUMERIC_ERRORS = (
 
 
 def _parse_sets(model: str, pairs: list[str]) -> dict:
-    """The ``--set`` values of ``model`` as a config's params: F stays a string."""
+    """The ``--set`` values of ``model`` as a config's params: F stays a string.
+
+    A name may be set once, as a sweep config may sweep a variable once.
+    """
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise SchemaError(f"expected name=value, got {pair!r}")
         name, _, value = pair.partition("=")
+        if name in out:
+            raise SchemaError(f"{name}: set twice")
         try:
             out[name] = value if name == "F" else float(value)
         except ValueError as exc:

@@ -96,6 +96,10 @@ M† Z + Z M + P = 0, Tr(P sigma_k) = Tr(Z S_k).  Z does not depend on
 sigma_0 = 2V, so the two share one stacked Lyapunov solve (drifts M and M†,
 sources N and P): orders 1 and 2 cost that one solve, and orders 3 and 4
 one more solve each.  This gives exact cumulants.
+
+``linalg`` kernels report failed items; ``linear_response``,
+``flow_cumulants`` and ``large_deviation`` raise for one point, and give a
+stack (value, failed), NaN in the failed items.
 """
 
 from __future__ import annotations
@@ -105,13 +109,10 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import LinearSystem, _stable_drift
+from .cascaded import LinearSystem, SingularSystemError, _stable_drift, check_items
 from .linalg import (
-    SingularSystemError,
     _dagger,
     _maxabs,
-    check_hermitian,
-    check_items,
     hermitian_part,
     solve_lyapunov,
     stacked_product,
@@ -199,12 +200,12 @@ def large_deviation(
 
     The stable sum is sqrt of the largest root of the resolvent cubic of
     det(lam - H_s), built from 2x2 quantities with no eigenvalue solve
-    (module docstring).  Invalid input (a zero-rate channel, non-finite
-    matrices or tilting functions, an N that is not Hermitian, checked once
-    per point relative to max(max|N|, 1)) fails at every s, s = 0 included;
-    at s = 0 only the admissibility check is skipped, and theta is exactly
-    zero, also for an unstable drift.  One point raises; a stack of systems
-    or a vector of s values gives (theta, failed), NaN where it would.
+    (module docstring).  N, derived from U and nbar, is Hermitian to
+    rounding, so 2N + F+/2 is too.  Invalid input (a zero-rate channel,
+    non-finite matrices or tilting functions) fails at every s, s = 0
+    included; at s = 0 only the admissibility check is skipped, and theta is
+    exactly zero, also for an unstable drift.  One point raises; a stack of
+    systems or a vector of s values gives (theta, failed), NaN where it would.
     """
     s = np.asarray(s, dtype=float)
     rate, nbar, uhat, P, _ = _unit_vector(sys, channel)
@@ -216,7 +217,6 @@ def large_deviation(
         tilt_m, tilt_p = (np.abs(0.5 * f) * _maxabs(P) for f in (fminus, fplus))
         scale = np.maximum(_maxabs(sys.M) + tilt_m, 2.0 * _maxabs(sys.N) + tilt_p)
         failed = check_items(np.zeros(scale.shape, bool), ~np.isfinite(scale), error, message, s)
-        failed = check_hermitian(failed, sys.N)  # P is Hermitian: so is 2N + F+/2 where N is
         # an extra axis keeps one point in array arithmetic, which rounds like a stack
         M, N = (np.asarray(X)[..., None, :, :] for X in (sys.M, sys.N))
         t, e = _system_terms(M, N, np.asarray(uhat)[..., None, :])
@@ -256,9 +256,8 @@ def flow_cumulants(
 
     Order 1 is the mean flow into the bath (> 0: net absorption).  One system
     returns the list and raises (an unstable drift, a zero-rate channel, a
-    failed solve, a non-Hermitian N, a moment beyond the float range
-    included); a stack returns (list, failed), NaN in every order where the
-    single call raises.
+    failed solve, a moment beyond the float range included); a stack returns
+    (list, failed), NaN in every order where the single call raises.
 
     eta^(m) = (-1)^m [sum_j C(m, j) f+^(j) Re Tr(P sigma_{m-j}) - f-^(m) Re Tr P].
     sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, and

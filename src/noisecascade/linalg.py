@@ -13,8 +13,10 @@ drift once, and a caller that repeats drifts (a sweep whose points differ
 only in their bath occupations) passes each distinct drift once.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
-item.  One matrix raises on its first failed check; a stack returns
-(X, failed), with NaN in the failed items.  A failed item is replaced by a
+item.  ``linalg`` kernels report failed items; ``linear_response``,
+``flow_cumulants`` and ``large_deviation`` raise for one point.  So the
+Lyapunov solve returns (X, failed) for one matrix (a 0-d mask) and for a
+stack alike, with NaN in the failed items.  A failed item is replaced by a
 harmless placeholder before the next LAPACK call, so that it cannot raise
 LinAlgError for the whole stack.
 
@@ -33,14 +35,6 @@ from numpy.typing import NDArray
 
 _HERMITIAN_RTOL = 1e-12  # relative asymmetry allowed in a noise matrix
 _RESIDUAL_RTOL = 1e-10  # Lyapunov residual allowed, relative to max|N|
-
-
-class SingularSystemError(Exception):
-    """Vectorized Lyapunov system is numerically singular (drift not stable)."""
-
-
-class NonSymmetricInputError(Exception):
-    """A matrix that must be Hermitian (symmetric, if real) is not, beyond tolerance."""
 
 
 def _mean_half_disc(M: NDArray[np.complex128]) -> tuple[NDArray, NDArray, NDArray]:
@@ -115,16 +109,6 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     return np.maximum(big[..., 0], other[..., 0])
 
 
-def check_items(failed: NDArray, bad: NDArray, error: type, message: str, *args) -> NDArray:
-    """``failed`` with the items in ``bad`` added; one item (0-d mask) raises instead.
-
-    The message is formatted only when raising, so ``args`` may be stacks.
-    """
-    if failed.ndim == 0 and bad:
-        raise error(message.format(*args))
-    return failed | bad
-
-
 def _placeholder(failed: NDArray, X: NDArray, X0) -> NDArray:
     return np.where(failed[..., None, None], X0, X)
 
@@ -173,16 +157,9 @@ def hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
 
-def check_hermitian(failed: NDArray, N: NDArray) -> NDArray:
-    """``failed`` with the items of the noise matrix ``N`` that are not Hermitian
-    to relative _HERMITIAN_RTOL added; one item raises NonSymmetricInputError instead."""
-    bad = _maxabs(N - _dagger(N)) > _HERMITIAN_RTOL * np.maximum(_maxabs(N), 1.0)
-    message = f"noise matrix N is not Hermitian to relative {_HERMITIAN_RTOL}"
-    return check_items(failed, bad, NonSymmetricInputError, message)
-
-
-def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[np.bool_]]:
-    """Solve A X + X A† + N = 0 for Hermitian X.
+def solve_lyapunov(A: NDArray, N: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
+    """Solve A X + X A† + N = 0 for Hermitian X: (X, failed) of the broadcast
+    shape, NaN in the failed items.
 
     Uses the dense row-major vectorization K = kron(A, I) + kron(I, conj(A)),
     with n^2 unknowns for an n x n drift.  K depends on the drift alone, so
@@ -190,14 +167,14 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[n
     inverse is applied to every vec(N) that broadcasts against it: a drift
     (..., 1, n, n) serves k sources (..., k, n, n) with one inversion.  A and
     N are scaled by powers of two to max-norms in [1/2, 1), which keeps the
-    bits of X and keeps every intermediate inside the float range.  The
-    residual is checked per item against _RESIDUAL_RTOL * max-norm of N.  One
-    matrix and one source return X and raise on a failed check; otherwise
-    the result is (X, failed) of the broadcast shape, NaN in failed items.
+    bits of X and keeps every intermediate inside the float range.  An item
+    fails where N is not Hermitian to relative _HERMITIAN_RTOL, where K is
+    singular, or where the residual exceeds _RESIDUAL_RTOL * max-norm of N.
     """
     A, N = np.asarray(A), np.asarray(N)
-    failed = check_hermitian(np.zeros(np.broadcast_shapes(A.shape, N.shape)[:-2], bool), N)
-    (norm_n, b), a = np.frexp(_maxabs(N)), np.frexp(_maxabs(A))[1]  # max|N| = norm_n 2^b
+    norm = _maxabs(N)
+    failed = _maxabs(N - _dagger(N)) > _HERMITIAN_RTOL * np.maximum(norm, 1.0)
+    (norm_n, b), a = np.frexp(norm), np.frexp(_maxabs(A))[1]  # max|N| = norm_n 2^b
     A, N = _ldexp(A, -a), _ldexp(N, -b)  # max-norms in [1/2, 1); X scales by 2^(b - a)
     n = A.shape[-1]
     eye = np.eye(n)
@@ -206,20 +183,12 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> NDArray | tuple[NDArray, NDArray[n
     # a zero determinant sign flags exactly the drifts whose LU has a zero pivot
     singular = np.linalg.slogdet(K)[0] == 0.0
     Kinv = np.linalg.inv(_placeholder(singular, K, np.eye(n * n)))
-    message = "vectorized Lyapunov system is singular"
-    failed = check_items(failed, singular, SingularSystemError, message)
+    failed = failed | singular
     # one contiguous operator per item, as each source sees it
     Kinv = np.broadcast_to(Kinv, failed.shape + (n * n, n * n)).reshape(-1, n * n, n * n)
     vec_n = np.broadcast_to(N, failed.shape + (n, n)).reshape(-1, n * n)
     V = hermitian_part(np.einsum("pij,pj->pi", Kinv, -vec_n).reshape(failed.shape + (n, n)))
     # V is exactly Hermitian, so V A† is exactly (A V)†
     AV = stacked_product(A, V)
-    residual = _maxabs(AV + _dagger(AV) + N)
-    message = (
-        "Lyapunov residual {:.3e} exceeds {:.1e} * |N| (drift unstable or marginally stable?)"
-    )
-    bad = ~(residual <= _RESIDUAL_RTOL * norm_n)
-    residual = np.ldexp(residual, b)  # in the units of N
-    failed = check_items(failed, bad, SingularSystemError, message, residual, _RESIDUAL_RTOL)
-    V = _ldexp(V, b - a)
-    return V if failed.ndim == 0 else (_placeholder(failed, V, np.nan), failed)
+    failed = failed | ~(_maxabs(AV + _dagger(AV) + N) <= _RESIDUAL_RTOL * norm_n)
+    return _placeholder(failed, _ldexp(V, b - a), np.nan), failed

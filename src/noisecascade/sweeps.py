@@ -22,12 +22,14 @@ from the parameters to each requested output column (theta over the whole
 s_grid), makes one call per block.  Occupations and flows are linear in the
 bath occupations, so the points of a block that differ only in nbar1..3
 (keyed on the float64 bits of every other field, of which only the words
-that vary within the block are compared) share one system: its margin and
-linear response (W, G) of ``cascaded.linear_response`` are computed once,
-and each point takes n_i = sum_j W_ij nbar_j, as ``steady-state`` does,
-and eta_k = sum_j G_kj (nbar_j - nbar3).  The baseline runs only for m* and
+that vary within the block are compared) share one system, built once for
+every output: its margin and linear response (W, G) of
+``cascaded.linear_response`` are computed once, and each point takes
+n_i = sum_j W_ij nbar_j, as ``steady-state`` does, and
+eta_k = sum_j G_kj (nbar_j - nbar3).  The baseline runs only for m* and
 dn*, the response only for n*, dn* and eta*, the closed forms and theta only
-when requested; theta runs per point.  The result is columnar: a SweepResult
+when requested; theta runs per point, on its system with the noise matrix of
+its own nbar.  The result is columnar: a SweepResult
 holds a value array and a status vector, and a cell is blank exactly where
 its value is not finite.  ``emit`` writes a blank cell as empty (CSV) or
 null (JSON), and formats each distinct value of a column once, the distinct
@@ -377,9 +379,10 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
 
     The block's parameters are one array-valued CascadedParams built from its
     axis columns, with all-zero placeholders (as in CascadedParams()) at its
-    invalid points.  Points that differ only in nbar1..3 share one system:
-    the margin and the linear response (W, G) are computed once per distinct
-    system, and each point's occupations and flows follow from its nbar.  A
+    invalid points.  Points that differ only in nbar1..3 share one system,
+    built once: the margin and the linear response (W, G) are computed once
+    per distinct system, and each point's occupations, flows and theta follow
+    from its nbar.  A
     cell is blank exactly where its value is not finite.  Each kernel writes
     NaN where its value is undefined: a failed Lyapunov solve (n*, dn*,
     eta*), a mode without a rate (m*, dn*), unequal rates (n*_closed) and a
@@ -402,13 +405,9 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         built = ~(om.invalid() | p.invalid())
     p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
     first, inverse = _systems(p)
-    if "theta" in cfg.outputs:  # theta needs each point's noise matrix
-        sys = build_system(p)
-        distinct = LinearSystem(**{f.name: getattr(sys, f.name)[first] for f in dc_fields(sys)})
-    else:
-        distinct = build_system(
-            CascadedParams(**{f.name: getattr(p, f.name)[first] for f in dc_fields(p)})
-        )
+    # each distinct system is built once, for every output
+    distinct = build_system(CascadedParams(**{k: v[first] for k, v in vars(p).items()}))
+    nbar = np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)
     margin = stability_margin(distinct.M)[inverse]
     stable = built & (margin < 0.0)
     cells = {
@@ -423,7 +422,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         W, G, _ = linear_response(distinct)  # NaN at failed systems
         W, G = W[inverse], G[inverse]
         # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
-        n = occupations(W, np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1))
+        n = occupations(W, nbar)
         eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
         eta[distinct.rate[inverse] <= 0.0] = np.nan
         for i in (0, 1):
@@ -434,7 +433,8 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
             cells[f"eta{k + 1}"] = [eta[:, k]]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):
         cells["n1_closed"], cells["n2_closed"] = ([n] for n in closed_form_occupations(p))
-    if "theta" in cfg.outputs:
+    if "theta" in cfg.outputs:  # each point's system, with the noise matrix of its own nbar
+        sys = LinearSystem(distinct.M[inverse], distinct.U[inverse], distinct.rate[inverse], nbar)
         theta, _ = large_deviation(1, np.array(cfg.s_grid)[:, None], sys)  # NaN where it fails
         cells["theta"] = list(theta)
     values = np.column_stack(axis_columns + [v for name in cfg.outputs for v in cells[name]])

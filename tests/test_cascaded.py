@@ -18,16 +18,16 @@ from noisecascade.cascaded import (
     CascadedParams,
     InvalidParamsError,
     LinearSystem,
+    SingularSystemError,
     UnstableSystemError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     linear_response,
     occupations,
-    steady_state,
 )
 from noisecascade.counting import flow_cumulants
-from noisecascade.linalg import SingularSystemError, stability_margin
+from noisecascade.linalg import solve_lyapunov, stability_margin
 from noisecascade.optomech import OmParams, map_to_cascaded
 from exact_occupation_oracle import exact_occupations
 from test_sweeps_cli import LYAPUNOV_FAILURE
@@ -149,6 +149,36 @@ class TestBuildSystem:
                 assert (norms != expected).all()
             assert same_bits(sys.rate, np.broadcast_to(expected, np.shape(phi) + (3,)))
 
+    def test_derived_noise_matrix(self):
+        # N is derived from U and nbar, not stored: it equals U diag(nbar + 1/2) U†
+        # and is Hermitian to rounding, on a seeded draw of rates and
+        # occupations over 10^+-300 (the points whose noise terms overflow are invalid)
+        rng = np.random.default_rng(36)
+        size = 20000
+        graded = {name: 10.0 ** rng.uniform(-300.0, 300.0, size)
+                  for name in ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")}
+        p = CascadedParams(
+            omega1=rng.normal(size=size), omega2=rng.normal(size=size),
+            phi=rng.uniform(0.0, 2.0 * np.pi, size),
+            F=rng.normal(size=size) + 1j * rng.normal(size=size), **graded,
+        )
+        valid = ~p.invalid()
+        p = CascadedParams(**{k: v[valid] for k, v in vars(p).items()})
+        # sqrt(gamma1 gamma2) in M21 overflows where gamma1 gamma2 does, though
+        # both rates are valid: a fault of the drift, which N does not read
+        with np.errstate(over="ignore"):
+            sys = build_system(p)
+        N, U = sys.N, sys.U
+        norm = np.abs(N).max(axis=(-2, -1))
+        assert valid.sum() > size // 4 and (norm > 0.0).all()
+        expected = (U * (sys.nbar + 0.5)[..., None, :]) @ U.conj().swapaxes(-2, -1)
+        assert (np.abs(N - expected).max(axis=(-2, -1)) <= 1e-15 * norm).all()
+        defect = np.abs(N - N.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+        assert (defect <= 4.0 * np.finfo(float).eps * norm).all()
+        assert sys.N is N  # built once per system
+        with pytest.raises(TypeError):
+            LinearSystem(sys.M, sys.U, sys.rate, sys.nbar, N)
+
     def test_vacuum_noise_floor(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         sys = build_system(p)
@@ -159,12 +189,14 @@ class TestBuildSystem:
 class TestSteadyState:
     def test_vacuum_inputs_give_vacuum(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.5, gamma2=0.25, phi=0.7)
-        V = steady_state(p)
+        sys = build_system(p)
+        V, failed = solve_lyapunov(sys.M, sys.N)
+        assert not failed
         np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-10)
 
     def test_unstable_system_raises(self):
         with pytest.raises(UnstableSystemError):
-            steady_state(CascadedParams(omega1=1.0, omega2=1.0))
+            linear_response(build_system(CascadedParams(omega1=1.0, omega2=1.0)))
 
     def test_nan_drift_is_unstable(self, monkeypatch):
         # a NaN margin is not stable: the item reaches the solve only as the
@@ -202,12 +234,13 @@ class TestSteadyState:
         p = CascadedParams(kappa1=np.array([1.0, 0.0]), kappa2=1.0,
                            gamma1=np.array([0.5, 0.0]), gamma2=0.25, nbar1=2.0)
         assert not p.invalid().any()
-        Y, failed = steady_state(p)
-        assert failed.tolist() == [False, True] and np.isnan(Y[1]).all()  # mode 1 undamped
+        W, G, failed = linear_response(build_system(p))
+        assert failed.tolist() == [False, True] and np.isnan(W[1]).all()  # mode 1 undamped
         points = [CascadedParams(**{k: v[i] for k, v in vars(p).items()}) for i in (0, 1)]
-        assert same_bits(Y[0], steady_state(points[0]))
+        W0, G0 = linear_response(build_system(points[0]))
+        assert same_bits(W[0], W0) and same_bits(G[0], G0)
         with pytest.raises(UnstableSystemError):
-            steady_state(points[1])
+            linear_response(build_system(points[1]))
 
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,
@@ -621,32 +654,35 @@ class TestArrayParams:
             checked.add("unequal" if np.isnan(closed[0][i]) else "equal")
         assert invalid.sum() == 7 and checked == {"equal", "unequal"}
 
-    def test_steady_state_stack_flags_what_a_point_raises(self):
+    def test_linear_response_stack_flags_what_a_point_raises(self):
         # a stack item fails exactly where its single call raises, and equals it
-        # bit for bit elsewhere
+        # bit for bit elsewhere; the invalid point takes the all-zero
+        # placeholder of a sweep
         points = [
             dict(kappa1=1.0, kappa2=0.5, gamma1=0.3, gamma2=0.7, F=0.2j, nbar1=2.0, nbar3=1.0),
             dict(omega1=1.0, omega2=1.0, kappa2=1.0, nbar2=3.0),  # mode 1 undamped: marginal
             # eigenvalues -1/2 +- 1/2: marginal through the cascaded coupling
             dict(gamma1=1.0, gamma2=1.0, F=0.5, phi=-np.pi / 2, nbar3=1.0),
-            # margin -2.5e-13: stable, but the solve fails its residual check
+            # margin -2.5e-13: stable, but the solve misses its residual bound
             dict(gamma1=1.0, gamma2=1.0, F=0.5 + 1e-12, phi=-np.pi / 2, nbar3=1.0, kappa1=1e-12),
             dict(kappa1=-1.0, kappa2=1.0),  # invalid
             dict(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0, omega2=0.4),
         ]
+        valid = [point if i != 4 else {} for i, point in enumerate(points)]
         stack = CascadedParams(**{
-            f.name: np.array([point.get(f.name, 0.0) for point in points])
+            f.name: np.array([point.get(f.name, 0.0) for point in valid])
             for f in dataclasses.fields(CascadedParams)
         })
-        Y, failed = steady_state(stack)
+        W, G, failed = linear_response(build_system(stack))
         assert failed.tolist() == [False, True, True, True, True, False]
         for i, point in enumerate(points):
             try:
-                single = steady_state(CascadedParams(**point))
+                single = linear_response(build_system(CascadedParams(**point)))
             except (InvalidParamsError, UnstableSystemError, SingularSystemError):
-                assert failed[i] and np.isnan(Y[i]).all(), i
+                assert failed[i] and np.isnan(W[i]).all() and np.isnan(G[i]).all(), i
             else:
-                assert not failed[i] and same_bits(Y[i], single), i
+                assert not failed[i], i
+                assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
 
     def test_single_point_returns_and_messages(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)
@@ -680,8 +716,7 @@ def random_stable_systems(rng, size):
     M = -0.5j * (H + H.conj().swapaxes(-2, -1)) - 0.5 * UU
     rate = (np.abs(U) ** 2).sum(axis=-2)
     nbar = rng.uniform(0.0, 5.0, (size, 3))
-    N = (U * (nbar + 0.5)[:, None, :]) @ U.conj().swapaxes(-2, -1)
-    return LinearSystem(M=M, U=U, rate=rate, nbar=nbar, N=N)
+    return LinearSystem(M=M, U=U, rate=rate, nbar=nbar)
 
 
 class TestLinearResponse:
@@ -706,7 +741,8 @@ class TestLinearResponse:
             for j in range(3):
                 unit = dict(zip(("nbar1", "nbar2", "nbar3"), np.eye(3)[j]))
                 q = dataclasses.replace(p, **unit)
-                sys, Y = build_system(q), steady_state(q)
+                sys = build_system(q)
+                Y, _ = solve_lyapunov(sys.M, sys.N)
                 for k in range(3):
                     assert abs(G[k, j] - flow_cumulants(k + 1, 1, sys)[0]) <= 1e-13 * scale
                 assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
@@ -715,7 +751,7 @@ class TestLinearResponse:
         # the time-reversed partner (M^T, conj(U)) transmits the other way: G -> G^T
         systems = random_stable_systems(np.random.default_rng(2), 100)
         partner = LinearSystem(M=systems.M.swapaxes(-2, -1), U=systems.U.conj(),
-                               rate=systems.rate, nbar=systems.nbar, N=systems.N.conj())
+                               rate=systems.rate, nbar=systems.nbar)
         G, G_partner = linear_response(systems)[1], linear_response(partner)[1]
         bound = 1e-13 * systems.rate.max(axis=-1)[:, None, None]
         assert (np.abs(G - G_partner.swapaxes(-2, -1)) <= bound).all()
@@ -791,7 +827,8 @@ class TestLinearResponse:
         n, exact = self.occupations_and_exact(p)
         assert len(n) == 2 and (np.abs(n - exact) <= self.ORACLE_RTOL * exact).all()
         assert n[0, 0] == 9.99999999999e-07 and n[1, 0] == 9.99999999e-13
-        vacuum_read = steady_state(small)[0, 0].real - 0.5
+        small_sys = build_system(small)
+        vacuum_read = solve_lyapunov(small_sys.M, small_sys.N)[0][0, 0].real - 0.5
         assert abs(vacuum_read - exact[1, 0]) > 1e4 * self.ORACLE_RTOL * exact[1, 0]
 
     def test_rate_near_the_float_maximum(self):

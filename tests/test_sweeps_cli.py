@@ -29,7 +29,6 @@ from noisecascade.cascaded import (
     disconnected_baseline,
     linear_response,
     occupations,
-    steady_state,
 )
 from noisecascade.cli import build_parser, main
 from noisecascade.counting import (
@@ -38,7 +37,7 @@ from noisecascade.counting import (
     flow_cumulants,
     large_deviation,
 )
-from noisecascade.linalg import SingularSystemError, solve_lyapunov, stability_margin
+from noisecascade.linalg import solve_lyapunov, stability_margin
 from noisecascade.optomech import OmParams, design_nonreciprocal, map_to_cascaded, preset_microwave
 from noisecascade.sweeps import (
     SchemaError,
@@ -640,10 +639,8 @@ def reference_row(cfg, axis_values):
     sys = build_system(p)
     margin = stability_margin(sys.M)
     stable = margin < 0.0
-    try:
-        V = solve_lyapunov(sys.M, sys.N) if stable else None
-    except SingularSystemError:
-        V = None
+    V, failed = solve_lyapunov(sys.M, sys.N)
+    V = None if failed or not stable else V
 
     def cell(name):
         if name == "stability_margin":
@@ -873,9 +870,9 @@ class TestStackedSweep:
         # MIXED_GRID's block, with the all-zero placeholders of its invalid
         # points: keyed on the fields that vary it falls into the same
         # systems as keyed on all fields but nbar1..3
-        blocks, build = [], sweeps.build_system
-        monkeypatch.setattr(sweeps, "build_system", lambda p: blocks.append(p) or build(p))
-        run_sweep(parse_config(json.dumps(MIXED_GRID)))  # theta builds every point's system
+        blocks, systems = [], sweeps._systems
+        monkeypatch.setattr(sweeps, "_systems", lambda p: blocks.append(p) or systems(p))
+        run_sweep(parse_config(json.dumps(MIXED_GRID)))
         (p,) = blocks
         assert (p.kappa1 == 0.0).any() and (p.phi == 0.0).any()  # placeholders
         rest = [getattr(p, name) for name in ("omega1", "omega2", "kappa1", "kappa2",
@@ -933,6 +930,16 @@ THETA_SWEEP = {
     "s_grid": [-0.3, 0, 0.5],
     "format": "json",
 }
+# sweeps whose points share systems, with theta: NBAR1_SWEEP on an s_grid,
+# 2505 points on 5 systems and 10020 (point, s) pairs in one block, of which
+# s = 0.2 and 0.5 blank some cells, and a 7 x 4 optomechanical Nbar1 x J grid,
+# whose Nbar1 axis varies only the bath occupations: 28 points on 4 systems
+NBAR1_THETA_SWEEP = dict(NBAR1_SWEEP, outputs=[*NBAR1_SWEEP["outputs"], "theta"],
+                         s_grid=[-0.3, 0.0, 0.2, 0.5])
+OM_SHARED_THETA_SWEEP = dict(THETA_SWEEP, axes=[
+    {"variable": "Nbar1", "min": 0, "max": 3, "points": 7},
+    {"variable": "J", "min": 0, "max": 1, "points": 4},
+])
 # rows whose s = 0.5 lies outside the admissible region, as the 4x4 eigenvalue
 # path flagged them before the closed form replaced it
 THETA_SWEEP_BLANK_ROWS = [0, 1, 6, 7, 12, 13, 14, 18, 19, 20, 24, 25, 26, 27, 30, 31, 32, 33, 34]
@@ -958,6 +965,33 @@ class TestThetaBatching:
             monkeypatch.setattr(sweeps, "BLOCK_POINTS", block_points)
             assert emit(run_sweep(cfg), cfg) == default, block_points
             assert calls == [(3, n) for n in points], block_points
+
+    @pytest.mark.parametrize("doc, systems", [(NBAR1_THETA_SWEEP, 5), (OM_SHARED_THETA_SWEEP, 4)],
+                             ids=["nbar1", "optomech"])
+    def test_theta_on_shared_systems(self, doc, systems, monkeypatch):
+        # points that share a system take theta from its drift and couplings
+        # with their own nbar: each cell equals large_deviation on the point's
+        # own system bit for bit, and the block builds its systems once
+        blocks, built = [], []
+        keyed, build = sweeps._systems, sweeps.build_system
+        monkeypatch.setattr(sweeps, "_systems", lambda p: blocks.append(p) or keyed(p))
+        monkeypatch.setattr(sweeps, "build_system", lambda p: built.append(p.phi.size) or build(p))
+        cfg = parse_config(json.dumps(doc))
+        result = run_sweep(cfg)
+        (p,) = blocks
+        assert built == [systems] and p.phi.size == len(result.status) > systems
+        theta = result.values[:, len(cfg.axes) + len(cfg.outputs) - 1:]
+        assert theta.shape[1] == len(cfg.s_grid) and np.isnan(theta).any()
+        for i in range(len(result.status)):
+            sys = build(CascadedParams(**{k: v[i] for k, v in vars(p).items()}))
+            stable = stability_margin(sys.M) < 0.0  # the row rule blanks the rest
+            for j, s in enumerate(cfg.s_grid):
+                try:
+                    single = np.float64(large_deviation(1, s, sys) if stable else np.nan)
+                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
+                    single = np.float64(np.nan)
+                got = theta[i, j]
+                assert got.view(np.int64) == single.view(np.int64) or np.isnan([got, single]).all()
 
 
 class TestThetaAdmissibility:
@@ -1168,7 +1202,7 @@ def ci_sweep_configs():
         "preset_dn": PRESET_DN_SWEEP, "overflowing_sum": OVERFLOWING_SUM_SWEEP,
         "theta_sweep": THETA_SWEEP,
         "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
-        "theta_long100": THETA_LONG_SWEEP,
+        "theta_long100": THETA_LONG_SWEEP, "nbar1_theta": NBAR1_THETA_SWEEP,
     }
 
 
@@ -1374,6 +1408,16 @@ FCS_SETS = ["--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1", "--se
             "--set", "nbar1=2", "--set", "nbar2=1", "--set", "nbar3=0.5"]
 OM_SETS = ["--set", "omega_m=5", "--set", "gamma_m=0.4", "--set", "Delta1=5", "--set", "Delta2=5",
            "--set", "kappa1=1", "--set", "kappa2=1", "--set", "G1=0.3", "--set", "G2=0.2"]
+
+
+def with_set(sets, name, value):
+    """``sets`` with ``--set name=value`` in place of the value they give name, if any:
+    a name may be set only once."""
+    pairs = [(flag, pair) for flag, pair in zip(sets[::2], sets[1::2])
+             if pair.partition("=")[0] != name]
+    return [arg for pair in pairs for arg in pair] + ["--set", f"{name}={value}"]
+
+
 # every subcommand, an error of each exit code, and an argparse rejection;
 # "{dir}" is the test's temporary directory, which holds a sweep config
 REPEATED_CALLS = {
@@ -1493,8 +1537,8 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
     def test_no_state_leaks_between_calls(self, capsys):
-        rc, out, _, _ = call_main(["fcs", "1", *FCS_SETS, "--set", "kappa1=2", "--s-points", "3"],
-                                  capsys)
+        first = ["fcs", "1", *with_set(FCS_SETS, "kappa1", "2"), "--s-points", "3"]
+        rc, out, _, _ = call_main(first, capsys)
         assert rc == 0 and len(json.loads(out)["theta"]) == 3
         steady = ["steady-state", "--set", "kappa1=0.5", "--set", "kappa2=1.5",
                   "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar2=4"]
@@ -1615,6 +1659,16 @@ class TestParamCheck:
         expected = f"error: foo: unknown parameter 'foo' for model {model}\n"
         assert self.set_error(argv, capsys) == expected
 
+    @pytest.mark.parametrize("command", ["steady-state", "fcs", "map-om", "design"])
+    def test_repeated_set_name(self, command, capsys):
+        # a name set twice is refused, also with the same value, as a config
+        # refuses a variable swept twice
+        sets = OM_SETS if command in ("map-om", "design") else FCS_SETS
+        assert "kappa1=1" in sets
+        for value in ("5", "1"):
+            argv = [command, *(["1"] if command == "fcs" else []), *sets, "--set", f"kappa1={value}"]
+            assert self.set_error(argv, capsys) == "error: kappa1: set twice\n", argv
+
     def test_unknown_names_in_a_config(self, tmp_path, capsys):
         for variable in ("temperature", ["kappa1"]):
             doc = json.loads(fig2_config())
@@ -1624,20 +1678,20 @@ class TestParamCheck:
 
     def test_bad_set_values(self, capsys):
         for argv, message in (
-            (["design", *OM_SETS, "--set", "G1=nan"], "G1: must be a finite number"),
-            (["map-om", *OM_SETS, "--set", "gamma_m=inf"], "gamma_m: must be a finite number"),
-            (["map-om", *OM_SETS, "--set", "Nbar_m=1e400"], "Nbar_m: must be a finite number"),
-            (["fcs", "2", *FCS_SETS, "--set", "nbar1=-inf"], "nbar1: must be a finite number"),
-            (["steady-state", *FCS_SETS, "--set", "F=1+nanj"],
+            (["design", *with_set(OM_SETS, "G1", "nan")], "G1: must be a finite number"),
+            (["map-om", *with_set(OM_SETS, "gamma_m", "inf")], "gamma_m: must be a finite number"),
+            (["map-om", *with_set(OM_SETS, "Nbar_m", "1e400")], "Nbar_m: must be a finite number"),
+            (["fcs", "2", *with_set(FCS_SETS, "nbar1", "-inf")], "nbar1: must be a finite number"),
+            (["steady-state", *with_set(FCS_SETS, "F", "1+nanj")],
              "F: must be a finite number or complex string"),
-            (["fcs", "1", *FCS_SETS, "--set", "F=abc"],
+            (["fcs", "1", *with_set(FCS_SETS, "F", "abc")],
              "F: must be a finite number or complex string"),
-            (["steady-state", *FCS_SETS, "--set", "phi=x"], "phi: not a number: 'x'"),
+            (["steady-state", *with_set(FCS_SETS, "phi", "x")], "phi: not a number: 'x'"),
             # signs are checked by OmParams.invalid(), for library callers too
-            (["design", *OM_SETS, "--set", "kappa1=-1"], "kappa1: must be non-negative"),
-            (["map-om", *OM_SETS, "--set", "gamma_m=0"], "gamma_m: must be positive"),
+            (["design", *with_set(OM_SETS, "kappa1", "-1")], "kappa1: must be non-negative"),
+            (["map-om", *with_set(OM_SETS, "gamma_m", "0")], "gamma_m: must be positive"),
             # finite inputs whose mapping is not: G1^2 overflows, and times Im chi = 0 is NaN
-            (["map-om", *OM_SETS, "--set", "G1=1e200"], "omega1: must be finite"),
+            (["map-om", *with_set(OM_SETS, "G1", "1e200")], "omega1: must be finite"),
         ):
             assert self.set_error(argv, capsys) == f"error: {message}\n", argv
 
@@ -1803,8 +1857,9 @@ class TestOverflowingInputs:
         p = CascadedParams(**{k: float(v) for k, v in sets.items()})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            Y, (W, _) = steady_state(p), linear_response(build_system(p))
-        assert np.isfinite(Y).all() and np.isfinite(W).all()
+            sys = build_system(p)
+            (Y, failed), (W, _) = solve_lyapunov(sys.M, sys.N), linear_response(sys)
+        assert not failed and np.isfinite(Y).all() and np.isfinite(W).all()
         rc, out, err = fresh_process(MAX_NBAR_ARGV, flags=("-W", "error::RuntimeWarning"))
         assert (rc, err) == (0, "")
         doc = json.loads(out)
