@@ -1418,6 +1418,31 @@ def with_set(sets, name, value):
     return [arg for pair in pairs for arg in pair] + ["--set", f"{name}={value}"]
 
 
+# every numeric error line of the single-point commands, compared whole
+@pytest.mark.parametrize("argv, code, err", [
+    (["steady-state", "--set", "kappa1=0", "--set", "kappa2=1"], 3,
+     "error: drift is not stable (margin 0.000e+00)\n"),
+    # channel 1 has no rate and mode 1 no damping: the drift is reported first
+    (["fcs", "1", "--set", "kappa1=0", "--set", "kappa2=1", "--set", "gamma1=0",
+      "--set", "gamma2=1", "--set", "nbar1=1"], 3,
+     "error: drift is not stable (margin 0.000e+00)\n"),
+    (["fcs", "3", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "nbar1=1"], 3,
+     "error: channel 3 has zero rate\n"),
+    (["fcs", "1", *FCS_SETS, "--s-min=-800", "--s-max=800"], 3,
+     "error: no stabilizing biased covariance at s = -800\n"),
+    (["fcs", "1", *LYAPUNOV_FAILURE_ARGS], 3,
+     "error: Lyapunov solve of the steady state or the channel's Gramian failed\n"),
+    (["steady-state", *LYAPUNOV_FAILURE_ARGS], 3,
+     "error: Lyapunov solve of the response to the bath occupations failed\n"),
+    (["fcs", "1", *with_set(FCS_SETS, "nbar1", "1e160"), "--s-points", "0"], 3,
+     "error: flow cumulant of order 2 is not finite\n"),
+], ids=["unstable", "unstable_before_zero_rate", "zero_rate_channel", "outside_admissible",
+        "gramian_solve", "response_solve", "order_2_not_finite"])
+def test_numeric_error_lines(argv, code, err, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
+
+
 # every subcommand, an error of each exit code, and an argparse rejection;
 # "{dir}" is the test's temporary directory, which holds a sweep config
 REPEATED_CALLS = {
