@@ -16,12 +16,12 @@ and the occupations n_i = Y_ii - 1/2 equal sum_j W_ij nbar_j, which
 vacuum 1/2 to cancel.
 
 Each CascadedParams field is a scalar (one point) or an array (one item per
-point), and everything here is array arithmetic.  ``linalg`` kernels report
-failed items; ``linear_response``, ``flow_cumulants`` and ``large_deviation``
-raise for one point.  So one point raises on bad input, while arrays report
-bad items as masks (``invalid``, and the failed items of the response).  The
-closed forms and the disconnected baseline never raise: their values are NaN
-where they are undefined, for one point and arrays alike.
+point), and everything here is array arithmetic.  Kernels return a reason
+per item; ``raise_first`` raises.  A reason is a code of ``REASONS`` (0 is
+ok), the first failed check of its item, so a point and a stack item report
+alike.  One point with invalid parameters raises on construction; arrays
+report them through ``invalid()``.  The closed forms and the baseline never
+fail: they are NaN where undefined, for one point and arrays alike.
 """
 
 from __future__ import annotations
@@ -46,6 +46,34 @@ class UnstableSystemError(Exception):
 
 class SingularSystemError(Exception):
     """A Lyapunov solve failed: singular, or its residual beyond tolerance."""
+
+
+class ZeroRateChannelError(Exception):
+    """Counting on a channel with zero coupling rate is undefined."""
+
+
+class OutsideAdmissibleRegionError(Exception):
+    """Counting field left the region where the tilted equation has a stabilizing root."""
+
+
+# reason code -> (exception, message template), 0 for ok; the order-numbered
+# failures of flow_cumulants have one code per order m: NOT_FINITE + m, SOLVE_FAILED + m
+UNSTABLE, ZERO_RATE, INADMISSIBLE, RESPONSE_FAILED, GRAMIAN_FAILED = range(1, 6)
+NOT_FINITE, SOLVE_FAILED = 5, 8
+REASONS = {
+    UNSTABLE: (UnstableSystemError, "drift is not stable (margin {margin:.3e})"),
+    ZERO_RATE: (ZeroRateChannelError, "channel {channel} has zero rate"),
+    INADMISSIBLE: (OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {s:.6g}"),
+    RESPONSE_FAILED: (SingularSystemError,
+                      "Lyapunov solve of the response to the bath occupations failed"),
+    GRAMIAN_FAILED: (SingularSystemError,
+                     "Lyapunov solve of the steady state or the channel's Gramian failed"),
+    **{NOT_FINITE + m: (SingularSystemError, f"flow cumulant of order {m} is not finite")
+       for m in (1, 2, 3, 4)},
+    **{SOLVE_FAILED + m: (SingularSystemError,
+                          f"Lyapunov solve for the flow cumulant of order {m} failed")
+       for m in (2, 3)},
+}
 
 
 _log = logging.getLogger("noisecascade")
@@ -168,26 +196,38 @@ class CascadedParams(_ParamSet):
         return self.gamma1 + self.gamma2
 
 
-def check_items(failed: NDArray, bad: NDArray, error: type, message: str, *args) -> NDArray:
-    """``failed`` with the items in ``bad`` added; one item (0-d mask) raises instead.
+def add_reason(reason: NDArray, bad: NDArray, code: int) -> NDArray:
+    """``reason`` with ``code`` at the items in ``bad`` that have no reason yet."""
+    return np.where((reason == 0) & bad, code, reason)
 
-    The message is formatted only when raising, so ``args`` may be stacks.
-    """
-    if failed.ndim == 0 and bad:
-        raise error(message.format(*args))
-    return failed | bad
+
+def raise_first(reason: NDArray, **fields) -> None:
+    """Raise the ``REASONS`` entry of the first failed item of ``reason`` (one
+    point or a stack), its message formatted with each field (broadcast
+    against ``reason``) at that item; return if no item failed."""
+    reason = np.asarray(reason)
+    failed = np.flatnonzero(reason)
+    if failed.size:
+        error, message = REASONS[int(reason.flat[failed[0]])]
+        at = {k: np.broadcast_to(v, reason.shape).flat[failed[0]] for k, v in fields.items()}
+        raise error(message.format(**at))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Mode-space drift M (..., n, n), coupling matrix U (..., n, k) whose
     column c - 1 couples channel c, and the channel rates and bath
-    occupations (..., k).  The noise matrix N is derived from U and nbar."""
+    occupations (..., k).  N and the stability margin of M are derived on
+    first use and kept: do not change the arrays in place after that."""
 
     M: NDArray[np.complex128]
     U: NDArray[np.complex128]
     rate: NDArray[np.float64]
     nbar: NDArray[np.float64]
+
+    @functools.cached_property
+    def margin(self) -> float | NDArray[np.float64]:
+        return stability_margin(self.M)
 
     @functools.cached_property
     @np.errstate(invalid="ignore")  # inf * 0 at invalid() items
@@ -220,17 +260,12 @@ def build_system(p: CascadedParams) -> LinearSystem:
     return LinearSystem(M=M, U=U, rate=rate, nbar=nbar)
 
 
-def _stable_drift(M: NDArray):
-    """(failed, M): the items whose ``stability_margin`` is not negative (NaN
-    too), and the stable placeholder drift -I at every failed item of M; one
-    system raises UnstableSystemError instead."""
-    margin = stability_margin(M)
-    message = "drift is not stable (margin {:.3e})"
+def _stable_drift(sys: LinearSystem):
+    """(reason, M): UNSTABLE at the items whose margin is not negative (NaN
+    too), 0 elsewhere, and the stable placeholder drift -I in M at those items."""
     # logical_not, not ~: ~ of the Python bool of a float margin is -2, which is truthy
-    unstable = np.logical_not(margin < 0.0)
-    failed = np.zeros(np.shape(margin), bool)
-    failed = check_items(failed, unstable, UnstableSystemError, message, margin)
-    return failed, np.where(failed[..., None, None], -np.eye(2), M)
+    unstable = np.logical_not(sys.margin < 0.0)
+    return np.where(unstable, UNSTABLE, 0), np.where(unstable[..., None, None], -np.eye(2), sys.M)
 
 
 @np.errstate(over="ignore")  # a sum past the float maximum is inf, which callers blank
@@ -265,16 +300,15 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     -(G_k1 + G_k2), so every row sums to exactly zero, as flows at equal nbar
     vanish, and the columns sum to 2 (|u_j|^2 - rate_j), zero up to rounding.
 
-    One system raises on an unstable drift or a failed solve and returns
-    (W, G); a stack returns (W, G, failed), NaN where the single call raises.
-    Unstable items reach the Lyapunov solve only as the placeholder drift -I.
+    Returns (W, G, reason) for one system and a stack alike, NaN where the
+    reason is UNSTABLE or RESPONSE_FAILED.  Unstable items reach the Lyapunov
+    solve only as the placeholder drift -I.
     """
-    failed, M = _stable_drift(sys.M)
+    reason, M = _stable_drift(sys)
     u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
     source = u[..., :, :, None] * u[..., :, None, :].conj()
     X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for all sources
-    message = "Lyapunov solve of the response to the bath occupations failed"
-    failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
+    reason = add_reason(reason, singular.any(axis=-1), RESPONSE_FAILED)
     W = np.diagonal(X, axis1=-2, axis2=-1).real.swapaxes(-2, -1)  # W[..., i, j] = Re (X_j)_ii
     # q[..., j, k] = u_k† X_j u_k (j = 1, 2); column 3 of G from its zero row sums
     x00, x01, x11 = (X[..., :2, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -282,10 +316,8 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     q = x00.real * np.abs(u0) ** 2 + x11.real * np.abs(u1) ** 2 + 2.0 * (u0.conj() * x01 * u1).real
     g = 2.0 * (q - sys.rate[..., None, :] * np.eye(2, 3))  # 2 rate_3 may overflow
     G = np.stack([g[..., 0, :], g[..., 1, :], -(g[..., 0, :] + g[..., 1, :])], axis=-1)
-    if not failed.ndim:
-        return W, G
-    nan = failed[..., None, None]
-    return np.where(nan, np.nan, W), np.where(nan, np.nan, G), failed
+    nan = (reason != 0)[..., None, None]
+    return np.where(nan, np.nan, W), np.where(nan, np.nan, G), reason
 
 
 def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:

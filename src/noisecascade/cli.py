@@ -15,8 +15,9 @@ uses the top-level parser of ``build_parser`` only when ``argv[0]`` names no
 command; its messages and exit codes are the top-level parser's.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures of single-point commands (NUMERIC_ERRORS: unstable system, failed
-Lyapunov solve, counting field outside the admissible region, ...).
+failures of single-point commands (NUMERIC_ERRORS: the exceptions of
+``cascaded.REASONS`` and NoCouplingError).  Kernels return a reason per
+item; ``raise_first`` raises, with the message of the first failed item.
 """
 
 from __future__ import annotations
@@ -30,21 +31,16 @@ import sys as _sys
 import numpy as np
 
 from .cascaded import (
+    REASONS,
     CascadedParams,
     InvalidParamsError,
-    SingularSystemError,
-    UnstableSystemError,
     build_system,
     disconnected_baseline,
     linear_response,
     occupations,
+    raise_first,
 )
-from .counting import (
-    OutsideAdmissibleRegionError,
-    ZeroRateChannelError,
-    flow_cumulants,
-    large_deviation,
-)
+from .counting import flow_cumulants, large_deviation
 from .optomech import (
     NoCouplingError,
     OmParams,
@@ -63,13 +59,7 @@ from .sweeps import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-NUMERIC_ERRORS = (
-    UnstableSystemError,
-    SingularSystemError,
-    OutsideAdmissibleRegionError,
-    ZeroRateChannelError,
-    NoCouplingError,
-)
+NUMERIC_ERRORS = (*dict.fromkeys(error for error, _ in REASONS.values()), NoCouplingError)
 
 
 def _parse_sets(model: str, pairs: list[str]) -> dict:
@@ -95,7 +85,8 @@ def _parse_sets(model: str, pairs: list[str]) -> dict:
 def _cmd_steady_state(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
-    W, _ = linear_response(sys)
+    W, _, reason = linear_response(sys)
+    raise_first(reason, margin=sys.margin)
     (n1, n2), (m1, m2) = occupations(W, sys.nbar), disconnected_baseline(p)
     out = {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "dn1": n1 - m1, "dn2": n2 - m2}
     # a mode without a baseline (kappa_i + gamma_i = 0) reads null, as a sweep's blank cell
@@ -124,13 +115,11 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise SchemaError("--s-max - --s-min overflows the float range")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
-    eta1, eta2 = flow_cumulants(args.channel, 2, sys)  # an unstable system fails here, before theta
+    (eta1, eta2), reason = flow_cumulants(args.channel, 2, sys)
+    raise_first(reason, margin=sys.margin, channel=args.channel)  # before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
-    theta, failed = large_deviation(args.channel, s_values, sys)
-    if failed.any():
-        raise OutsideAdmissibleRegionError(
-            f"no stabilizing biased covariance at s = {s_values[failed][0]:.6g}"
-        )
+    theta, reason = large_deviation(args.channel, s_values, sys)
+    raise_first(reason, s=s_values)
     print(_fcs_json(args.channel, s_values.tolist(), theta.tolist(), float(eta1), float(eta2)))
     return 0
 

@@ -97,9 +97,9 @@ sigma_0 = 2V, so the two share one stacked Lyapunov solve (drifts M and M†,
 sources N and P): orders 1 and 2 cost that one solve, and orders 3 and 4
 one more solve each.  This gives exact cumulants.
 
-``linalg`` kernels report failed items; ``linear_response``,
-``flow_cumulants`` and ``large_deviation`` raise for one point, and give a
-stack (value, failed), NaN in the failed items.
+Kernels return a reason per item; ``raise_first`` raises.
+``flow_cumulants`` and ``large_deviation`` return (value, reason) for one
+system and a stack alike, NaN in the failed items (``cascaded.REASONS``).
 """
 
 from __future__ import annotations
@@ -109,7 +109,10 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import LinearSystem, SingularSystemError, _stable_drift, check_items
+from .cascaded import (  # and the two counting errors, which callers import from here
+    GRAMIAN_FAILED, INADMISSIBLE, NOT_FINITE, SOLVE_FAILED, ZERO_RATE, LinearSystem,
+    OutsideAdmissibleRegionError, ZeroRateChannelError, _stable_drift, add_reason,
+)
 from .linalg import (
     _dagger,
     _maxabs,
@@ -126,31 +129,18 @@ from .linalg import (
 _DISCRIMINANT_RTOL = 1e-10
 
 
-class ZeroRateChannelError(Exception):
-    """Counting on a channel with zero coupling rate is undefined."""
-
-
-class OutsideAdmissibleRegionError(Exception):
-    """Counting field left the region where the tilted equation has a stabilizing root."""
-
-
 def _unit_vector(sys: LinearSystem, channel: int):
     """The channel's rate, bath occupation, unit vector u_hat (column
     channel - 1 of U over sqrt(rate)) and projector P = u_hat u_hat†, and
-    the mask of the points where its rate is zero.
-
-    One system raises ZeroRateChannelError instead; in a stack u_hat is NaN
-    at a zero-rate point.
+    the mask of the points where its rate is zero, where u_hat is NaN.
     """
     if channel not in range(1, sys.U.shape[-1] + 1):
         raise ValueError(f"no channel with index {channel}")
     c = channel - 1
     rate, nbar = sys.rate[..., c], sys.nbar[..., c]
-    zero = np.zeros(np.shape(rate), bool)
-    zero = check_items(zero, rate <= 0.0, ZeroRateChannelError, f"channel {channel} has zero rate")
     with np.errstate(divide="ignore", invalid="ignore"):
         uhat = sys.U[..., :, c] / np.sqrt(rate)[..., None]
-    return rate, nbar, uhat, uhat[..., :, None] * uhat.conj()[..., None, :], zero
+    return rate, nbar, uhat, uhat[..., :, None] * uhat.conj()[..., None, :], rate <= 0.0
 
 
 def _tilting(nbar, s) -> tuple[NDArray, NDArray]:
@@ -193,9 +183,7 @@ def _system_terms(M: NDArray, N: NDArray, uhat: NDArray) -> tuple[NDArray, NDArr
     return t, np.moveaxis(np.array(e), (0, 1), (-2, -1))
 
 
-def large_deviation(
-    channel: int, s, sys: LinearSystem
-) -> float | tuple[NDArray[np.float64], NDArray[np.bool_]]:
+def large_deviation(channel: int, s, sys: LinearSystem) -> tuple[NDArray[np.float64], NDArray]:
     """Large-deviation function theta(s) = 2 [sum_{Re lam < 0} Re lam(H_s) - Re Tr M].
 
     The stable sum is sqrt of the largest root of the resolvent cubic of
@@ -204,19 +192,18 @@ def large_deviation(
     rounding, so 2N + F+/2 is too.  Invalid input (a zero-rate channel,
     non-finite matrices or tilting functions) fails at every s, s = 0
     included; at s = 0 only the admissibility check is skipped, and theta is
-    exactly zero, also for an unstable drift.  One point raises; a stack of
-    systems or a vector of s values gives (theta, failed), NaN where it would.
+    exactly zero, also for an unstable drift.  Returns (theta, reason), shaped
+    as s and the systems broadcast, theta NaN where the reason is not 0.
     """
     s = np.asarray(s, dtype=float)
-    rate, nbar, uhat, P, _ = _unit_vector(sys, channel)
-    error, message = OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {:.6g}"
+    rate, nbar, uhat, P, zero = _unit_vector(sys, channel)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_c, f_a = _tilting(nbar, s)
         fminus, fplus = rate * (f_c - f_a), rate * (f_c + f_a)
         # h of the module docstring: per-point maxima, no (s, point) stack of 2x2 matrices
         tilt_m, tilt_p = (np.abs(0.5 * f) * _maxabs(P) for f in (fminus, fplus))
         scale = np.maximum(_maxabs(sys.M) + tilt_m, 2.0 * _maxabs(sys.N) + tilt_p)
-        failed = check_items(np.zeros(scale.shape, bool), ~np.isfinite(scale), error, message, s)
+        reason = add_reason(np.where(zero, ZERO_RATE, 0), ~np.isfinite(scale), INADMISSIBLE)
         # an extra axis keeps one point in array arithmetic, which rounds like a stack
         M, N = (np.asarray(X)[..., None, :, :] for X in (sys.M, sys.N))
         t, e = _system_terms(M, N, np.asarray(uhat)[..., None, :])
@@ -243,21 +230,18 @@ def large_deviation(
         # a Newton step that divides by a double root gives no finite theta
         admissible = real_roots & (a_min > 1e-9 * scale[..., None]) & np.isfinite(theta)
         theta, admissible = theta[..., 0], admissible[..., 0]
-    failed = check_items(failed, ~admissible & (s != 0.0), error, message, s)  # s = 0 conserves Tr rho
-    theta = np.where(failed, np.nan, np.where(s == 0.0, 0.0, theta))
-    return (theta, failed) if failed.ndim else float(theta)
+    reason = add_reason(reason, ~admissible & (s != 0.0), INADMISSIBLE)  # s = 0 conserves Tr rho
+    return np.where(reason != 0, np.nan, np.where(s == 0.0, 0.0, theta)), reason
 
 
 @np.errstate(over="ignore", invalid="ignore")  # eta^(m) ~ nbar^m may overflow: such items fail
-def flow_cumulants(
-    channel: int, n: int, sys: LinearSystem
-) -> list[float] | tuple[list[NDArray[np.float64]], NDArray[np.bool_]]:
+def flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list[NDArray], NDArray]:
     """Flow moments [eta^(1), ..., eta^(n)], eta^(m) = (-1)^m d^m theta/ds^m at s = 0, exactly.
 
-    Order 1 is the mean flow into the bath (> 0: net absorption).  One system
-    returns the list and raises (an unstable drift, a zero-rate channel, a
-    failed solve, a moment beyond the float range included); a stack returns
-    (list, failed), NaN in every order where the single call raises.
+    Order 1 is the mean flow into the bath (> 0: net absorption).  Returns
+    (list, reason) for one system and a stack alike, NaN in every order where
+    an item fails: an unstable drift, a zero-rate channel, a failed solve or
+    a moment beyond the float range.
 
     eta^(m) = (-1)^m [sum_j C(m, j) f+^(j) Re Tr(P sigma_{m-j}) - f-^(m) Re Tr P].
     sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, and
@@ -267,14 +251,13 @@ def flow_cumulants(
     """
     if n < 1 or n > 4:
         raise ValueError("cumulant order must be between 1 and 4")
-    failed, M = _stable_drift(sys.M)
+    reason, M = _stable_drift(sys)
     rate, nbar, _, P, zero = _unit_vector(sys, channel)
-    failed = failed | zero
+    reason = add_reason(reason, zero, ZERO_RATE)
     # an extra axis makes one system solve as a stack; placeholders keep failed items out
-    sources = np.where(failed[..., None, None, None], 0.0, np.stack([sys.N, P], axis=-3))
+    sources = np.where((reason != 0)[..., None, None, None], 0.0, np.stack([sys.N, P], axis=-3))
     X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)
-    message = "Lyapunov solve of the steady state or the channel's Gramian failed"
-    failed = check_items(failed, singular.any(axis=-1), SingularSystemError, message)
+    reason = add_reason(reason, singular.any(axis=-1), GRAMIAN_FAILED)
     V, Z = X[..., 0, :, :], X[..., 1, :, :]
     odd = -rate, -rate * (2.0 * nbar + 1.0)
     even = rate * (2.0 * nbar + 1.0), rate
@@ -298,13 +281,11 @@ def flow_cumulants(
             break
         # a source beyond the float range would fail the solve's residual
         # check; sigma_k gives eta^(k+1) and higher, so name that order
-        message = f"flow cumulant of order {k + 1} is not finite"
         unbounded = ~np.isfinite(source).all(axis=(-2, -1))
-        failed = check_items(failed, unbounded, SingularSystemError, message)
-        source = np.where(failed[..., None, None], 0.0, source)[..., None, :, :]
+        reason = add_reason(reason, unbounded, NOT_FINITE + k + 1)
+        source = np.where((reason != 0)[..., None, None], 0.0, source)[..., None, :, :]
         solved, singular = solve_lyapunov(M[..., None, :, :], source)
-        message = f"Lyapunov solve for the flow cumulant of order {k + 1} failed"
-        failed = check_items(failed, singular[..., 0], SingularSystemError, message)
+        reason = add_reason(reason, singular[..., 0], SOLVE_FAILED + k + 1)
         sigma.append(solved[..., 0, :, :])
         traces.append(trace_product(P, sigma[k]).real)
     trace_p, etas = np.einsum("...ii->...", P).real, []
@@ -313,8 +294,6 @@ def flow_cumulants(
         own = traces[: m - 1] + tops[m - 1 : m]
         theta_m = sum(math.comb(m, j) * fp[j] * own[m - j] for j in range(1, m + 1))
         etas.append((-1.0) ** m * (theta_m - fm[m] * trace_p))
-        message = f"flow cumulant of order {m} is not finite"
-        failed = check_items(failed, ~np.isfinite(etas[-1]), SingularSystemError, message)
+        reason = add_reason(reason, ~np.isfinite(etas[-1]), NOT_FINITE + m)
     # [()]: one system's eta stays a numpy scalar
-    etas = [np.where(failed, np.nan, eta)[()] for eta in etas]
-    return (etas, failed) if failed.ndim else etas
+    return [np.where(reason != 0, np.nan, eta)[()] for eta in etas], reason

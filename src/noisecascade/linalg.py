@@ -13,12 +13,11 @@ drift once, and a caller that repeats drifts (a sweep whose points differ
 only in their bath occupations) passes each distinct drift once.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
-item.  ``linalg`` kernels report failed items; ``linear_response``,
-``flow_cumulants`` and ``large_deviation`` raise for one point.  So the
-Lyapunov solve returns (X, failed) for one matrix (a 0-d mask) and for a
-stack alike, with NaN in the failed items.  A failed item is replaced by a
-harmless placeholder before the next LAPACK call, so that it cannot raise
-LinAlgError for the whole stack.
+item.  Kernels return a reason per item; ``cascaded.raise_first`` raises.
+Here the reason is a mask: the Lyapunov solve returns (X, failed) for one
+matrix (a 0-d mask) and for a stack alike, with NaN in the failed items.  A
+failed item is replaced by a harmless placeholder before the next LAPACK
+call, so that it cannot raise LinAlgError for the whole stack.
 
 Stacked products and traces of products (``stacked_product``,
 ``trace_product``) are whole-stack elementwise arithmetic with no per-item

@@ -61,7 +61,6 @@ from .cascaded import (
     occupations,
 )
 from .counting import large_deviation
-from .linalg import stability_margin
 from .optomech import OmParams, map_to_cascaded
 
 
@@ -408,7 +407,7 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     # each distinct system is built once, for every output
     distinct = build_system(CascadedParams(**{k: v[first] for k, v in vars(p).items()}))
     nbar = np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)
-    margin = stability_margin(distinct.M)[inverse]
+    margin = distinct.margin[inverse]
     stable = built & (margin < 0.0)
     cells = {
         "stability_margin": [margin],

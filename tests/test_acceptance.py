@@ -21,7 +21,7 @@ from noisecascade.cascaded import (
     linear_response,
     occupations,
 )
-from noisecascade.counting import flow_cumulants, large_deviation
+from noisecascade.counting import large_deviation
 from noisecascade.linalg import stability_margin
 from noisecascade.optomech import (
     TWO_PI,
@@ -34,6 +34,7 @@ from noisecascade.optomech import (
 )
 from noisecascade.sweeps import emit, parse_config, run_sweep
 from equal_rate_flows import simplified_flows
+from test_counting import point_cumulants, point_theta
 
 RESULTS = []
 
@@ -46,9 +47,11 @@ def report(number, ok, detail):
 
 
 def numeric_occupations(p):
-    """(n1, n2) of one point: occupations(W, nbar) from its linear response."""
+    """(n1, n2) of one point: occupations(W, nbar) from its linear response,
+    which must not fail."""
     sys = build_system(p)
-    W, _ = linear_response(sys)
+    W, _, reason = linear_response(sys)
+    assert reason == 0
     return occupations(W, sys.nbar)
 
 
@@ -229,10 +232,10 @@ def test_criterion_07_fcs_consistency():
         sys = build_system(p)
         etas = []
         for ch in (1, 2, 3):
-            worst_theta0 = max(worst_theta0, abs(large_deviation(ch, 0.0, sys)))
-            (eta,) = flow_cumulants(ch, 1, sys)
-            theta, failed = large_deviation(ch, s_stencil, sys)
-            dev = np.inf if failed.any() else abs(-theta @ weights - eta) / max(abs(eta), 1e-6)
+            worst_theta0 = max(worst_theta0, abs(point_theta(ch, 0.0, sys)))
+            (eta,) = point_cumulants(ch, 1, sys)
+            theta, reason = large_deviation(ch, s_stencil, sys)
+            dev = np.inf if reason.any() else abs(-theta @ weights - eta) / max(abs(eta), 1e-6)
             worst_slope = max(worst_slope, dev)
             etas.append(eta)
         scale = max(max(abs(e) for e in etas), 1e-12)
@@ -254,7 +257,7 @@ def test_criterion_08_flow_isolation():
             nbar1=n1b, nbar2=n2b, nbar3=n3b,
         )
         sys = build_system(p)
-        return p, [flow_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+        return p, [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
 
     eta1_values = [flows(3.0, n2b, 0.5)[1][0] for n2b in np.linspace(0.0, 50.0, 50)]
     spread1 = max(eta1_values) - min(eta1_values)

@@ -15,16 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisecascade.cascaded import (
+    RESPONSE_FAILED,
+    UNSTABLE,
     CascadedParams,
     InvalidParamsError,
     LinearSystem,
-    SingularSystemError,
     UnstableSystemError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
     linear_response,
     occupations,
+    raise_first,
 )
 from noisecascade.counting import flow_cumulants
 from noisecascade.linalg import solve_lyapunov, stability_margin
@@ -45,9 +47,11 @@ def assert_input_output_form(sys):
 
 
 def numeric_occupations(p):
-    """(n1, n2) of one point: occupations(W, nbar) from its linear response."""
+    """(n1, n2) of one point: occupations(W, nbar) from its linear response,
+    which must not fail."""
     sys = build_system(p)
-    W, _ = linear_response(sys)
+    W, _, reason = linear_response(sys)
+    assert reason == 0
     return occupations(W, sys.nbar)
 
 
@@ -195,12 +199,15 @@ class TestSteadyState:
         np.testing.assert_allclose(V, 0.5 * np.eye(2), atol=1e-10)
 
     def test_unstable_system_raises(self):
+        sys = build_system(CascadedParams(omega1=1.0, omega2=1.0))
+        W, G, reason = linear_response(sys)
+        assert reason == UNSTABLE and np.isnan(W).all() and np.isnan(G).all()
         with pytest.raises(UnstableSystemError):
-            linear_response(build_system(CascadedParams(omega1=1.0, omega2=1.0)))
+            raise_first(reason, margin=sys.margin)
 
     def test_nan_drift_is_unstable(self, monkeypatch):
         # a NaN margin is not stable: the item reaches the solve only as the
-        # -I placeholder, and one point raises
+        # -I placeholder, and one point reports it as a stack item does
         from noisecascade import cascaded
 
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.5, gamma2=0.25, nbar1=2.0)
@@ -210,37 +217,43 @@ class TestSteadyState:
         drifts, solve = [], cascaded.solve_lyapunov
         monkeypatch.setattr(cascaded, "solve_lyapunov",
                             lambda A, N: drifts.append(A) or solve(A, N))
-        W, G, failed = linear_response(dataclasses.replace(stack, M=M))
-        assert failed.tolist() == [False, True] and np.isnan(W[1]).all() and np.isnan(G[1]).all()
+        W, G, reason = linear_response(dataclasses.replace(stack, M=M))
+        assert reason.tolist() == [0, UNSTABLE] and np.isnan(W[1]).all() and np.isnan(G[1]).all()
         assert (drifts[0][1] == -np.eye(2)).all()
-        W0, G0 = linear_response(build_system(p))
+        W0, G0, _ = linear_response(build_system(p))
         assert same_bits(W[0], W0) and same_bits(G[0], G0)
+        point = dataclasses.replace(build_system(p), M=M[1])
         with pytest.raises(UnstableSystemError, match="margin nan"):
-            linear_response(dataclasses.replace(build_system(p), M=M[1]))
+            raise_first(linear_response(point)[2], margin=point.margin)
 
     def test_float_margin(self):
         # the margin of one drift is a numpy scalar: ~ of a Python bool would
         # be -2, truthy, and flag a stable drift
         from noisecascade import cascaded
 
-        failed, M = cascaded._stable_drift(-np.eye(2))
-        assert not failed and (M == -np.eye(2)).all()
+        def system(M):
+            return LinearSystem(M, np.zeros((2, 3)), np.zeros(3), np.zeros(3))
+
+        reason, M = cascaded._stable_drift(system(-np.eye(2)))
+        assert reason == 0 and (M == -np.eye(2)).all()
+        sys = system(np.zeros((2, 2)))
+        reason, M = cascaded._stable_drift(sys)
+        assert reason == UNSTABLE and (M == -np.eye(2)).all()
         with pytest.raises(UnstableSystemError, match=r"margin 0\.000e\+00"):
-            cascaded._stable_drift(np.zeros((2, 2)))
+            raise_first(reason, margin=sys.margin)
 
     def test_stack_without_a_mask(self):
-        # a stack of valid points (no item failed up front) flags what a
-        # point raises, and its stable item equals the point
+        # a stack of valid points (no item failed up front) reports what a
+        # point reports, and its stable item equals the point
         p = CascadedParams(kappa1=np.array([1.0, 0.0]), kappa2=1.0,
                            gamma1=np.array([0.5, 0.0]), gamma2=0.25, nbar1=2.0)
         assert not p.invalid().any()
-        W, G, failed = linear_response(build_system(p))
-        assert failed.tolist() == [False, True] and np.isnan(W[1]).all()  # mode 1 undamped
+        W, G, reason = linear_response(build_system(p))
+        assert reason.tolist() == [0, UNSTABLE] and np.isnan(W[1]).all()  # mode 1 undamped
         points = [CascadedParams(**{k: v[i] for k, v in vars(p).items()}) for i in (0, 1)]
-        W0, G0 = linear_response(build_system(points[0]))
-        assert same_bits(W[0], W0) and same_bits(G[0], G0)
-        with pytest.raises(UnstableSystemError):
-            linear_response(build_system(points[1]))
+        W0, G0, reason0 = linear_response(build_system(points[0]))
+        assert reason0 == 0 and same_bits(W[0], W0) and same_bits(G[0], G0)
+        assert linear_response(build_system(points[1]))[2] == UNSTABLE
 
     def test_single_mode_thermal(self):
         p = CascadedParams(kappa1=2.0, kappa2=2.0, nbar1=3.0, nbar2=7.0,
@@ -351,8 +364,8 @@ class TestDeltaN:
                            phi=rng.uniform(0, 2 * np.pi, size),
                            **{f"nbar{i}": rng.uniform(0.0, 50.0, size) for i in (1, 2, 3)})
         sys = build_system(p)
-        W, _, failed = linear_response(sys)
-        assert not failed.any() and (p.kappa1 != p.gamma1).all()
+        W, _, reason = linear_response(sys)
+        assert not reason.any() and (p.kappa1 != p.gamma1).all()
         (n1, _), (m1, _) = occupations(W, sys.nbar), disconnected_baseline(p)
         assert (np.abs(n1 - m1) <= 1e-12 * m1).all()
 
@@ -655,9 +668,9 @@ class TestArrayParams:
         assert invalid.sum() == 7 and checked == {"equal", "unequal"}
 
     def test_linear_response_stack_flags_what_a_point_raises(self):
-        # a stack item fails exactly where its single call raises, and equals it
-        # bit for bit elsewhere; the invalid point takes the all-zero
-        # placeholder of a sweep
+        # a stack item has the reason of its single call, and equals it bit for
+        # bit where that is 0; the invalid point takes the all-zero placeholder
+        # of a sweep, which is unstable
         points = [
             dict(kappa1=1.0, kappa2=0.5, gamma1=0.3, gamma2=0.7, F=0.2j, nbar1=2.0, nbar3=1.0),
             dict(omega1=1.0, omega2=1.0, kappa2=1.0, nbar2=3.0),  # mode 1 undamped: marginal
@@ -673,16 +686,15 @@ class TestArrayParams:
             f.name: np.array([point.get(f.name, 0.0) for point in valid])
             for f in dataclasses.fields(CascadedParams)
         })
-        W, G, failed = linear_response(build_system(stack))
-        assert failed.tolist() == [False, True, True, True, True, False]
-        for i, point in enumerate(points):
-            try:
-                single = linear_response(build_system(CascadedParams(**point)))
-            except (InvalidParamsError, UnstableSystemError, SingularSystemError):
-                assert failed[i] and np.isnan(W[i]).all() and np.isnan(G[i]).all(), i
-            else:
-                assert not failed[i], i
-                assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
+        W, G, reason = linear_response(build_system(stack))
+        assert reason.tolist() == [0, UNSTABLE, UNSTABLE, RESPONSE_FAILED, UNSTABLE, 0]
+        with pytest.raises(InvalidParamsError):
+            CascadedParams(**points[4])
+        singles = [linear_response(build_system(CascadedParams(**point))) for point in valid]
+        assert [int(reason) for _, _, reason in singles] == reason.tolist()
+        for i, (W0, G0, _) in enumerate(singles):
+            assert same_bits(W[i], W0) and same_bits(G[i], G0), i
+        assert np.isnan(W[reason != 0]).all() and np.isnan(G[reason != 0]).all()
 
     def test_single_point_returns_and_messages(self):
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0, F=0.5j, nbar1=2.0)
@@ -727,8 +739,8 @@ class TestLinearResponse:
 
     def test_rows_and_columns_sum_to_zero(self):
         systems = random_stable_systems(np.random.default_rng(1), 100)
-        W, G, failed = linear_response(systems)
-        assert not failed.any() and W.shape == (100, 2, 3) and G.shape == (100, 3, 3)
+        W, G, reason = linear_response(systems)
+        assert not reason.any() and W.shape == (100, 2, 3) and G.shape == (100, 3, 3)
         assert (G.sum(axis=-1) == 0.0).all()  # column 3 is -(G_k1 + G_k2)
         bound = 1e-14 * systems.rate.max(axis=-1)[:, None]
         assert (np.abs(G.sum(axis=-2)) <= bound).all()
@@ -736,7 +748,7 @@ class TestLinearResponse:
 
     def test_matches_flows_and_occupations_at_unit_occupations(self):
         for p in (self.CRITERION_8, random_equal_rate_params(), random_equal_rate_params()):
-            W, G = linear_response(build_system(p))
+            W, G, _ = linear_response(build_system(p))
             scale = max(p.kappa1, p.kappa2, p.collective_rate)
             for j in range(3):
                 unit = dict(zip(("nbar1", "nbar2", "nbar3"), np.eye(3)[j]))
@@ -744,7 +756,7 @@ class TestLinearResponse:
                 sys = build_system(q)
                 Y, _ = solve_lyapunov(sys.M, sys.N)
                 for k in range(3):
-                    assert abs(G[k, j] - flow_cumulants(k + 1, 1, sys)[0]) <= 1e-13 * scale
+                    assert abs(G[k, j] - flow_cumulants(k + 1, 1, sys)[0][0]) <= 1e-13 * scale
                 assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
 
     def test_onsager_casimir(self):
@@ -757,7 +769,7 @@ class TestLinearResponse:
         assert (np.abs(G - G_partner.swapaxes(-2, -1)) <= bound).all()
 
     def test_criterion_8_isolates(self):
-        W, G = linear_response(build_system(self.CRITERION_8))
+        W, G, _ = linear_response(build_system(self.CRITERION_8))
         expected = [[-1.0, 0.0, 1.0], [0.351, -1.0, 0.649], [0.649, 1.0, -1.649]]
         np.testing.assert_allclose(G, expected, rtol=0.0, atol=1e-3)
         assert G[0, 1] == 0.0  # no flow into bath 1 from bath 2
@@ -773,17 +785,15 @@ class TestLinearResponse:
         built = ~p.invalid()
         p = CascadedParams(**{k: np.where(built, v, 0.0) for k, v in fields.items()})
         systems = build_system(p)
-        W, G, failed = linear_response(systems)
-        assert failed[20] and failed[21] and failed[~built].all() and (~failed).sum() > 20
-        for i in range(len(failed)):
+        W, G, reason = linear_response(systems)
+        assert reason[20] == UNSTABLE and reason[21] == RESPONSE_FAILED
+        assert (reason[~built] == UNSTABLE).all() and (reason == 0).sum() > 20
+        for i in range(len(reason)):
             item = LinearSystem(*(getattr(systems, f.name)[i] for f in dataclasses.fields(systems)))
-            try:
-                single = linear_response(item)
-            except (UnstableSystemError, SingularSystemError):
-                assert failed[i] and np.isnan(W[i]).all() and np.isnan(G[i]).all(), i
-            else:
-                assert not failed[i], i
-                assert same_bits(W[i], single[0]) and same_bits(G[i], single[1]), i
+            W0, G0, reason0 = linear_response(item)
+            assert reason0 == reason[i], i
+            assert same_bits(W[i], W0) and same_bits(G[i], G0), i
+        assert np.isnan(W[reason != 0]).all() and np.isnan(G[reason != 0]).all()
 
     # the bound on every occupation against tests/exact_occupation_oracle.py,
     # relative, stated before the first run
@@ -794,9 +804,9 @@ class TestLinearResponse:
         """n = sum_j W_ij nbar_j of each item of array params p that the
         response does not flag, and the exact occupations of the same doubles."""
         sys = build_system(p)
-        W, _, failed = linear_response(sys)
+        W, _, reason = linear_response(sys)
         n = np.stack(occupations(W, sys.nbar), axis=-1)
-        kept = np.flatnonzero(~failed)
+        kept = np.flatnonzero(reason == 0)
         exact = [exact_occupations(sys.M[i], sys.U[i], sys.nbar[i]) for i in kept]
         return n[kept], np.array(exact, float).reshape(-1, 2)
 
@@ -833,12 +843,12 @@ class TestLinearResponse:
 
     def test_rate_near_the_float_maximum(self):
         # 2 rate_3 overflowed to inf, and inf * 0 put NaN into G
-        W, G = linear_response(build_system(CascadedParams(gamma1=1e308, kappa1=1.0, kappa2=1.0)))
+        W, G, _ = linear_response(build_system(CascadedParams(gamma1=1e308, kappa1=1.0, kappa2=1.0)))
         assert np.isfinite(W).all() and np.isfinite(G).all()
         expected = [[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, -2.0]]
         np.testing.assert_allclose(G, expected, rtol=1e-15, atol=0.0)
 
     def test_one_unstable_system_raises(self):
-        p = dataclasses.replace(self.CRITERION_8, kappa1=0.0, gamma1=0.0)
+        sys = build_system(dataclasses.replace(self.CRITERION_8, kappa1=0.0, gamma1=0.0))
         with pytest.raises(UnstableSystemError, match="^drift is not stable"):
-            linear_response(build_system(p))
+            raise_first(linear_response(sys)[2], margin=sys.margin)

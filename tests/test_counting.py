@@ -7,12 +7,28 @@ per-channel flows, and the equal-rate closed forms.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from noisecascade import counting
-from noisecascade.cascaded import CascadedParams, LinearSystem, SingularSystemError, build_system
+from noisecascade.cascaded import (
+    GRAMIAN_FAILED,
+    INADMISSIBLE,
+    NOT_FINITE,
+    REASONS,
+    RESPONSE_FAILED,
+    SOLVE_FAILED,
+    UNSTABLE,
+    ZERO_RATE,
+    CascadedParams,
+    LinearSystem,
+    SingularSystemError,
+    build_system,
+    linear_response,
+    raise_first,
+)
 from noisecascade.counting import (
     OutsideAdmissibleRegionError,
     ZeroRateChannelError,
@@ -53,6 +69,20 @@ def random_stable_system(nbar_max=5.0, equal_rates=False, zero_f=False, rng=RNG)
         )
         if stability_margin(build_system(p).M) < -0.05:
             return p
+
+
+def point_theta(channel, s, sys):
+    """theta of one system at one s; where it fails, ``raise_first`` raises."""
+    theta, reason = large_deviation(channel, s, sys)
+    raise_first(reason, s=s, channel=channel)
+    return float(theta)
+
+
+def point_cumulants(channel, n, sys):
+    """The flow moments of one system; where they fail, ``raise_first`` raises."""
+    etas, reason = flow_cumulants(channel, n, sys)
+    raise_first(reason, margin=sys.margin, channel=channel)
+    return etas
 
 
 def oracle_tilting(channel, s, sys):
@@ -106,10 +136,10 @@ class TestBiasMatrices:
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.0, gamma2=0.0,
                            nbar1=1.0)
         sys = build_system(p)
-        with pytest.raises(ZeroRateChannelError):
-            large_deviation(3, 0.0, sys)
-        with pytest.raises(ZeroRateChannelError):
-            flow_cumulants(3, 1, sys)
+        for value, reason in (large_deviation(3, 0.0, sys), flow_cumulants(3, 1, sys)):
+            assert reason == ZERO_RATE and np.isnan(value).all()
+            with pytest.raises(ZeroRateChannelError, match="^channel 3 has zero rate$"):
+                raise_first(reason, channel=3)
 
 
 class TestChannelChecks:
@@ -140,10 +170,10 @@ class TestLargeDeviation:
     def test_exactly_zero_at_origin(self):
         sys = build_system(THERMAL)
         for ch in (1, 2, 3):
-            assert large_deviation(ch, 0.0, sys) == 0.0
+            assert point_theta(ch, 0.0, sys) == 0.0
         # also where no steady state exists: mode 1 is undamped
         undamped = dataclasses.replace(THERMAL, kappa1=0.0, gamma1=0.0)
-        assert large_deviation(2, 0.0, build_system(undamped)) == 0.0
+        assert point_theta(2, 0.0, build_system(undamped)) == 0.0
 
     def test_slope_matches_trace_formula(self):
         h = 1e-4
@@ -152,9 +182,9 @@ class TestLargeDeviation:
             sys = build_system(p)
             for ch in (1, 2, 3):
                 slope = (
-                    large_deviation(ch, h, sys) - large_deviation(ch, -h, sys)
+                    point_theta(ch, h, sys) - point_theta(ch, -h, sys)
                 ) / (2 * h)
-                (eta,) = flow_cumulants(ch, 1, sys)
+                (eta,) = point_cumulants(ch, 1, sys)
                 assert -slope == pytest.approx(eta, rel=1e-6, abs=1e-9)
 
     def test_matches_riccati_oracle(self):
@@ -166,7 +196,8 @@ class TestLargeDeviation:
         for _ in range(40):
             sys = build_system(random_stable_system(rng=rng))
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys)
+                theta, reason = large_deviation(ch, s, sys)
+                failed = reason != 0
                 sigma, oracle_failed = oracle_covariance(ch, s, sys)
                 np.testing.assert_array_equal(failed, oracle_failed)
                 Fminus, Fplus = oracle_tilting(ch, s[~failed], sys)
@@ -215,10 +246,10 @@ class TestLargeDeviation:
                 continue
             draws += 1
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys)
-                assert failed.all(), (draws, ch, s[~failed], theta[~failed])
-        with pytest.raises(OutsideAdmissibleRegionError):
-            large_deviation(1, 50.0, build_system(THERMAL))
+                theta, reason = large_deviation(ch, s, sys)
+                assert (reason == INADMISSIBLE).all(), (draws, ch, s[reason == 0], theta[reason == 0])
+        with pytest.raises(OutsideAdmissibleRegionError, match="at s = 50$"):
+            point_theta(1, 50.0, build_system(THERMAL))
 
     def test_checks_and_scales_each_system_once(self, monkeypatch):
         # the admissibility scale comes from per-system maxima, so no 2x2
@@ -233,8 +264,8 @@ class TestLargeDeviation:
         p = CascadedParams(**{f.name: np.full(5, getattr(THERMAL, f.name))
                               for f in dataclasses.fields(CascadedParams)})
         p = dataclasses.replace(p, nbar1=np.linspace(0.0, 4.0, 5))
-        theta, failed = large_deviation(1, np.linspace(-0.2, 0.2, 7)[:, None], build_system(p))
-        assert theta.shape == (7, 5) and not failed.any()
+        theta, reason = large_deviation(1, np.linspace(-0.2, 0.2, 7)[:, None], build_system(p))
+        assert theta.shape == (7, 5) and not reason.any()
         assert normed and all(shape == (5, 2, 2) for shape in normed), normed
 
     def test_zero_temperature_has_no_counting_statistics(self):
@@ -245,8 +276,8 @@ class TestLargeDeviation:
         for _ in range(20):
             sys = build_system(random_stable_system(nbar_max=0.0, rng=rng))
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys)
-                assert not failed.any()
+                theta, reason = large_deviation(ch, s, sys)
+                assert not reason.any()
                 assert np.abs(theta).max() <= 1e-10, (ch, np.abs(theta).max())
 
     def test_curvature_sign_is_stable_under_refinement(self):
@@ -254,9 +285,9 @@ class TestLargeDeviation:
         sys = build_system(THERMAL)
         for h in (2e-3, 1e-3):
             second = (
-                large_deviation(1, h, sys)
-                - 2.0 * large_deviation(1, 0.0, sys)
-                + large_deviation(1, -h, sys)
+                point_theta(1, h, sys)
+                - 2.0 * point_theta(1, 0.0, sys)
+                + point_theta(1, -h, sys)
             ) / h**2
             assert second > 0.0
 
@@ -272,7 +303,8 @@ class TestSpectralOracle:
         values = np.ones(np.shape(s), bool) if values is None else values
         compared = 0
         for ch in (1, 2, 3):
-            theta, failed = large_deviation(ch, s, sys)
+            theta, reason = large_deviation(ch, s, sys)
+            failed = reason != 0
             ref, ref_failed = spectral_theta(ch, s, sys)
             np.testing.assert_array_equal(failed, ref_failed)
             ok = ~failed & values
@@ -377,10 +409,10 @@ class TestSpectralOracle:
                 step = offsets[:, None] * np.abs(outside) * np.sign(outside - inside)
                 s = np.concatenate([inside - step, inside[None], outside[None], outside + step])
                 s = np.where(found, s, 0.0)  # s = 0 passes on both sides
-                theta, failed_s = large_deviation(ch, s, sys)
+                _, reason = large_deviation(ch, s, sys)
                 _, ref_failed = spectral_theta(ch, s, sys)
                 far = np.concatenate([offsets >= within, [False, False], offsets >= within])
-                misses += ((failed_s != ref_failed) & far[:, None]).sum()
+                misses += (((reason != 0) != ref_failed) & far[:, None]).sum()
                 edges += found.sum()
         return edges, misses
 
@@ -414,8 +446,8 @@ class TestSpectralOracle:
         p = CascadedParams(omega1=2.84, omega2=-2.91, kappa1=0.000769, kappa2=5.7e-06,
                            gamma1=0.0547, gamma2=1.1e-06, phi=5.06, F=-8.53e-06 + 9.04e-06j,
                            nbar1=33.3, nbar2=0.0072, nbar3=24.2)
-        theta, failed = large_deviation(1, np.array([-0.14, -0.1, 0.1]), build_system(p))
-        assert not failed.any()
+        theta, reason = large_deviation(1, np.array([-0.14, -0.1, 0.1]), build_system(p))
+        assert not reason.any()
         exact = [0.03233977929446843, 0.01275229036481259, 0.016507755877874147]
         np.testing.assert_allclose(theta, exact, rtol=1e-9)
 
@@ -437,8 +469,8 @@ class TestSpectralOracle:
         for name in ("eigvals", "eig", "solve", "inv", "det", "slogdet"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         monkeypatch.setattr(np, "block", forbidden)
-        theta, failed = large_deviation(3, np.linspace(-0.2, 0.2, 11), build_system(THERMAL))
-        assert np.isfinite(theta).all() and not failed.any()
+        theta, reason = large_deviation(3, np.linspace(-0.2, 0.2, 11), build_system(THERMAL))
+        assert np.isfinite(theta).all() and not reason.any()
 
 
 class TestFlowFirstMoment:
@@ -449,13 +481,13 @@ class TestFlowFirstMoment:
         )
         sys = build_system(p)
         for ch in (1, 2, 3):
-            assert flow_cumulants(ch, 1, sys) == pytest.approx([0.0], abs=1e-10)
+            assert point_cumulants(ch, 1, sys) == pytest.approx([0.0], abs=1e-10)
 
     def test_conservation(self):
         for _ in range(50):
             p = random_stable_system()
             sys = build_system(p)
-            etas = [flow_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+            etas = [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
             scale = max(max(abs(e) for e in etas), 1e-12)
             assert abs(sum(etas)) <= 1e-9 * scale
 
@@ -464,8 +496,8 @@ class TestFlowFirstMoment:
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
                            nbar1=0.0, nbar2=0.0, nbar3=10.0)
         sys = build_system(p)
-        assert flow_cumulants(1, 1, sys)[0] > 0.0
-        assert flow_cumulants(3, 1, sys)[0] < 0.0
+        assert point_cumulants(1, 1, sys)[0] > 0.0
+        assert point_cumulants(3, 1, sys)[0] < 0.0
 
 
 class TestFlowCumulant:
@@ -482,30 +514,30 @@ class TestFlowCumulant:
         for _ in range(10):
             sys = build_system(random_stable_system())
             for ch in (1, 2, 3):
-                etas = np.array(flow_cumulants(ch, 4, sys))
+                etas = np.array(point_cumulants(ch, 4, sys))
                 for n in (1, 2, 3):
-                    lower = np.array(flow_cumulants(ch, n, sys))
+                    lower = np.array(point_cumulants(ch, n, sys))
                     np.testing.assert_array_equal(lower.view(np.int64), etas[:n].view(np.int64))
 
     def test_higher_orders_evaluate(self):
         sys = build_system(THERMAL)
-        assert np.isfinite(flow_cumulants(1, 4, sys)).all()
+        assert np.isfinite(point_cumulants(1, 4, sys)).all()
 
     def test_moment_beyond_the_float_range_fails(self):
         # eta^(2) grows like nbar^2: 5e299 at nbar1 = 1e150, beyond the float
         # range at 1e160, where the sum was NaN
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         point = build_system(CascadedParams(**rates, nbar1=1e150))
-        assert flow_cumulants(1, 2, point) == [-1e150, 5e299]
+        assert point_cumulants(1, 2, point) == [-1e150, 5e299]
         with pytest.raises(SingularSystemError, match="^flow cumulant of order 2 is not finite$"):
-            flow_cumulants(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
+            point_cumulants(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
         sys = build_system(CascadedParams(**rates, nbar1=np.array([1e150, 1e160])))
-        (eta1, eta2), failed = flow_cumulants(1, 2, sys)
+        (eta1, eta2), reason = flow_cumulants(1, 2, sys)
         # an item fails in every order, its finite mean flow too
-        assert failed.tolist() == [False, True] and eta2[0] == 5e299 and np.isnan(eta2[1])
+        assert reason.tolist() == [0, NOT_FINITE + 2] and eta2[0] == 5e299 and np.isnan(eta2[1])
         assert eta1[0] == -1e150 and np.isnan(eta1[1])
-        (eta1,), failed = flow_cumulants(1, 1, sys)
-        assert not failed.any() and eta1.tolist() == [-1e150, -1e160]
+        (eta1,), reason = flow_cumulants(1, 1, sys)
+        assert not reason.any() and eta1.tolist() == [-1e150, -1e160]
 
     def test_source_beyond_the_float_range_names_its_order(self):
         # the source of sigma_2 grows like nbar^3 and overflows at nbar1 = 1e110;
@@ -513,11 +545,11 @@ class TestFlowCumulant:
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         for n in (3, 4):
             with pytest.raises(SingularSystemError, match="^flow cumulant of order 3 is not finite$"):
-                flow_cumulants(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
+                point_cumulants(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
         sys = build_system(CascadedParams(**rates, nbar1=np.array([1.0, 1e110])))
-        etas, failed = flow_cumulants(1, 4, sys)
-        assert failed.tolist() == [False, True] and np.isnan(etas).T[1].all()
-        single = flow_cumulants(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
+        etas, reason = flow_cumulants(1, 4, sys)
+        assert reason.tolist() == [0, NOT_FINITE + 3] and np.isnan(etas).T[1].all()
+        single = point_cumulants(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
         assert [eta[0] for eta in etas] == single
 
     def test_failed_solve_names_its_order(self, monkeypatch):
@@ -527,7 +559,7 @@ class TestFlowCumulant:
 
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         point = build_system(CascadedParams(**rates, nbar1=2.0))
-        expected = flow_cumulants(1, 3, point)
+        expected = point_cumulants(1, 3, point)
         solve = counting.solve_lyapunov
 
         def last_item_fails(A, N):
@@ -538,13 +570,13 @@ class TestFlowCumulant:
             return X, failed
 
         monkeypatch.setattr(counting, "solve_lyapunov", last_item_fails)
-        assert np.isfinite(flow_cumulants(1, 2, point)).all()  # order 2 solves no sigma_k
+        assert np.isfinite(point_cumulants(1, 2, point)).all()  # order 2 solves no sigma_k
         with pytest.raises(SingularSystemError,
                            match="^Lyapunov solve for the flow cumulant of order 2 failed$"):
-            flow_cumulants(1, 3, point)
+            point_cumulants(1, 3, point)
         stack = build_system(CascadedParams(**rates, nbar1=np.array([2.0, 1.0])))
-        etas, failed = flow_cumulants(1, 3, stack)
-        assert failed.tolist() == [False, True] and [eta[0] for eta in etas] == expected
+        etas, reason = flow_cumulants(1, 3, stack)
+        assert reason.tolist() == [0, SOLVE_FAILED + 2] and [eta[0] for eta in etas] == expected
         assert np.isnan(etas).T[1].all()
 
     def test_matches_spectral_theta_derivatives(self):
@@ -558,10 +590,10 @@ class TestFlowCumulant:
             p = random_stable_system(rng=rng)
             sys = build_system(p)
             for ch in (1, 2, 3):
-                theta, failed = large_deviation(ch, s, sys)
-                assert not failed.any()
+                theta, reason = large_deviation(ch, s, sys)
+                assert not reason.any()
                 fit = np.polynomial.Chebyshev.fit(s, theta, 24, domain=[-0.1, 0.1])
-                for n, eta in enumerate(flow_cumulants(ch, 4, sys), start=1):
+                for n, eta in enumerate(point_cumulants(ch, 4, sys), start=1):
                     ref = (-1) ** n * fit.deriv(n)(0.0)
                     assert abs(eta - ref) <= bounds[n] * max(1.0, abs(eta)), (ch, n, eta, ref)
 
@@ -585,7 +617,7 @@ class TestFlowCumulant:
             for ch in (1, 2, 3):
                 c = ch - 1
                 exact = exact_cumulants(sys.M, sys.N, sys.U[:, c], sys.rate[c], sys.nbar[c])
-                for n, eta in enumerate(flow_cumulants(ch, 2, sys), start=1):
+                for n, eta in enumerate(point_cumulants(ch, 2, sys), start=1):
                     ref, bound = float(exact[n - 1]), bounds[n]
                     assert abs(eta - ref) <= bound * abs(ref), (ch, n, eta, ref)
 
@@ -607,7 +639,7 @@ class TestSimplifiedFlows:
             p = random_stable_system(equal_rates=True, zero_f=True)
             sys = build_system(p)
             closed = simplified_flows(p)
-            numeric = [flow_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+            numeric = [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
             np.testing.assert_allclose(numeric, closed, rtol=1e-9, atol=1e-10)
 
     def test_requires_equal_rates_and_zero_f(self):
@@ -666,8 +698,8 @@ class TestStackedTraces:
         fp_prime, fm_prime = -rate, -rate * (2.0 * nbar + 1.0)
         trace = self.reference_trace_product(P, sigma).real
         ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
-        (eta,), zero_rate = flow_cumulants(3, 1, sys)
-        assert not zero_rate.any()
+        (eta,), reason = flow_cumulants(3, 1, sys)
+        assert not reason.any()
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
         # the trace of the matrix product, as before, agrees to rounding (|P_ij| <= 1)
         matmul_trace = self.reference_trace(P @ sigma).real
@@ -680,22 +712,18 @@ class TestStackedTraces:
         items = self.items(sys)
         for ch in (1, 2, 3):
             for s in (-0.2, 0.05, 0.3, 1.0):
-                theta, failed = large_deviation(ch, s, sys)
-                assert not failed.all()
+                theta, reason = large_deviation(ch, s, sys)
+                assert not reason.all()
                 for i, item in enumerate(items):
-                    try:
-                        single = large_deviation(ch, s, item)
-                    except OutsideAdmissibleRegionError:
-                        assert failed[i] and np.isnan(theta[i]), (ch, s, i)
-                    else:
-                        assert not failed[i], (ch, s, i)
-                        assert np.float64(single).view(np.int64) == theta[i].view(np.int64)
+                    single, single_reason = large_deviation(ch, s, item)
+                    assert single_reason == reason[i], (ch, s, i)
+                    assert single.view(np.int64) == theta[i].view(np.int64), (ch, s, i)
 
     def test_large_deviation_stack_flags_what_a_point_raises(self):
         # one failure rule for a point and a stack, s = 0 included: a stack
-        # item fails exactly where its single call raises, and equals it bit
-        # for bit elsewhere.  Items: THERMAL, no collective channel, a
-        # zero-rate channel 1 with an unstable drift.
+        # item has the reason of its single call, and equals it bit for bit.
+        # Items: THERMAL, no collective channel, a zero-rate channel 1 with an
+        # unstable drift.
         points = [THERMAL, dataclasses.replace(THERMAL, gamma1=0.0, gamma2=0.0),
                   dataclasses.replace(THERMAL, kappa1=0.0, gamma1=0.0)]
         p = CascadedParams(**{
@@ -703,39 +731,121 @@ class TestStackedTraces:
             for f in dataclasses.fields(CascadedParams)
         })
         sys = build_system(p)
-        errors = (ZeroRateChannelError, OutsideAdmissibleRegionError)
+        seen = set()
         for ch in (1, 2, 3):
             for s in (-0.2, 0.0, 0.1, 50.0, 800.0):
-                theta, failed = large_deviation(ch, s, sys)
+                theta, reason = large_deviation(ch, s, sys)
                 for i, item in enumerate(self.items(sys)):
-                    try:
-                        single = large_deviation(ch, s, item)
-                    except errors:
-                        assert failed[i] and np.isnan(theta[i]), (ch, s, i)
-                    else:
-                        assert not failed[i], (ch, s, i)
-                        assert np.float64(single).view(np.int64) == theta[i].view(np.int64)
+                    single, single_reason = large_deviation(ch, s, item)
+                    assert single_reason == reason[i], (ch, s, i)
+                    assert single.view(np.int64) == theta[i].view(np.int64), (ch, s, i)
+                assert np.isnan(theta[reason != 0]).all()
+                seen.update(reason.tolist())
+        assert seen == {0, ZERO_RATE, INADMISSIBLE}
 
     def test_flow_cumulant_bit_identical(self):
         sys, _ = self.stacked_system(count=100)
         items = self.items(sys)
         for ch in (1, 2, 3):
             for n in (1, 2, 3, 4):
-                etas, failed = flow_cumulants(ch, n, sys)
-                assert not failed.any()
-                single = np.array([flow_cumulants(ch, n, it) for it in items]).T
+                etas, reason = flow_cumulants(ch, n, sys)
+                assert not reason.any()
+                single = np.array([point_cumulants(ch, n, it) for it in items]).T
                 np.testing.assert_array_equal(np.array(etas).view(np.int64), single.view(np.int64))
 
     def test_flow_cumulant_flags_failed_items(self):
         # item 1 has no collective channel; item 2's drift is marginal, so it
-        # fails the stability check of every order
+        # fails the stability check, before every order
         no_common = dataclasses.replace(THERMAL, gamma1=0.0, gamma2=0.0)
         sys, _ = self.stacked_system(points=[THERMAL, no_common, THERMAL])
         sys = dataclasses.replace(sys, M=sys.M.copy())
         sys.M[2] = np.diag([0.0, -1.0])
         single = build_system(THERMAL)
         for n in (1, 2, 3, 4):
-            etas, failed = flow_cumulants(3, n, sys)
-            assert failed.tolist() == [False, True, True]
-            assert np.isnan(np.array(etas)[:, failed]).all()
-            assert [eta[0] for eta in etas] == flow_cumulants(3, n, single)
+            etas, reason = flow_cumulants(3, n, sys)
+            assert reason.tolist() == [0, ZERO_RATE, UNSTABLE]
+            assert np.isnan(np.array(etas)[:, 1:]).all()
+            assert [eta[0] for eta in etas] == point_cumulants(3, n, single)
+
+
+class TestReasons:
+    """Every code of ``REASONS`` is reached by a stack item of real inputs,
+    the two order-numbered solve failures by a solve made to fail.  The
+    item's one-point call reports the same code, and ``raise_first`` raises
+    the code's exception with its message, formatted at that item."""
+
+    RATES = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
+
+    def assert_reaches(self, code, message, kernel, point, **fields):
+        """``kernel`` (a system -> reason) on the stack [THERMAL, point] gives
+        item 1 ``code`` and item 0 none, as on ``point`` alone; both raise
+        ``message`` through ``raise_first``, with the margin of the system."""
+        stack = build_system(CascadedParams(**{
+            f.name: np.array([getattr(q, f.name) for q in (THERMAL, point)])
+            for f in dataclasses.fields(CascadedParams)
+        }))
+        single = build_system(point)
+        reason, single_reason = kernel(stack), kernel(single)
+        assert reason.tolist() == [0, code] and single_reason == code, (code, reason)
+        error = REASONS[code][0]
+        for sys, r in ((stack, reason), (single, single_reason)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                raise_first(r, margin=sys.margin, **fields)
+        return code
+
+    def test_every_code_is_reached(self, monkeypatch):
+        from test_sweeps_cli import LYAPUNOV_FAILURE
+
+        failure = CascadedParams(**{k: complex(v) if k == "F" else v
+                                    for k, v in LYAPUNOV_FAILURE.items()})
+        heavy = {nbar: CascadedParams(**self.RATES, nbar1=nbar) for nbar in (1e308, 1e160, 1e110, 1e80)}
+
+        def response(sys):
+            return linear_response(sys)[2]
+
+        def cumulants(channel, n):
+            return lambda sys: flow_cumulants(channel, n, sys)[1]
+
+        reached = {
+            self.assert_reaches(UNSTABLE, "drift is not stable (margin 0.000e+00)", response,
+                                CascadedParams(kappa1=0.0, kappa2=1.0)),
+            self.assert_reaches(ZERO_RATE, "channel 3 has zero rate", cumulants(3, 1),
+                                CascadedParams(kappa1=1.0, kappa2=1.0, nbar1=1.0), channel=3),
+            # a hot bath 1 narrows the admissible region of channel 1
+            self.assert_reaches(INADMISSIBLE, "no stabilizing biased covariance at s = 0.1",
+                                lambda sys: large_deviation(1, 0.1, sys)[1],
+                                dataclasses.replace(THERMAL, nbar1=100.0), s=0.1),
+            self.assert_reaches(RESPONSE_FAILED,
+                                "Lyapunov solve of the response to the bath occupations failed",
+                                response, failure),
+            self.assert_reaches(GRAMIAN_FAILED,
+                                "Lyapunov solve of the steady state or the channel's Gramian failed",
+                                cumulants(1, 2), failure),
+        }
+        for m, nbar in enumerate(heavy, start=1):  # eta^(m) grows like nbar^m
+            reached.add(self.assert_reaches(NOT_FINITE + m, f"flow cumulant of order {m} is not finite",
+                                            cumulants(1, m), heavy[nbar]))
+        solve, solves = counting.solve_lyapunov, []
+
+        def fails_at(order):
+            def solve_failing(A, N):
+                X, failed = solve(A, N)
+                if N.shape[-3] == 1:  # a sigma_k solve; the first solve has two sources
+                    solves.append(order)
+                    if len(solves) == order - 1:  # sigma_{order - 1} gives eta^(order) and up
+                        failed = failed.copy()
+                        failed[-1] = True
+                return X, failed
+            return solve_failing
+
+        point = CascadedParams(**self.RATES, nbar1=2.0)
+        for m in (2, 3):
+            monkeypatch.setattr(counting, "solve_lyapunov", fails_at(m))
+
+            def kernel(sys, m=m):
+                solves.clear()
+                return flow_cumulants(1, 4, sys)[1]
+
+            message = f"Lyapunov solve for the flow cumulant of order {m} failed"
+            reached.add(self.assert_reaches(SOLVE_FAILED + m, message, kernel, point))
+        assert reached == set(REASONS)

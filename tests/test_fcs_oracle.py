@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from noisecascade.cascaded import CascadedParams, build_system
-from noisecascade.counting import large_deviation
+from test_counting import point_theta
 
 CUTOFF = 10  # total excitation number; 66 states, 506 operators |a><b|
 
@@ -84,6 +84,6 @@ def test_theta_matches_tilted_lindbladian(channel):
     )
     sys = build_system(p)
     for s in (-0.3, 0.4):
-        theta = large_deviation(channel, s, sys)
+        theta = point_theta(channel, s, sys)
         assert theta == pytest.approx(2.0 * theta_oracle(p, channel, s), abs=1e-9)
         assert abs(theta) > 1e-3  # a real comparison, not 0 against 0

@@ -508,10 +508,27 @@ def test_package_makes_no_matmul():
 
 
 def test_kernels_raise_nothing():
-    # linalg kernels report failed items; linear_response, flow_cumulants and
-    # large_deviation raise for one point
-    tree = ast.parse(pathlib.Path(noisecascade.linalg.__file__).read_text(), "linalg.py")
-    assert not any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+    # kernels return a reason per item; raise_first raises.  linalg raises
+    # nothing, and linear_response, flow_cumulants and large_deviation, with
+    # every package function they call, raise only ValueError (a bad argument)
+    package = pathlib.Path(noisecascade.__file__).parent
+    functions = {}
+    for name in ("linalg.py", "cascaded.py", "counting.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        assert name != "linalg.py" or not any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+        functions.update({node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)})
+    todo, seen = ["linear_response", "flow_cumulants", "large_deviation"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                todo.extend({node.func.id} - seen)
+            if isinstance(node, ast.Raise):
+                assert isinstance(node.exc, ast.Call) and node.exc.func.id == "ValueError", (
+                    name, ast.unparse(node))
+    assert {"_stable_drift", "_unit_vector", "add_reason", "solve_lyapunov"} <= seen
+    assert "raise_first" not in seen
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noisecascade.cascaded import CascadedParams, build_system
-from noisecascade.counting import flow_cumulants, large_deviation
 from noisecascade.linalg import stability_margin
 from quadrature_oracle import embed_drift, real_embedding_matrix
+from test_counting import point_cumulants, point_theta
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -75,8 +75,8 @@ def stable_systems(draw, nbar=occupation):
 @settings(max_examples=50)
 def test_vacuum_has_no_counting_statistics(p, ch, s):
     sys = build_system(p)
-    assert large_deviation(ch, s, sys) == pytest.approx(0.0, abs=1e-10)
-    assert flow_cumulants(ch, 4, sys) == pytest.approx([0.0] * 4, abs=1e-10)
+    assert point_theta(ch, s, sys) == pytest.approx(0.0, abs=1e-10)
+    assert point_cumulants(ch, 4, sys) == pytest.approx([0.0] * 4, abs=1e-10)
 
 
 @given(kappa1=pos_rate, kappa2=pos_rate, omega1=freq, nbar1=occupation,
@@ -90,8 +90,8 @@ def test_single_mode_with_its_own_bath_has_no_net_transport(
                        nbar1=nbar1, nbar2=nbar2)
     sys = build_system(p)
     scale = kappa1 * (1.0 + nbar1)
-    assert abs(large_deviation(1, s, sys)) <= 1e-10 * scale
-    for eta in flow_cumulants(1, 4, sys):
+    assert abs(point_theta(1, s, sys)) <= 1e-10 * scale
+    for eta in point_cumulants(1, 4, sys):
         assert abs(eta) <= 1e-10 * scale
 
 
@@ -100,9 +100,9 @@ def test_single_mode_with_its_own_bath_has_no_net_transport(
 def test_theta_is_convex(p, ch):
     sys = build_system(p)
     # theta is a difference of O(1) trace terms, so rounding is absolute
-    assert flow_cumulants(ch, 2, sys)[1] >= -1e-12
+    assert point_cumulants(ch, 2, sys)[1] >= -1e-12
     h = 0.01
-    theta = [large_deviation(ch, k * h, sys) for k in range(-3, 4)]
+    theta = [point_theta(ch, k * h, sys) for k in range(-3, 4)]
     assert np.diff(theta, 2).min() >= -1e-12
 
 
@@ -114,6 +114,6 @@ def test_gallavotti_cohen_symmetry():
     sys = build_system(p)
     beta = math.log(1.5 / 0.5) - math.log(3.0 / 2.0)
     for s in (-0.3, 0.1, 0.2, 0.5, 0.9):
-        assert large_deviation(1, s, sys) == pytest.approx(
-            large_deviation(1, beta - s, sys), abs=1e-13
+        assert point_theta(1, s, sys) == pytest.approx(
+            point_theta(1, beta - s, sys), abs=1e-13
         )

@@ -52,7 +52,8 @@ def test_preset_design_point_numbers():
     p = map_to_cascaded(q)
     assert p.kappa1 == p.kappa2 and p.gamma1 == p.gamma2 and p.gamma1 < p.kappa1
     sys = build_system(p)
-    W, _ = linear_response(sys)
+    W, _, reason = linear_response(sys)
+    assert reason == 0
     (n1, n2), (m1, m2) = occupations(W, sys.nbar), disconnected_baseline(p)
     assert abs(n1 - m1) <= 1e-12  # dn1: mode 1 does not feel mode 2
     text = " ".join(README.split())

@@ -31,12 +31,7 @@ from noisecascade.cascaded import (
     occupations,
 )
 from noisecascade.cli import build_parser, main
-from noisecascade.counting import (
-    OutsideAdmissibleRegionError,
-    ZeroRateChannelError,
-    flow_cumulants,
-    large_deviation,
-)
+from noisecascade.counting import flow_cumulants, large_deviation
 from noisecascade.linalg import solve_lyapunov, stability_margin
 from noisecascade.optomech import OmParams, design_nonreciprocal, map_to_cascaded, preset_microwave
 from noisecascade.sweeps import (
@@ -649,30 +644,23 @@ def reference_row(cfg, axis_values):
             return [abs(complex(p.F))]
         if not stable:
             return [None] * (len(cfg.s_grid) if name == "theta" else 1)
-        if name == "theta":
-            out = []
-            for s in cfg.s_grid:
-                try:
-                    out.append(large_deviation(1, s, sys))
-                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
-                    out.append(None)
-            return out
-        try:
-            if name.startswith("eta"):
-                return [None if V is None else flow_cumulants(int(name[-1]), 1, sys)[0]]
-            if name.endswith("_closed"):  # NaN at unequal rates
-                n = closed_form_occupations(p)[int(name[1]) - 1]
-                return [n if math.isfinite(n) else None]
-            i = int(name[-1]) - 1
-            n = None if V is None else V[i, i].real - 0.5
-            if name[0] == "n":
-                return [n]
-            m = disconnected_baseline(p)[i]
-            if not math.isfinite(m):  # a mode without a rate has no baseline
-                return [None]
-            return [m if name[0] == "m" else None if n is None else n - m]
-        except ZeroRateChannelError:
+        if name == "theta":  # no value where theta fails
+            return [None if reason else float(theta)
+                    for theta, reason in (large_deviation(1, s, sys) for s in cfg.s_grid)]
+        if name.startswith("eta"):  # no value where the flow fails: a zero-rate channel
+            (eta,), reason = flow_cumulants(int(name[-1]), 1, sys)
+            return [None if V is None or reason else float(eta)]
+        if name.endswith("_closed"):  # NaN at unequal rates
+            n = closed_form_occupations(p)[int(name[1]) - 1]
+            return [n if math.isfinite(n) else None]
+        i = int(name[-1]) - 1
+        n = None if V is None else V[i, i].real - 0.5
+        if name[0] == "n":
+            return [n]
+        m = disconnected_baseline(p)[i]
+        if not math.isfinite(m):  # a mode without a rate has no baseline
             return [None]
+        return [m if name[0] == "m" else None if n is None else n - m]
 
     cells = tuple(v for name in cfg.outputs for v in cell(name))
     status = "unstable" if not stable else "unsupported" if None in cells else "ok"
@@ -836,14 +824,13 @@ class TestStackedSweep:
 
     def test_readme_grid_is_one_block(self, monkeypatch):
         # 101 x 101 points fit in one block: one call per layer, and the
-        # response takes the 101 systems of the Delta values (and their
-        # margin again, inside linear_response)
+        # margin and the response take the 101 systems of the Delta values
+        # (the response reads the margin the block computed)
         from noisecascade import cascaded
 
         calls = []
         # each kernel's first argument, and the number of systems in it
         for module, name, size in ((sweeps, "build_system", lambda p: p.phi.size),
-                                   (sweeps, "stability_margin", len),
                                    (cascaded, "stability_margin", len),
                                    (sweeps, "linear_response", lambda sys: len(sys.M))):
             kernel = getattr(module, name)
@@ -851,7 +838,7 @@ class TestStackedSweep:
             monkeypatch.setattr(module, name, counted)
         result = run_sweep(parse_config(fig2_config(101, outputs=["n1", "n2", "dn1", "dn2"])))
         assert calls == [("build_system", 101), ("stability_margin", 101),
-                         ("linear_response", 101), ("stability_margin", 101)]
+                         ("linear_response", 101)]
         assert (result.status == "ok").all()
 
     def test_block_without_a_varying_field_is_one_system(self, monkeypatch):
@@ -886,16 +873,15 @@ class TestStackedSweep:
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
         # the sweep's margin column and the response take the block's distinct
-        # systems, one per set of fields other than nbar1..3, and the response
-        # takes their margin once more; unstable systems reach the Lyapunov
-        # solve only as the placeholder drift -I
+        # systems, one per set of fields other than nbar1..3, and share one
+        # margin call; unstable systems reach the Lyapunov solve only as the
+        # placeholder drift -I
         from noisecascade import cascaded
 
         margins, responses, drifts = [], [], []
         margin, response = cascaded.stability_margin, cascaded.linear_response
         solve = cascaded.solve_lyapunov
-        for module in (sweeps, cascaded):
-            monkeypatch.setattr(module, "stability_margin", lambda M: margins.append(M) or margin(M))
+        monkeypatch.setattr(cascaded, "stability_margin", lambda M: margins.append(M) or margin(M))
         monkeypatch.setattr(
             sweeps, "linear_response", lambda sys: responses.append(sys.M) or response(sys)
         )
@@ -905,10 +891,9 @@ class TestStackedSweep:
         result = run_sweep(parse_config(json.dumps(MIXED_GRID)))
         # the (kappa1, gamma1) pairs of rows 0-7, 8-15 and 16-19, and in each
         # block the all-zero placeholder of its invalid mbar3 = 2 point
-        assert [len(M) for M in margins] == [3, 3, 4, 4, 2, 2]
-        assert all(column is inside for column, inside in zip(margins[::2], margins[1::2]))
+        assert [len(M) for M in margins] == [3, 4, 2]
         assert len(responses) == len(drifts) == 3
-        for M, response_M, drift in zip(margins[::2], responses, drifts):
+        for M, response_M, drift in zip(margins, responses, drifts):
             assert response_M is M and drift.shape == (len(M), 1, 2, 2)
             assert len(np.unique(M.reshape(len(M), -1), axis=0)) == len(M)
             unstable = ~(margin(M) < 0.0)
@@ -986,10 +971,7 @@ class TestThetaBatching:
             sys = build(CascadedParams(**{k: v[i] for k, v in vars(p).items()}))
             stable = stability_margin(sys.M) < 0.0  # the row rule blanks the rest
             for j, s in enumerate(cfg.s_grid):
-                try:
-                    single = np.float64(large_deviation(1, s, sys) if stable else np.nan)
-                except (OutsideAdmissibleRegionError, ZeroRateChannelError):
-                    single = np.float64(np.nan)
+                single = large_deviation(1, s, sys)[0] if stable else np.float64(np.nan)
                 got = theta[i, j]
                 assert got.view(np.int64) == single.view(np.int64) or np.isnan([got, single]).all()
 
@@ -1479,10 +1461,10 @@ def reference_fcs_text(channel, params, grid):
     """The fcs stdout as json.dumps(result, indent=2) renders it, with the
     result built from the library calls that ``fcs`` makes."""
     sys = build_system(CascadedParams(**params))
-    etas = flow_cumulants(channel, 2, sys)
+    etas, reason = flow_cumulants(channel, 2, sys)
     s = np.linspace(*grid)
-    theta, failed = large_deviation(channel, s, sys)
-    assert not failed.any()
+    theta, theta_reason = large_deviation(channel, s, sys)
+    assert reason == 0 and not theta_reason.any()
     result = {
         "channel": channel,
         "theta": [{"s": x, "theta": t} for x, t in zip(s.tolist(), theta.tolist())],
@@ -1883,8 +1865,8 @@ class TestOverflowingInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sys = build_system(p)
-            (Y, failed), (W, _) = solve_lyapunov(sys.M, sys.N), linear_response(sys)
-        assert not failed and np.isfinite(Y).all() and np.isfinite(W).all()
+            (Y, failed), (W, _, reason) = solve_lyapunov(sys.M, sys.N), linear_response(sys)
+        assert not failed and reason == 0 and np.isfinite(Y).all() and np.isfinite(W).all()
         rc, out, err = fresh_process(MAX_NBAR_ARGV, flags=("-W", "error::RuntimeWarning"))
         assert (rc, err) == (0, "")
         doc = json.loads(out)
