@@ -246,14 +246,15 @@ def build_system(p: CascadedParams) -> LinearSystem:
     array params give a stack.  The rates are stored as given: |u_c|^2 rounds
     away from them."""
     eip, shape = np.exp(1j * p.phi), np.shape(p.phi)
+    root1, root2 = np.sqrt(p.gamma1), np.sqrt(p.gamma2)  # gamma1 gamma2 itself may overflow
     M = np.empty(shape + (2, 2), complex)
     M[..., 0, 0] = -1j * p.omega1 - (p.gamma1 + p.kappa1) / 2.0
     M[..., 0, 1] = -1j * p.F
-    M[..., 1, 0] = -1j * np.conj(p.F) - np.sqrt(p.gamma1 * p.gamma2) * eip
+    M[..., 1, 0] = -1j * np.conj(p.F) - root1 * root2 * eip
     M[..., 1, 1] = -1j * p.omega2 - (p.gamma2 + p.kappa2) / 2.0
     U = np.zeros(shape + (2, 3), complex)
     U[..., 0, 0], U[..., 1, 1] = np.sqrt(p.kappa1), np.sqrt(p.kappa2)
-    U[..., 0, 2], U[..., 1, 2] = np.sqrt(p.gamma1), np.sqrt(p.gamma2) * eip
+    U[..., 0, 2], U[..., 1, 2] = root1, root2 * eip
     rate, nbar = np.empty(shape + (3,)), np.empty(shape + (3,))
     rate[..., 0], rate[..., 1], rate[..., 2] = p.kappa1, p.kappa2, p.collective_rate
     nbar[..., 0], nbar[..., 1], nbar[..., 2] = p.nbar1, p.nbar2, p.nbar3

@@ -168,10 +168,7 @@ class TestBuildSystem:
         )
         valid = ~p.invalid()
         p = CascadedParams(**{k: v[valid] for k, v in vars(p).items()})
-        # sqrt(gamma1 gamma2) in M21 overflows where gamma1 gamma2 does, though
-        # both rates are valid: a fault of the drift, which N does not read
-        with np.errstate(over="ignore"):
-            sys = build_system(p)
+        sys = build_system(p)
         N, U = sys.N, sys.U
         norm = np.abs(N).max(axis=(-2, -1))
         assert valid.sum() > size // 4 and (norm > 0.0).all()
@@ -840,6 +837,19 @@ class TestLinearResponse:
         small_sys = build_system(small)
         vacuum_read = solve_lyapunov(small_sys.M, small_sys.N)[0][0, 0].real - 0.5
         assert abs(vacuum_read - exact[1, 0]) > 1e4 * self.ORACLE_RTOL * exact[1, 0]
+
+    def test_collective_rates_whose_product_overflows(self):
+        # each rate is valid, gamma1 gamma2 is not finite: M21 read NaN from the
+        # square root of that product, so the points were unstable (margin nan)
+        p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=np.array([1e200, 1e155]),
+                           gamma2=np.array([1e200, 1e155]), phi=0.7, F=0.3,
+                           nbar1=2.0, nbar2=0.5, nbar3=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = build_system(p)
+            n, exact = self.occupations_and_exact(p)
+        assert (sys.margin < 0.0).all() and len(n) == 2
+        assert (np.abs(n - exact) <= self.ORACLE_RTOL * exact).all()
 
     def test_rate_near_the_float_maximum(self):
         # 2 rate_3 overflowed to inf, and inf * 0 put NaN into G

@@ -111,6 +111,9 @@ REPEATED_OUTPUT_SWEEP = {**NEGATIVE_RATE_SWEEP, "outputs": ["n1", "n1"],
 # stable, with eigenvalues -5e307 and -0.5
 HUGE_GAMMA_ARGV = ["steady-state", "--set", "gamma1=1e308", "--set", "kappa1=1",
                    "--set", "kappa2=1"]
+# each collective rate is valid, their product 1e400 is not finite
+PRODUCT_OVERFLOW_ARGV = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1",
+                         "--set", "gamma1=1e200", "--set", "gamma2=1e200", "--set", "nbar3=1"]
 # every noise term and N11 = 0.3 * max finite; unscaled, the solve's
 # Hermitian part 0.5 * (X + X†) would overflow
 MAX_NBAR_ARGV = ["steady-state", "--set", "kappa1=0.1", "--set", "gamma1=0.2", "--set", "kappa2=1",
@@ -1856,6 +1859,22 @@ class TestOverflowingInputs:
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status.tolist() == ["ok"] and np.isfinite(result.values).all()
         assert result.values[0, -1] == -0.49999999999999994
+
+    def test_collective_rates_whose_product_overflows(self):
+        # sqrt(gamma1 gamma2) in M21 overflowed, so the drift held NaN: the
+        # point exited 3 with "margin nan", and a sweep warned and wrote an
+        # unstable row; the exact occupations are 1 (tests of linear_response)
+        rc, out, err = fresh_process(PRODUCT_OVERFLOW_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"n1": 1.0, "n2": 1.0, "m1": 1.0, "m2": 1.0, "dn1": 0.0, "dn2": 0.0}
+        params = {k: float(v) for k, v in (a.split("=") for a in PRODUCT_OVERFLOW_ARGV[2::2])}
+        doc = {"model": "cascaded", "params": {k: v for k, v in params.items() if k != "gamma1"},
+               "axes": [{"variable": "gamma1", "min": 1e200, "max": 1e200, "points": 1}],
+               "outputs": ["n1", "n2", "stability_margin"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_sweep(parse_config(json.dumps(doc)))
+        assert result.status.tolist() == ["ok"] and result.values[0, 1:].tolist() == [1.0, 1.0, -5e199]
 
     def test_occupations_near_the_float_maximum(self):
         # the Lyapunov solve scales N to a max-norm in [1/2, 1), so X + X† stays
