@@ -205,7 +205,6 @@ def raise_first(reason: NDArray, **fields) -> None:
     """Raise the ``REASONS`` entry of the first failed item of ``reason`` (one
     point or a stack), its message formatted with each field (broadcast
     against ``reason``) at that item; return if no item failed."""
-    reason = np.asarray(reason)
     failed = np.flatnonzero(reason)
     if failed.size:
         error, message = REASONS[int(reason.flat[failed[0]])]
