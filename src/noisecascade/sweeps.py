@@ -17,12 +17,14 @@ The grid is evaluated in blocks of BLOCK_POINTS (16384) points, so a grid
 of up to 128 x 128 points, the README's 101 x 101 included, is one block;
 with theta, a block holds at most BLOCK_POINTS (point, s) pairs, one point
 at least.  A block is one array-valued parameter set built from the axis
-columns, with all-zero placeholders at its invalid points; every layer,
-from the parameters to each requested output column (theta over the whole
-s_grid), makes one call per block.  Occupations and flows are linear in the
-bath occupations, so the points of a block that differ only in nbar1..3
-(keyed on the float64 bits of every other field, of which only the words
-that vary within the block are compared) share one system, built once for
+columns, with all-zero placeholders at its invalid points if it has any;
+in a block without one, each field given as one value stays broadcast, a
+view with zero strides.  Every layer, from the parameters to each
+requested output column (theta over the whole s_grid), makes one call per
+block.  Occupations and flows are linear in the bath occupations, so the
+points of a block that differ only in nbar1..3 (keyed on the float64 bits
+of every other field that is not broadcast, of which only the words that
+vary within the block are compared) share one system, built once for
 every output: its margin and linear response (W, G) of
 ``cascaded.linear_response`` are computed once, and each point takes
 n_i = sum_j W_ij nbar_j, as ``steady-state`` does, and
@@ -45,6 +47,7 @@ value falls back to "%.17g" or ``json.dumps`` of that value.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import MISSING, dataclass, fields as dc_fields
 from sys import float_info
 
@@ -62,6 +65,8 @@ from .cascaded import (
 )
 from .counting import large_deviation
 from .optomech import OmParams, map_to_cascaded
+
+_log = logging.getLogger("noisecascade")
 
 
 class SchemaError(Exception):
@@ -114,12 +119,12 @@ _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
 
 # grid points per stacked block, or with theta (point, s) pairs per block,
 # one point at least; bounds the memory that one block holds.  tracemalloc
-# peaks of evaluating a full block against emitting it: 9.7 MB against
-# 22.8 MB for the CSV of a 128 x 128 Delta x nbar3 cascaded grid (128
-# systems, every output but theta and F_residual), but 36.2 MB against
-# 6.3 MB where every point is its own system (Delta x kappa1, output n1);
-# 10.4 MB against 7.3 MB for the JSON of a 64 x 64 optomech grid with theta
-# at 4 s values
+# peaks of evaluating a full block against emitting it: 8.0 MB against
+# 17.2 MB for the CSV of a 128 x 128 Delta x nbar3 cascaded grid at unit
+# rates (128 systems, every output but theta and F_residual), but 44.0 MB
+# against 4.9 MB where every point is its own system (Delta x kappa1,
+# output n1); 11.3 MB against 8.5 MB for the JSON of a 64 x 64 optomech
+# J x G2 grid with theta at 4 s values
 BLOCK_POINTS = 16384
 
 
@@ -361,10 +366,15 @@ def column_names(cfg: SweepConfig) -> list[str]:
 def _systems(p: CascadedParams) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     """(first, inverse) of the distinct systems of array params ``p``: the
     first point of each, and each point's system.  Points are keyed on the
-    float64 bits of every field but nbar1..3; only the words that vary among
-    the points tell them apart (one word if none does), and a single word
-    sorts as an int64, faster than as bytes."""
+    float64 bits of every field but nbar1..3 that is not one value broadcast
+    to every point (all strides zero, so equal at every point): a block
+    without such a field is one system.  Of the fields that remain, only the
+    words that vary among the points tell them apart (one word if none
+    does), and a single word sorts as an int64, faster than as bytes."""
     rest = [getattr(p, f.name) for f in dc_fields(p) if not f.name.startswith("nbar")]
+    rest = [x for x in rest if any(x.strides)]
+    if not rest:
+        return np.zeros(1, np.intp), np.zeros(p.nbar1.size, np.intp)
     keys = np.hstack([x.view(np.int64).reshape(x.size, -1) for x in rest])
     varies = (keys != keys[0]).any(axis=0)
     keys = np.ascontiguousarray(keys[:, varies] if varies.any() else keys[:, :1])
@@ -377,12 +387,15 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     """(values, status) of a block of grid points: one call per layer.
 
     The block's parameters are one array-valued CascadedParams built from its
-    axis columns, with all-zero placeholders (as in CascadedParams()) at its
-    invalid points.  Points that differ only in nbar1..3 share one system,
-    built once: the margin and the linear response (W, G) are computed once
-    per distinct system, and each point's occupations, flows and theta follow
-    from its nbar.  A
-    cell is blank exactly where its value is not finite.  Each kernel writes
+    axis columns.  Only a block that holds an invalid point is rewritten,
+    with all-zero placeholders (as in CascadedParams()) at its invalid
+    points; in a valid block each field given as one value stays broadcast,
+    a view with zero strides.  Points that differ only in nbar1..3 share one
+    system, built once: the margin and the linear response (W, G) are
+    computed once per distinct system, and each point's occupations, flows
+    and theta follow from its nbar.  One DEBUG line on the ``noisecascade``
+    logger gives the block's points, systems and placeholders.  A cell is
+    blank exactly where its value is not finite.  Each kernel writes
     NaN where its value is undefined: a failed Lyapunov solve (n*, dn*,
     eta*), a mode without a rate (m*, dn*), unequal rates (n*_closed) and a
     zero-rate channel 1 or an s outside the admissible region (theta; s = 0
@@ -402,8 +415,12 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         om = OmParams(**raw)
         p = map_to_cascaded(om)
         built = ~(om.invalid() | p.invalid())
-    p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
+    placeholders = not built.all()
+    if placeholders:
+        p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
     first, inverse = _systems(p)
+    _log.debug("sweep block: %d points, %d systems, placeholders: %s",
+               built.size, first.size, "yes" if placeholders else "no")
     # each distinct system is built once, for every output
     distinct = build_system(CascadedParams(**{k: v[first] for k, v in vars(p).items()}))
     nbar = np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)

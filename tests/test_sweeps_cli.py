@@ -728,6 +728,19 @@ NBAR1_SWEEP = {
 }
 
 
+def assert_systems_key_as_all_fields_do(p, count):
+    """``_systems`` of block params ``p`` gives ``count`` systems, the same as
+    keyed on the bits of every field but nbar1..3, each materialized."""
+    rest = [np.ascontiguousarray(getattr(p, name)) for name in (
+        "omega1", "omega2", "kappa1", "kappa2", "gamma1", "gamma2", "phi", "F")]
+    keys = np.hstack([x.view(np.float64).reshape(x.size, -1) for x in rest])
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    _, first_all, inverse_all = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = sweeps._systems(p)
+    assert len(first) == len(first_all) == count
+    np.testing.assert_array_equal(first[inverse], first_all[inverse_all])
+
+
 class TestStackedSweep:
     def test_rows_match_single_point_results(self, monkeypatch):
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 8)
@@ -780,6 +793,9 @@ class TestStackedSweep:
             assert calls == per_block * (10 if "theta" in outputs else 3), outputs
 
     def test_emission_independent_of_block_size(self, monkeypatch):
+        # with theta's 3 s values, 7 // 3 = 2 points per block: MIXED_GRID's
+        # blocks with an invalid mbar3 = 2 point take placeholders and the
+        # others keep their fixed fields broadcast, so both paths compare
         for doc, block_points in ((MIXED_GRID, 7), (NBAR1_SWEEP, 300)):
             for fmt in ("csv", "json"):
                 cfg = parse_config(json.dumps(dict(doc, format=fmt)))
@@ -865,14 +881,35 @@ class TestStackedSweep:
         run_sweep(parse_config(json.dumps(MIXED_GRID)))
         (p,) = blocks
         assert (p.kappa1 == 0.0).any() and (p.phi == 0.0).any()  # placeholders
-        rest = [getattr(p, name) for name in ("omega1", "omega2", "kappa1", "kappa2",
-                                              "gamma1", "gamma2", "phi", "F")]
-        keys = np.hstack([x.view(np.float64).reshape(x.size, -1) for x in rest])
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-        _, first_all, inverse_all = np.unique(keys, return_index=True, return_inverse=True)
-        first, inverse = sweeps._systems(p)
-        assert len(first) == len(first_all) == 5
-        np.testing.assert_array_equal(first[inverse], first_all[inverse_all])
+        assert_systems_key_as_all_fields_do(p, 5)
+
+    def test_valid_block_keeps_fixed_fields_broadcast(self, monkeypatch):
+        # a block without an invalid point takes no placeholders: each field
+        # given as one value stays broadcast (all strides zero), and _systems,
+        # which leaves such fields out, finds the systems that all fields but
+        # nbar1..3, materialized, give
+        blocks, systems = [], sweeps._systems
+        monkeypatch.setattr(sweeps, "_systems", lambda p: blocks.append(p) or systems(p))
+        readme = json.loads(fig2_config(101))
+        for doc, varying, count in ((readme, ("omega2", "nbar1", "nbar2", "nbar3"), 101),
+                                    (NBAR1_SWEEP, ("omega2", "nbar1"), 5)):
+            blocks.clear()
+            run_sweep(parse_config(json.dumps(doc)))
+            (p,) = blocks
+            for f in dataclasses.fields(p):
+                x = getattr(p, f.name)
+                assert any(x.strides) == (f.name in varying), f.name
+            assert_systems_key_as_all_fields_do(p, count)
+
+    def test_each_block_logs_points_systems_and_placeholders(self, caplog):
+        # one DEBUG line per block; the CLI configures no logging, so it
+        # prints nothing (test_cli_sweep_leaves_stderr_empty)
+        with caplog.at_level(logging.DEBUG, logger="noisecascade"):
+            run_sweep(parse_config(fig2_config(101)))
+            run_sweep(parse_config(json.dumps(MIXED_GRID)))
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert lines == ["sweep block: 10201 points, 101 systems, placeholders: no",
+                         "sweep block: 20 points, 5 systems, placeholders: yes"]
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
         # the sweep's margin column and the response take the block's distinct
@@ -924,6 +961,10 @@ THETA_SWEEP = {
 # whose Nbar1 axis varies only the bath occupations: 28 points on 4 systems
 NBAR1_THETA_SWEEP = dict(NBAR1_SWEEP, outputs=[*NBAR1_SWEEP["outputs"], "theta"],
                          s_grid=[-0.3, 0.0, 0.2, 0.5])
+# NBAR1_SWEEP without its Delta axis, with theta on two s values: its 501
+# points share one system, whose F stays one complex value broadcast to every point
+NBAR1_ONLY_SWEEP = dict(NBAR1_SWEEP, axes=NBAR1_SWEEP["axes"][1:],
+                        outputs=[*NBAR1_SWEEP["outputs"], "theta"], s_grid=[-0.3, 0.2])
 OM_SHARED_THETA_SWEEP = dict(THETA_SWEEP, axes=[
     {"variable": "Nbar1", "min": 0, "max": 3, "points": 7},
     {"variable": "J", "min": 0, "max": 1, "points": 4},
@@ -1188,6 +1229,7 @@ def ci_sweep_configs():
         "theta_sweep": THETA_SWEEP,
         "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
         "theta_long100": THETA_LONG_SWEEP, "nbar1_theta": NBAR1_THETA_SWEEP,
+        "nbar1_only": NBAR1_ONLY_SWEEP,
     }
 
 
