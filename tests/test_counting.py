@@ -110,6 +110,10 @@ THERMAL = CascadedParams(
     omega1=0.0, omega2=1.5, kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
     phi=0.4, F=0.0, nbar1=3.0, nbar2=1.0, nbar3=0.5,
 )
+# the far-detuning reproducer of ROADMAP item 10; tests set omega2
+FAR_DETUNED = CascadedParams(
+    kappa1=1.0, kappa2=0.5, gamma1=0.8, gamma2=1.2, F=0.3, phi=0.3, nbar1=2.0, nbar2=1.0, nbar3=0.5,
+)
 
 
 class TestBiasMatrices:
@@ -450,6 +454,41 @@ class TestSpectralOracle:
         assert not reason.any()
         exact = [0.03233977929446843, 0.01275229036481259, 0.016507755877874147]
         np.testing.assert_allclose(theta, exact, rtol=1e-9)
+
+    @pytest.mark.parametrize("detuning", [
+        1e1, 1e3,
+        *(pytest.param(d, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="the resolvent cubic loses theta once the "
+            "detuning passes about 1e4 linewidths (ROADMAP item 10)")) for d in (1e4, 1e5)),
+    ])
+    def test_far_detuned_system(self, detuning):
+        # channel 1 with mode 2 detuned from mode 1: the same failed flags and
+        # theta to 1e-8.  At 1e5 the closed form gives theta(-0.3) = -4.531
+        # against -0.2121679, rejects s = 0.3 (0.7391350) and admits s = 1.0,
+        # which lies beyond the oracle's edge, with theta = -3.536
+        s = np.array([-0.3, 0.3, 1.0])
+        sys = build_system(dataclasses.replace(FAR_DETUNED, omega2=detuning))
+        theta, reason = large_deviation(1, s, sys)
+        ref, ref_failed = spectral_theta(1, s, sys)
+        np.testing.assert_array_equal(reason != 0, ref_failed)
+        np.testing.assert_allclose(theta[~ref_failed], ref[~ref_failed], rtol=1e-8)
+
+    def test_far_detuned_one_mode_limit(self):
+        # as the detuning grows, channel 1 sees mode 1 alone between the baths
+        # (kappa1, nbar1) and (gamma1, nbar3); the two-mode theta(-0.3) of the
+        # oracle approaches it as O(1/detuning)
+        p = FAR_DETUNED
+        one_mode = LinearSystem(
+            M=np.array([[-0.5 * (p.kappa1 + p.gamma1) + 0j]]),
+            U=np.sqrt(np.array([[p.kappa1, p.gamma1]]) + 0j),
+            rate=np.array([p.kappa1, p.gamma1]), nbar=np.array([p.nbar1, p.nbar3]),
+        )
+        limit, failed = spectral_theta(1, -0.3, one_mode)
+        assert not failed and limit == pytest.approx(-0.2121687, abs=5e-8)
+        for detuning in (1e3, 1e5):
+            sys = build_system(dataclasses.replace(p, omega2=detuning))
+            theta, failed = spectral_theta(1, -0.3, sys)
+            assert not failed and abs(theta - limit) <= 0.1 / detuning, detuning
 
     def test_sweep_theta_om_points(self):
         # the 21 x 21 optomechanical grid of the sweep-theta-om benchmark, as a stack

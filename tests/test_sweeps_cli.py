@@ -134,11 +134,18 @@ OVERFLOWING_SUM_SWEEP = {
     "axes": [{"variable": "nbar3", "min": float(FLOAT_MAX), "max": float(FLOAT_MAX), "points": 1}],
     "outputs": ["n1", "n2", "dn1", "m1"],
 }
-# steady-state at unequal rates, and with mode 1 undamped but stable through F
+# steady-state at unequal rates, with mode 1 undamped but stable through F,
+# at occupations near 1e-12, far below the vacuum 1/2, and at zero temperature
+# with collective rates whose product overflows
 STEADY_STATE_UNEQUAL_RATES = ["steady-state", "--set", "kappa1=2", "--set", "kappa2=1",
                               "--set", "gamma1=1", "--set", "gamma2=1", "--set", "nbar1=1"]
 STEADY_STATE_UNDAMPED_MODE = ["steady-state", "--set", "kappa2=1", "--set", "gamma2=1",
                               "--set", "F=0.5", "--set", "nbar2=2", "--set", "nbar3=1"]
+STEADY_STATE_TINY_OCCUPATIONS = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1",
+                                 "--set", "gamma1=1e-9", "--set", "gamma2=1e-9",
+                                 "--set", "nbar3=1e-3"]
+STEADY_STATE_PRODUCT_OVERFLOW = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1",
+                                 "--set", "gamma1=1e200", "--set", "gamma2=1e200"]
 # mbar1 = 50 with mbar2 = mbar3 = 120 converts to Nbar1 = -20
 NEGATIVE_MBAR_ARGV = ["steady-state", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
                       "--set", "gamma2=1", "--set", "mbar1=50", "--set", "mbar3=120"]
@@ -1234,14 +1241,18 @@ def ci_sweep_configs():
 
 
 class TestStrictOutput:
-    """No sweep writes nan, inf, NaN or Infinity: a blank cell is empty or null."""
+    """No sweep writes nan, inf, NaN or Infinity: a blank cell is empty or null,
+    and every output equals the per-cell formatter ``reference_emit``."""
 
     @pytest.mark.parametrize("name", list(ci_sweep_configs()))
     def test_ci_configs_emit_strict_output(self, name):
         cfg = parse_config(json.dumps(ci_sweep_configs()[name]))
         result = run_sweep(cfg)
         for fmt in ("csv", "json"):
-            text = emit(result, dataclasses.replace(cfg, format=fmt)).decode()
+            fmt_cfg = dataclasses.replace(cfg, format=fmt)
+            data = emit(result, fmt_cfg)
+            assert data == reference_emit(result, fmt_cfg), fmt
+            text = data.decode()
             if fmt == "json":
                 records = strict_json(text)
                 cells = [v for r in records for k, v in r.items() if k != "status"]
@@ -1270,11 +1281,14 @@ class TestCli:
         (STEADY_STATE_UNEQUAL_RATES, (2.0 / 3.0, 0.0)),
         # mode 1 has no rate, yet F keeps the point stable: no m1
         (STEADY_STATE_UNDAMPED_MODE, (None, 1.5)),
-    ], ids=["unequal_rates", "undamped_mode"])
+        # m_i = gamma_i nbar3 / (kappa_i + gamma_i)
+        (STEADY_STATE_TINY_OCCUPATIONS, (9.99999999e-13, 9.99999999e-13)),
+        (STEADY_STATE_PRODUCT_OVERFLOW, (0.0, 0.0)),
+    ], ids=["unequal_rates", "undamped_mode", "tiny_occupations", "product_overflow"])
     def test_steady_state_prints_the_baseline_at_every_rate(self, argv, baseline):
         rc, out, err = fresh_process(argv, flags=("-W", "error::RuntimeWarning"))
-        assert (rc, err) == (0, "") and "NaN" not in out
-        doc = json.loads(out)
+        assert (rc, err) == (0, "")
+        doc = strict_json(out)
         assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
         assert (doc["m1"], doc["m2"]) == baseline
         if baseline[0] is None:
@@ -1498,8 +1512,10 @@ FCS_GRIDS = {
     "across 0": (["--s-min=-0.2", "--s-max=0.2", "--s-points=5"], (-0.2, 0.2, 5)),
     "exponents": (["--s-min=-1e-7", "--s-max=1e-7", "--s-points=3"], (-1e-7, 1e-7, 3)),
 }
-FCS_TEXT_PARAMS = dict(kappa1=0.3, kappa2=1.0, gamma1=0.7, gamma2=0.1, phi=0.4, F=0.2 - 0.1j,
-                       omega2=0.5, nbar1=2.0, nbar2=1.0, nbar3=0.5)
+# systems of the fcs text checks: non-unit, unequal rates, mode 2 detuned or not
+FCS_TEXT_RESONANT = dict(kappa1=0.3, kappa2=1.0, gamma1=0.7, gamma2=0.1, phi=0.4, F=0.2 - 0.1j,
+                         nbar1=2.0, nbar2=1.0, nbar3=0.5)
+FCS_TEXT_PARAMS = {"detuned": dict(FCS_TEXT_RESONANT, omega2=0.5), "resonant": FCS_TEXT_RESONANT}
 
 
 def reference_fcs_text(channel, params, grid):
@@ -1523,14 +1539,18 @@ class TestFcsText:
     """``fcs`` writes its JSON from a template: the text must be json's own."""
 
     @pytest.mark.parametrize("grid", list(FCS_GRIDS))
-    @pytest.mark.parametrize("channel", [1, 2, 3])
-    def test_stdout_is_json_indent_2(self, channel, grid, capsys):
+    @pytest.mark.parametrize("channel, system", [
+        pytest.param(channel, system, id=str(channel) if system == "detuned" else f"{channel} {system}")
+        for system in FCS_TEXT_PARAMS for channel in (1, 2, 3)
+    ])
+    def test_stdout_is_json_indent_2(self, channel, system, grid, capsys):
         args, linspace = FCS_GRIDS[grid]
-        sets = [a for k, v in FCS_TEXT_PARAMS.items() for a in ("--set", f"{k}={v}")]
+        params = FCS_TEXT_PARAMS[system]
+        sets = [a for k, v in params.items() for a in ("--set", f"{k}={v}")]
         assert main(["fcs", str(channel), *sets, *args]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert out == reference_fcs_text(channel, FCS_TEXT_PARAMS, linspace)
+        assert out == reference_fcs_text(channel, params, linspace)
         doc = json.loads(out)
         if grid == "no s":
             assert '"theta": [],' in out
@@ -1661,12 +1681,16 @@ class TestParserParity:
         assert expected[0] == expected_rc
         assert call_main(argv, capsys)[:3] == expected
 
-    @pytest.mark.parametrize("name", ["fcs 1 --bogus", "valid fcs"])
+    @pytest.mark.parametrize("name", ["fcs 1 --bogus", "valid fcs", "fcs 4", "unknown command",
+                                      "no argv"])
     def test_no_argv_reads_sys_argv(self, name, monkeypatch, capsys):
+        # in this process, and as the first call of a new interpreter, which
+        # builds the parsers
         _, argv = PARSER_CASES[name]
         expected = self.top_level(argv, capsys)
         monkeypatch.setattr(sys, "argv", ["noisecascade", *argv])
         assert call_main(None, capsys)[:3] == expected
+        assert fresh_process(argv, flags=("-W", "error::RuntimeWarning")) == expected
 
 
 class TestParamCheck:
@@ -1908,7 +1932,9 @@ class TestOverflowingInputs:
         # unstable row; the exact occupations are 1 (tests of linear_response)
         rc, out, err = fresh_process(PRODUCT_OVERFLOW_ARGV, flags=("-W", "error::RuntimeWarning"))
         assert (rc, err) == (0, "")
-        assert json.loads(out) == {"n1": 1.0, "n2": 1.0, "m1": 1.0, "m2": 1.0, "dn1": 0.0, "dn2": 0.0}
+        doc = strict_json(out)
+        assert list(doc.items()) == [("n1", 1.0), ("n2", 1.0), ("m1", 1.0), ("m2", 1.0),
+                                     ("dn1", 0.0), ("dn2", 0.0)]
         params = {k: float(v) for k, v in (a.split("=") for a in PRODUCT_OVERFLOW_ARGV[2::2])}
         doc = {"model": "cascaded", "params": {k: v for k, v in params.items() if k != "gamma1"},
                "axes": [{"variable": "gamma1", "min": 1e200, "max": 1e200, "points": 1}],
@@ -1930,7 +1956,7 @@ class TestOverflowingInputs:
         assert not failed and reason == 0 and np.isfinite(Y).all() and np.isfinite(W).all()
         rc, out, err = fresh_process(MAX_NBAR_ARGV, flags=("-W", "error::RuntimeWarning"))
         assert (rc, err) == (0, "")
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
         assert doc["n1"] == 1.7976931348623153e308 and doc["m1"] == 1.7976931348623155e308
 
@@ -1939,15 +1965,19 @@ class TestOverflowingInputs:
         # baseline without a rate, with no warning
         rc, out, err = fresh_process(OVERFLOWING_SUM_ARGV, flags=("-W", "error::RuntimeWarning"))
         assert (rc, err) == (0, "")
-        doc = json.loads(out)
+        doc = strict_json(out)
+        assert list(doc) == ["n1", "n2", "m1", "m2", "dn1", "dn2"]
         assert doc["n1"] == float(FLOAT_MAX) and doc["n2"] is None and doc["dn2"] is None
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = run_sweep(parse_config(json.dumps(OVERFLOWING_SUM_SWEEP)))
+            cfg = parse_config(json.dumps(OVERFLOWING_SUM_SWEEP))
+            result = run_sweep(cfg)
         assert result.status.tolist() == ["unsupported"]
         assert result.values[0, 2] == np.inf  # n2
         assert np.isfinite(result.values[0]).tolist() == [True, True, False, True, True]
         assert result.values[0, 1] == doc["n1"]
+        (row,) = csv.DictReader(io.StringIO(emit(result, cfg).decode()))
+        assert (row["n2"], row["status"]) == ("", "unsupported")
 
     def test_overflowing_damping_is_invalid(self):
         for i in (1, 2):
