@@ -83,10 +83,12 @@ _EQUAL_RATE_RTOL = 1e-12
 
 
 class _ParamSet:
-    """The construction and validity rule that both parameter dataclasses share.
+    """The construction and validity rule of both parameter dataclasses.
 
     A subclass lists its complex fields, its positive and its non-negative
-    fields; every field must be finite.  If any field is an array, every field
+    fields; every field must be finite.  Nothing derived from valid fields
+    (a damping, a noise matrix entry) makes a point invalid: the kernels answer
+    or report a reason.  If any field is an array, every field
     is stored as an array of the common (broadcast) shape, complex for the
     complex fields and float otherwise.  One point raises InvalidParamsError on
     construction; arrays construct and report their bad items through
@@ -119,18 +121,15 @@ class _ParamSet:
             (f"{n}: must be non-negative", values[n] < 0) for n in cls._nonnegative if n in values
         ]
 
-    def _checks(self) -> list[tuple[str, NDArray[np.bool_] | bool]]:
-        """(message, bad) rows of the rule, in the order a single point tests
-        them: the sign rule, then finiteness in field order."""
+    def invalid(self) -> NDArray[np.bool_]:
+        """Mask of the invalid points, the OR of the rule's (message, bad) rows
+        in the order a single point tests them: the sign rule, then finiteness
+        in field order.  One point raises InvalidParamsError with the message of
+        its first failing row instead."""
         # one isfinite call over all fields: on a Python number, the call costs more than its work
         bad = ~np.isfinite(list(vars(self).values()))
         finite = [(f"{name}: must be finite", b) for name, b in zip(vars(self), bad)]
-        return self._sign_rule(vars(self)) + finite
-
-    def invalid(self) -> NDArray[np.bool_]:
-        """Mask of the invalid points, the OR of the ``_checks`` rows; one point
-        raises InvalidParamsError with the message of its first failing row instead."""
-        rows = self._checks()
+        rows = self._sign_rule(vars(self)) + finite
         if np.ndim(rows[0][1]):
             return np.logical_or.reduce([bad for _, bad in rows])
         for message, bad in rows:
@@ -146,7 +145,7 @@ class CascadedParams(_ParamSet):
     All rates and frequencies share one consistent angular-frequency unit.
     ``phi`` is the hopping phase and ``F`` the residual coherent hopping;
     perfect non-reciprocity corresponds to F = 0.  Fields follow the rule of
-    ``_ParamSet``: rates and occupations must be non-negative.
+    ``_ParamSet`` alone: rates and occupations must be non-negative.
     """
 
     omega1: float = 0.0
@@ -163,27 +162,6 @@ class CascadedParams(_ParamSet):
 
     _complex = ("F",)
     _nonnegative = ("kappa1", "kappa2", "gamma1", "gamma2", "nbar1", "nbar2", "nbar3")
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _checks(self) -> list[tuple[str, NDArray[np.bool_] | bool]]:
-        """The rows of ``_ParamSet._checks``, then the points where the damping
-        (gamma_i + kappa_i)/2 of a mode, the noise term (nbar_c + 1/2) rate_c
-        of a channel (the rate of channel 3 is gamma1 + gamma2) or the entry
-        N_ii of the noise matrix, the sum of those terms for mode i, is not finite."""
-        k1, k2, g1, g2 = self.kappa1, self.kappa2, self.gamma1, self.gamma2
-        w1, w2, w3 = self.nbar1 + 0.5, self.nbar2 + 0.5, self.nbar3 + 0.5
-        terms = {
-            "kappa1: damping (gamma1 + kappa1) / 2": (g1 + k1) / 2.0,
-            "kappa2: damping (gamma2 + kappa2) / 2": (g2 + k2) / 2.0,
-            "nbar1: noise term (nbar1 + 1/2) * rate": w1 * k1,
-            "nbar2: noise term (nbar2 + 1/2) * rate": w2 * k2,
-            "nbar3: noise term (nbar3 + 1/2) * rate": w3 * self.collective_rate,
-            # N_ii = (nbar_i + 1/2) kappa_i + (nbar3 + 1/2) gamma_i
-            "nbar1: noise matrix entry N11": w1 * k1 + w3 * g1,
-            "nbar2: noise matrix entry N22": w2 * k2 + w3 * g2,
-        }
-        bad = ~np.isfinite(list(terms.values()))
-        return super()._checks() + [(f"{name} is not finite", b) for name, b in zip(terms, bad)]
 
     @property
     def detuning(self) -> float | NDArray[np.float64]:
@@ -229,7 +207,7 @@ class LinearSystem:
         return stability_margin(self.M)
 
     @functools.cached_property
-    @np.errstate(invalid="ignore")  # inf * 0 at invalid() items
+    @np.errstate(over="ignore", invalid="ignore")  # inf * 0 at invalid() items
     def N(self) -> NDArray[np.complex128]:
         """N = sum_c (nbar_c + 1/2) u_c u_c† (..., n, n), Hermitian to rounding;
         built on first use, one n x n outer product per column: faster on a
@@ -239,7 +217,8 @@ class LinearSystem:
         return sum(w[..., c, None, None] * uu for c, uu in enumerate(outer))
 
 
-@np.errstate(invalid="ignore")  # sqrt of a negative rate or inf * 0 at invalid() items
+# sqrt of a negative rate or inf * 0 at invalid() items; an entry past the float maximum is inf
+@np.errstate(over="ignore", invalid="ignore")
 def build_system(p: CascadedParams) -> LinearSystem:
     """Drift, couplings, rates and bath occupations of the cascaded system;
     array params give a stack.  The rates are stored as given: |u_c|^2 rounds
@@ -247,10 +226,10 @@ def build_system(p: CascadedParams) -> LinearSystem:
     eip, shape = np.exp(1j * p.phi), np.shape(p.phi)
     root1, root2 = np.sqrt(p.gamma1), np.sqrt(p.gamma2)  # gamma1 gamma2 itself may overflow
     M = np.empty(shape + (2, 2), complex)
-    M[..., 0, 0] = -1j * p.omega1 - (p.gamma1 + p.kappa1) / 2.0
+    M[..., 0, 0] = -1j * p.omega1 - (p.gamma1 / 2.0 + p.kappa1 / 2.0)
     M[..., 0, 1] = -1j * p.F
     M[..., 1, 0] = -1j * np.conj(p.F) - root1 * root2 * eip
-    M[..., 1, 1] = -1j * p.omega2 - (p.gamma2 + p.kappa2) / 2.0
+    M[..., 1, 1] = -1j * p.omega2 - (p.gamma2 / 2.0 + p.kappa2 / 2.0)
     U = np.zeros(shape + (2, 3), complex)
     U[..., 0, 0], U[..., 1, 1] = np.sqrt(p.kappa1), np.sqrt(p.kappa2)
     U[..., 0, 2], U[..., 1, 2] = root1, root2 * eip
@@ -284,6 +263,7 @@ def occupations(W: NDArray, nbar: NDArray) -> tuple[float, float] | tuple[NDArra
     return tuple(np.moveaxis(np.where(n < 0.0, 0.0, n), -1, 0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a conductance past the float maximum is inf
 def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     """Occupation weights W (..., 2, 3) and flow conductances G (..., 3, 3) of
     the bath occupations: n_i = sum_j W_ij nbar_j and eta_k = sum_j G_kj nbar_j.
@@ -314,32 +294,31 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     x00, x01, x11 = (X[..., :2, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
     u0, u1 = sys.U[..., None, 0, :], sys.U[..., None, 1, :]
     q = x00.real * np.abs(u0) ** 2 + x11.real * np.abs(u1) ** 2 + 2.0 * (u0.conj() * x01 * u1).real
-    g = 2.0 * (q - sys.rate[..., None, :] * np.eye(2, 3))  # 2 rate_3 may overflow
+    g = 2.0 * (q - np.where(np.eye(2, 3, dtype=bool), sys.rate[..., None, :], 0.0))  # no inf * 0
     G = np.stack([g[..., 0, :], g[..., 1, :], -(g[..., 0, :] + g[..., 1, :])], axis=-1)
     nan = (reason != 0)[..., None, None]
     return np.where(nan, np.nan, W), np.where(nan, np.nan, G), reason
 
 
-def _phase_invariants(p: CascadedParams) -> tuple[float, float, float]:
-    """(|F|^2, Re{F e^{i phi}}, Im{F e^{i phi}}) entering the closed forms."""
-    fr, fi, eip = np.real(p.F), np.imag(p.F), np.exp(1j * p.phi)
-    f = np.hypot(fr, fi)
-    return f * f, fr * eip.real - fi * eip.imag, fr * eip.imag + fi * eip.real
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # invalid() items; 0/0 at all-zero rates
+# invalid() items; 0/0 at all-zero rates; sums of occupations past the float maximum
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def closed_form_occupations(p: CascadedParams) -> tuple[float, float] | tuple[NDArray, NDArray]:
     """(n1, n2), for one point or arrays alike: the equal-rate closed-form
     steady-state occupations (general F and detuning), NaN where
     kappa1 = kappa2 = gamma1 = gamma2 = kappa does not hold to a relative
-    1e-12 of the largest rate.
+    1e-12 of the largest rate.  The formula is homogeneous of degree 0 in
+    (kappa, Delta, F): scaled by a power of two per point, to a largest part
+    in [1/2, 1), no product overflows, and normal values keep their bits.
     """
     rates = np.array([p.kappa1, p.kappa2, p.gamma1, p.gamma2])
     scale = np.maximum(rates.max(axis=0), 1e-300)
     unequal = (np.abs(rates - p.kappa1) > _EQUAL_RATE_RTOL * scale).any(axis=0)
     kappa = np.where(unequal, np.nan, p.kappa1)  # NaN carries through to n1 and n2
-    f2, re, im = _phase_invariants(p)
-    delta = p.detuning
+    delta, fr, fi = p.detuning, np.real(p.F), np.imag(p.F)
+    e = -np.frexp(np.maximum.reduce([kappa, np.abs(delta), np.abs(fr), np.abs(fi)]))[1]
+    kappa, delta, fr, fi = (np.ldexp(x, e) for x in (kappa, delta, fr, fi))
+    f, eip = np.hypot(fr, fi), np.exp(1j * p.phi)  # |F| and F e^{i phi} = re + i im
+    f2, re, im = f * f, fr * eip.real - fi * eip.imag, fr * eip.imag + fi * eip.real
     n1b, n2b, n3b = p.nbar1, p.nbar2, p.nbar3
     denom = 3.0 * f2 + 4.0 * kappa * (kappa + im) + im * im + delta * delta
     lorentz = 4.0 * (kappa * kappa) + delta * delta
@@ -369,7 +348,13 @@ def disconnected_baseline(p: CascadedParams) -> tuple[float, float] | tuple[NDAr
     rate-weighted average of its baths, m_i = kappa_i / (kappa_i + gamma_i)
     nbar_i + gamma_i / (kappa_i + gamma_i) nbar3, whose weights are exactly
     1/2 at kappa_i = gamma_i; m_i is NaN where kappa_i + gamma_i = 0, and inf
-    where the sum overflows.
+    where the sum overflows.  Rates above 1 are halved for the weights, so
+    their sum cannot overflow; halving is exact where a rate is normal, and
+    subnormal rates beside rates of at most 1 stay whole.
     """
-    pairs = (p.kappa1, p.gamma1, p.nbar1), (p.kappa2, p.gamma2, p.nbar2)
-    return tuple(np.divide(k, k + g) * n + np.divide(g, k + g) * p.nbar3 for k, g, n in pairs)
+    m = []
+    for k, g, n in (p.kappa1, p.gamma1, p.nbar1), (p.kappa2, p.gamma2, p.nbar2):
+        half = np.where(np.maximum(k, g) > 1.0, 0.5, 1.0)
+        k, g = half * k, half * g
+        m.append(np.divide(k, k + g) * n + np.divide(g, k + g) * p.nbar3)
+    return tuple(m)

@@ -82,6 +82,7 @@ def _parse_sets(model: str, pairs: list[str]) -> dict:
     return out
 
 
+@np.errstate(invalid="ignore")  # dn of an inf n and an inf m is NaN: null
 def _cmd_steady_state(args: argparse.Namespace) -> int:
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)

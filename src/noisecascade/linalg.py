@@ -88,9 +88,10 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     M = np.asarray(M, dtype=complex)[..., None, :, :]
     mean, half, disc = _mean_half_disc(M)
     rho, step = mean.real, np.abs(disc.real)
-    big, other = rho + np.copysign(step, rho), rho - np.copysign(step, rho)
-    bound = np.abs(rho) + np.abs(disc)
-    cancelled = 8.0 * np.abs(other) < bound
+    with np.errstate(over="ignore"):  # a root or a bound past the float maximum is inf
+        big, other = rho + np.copysign(step, rho), rho - np.copysign(step, rho)
+        bound = np.abs(rho) + np.abs(disc)
+        cancelled = 8.0 * np.abs(other) < bound
     if cancelled.any():
         m01, m10 = M[..., 0, 1], M[..., 1, 0]
         root = rho + np.where((rho < 0.0) == (disc.real < 0.0), disc, -disc)  # Re(root) = big
@@ -156,6 +157,8 @@ def hermitian_part(X: NDArray) -> NDArray:
     return 0.5 * (X + _dagger(X))
 
 
+# a singular or near-singular K fails its items; an X past the float maximum is inf
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def solve_lyapunov(A: NDArray, N: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
     """Solve A X + X A† + N = 0 for Hermitian X: (X, failed) of the broadcast
     shape, NaN in the failed items.

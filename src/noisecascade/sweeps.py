@@ -426,11 +426,9 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     nbar = np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)
     margin = distinct.margin[inverse]
     stable = built & (margin < 0.0)
-    cells = {
-        "stability_margin": [margin],
-        # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
-        "F_residual": [np.hypot(p.F.real, p.F.imag)],
-    }
+    # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
+    with np.errstate(over="ignore"):  # |F| past the float maximum is blank
+        cells = {"stability_margin": [margin], "F_residual": [np.hypot(p.F.real, p.F.imag)]}
     if {"m1", "m2", "dn1", "dn2"} & set(cfg.outputs):
         base = disconnected_baseline(p)
         cells["m1"], cells["m2"] = ([m] for m in base)
@@ -439,12 +437,14 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         W, G = W[inverse], G[inverse]
         # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
         n = occupations(W, nbar)
-        eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
+        # blank: a flow past the float maximum, and dn of an inf occupation and an inf baseline
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
+            for i in (0, 1):
+                cells[f"n{i + 1}"] = [n[i]]
+                if {"dn1", "dn2"} & set(cfg.outputs):
+                    cells[f"dn{i + 1}"] = [n[i] - base[i]]
         eta[distinct.rate[inverse] <= 0.0] = np.nan
-        for i in (0, 1):
-            cells[f"n{i + 1}"] = [n[i]]
-            if {"dn1", "dn2"} & set(cfg.outputs):
-                cells[f"dn{i + 1}"] = [n[i] - base[i]]
         for k in (0, 1, 2):
             cells[f"eta{k + 1}"] = [eta[:, k]]
     if {"n1_closed", "n2_closed"} & set(cfg.outputs):

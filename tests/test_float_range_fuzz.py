@@ -1,0 +1,157 @@
+"""A seeded differential test of ``steady-state`` over the float range.
+
+The inputs are drawn by the recipe of ROADMAP item 19: each rate is 0 with
+probability 0.1, each bath occupation with 0.2, each frequency with 0.3, and
+F with 0.2; every other value has the magnitude 10^U(-300, 308) or
+10^U(-3, 3), with equal odds, and the frequencies and the parts of F a
+random sign; phi is U(0, 6.3).  A draw is kept only where one of the seven
+rows that CascadedParams once added to the field rule rejects it: a damping
+(gamma_i + kappa_i)/2, a noise term (nbar_c + 1/2) rate_c or a noise matrix
+entry N_ii that is not finite in Python float arithmetic.  Each of these
+inputs exited 2 before; every one is valid under the field rule.
+
+Each input runs ``steady-state`` in process, warnings as errors.  It passes
+when it exits 0 with n1, n2, m1 and m2 each within 1e-6 of the larger exact
+value of its pair (``exact_occupation_oracle`` for n, the baseline in
+Fraction for m; null where the exact value is past the float maximum or
+the baseline has no rate), or when it exits 3 with one ``error:`` line and
+no output.  It never exits 2, and a traceback fails the test.  Known wrong
+outcomes are strict xfails.  The 4 x 128 inputs take about 4 s.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from exact_occupation_oracle import exact_occupations
+from noisecascade.cascaded import CascadedParams, build_system
+from noisecascade.cli import main
+
+SEEDS = (2, 3, 4, 5)
+PER_SEED = 128
+RTOL = Fraction(1, 10**6)  # of the larger exact value of a pair, stated before the first run
+FLOAT_MAX = Fraction(sys.float_info.max)
+RATES = ("kappa1", "kappa2", "gamma1", "gamma2")
+NBARS = ("nbar1", "nbar2", "nbar3")
+
+
+def _magnitude(rng) -> float:
+    return 10.0 ** (rng.uniform(-300.0, 308.0) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0))
+
+
+def _signed(rng) -> float:
+    return float(rng.choice([-1.0, 1.0])) * _magnitude(rng)
+
+
+def draw(rng) -> dict:
+    """One input of the recipe, as CascadedParams fields."""
+    p = {name: 0.0 if rng.random() < 0.3 else _signed(rng) for name in ("omega1", "omega2")}
+    p.update({name: 0.0 if rng.random() < 0.1 else _magnitude(rng) for name in RATES})
+    p["phi"] = rng.uniform(0.0, 6.3)
+    p["F"] = complex(_signed(rng), _signed(rng)) if rng.random() < 0.8 else 0j
+    p.update({name: 0.0 if rng.random() < 0.2 else _magnitude(rng) for name in NBARS})
+    return p
+
+
+def old_rows_reject(p: dict) -> bool:
+    """Whether a damping, a noise term or a noise matrix entry of ``p`` is not finite."""
+    k1, k2, g1, g2 = (p[name] for name in RATES)
+    w1, w2, w3 = (p[name] + 0.5 for name in NBARS)
+    terms = ((g1 + k1) / 2, (g2 + k2) / 2, w1 * k1, w2 * k2, w3 * (g1 + g2),
+             w1 * k1 + w3 * g1, w2 * k2 + w3 * g2)
+    return not all(math.isfinite(t) for t in terms)
+
+
+def sample(seed: int) -> list[dict]:
+    """The first PER_SEED draws of ``seed`` that the old rows reject."""
+    rng, kept = np.random.default_rng(seed), []
+    while len(kept) < PER_SEED:
+        p = draw(rng)
+        if old_rows_reject(p):
+            kept.append(p)
+    return kept
+
+
+def argv(p: dict) -> list[str]:
+    return ["steady-state"] + [a for k, v in p.items() for a in ("--set", f"{k}={v!r}")]
+
+
+def exact_values(p: dict) -> dict:
+    """n1, n2 from the exact solve of the double system, m1, m2 in Fraction (None without a rate)."""
+    system = build_system(CascadedParams(**p))
+    exact = dict(zip(("n1", "n2"), exact_occupations(system.M, system.U, system.nbar)))
+    for i in (1, 2):
+        k, g = Fraction(p[f"kappa{i}"]), Fraction(p[f"gamma{i}"])
+        m = (k * Fraction(p[f"nbar{i}"]) + g * Fraction(p["nbar3"])) / (k + g) if k + g else None
+        exact[f"m{i}"] = m
+    return exact
+
+
+def judge(p: dict) -> str:
+    """"exact" or "reason" for one input, by the rule of the module docstring."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv(p))
+    assert rc in (0, 3), (rc, err.getvalue(), argv(p))
+    if rc == 3:
+        line = err.getvalue()
+        assert out.getvalue() == "" and line.startswith("error: ") and line.count("\n") == 1, line
+        return "reason"
+    doc, exact = json.loads(out.getvalue()), exact_values(p)
+    for pair in (("n1", "n2"), ("m1", "m2")):
+        scale = max((exact[key] for key in pair if exact[key] is not None), default=0)
+        for key in pair:
+            value, want = doc[key], exact[key]
+            if value is None:
+                assert want is None or want > FLOAT_MAX, (key, want, argv(p))
+            else:
+                assert want is not None and abs(Fraction(value) - want) <= RTOL * scale, (
+                    key, value, float(want), argv(p))
+    return "exact"
+
+
+# (seed, index in the sample): why its outcome is wrong
+KNOWN_WRONG = {
+    (2, 125): "ROADMAP item 1: a graded solve is accepted with n1 off by 1.8e-6 of n2 "
+              "(4.917753977157714e+303 against 4.917762770726892e+303)",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inputs_the_old_rows_rejected(seed):
+    outcomes = {"exact": 0, "reason": 0}
+    for index, p in enumerate(sample(seed)):
+        if (seed, index) not in KNOWN_WRONG:
+            outcomes[judge(p)] += 1
+    # about half of them answer, and the rest fail with a kernel's reason
+    assert outcomes["exact"] >= PER_SEED // 4 and outcomes["reason"] >= PER_SEED // 4, outcomes
+
+
+@pytest.mark.parametrize("seed, index", [
+    pytest.param(seed, index, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=why))
+    for (seed, index), why in KNOWN_WRONG.items()
+])
+def test_known_wrong_outcomes(seed, index):
+    judge(sample(seed)[index])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "W23 and gamma2 / (kappa2 + gamma2), about 2.9e-445, underflow to 0, while their "
+    "products with nbar3 are representable: n2 = m2 = nbar2 = 2.45e-271 where both are "
+    "1.4499463473189754e-225"))
+def test_underflowing_weight_of_a_large_bath():
+    p = {**dict.fromkeys(RATES + NBARS, 0.0),
+         **dict(kappa1=1.0, kappa2=9.534324446715691e+231, gamma2=2.767205813302583e-213,
+                nbar2=2.4519739514493e-271, nbar3=4.9957465538750655e+219)}
+    assert not old_rows_reject(p)  # valid before the rows went, too
+    exact = exact_values(p)
+    assert float(exact["n2"]) == float(exact["m2"]) == 1.4499463473189754e-225
+    judge(p)

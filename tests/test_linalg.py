@@ -160,6 +160,19 @@ class TestStabilityMargin:
         M = build_system(CascadedParams(gamma1=1e308, kappa1=1.0, kappa2=1.0)).M
         assert stability_margin(M) == pytest.approx(-0.5, rel=1e-15)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the cancelled root's candidate det / root forms x y, about 2.5e309, which "
+        "overflows, so the cancelled rho - disc (0.0) stays: steady-state exits 3 with "
+        "'drift is not stable (margin 0.000e+00)'"))
+    def test_triangular_drift_whose_diagonal_product_overflows(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # M = [[-5e299, 0], [-1e155 e^{i phi}, -5e9]] to rounding: triangular, so
+        # its eigenvalues are its diagonal entries, and the margin is M11 = -(1e10 + 1) / 2
+        M = build_system(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1e300, gamma2=1e10)).M
+        assert M[0, 1] == 0.0
+        assert stability_margin(M) == pytest.approx(M[1, 1].real, rel=1e-15)
+
     @pytest.mark.parametrize("frequencies", ["own", "common", "swapped"])
     def test_matches_eigvals_on_graded_drifts(self, frequencies):
         # triangular drifts, whose eigenvalues eigvals returns to a few ulp,

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import noisecascade
+from exact_occupation_oracle import exact_occupations
 from noisecascade import cli, sweeps
 from noisecascade.cascaded import (
     CascadedParams,
@@ -57,21 +59,25 @@ LYAPUNOV_FAILURE = {
     "nbar1": 1.679835083819845, "nbar2": 4.201539073060322, "nbar3": 2.435238425813368,
 }
 LYAPUNOV_FAILURE_ARGS = [a for k, v in LYAPUNOV_FAILURE.items() for a in ("--set", f"{k}={v}")]
-# finite values whose products overflow: F makes |M01| |M10| overflow in the
-# stability margin (stable, but the Lyapunov solve fails), nbar3 makes the
-# noise term (nbar3 + 1/2)(gamma1 + gamma2) overflow, and kappa1 + gamma1
-# the damping of mode 1
+# finite values whose products overflow, each a valid point: F makes
+# |M01| |M10| overflow in the stability margin (stable, but the Lyapunov
+# solve fails); nbar3 puts the noise term (nbar3 + 1/2)(gamma1 + gamma2), and
+# so N, past the float maximum, and fcs fails in the steady state's solve
 HUGE_F_ARGV = ["steady-state", "--set", "omega2=3.19", "--set", "kappa1=6.5", "--set", "gamma1=6.4",
                "--set", "gamma2=1.3", "--set", "phi=0.87", "--set", "F=1e200+1.709j",
                "--set", "nbar1=0.45"]
 HUGE_NBAR_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=4.6", "--set", "gamma1=0.67",
                   "--set", "gamma2=8.5", "--set", "nbar3=1e308", "--s-points", "0"]
-# kappa1 + gamma1 overflows in the damping of mode 1
+# kappa1 + gamma1 overflows, the damping kappa1/2 + gamma1/2 of mode 1 does
+# not; the solve fails (ROADMAP item 16: scaled by max|M|, the damping 1/2 of
+# mode 2 is subnormal), though every occupation is 0
 HUGE_DAMPING_ARGV = ["steady-state", "--set", "kappa1=1e308", "--set", "gamma1=1e308",
                      "--set", "kappa2=1"]
-# every noise term is finite, but N11 = (nbar1 + 1/2) kappa1 + (nbar3 + 1/2) gamma1 is not
+# every noise term is finite, N11 = (nbar1 + 1/2) kappa1 + (nbar3 + 1/2) gamma1
+# is not: steady-state never forms N and prints n1 = 10, and fcs fails on N
 HUGE_DIAGONAL_ARGV = ["steady-state", "--set", "kappa1=1e307", "--set", "gamma1=1e307",
                       "--set", "nbar1=10", "--set", "nbar3=10", "--set", "kappa2=1"]
+HUGE_DIAGONAL_FCS_ARGV = ["fcs", "1", *HUGE_DIAGONAL_ARGV[1:], "--s-points", "0"]
 # eta^(2) grows like nbar1^2 and leaves the float range
 HUGE_CUMULANT_ARGV = ["fcs", "1", "--set", "kappa1=1", "--set", "kappa2=1", "--set", "gamma1=1",
                       "--set", "gamma2=1", "--set", "nbar1=1e160", "--s-points", "0"]
@@ -715,6 +721,15 @@ G1_OVERFLOW_SWEEP = {
     "outputs": ["n1", "n2", "eta1", "eta2", "eta3", "stability_margin", "F_residual"],
 }
 
+# equal rates whose products overflow: kappa^2 in the closed form overflowed,
+# so n1_closed was blank (status unsupported) beside n1 = 0.5
+LARGE_EQUAL_RATES_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa1": 1e200, "kappa2": 1e200, "gamma1": 1e200, "gamma2": 1e200, "nbar1": 1.0},
+    "axes": [{"variable": "omega2", "min": 0.0, "max": 1.0, "points": 2}],
+    "outputs": ["n1", "n1_closed", "m1"],
+}
+
 # the microwave preset with J swept across the design point J* = 2 G1 G2 / gamma_m
 # = 6.16e6: its mapped rates are unequal (gamma = 4 G^2 / gamma_m = 0.98 kappa)
 PRESET_DN_SWEEP = {
@@ -1236,7 +1251,7 @@ def ci_sweep_configs():
         "theta_sweep": THETA_SWEEP,
         "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
         "theta_long100": THETA_LONG_SWEEP, "nbar1_theta": NBAR1_THETA_SWEEP,
-        "nbar1_only": NBAR1_ONLY_SWEEP,
+        "nbar1_only": NBAR1_ONLY_SWEEP, "large_equal_rates": LARGE_EQUAL_RATES_SWEEP,
     }
 
 
@@ -1863,9 +1878,12 @@ class TestOverflowingInputs:
     @pytest.mark.parametrize("argv, code, message", [
         (HUGE_F_ARGV, 3,
          "error: Lyapunov solve of the response to the bath occupations failed\n"),
-        (HUGE_NBAR_ARGV, 2, "error: nbar3: noise term (nbar3 + 1/2) * rate is not finite\n"),
-        (HUGE_DAMPING_ARGV, 2, "error: kappa1: damping (gamma1 + kappa1) / 2 is not finite\n"),
-        (HUGE_DIAGONAL_ARGV, 2, "error: nbar1: noise matrix entry N11 is not finite\n"),
+        (HUGE_NBAR_ARGV, 3,
+         "error: Lyapunov solve of the steady state or the channel's Gramian failed\n"),
+        (HUGE_DAMPING_ARGV, 3,
+         "error: Lyapunov solve of the response to the bath occupations failed\n"),
+        (HUGE_DIAGONAL_FCS_ARGV, 3,
+         "error: Lyapunov solve of the steady state or the channel's Gramian failed\n"),
         (HUGE_CUMULANT_ARGV, 3, "error: flow cumulant of order 2 is not finite\n"),
         (HUGE_S_SPAN_ARGV, 2, "error: --s-max - --s-min overflows the float range\n"),
         (OPPOSITE_FREQUENCIES_ARGV, 3,
@@ -1894,24 +1912,39 @@ class TestOverflowingInputs:
         doc["axes"][0].update(min=-8e307, max=8e307, spacing="linear")
         assert parse_config(json.dumps(doc)).axes[0].values().tolist() == [-8e307, 0.0, 8e307]
 
-    def test_overflowing_noise_term_is_invalid(self):
+    def test_closed_form_at_large_equal_rates(self):
+        # the closed form scales kappa, Delta and F by a power of two per point
+        result = run_sweep(parse_config(json.dumps(LARGE_EQUAL_RATES_SWEEP)))
+        assert result.status.tolist() == ["ok", "ok"]
+        _, n1, n1_closed, _ = result.values.T
+        np.testing.assert_allclose(n1_closed, n1, rtol=1e-12, atol=0.0)
+
+    def test_overflowing_noise_term_is_valid(self):
+        # only a field's own rule makes a point invalid: a noise term
+        # (nbar_c + 1/2) rate_c past the float maximum puts inf into N, with no warning
         rates = dict(kappa1=1.0, kappa2=4.6, gamma1=0.67, gamma2=8.5)
-        with pytest.raises(InvalidParamsError, match=r"^nbar3: noise term"):
-            CascadedParams(**rates, nbar3=1e308)
-        # channel 1 overflows through its rate, channel 3 through gamma1 + gamma2
-        with pytest.raises(InvalidParamsError, match=r"^nbar1: noise term"):
-            CascadedParams(kappa1=1.5e308, nbar1=1.0)
-        with pytest.raises(InvalidParamsError, match=r"^nbar3: noise term"):
-            CascadedParams(gamma1=1e308, gamma2=1e308)
+        for p in (CascadedParams(**rates, nbar3=1e308), CascadedParams(kappa1=1.5e308, nbar1=1.0),
+                  CascadedParams(kappa2=1e307, gamma2=1e307, nbar2=10.0, nbar3=10.0)):
+            assert not p.invalid()
+            N = build_system(p).N
+            assert np.isinf(N).any() and not np.isnan(N).any()
         p = CascadedParams(**rates, nbar3=np.array([0.5, 1e308, 0.0]), nbar2=np.array([0, 0, 1e308]))
-        assert p.invalid().tolist() == [False, True, True]
-        assert not CascadedParams(nbar1=1e308, nbar2=1e308, nbar3=1e308).invalid()  # zero rates
-        # each noise term is finite, their sum N22 on the diagonal of N is not
-        rates = dict(kappa2=1e307, gamma2=1e307)
-        with pytest.raises(InvalidParamsError, match=r"^nbar2: noise matrix entry N22 is not finite$"):
-            CascadedParams(**rates, nbar2=10.0, nbar3=10.0)
-        nbar = np.array([1.0, 10.0])
-        assert CascadedParams(**rates, nbar2=nbar, nbar3=nbar).invalid().tolist() == [False, True]
+        assert p.invalid().tolist() == [False, False, False]
+        # the rate gamma1 + gamma2 of channel 3 is stored as inf
+        p = CascadedParams(gamma1=1e308, gamma2=1e308)
+        assert not p.invalid() and build_system(p).rate[2] == np.inf
+
+    def test_overflowing_noise_matrix_entry_gives_the_exact_occupations(self):
+        # steady-state reads n from the response to unit sources and never forms N
+        rc, out, err = fresh_process(HUGE_DIAGONAL_ARGV, flags=("-W", "error::RuntimeWarning"))
+        assert (rc, err) == (0, "")
+        sets = {k: float(v) for k, v in (a.split("=") for a in HUGE_DIAGONAL_ARGV[2::2])}
+        system = build_system(CascadedParams(**sets))
+        n1, n2 = exact_occupations(system.M, system.U, system.nbar)
+        # mode 1 sits between two baths at nbar = 10; |u_c|^2 rounds away from
+        # the rates, so the exact n1 of the double system is 10 to rounding
+        assert abs(n1 - 10) <= Fraction(1e-15) and n2 == 0
+        assert strict_json(out) == {"n1": 10.0, "n2": 0.0, "m1": 10.0, "m2": 0.0, "dn1": 0.0, "dn2": 0.0}
 
     def test_huge_rate_of_a_stable_drift(self):
         # the margin read 0 (unstable) and G held NaN, with two RuntimeWarnings
@@ -1979,34 +2012,83 @@ class TestOverflowingInputs:
         (row,) = csv.DictReader(io.StringIO(emit(result, cfg).decode()))
         assert (row["n2"], row["status"]) == ("", "unsupported")
 
-    def test_overflowing_damping_is_invalid(self):
+    @pytest.mark.parametrize("sets, expected", [
+        # mode 2 has no rate, so the drift is unstable: the placeholder drift
+        # with the sources of kappa1 overflowed G
+        (["kappa1=1e200"], "error: drift is not stable (margin 0.000e+00)\n"),
+        # two modes apart, each at its own bath: 8 |rho - disc| overflowed in the margin
+        (["kappa1=1e308", "kappa2=1e308", "nbar1=1"], [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+        # the rate gamma1 + gamma2 of channel 3 overflows: rate_3 * 0 put NaN into G;
+        # each exact occupation is 1 - 1e-308 to rounding
+        (["kappa1=1", "kappa2=1", "gamma1=1e308", "gamma2=1e308", "nbar3=1"], [1.0] * 4 + [0.0] * 2),
+        # mode 2 between two baths at the float maximum: n2 and m2 round past
+        # it (the exact values are the maximum), and dn2 was inf - inf
+        (["kappa1=1", "kappa2=0.1", "gamma2=0.01", f"nbar2={FLOAT_MAX}", f"nbar3={FLOAT_MAX}"],
+         [0.0, None, 0.0, None, 0.0, None]),
+    ], ids=["unstable_large_rate", "large_rates", "collective_rate_overflow", "infinite_dn"])
+    def test_no_warning_at_the_float_range_edges(self, capsys, sets, expected):
+        rc = main(["steady-state"] + [arg for value in sets for arg in ("--set", value)])
+        out, err = capsys.readouterr()
+        if isinstance(expected, str):
+            assert (rc, out, err) == (3, "", expected)
+        else:
+            keys = ("n1", "n2", "m1", "m2", "dn1", "dn2")
+            assert (rc, err) == (0, "") and strict_json(out) == dict(zip(keys, expected))
+
+    def test_modulus_of_f_past_the_float_maximum_is_blank(self):
+        # |F| overflowed in np.hypot with a warning; the margin is exact:
+        # both eigenvalues have the real part of the mean diagonal, -(1e308 + 1) / 4
+        doc = {"model": "cascaded",
+               "params": {"kappa1": 1.0, "kappa2": 1.0, "gamma2": 1e308,
+                          "F": "1.7976931348623157e308+1e307j"},
+               "axes": [{"variable": "nbar1", "min": 0.0, "max": 1.0, "points": 2}],
+               "outputs": ["F_residual", "stability_margin"]}
+        result = run_sweep(parse_config(json.dumps(doc)))
+        assert np.isinf(result.values[:, 1]).all() and (result.values[:, 2] == -2.5e307).all()
+        assert result.status.tolist() == ["unsupported"] * 2
+
+    def test_overflowing_damping_is_valid(self):
+        # kappa_i + gamma_i overflows; the damping kappa_i/2 + gamma_i/2 and the
+        # baseline's weights, taken from the halved rates, do not
         for i in (1, 2):
-            with pytest.raises(InvalidParamsError, match=rf"^kappa{i}: damping"):
-                CascadedParams(**{f"kappa{i}": 1e308, f"gamma{i}": 1e308})
-        # one rate near the maximum per mode leaves each damping finite
-        assert not CascadedParams(kappa1=1e308, gamma2=1e308).invalid()
+            p = CascadedParams(**{f"kappa{i}": 1e308, f"gamma{i}": 1e308, f"nbar{i}": 2.0}, nbar3=4.0)
+            assert not p.invalid()
+            assert build_system(p).M[i - 1, i - 1] == -1e308
+            # m_i = (kappa_i nbar_i + gamma_i nbar3) / (kappa_i + gamma_i), exactly
+            assert disconnected_baseline(p)[i - 1] == 3.0
         mode1, mode2 = np.array([1.0, 1e308, 1.0]), np.array([1.0, 1.0, 1e308])
         p = CascadedParams(kappa1=mode1, gamma1=mode1, kappa2=mode2, gamma2=mode2)
-        assert p.invalid().tolist() == [False, True, True]
+        assert not p.invalid().any()
 
     def test_overflowing_damping_gives_unsupported_rows(self):
-        # the point of HUGE_DAMPING_ARGV as a one-point sweep (its neighbours at
-        # such rates overflow elsewhere)
+        # the point of HUGE_DAMPING_ARGV as a one-point sweep: valid and stable,
+        # but its response solve fails (n1, eta1); the baseline and the margin
+        # are exact: m1 = 0 (every nbar is 0), and the margin is -1/2 to rounding
         doc = {"model": "cascaded",
                "params": {"gamma1": 1e308, "kappa2": 1.0},
                "axes": [{"variable": "kappa1", "min": 1e308, "max": 1e308, "points": 1}],
                "outputs": ["n1", "eta1", "m1", "stability_margin", "F_residual"]}
         result = run_sweep(parse_config(json.dumps(doc)))
-        assert result.status.tolist() == ["unsupported"] and np.isnan(result.values[0, 1:]).all()
+        assert result.status.tolist() == ["unsupported"]
+        _, n1, eta1, m1, margin, f_residual = result.values[0]
+        assert np.isnan([n1, eta1]).all() and (m1, f_residual) == (0.0, 0.0)
+        assert margin == pytest.approx(-0.5, rel=1e-15, abs=0.0)
 
     def test_overflowing_noise_term_gives_unsupported_rows(self):
-        doc = {"model": "cascaded",
-               "params": {"kappa1": 1.0, "kappa2": 4.6, "gamma1": 0.67, "gamma2": 8.5},
+        # valid at nbar3 = 1e308: n1 is exact to rounding; the flow of channel 3,
+        # -2 (kappa1 n1 + kappa2 n2) by the flows' zero sum, is past the float
+        # maximum, so eta3 is blank
+        rates = {"kappa1": 1.0, "kappa2": 4.6, "gamma1": 0.67, "gamma2": 8.5}
+        doc = {"model": "cascaded", "params": rates,
                "axes": [{"variable": "nbar3", "min": 0.5, "max": 1e308, "points": 2}],
                "outputs": ["n1", "eta3"]}
         result = run_sweep(parse_config(json.dumps(doc)))
         assert result.status.tolist() == ["ok", "unsupported"]
-        assert np.isfinite(result.values[0]).all() and np.isnan(result.values[1, 1:]).all()
+        assert np.isfinite(result.values[0]).all() and np.isinf(result.values[1, 2])
+        system = build_system(CascadedParams(**rates, nbar3=1e308))
+        n1, n2 = exact_occupations(system.M, system.U, system.nbar)
+        assert abs(Fraction(result.values[1, 1]) - n1) <= Fraction(1e-15) * n1
+        assert 2 * (Fraction(rates["kappa1"]) * n1 + Fraction(rates["kappa2"]) * n2) > sys.float_info.max
 
 
 class TestOneOccupationFormula:
