@@ -56,10 +56,10 @@ class OutsideAdmissibleRegionError(Exception):
     """Counting field left the region where the tilted equation has a stabilizing root."""
 
 
-# reason code -> (exception, message template), 0 for ok; the order-numbered
-# failures of flow_cumulants have one code per order m: NOT_FINITE + m, SOLVE_FAILED + m
+# reason code -> (exception, message template), 0 for ok; a flow cumulant of
+# order m (1 or 2) beyond the float range has the code NOT_FINITE + m
 UNSTABLE, ZERO_RATE, INADMISSIBLE, RESPONSE_FAILED, GRAMIAN_FAILED = range(1, 6)
-NOT_FINITE, SOLVE_FAILED = 5, 8
+NOT_FINITE = 5
 REASONS = {
     UNSTABLE: (UnstableSystemError, "drift is not stable (margin {margin:.3e})"),
     ZERO_RATE: (ZeroRateChannelError, "channel {channel} has zero rate"),
@@ -69,10 +69,7 @@ REASONS = {
     GRAMIAN_FAILED: (SingularSystemError,
                      "Lyapunov solve of the steady state or the channel's Gramian failed"),
     **{NOT_FINITE + m: (SingularSystemError, f"flow cumulant of order {m} is not finite")
-       for m in (1, 2, 3, 4)},
-    **{SOLVE_FAILED + m: (SingularSystemError,
-                          f"Lyapunov solve for the flow cumulant of order {m} failed")
-       for m in (2, 3)},
+       for m in (1, 2)},
 }
 
 

@@ -116,7 +116,7 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
         raise SchemaError("--s-max - --s-min overflows the float range")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
-    (eta1, eta2), reason = flow_cumulants(args.channel, 2, sys)
+    (eta1, eta2), reason = flow_cumulants(args.channel, sys)
     raise_first(reason, margin=sys.margin, channel=args.channel)  # before theta
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
     theta, reason = large_deviation(args.channel, s_values, sys)

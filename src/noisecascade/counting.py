@@ -84,18 +84,22 @@ per-point maxima: it is never below max|H_ij| over the blocks A_s, F+/2 and
 (where M or 2N cancels the tilt), and infinite only where that sum
 overflows.  The tests check
 theta against the 4x4 spectrum (tests/spectral_oracle.py) and against the
-stabilizing root itself (tests/riccati_oracle.py).  Expanding
-sigma_s = sum_k sigma_k s^k / k! gives one Lyapunov equation
-M sigma_k + sigma_k M† + S_k = 0 per order, with a Hermitian source S_k
-built from lower orders and the derivatives of the tilting functions at
-s = 0: for odd k f+^(k) = -rate and f-^(k) = -rate (2 nbar + 1), for even k
-f+^(k) = rate (2 nbar + 1) and f-^(k) = rate.  The cumulant of order n
-reads sigma_k only through Re Tr(P sigma_k), k < n, and the top one needs
-no solve by duality: with the channel's adjoint Gramian Z,
-M† Z + Z M + P = 0, Tr(P sigma_k) = Tr(Z S_k).  Z does not depend on
-sigma_0 = 2V, so the two share one stacked Lyapunov solve (drifts M and M†,
-sources N and P): orders 1 and 2 cost that one solve, and orders 3 and 4
-one more solve each.  This gives exact cumulants.
+stabilizing root itself (tests/riccati_oracle.py).
+
+The flow cumulants are eta^(m) = (-1)^m d^m theta/ds^m at s = 0.  Expanding
+sigma_s = sigma_0 + sigma_1 s + O(s^2) gives sigma_0 = 2V and
+M sigma_1 + sigma_1 M† + S_1 = 0 with the Hermitian source
+
+    S_1 = (f+'/2) (P + sigma_0 P sigma_0) - (f-'/2) (P sigma_0 + sigma_0 P),
+
+where f+' = -rate and f-' = -rate (2 nbar + 1) are the first derivatives of
+the tilting functions at s = 0, and f+'' = rate (2 nbar + 1) and f-'' = rate
+the second.  eta^(1) reads Re Tr(P sigma_0), and eta^(2) Re Tr(P sigma_1)
+too, which needs no solve by duality: with the channel's adjoint Gramian Z,
+M† Z + Z M + P = 0, Tr(P sigma_1) = Tr(Z S_1).  Z does not depend on
+sigma_0, so the two share one stacked Lyapunov solve (drifts M and M†,
+sources N and P), and both cumulants cost that one solve.  This gives
+exact cumulants.
 
 Kernels return a reason per item; ``raise_first`` raises.
 ``flow_cumulants`` and ``large_deviation`` return (value, reason) for one
@@ -104,13 +108,11 @@ system and a stack alike, NaN in the failed items (``cascaded.REASONS``).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .cascaded import (  # and the two counting errors, which callers import from here
-    GRAMIAN_FAILED, INADMISSIBLE, NOT_FINITE, SOLVE_FAILED, ZERO_RATE, LinearSystem,
+    GRAMIAN_FAILED, INADMISSIBLE, NOT_FINITE, ZERO_RATE, LinearSystem,
     OutsideAdmissibleRegionError, ZeroRateChannelError, _stable_drift, add_reason,
 )
 from .linalg import (
@@ -235,22 +237,20 @@ def large_deviation(channel: int, s, sys: LinearSystem) -> tuple[NDArray[np.floa
 
 
 @np.errstate(over="ignore", invalid="ignore")  # eta^(m) ~ nbar^m may overflow: such items fail
-def flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list[NDArray], NDArray]:
-    """Flow moments [eta^(1), ..., eta^(n)], eta^(m) = (-1)^m d^m theta/ds^m at s = 0, exactly.
+def flow_cumulants(channel: int, sys: LinearSystem) -> tuple[list[NDArray], NDArray]:
+    """Flow moments [eta^(1), eta^(2)], eta^(m) = (-1)^m d^m theta/ds^m at s = 0, exactly.
 
-    Order 1 is the mean flow into the bath (> 0: net absorption).  Returns
-    (list, reason) for one system and a stack alike, NaN in every order where
-    an item fails: an unstable drift, a zero-rate channel, a failed solve or
-    a moment beyond the float range.
+    eta^(1) is the mean flow into the bath (> 0: net absorption) and eta^(2)
+    its second cumulant.  Returns (list, reason) for one system and a stack
+    alike, NaN in both where an item fails: an unstable drift, a zero-rate
+    channel, a failed solve or a moment beyond the float range.
 
-    eta^(m) = (-1)^m [sum_j C(m, j) f+^(j) Re Tr(P sigma_{m-j}) - f-^(m) Re Tr P].
-    sigma_0 = 2V and the Gramian Z of M† Z + Z M + P = 0 share one solve, and
-    each sigma_k, 0 < k < n - 1, is one more.  The top term of every order m
-    is Tr(P sigma_{m-1}) = Tr(Z S_{m-1}) of the source S_{m-1} of sigma_{m-1}
-    (module docstring), so eta^(m) is the same number for every n >= m.
+    eta^(1) = -(f+' Re Tr(P sigma_0) - f-' Re Tr P) and
+    eta^(2) = 2 f+' Re Tr(P sigma_1) + f+'' Re Tr(P sigma_0) - f-'' Re Tr P,
+    with sigma_0 = 2V.  sigma_0 and the Gramian Z of M† Z + Z M + P = 0 share
+    one solve, and Tr(P sigma_1) = Tr(Z S_1) of the source S_1 of sigma_1
+    (module docstring), so sigma_1 needs no solve.
     """
-    if n < 1 or n > 4:
-        raise ValueError("cumulant order must be between 1 and 4")
     reason, M = _stable_drift(sys)
     rate, nbar, _, P, zero = _unit_vector(sys, channel)
     reason = add_reason(reason, zero, ZERO_RATE)
@@ -259,41 +259,18 @@ def flow_cumulants(channel: int, n: int, sys: LinearSystem) -> tuple[list[NDArra
     X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)
     reason = add_reason(reason, singular.any(axis=-1), GRAMIAN_FAILED)
     V, Z = X[..., 0, :, :], X[..., 1, :, :]
-    odd = -rate, -rate * (2.0 * nbar + 1.0)
-    even = rate * (2.0 * nbar + 1.0), rate
-    fp, fm = zip(*[odd if k % 2 else even for k in range(n + 1)])  # f+-^(k)(0); k = 0 unused
-    sigma = [2.0 * V]
-    traces = [trace_product(P, sigma[0]).real]  # Re Tr(P sigma_k)
-    tops = traces[:]  # the same from the Gramian, Re Tr(Z S_k), k > 0
-    for k in range(1, n):
-        source = 0.5 * fp[k][..., None, None] * P
-        for j in range(1, k + 1):
-            c, rest = math.comb(k, j), sigma[k - j]
-            anti = stacked_product(P, rest) + stacked_product(rest, P)
-            source = source - (0.5 * c * fm[j])[..., None, None] * anti
-            for i in range(k - j + 1):
-                w = 0.5 * c * math.comb(k - j, i) * fp[j]
-                sandwich = stacked_product(stacked_product(sigma[i], P), sigma[k - j - i])
-                source = source + w[..., None, None] * sandwich
-        source = hermitian_part(source)
-        tops.append(trace_product(Z, source).real)
-        if k == n - 1:
-            break
-        # a source beyond the float range would fail the solve's residual
-        # check; sigma_k gives eta^(k+1) and higher, so name that order
-        unbounded = ~np.isfinite(source).all(axis=(-2, -1))
-        reason = add_reason(reason, unbounded, NOT_FINITE + k + 1)
-        source = np.where((reason != 0)[..., None, None], 0.0, source)[..., None, :, :]
-        solved, singular = solve_lyapunov(M[..., None, :, :], source)
-        reason = add_reason(reason, singular[..., 0], SOLVE_FAILED + k + 1)
-        sigma.append(solved[..., 0, :, :])
-        traces.append(trace_product(P, sigma[k]).real)
-    trace_p, etas = np.einsum("...ii->...", P).real, []
-    for m in range(1, n + 1):
-        # Re Tr(P sigma_k), k < m, the top one from the Gramian: eta^(m) does not depend on n
-        own = traces[: m - 1] + tops[m - 1 : m]
-        theta_m = sum(math.comb(m, j) * fp[j] * own[m - j] for j in range(1, m + 1))
-        etas.append((-1.0) ** m * (theta_m - fm[m] * trace_p))
-        reason = add_reason(reason, ~np.isfinite(etas[-1]), NOT_FINITE + m)
+    fp1, fm1 = -rate, -rate * (2.0 * nbar + 1.0)  # f+-'(0)
+    fp2, fm2 = rate * (2.0 * nbar + 1.0), rate  # f+-''(0)
+    sigma0 = 2.0 * V
+    anti = stacked_product(P, sigma0) + stacked_product(sigma0, P)
+    sandwich = stacked_product(stacked_product(sigma0, P), sigma0)
+    source = 0.5 * fp1[..., None, None] * P - (0.5 * fm1)[..., None, None] * anti
+    source = hermitian_part(source + (0.5 * fp1)[..., None, None] * sandwich)  # S_1
+    trace0, trace1 = trace_product(P, sigma0).real, trace_product(Z, source).real
+    trace_p = np.einsum("...ii->...", P).real
+    eta1 = -(fp1 * trace0 - fm1 * trace_p)
+    eta2 = 2.0 * fp1 * trace1 + fp2 * trace0 - fm2 * trace_p
+    reason = add_reason(reason, ~np.isfinite(eta1), NOT_FINITE + 1)
+    reason = add_reason(reason, ~np.isfinite(eta2), NOT_FINITE + 2)
     # [()]: one system's eta stays a numpy scalar
-    return [np.where(reason != 0, np.nan, eta)[()] for eta in etas], reason
+    return [np.where(reason != 0, np.nan, eta)[()] for eta in (eta1, eta2)], reason

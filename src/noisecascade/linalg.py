@@ -60,7 +60,8 @@ def _mean_half_disc(M: NDArray[np.complex128]) -> tuple[NDArray, NDArray, NDArra
         size = np.maximum.reduce([np.abs(part) for z in (h, a, b) for part in (z.real, z.imag)])
         scale = np.ldexp(1.0, np.frexp(size)[1] - 1)  # size / scale lies in [1, 2)
         h, a, b = h / scale, a / scale, b / scale
-        disc[overflow] = scale * np.sqrt(h * h + a * b)
+        with np.errstate(over="ignore"):  # a disc past the float maximum is inf
+            disc[overflow] = scale * np.sqrt(h * h + a * b)
     return mean, half, disc
 
 
@@ -172,6 +173,12 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
     bits of X and keeps every intermediate inside the float range.  An item
     fails where N is not Hermitian to relative _HERMITIAN_RTOL, where K is
     singular, or where the residual exceeds _RESIDUAL_RTOL * max-norm of N.
+
+    Every source the package passes (N, the u_j u_j† of the response and a
+    channel's projector P) is built Hermitian to rounding, far inside
+    _HERMITIAN_RTOL, so the check never fails there.  It guards a library
+    caller's N: X solves the equation of N's Hermitian part, and the
+    residual check alone would let an asymmetry up to _RESIDUAL_RTOL pass.
     """
     A, N = np.asarray(A), np.asarray(N)
     norm = _maxabs(N)

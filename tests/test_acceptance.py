@@ -233,7 +233,7 @@ def test_criterion_07_fcs_consistency():
         etas = []
         for ch in (1, 2, 3):
             worst_theta0 = max(worst_theta0, abs(point_theta(ch, 0.0, sys)))
-            (eta,) = point_cumulants(ch, 1, sys)
+            eta = point_cumulants(ch, sys)[0]
             theta, reason = large_deviation(ch, s_stencil, sys)
             dev = np.inf if reason.any() else abs(-theta @ weights - eta) / max(abs(eta), 1e-6)
             worst_slope = max(worst_slope, dev)
@@ -257,7 +257,7 @@ def test_criterion_08_flow_isolation():
             nbar1=n1b, nbar2=n2b, nbar3=n3b,
         )
         sys = build_system(p)
-        return p, [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+        return p, [point_cumulants(ch, sys)[0] for ch in (1, 2, 3)]
 
     eta1_values = [flows(3.0, n2b, 0.5)[1][0] for n2b in np.linspace(0.0, 50.0, 50)]
     spread1 = max(eta1_values) - min(eta1_values)

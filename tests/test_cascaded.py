@@ -732,7 +732,7 @@ class TestLinearResponse:
                 sys = build_system(q)
                 Y, _ = solve_lyapunov(sys.M, sys.N)
                 for k in range(3):
-                    assert abs(G[k, j] - flow_cumulants(k + 1, 1, sys)[0][0]) <= 1e-13 * scale
+                    assert abs(G[k, j] - flow_cumulants(k + 1, sys)[0][0]) <= 1e-13 * scale
                 assert np.abs(W[:, j] - np.diagonal(Y).real + 0.5).max() <= 1e-13
 
     def test_onsager_casimir(self):

@@ -19,7 +19,6 @@ from noisecascade.cascaded import (
     NOT_FINITE,
     REASONS,
     RESPONSE_FAILED,
-    SOLVE_FAILED,
     UNSTABLE,
     ZERO_RATE,
     CascadedParams,
@@ -78,9 +77,10 @@ def point_theta(channel, s, sys):
     return float(theta)
 
 
-def point_cumulants(channel, n, sys):
-    """The flow moments of one system; where they fail, ``raise_first`` raises."""
-    etas, reason = flow_cumulants(channel, n, sys)
+def point_cumulants(channel, sys):
+    """The flow moments [eta^(1), eta^(2)] of one system; where they fail,
+    ``raise_first`` raises."""
+    etas, reason = flow_cumulants(channel, sys)
     raise_first(reason, margin=sys.margin, channel=channel)
     return etas
 
@@ -140,7 +140,7 @@ class TestBiasMatrices:
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.0, gamma2=0.0,
                            nbar1=1.0)
         sys = build_system(p)
-        for value, reason in (large_deviation(3, 0.0, sys), flow_cumulants(3, 1, sys)):
+        for value, reason in (large_deviation(3, 0.0, sys), flow_cumulants(3, sys)):
             assert reason == ZERO_RATE and np.isnan(value).all()
             with pytest.raises(ZeroRateChannelError, match="^channel 3 has zero rate$"):
                 raise_first(reason, channel=3)
@@ -154,7 +154,7 @@ class TestChannelChecks:
         with pytest.raises(ValueError, match="no channel"):
             large_deviation(channel, 0.1, sys)
         with pytest.raises(ValueError, match="no channel"):
-            flow_cumulants(channel, 1, sys)
+            flow_cumulants(channel, sys)
 
 
 class TestBiasedCovariance:
@@ -188,7 +188,7 @@ class TestLargeDeviation:
                 slope = (
                     point_theta(ch, h, sys) - point_theta(ch, -h, sys)
                 ) / (2 * h)
-                (eta,) = point_cumulants(ch, 1, sys)
+                eta = point_cumulants(ch, sys)[0]
                 assert -slope == pytest.approx(eta, rel=1e-6, abs=1e-9)
 
     def test_matches_riccati_oracle(self):
@@ -520,13 +520,13 @@ class TestFlowFirstMoment:
         )
         sys = build_system(p)
         for ch in (1, 2, 3):
-            assert point_cumulants(ch, 1, sys) == pytest.approx([0.0], abs=1e-10)
+            assert point_cumulants(ch, sys)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_conservation(self):
         for _ in range(50):
             p = random_stable_system()
             sys = build_system(p)
-            etas = [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+            etas = [point_cumulants(ch, sys)[0] for ch in (1, 2, 3)]
             scale = max(max(abs(e) for e in etas), 1e-12)
             assert abs(sum(etas)) <= 1e-9 * scale
 
@@ -535,96 +535,45 @@ class TestFlowFirstMoment:
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
                            nbar1=0.0, nbar2=0.0, nbar3=10.0)
         sys = build_system(p)
-        assert point_cumulants(1, 1, sys)[0] > 0.0
-        assert point_cumulants(3, 1, sys)[0] < 0.0
+        assert point_cumulants(1, sys)[0] > 0.0
+        assert point_cumulants(3, sys)[0] < 0.0
 
 
 class TestFlowCumulant:
-    def test_order_bounds(self):
-        sys = build_system(THERMAL)
-        with pytest.raises(ValueError):
-            flow_cumulants(1, 0, sys)
-        with pytest.raises(ValueError):
-            flow_cumulants(1, 5, sys)
+    def test_one_solve_gives_both_orders(self, monkeypatch):
+        # sigma_0 and the Gramian share one stacked solve, and eta^(2) reads
+        # sigma_1 through the Gramian: no other solve is made
+        solve, calls = counting.solve_lyapunov, []
 
-    def test_orders_do_not_depend_on_the_highest_one(self):
-        # every order takes its top term from the Gramian, so eta^(m) is the
-        # same number whether m is the highest order asked for or a lower one
-        for _ in range(10):
-            sys = build_system(random_stable_system())
-            for ch in (1, 2, 3):
-                etas = np.array(point_cumulants(ch, 4, sys))
-                for n in (1, 2, 3):
-                    lower = np.array(point_cumulants(ch, n, sys))
-                    np.testing.assert_array_equal(lower.view(np.int64), etas[:n].view(np.int64))
+        def counted(A, N):
+            calls.append(N.shape)
+            return solve(A, N)
 
-    def test_higher_orders_evaluate(self):
-        sys = build_system(THERMAL)
-        assert np.isfinite(point_cumulants(1, 4, sys)).all()
+        monkeypatch.setattr(counting, "solve_lyapunov", counted)
+        assert np.isfinite(point_cumulants(1, build_system(THERMAL))).all()
+        assert calls == [(2, 2, 2)]
 
     def test_moment_beyond_the_float_range_fails(self):
         # eta^(2) grows like nbar^2: 5e299 at nbar1 = 1e150, beyond the float
         # range at 1e160, where the sum was NaN
         rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
         point = build_system(CascadedParams(**rates, nbar1=1e150))
-        assert point_cumulants(1, 2, point) == [-1e150, 5e299]
+        assert point_cumulants(1, point) == [-1e150, 5e299]
         with pytest.raises(SingularSystemError, match="^flow cumulant of order 2 is not finite$"):
-            point_cumulants(1, 2, build_system(CascadedParams(**rates, nbar1=1e160)))
+            point_cumulants(1, build_system(CascadedParams(**rates, nbar1=1e160)))
         sys = build_system(CascadedParams(**rates, nbar1=np.array([1e150, 1e160])))
-        (eta1, eta2), reason = flow_cumulants(1, 2, sys)
-        # an item fails in every order, its finite mean flow too
+        (eta1, eta2), reason = flow_cumulants(1, sys)
+        # an item fails in both orders, its finite mean flow too
         assert reason.tolist() == [0, NOT_FINITE + 2] and eta2[0] == 5e299 and np.isnan(eta2[1])
         assert eta1[0] == -1e150 and np.isnan(eta1[1])
-        (eta1,), reason = flow_cumulants(1, 1, sys)
-        assert not reason.any() and eta1.tolist() == [-1e150, -1e160]
-
-    def test_source_beyond_the_float_range_names_its_order(self):
-        # the source of sigma_2 grows like nbar^3 and overflows at nbar1 = 1e110;
-        # orders 3 and 4 both name order 3, not a failed Lyapunov solve
-        rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
-        for n in (3, 4):
-            with pytest.raises(SingularSystemError, match="^flow cumulant of order 3 is not finite$"):
-                point_cumulants(1, n, build_system(CascadedParams(**rates, nbar1=1e110)))
-        sys = build_system(CascadedParams(**rates, nbar1=np.array([1.0, 1e110])))
-        etas, reason = flow_cumulants(1, 4, sys)
-        assert reason.tolist() == [0, NOT_FINITE + 3] and np.isnan(etas).T[1].all()
-        single = point_cumulants(1, 4, build_system(CascadedParams(**rates, nbar1=1.0)))
-        assert [eta[0] for eta in etas] == single
-
-    def test_failed_solve_names_its_order(self, monkeypatch):
-        # a failed solve of sigma_1 (the source of order 2's top term, solved
-        # for order 3 and up) names order 2, as its source check does
-        from noisecascade import counting
-
-        rates = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
-        point = build_system(CascadedParams(**rates, nbar1=2.0))
-        expected = point_cumulants(1, 3, point)
-        solve = counting.solve_lyapunov
-
-        def last_item_fails(A, N):
-            X, failed = solve(A, N)
-            if N.shape[-3] == 1:  # a sigma_k solve; the first one has two sources
-                failed = failed.copy()
-                failed[-1] = True
-            return X, failed
-
-        monkeypatch.setattr(counting, "solve_lyapunov", last_item_fails)
-        assert np.isfinite(point_cumulants(1, 2, point)).all()  # order 2 solves no sigma_k
-        with pytest.raises(SingularSystemError,
-                           match="^Lyapunov solve for the flow cumulant of order 2 failed$"):
-            point_cumulants(1, 3, point)
-        stack = build_system(CascadedParams(**rates, nbar1=np.array([2.0, 1.0])))
-        etas, reason = flow_cumulants(1, 3, stack)
-        assert reason.tolist() == [0, SOLVE_FAILED + 2] and [eta[0] for eta in etas] == expected
-        assert np.isnan(etas).T[1].all()
 
     def test_matches_spectral_theta_derivatives(self):
         # (-1)^n d^n theta/ds^n at 0 of the eigenvalue path, read off a Chebyshev
-        # interpolant on 25 nodes, against the Lyapunov recursion; each bound is
+        # interpolant on 25 nodes, against the Gramian formulas; each bound is
         # about 10x the worst error seen over 4 seeds x 60 draws x 3 channels
         rng = np.random.default_rng(9)
         s = 0.1 * np.polynomial.chebyshev.chebpts1(25)
-        bounds = {1: 2e-11, 2: 1e-9, 3: 5e-7, 4: 3e-5}
+        bounds = {1: 2e-11, 2: 1e-9}
         for _ in range(60):
             p = random_stable_system(rng=rng)
             sys = build_system(p)
@@ -632,7 +581,7 @@ class TestFlowCumulant:
                 theta, reason = large_deviation(ch, s, sys)
                 assert not reason.any()
                 fit = np.polynomial.Chebyshev.fit(s, theta, 24, domain=[-0.1, 0.1])
-                for n, eta in enumerate(point_cumulants(ch, 4, sys), start=1):
+                for n, eta in enumerate(point_cumulants(ch, sys), start=1):
                     ref = (-1) ** n * fit.deriv(n)(0.0)
                     assert abs(eta - ref) <= bounds[n] * max(1.0, abs(eta)), (ch, n, eta, ref)
 
@@ -656,7 +605,7 @@ class TestFlowCumulant:
             for ch in (1, 2, 3):
                 c = ch - 1
                 exact = exact_cumulants(sys.M, sys.N, sys.U[:, c], sys.rate[c], sys.nbar[c])
-                for n, eta in enumerate(point_cumulants(ch, 2, sys), start=1):
+                for n, eta in enumerate(point_cumulants(ch, sys), start=1):
                     ref, bound = float(exact[n - 1]), bounds[n]
                     assert abs(eta - ref) <= bound * abs(ref), (ch, n, eta, ref)
 
@@ -678,7 +627,7 @@ class TestSimplifiedFlows:
             p = random_stable_system(equal_rates=True, zero_f=True)
             sys = build_system(p)
             closed = simplified_flows(p)
-            numeric = [point_cumulants(ch, 1, sys)[0] for ch in (1, 2, 3)]
+            numeric = [point_cumulants(ch, sys)[0] for ch in (1, 2, 3)]
             np.testing.assert_allclose(numeric, closed, rtol=1e-9, atol=1e-10)
 
     def test_requires_equal_rates_and_zero_f(self):
@@ -737,7 +686,7 @@ class TestStackedTraces:
         fp_prime, fm_prime = -rate, -rate * (2.0 * nbar + 1.0)
         trace = self.reference_trace_product(P, sigma).real
         ref = -(fp_prime * trace - fm_prime * self.reference_trace(P).real)
-        (eta,), reason = flow_cumulants(3, 1, sys)
+        (eta, _), reason = flow_cumulants(3, sys)
         assert not reason.any()
         np.testing.assert_array_equal(eta.view(np.int64), ref.view(np.int64))
         # the trace of the matrix product, as before, agrees to rounding (|P_ij| <= 1)
@@ -786,32 +735,29 @@ class TestStackedTraces:
         sys, _ = self.stacked_system(count=100)
         items = self.items(sys)
         for ch in (1, 2, 3):
-            for n in (1, 2, 3, 4):
-                etas, reason = flow_cumulants(ch, n, sys)
-                assert not reason.any()
-                single = np.array([point_cumulants(ch, n, it) for it in items]).T
-                np.testing.assert_array_equal(np.array(etas).view(np.int64), single.view(np.int64))
+            etas, reason = flow_cumulants(ch, sys)
+            assert not reason.any()
+            single = np.array([point_cumulants(ch, it) for it in items]).T
+            np.testing.assert_array_equal(np.array(etas).view(np.int64), single.view(np.int64))
 
     def test_flow_cumulant_flags_failed_items(self):
         # item 1 has no collective channel; item 2's drift is marginal, so it
-        # fails the stability check, before every order
+        # fails the stability check, before both orders
         no_common = dataclasses.replace(THERMAL, gamma1=0.0, gamma2=0.0)
         sys, _ = self.stacked_system(points=[THERMAL, no_common, THERMAL])
         sys = dataclasses.replace(sys, M=sys.M.copy())
         sys.M[2] = np.diag([0.0, -1.0])
         single = build_system(THERMAL)
-        for n in (1, 2, 3, 4):
-            etas, reason = flow_cumulants(3, n, sys)
-            assert reason.tolist() == [0, ZERO_RATE, UNSTABLE]
-            assert np.isnan(np.array(etas)[:, 1:]).all()
-            assert [eta[0] for eta in etas] == point_cumulants(3, n, single)
+        etas, reason = flow_cumulants(3, sys)
+        assert reason.tolist() == [0, ZERO_RATE, UNSTABLE]
+        assert np.isnan(np.array(etas)[:, 1:]).all()
+        assert [eta[0] for eta in etas] == point_cumulants(3, single)
 
 
 class TestReasons:
-    """Every code of ``REASONS`` is reached by a stack item of real inputs,
-    the two order-numbered solve failures by a solve made to fail.  The
-    item's one-point call reports the same code, and ``raise_first`` raises
-    the code's exception with its message, formatted at that item."""
+    """Every code of ``REASONS`` is reached by a stack item of real inputs.
+    The item's one-point call reports the same code, and ``raise_first``
+    raises the code's exception with its message, formatted at that item."""
 
     RATES = dict(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0)
 
@@ -832,23 +778,22 @@ class TestReasons:
                 raise_first(r, margin=sys.margin, **fields)
         return code
 
-    def test_every_code_is_reached(self, monkeypatch):
+    def test_every_code_is_reached(self):
         from test_sweeps_cli import LYAPUNOV_FAILURE
 
         failure = CascadedParams(**{k: complex(v) if k == "F" else v
                                     for k, v in LYAPUNOV_FAILURE.items()})
-        heavy = {nbar: CascadedParams(**self.RATES, nbar1=nbar) for nbar in (1e308, 1e160, 1e110, 1e80)}
 
         def response(sys):
             return linear_response(sys)[2]
 
-        def cumulants(channel, n):
-            return lambda sys: flow_cumulants(channel, n, sys)[1]
+        def cumulants(channel):
+            return lambda sys: flow_cumulants(channel, sys)[1]
 
         reached = {
             self.assert_reaches(UNSTABLE, "drift is not stable (margin 0.000e+00)", response,
                                 CascadedParams(kappa1=0.0, kappa2=1.0)),
-            self.assert_reaches(ZERO_RATE, "channel 3 has zero rate", cumulants(3, 1),
+            self.assert_reaches(ZERO_RATE, "channel 3 has zero rate", cumulants(3),
                                 CascadedParams(kappa1=1.0, kappa2=1.0, nbar1=1.0), channel=3),
             # a hot bath 1 narrows the admissible region of channel 1
             self.assert_reaches(INADMISSIBLE, "no stabilizing biased covariance at s = 0.1",
@@ -859,32 +804,9 @@ class TestReasons:
                                 response, failure),
             self.assert_reaches(GRAMIAN_FAILED,
                                 "Lyapunov solve of the steady state or the channel's Gramian failed",
-                                cumulants(1, 2), failure),
+                                cumulants(1), failure),
         }
-        for m, nbar in enumerate(heavy, start=1):  # eta^(m) grows like nbar^m
+        for m, nbar in enumerate((1e308, 1e160), start=1):  # eta^(m) grows like nbar^m
             reached.add(self.assert_reaches(NOT_FINITE + m, f"flow cumulant of order {m} is not finite",
-                                            cumulants(1, m), heavy[nbar]))
-        solve, solves = counting.solve_lyapunov, []
-
-        def fails_at(order):
-            def solve_failing(A, N):
-                X, failed = solve(A, N)
-                if N.shape[-3] == 1:  # a sigma_k solve; the first solve has two sources
-                    solves.append(order)
-                    if len(solves) == order - 1:  # sigma_{order - 1} gives eta^(order) and up
-                        failed = failed.copy()
-                        failed[-1] = True
-                return X, failed
-            return solve_failing
-
-        point = CascadedParams(**self.RATES, nbar1=2.0)
-        for m in (2, 3):
-            monkeypatch.setattr(counting, "solve_lyapunov", fails_at(m))
-
-            def kernel(sys, m=m):
-                solves.clear()
-                return flow_cumulants(1, 4, sys)[1]
-
-            message = f"Lyapunov solve for the flow cumulant of order {m} failed"
-            reached.add(self.assert_reaches(SOLVE_FAILED + m, message, kernel, point))
+                                            cumulants(1), CascadedParams(**self.RATES, nbar1=nbar)))
         assert reached == set(REASONS)

@@ -1,4 +1,4 @@
-"""A seeded differential test of ``steady-state`` over the float range.
+"""Seeded differential tests of ``steady-state`` and ``fcs`` over the float range.
 
 The inputs are drawn by the recipe of ROADMAP item 19: each rate is 0 with
 probability 0.1, each bath occupation with 0.2, each frequency with 0.3, and
@@ -17,6 +17,14 @@ Fraction for m; null where the exact value is past the float maximum or
 the baseline has no rate), or when it exits 3 with one ``error:`` line and
 no output.  It never exits 2, and a traceback fails the test.  Known wrong
 outcomes are strict xfails.  The 4 x 128 inputs take about 4 s.
+
+``fcs CH --s-points 0`` runs on the first 64 draws of each of two seeds,
+unfiltered, with the channel cycling 1, 2, 3, warnings as errors.  It
+passes when it exits 0 with each cumulant eta^(m) within 1e-6 rate (2 nbar +
+1)^m of ``exact_cumulant_oracle``, with the channel's rate and the largest
+bath occupation of the input (a bound on the scale, not on the value: a small
+flow that cancels loses its relative digits), or when it exits 3 with one
+``error:`` line and no output.  The 2 x 64 inputs take about 2 s.
 """
 
 import contextlib
@@ -30,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_cumulant_oracle import exact_cumulants
 from exact_occupation_oracle import exact_occupations
 from noisecascade.cascaded import CascadedParams, build_system
 from noisecascade.cli import main
@@ -40,6 +49,8 @@ RTOL = Fraction(1, 10**6)  # of the larger exact value of a pair, stated before 
 FLOAT_MAX = Fraction(sys.float_info.max)
 RATES = ("kappa1", "kappa2", "gamma1", "gamma2")
 NBARS = ("nbar1", "nbar2", "nbar3")
+FCS_SEEDS = (11, 12)
+FCS_PER_SEED = 64
 
 
 def _magnitude(rng) -> float:
@@ -83,6 +94,24 @@ def argv(p: dict) -> list[str]:
     return ["steady-state"] + [a for k, v in p.items() for a in ("--set", f"{k}={v!r}")]
 
 
+def fcs_argv(channel: int, p: dict) -> list[str]:
+    return ["fcs", str(channel), "--s-points", "0"] + argv(p)[1:]
+
+
+def run(args: list[str]) -> str:
+    """The stdout of a command that exits 0 under warnings as errors, or ""
+    where it exits 3 with one ``error:`` line; any other outcome fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(args)
+    assert rc in (0, 3), (rc, err.getvalue(), args)
+    if rc == 3:
+        line = err.getvalue()
+        assert out.getvalue() == "" and line.startswith("error: ") and line.count("\n") == 1, line
+    return out.getvalue()
+
+
 def exact_values(p: dict) -> dict:
     """n1, n2 from the exact solve of the double system, m1, m2 in Fraction (None without a rate)."""
     system = build_system(CascadedParams(**p))
@@ -96,16 +125,10 @@ def exact_values(p: dict) -> dict:
 
 def judge(p: dict) -> str:
     """"exact" or "reason" for one input, by the rule of the module docstring."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = main(argv(p))
-    assert rc in (0, 3), (rc, err.getvalue(), argv(p))
-    if rc == 3:
-        line = err.getvalue()
-        assert out.getvalue() == "" and line.startswith("error: ") and line.count("\n") == 1, line
+    out = run(argv(p))
+    if not out:
         return "reason"
-    doc, exact = json.loads(out.getvalue()), exact_values(p)
+    doc, exact = json.loads(out), exact_values(p)
     for pair in (("n1", "n2"), ("m1", "m2")):
         scale = max((exact[key] for key in pair if exact[key] is not None), default=0)
         for key in pair:
@@ -155,3 +178,27 @@ def test_underflowing_weight_of_a_large_bath():
     exact = exact_values(p)
     assert float(exact["n2"]) == float(exact["m2"]) == 1.4499463473189754e-225
     judge(p)
+
+
+def judge_fcs(channel: int, p: dict) -> str:
+    """"exact" or "reason" for ``fcs`` on one input, by the rule of the module docstring."""
+    out = run(fcs_argv(channel, p))
+    if not out:
+        return "reason"
+    system, c = build_system(CascadedParams(**p)), channel - 1
+    exact = exact_cumulants(system.M, system.N, system.U[:, c], system.rate[c], system.nbar[c])
+    rate, width = Fraction(float(system.rate[c])), 2 * max(Fraction(p[name]) for name in NBARS) + 1
+    for m, want in enumerate(exact, start=1):
+        value = json.loads(out)["cumulants"][str(m)]
+        assert abs(Fraction(value) - want) <= RTOL * rate * width**m, (
+            m, value, float(want), fcs_argv(channel, p))
+    return "exact"
+
+
+@pytest.mark.parametrize("seed", FCS_SEEDS)
+def test_fcs_over_the_float_range(seed):
+    rng, outcomes = np.random.default_rng(seed), {"exact": 0, "reason": 0}
+    for index in range(FCS_PER_SEED):
+        outcomes[judge_fcs(index % 3 + 1, draw(rng))] += 1
+    # no floor on the exits 3: exact answers for every stable point would lower it
+    assert outcomes["exact"] >= FCS_PER_SEED // 4, outcomes

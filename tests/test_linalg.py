@@ -152,6 +152,17 @@ class TestStabilityMargin:
                            F=1e200 + 1.709j, nbar1=0.45)
         assert_same_bits(stability_margin(build_system(p).M), np.float64(-2.620017928058309))
 
+    def test_disc_past_the_float_maximum_does_not_warn(self):
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # F = 1.7e308 (1 + i): the scaled discriminant times its scale passes
+        # the float maximum, so it is inf, with no RuntimeWarning (an error in
+        # the tests) when the margin is read outside an errstate.  The margin
+        # is still wrong: the true one is about -0.65 (ROADMAP items 16 and 22)
+        sys = build_system(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
+                                          F=1.7e308 + 1.7e308j))
+        assert sys.margin == 2.9990490977378498e+291
+
     def test_candidate_bound_near_the_float_maximum(self):
         from noisecascade.cascaded import CascadedParams, build_system
 

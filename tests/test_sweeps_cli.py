@@ -664,7 +664,7 @@ def reference_row(cfg, axis_values):
             return [None if reason else float(theta)
                     for theta, reason in (large_deviation(1, s, sys) for s in cfg.s_grid)]
         if name.startswith("eta"):  # no value where the flow fails: a zero-rate channel
-            (eta,), reason = flow_cumulants(int(name[-1]), 1, sys)
+            (eta, _), reason = flow_cumulants(int(name[-1]), sys)
             return [None if V is None or reason else float(eta)]
         if name.endswith("_closed"):  # NaN at unequal rates
             n = closed_form_occupations(p)[int(name[1]) - 1]
@@ -728,6 +728,15 @@ LARGE_EQUAL_RATES_SWEEP = {
     "params": {"kappa1": 1e200, "kappa2": 1e200, "gamma1": 1e200, "gamma2": 1e200, "nbar1": 1.0},
     "axes": [{"variable": "omega2", "min": 0.0, "max": 1.0, "points": 2}],
     "outputs": ["n1", "n1_closed", "m1"],
+}
+
+# F near the float maximum: the margin's discriminant passes it, which warned
+# in a sweep (a RuntimeWarning is an error in CI's hash-seed step)
+HUGE_F_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "F": "1.7e308+1.7e308j"},
+    "axes": [{"variable": "nbar1", "min": 0, "max": 1, "points": 2}],
+    "outputs": ["stability_margin", "n1"],
 }
 
 # the microwave preset with J swept across the design point J* = 2 G1 G2 / gamma_m
@@ -1252,6 +1261,7 @@ def ci_sweep_configs():
         "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
         "theta_long100": THETA_LONG_SWEEP, "nbar1_theta": NBAR1_THETA_SWEEP,
         "nbar1_only": NBAR1_ONLY_SWEEP, "large_equal_rates": LARGE_EQUAL_RATES_SWEEP,
+        "huge_f": HUGE_F_SWEEP,
     }
 
 
@@ -1537,7 +1547,7 @@ def reference_fcs_text(channel, params, grid):
     """The fcs stdout as json.dumps(result, indent=2) renders it, with the
     result built from the library calls that ``fcs`` makes."""
     sys = build_system(CascadedParams(**params))
-    etas, reason = flow_cumulants(channel, 2, sys)
+    etas, reason = flow_cumulants(channel, sys)
     s = np.linspace(*grid)
     theta, theta_reason = large_deviation(channel, s, sys)
     assert reason == 0 and not theta_reason.any()
