@@ -18,7 +18,15 @@ from .optomech import (
     mech_susceptibility,
     preset_microwave,
 )
-from .sweeps import SweepConfig, SweepResult, emit, parse_config, run_sweep
+from .sweeps import (
+    SweepConfig,
+    SweepResult,
+    emit,
+    emit_parts,
+    iter_blocks,
+    parse_config,
+    run_sweep,
+)
 
 __all__ = [
     "CascadedParams",
@@ -40,6 +48,8 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "emit",
+    "emit_parts",
+    "iter_blocks",
     "parse_config",
     "run_sweep",
 ]

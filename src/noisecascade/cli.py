@@ -10,6 +10,11 @@ sweeps.check_params, the checks of a sweep config's ``params``.
 writes it in one pass from a template (``_fcs_json``); the other commands
 print ``json.dumps`` itself.
 
+``sweep`` writes each part of its output as it is made, block by block
+(``sweeps.iter_blocks`` into ``sweeps.emit_parts``), so it holds one block
+of the grid at a time; ``--out`` goes through a temporary file beside the
+target, renamed onto it after the last part.
+
 ``main`` reads a command's arguments with that command's parser alone and
 uses the top-level parser of ``build_parser`` only when ``argv[0]`` names no
 command; its messages and exit codes are the top-level parser's.
@@ -26,6 +31,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys as _sys
 
 import numpy as np
@@ -52,9 +59,9 @@ from .sweeps import (
     SchemaError,
     cascaded_from_raw,
     check_params,
-    emit,
+    emit_parts,
+    iter_blocks,
     parse_config,
-    run_sweep,
 )
 
 EXIT_CONFIG = 2
@@ -100,13 +107,62 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = parse_config(fh.read())
     if args.format:
         cfg = dataclasses.replace(cfg, format=args.format)
-    data = emit(run_sweep(cfg), cfg)
+    parts = emit_parts(iter_blocks(cfg), cfg)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        _write_file(args.out, parts)
     else:
-        _sys.stdout.buffer.write(data)
+        _write_stdout(parts)
     return 0
+
+
+def _write_stdout(parts) -> None:
+    """Write ``parts`` to standard output as each is made; a reader that
+    closes the pipe early (``| head``) ends the sweep without an error."""
+    stdout = _sys.stdout.buffer
+    try:
+        for part in parts:
+            stdout.write(part)
+        stdout.flush()
+    except BrokenPipeError:
+        # the interpreter's last flush must not meet the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+
+
+def _write_file(path: str, parts) -> None:
+    """Write ``parts`` to the file ``path`` as each is made.
+
+    A regular file, or a new one, is written to a new temporary file beside
+    it (beside the file a link names), which replaces it after the last
+    part: a failed sweep leaves the file as it was and no temporary file.
+    The file gets the mode that ``open`` gives a new one, or keeps its own.
+    Any other file, such as a device or a pipe, is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:  # O_EXCL: never through a file or link that is already there
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(parts)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def _cmd_fcs(args: argparse.Namespace) -> int:

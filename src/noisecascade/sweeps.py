@@ -33,14 +33,19 @@ dn*, the response only for n*, dn* and eta*, the closed forms and theta only
 when requested; theta runs per point, on its system with the noise matrix of
 its own nbar.  The result is columnar: a SweepResult
 holds a value array and a status vector, and a cell is blank exactly where
-its value is not finite.  ``emit`` writes a blank cell as empty (CSV) or
-null (JSON), and formats each distinct value of a column once, the distinct
-values of all columns together, in one exact vectorized pass (in chunks of
-4096 values) that shares its digit and layout code between the formats: CSV
-as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17 and zeros, JSON as
-``float.__repr__``, the shortest round-trip digits that ``json.dumps``
+its value is not finite.  ``iter_blocks`` yields the result of each block
+in turn and ``emit_parts`` writes them part by part, so a sweep streamed
+from one to the other holds one block at a time; ``run_sweep`` and ``emit``
+are their concatenation and join, and hold the whole grid.  The emitter
+writes a blank cell as empty (CSV) or null (JSON), and formats each distinct
+value of a column once per block (once per result given to ``emit``), the
+distinct values of all columns together, in one exact vectorized pass (in
+chunks of 4096 values) that shares its digit and layout code between the
+formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17 and zeros, JSON
+as ``float.__repr__``, the shortest round-trip digits that ``json.dumps``
 writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each other finite
-value falls back to "%.17g" or ``json.dumps`` of that value.
+value falls back to "%.17g" or ``json.dumps`` of that value.  The rows are
+joined 1024 at a time, each part's cells gathered from that table.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -48,6 +53,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields as dc_fields
 from sys import float_info
 
@@ -118,13 +125,15 @@ _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
 }
 
 # grid points per stacked block, or with theta (point, s) pairs per block,
-# one point at least; bounds the memory that one block holds.  tracemalloc
-# peaks of evaluating a full block against emitting it: 8.0 MB against
-# 17.2 MB for the CSV of a 128 x 128 Delta x nbar3 cascaded grid at unit
-# rates (128 systems, every output but theta and F_residual), but 44.0 MB
-# against 4.9 MB where every point is its own system (Delta x kappa1,
-# output n1); 11.3 MB against 8.5 MB for the JSON of a 64 x 64 optomech
-# J x G2 grid with theta at 4 s values
+# one point at least; bounds the memory that one block holds, and so a
+# streamed sweep's.  tracemalloc peaks of evaluating a full block against
+# emitting it part by part (emit_parts): 8.2 MB against 9.3 MB for the CSV
+# of a 128 x 128 Delta x nbar3 cascaded grid at unit rates (128 systems,
+# every output but theta and F_residual; 3.9 MB of text), but 44.3 MB
+# against 1.5 MB where every point is its own system (Delta x kappa1,
+# output n1); 11.3 MB against 4.7 MB for the JSON of a 64 x 64 optomech
+# J x G2 grid with theta at 4 s values.  Emitting the whole text at once
+# took 17.2, 4.9 and 8.5 MB.
 BLOCK_POINTS = 16384
 
 
@@ -463,20 +472,28 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     return values, np.where(stable & np.isfinite(values).all(axis=1), "ok", unstable)
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate the grid in row-major axis order, in the stacked blocks of ``BLOCK_POINTS``."""
-    grid = np.meshgrid(*(ax.values() for ax in cfg.axes), indexing="ij")
-    axis_columns = [g.ravel() for g in grid]
+def iter_blocks(cfg: SweepConfig) -> Iterator[SweepResult]:
+    """Evaluate the grid in row-major axis order, one SweepResult per stacked
+    block of ``BLOCK_POINTS``; a block takes its axis columns from its own
+    slice of the flat grid index."""
+    values = [ax.values() for ax in cfg.axes]
+    shape = tuple(v.size for v in values)
+    total = math.prod(shape)
     size = max(1, BLOCK_POINTS // len(cfg.s_grid)) if "theta" in cfg.outputs else BLOCK_POINTS
-    blocks = [
-        _block(cfg, [c[start : start + size] for c in axis_columns])
-        for start in range(0, axis_columns[0].size, size)
-    ]
+    for start in range(0, total, size):
+        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+        yield SweepResult(*_block(cfg, [v[i] for v, i in zip(values, index)]))
+
+
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """The whole grid in row-major axis order: the blocks of ``iter_blocks``, concatenated."""
+    blocks = [(b.values, b.status) for b in iter_blocks(cfg)]
     return SweepResult(*map(np.concatenate, zip(*blocks)))
 
 
 # number text: one vectorized pass per chunk of values (see _number_text)
 _FORMAT_CHUNK = 4096  # values per pass; bounds the temporaries, not the result
+_EMIT_ROWS = 1024  # rows per emitted part; their cells are gathered and joined in cache
 _POW10 = np.array([float(10**p) for p in range(23)])  # 10^0..10^22, all exact
 _WORD = np.array([[0], [8], [16]])  # first byte of each 8-byte word of a text
 _BELOW = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)  # [c]: bytes 0..c-1
@@ -694,6 +711,58 @@ def _status_codes(status: NDArray[np.str_]) -> NDArray[np.intp]:
     return codes
 
 
+def _cell_text(result: SweepResult, as_json: bool) -> tuple[NDArray, NDArray[np.intp]]:
+    """(text, index) of a result: ``text`` holds the text of each distinct
+    value of each column (its float64 bit pattern, so -0.0 and 0.0 stay
+    apart), blank where not finite, then of each status; ``index[j, i]`` is
+    the entry of row i's cell in column j, the status last."""
+    if not result.status.size:
+        raise ValueError("no rows to emit")
+    distinct, inverse = zip(
+        *(np.unique(c.view(np.int64), return_inverse=True) for c in result.values.T)
+    )
+    values = np.concatenate(distinct).view(np.float64)
+    if as_json:
+        text = _number_text(_repr17, values) + [json.dumps(s).encode() for s in _STATUSES]
+    else:  # a CSV status cell ends its line
+        text = _number_text(_g17, values) + [s.encode() + b"\n" for s in _STATUSES]
+    text = np.array(text, object)
+    text[np.flatnonzero(~np.isfinite(values))] = b"null" if as_json else b""
+    starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
+    index = [i + start for i, start in zip(inverse, starts)]
+    return text, np.stack(index + [values.size + _status_codes(result.status)])
+
+
+def emit_parts(results: Iterable[SweepResult], cfg: SweepConfig) -> Iterator[bytes]:
+    """The output of the rows of ``results`` in turn, part by part: the
+    header, each result's rows ``_EMIT_ROWS`` at a time, and the footer.
+
+    The parts joined are ``emit`` of the results concatenated.  Each
+    result's distinct values are formatted once, as in ``emit``, so beside
+    the result it holds one text table and one part.
+    """
+    cols = column_names(cfg)
+    as_json = cfg.format == "json"
+    if as_json:
+        keys = (json.dumps(c).replace("%", "%%") for c in cols)
+        record = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").encode()
+        yield b"[\n"
+    else:
+        yield ",".join(cols).encode() + b"\n"
+    lead = []  # an empty first record puts ",\n" before each JSON part but the first
+    for result in results:
+        text, index = _cell_text(result, as_json)
+        for start in range(0, index.shape[1], _EMIT_ROWS):
+            rows = zip(*text[index[:, start : start + _EMIT_ROWS]].tolist())
+            if as_json:
+                yield b",\n".join(lead + [record % row for row in rows])
+                lead = [b""]
+            else:
+                yield b"".join(map(b",".join, rows))
+    if as_json:
+        yield b"\n]\n"
+
+
 def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     """Serialize the result per the config format; byte-identical for identical inputs.
 
@@ -705,29 +774,7 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     "%.17g" (``_g17``: 1e-6 <= |x| < 1e17 and zeros), for JSON
     ``float.__repr__``, the encoder's number text (``_repr17``:
     1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text, with "%.17g" or
-    ``json.dumps`` of each other finite value.  Both are assembled as bytes.
+    ``json.dumps`` of each other finite value.  Both are assembled as bytes,
+    the parts of ``emit_parts`` joined.
     """
-    if not result.status.size:
-        raise ValueError("no rows to emit")
-    cols = column_names(cfg)
-    as_json = cfg.format == "json"
-    # each distinct float64 bit pattern of a column (so -0.0 and 0.0 stay apart)
-    distinct, inverse = zip(
-        *(np.unique(c.view(np.int64), return_inverse=True) for c in result.values.T)
-    )
-    values = np.concatenate(distinct).view(np.float64)
-    # one table: the numbers, blank where not finite, then the statuses
-    if as_json:
-        text = _number_text(_repr17, values) + [json.dumps(s).encode() for s in _STATUSES]
-    else:
-        text = _number_text(_g17, values) + [s.encode() for s in _STATUSES]
-    text = np.array(text, object)
-    text[np.flatnonzero(~np.isfinite(values))] = b"null" if as_json else b""
-    starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
-    columns = [text[i + start].tolist() for i, start in zip(inverse, starts)]
-    columns.append(text[values.size + _status_codes(result.status)].tolist())
-    if as_json:
-        keys = (json.dumps(c).replace("%", "%%") for c in cols)
-        record = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").encode()
-        return b"[\n" + b",\n".join([record % row for row in zip(*columns)]) + b"\n]\n"
-    return b"\n".join([",".join(cols).encode(), *map(b",".join, zip(*columns)), b""])
+    return b"".join(emit_parts([result], cfg))

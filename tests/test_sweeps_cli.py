@@ -9,6 +9,7 @@ import logging
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -1288,6 +1289,151 @@ class TestStrictOutput:
             assert len(text.splitlines()) > len(result.status)
 
 
+# the benchmark's sweep-grid config on a 601 x 601 grid: 361 201 points in 23
+# blocks, 56 MB of CSV and 119 MB of JSON
+GRID_601 = {
+    "model": "cascaded",
+    "params": {"phi": 0.0, "mbar1": 50, "mbar2": 100, "F": 0.0,
+               "kappa1": 1.0, "kappa2": 1.0, "gamma1": 1.0, "gamma2": 1.0},
+    "axes": [{"variable": "Delta", "min": -10, "max": 10, "points": 601},
+             {"variable": "mbar3", "min": 0, "max": 100, "points": 601}],
+    "outputs": ["n1", "n2", "dn1", "dn2", "n1_closed", "n2_closed", "eta1", "eta2", "eta3"],
+}
+# reports the largest peak RSS, in kB on Linux, of the command in its argv
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestStreamedSweep:
+    """``sweep`` writes the parts of ``emit_parts(iter_blocks(cfg), cfg)`` as
+    each is made: its bytes are ``emit(run_sweep(cfg), cfg)`` at every block
+    and part size, on stdout and in an ``--out`` file, and it holds one block
+    at a time."""
+
+    @pytest.mark.parametrize("sizes", ["default", "small"])
+    @pytest.mark.parametrize("name", list(ci_sweep_configs()))
+    def test_cli_bytes_equal_emit(self, name, sizes, tmp_path, monkeypatch, capsysbinary):
+        doc = ci_sweep_configs()[name]
+        cfg = parse_config(json.dumps(doc))
+        result = run_sweep(cfg)
+        expected = {fmt: emit(result, dataclasses.replace(cfg, format=fmt)) for fmt in ("csv", "json")}
+        if sizes == "small":
+            # several blocks of a few points and parts of 3 rows, so that JSON
+            # separators fall between parts and between blocks; a large grid
+            # takes five or six blocks, not thousands
+            pairs = len(result.status) * (len(cfg.s_grid) if "theta" in cfg.outputs else 1)
+            monkeypatch.setattr(sweeps, "BLOCK_POINTS", max(7, pairs // 5))
+            monkeypatch.setattr(sweeps, "_EMIT_ROWS", 3)
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(doc))
+        for fmt, data in expected.items():
+            argv = ["sweep", str(config), "--format", fmt]
+            assert main(argv) == 0
+            assert capsysbinary.readouterr() == (data, b""), fmt
+            assert main([*argv, "--out", str(out)]) == 0
+            assert capsysbinary.readouterr() == (b"", b"")
+            assert out.read_bytes() == data, fmt
+
+    @pytest.mark.parametrize("points, read", [(201, 100), (3, 0)])
+    def test_reader_closing_stdout_early_is_not_an_error(self, points, read, tmp_path):
+        # 201 x 201: 40 401 rows in 40 parts, and the reader leaves after 100
+        # bytes, so that a later part meets the closed pipe; 3 x 3: the reader
+        # leaves first, and the output, held in the stream's buffer, meets it
+        # at the last flush
+        config, err = tmp_path / "sweep.json", tmp_path / "stderr"
+        config.write_text(fig2_config(points=points))
+        command, env = cli_process(["sweep", str(config)], ["-W", "error::RuntimeWarning"])
+        with open(err, "wb") as stderr:
+            proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr, env=env)
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            rc = proc.wait(timeout=120)
+        header = b"Delta,mbar3,dn1,dn2,status\n"
+        assert head[: len(header)] == header[:read]
+        assert (rc, err.read_bytes()) == (0, b"")
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_failed_sweep_leaves_the_out_file_as_it_was(self, exists, tmp_path, monkeypatch, capsys):
+        config, out = tmp_path / "sweep.json", tmp_path / "out.csv"
+        config.write_text(fig2_config(points=5))
+        if exists:
+            out.write_bytes(b"earlier results\n")
+        before = sorted(os.listdir(tmp_path))
+        # 25 points in blocks of 7: the first block's rows are written, then the second fails
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", 7)
+        blocks, block = [], sweeps._block
+
+        def failing(cfg, axis_columns):
+            blocks.append(len(axis_columns[0]))
+            if len(blocks) == 2:
+                raise OSError("no space left for the block")
+            return block(cfg, axis_columns)
+
+        monkeypatch.setattr(sweeps, "_block", failing)
+        assert main(["sweep", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: no space left for the block\n")
+        assert blocks == [7, 7]
+        assert sorted(os.listdir(tmp_path)) == before
+        if exists:
+            assert out.read_bytes() == b"earlier results\n"
+
+    def test_out_file_takes_the_mode_open_gives(self, tmp_path, capsys):
+        # a new file is created under the umask, and a file that exists keeps its mode
+        config, out = tmp_path / "sweep.json", tmp_path / "out.csv"
+        config.write_text(fig2_config(points=2))
+        mask = os.umask(0o027)
+        try:
+            assert main(["sweep", str(config), "--out", str(out)]) == 0
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        out.chmod(0o604)
+        assert main(["sweep", str(config), "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    def test_out_writes_through_a_link_and_into_a_pipe(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(fig2_config(points=3))
+        cfg = parse_config(config.read_text())
+        expected = emit(run_sweep(cfg), cfg)
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"earlier results\n")
+        link.symlink_to(real)
+        assert main(["sweep", str(config), "--out", str(link)]) == 0
+        assert link.is_symlink() and real.read_bytes() == expected
+        # a pipe is written in place, not replaced by a file
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["sweep", str(config), "--out", str(fifo)]) == 0
+            assert os.read(reader, 1 << 16) == expected
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("fmt, destination", [("csv", "--out"), ("json", "stdout")])
+    def test_memory_is_bounded_by_one_block(self, fmt, destination, tmp_path):
+        # one block and its parts peak near 60 MB; the whole grid's text alone
+        # is 56 MB (CSV) and 119 MB (JSON), and holding the grid's result and
+        # output at once took 379 and 500 MB
+        bound_mb = 150
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(GRID_601, format=fmt)))
+        argv = ["sweep", str(config)]
+        if destination == "--out":
+            argv += ["--out", str(tmp_path / "out")]
+        command, env = cli_process(argv)
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *command], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        peak_mb = int(proc.stdout) * 1024 / 1e6
+        assert peak_mb < bound_mb, f"{peak_mb:.0f} MB"
+
+
 class TestCli:
     def test_steady_state(self, capsys):
         rc = main([
@@ -1599,14 +1745,20 @@ def call_main(argv, capsys, out_path=None):
     return rc, captured.out, captured.err, written
 
 
-def fresh_process(argv, flags=()):
-    """(exit code, stdout, stderr) of the CLI run in a new interpreter with
-    the interpreter options ``flags``."""
+def cli_process(argv, flags=()):
+    """(command, environment) that run the CLI in a new interpreter with the
+    interpreter options ``flags``, importing this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(noisecascade.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, *flags, "-m", "noisecascade.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    return [sys.executable, *flags, "-m", "noisecascade.cli", *argv], env
+
+
+def fresh_process(argv, flags=()):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter with
+    the interpreter options ``flags``."""
+    command, env = cli_process(argv, flags)
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 
