@@ -17,11 +17,14 @@ vacuum 1/2 to cancel.
 
 Each CascadedParams field is a scalar (one point) or an array (one item per
 point), and everything here is array arithmetic.  Kernels return a reason
-per item; ``raise_first`` raises.  A reason is a code of ``REASONS`` (0 is
-ok), the first failed check of its item, so a point and a stack item report
-alike.  One point with invalid parameters raises on construction; arrays
-report them through ``invalid()``.  The closed forms and the baseline never
-fail: they are NaN where undefined, for one point and arrays alike.
+per item; ``raise_first`` raises NumericalError.  A reason is a code of
+``REASONS`` (0 is ok), the first failed check of its item, so a point and a
+stack item report alike.  One point with invalid parameters raises
+SchemaError on construction; arrays report them through ``invalid()``.
+SchemaError (bad input) and NumericalError (no answer) are the package's
+two exceptions, one per exit code of the CLI.  The closed forms and the
+baseline never fail: they are NaN where undefined, for one point and arrays
+alike.
 """
 
 from __future__ import annotations
@@ -36,40 +39,27 @@ from numpy.typing import NDArray
 from .linalg import solve_lyapunov, stability_margin
 
 
-class InvalidParamsError(Exception):
-    """Parameter set violates basic validity (negative rates, NaN, ...)."""
+class SchemaError(Exception):
+    """Input that breaks a parameter or config rule (exit code 2); the message
+    names the field."""
 
 
-class UnstableSystemError(Exception):
-    """Drift matrix is not strictly stable; no steady state exists."""
+class NumericalError(Exception):
+    """Valid input without an answer (exit code 3); the message is the
+    ``REASONS`` template of the first failed item."""
 
 
-class SingularSystemError(Exception):
-    """A Lyapunov solve failed: singular, or its residual beyond tolerance."""
-
-
-class ZeroRateChannelError(Exception):
-    """Counting on a channel with zero coupling rate is undefined."""
-
-
-class OutsideAdmissibleRegionError(Exception):
-    """Counting field left the region where the tilted equation has a stabilizing root."""
-
-
-# reason code -> (exception, message template), 0 for ok; a flow cumulant of
-# order m (1 or 2) beyond the float range has the code NOT_FINITE + m
-UNSTABLE, ZERO_RATE, INADMISSIBLE, RESPONSE_FAILED, GRAMIAN_FAILED = range(1, 6)
-NOT_FINITE = 5
+# reason code -> message template, 0 for ok
+(UNSTABLE, ZERO_RATE, INADMISSIBLE, RESPONSE_FAILED, GRAMIAN_FAILED, ETA1_NOT_FINITE,
+ ETA2_NOT_FINITE) = range(1, 8)
 REASONS = {
-    UNSTABLE: (UnstableSystemError, "drift is not stable (margin {margin:.3e})"),
-    ZERO_RATE: (ZeroRateChannelError, "channel {channel} has zero rate"),
-    INADMISSIBLE: (OutsideAdmissibleRegionError, "no stabilizing biased covariance at s = {s:.6g}"),
-    RESPONSE_FAILED: (SingularSystemError,
-                      "Lyapunov solve of the response to the bath occupations failed"),
-    GRAMIAN_FAILED: (SingularSystemError,
-                     "Lyapunov solve of the steady state or the channel's Gramian failed"),
-    **{NOT_FINITE + m: (SingularSystemError, f"flow cumulant of order {m} is not finite")
-       for m in (1, 2)},
+    UNSTABLE: "drift is not stable (margin {margin:.3e})",
+    ZERO_RATE: "channel {channel} has zero rate",
+    INADMISSIBLE: "no stabilizing biased covariance at s = {s:.6g}",
+    RESPONSE_FAILED: "Lyapunov solve of the response to the bath occupations failed",
+    GRAMIAN_FAILED: "Lyapunov solve of the steady state or the channel's Gramian failed",
+    ETA1_NOT_FINITE: "flow cumulant of order 1 is not finite",
+    ETA2_NOT_FINITE: "flow cumulant of order 2 is not finite",
 }
 
 
@@ -87,7 +77,7 @@ class _ParamSet:
     (a damping, a noise matrix entry) makes a point invalid: the kernels answer
     or report a reason.  If any field is an array, every field
     is stored as an array of the common (broadcast) shape, complex for the
-    complex fields and float otherwise.  One point raises InvalidParamsError on
+    complex fields and float otherwise.  One point raises SchemaError on
     construction; arrays construct and report their bad items through
     ``invalid()``.
     """
@@ -121,7 +111,7 @@ class _ParamSet:
     def invalid(self) -> NDArray[np.bool_]:
         """Mask of the invalid points, the OR of the rule's (message, bad) rows
         in the order a single point tests them: the sign rule, then finiteness
-        in field order.  One point raises InvalidParamsError with the message of
+        in field order.  One point raises SchemaError with the message of
         its first failing row instead."""
         # one isfinite call over all fields: on a Python number, the call costs more than its work
         bad = ~np.isfinite(list(vars(self).values()))
@@ -131,7 +121,7 @@ class _ParamSet:
             return np.logical_or.reduce([bad for _, bad in rows])
         for message, bad in rows:
             if bad:
-                raise InvalidParamsError(message)
+                raise SchemaError(message)
         return np.False_
 
 
@@ -177,14 +167,13 @@ def add_reason(reason: NDArray, bad: NDArray, code: int) -> NDArray:
 
 
 def raise_first(reason: NDArray, **fields) -> None:
-    """Raise the ``REASONS`` entry of the first failed item of ``reason`` (one
-    point or a stack), its message formatted with each field (broadcast
+    """Raise NumericalError with the ``REASONS`` message of the first failed
+    item of ``reason`` (one point or a stack), formatted with each field (broadcast
     against ``reason``) at that item; return if no item failed."""
     failed = np.flatnonzero(reason)
     if failed.size:
-        error, message = REASONS[int(reason.flat[failed[0]])]
         at = {k: np.broadcast_to(v, reason.shape).flat[failed[0]] for k, v in fields.items()}
-        raise error(message.format(**at))
+        raise NumericalError(REASONS[int(reason.flat[failed[0]])].format(**at))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ statistics, optomechanical mapping and design helpers.
 
 The ``--set NAME=VALUE`` values of ``steady-state`` and ``fcs`` (cascaded
 model) and of ``map-om`` and ``design`` (optomech model) go through
-sweeps.check_params, the checks of a sweep config's ``params``.
+sweeps.check_params, the check of a sweep config's ``params``, so both
+report the same first error.
 
 ``fcs`` prints exactly the text ``json.dumps(result, indent=2)`` would, but
 writes it in one pass from a template (``_fcs_json``); the other commands
@@ -19,10 +20,11 @@ target, renamed onto it after the last part.
 uses the top-level parser of ``build_parser`` only when ``argv[0]`` names no
 command; its messages and exit codes are the top-level parser's.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures of single-point commands (NUMERIC_ERRORS: the exceptions of
-``cascaded.REASONS`` and NoCouplingError).  Kernels return a reason per
-item; ``raise_first`` raises, with the message of the first failed item.
+Exit codes: 0 on success, 2 on bad input (``cascaded.SchemaError``, or an
+OSError of a file), 3 when a single-point command has no answer
+(``cascaded.NumericalError``: a design without both couplings, or a kernel
+reason, which ``raise_first`` raises with the ``REASONS`` message of the
+first failed item).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import sys as _sys
 import numpy as np
 
 from .cascaded import (
-    REASONS,
     CascadedParams,
-    InvalidParamsError,
+    NumericalError,
+    SchemaError,
     build_system,
     disconnected_baseline,
     linear_response,
@@ -48,15 +50,8 @@ from .cascaded import (
     raise_first,
 )
 from .counting import flow_cumulants, large_deviation
-from .optomech import (
-    NoCouplingError,
-    OmParams,
-    design_nonreciprocal,
-    map_to_cascaded,
-    preset_microwave,
-)
+from .optomech import OmParams, design_nonreciprocal, map_to_cascaded, preset_microwave
 from .sweeps import (
-    SchemaError,
     cascaded_from_raw,
     check_params,
     emit_parts,
@@ -66,7 +61,6 @@ from .sweeps import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-NUMERIC_ERRORS = (*dict.fromkeys(error for error, _ in REASONS.values()), NoCouplingError)
 
 
 def _parse_sets(model: str, pairs: list[str]) -> dict:
@@ -309,10 +303,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except (SchemaError, InvalidParamsError, OSError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERIC
 

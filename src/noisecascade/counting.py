@@ -101,9 +101,10 @@ sigma_0, so the two share one stacked Lyapunov solve (drifts M and M†,
 sources N and P), and both cumulants cost that one solve.  This gives
 exact cumulants.
 
-Kernels return a reason per item; ``raise_first`` raises.
-``flow_cumulants`` and ``large_deviation`` return (value, reason) for one
-system and a stack alike, NaN in the failed items (``cascaded.REASONS``).
+Kernels return a reason per item; ``cascaded.raise_first`` raises
+NumericalError.  ``flow_cumulants`` and ``large_deviation`` return (value,
+reason) for one system and a stack alike, NaN in the failed items
+(``cascaded.REASONS``).
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import (  # and the two counting errors, which callers import from here
-    GRAMIAN_FAILED, INADMISSIBLE, NOT_FINITE, ZERO_RATE, LinearSystem,
-    OutsideAdmissibleRegionError, ZeroRateChannelError, _stable_drift, add_reason,
+from .cascaded import (
+    ETA1_NOT_FINITE, ETA2_NOT_FINITE, GRAMIAN_FAILED, INADMISSIBLE, ZERO_RATE, LinearSystem,
+    _stable_drift, add_reason,
 )
 from .linalg import (
     _dagger,
@@ -270,7 +271,7 @@ def flow_cumulants(channel: int, sys: LinearSystem) -> tuple[list[NDArray], NDAr
     trace_p = np.einsum("...ii->...", P).real
     eta1 = -(fp1 * trace0 - fm1 * trace_p)
     eta2 = 2.0 * fp1 * trace1 + fp2 * trace0 - fm2 * trace_p
-    reason = add_reason(reason, ~np.isfinite(eta1), NOT_FINITE + 1)
-    reason = add_reason(reason, ~np.isfinite(eta2), NOT_FINITE + 2)
+    reason = add_reason(reason, ~np.isfinite(eta1), ETA1_NOT_FINITE)
+    reason = add_reason(reason, ~np.isfinite(eta2), ETA2_NOT_FINITE)
     # [()]: one system's eta stays a numpy scalar
     return [np.where(reason != 0, np.nan, eta)[()] for eta in (eta1, eta2)], reason

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascaded import CascadedParams, InvalidParamsError, _ParamSet
+from .cascaded import CascadedParams, NumericalError, SchemaError, _ParamSet
 
 TWO_PI = 2.0 * math.pi
-
-
-class NoCouplingError(Exception):
-    """The non-reciprocity design condition needs both optomechanical couplings."""
 
 
 @dataclass(frozen=True)
@@ -145,22 +141,23 @@ def design_nonreciprocal(p: OmParams) -> NonReciprocalDesign:
 
     J* = G1 G2 |chi(Omega)| and phi* = arg(i chi(Omega)), so that
     J* - i chi(Omega) G1 G2 e^{-i phi*} = 0 with J* real.  One point only:
-    array parameters raise ValueError.  A chi(Omega) or a design point
-    outside the float range raises InvalidParamsError.
+    array parameters raise ValueError.  Without both couplings
+    (G1 G2 <= 0) there is no design point, which raises NumericalError; a
+    chi(Omega) or a design point outside the float range raises SchemaError.
     """
     if np.ndim(p.omega_m):
         raise ValueError("design_nonreciprocal takes one parameter point; arrays are not supported")
     if p.G1 * p.G2 <= 0.0:
-        raise NoCouplingError("design condition needs G1 * G2 > 0")
+        raise NumericalError("design condition needs G1 * G2 > 0")
     chi = mech_susceptibility(p.Omega, p)
     if not np.isfinite(chi):
         message = "gamma_m: susceptibility 1 / (gamma_m/2 - i (Omega - omega_m)) is not finite"
-        raise InvalidParamsError(message)
+        raise SchemaError(message)
     j_star = p.G1 * p.G2 * abs(chi)
     phi_star = float(np.angle(1j * chi))
     residual = abs(j_star - 1j * chi * p.G1 * p.G2 * np.exp(-1j * phi_star))
     if not np.isfinite([j_star, residual]).all():
-        raise InvalidParamsError("G1, G2: design point J* = G1 G2 |chi(Omega)| is not finite")
+        raise SchemaError("G1, G2: design point J* = G1 G2 |chi(Omega)| is not finite")
     return NonReciprocalDesign(j_star=j_star, phi_star=phi_star, residual=residual)
 
 

@@ -9,9 +9,10 @@ as disconnected-baseline occupations (mbar1..3), converted at every rate by
 the equal-rate inverse Nbar_i = 2 mbar_i - mbar_3 (i = 1, 2), Nbar_3 = mbar_3:
 mbar_i is the m_i column only where kappa_i = gamma_i.  ``check_params``
 holds the rules for a model's parameters (known names, finite numbers, one
-spelling per quantity, required fields); ``parse_config`` applies it to
-``params`` and the axis variables, with the model's sign rule on the
-``params`` that no axis replaces, and the CLI to its ``--set`` values.
+spelling per quantity, required fields, then the model's sign rule and the
+mbar conversion on the values that no axis replaces); ``parse_config``
+applies it to ``params`` and the axis variables, and the CLI to its
+``--set`` values, so both report the same first error.
 
 The grid is evaluated in blocks of BLOCK_POINTS (16384) points, so a grid
 of up to 128 x 128 points, the README's 101 x 101 included, is one block;
@@ -64,6 +65,7 @@ from numpy.typing import NDArray
 from .cascaded import (
     CascadedParams,
     LinearSystem,
+    SchemaError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -74,10 +76,6 @@ from .counting import large_deviation
 from .optomech import OmParams, map_to_cascaded
 
 _log = logging.getLogger("noisecascade")
-
-
-class SchemaError(Exception):
-    """Config document violates the sweep schema; message carries the field path."""
 
 
 _TOP_KEYS = {"model", "params", "axes", "outputs", "format", "parallel", "s_grid"}
@@ -233,10 +231,12 @@ def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "par
     its other names (Delta, mbar1..3), every value a finite number (F may
     also be a complex string such as "0.1-0.2j"), no quantity may be set by
     two spellings (Delta and omega2, nbar* and mbar*), and every field
-    without a default must be given or swept.  A SchemaError names the
-    field: ``prefix`` and the name, or ``axes[i].variable``.
+    without a default must be given or swept.  The values that no axis
+    replaces then follow the model's sign rule and, for cascaded, give
+    non-negative occupations by the mbar conversion.  A SchemaError names
+    the field: ``prefix`` and the name, or ``axes[i].variable``.
     """
-    _, known, required = _PARAMS[model]
+    cls, known, required = _PARAMS[model]
     named = [(f"{prefix}{k}", k) for k in params]
     named += [(f"axes[{i}].variable", k) for i, k in enumerate(swept)]
     spelled = {}
@@ -256,6 +256,12 @@ def check_params(model: str, params: dict, swept: tuple = (), prefix: str = "par
     for name in required:
         if name not in params and name not in swept:
             raise SchemaError(f"{prefix}{name}: missing")
+    fixed = {k: v for k, v in params.items() if k not in swept}
+    for message, bad in cls._sign_rule(fixed):
+        if bad:
+            raise SchemaError(f"{prefix}{message}")
+    if model == "cascaded":
+        convert_mbar(fixed, prefix=prefix)
 
 
 def parse_config(text: str | bytes) -> SweepConfig:
@@ -321,13 +327,6 @@ def parse_config(text: str | bytes) -> SweepConfig:
         axes.append(SweepAxis(ax["variable"], lo, hi, points, spacing))
     swept = tuple(ax.variable for ax in axes)
     check_params(model, params, swept)
-    # the model's sign rule and the mbar conversion, on the values that no axis replaces
-    fixed = {k: v for k, v in params.items() if k not in swept}
-    for message, bad in _PARAMS[model][0]._sign_rule(fixed):
-        if bad:
-            raise SchemaError(f"params.{message}")
-    if model == "cascaded":
-        convert_mbar(fixed, prefix="params.")
 
     outputs_doc = doc["outputs"]
     if not isinstance(outputs_doc, list) or not outputs_doc:

@@ -6,7 +6,10 @@ tight tolerance against the independent Lyapunov numeric path.
 """
 
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -18,9 +21,9 @@ from noisecascade.cascaded import (
     RESPONSE_FAILED,
     UNSTABLE,
     CascadedParams,
-    InvalidParamsError,
     LinearSystem,
-    UnstableSystemError,
+    NumericalError,
+    SchemaError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -78,21 +81,36 @@ def random_equal_rate_params(nbar_max=200.0):
 
 class TestParams:
     def test_negative_rate_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SchemaError):
             CascadedParams(kappa1=-0.1)
 
     def test_negative_occupation_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SchemaError):
             CascadedParams(nbar2=-1.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SchemaError):
             CascadedParams(omega1=float("nan"))
 
     def test_detuning_and_collective_rate(self):
         p = CascadedParams(omega1=1.0, omega2=3.5, gamma1=0.4, gamma2=0.6)
         assert p.detuning == pytest.approx(2.5)
         assert p.collective_rate == pytest.approx(1.0)
+
+
+def test_one_exception_class_per_exit_code():
+    # SchemaError (exit code 2) and NumericalError (3) are the only exception
+    # classes that the package defines; sweeps imports SchemaError, so it
+    # resolves there too
+    import noisecascade
+
+    defined = set()
+    for module in [noisecascade] + [importlib.import_module(f"noisecascade.{m.name}")
+                                    for m in pkgutil.iter_modules(noisecascade.__path__)]:
+        defined |= {obj for obj in vars(module).values() if inspect.isclass(obj)
+                    and issubclass(obj, BaseException) and obj.__module__.startswith("noisecascade")}
+    assert defined == {SchemaError, NumericalError}
+    assert noisecascade.sweeps.SchemaError is SchemaError
 
 
 class TestBuildSystem:
@@ -204,7 +222,7 @@ class TestSteadyState:
         sys = build_system(CascadedParams(omega1=1.0, omega2=1.0))
         W, G, reason = linear_response(sys)
         assert reason == UNSTABLE and np.isnan(W).all() and np.isnan(G).all()
-        with pytest.raises(UnstableSystemError):
+        with pytest.raises(NumericalError):
             raise_first(reason, margin=sys.margin)
 
     def test_nan_drift_is_unstable(self, monkeypatch):
@@ -225,7 +243,7 @@ class TestSteadyState:
         W0, G0, _ = linear_response(build_system(p))
         assert same_bits(W[0], W0) and same_bits(G[0], G0)
         point = dataclasses.replace(build_system(p), M=M[1])
-        with pytest.raises(UnstableSystemError, match="margin nan"):
+        with pytest.raises(NumericalError, match="margin nan"):
             raise_first(linear_response(point)[2], margin=point.margin)
 
     def test_float_margin(self):
@@ -241,7 +259,7 @@ class TestSteadyState:
         sys = system(np.zeros((2, 2)))
         reason, M = cascaded._stable_drift(sys)
         assert reason == UNSTABLE and (M == -np.eye(2)).all()
-        with pytest.raises(UnstableSystemError, match=r"margin 0\.000e\+00"):
+        with pytest.raises(NumericalError, match=r"margin 0\.000e\+00"):
             raise_first(reason, margin=sys.margin)
 
     def test_stack_without_a_mask(self):
@@ -533,7 +551,7 @@ class TestParamRule:
     def test_single_point_messages(self, cls):
         base, cases = SINGLE_POINT_MESSAGES[cls]
         for change, message in cases:
-            with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            with pytest.raises(SchemaError, match=f"^{message}$"):
                 cls(**{**base, **change})
 
     @pytest.mark.parametrize("cls", list(RULES), ids=lambda cls: cls.__name__)
@@ -558,7 +576,7 @@ class TestParamRule:
             if message is None:
                 cls(**point)
             else:
-                with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                with pytest.raises(SchemaError, match=f"^{message}$"):
                     cls(**point)
             assert invalid[i] == (message is not None), i
         assert 0.2 * n < invalid.sum() < 0.8 * n
@@ -578,7 +596,7 @@ class TestParamRule:
             if message is None:
                 cls(**point)
             else:
-                with pytest.raises(InvalidParamsError) as info:
+                with pytest.raises(SchemaError) as info:
                     cls(**point)
                 assert str(info.value) == message, point
 
@@ -631,7 +649,7 @@ class TestArrayParams:
             point = {name: v[i].item() for name, v in fields.items()}
             try:
                 q = CascadedParams(**point)
-            except InvalidParamsError:
+            except SchemaError:
                 assert invalid[i], i
                 continue
             assert not invalid[i], i
@@ -664,7 +682,7 @@ class TestArrayParams:
         })
         W, G, reason = linear_response(build_system(stack))
         assert reason.tolist() == [0, UNSTABLE, UNSTABLE, RESPONSE_FAILED, UNSTABLE, 0]
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(SchemaError):
             CascadedParams(**points[4])
         singles = [linear_response(build_system(CascadedParams(**point))) for point in valid]
         assert [int(reason) for _, _, reason in singles] == reason.tolist()
@@ -683,7 +701,7 @@ class TestArrayParams:
         # only one point raises; an array reports its bad items through invalid()
         p = CascadedParams(kappa1=[1.0, -1.0, 2.0], nbar3=[0.0, 1.0, np.nan])
         assert p.invalid().tolist() == [False, True, True]
-        with pytest.raises(InvalidParamsError, match="^kappa1: must be non-negative$"):
+        with pytest.raises(SchemaError, match="^kappa1: must be non-negative$"):
             CascadedParams(kappa1=np.array(-1.0))  # a 0-d array is one point
 
     def test_scalars_broadcast_against_arrays(self):
@@ -839,5 +857,5 @@ class TestLinearResponse:
 
     def test_one_unstable_system_raises(self):
         sys = build_system(dataclasses.replace(self.CRITERION_8, kappa1=0.0, gamma1=0.0))
-        with pytest.raises(UnstableSystemError, match="^drift is not stable"):
+        with pytest.raises(NumericalError, match="^drift is not stable"):
             raise_first(linear_response(sys)[2], margin=sys.margin)

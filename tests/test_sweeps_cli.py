@@ -26,7 +26,6 @@ from exact_occupation_oracle import exact_occupations
 from noisecascade import cli, sweeps
 from noisecascade.cascaded import (
     CascadedParams,
-    InvalidParamsError,
     build_system,
     closed_form_occupations,
     disconnected_baseline,
@@ -646,7 +645,7 @@ def reference_row(cfg, axis_values):
     raw.update(zip((ax.variable for ax in cfg.axes), axis_values))
     try:
         p = cascaded_from_raw(raw) if cfg.model == "cascaded" else map_to_cascaded(OmParams(**raw))
-    except (InvalidParamsError, SchemaError):  # bad fields, a negative mbar conversion
+    except SchemaError:  # bad fields, a negative mbar conversion
         return (None,) * n_out, "unsupported", 0.0
     sys = build_system(p)
     margin = stability_margin(sys.M)
@@ -1940,7 +1939,7 @@ class TestParamCheck:
             (["fcs", "1", *with_set(FCS_SETS, "F", "abc")],
              "F: must be a finite number or complex string"),
             (["steady-state", *with_set(FCS_SETS, "phi", "x")], "phi: not a number: 'x'"),
-            # signs are checked by OmParams.invalid(), for library callers too
+            # signs are checked by check_params, and by OmParams.invalid() for library callers
             (["design", *with_set(OM_SETS, "kappa1", "-1")], "kappa1: must be non-negative"),
             (["map-om", *with_set(OM_SETS, "gamma_m", "0")], "gamma_m: must be positive"),
             # finite inputs whose mapping is not: G1^2 overflows, and times Im chi = 0 is NaN
@@ -1975,6 +1974,21 @@ class TestParamCheck:
                "axes": [{"variable": "Delta", "min": 0, "max": 1, "points": 2}],
                "outputs": ["n1"]}
         assert self.config_error(doc, tmp_path, capsys) == f"params.{message}"
+
+    def test_input_invalid_in_two_ways_reads_alike_from_both_front_ends(self, tmp_path, capsys):
+        # the sign rule runs before the mbar conversion for --set values as
+        # for a config's params, so both name kappa1 here
+        om_params = {pair.partition("=")[0]: float(pair.partition("=")[2]) for pair in OM_SETS[1::2]}
+        for command, model, params, message in (
+            ("steady-state", "cascaded", {"kappa1": -1, "mbar1": 0, "mbar3": 1},
+             "kappa1: must be non-negative"),
+            ("map-om", "optomech", {**om_params, "gamma_m": 0}, "gamma_m: must be positive"),
+        ):
+            doc = {"model": model, "params": params, "outputs": ["n1"],
+                   "axes": [{"variable": "phi", "min": 0, "max": 1, "points": 2}]}
+            assert self.config_error(doc, tmp_path, capsys) == f"params.{message}"
+            sets = [a for k, v in params.items() for a in ("--set", f"{k}={v}")]
+            assert self.set_error([command, *sets], capsys) == f"error: {message}\n"
 
     def test_set_values_build_what_a_config_builds(self):
         sets = ["omega1=0.5", "Delta=1", "F=0.1-0.2j", "mbar1=2", "mbar3=1", "kappa1=1"]
