@@ -225,12 +225,11 @@ def build_system(p: CascadedParams) -> LinearSystem:
     return LinearSystem(M=M, U=U, rate=rate, nbar=nbar)
 
 
-def _stable_drift(sys: LinearSystem):
-    """(reason, M): UNSTABLE at the items whose margin is not negative (NaN
-    too), 0 elsewhere, and the stable placeholder drift -I in M at those items."""
+def unstable(sys: LinearSystem) -> NDArray:
+    """The package's one stability rule: UNSTABLE at the items whose margin is
+    not negative (NaN too), 0 elsewhere."""
     # logical_not, not ~: ~ of the Python bool of a float margin is -2, which is truthy
-    unstable = np.logical_not(sys.margin < 0.0)
-    return np.where(unstable, UNSTABLE, 0), np.where(unstable[..., None, None], -np.eye(2), sys.M)
+    return np.where(np.logical_not(sys.margin < 0.0), UNSTABLE, 0)
 
 
 @np.errstate(over="ignore")  # a sum past the float maximum is inf, which callers blank
@@ -267,14 +266,13 @@ def linear_response(sys: LinearSystem) -> tuple[NDArray, ...]:
     vanish, and the columns sum to 2 (|u_j|^2 - rate_j), zero up to rounding.
 
     Returns (W, G, reason) for one system and a stack alike, NaN where the
-    reason is UNSTABLE or RESPONSE_FAILED.  Unstable items reach the Lyapunov
-    solve only as the placeholder drift -I.
+    reason is UNSTABLE or RESPONSE_FAILED.  Every item reaches the Lyapunov
+    solve with its own drift, an unstable one too, whose reason stays UNSTABLE.
     """
-    reason, M = _stable_drift(sys)
     u = np.moveaxis(sys.U, -1, -2)  # (..., k, n): row j - 1 is u_j
     source = u[..., :, :, None] * u[..., :, None, :].conj()
-    X, singular = solve_lyapunov(M[..., None, :, :], source)  # one operator for all sources
-    reason = add_reason(reason, singular.any(axis=-1), RESPONSE_FAILED)
+    X, singular = solve_lyapunov(sys.M[..., None, :, :], source)  # one operator for all sources
+    reason = add_reason(unstable(sys), singular.any(axis=-1), RESPONSE_FAILED)
     W = np.diagonal(X, axis1=-2, axis2=-1).real.swapaxes(-2, -1)  # W[..., i, j] = Re (X_j)_ii
     # q[..., j, k] = u_k† X_j u_k (j = 1, 2); column 3 of G from its zero row sums
     x00, x01, x11 = (X[..., :2, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))

@@ -52,6 +52,7 @@ from .cascaded import (
 from .counting import flow_cumulants, large_deviation
 from .optomech import OmParams, design_nonreciprocal, map_to_cascaded, preset_microwave
 from .sweeps import (
+    MAX_COUNT,
     cascaded_from_raw,
     check_params,
     emit_parts,
@@ -160,8 +161,8 @@ def _write_file(path: str, parts) -> None:
 
 
 def _cmd_fcs(args: argparse.Namespace) -> int:
-    if args.s_points < 0 or not np.isfinite([args.s_min, args.s_max]).all():
-        raise SchemaError("--s-points must be >= 0, --s-min and --s-max finite")
+    if not 0 <= args.s_points <= MAX_COUNT or not np.isfinite([args.s_min, args.s_max]).all():
+        raise SchemaError(f"--s-points must be from 0 to {MAX_COUNT}, --s-min and --s-max finite")
     if abs(args.s_max - args.s_min) > _sys.float_info.max:  # linspace would overflow
         raise SchemaError("--s-max - --s-min overflows the float range")
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))

@@ -114,7 +114,7 @@ from numpy.typing import NDArray
 
 from .cascaded import (
     ETA1_NOT_FINITE, ETA2_NOT_FINITE, GRAMIAN_FAILED, INADMISSIBLE, ZERO_RATE, LinearSystem,
-    _stable_drift, add_reason,
+    add_reason, unstable,
 )
 from .linalg import (
     _dagger,
@@ -252,12 +252,11 @@ def flow_cumulants(channel: int, sys: LinearSystem) -> tuple[list[NDArray], NDAr
     one solve, and Tr(P sigma_1) = Tr(Z S_1) of the source S_1 of sigma_1
     (module docstring), so sigma_1 needs no solve.
     """
-    reason, M = _stable_drift(sys)
     rate, nbar, _, P, zero = _unit_vector(sys, channel)
-    reason = add_reason(reason, zero, ZERO_RATE)
-    # an extra axis makes one system solve as a stack; placeholders keep failed items out
-    sources = np.where((reason != 0)[..., None, None, None], 0.0, np.stack([sys.N, P], axis=-3))
-    X, singular = solve_lyapunov(np.stack([M, _dagger(M)], axis=-3), sources)
+    reason = add_reason(unstable(sys), zero, ZERO_RATE)
+    # an extra axis makes one system solve as a stack; a failed item solves as
+    # it is, and its reason keeps the first failure
+    X, singular = solve_lyapunov(np.stack([sys.M, _dagger(sys.M)], -3), np.stack([sys.N, P], -3))
     reason = add_reason(reason, singular.any(axis=-1), GRAMIAN_FAILED)
     V, Z = X[..., 0, :, :], X[..., 1, :, :]
     fp1, fm1 = -rate, -rate * (2.0 * nbar + 1.0)  # f+-'(0)

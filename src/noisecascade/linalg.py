@@ -15,9 +15,11 @@ only in their bath occupations) passes each distinct drift once.
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and checks each
 item.  Kernels return a reason per item; ``cascaded.raise_first`` raises.
 Here the reason is a mask: the Lyapunov solve returns (X, failed) for one
-matrix (a 0-d mask) and for a stack alike, with NaN in the failed items.  A
-failed item is replaced by a harmless placeholder before the next LAPACK
-call, so that it cannot raise LinAlgError for the whole stack.
+matrix (a 0-d mask) and for a stack alike, with NaN in the failed items.
+Callers hand every item over as it is, an unstable or non-finite one too:
+``solve_lyapunov`` is the one place that replaces an item before a LAPACK
+call, a singular Kronecker operator by the identity, so that it cannot
+raise LinAlgError for the whole stack; its item fails.
 
 Stacked products and traces of products (``stacked_product``,
 ``trace_product``) are whole-stack elementwise arithmetic with no per-item
@@ -110,10 +112,6 @@ def stability_margin(M: NDArray[np.complex128]) -> float | NDArray[np.float64]:
     return np.maximum(big[..., 0], other[..., 0])
 
 
-def _placeholder(failed: NDArray, X: NDArray, X0) -> NDArray:
-    return np.where(failed[..., None, None], X0, X)
-
-
 def _maxabs(X: NDArray) -> NDArray:
     return np.abs(X).max(axis=(-2, -1))
 
@@ -191,7 +189,7 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
     K = K.reshape(A.shape[:-2] + (n * n, n * n))
     # a zero determinant sign flags exactly the drifts whose LU has a zero pivot
     singular = np.linalg.slogdet(K)[0] == 0.0
-    Kinv = np.linalg.inv(_placeholder(singular, K, np.eye(n * n)))
+    Kinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(n * n), K))
     failed = failed | singular
     # one contiguous operator per item, as each source sees it
     Kinv = np.broadcast_to(Kinv, failed.shape + (n * n, n * n)).reshape(-1, n * n, n * n)
@@ -200,4 +198,4 @@ def solve_lyapunov(A: NDArray, N: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
     # V is exactly Hermitian, so V A† is exactly (A V)†
     AV = stacked_product(A, V)
     failed = failed | ~(_maxabs(AV + _dagger(AV) + N) <= _RESIDUAL_RTOL * norm_n)
-    return _placeholder(failed, _ldexp(V, b - a), np.nan), failed
+    return np.where(failed[..., None, None], np.nan, _ldexp(V, b - a)), failed

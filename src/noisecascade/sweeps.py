@@ -18,11 +18,10 @@ The grid is evaluated in blocks of BLOCK_POINTS (16384) points, so a grid
 of up to 128 x 128 points, the README's 101 x 101 included, is one block;
 with theta, a block holds at most BLOCK_POINTS (point, s) pairs, one point
 at least.  A block is one array-valued parameter set built from the axis
-columns, with all-zero placeholders at its invalid points if it has any;
-in a block without one, each field given as one value stays broadcast, a
-view with zero strides.  Every layer, from the parameters to each
-requested output column (theta over the whole s_grid), makes one call per
-block.  Occupations and flows are linear in the bath occupations, so the
+columns, invalid points as they are; each field given as one value stays
+broadcast, a view with zero strides.  Every layer, from the parameters to
+each requested output column (theta over the whole s_grid), makes one call
+per block.  Occupations and flows are linear in the bath occupations, so the
 points of a block that differ only in nbar1..3 (keyed on the float64 bits
 of every other field that is not broadcast, of which only the words that
 vary within the block are compared) share one system, built once for
@@ -71,6 +70,7 @@ from .cascaded import (
     disconnected_baseline,
     linear_response,
     occupations,
+    unstable,
 )
 from .counting import large_deviation
 from .optomech import OmParams, map_to_cascaded
@@ -133,6 +133,8 @@ _SPELLINGS = {"Delta": ("omega2", "Delta")} | {
 # J x G2 grid with theta at 4 s values.  Emitting the whole text at once
 # took 17.2, 4.9 and 8.5 MB.
 BLOCK_POINTS = 16384
+# the largest array size numpy takes: the most grid points, or fcs s values
+MAX_COUNT = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -314,8 +316,8 @@ def parse_config(text: str | bytes) -> SweepConfig:
             if not _is_number(ax[key]):
                 raise SchemaError(f"{path}.{key}: must be a finite number")
         points = ax["points"]
-        if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-            raise SchemaError(f"{path}.points: must be an integer >= 1")
+        if isinstance(points, bool) or not isinstance(points, int) or not 1 <= points <= MAX_COUNT:
+            raise SchemaError(f"{path}.points: must be an integer from 1 to {MAX_COUNT}")
         spacing = ax.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise SchemaError(f"{path}.spacing: must be 'linear' or 'log'")
@@ -325,6 +327,8 @@ def parse_config(text: str | bytes) -> SweepConfig:
         if spacing == "linear" and abs(hi - lo) > float_info.max:  # linspace would overflow
             raise SchemaError(f"{path}: max - min overflows the float range")
         axes.append(SweepAxis(ax["variable"], lo, hi, points, spacing))
+    if math.prod(ax.points for ax in axes) > MAX_COUNT:
+        raise SchemaError(f"axes: the grid must have at most {MAX_COUNT} points")
     swept = tuple(ax.variable for ax in axes)
     check_params(model, params, swept)
 
@@ -394,25 +398,25 @@ def _systems(p: CascadedParams) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
 def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[NDArray, ...]:
     """(values, status) of a block of grid points: one call per layer.
 
-    The block's parameters are one array-valued CascadedParams built from its
-    axis columns.  Only a block that holds an invalid point is rewritten,
-    with all-zero placeholders (as in CascadedParams()) at its invalid
-    points; in a valid block each field given as one value stays broadcast,
-    a view with zero strides.  Points that differ only in nbar1..3 share one
-    system, built once: the margin and the linear response (W, G) are
-    computed once per distinct system, and each point's occupations, flows
-    and theta follow from its nbar.  One DEBUG line on the ``noisecascade``
-    logger gives the block's points, systems and placeholders.  A cell is
-    blank exactly where its value is not finite.  Each kernel writes
-    NaN where its value is undefined: a failed Lyapunov solve (n*, dn*,
-    eta*), a mode without a rate (m*, dn*), unequal rates (n*_closed) and a
-    zero-rate channel 1 or an s outside the admissible region (theta; s = 0
-    is inside, with theta = 0); an n_i past the float maximum is inf.  Two
-    rules add NaN in place: a row rule, by which stability_margin and
-    F_residual need valid parameters and every other output a stable drift,
-    and eta_k is NaN where channel k has no rate, as ``fcs`` refuses that
-    channel.  A stable row with a blank cell is ``unsupported``, as is a
-    point whose parameters are invalid.
+    The block's parameters are one array-valued CascadedParams built from
+    its axis columns, whose invalid points reach every kernel as they are;
+    each field given as one value stays broadcast, a view with zero
+    strides.  Points that differ only in nbar1..3 share one system, built
+    once: the margin and the linear response (W, G) are computed once per
+    distinct system, and each point's occupations, flows and theta follow
+    from its nbar.  One DEBUG line on the ``noisecascade`` logger gives the
+    block's points, systems and invalid points.  A cell is blank exactly
+    where its value is not finite.  Each kernel writes NaN where its value is
+    undefined: a failed Lyapunov solve (n*, dn*, eta*), a mode without a
+    rate (m*, dn*), unequal rates (n*_closed) and a zero-rate channel 1 or
+    an s outside the admissible region (theta; s = 0 is inside, with
+    theta = 0); an n_i past the float maximum is inf.  Two rules add NaN in
+    place: a row rule, by which stability_margin and F_residual need valid
+    parameters and every other output a stable drift (by
+    ``cascaded.unstable``, the kernels' rule), and eta_k is NaN where
+    channel k has no rate, as ``fcs`` refuses that channel.  A stable row
+    with a blank cell is ``unsupported``, as is a point whose parameters are
+    invalid.
     """
     raw = dict(cfg.params)
     raw.update(zip((ax.variable for ax in cfg.axes), axis_columns))
@@ -423,17 +427,14 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         om = OmParams(**raw)
         p = map_to_cascaded(om)
         built = ~(om.invalid() | p.invalid())
-    placeholders = not built.all()
-    if placeholders:
-        p = CascadedParams(**{f.name: np.where(built, getattr(p, f.name), 0.0) for f in dc_fields(p)})
     first, inverse = _systems(p)
-    _log.debug("sweep block: %d points, %d systems, placeholders: %s",
-               built.size, first.size, "yes" if placeholders else "no")
+    _log.debug("sweep block: %d points, %d systems, %d invalid",
+               built.size, first.size, np.count_nonzero(~built))
     # each distinct system is built once, for every output
     distinct = build_system(CascadedParams(**{k: v[first] for k, v in vars(p).items()}))
     nbar = np.stack([p.nbar1, p.nbar2, p.nbar3], axis=-1)
     margin = distinct.margin[inverse]
-    stable = built & (margin < 0.0)
+    stable = built & (unstable(distinct)[inverse] == 0)
     # hypot rounds like abs() of one Python complex; np.abs may differ in the last bit
     with np.errstate(over="ignore"):  # |F| past the float maximum is blank
         cells = {"stability_margin": [margin], "F_residual": [np.hypot(p.F.real, p.F.imag)]}
@@ -467,8 +468,8 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
         stop = start + len(cells[name])
         values[~built if name in ("stability_margin", "F_residual") else ~stable, start:stop] = np.nan
         start = stop
-    unstable = np.where(built & ~stable, "unstable", "unsupported")
-    return values, np.where(stable & np.isfinite(values).all(axis=1), "ok", unstable)
+    failed = np.where(built & ~stable, "unstable", "unsupported")
+    return values, np.where(stable & np.isfinite(values).all(axis=1), "ok", failed)
 
 
 def iter_blocks(cfg: SweepConfig) -> Iterator[SweepResult]:

@@ -226,8 +226,8 @@ class TestSteadyState:
             raise_first(reason, margin=sys.margin)
 
     def test_nan_drift_is_unstable(self, monkeypatch):
-        # a NaN margin is not stable: the item reaches the solve only as the
-        # -I placeholder, and one point reports it as a stack item does
+        # a NaN margin is not stable: the item reaches the solve with its own
+        # NaN drift, and one point reports it as a stack item does
         from noisecascade import cascaded
 
         p = CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=0.5, gamma2=0.25, nbar1=2.0)
@@ -239,12 +239,46 @@ class TestSteadyState:
                             lambda A, N: drifts.append(A) or solve(A, N))
         W, G, reason = linear_response(dataclasses.replace(stack, M=M))
         assert reason.tolist() == [0, UNSTABLE] and np.isnan(W[1]).all() and np.isnan(G[1]).all()
-        assert (drifts[0][1] == -np.eye(2)).all()
+        assert same_bits(drifts[0][:, 0], M)
         W0, G0, _ = linear_response(build_system(p))
         assert same_bits(W[0], W0) and same_bits(G[0], G0)
         point = dataclasses.replace(build_system(p), M=M[1])
         with pytest.raises(NumericalError, match="margin nan"):
             raise_first(linear_response(point)[2], margin=point.margin)
+
+    def test_unstable_items_solve_their_own_drift(self, monkeypatch):
+        # linear_response and flow_cumulants hand the Lyapunov solve every
+        # item as it is, an unstable one too, and still report it UNSTABLE,
+        # NaN, while the stable items equal their single calls bit for bit
+        from noisecascade import cascaded, counting
+
+        p = CascadedParams(kappa1=np.array([1.0, 0.0, 1.0]), kappa2=1.0,
+                           gamma1=np.array([0.5, 0.0, 0.5]), gamma2=0.25,
+                           omega1=np.array([0.0, 1.0, 0.0]), nbar1=2.0, nbar3=1.0)
+        sys = build_system(p)
+        # item 2 with gain in place of damping: its solve succeeds, with an X
+        # that is no covariance
+        M = sys.M.copy()
+        M[2] = -M[2]
+        sys = dataclasses.replace(sys, M=M)
+        assert (np.sign(stability_margin(M)) == [-1.0, 0.0, 1.0]).all()
+        assert not solve_lyapunov(M[2], sys.N[2])[1]
+        first = build_system(CascadedParams(**{k: v[0] for k, v in vars(p).items()}))
+
+        def response(sys):
+            W, G, reason = linear_response(sys)
+            return [W, G], reason
+
+        kernels = {cascaded: response, counting: lambda sys: flow_cumulants(1, sys)}
+        for module, kernel in kernels.items():
+            drifts, solve = [], module.solve_lyapunov
+            monkeypatch.setattr(module, "solve_lyapunov",
+                                lambda A, N, d=drifts, f=solve: d.append(A) or f(A, N))
+            values, reason = kernel(sys)
+            assert same_bits(drifts[0][:, 0], M)  # flow_cumulants solves M† at [:, 1]
+            assert reason.tolist() == [0, UNSTABLE, UNSTABLE], module.__name__
+            for value, one in zip(values, kernel(first)[0]):
+                assert np.isnan(value[1:]).all() and same_bits(value[0], one)
 
     def test_float_margin(self):
         # the margin of one drift is a numpy scalar: ~ of a Python bool would
@@ -254,11 +288,10 @@ class TestSteadyState:
         def system(M):
             return LinearSystem(M, np.zeros((2, 3)), np.zeros(3), np.zeros(3))
 
-        reason, M = cascaded._stable_drift(system(-np.eye(2)))
-        assert reason == 0 and (M == -np.eye(2)).all()
+        assert cascaded.unstable(system(-np.eye(2))) == 0
         sys = system(np.zeros((2, 2)))
-        reason, M = cascaded._stable_drift(sys)
-        assert reason == UNSTABLE and (M == -np.eye(2)).all()
+        reason = cascaded.unstable(sys)
+        assert reason == UNSTABLE
         with pytest.raises(NumericalError, match=r"margin 0\.000e\+00"):
             raise_first(reason, margin=sys.margin)
 
@@ -663,8 +696,8 @@ class TestArrayParams:
 
     def test_linear_response_stack_flags_what_a_point_raises(self):
         # a stack item has the reason of its single call, and equals it bit for
-        # bit where that is 0; the invalid point takes the all-zero placeholder
-        # of a sweep, which is unstable
+        # bit where that is 0; the all-zero point in place of the invalid one
+        # is unstable
         points = [
             dict(kappa1=1.0, kappa2=0.5, gamma1=0.3, gamma2=0.7, F=0.2j, nbar1=2.0, nbar3=1.0),
             dict(omega1=1.0, omega2=1.0, kappa2=1.0, nbar2=3.0),  # mode 1 undamped: marginal

@@ -551,7 +551,7 @@ def test_kernels_raise_nothing():
             if isinstance(node, ast.Raise):
                 assert isinstance(node.exc, ast.Call) and node.exc.func.id == "ValueError", (
                     name, ast.unparse(node))
-    assert {"_stable_drift", "_unit_vector", "add_reason", "solve_lyapunov"} <= seen
+    assert {"unstable", "_unit_vector", "add_reason", "solve_lyapunov"} <= seen
     assert "raise_first" not in seen
 
 

@@ -321,6 +321,29 @@ class TestParseConfig:
         with pytest.raises(SchemaError, match="log spacing"):
             parse_config(json.dumps(doc))
 
+    def test_counts_past_the_index_range(self, tmp_path, capsys):
+        # numpy indexes at most intp max items: a longer axis or a larger
+        # grid is bad input, named as the config is read; no case here
+        # allocates, since parse_config builds no axis
+        largest = np.iinfo(np.intp).max
+        doc = {"model": "cascaded", "params": {"kappa1": 1.0, "kappa2": 1.0}, "outputs": ["n1"]}
+
+        def grid(*points):
+            names = ("omega1", "omega2", "nbar1")
+            return json.dumps(dict(doc, axes=[{"variable": name, "min": 0.0, "max": 1.0,
+                                               "points": n} for name, n in zip(names, points)]))
+
+        too_long = f"axes[0].points: must be an integer from 1 to {largest}"
+        too_many = f"axes: the grid must have at most {largest} points"
+        for points, message in (((10**20,), too_long), ((3_000_000,) * 3, too_many),
+                                ((2**21,) * 3, too_many)):
+            config = tmp_path / "config.json"
+            config.write_text(grid(*points))
+            assert main(["sweep", str(config)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        for points in ((largest,), (3577, 42799, 60247241209)):  # the product is intp max
+            parse_config(grid(*points))
+
     def test_negative_baseline_occupation(self):
         doc = json.loads(fig2_config())
         doc["params"]["mbar3"] = 120.0
@@ -699,6 +722,31 @@ MIXED_GRID = {
     "s_grid": [-0.2, 0.0, 0.6],
 }
 
+# a block whose invalid points reach every kernel with their own values: a
+# negative swept rate (kappa1 = -1) and a negative converted occupation
+# (mbar3 = 2 gives Nbar2 = -0.4) on the cascaded model, and on the
+# optomechanical one a negative swept rate, gamma_m < 0 and gamma_m = 0, whose
+# susceptibility at Omega = omega_m is 1/0 and whose mapping is not finite
+INVALID_CASCADED_SWEEP = {
+    "model": "cascaded",
+    "params": {"kappa2": 1.0, "gamma1": 1.0, "gamma2": 1.0, "omega1": 0.3, "phi": 0.4,
+               "F": "0.1-0.2j", "mbar1": 1.0, "mbar2": 0.8},
+    "axes": [{"variable": "kappa1", "min": -1.0, "max": 1.0, "points": 3},
+             {"variable": "mbar3", "min": 0.0, "max": 2.0, "points": 3}],
+    "outputs": ["n1", "dn2", "eta1", "eta3", "n1_closed", "theta", "stability_margin",
+                "F_residual"],
+    "s_grid": [-0.2, 0.3],
+}
+INVALID_OM_SWEEP = {
+    "model": "optomech",
+    "params": {"omega_m": 5.0, "Delta1": 5.0, "Delta2": 5.0, "kappa2": 1.0, "G1": 0.3,
+               "G2": 0.3, "J": 0.45, "phi": 1.5707963267948966, "Nbar1": 2.0, "Nbar_m": 1.0},
+    "axes": [{"variable": "gamma_m", "min": -0.4, "max": 0.4, "points": 3},
+             {"variable": "kappa1", "min": -1.0, "max": 1.0, "points": 3}],
+    "outputs": ["n1", "n2", "eta2", "theta", "stability_margin", "F_residual"],
+    "s_grid": [-0.2, 0.3],
+}
+
 # every Nbar = 0: the mapped system sits at the vacuum, where the occupations
 # and flows, linear in the bath occupations, are exactly 0
 ZERO_TEMPERATURE_SWEEP = {
@@ -823,10 +871,22 @@ class TestStackedSweep:
             run_sweep(parse_config(json.dumps(dict(MIXED_GRID, outputs=outputs))))
             assert calls == per_block * (10 if "theta" in outputs else 3), outputs
 
+    @pytest.mark.parametrize("block_points", [sweeps.BLOCK_POINTS, 7])
+    @pytest.mark.parametrize("name", ["invalid_cascaded", "invalid_optomech"])
+    def test_invalid_points_output_pinned(self, name, block_points, monkeypatch):
+        # the bytes of tests/pinned/<name>.csv and .json, written when invalid
+        # points still reached the kernels as all-zero placeholders
+        monkeypatch.setattr(sweeps, "BLOCK_POINTS", block_points)
+        cfg = parse_config(json.dumps(ci_sweep_configs()[name]))
+        result = run_sweep(cfg)
+        assert "unsupported" in result.status and "ok" in result.status
+        for fmt in ("csv", "json"):
+            pinned = Path(__file__).with_name("pinned") / f"{name}.{fmt}"
+            assert emit(result, dataclasses.replace(cfg, format=fmt)) == pinned.read_bytes(), fmt
+
     def test_emission_independent_of_block_size(self, monkeypatch):
-        # with theta's 3 s values, 7 // 3 = 2 points per block: MIXED_GRID's
-        # blocks with an invalid mbar3 = 2 point take placeholders and the
-        # others keep their fixed fields broadcast, so both paths compare
+        # with theta's 3 s values, 7 // 3 = 2 points per block: some of
+        # MIXED_GRID's blocks hold an invalid mbar3 = 2 point and others none
         for doc, block_points in ((MIXED_GRID, 7), (NBAR1_SWEEP, 300)):
             for fmt in ("csv", "json"):
                 cfg = parse_config(json.dumps(dict(doc, format=fmt)))
@@ -904,21 +964,22 @@ class TestStackedSweep:
             assert systems == [1] and (result.status == "ok").all()
 
     def test_varying_fields_key_as_all_fields_do(self, monkeypatch):
-        # MIXED_GRID's block, with the all-zero placeholders of its invalid
-        # points: keyed on the fields that vary it falls into the same
-        # systems as keyed on all fields but nbar1..3
+        # MIXED_GRID's block, whose invalid mbar3 = 2 points keep their own
+        # values and each field given as one value stays broadcast: keyed on
+        # the fields that vary it falls into the same systems as keyed on all
+        # fields but nbar1..3, and the invalid points share the valid ones'
         blocks, systems = [], sweeps._systems
         monkeypatch.setattr(sweeps, "_systems", lambda p: blocks.append(p) or systems(p))
         run_sweep(parse_config(json.dumps(MIXED_GRID)))
         (p,) = blocks
-        assert (p.kappa1 == 0.0).any() and (p.phi == 0.0).any()  # placeholders
-        assert_systems_key_as_all_fields_do(p, 5)
+        assert p.invalid().sum() == (p.nbar2 < 0.0).sum() == 4
+        assert not any(p.kappa2.strides) and not any(p.phi.strides)
+        assert_systems_key_as_all_fields_do(p, 4)
 
     def test_valid_block_keeps_fixed_fields_broadcast(self, monkeypatch):
-        # a block without an invalid point takes no placeholders: each field
-        # given as one value stays broadcast (all strides zero), and _systems,
-        # which leaves such fields out, finds the systems that all fields but
-        # nbar1..3, materialized, give
+        # each field given as one value stays broadcast (all strides zero),
+        # and _systems, which leaves such fields out, finds the systems that
+        # all fields but nbar1..3, materialized, give
         blocks, systems = [], sweeps._systems
         monkeypatch.setattr(sweeps, "_systems", lambda p: blocks.append(p) or systems(p))
         readme = json.loads(fig2_config(101))
@@ -932,21 +993,21 @@ class TestStackedSweep:
                 assert any(x.strides) == (f.name in varying), f.name
             assert_systems_key_as_all_fields_do(p, count)
 
-    def test_each_block_logs_points_systems_and_placeholders(self, caplog):
+    def test_each_block_logs_points_systems_and_invalid_points(self, caplog):
         # one DEBUG line per block; the CLI configures no logging, so it
         # prints nothing (test_cli_sweep_leaves_stderr_empty)
         with caplog.at_level(logging.DEBUG, logger="noisecascade"):
             run_sweep(parse_config(fig2_config(101)))
             run_sweep(parse_config(json.dumps(MIXED_GRID)))
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert lines == ["sweep block: 10201 points, 101 systems, placeholders: no",
-                         "sweep block: 20 points, 5 systems, placeholders: yes"]
+        assert lines == ["sweep block: 10201 points, 101 systems, 0 invalid",
+                         "sweep block: 20 points, 4 systems, 4 invalid"]
 
     def test_one_stability_margin_call_per_block(self, monkeypatch):
         # the sweep's margin column and the response take the block's distinct
         # systems, one per set of fields other than nbar1..3, and share one
-        # margin call; unstable systems reach the Lyapunov solve only as the
-        # placeholder drift -I
+        # margin call; every system, an unstable one too, reaches the
+        # Lyapunov solve with its own drift
         from noisecascade import cascaded
 
         margins, responses, drifts = [], [], []
@@ -960,17 +1021,15 @@ class TestStackedSweep:
         # with theta's 3 s values, 24 // 3 = 8 points per block: 20 points in 3 blocks
         monkeypatch.setattr(sweeps, "BLOCK_POINTS", 24)
         result = run_sweep(parse_config(json.dumps(MIXED_GRID)))
-        # the (kappa1, gamma1) pairs of rows 0-7, 8-15 and 16-19, and in each
-        # block the all-zero placeholder of its invalid mbar3 = 2 point
-        assert [len(M) for M in margins] == [3, 4, 2]
+        # the (kappa1, gamma1) pairs of rows 0-7, 8-15 and 16-19; the invalid
+        # mbar3 = 2 point of each pair shares its system
+        assert [len(M) for M in margins] == [2, 3, 1]
         assert len(responses) == len(drifts) == 3
         for M, response_M, drift in zip(margins, responses, drifts):
             assert response_M is M and drift.shape == (len(M), 1, 2, 2)
             assert len(np.unique(M.reshape(len(M), -1), axis=0)) == len(M)
-            unstable = ~(margin(M) < 0.0)
-            assert unstable.any() and (drift[unstable] == -np.eye(2)).all()
-            assert (margin(drift[:, 0]) < 0.0).all()
-            np.testing.assert_array_equal(drift[~unstable, 0], M[~unstable])
+            np.testing.assert_array_equal(drift[:, 0], M)
+        assert not (margin(np.concatenate(margins)) < 0.0).all()  # kappa1 = gamma1 = 0
         assert (result.status == "unstable").any()
 
 
@@ -1261,7 +1320,8 @@ def ci_sweep_configs():
         "theta_sweep460": dict(THETA_SWEEP, s_grid=[round(-0.3 + 0.001 * i, 4) for i in range(460)]),
         "theta_long100": THETA_LONG_SWEEP, "nbar1_theta": NBAR1_THETA_SWEEP,
         "nbar1_only": NBAR1_ONLY_SWEEP, "large_equal_rates": LARGE_EQUAL_RATES_SWEEP,
-        "huge_f": HUGE_F_SWEEP,
+        "huge_f": HUGE_F_SWEEP, "invalid_cascaded": INVALID_CASCADED_SWEEP,
+        "invalid_optomech": INVALID_OM_SWEEP,
     }
 
 
@@ -1561,6 +1621,11 @@ class TestCli:
         for points in (0, 1):
             assert main([*args, "--s-points", str(points)]) == 0
             assert len(json.loads(capsys.readouterr().out)["theta"]) == points
+        # a count past numpy's index range is bad input too
+        assert main([*args, "--s-points", str(10**20)]) == 2
+        largest = np.iinfo(np.intp).max
+        message = f"error: --s-points must be from 0 to {largest}, --s-min and --s-max finite\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_design_command(self, capsys):
         rc = main([
@@ -1800,6 +1865,13 @@ class TestParserReuse:
         assert rc == 2 and out == "" and "invalid choice: 4" in err
         valid = ["fcs", "3", *FCS_SETS]
         assert call_main(valid, capsys)[:3] == fresh_process(valid)
+        # channel 1, and channel 3 (the only column of U with a phase and a
+        # summed rate) at non-unit, unequal rates
+        channel3 = ["fcs", "3", "--set", "kappa1=0.3", "--set", "kappa2=1", "--set", "gamma1=0.7",
+                    "--set", "gamma2=0.1", "--set", "phi=0.4", "--set", "nbar1=2", "--set", "nbar2=1",
+                    "--set", "nbar3=0.5"]
+        for argv in (["fcs", "1", *FCS_SETS], channel3):
+            assert call_main(argv, capsys)[:3] == fresh_process(argv)
 
     @pytest.mark.parametrize("name", list(REPEATED_CALLS))
     def test_repeated_call_is_byte_identical(self, name, tmp_path, capsys):
@@ -2189,8 +2261,8 @@ class TestOverflowingInputs:
         assert (row["n2"], row["status"]) == ("", "unsupported")
 
     @pytest.mark.parametrize("sets, expected", [
-        # mode 2 has no rate, so the drift is unstable: the placeholder drift
-        # with the sources of kappa1 overflowed G
+        # mode 2 has no rate, so the drift is unstable; its response, solved
+        # with the sources of kappa1, once overflowed G
         (["kappa1=1e200"], "error: drift is not stable (margin 0.000e+00)\n"),
         # two modes apart, each at its own bath: 8 |rho - disc| overflowed in the margin
         (["kappa1=1e308", "kappa2=1e308", "nbar1=1"], [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
