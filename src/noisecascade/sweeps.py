@@ -44,8 +44,9 @@ chunks of 4096 values) that shares its digit and layout code between the
 formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17 and zeros, JSON
 as ``float.__repr__``, the shortest round-trip digits that ``json.dumps``
 writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each other finite
-value falls back to "%.17g" or ``json.dumps`` of that value.  The rows are
-joined 1024 at a time, each part's cells gathered from that table.
+value falls back to "%.17g" or ``json.dumps`` of that value.  The texts sit
+NUL-padded in a byte table beside their separators, and each part of 1024
+rows is gathered from it with the NUL bytes removed.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -444,8 +445,9 @@ def _block(cfg: SweepConfig, axis_columns: list[NDArray[np.float64]]) -> tuple[N
     if {"n1", "n2", "dn1", "dn2", "eta1", "eta2", "eta3"} & set(cfg.outputs):
         W, G, _ = linear_response(distinct)  # NaN at failed systems
         W, G = W[inverse], G[inverse]
-        # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums
-        n = occupations(W, nbar)
+        # n_i = sum_j W_ij nbar_j, and eta_k = sum_j G_kj (nbar_j - nbar3) by G's zero row sums;
+        # a point not built (blank by the row rule) takes nbar = 0, so that it logs no clamp
+        n = occupations(W, np.where(built[:, None], nbar, 0.0))
         # blank: a flow past the float maximum, and dn of an inf occupation and an inf baseline
         with np.errstate(over="ignore", invalid="ignore"):
             eta = G[..., 0] * (p.nbar1 - p.nbar3)[:, None] + G[..., 1] * (p.nbar2 - p.nbar3)[:, None]
@@ -493,7 +495,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 # number text: one vectorized pass per chunk of values (see _number_text)
 _FORMAT_CHUNK = 4096  # values per pass; bounds the temporaries, not the result
-_EMIT_ROWS = 1024  # rows per emitted part; their cells are gathered and joined in cache
+_EMIT_ROWS = 1024  # rows per emitted part
+# table bytes per gather of a part's cells (a row at least): the temporaries stay
+# in cache, and the heap does not grow and shrink (page faults) by a part per block
+_GATHER_BYTES = 1 << 16
 _POW10 = np.array([float(10**p) for p in range(23)])  # 10^0..10^22, all exact
 _WORD = np.array([[0], [8], [16]])  # first byte of each 8-byte word of a text
 _BELOW = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)  # [c]: bytes 0..c-1
@@ -557,13 +562,14 @@ def _scaled(x: NDArray[np.float64], top: float) -> tuple[NDArray, ...]:
     return a, k, prod, err, ~(near & (k >= -6)) & (x != 0.0)
 
 
-def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
-    """The text of each v of x from its digits D (10^16 <= D < 10^17, 0 for
-    zeros) and decimal exponent k, in three little-endian words per value:
-    fixed notation for -4 <= k <= 16, d.ddde-0X for k = -5, -6, trailing
-    zeros dropped but ``fraction`` (0 or 1) digits kept after the point of
-    an integer, and a sign, also on -0.0.  ``fallback_text(v)`` gives the
-    text of each v that ``fallback`` marks.
+def _layout(D, k, x, fallback, fraction: int, fallback_text) -> NDArray[np.bytes_]:
+    """The text of each v of x, NUL-padded to 24 bytes (S24), from its digits
+    D (10^16 <= D < 10^17, 0 for zeros) and decimal exponent k, in three
+    little-endian words per value: fixed notation for -4 <= k <= 16,
+    d.ddde-0X for k = -5, -6, trailing zeros dropped but ``fraction`` (0 or
+    1) digits kept after the point of an integer, and a sign, also on -0.0.
+    ``fallback_text(v)``, at most 24 bytes ("-1.2345678901234567e-300"), is
+    the text of each v that ``fallback`` marks.
     """
     # the digits, one byte each, in three words per value: D's first digit
     # and the two halves of the other 16; each array is released once read,
@@ -612,19 +618,18 @@ def _layout(D, k, x, fallback, fraction: int, fallback_text) -> list[bytes]:
     del text
     shifted[0] |= (_ZEROS[zeros] << 8 * negative) | ord("-") * negative
     del negative, zeros, shift
-    # at most 23 bytes ("-0.00012345678901234567"); bytes() drops the zero padding
+    # at most 23 bytes ("-0.00012345678901234567"), NUL-padded
     texts = np.ascontiguousarray(shifted.T, dtype="<u8").view("S24")[:, 0]
     del shifted
     for e in (-5, -6):
         at = np.flatnonzero((k == e) & ~fallback)
         texts[at] = np.char.add(texts[at], b"e-0%d" % -e)
-    out = texts.tolist()
     for i in np.flatnonzero(fallback).tolist():
-        out[i] = fallback_text(float(x[i]))
-    return out
+        texts[i] = fallback_text(float(x[i]))
+    return texts
 
 
-def _g17(x: NDArray[np.float64]) -> list[bytes]:
+def _g17(x: NDArray[np.float64]) -> NDArray[np.bytes_]:
     """``b"%.17g" % v`` for each v of x, byte for byte.
 
     For 1e-6 <= |v| < 1e17 (``_scaled``) the 17 digits are
@@ -679,7 +684,7 @@ def _shortest_digits(a, k, prod, err) -> NDArray[np.uint64]:
     return ((q + ((g > 0.0) | ((g == 0.0) & (q & 1 == 1)))) * T).astype(np.uint64)
 
 
-def _repr17(x: NDArray[np.float64]) -> list[bytes]:
+def _repr17(x: NDArray[np.float64]) -> NDArray[np.bytes_]:
     """``float.__repr__(v)`` for each v of x as bytes, byte for byte: the
     JSON number text.
 
@@ -693,11 +698,11 @@ def _repr17(x: NDArray[np.float64]) -> list[bytes]:
     return _layout(D, k, x, fallback, 1, lambda v: json.dumps(v).encode())
 
 
-def _number_text(format_chunk, x: NDArray[np.float64]) -> list[bytes]:
-    """``format_chunk`` (_g17 or _repr17) of x, _FORMAT_CHUNK values per vectorized pass."""
-    out = []
+def _number_text(format_chunk, x: NDArray[np.float64]) -> NDArray[np.bytes_]:
+    """``format_chunk`` (_g17 or _repr17) of x as S24, _FORMAT_CHUNK values per pass."""
+    out = np.empty(x.size, "S24")
     for start in range(0, x.size, _FORMAT_CHUNK):
-        out += format_chunk(x[start : start + _FORMAT_CHUNK])
+        out[start : start + _FORMAT_CHUNK] = format_chunk(x[start : start + _FORMAT_CHUNK])
     return out
 
 
@@ -711,26 +716,36 @@ def _status_codes(status: NDArray[np.str_]) -> NDArray[np.intp]:
     return codes
 
 
-def _cell_text(result: SweepResult, as_json: bool) -> tuple[NDArray, NDArray[np.intp]]:
-    """(text, index) of a result: ``text`` holds the text of each distinct
-    value of each column (its float64 bit pattern, so -0.0 and 0.0 stay
-    apart), blank where not finite, then of each status; ``index[j, i]`` is
-    the entry of row i's cell in column j, the status last."""
+def _cell_text(result: SweepResult, cols: list[str], as_json: bool) -> tuple[NDArray, NDArray]:
+    """(table, index) of a result.  ``table`` (uint8) has a row per distinct
+    value of each column (by float64 bits, so -0.0 and 0.0 stay apart), then
+    per status: [prefix][text, NUL-padded to 24 bytes][suffix] of its column,
+    the text blank where the value is not finite.  ``index[i, j]`` is the row
+    of row i's cell in column j, the status last.  No text, key or separator
+    holds a NUL byte: ``json.dumps`` escapes control characters."""
     if not result.status.size:
         raise ValueError("no rows to emit")
-    distinct, inverse = zip(
-        *(np.unique(c.view(np.int64), return_inverse=True) for c in result.values.T)
-    )
+    distinct, inverse = zip(*(np.unique(c.view(np.int64), return_inverse=True)
+                              for c in result.values.T))
     values = np.concatenate(distinct).view(np.float64)
-    if as_json:
-        text = _number_text(_repr17, values) + [json.dumps(s).encode() for s in _STATUSES]
+    if as_json:  # a record starts at its first column and ends after the status
+        keys = [json.dumps(c) for c in cols]
+        number, statuses, sep, end = _repr17, [json.dumps(s) for s in _STATUSES], ",\n", "\n  }"
+        prefix = [",\n  {\n    %s: " % keys[0]] + ["    %s: " % k for k in keys[1:]]
     else:  # a CSV status cell ends its line
-        text = _number_text(_g17, values) + [s.encode() + b"\n" for s in _STATUSES]
-    text = np.array(text, object)
-    text[np.flatnonzero(~np.isfinite(values))] = b"null" if as_json else b""
-    starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
-    index = [i + start for i, start in zip(inverse, starts)]
-    return text, np.stack(index + [values.size + _status_codes(result.status)])
+        number, statuses, sep, end, prefix = _g17, _STATUSES, ",", "\n", [""] * len(cols)
+    suffix = [sep] * (len(cols) - 1) + [end]
+    counts = [d.size for d in distinct] + [len(_STATUSES)]
+    width = max(map(len, prefix))  # each prefix NUL-padded in front, so that the texts align
+    frames = np.array([p.rjust(width, "\0") + "\0" * 24 + s for p, s in zip(prefix, suffix)], "S")
+    table = np.repeat(frames, counts).view(np.uint8).reshape(sum(counts), -1)
+    texts = table[:, width : width + 24].view("S24")[:, 0]  # a view: written into the table
+    texts[: values.size] = _number_text(number, values)
+    texts[values.size :] = statuses
+    texts[np.flatnonzero(~np.isfinite(values))] = b"null" if as_json else b""
+    index = np.stack([*inverse, _status_codes(result.status)], axis=1)
+    index += np.cumsum([0] + counts[:-1])
+    return table, index
 
 
 def emit_parts(results: Iterable[SweepResult], cfg: SweepConfig) -> Iterator[bytes]:
@@ -738,27 +753,22 @@ def emit_parts(results: Iterable[SweepResult], cfg: SweepConfig) -> Iterator[byt
     header, each result's rows ``_EMIT_ROWS`` at a time, and the footer.
 
     The parts joined are ``emit`` of the results concatenated.  Each
-    result's distinct values are formatted once, as in ``emit``, so beside
-    the result it holds one text table and one part.
+    result's distinct values are formatted once, as in ``emit``, into a byte
+    table (``_cell_text``); a part packs its rows' cells from it, so beside
+    the result it holds one table and one part.
     """
     cols = column_names(cfg)
     as_json = cfg.format == "json"
-    if as_json:
-        keys = (json.dumps(c).replace("%", "%%") for c in cols)
-        record = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").encode()
-        yield b"[\n"
-    else:
-        yield ",".join(cols).encode() + b"\n"
-    lead = []  # an empty first record puts ",\n" before each JSON part but the first
+    yield b"[\n" if as_json else ",".join(cols).encode() + b"\n"
+    trim = 2 if as_json else 0  # the first record has no ",\n" before it
     for result in results:
-        text, index = _cell_text(result, as_json)
-        for start in range(0, index.shape[1], _EMIT_ROWS):
-            rows = zip(*text[index[:, start : start + _EMIT_ROWS]].tolist())
-            if as_json:
-                yield b",\n".join(lead + [record % row for row in rows])
-                lead = [b""]
-            else:
-                yield b"".join(map(b",".join, rows))
+        table, index = _cell_text(result, cols, as_json)
+        step = max(1, _GATHER_BYTES // index[0].size // table[0].size)  # rows per gather
+        for start in range(0, len(index), _EMIT_ROWS):
+            rows = index[start : start + _EMIT_ROWS]
+            cells = (table[rows[i : i + step]].ravel() for i in range(0, len(rows), step))
+            yield b"".join([c[c != 0] for c in cells])[trim:]
+            trim = 0
     if as_json:
         yield b"\n]\n"
 
@@ -774,7 +784,7 @@ def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
     "%.17g" (``_g17``: 1e-6 <= |x| < 1e17 and zeros), for JSON
     ``float.__repr__``, the encoder's number text (``_repr17``:
     1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text, with "%.17g" or
-    ``json.dumps`` of each other finite value.  Both are assembled as bytes,
-    the parts of ``emit_parts`` joined.
+    ``json.dumps`` of each other finite value.  Both are the parts of
+    ``emit_parts`` joined, gathered from a byte table of texts and separators.
     """
     return b"".join(emit_parts([result], cfg))

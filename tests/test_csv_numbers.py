@@ -38,7 +38,7 @@ def test_edges_ties_and_signed_zeros():
     values = EDGES + SPECIAL + TIES
     assert_matches_python(values + [-v for v in values])
     text = _number_text(_g17, np.array([0.0, -0.0, 1e-5, -0.00025, 100.0]))
-    assert text == [b"0", b"-0", b"1.0000000000000001e-05", b"-0.00025000000000000001", b"100"]
+    assert text.tolist() == [b"0", b"-0", b"1.0000000000000001e-05", b"-0.00025000000000000001", b"100"]
 
 
 bit_patterns = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))

@@ -1208,6 +1208,16 @@ SIGNED_ZEROS_AND_NON_FINITE = [
     [0.0, 0.0, math.inf, math.nan],
 ]
 
+# the longest texts of either format, 24 bytes ("%.17g" and float.__repr__
+# agree on these) and the 23 of the longest fixed notation, with -0.0 and a
+# blank cell in the first column of one row and in the last value column of
+# another
+WIDEST_TEXTS = [
+    [-1.2345678901234567e-300, -1.7976931348623157e308, -2.2250738585072014e-308],
+    [-0.00012345678901234567, -0.0, math.nan],
+    [math.inf, -2.2250738585072014e-308, -1.2345678901234567e-300],
+]
+
 
 def strict_json(text):
     """json.loads that rejects NaN, Infinity and -Infinity."""
@@ -1224,9 +1234,29 @@ class TestEmit:
     @example(case=emit_case("json", SIGNED_ZEROS_AND_NON_FINITE, [*STATUSES, "ok", "ok"], [-0.25]))
     @example(case=emit_case("csv", [[-0.0, math.nan, -1e-7, math.nan]], ["unsupported"], [0.001]))
     @example(case=emit_case("json", [[-0.0, math.nan, -1e-7, math.nan]], ["unsupported"], [0.001]))
+    @example(case=emit_case("csv", WIDEST_TEXTS, list(STATUSES)))
+    @example(case=emit_case("json", WIDEST_TEXTS, list(STATUSES)))
+    @example(case=emit_case("csv", [[math.nan, -1.7976931348623157e308, -math.inf]], ["ok"]))
+    @example(case=emit_case("json", [[math.nan, -1.7976931348623157e308, -math.inf]], ["ok"]))
     def test_matches_reference_formatter(self, case):
         cfg, result = case
         assert emit(result, cfg) == reference_emit(result, cfg)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows, parts_per_result", [(1, (1, 2)), (2, (1, 1))])
+    def test_small_parts_and_gathers(self, fmt, rows, parts_per_result, monkeypatch):
+        # parts of one or two rows over two results, each row its own gather:
+        # each JSON part but the first starts with the ",\n" between records,
+        # which the first drops
+        monkeypatch.setattr(sweeps, "_EMIT_ROWS", rows)
+        monkeypatch.setattr(sweeps, "_GATHER_BYTES", 1)
+        cfg, result = emit_case(fmt, WIDEST_TEXTS, list(STATUSES))
+        results = [SweepResult(result.values[a:b], result.status[a:b]) for a, b in ((0, 1), (1, 3))]
+        parts = list(sweeps.emit_parts(results, cfg))
+        assert len(parts) == 1 + sum(parts_per_result) + (fmt == "json")
+        assert b"".join(parts) == reference_emit(result, cfg)
+        if fmt == "json":
+            assert parts[1].startswith(b"  {\n") and parts[2].startswith(b",\n  {\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_values_emit_blank_cells(self, fmt):
@@ -1380,12 +1410,14 @@ class TestStreamedSweep:
         result = run_sweep(cfg)
         expected = {fmt: emit(result, dataclasses.replace(cfg, format=fmt)) for fmt in ("csv", "json")}
         if sizes == "small":
-            # several blocks of a few points and parts of 3 rows, so that JSON
-            # separators fall between parts and between blocks; a large grid
-            # takes five or six blocks, not thousands
+            # several blocks of a few points and parts of 3 rows, each packed
+            # from gathers of one row, so that JSON separators fall between
+            # gathers, parts and blocks; a large grid takes five or six
+            # blocks, not thousands
             pairs = len(result.status) * (len(cfg.s_grid) if "theta" in cfg.outputs else 1)
             monkeypatch.setattr(sweeps, "BLOCK_POINTS", max(7, pairs // 5))
             monkeypatch.setattr(sweeps, "_EMIT_ROWS", 3)
+            monkeypatch.setattr(sweeps, "_GATHER_BYTES", 1)
         config, out = tmp_path / "config.json", tmp_path / "out"
         config.write_text(json.dumps(doc))
         for fmt, data in expected.items():
@@ -2109,6 +2141,22 @@ class TestZeroTemperature:
             assert re.fullmatch(r"occupation n1 = -\d\.\d{3}e-1[4-7] clamped to 0", notice)
         n1 = result.values[:, 1]
         assert (n1 >= 0.0).all() and (n1 < 1e-15).all()
+
+    def test_invalid_points_log_no_clamp(self, caplog):
+        # nbar2 < 0 is invalid: those rows are blank and unsupported, and the
+        # sum W nbar, which would be negative there, is not formed for them
+        doc = {"model": "cascaded",
+               "params": {"kappa1": 1, "kappa2": 1, "gamma1": 1, "gamma2": 1, "nbar1": 0},
+               "axes": [{"variable": "nbar2", "min": -1, "max": 1, "points": 5}],
+               "outputs": ["n1", "n2"]}
+        cfg = parse_config(json.dumps(doc))
+        with caplog.at_level(logging.WARNING, logger="noisecascade"):
+            result = run_sweep(cfg)
+        assert not caplog.records
+        assert emit(result, cfg) == (b"nbar2,n1,n2,status\n-1,,,unsupported\n-0.5,,,unsupported\n"
+                                     b"0,0,0,ok\n0.5,0,0.25,ok\n1,0,0.5,ok\n")
+        json_cfg = dataclasses.replace(cfg, format="json")
+        assert emit(result, json_cfg) == reference_emit(result, json_cfg)
 
     def test_cli_sweep_leaves_stderr_empty(self, tmp_path, monkeypatch):
         # logging is not configured in the CLI, so the notice reaches no handler
