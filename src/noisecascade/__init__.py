@@ -21,11 +21,9 @@ from .optomech import (
 from .sweeps import (
     SweepConfig,
     SweepResult,
-    emit,
     emit_parts,
     iter_blocks,
     parse_config,
-    run_sweep,
 )
 
 __all__ = [
@@ -47,9 +45,7 @@ __all__ = [
     "preset_microwave",
     "SweepConfig",
     "SweepResult",
-    "emit",
     "emit_parts",
     "iter_blocks",
     "parse_config",
-    "run_sweep",
 ]

@@ -7,14 +7,17 @@ model) and of ``map-om`` and ``design`` (optomech model) go through
 sweeps.check_params, the check of a sweep config's ``params``, so both
 report the same first error.
 
-``fcs`` prints exactly the text ``json.dumps(result, indent=2)`` would, but
-writes it in one pass from a template (``_fcs_json``); the other commands
-print ``json.dumps`` itself.
-
-``sweep`` writes each part of its output as it is made, block by block
-(``sweeps.iter_blocks`` into ``sweeps.emit_parts``), so it holds one block
-of the grid at a time; ``--out`` goes through a temporary file beside the
-target, renamed onto it after the last part.
+Each command returns its standard output as parts, and ``main`` writes them
+through ``_write_stdout``, so a reader that closes the pipe early
+(``| head``) ends every command with exit code 0 and nothing on stderr.
+The JSON commands return their text and a line end, as ``print`` writes
+them: ``fcs`` exactly the text ``json.dumps(result, indent=2)`` would give,
+written in one pass from a template (``_fcs_json``), the others
+``json.dumps`` itself.  ``sweep`` returns the byte parts of its output, made
+block by block (``sweeps.iter_blocks`` into ``sweeps.emit_parts``), so it
+holds one block of the grid at a time; with ``--out`` it returns no part and
+writes them to a temporary file beside the target, renamed onto it after the
+last part.
 
 ``main`` reads a command's arguments with that command's parser alone and
 uses the top-level parser of ``build_parser`` only when ``argv[0]`` names no
@@ -36,6 +39,7 @@ import json
 import os
 import stat
 import sys as _sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -84,8 +88,13 @@ def _parse_sets(model: str, pairs: list[str]) -> dict:
     return out
 
 
+def _json_text(obj) -> list[str]:
+    """The parts that ``print(json.dumps(obj, indent=2))`` writes."""
+    return [json.dumps(obj, indent=2), "\n"]
+
+
 @np.errstate(invalid="ignore")  # dn of an inf n and an inf m is NaN: null
-def _cmd_steady_state(args: argparse.Namespace) -> int:
+def _cmd_steady_state(args: argparse.Namespace) -> list[str]:
     p = cascaded_from_raw(_parse_sets("cascaded", args.set))
     sys = build_system(p)
     W, _, reason = linear_response(sys)
@@ -93,30 +102,32 @@ def _cmd_steady_state(args: argparse.Namespace) -> int:
     (n1, n2), (m1, m2) = occupations(W, sys.nbar), disconnected_baseline(p)
     out = {"n1": n1, "n2": n2, "m1": m1, "m2": m2, "dn1": n1 - m1, "dn2": n2 - m2}
     # a mode without a baseline (kappa_i + gamma_i = 0) reads null, as a sweep's blank cell
-    print(json.dumps({k: v if np.isfinite(v) else None for k, v in out.items()}, indent=2))
-    return 0
+    return _json_text({k: v if np.isfinite(v) else None for k, v in out.items()})
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Iterable[bytes]:
     with open(args.config, "rb") as fh:
         cfg = parse_config(fh.read())
     if args.format:
         cfg = dataclasses.replace(cfg, format=args.format)
     parts = emit_parts(iter_blocks(cfg), cfg)
-    if args.out:
-        _write_file(args.out, parts)
-    else:
-        _write_stdout(parts)
-    return 0
+    if not args.out:
+        return parts
+    _write_file(args.out, parts)
+    return ()
 
 
-def _write_stdout(parts) -> None:
-    """Write ``parts`` to standard output as each is made; a reader that
-    closes the pipe early (``| head``) ends the sweep without an error."""
-    stdout = _sys.stdout.buffer
+def _write_stdout(parts: Iterable[str | bytes]) -> None:
+    """Write ``parts`` to standard output as each is made: text to the text
+    stream, bytes to its buffer.  A reader that closes the pipe early
+    (``| head``) ends the command without an error."""
+    stdout = _sys.stdout
     try:
         for part in parts:
-            stdout.write(part)
+            if isinstance(part, str):
+                stdout.write(part)
+            else:
+                stdout.buffer.write(part)
         stdout.flush()
     except BrokenPipeError:
         # the interpreter's last flush must not meet the closed pipe again
@@ -160,7 +171,7 @@ def _write_file(path: str, parts) -> None:
         raise
 
 
-def _cmd_fcs(args: argparse.Namespace) -> int:
+def _cmd_fcs(args: argparse.Namespace) -> list[str]:
     if not 0 <= args.s_points <= MAX_COUNT or not np.isfinite([args.s_min, args.s_max]).all():
         raise SchemaError(f"--s-points must be from 0 to {MAX_COUNT}, --s-min and --s-max finite")
     if abs(args.s_max - args.s_min) > _sys.float_info.max:  # linspace would overflow
@@ -172,8 +183,8 @@ def _cmd_fcs(args: argparse.Namespace) -> int:
     s_values = np.linspace(args.s_min, args.s_max, args.s_points)
     theta, reason = large_deviation(args.channel, s_values, sys)
     raise_first(reason, s=s_values)
-    print(_fcs_json(args.channel, s_values.tolist(), theta.tolist(), float(eta1), float(eta2)))
-    return 0
+    text = _fcs_json(args.channel, s_values.tolist(), theta.tolist(), float(eta1), float(eta2))
+    return [text, "\n"]
 
 
 def _fcs_json(channel: int, s: list[float], theta: list[float], eta1: float, eta2: float) -> str:
@@ -201,34 +212,26 @@ def _cascaded_dict(p: CascadedParams) -> dict:
     return out
 
 
-def _cmd_map_om(args: argparse.Namespace) -> int:
+def _cmd_map_om(args: argparse.Namespace) -> list[str]:
     cp = map_to_cascaded(OmParams(**_parse_sets("optomech", args.set)))
     out = _cascaded_dict(cp)
     out["F_residual"] = abs(complex(cp.F))
-    print(json.dumps(out, indent=2))
-    return 0
+    return _json_text(out)
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
+def _cmd_design(args: argparse.Namespace) -> list[str]:
     d = design_nonreciprocal(OmParams(**_parse_sets("optomech", args.set)))
-    print(
-        json.dumps(
-            {"j_star": d.j_star, "phi_star": d.phi_star, "residual": d.residual},
-            indent=2,
-        )
-    )
-    return 0
+    return _json_text({"j_star": d.j_star, "phi_star": d.phi_star, "residual": d.residual})
 
 
-def _cmd_preset(args: argparse.Namespace) -> int:
+def _cmd_preset(args: argparse.Namespace) -> list[str]:
     if args.name != "microwave":
         raise SchemaError(f"unknown preset {args.name!r}")
     p = preset_microwave()
     out = dataclasses.asdict(p)
     if args.mapped:
         out = {"preset": out, "mapped": _cascaded_dict(map_to_cascaded(p))}
-    print(json.dumps(out, indent=2))
-    return 0
+    return _json_text(out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,13 +306,14 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        _write_stdout(args.func(args))
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NUMERIC
+    return 0
 
 
 if __name__ == "__main__":

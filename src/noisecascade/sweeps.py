@@ -35,18 +35,18 @@ its own nbar.  The result is columnar: a SweepResult
 holds a value array and a status vector, and a cell is blank exactly where
 its value is not finite.  ``iter_blocks`` yields the result of each block
 in turn and ``emit_parts`` writes them part by part, so a sweep streamed
-from one to the other holds one block at a time; ``run_sweep`` and ``emit``
-are their concatenation and join, and hold the whole grid.  The emitter
-writes a blank cell as empty (CSV) or null (JSON), and formats each distinct
-value of a column once per block (once per result given to ``emit``), the
-distinct values of all columns together, in one exact vectorized pass (in
-chunks of 4096 values) that shares its digit and layout code between the
-formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17 and zeros, JSON
-as ``float.__repr__``, the shortest round-trip digits that ``json.dumps``
-writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each other finite
-value falls back to "%.17g" or ``json.dumps`` of that value.  The texts sit
-NUL-padded in a byte table beside their separators, and each part of 1024
-rows is gathered from it with the NUL bytes removed.
+from one to the other holds one block at a time; a grid of up to
+BLOCK_POINTS points is one block, so ``(result,) = iter_blocks(cfg)`` gives
+its result.  The emitter writes a blank cell as empty (CSV) or null (JSON),
+and formats each distinct value of a column once per result (per block in a
+stream), the distinct values of all columns together, in one exact
+vectorized pass (in chunks of 4096 values) that shares its digit and layout
+code between the formats: CSV as "%.17g" (``_g17``) for 1e-6 <= |x| < 1e17
+and zeros, JSON as ``float.__repr__``, the shortest round-trip digits that
+``json.dumps`` writes (``_repr17``), for 1e-6 <= |x| < 1e16 and zeros.  Each
+other finite value falls back to "%.17g" or ``json.dumps`` of that value.
+The texts sit NUL-padded in a byte table beside their separators, and each
+part of 1024 rows is gathered from it with the NUL bytes removed.
 ``parallel`` must be a boolean and has no effect: every sweep runs in one process.
 """
 
@@ -487,12 +487,6 @@ def iter_blocks(cfg: SweepConfig) -> Iterator[SweepResult]:
         yield SweepResult(*_block(cfg, [v[i] for v, i in zip(values, index)]))
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """The whole grid in row-major axis order: the blocks of ``iter_blocks``, concatenated."""
-    blocks = [(b.values, b.status) for b in iter_blocks(cfg)]
-    return SweepResult(*map(np.concatenate, zip(*blocks)))
-
-
 # number text: one vectorized pass per chunk of values (see _number_text)
 _FORMAT_CHUNK = 4096  # values per pass; bounds the temporaries, not the result
 _EMIT_ROWS = 1024  # rows per emitted part
@@ -750,12 +744,20 @@ def _cell_text(result: SweepResult, cols: list[str], as_json: bool) -> tuple[NDA
 
 def emit_parts(results: Iterable[SweepResult], cfg: SweepConfig) -> Iterator[bytes]:
     """The output of the rows of ``results`` in turn, part by part: the
-    header, each result's rows ``_EMIT_ROWS`` at a time, and the footer.
+    header, each result's rows ``_EMIT_ROWS`` at a time, and the footer;
+    byte-identical for identical rows, however they are split into results.
 
-    The parts joined are ``emit`` of the results concatenated.  Each
-    result's distinct values are formatted once, as in ``emit``, into a byte
-    table (``_cell_text``); a part packs its rows' cells from it, so beside
-    the result it holds one table and one part.
+    CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
+    indent=2)`` of one record per row; a cell whose value is not finite is
+    blank, empty or null, so the output holds no nan, inf, NaN or Infinity
+    and the JSON is strict.  The distinct values of every column of a result
+    are formatted together, once each, in one exact vectorized pass: for CSV
+    "%.17g" (``_g17``: 1e-6 <= |x| < 1e17 and zeros), for JSON
+    ``float.__repr__``, the encoder's number text (``_repr17``:
+    1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text, with "%.17g" or
+    ``json.dumps`` of each other finite value.  The texts go into a byte
+    table with their separators (``_cell_text``); a part packs its rows'
+    cells from it, so beside the result it holds one table and one part.
     """
     cols = column_names(cfg)
     as_json = cfg.format == "json"
@@ -772,19 +774,3 @@ def emit_parts(results: Iterable[SweepResult], cfg: SweepConfig) -> Iterator[byt
     if as_json:
         yield b"\n]\n"
 
-
-def emit(result: SweepResult, cfg: SweepConfig) -> bytes:
-    """Serialize the result per the config format; byte-identical for identical inputs.
-
-    CSV cells are ``"%.17g"`` of the value and JSON is ``json.dumps(records,
-    indent=2)`` of one record per row; a cell whose value is not finite is
-    blank, empty or null, so the output holds no nan, inf, NaN or Infinity
-    and the JSON is strict.  The distinct values of every column are
-    formatted together, once each, in one exact vectorized pass: for CSV
-    "%.17g" (``_g17``: 1e-6 <= |x| < 1e17 and zeros), for JSON
-    ``float.__repr__``, the encoder's number text (``_repr17``:
-    1e-6 <= |x| < 1e16 and zeros); fixed and d.ddde-0X text, with "%.17g" or
-    ``json.dumps`` of each other finite value.  Both are the parts of
-    ``emit_parts`` joined, gathered from a byte table of texts and separators.
-    """
-    return b"".join(emit_parts([result], cfg))

@@ -21,6 +21,19 @@ admissible region.
 
 Every function takes one system or a stack and returns (theta, failed)
 arrays, with NaN in the failed items.
+
+Where it is wrong: on a warm channel at large |s| the tilt grows as e^|s|
+while the stable eigenvalues of H_s stay O(1), so ``eigvals`` loses theta,
+and nothing here flags it.  On channel 1 of the ideal cascade with
+kappa1 = kappa2 = gamma1 = gamma2 = 1 and nbar1 = 5 it gives
+theta(-15) = -2.8849558 and theta(-19) = -1.3093098, where the true values
+are -2.8989789 and -2.8989795.  From s = -17.62 on it rejects some s and
+admits others with theta off by up to 7 times its value (-19.62), and it
+rejects every s <= -19.63 (scanned in steps of 0.01 to -40).  There the
+oracle is the one-mode closed form of ``test_counting``'s
+``test_warm_channel_at_large_negative_s``,
+theta(s) = (k1 + g1) - sqrt((k1 + g1)^2 + 4 k1 g1 [n3 (n1 + 1)(1 - e^-s)
++ n1 (n3 + 1)(1 - e^s)]).
 """
 
 import numpy as np

@@ -32,7 +32,7 @@ from noisecascade.optomech import (
     mech_susceptibility,
     preset_microwave,
 )
-from noisecascade.sweeps import emit, parse_config, run_sweep
+from noisecascade.sweeps import emit_parts, iter_blocks, parse_config
 from equal_rate_flows import simplified_flows
 from test_counting import point_cumulants, point_theta
 
@@ -310,10 +310,10 @@ def test_criterion_10_determinism():
         "format": "csv",
     }
     cfg = parse_config(json.dumps(doc))
-    first = emit(run_sweep(cfg), cfg)
-    second = emit(run_sweep(cfg), cfg)
+    first = b"".join(emit_parts(iter_blocks(cfg), cfg))
+    second = b"".join(emit_parts(iter_blocks(cfg), cfg))
     cfg_parallel = parse_config(json.dumps(dict(doc, parallel=True)))
-    parallel = emit(run_sweep(cfg_parallel), cfg_parallel)
+    parallel = b"".join(emit_parts(iter_blocks(cfg_parallel), cfg_parallel))
     ok = first == second == parallel
     report(10, ok, f"sweep output byte-identical across reruns and "
                    f"parallel/serial ({len(first)} bytes)")

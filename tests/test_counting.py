@@ -469,6 +469,30 @@ class TestSpectralOracle:
         np.testing.assert_array_equal(reason != 0, ref_failed)
         np.testing.assert_allclose(theta[~ref_failed], ref[~ref_failed], rtol=1e-8)
 
+    @pytest.mark.parametrize("s", [
+        -1.0, -5.0, -10.0,
+        *(pytest.param(s, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="the closed form loses theta, then rejects "
+            "s <= -19.7, on a warm channel at large |s| (ROADMAP item 10)"))
+          for s in (-15.0, -19.0, -20.0, -25.0, -30.0, -40.0)),
+    ])
+    def test_warm_channel_at_large_negative_s(self, s):
+        # the ideal cascade (F = 0): mode 2 does not act on mode 1, so channel
+        # 1 counts one mode between the baths (kappa1, nbar1) and (gamma1,
+        # nbar3), whose theta is a closed form at every s, admissible for every
+        # s < 0 here (nbar3 = 0).  It gives theta(-25) = -2.8989794855 and
+        # tends to 2 - 2 sqrt(6).  The package misses it by 2.8e-9 (relative)
+        # at s = -15 and 1.3e-7 at -19, and rejects every s <= -19.7; the 4x4
+        # oracle is wrong there too (spectral_oracle)
+        k, g, n1, n3 = 1.0, 1.0, 5.0, 0.0
+        sys = build_system(CascadedParams(kappa1=k, kappa2=1.0, gamma1=g, gamma2=1.0, nbar1=n1))
+        # 1 - e^-s and 1 - e^s as -expm1, exact near s = 0
+        bias = n3 * (n1 + 1.0) * -np.expm1(-s) + n1 * (n3 + 1.0) * -np.expm1(s)
+        exact = (k + g) - np.sqrt((k + g) ** 2 + 4.0 * k * g * bias)
+        theta, reason = large_deviation(1, s, sys)
+        assert reason == 0
+        assert theta == pytest.approx(exact, rel=1e-9)
+
     def test_far_detuned_one_mode_limit(self):
         # as the detuning grows, channel 1 sees mode 1 alone between the baths
         # (kappa1, nbar1) and (gamma1, nbar3); the two-mode theta(-0.3) of the

@@ -1,6 +1,6 @@
 """The JSON number text of sweeps: ``_repr17``, the vectorized shortest
 round-trip digits, against ``json.dumps`` and ``float.__repr__`` value by
-value, and the JSON table of ``emit`` against json.dumps of dict records."""
+value, and the JSON table of ``emit_parts`` against json.dumps of dict records."""
 
 import json
 import math
@@ -10,9 +10,9 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_csv_numbers import bit_patterns, random_bit_patterns
-from test_sweeps_cli import NAN_PAYLOAD, STATUSES, emit_case, reference_emit
+from test_sweeps_cli import NAN_PAYLOAD, STATUSES, emit_case, emitted, reference_emit
 
-from noisecascade.sweeps import _number_text, _repr17, emit
+from noisecascade.sweeps import _number_text, _repr17
 
 # the window is 1e-6 <= |x| < 1e16: each power of ten from 1e-7 to 1e17, where
 # the layout switches at 1e-4 (0.0001 and 9.999999999999999e-05) and 1e16
@@ -113,4 +113,4 @@ def test_json_table_matches_dict_records():
     table[np.arange(table.size).reshape(rows, 3) % 7 == 0] = math.nan  # blank cells
     status = [STATUSES[i % 3] for i in range(rows)]
     cfg, result = emit_case("json", table, status)
-    assert emit(result, cfg) == reference_emit(result, cfg)
+    assert emitted([result], cfg) == reference_emit(result, cfg)

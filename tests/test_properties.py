@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noisecascade.cascaded import CascadedParams, build_system
+from noisecascade.cascaded import CascadedParams, build_system, linear_response, occupations
+from noisecascade.counting import flow_cumulants, large_deviation
 from noisecascade.linalg import stability_margin
 from quadrature_oracle import embed_drift, real_embedding_matrix
 from test_counting import point_cumulants, point_theta
@@ -117,3 +118,67 @@ def test_gallavotti_cohen_symmetry():
         assert point_theta(1, s, sys) == pytest.approx(
             point_theta(1, beta - s, sys), abs=1e-13
         )
+
+
+# the quantities that scale by 2^k with every rate, frequency and F (rates
+# per unit time), and those that do not change
+SCALED_FIELDS = ("omega1", "omega2", "kappa1", "kappa2", "gamma1", "gamma2", "F")
+THETA_S = np.array([-0.3, 0.2, 1.0])
+
+
+def covariance_outputs(p):
+    """({name: array} that must not change, {name: array} that must scale by
+    2^k) when every field of SCALED_FIELDS is multiplied by 2^k."""
+    sys = build_system(p)
+    W, G, reason = linear_response(sys)
+    same = {"W": W, "occupations": np.array(occupations(W, sys.nbar)), "response": reason}
+    scaled = {"G": G, "margin": sys.margin}
+    for ch in (1, 2, 3):
+        (eta1, eta2), same[f"eta reason {ch}"] = flow_cumulants(ch, sys)
+        scaled[f"eta1 {ch}"], scaled[f"eta2 {ch}"] = eta1, eta2
+        scaled[f"theta {ch}"], same[f"theta reason {ch}"] = large_deviation(
+            ch, THETA_S[:, None], sys)
+    return same, scaled
+
+
+def assert_same_bits(got, want, name):
+    """Equal bit for bit, every NaN equal to every NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all(), name
+    assert (got[~nan].view(np.int64) == want[~nan].view(np.int64)).all(), name
+
+
+def test_scale_covariance():
+    # ROADMAP item 16's specification: scaled by 2^k, k even (so sqrt(rate)
+    # scales exactly), the system's time scale changes and nothing else.  W,
+    # the occupations and every reason stay as they are, and G, both flow
+    # cumulants of each channel, theta(s) and the margin scale by 2^k, bit
+    # for bit, on 2000 points whose every magnitude is 10^U(-3, 3)
+    rng = np.random.default_rng(2016)
+    size = 2000
+
+    def magnitude():
+        return 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+    def signed():
+        return rng.choice([-1.0, 1.0], size) * magnitude()
+
+    fields = {"omega1": signed(), "omega2": signed(), "kappa1": magnitude(),
+              "kappa2": magnitude(), "gamma1": magnitude(), "gamma2": magnitude(),
+              "F": signed() + 1j * signed(), "phi": rng.uniform(0.0, 2.0 * math.pi, size),
+              "nbar1": magnitude(), "nbar2": magnitude(), "nbar3": magnitude()}
+    same, scaled = covariance_outputs(CascadedParams(**fields))
+    # enough admissible theta items that the comparison says something
+    assert np.isfinite(scaled["theta 3"]).sum() > 3000
+    for k in (-40, 40):
+        factor = 2.0 ** k
+        p = CascadedParams(**{
+            name: value * factor if name in SCALED_FIELDS else value
+            for name, value in fields.items()
+        })
+        got_same, got_scaled = covariance_outputs(p)
+        for name, want in same.items():
+            assert_same_bits(got_same[name], want, (k, name))
+        for name, want in scaled.items():
+            assert_same_bits(got_scaled[name], want * factor, (k, name))

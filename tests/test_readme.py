@@ -1,5 +1,5 @@
 """The README's examples run as written: every fenced python block, and its
-JSON sweep config through parse_config, run_sweep and emit."""
+JSON sweep config through parse_config, iter_blocks and emit_parts."""
 
 import dataclasses
 import math
@@ -15,7 +15,7 @@ from noisecascade import (
     occupations,
     preset_microwave,
 )
-from noisecascade.sweeps import column_names, emit, parse_config, run_sweep
+from noisecascade.sweeps import column_names, emit_parts, iter_blocks, parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -35,11 +35,11 @@ def test_python_blocks_run():
 def test_sweep_config_runs():
     (text,) = fenced("json")
     cfg = parse_config(text)
-    result = run_sweep(cfg)
+    (result,) = iter_blocks(cfg)  # 101 x 101 points: one block
     points = math.prod(ax.points for ax in cfg.axes)
     assert result.values.shape == (points, len(column_names(cfg)) - 1)
     assert (result.status == "ok").all()
-    lines = emit(result, cfg).decode().split("\n")
+    lines = b"".join(emit_parts([result], cfg)).decode().split("\n")
     assert lines[0] == ",".join(column_names(cfg))
     assert len(lines) == points + 2  # header, one line per point, trailing LF
 
