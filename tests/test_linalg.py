@@ -158,10 +158,27 @@ class TestStabilityMargin:
         # F = 1.7e308 (1 + i): the scaled discriminant times its scale passes
         # the float maximum, so it is inf, with no RuntimeWarning (an error in
         # the tests) when the margin is read outside an errstate.  The margin
-        # is still wrong: the true one is about -0.65 (ROADMAP items 16 and 22)
+        # is still wrong: the drift's true one is -1.0 (see the test below;
+        # -1 + sqrt(2) / 4 = -0.646 is that of the exact parameters)
         sys = build_system(CascadedParams(kappa1=1.0, kappa2=1.0, gamma1=1.0, gamma2=1.0,
                                           F=1.7e308 + 1.7e308j))
         assert sys.margin == 2.9990490977378498e+291
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the margin's scaled discriminant passes the float maximum, so the margin "
+        "reads 2.999e291 and the point unstable (ROADMAP items 16 and 22)"))
+    def test_disc_past_the_float_maximum_keeps_the_margin(self):
+        from noisecascade import cascaded
+        from noisecascade.cascaded import CascadedParams, build_system
+
+        # the coupling -sqrt(gamma1 gamma2) = -1 is lost in rounding, so the
+        # drift holds M10 = -a - ia beside M01 = a - ia (a = 1.7e308):
+        # M01 M10 = -2 a^2 exactly, and the eigenvalues are -1 +- i sqrt(2) a
+        sys = build_system(CascadedParams(kappa1=1, kappa2=1, gamma1=1, gamma2=1,
+                                          F=1.7e308 + 1.7e308j))
+        assert sys.M[1, 0] == -1.7e308 - 1.7e308j
+        assert stability_margin(sys.M) == pytest.approx(-1.0, rel=1e-12)
+        assert cascaded.unstable(sys) == 0
 
     def test_candidate_bound_near_the_float_maximum(self):
         from noisecascade.cascaded import CascadedParams, build_system
